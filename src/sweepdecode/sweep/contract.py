@@ -71,10 +71,6 @@ class MPSState:
             return 1 if self.sites else 0
         return max(site.shape[2] for site in self.sites[:-1])
 
-    def _absorb_scale(self, value: float):
-        """Fold a strictly positive factor into log_scale."""
-        self.log_scale += math.log(value)
-
     def _normalize_site(self, k: int):
         arr = self.sites[k]
         m = np.max(np.abs(arr))

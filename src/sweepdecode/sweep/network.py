@@ -5,12 +5,19 @@ straight segments.  Contraction only needs the combinatorial structure,
 but the sweep algorithm needs an embedding in which bonds do not cross;
 :func:`planarize` restores that property by splicing a swap tensor into
 every crossing point.
+
+Crossings are found on a uniform grid of buckets: each bond is registered
+in every cell its bounding box covers, and only bonds sharing a cell are
+tested against each other.  Two segments whose closed bounding boxes are
+disjoint never cross, so the grid finds the same first crossing as a scan
+over all pairs, in time near-linear in the number of bonds on networks
+whose bonds have similar lengths.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,13 +127,27 @@ def _on_segment(p, a, b) -> bool:
     return False
 
 
+def _bbox(p, q) -> tuple:
+    return (min(p[0], q[0]), min(p[1], q[1]), max(p[0], q[0]), max(p[1], q[1]))
+
+
+def _boxes_disjoint(a, b) -> bool:
+    """Closed boxes ``(x0, y0, x1, y1)`` share no point."""
+    return a[2] < b[0] or b[2] < a[0] or a[3] < b[1] or b[3] < a[1]
+
+
 def _proper_crossing(p1, p2, q1, q2):
     """Return the interior crossing point of segments p1p2 and q1q2, or None.
 
     Degenerate contact (an endpoint lying exactly on the other segment, or
     collinear overlap) raises, since it implies a vertex sitting on the
-    interior of a bond it does not terminate.
+    interior of a bond it does not terminate.  Segments with disjoint
+    closed bounding boxes are rejected first by exact comparisons: for
+    nearly collinear segments, rounding can flip the orientation signs and
+    report a crossing point that lies outside one of them.
     """
+    if _boxes_disjoint(_bbox(p1, p2), _bbox(q1, q2)):
+        return None
     d1 = _orient(q1, q2, p1)
     d2 = _orient(q1, q2, p2)
     d3 = _orient(p1, p2, q1)
@@ -146,6 +167,49 @@ def _proper_crossing(p1, p2, q1, q2):
     return None
 
 
+def _find_crossing(bonds, pos):
+    """First crossing ``(i, j, point)`` in ascending ``(i, j)`` order, or None.
+
+    Bonds are bucketed on a uniform grid whose cell side is the mean of
+    each bond's larger bounding-box side; a bond sits in every cell its
+    bounding box covers.  Bond ``i`` is tested only against the bonds
+    ``j > i`` that share one of its cells, in ascending ``j``, skipping
+    pairs with disjoint bounding boxes or a shared vertex.  Any two closed
+    boxes that meet share a cell (cell indices are monotone in the
+    coordinates), and :func:`_proper_crossing` rejects disjoint boxes
+    anyway, so the result -- including which degenerate contact raises --
+    is the one a scan over all pairs in ``(i, j)`` order gives.
+    """
+    ends = [(b.endpoint_a[0], b.endpoint_b[0]) for b in bonds]
+    segs = [(pos[a], pos[b]) for a, b in ends]
+    boxes = [_bbox(p, q) for p, q in segs]
+    if not boxes:
+        return None
+    side = sum(max(x1 - x0, y1 - y0) for x0, y0, x1, y1 in boxes) / len(boxes) or 1.0
+
+    spans = []
+    grid: dict = {}
+    for i, (x0, y0, x1, y1) in enumerate(boxes):
+        span = (
+            range(math.floor(x0 / side), math.floor(x1 / side) + 1),
+            range(math.floor(y0 / side), math.floor(y1 / side) + 1),
+        )
+        spans.append(span)
+        for cx in span[0]:
+            for cy in span[1]:
+                grid.setdefault((cx, cy), []).append(i)
+
+    for i, (xs, ys) in enumerate(spans):
+        near = sorted({j for cx in xs for cy in ys for j in grid[(cx, cy)] if j > i})
+        for j in near:
+            if _boxes_disjoint(boxes[i], boxes[j]) or not set(ends[i]).isdisjoint(ends[j]):
+                continue
+            pt = _proper_crossing(*segs[i], *segs[j])
+            if pt is not None:
+                return i, j, pt
+    return None
+
+
 def _swap_tensor(dim_a: int, dim_b: int) -> DenseTensor:
     eye_a = np.eye(dim_a)
     eye_b = np.eye(dim_b)
@@ -156,32 +220,21 @@ def _swap_tensor(dim_a: int, dim_b: int) -> DenseTensor:
 def planarize(tn: TensorNetwork2D) -> TensorNetwork2D:
     """Replace every bond crossing with a degree-4 swap tensor.
 
-    Crossings are found by pairwise segment tests and removed one at a time
-    in a fixed scan order, so the output is deterministic.  Degeneracies a
-    swap cannot express (a bond through a vertex it does not terminate)
-    raise :class:`PlanarizeError`; a swap vertex that would itself land on
-    another bond or vertex is nudged by a deterministic epsilon so chains of
-    crossings through one point resolve pairwise.
+    Crossings are removed one at a time, always the first in ``(i, j)``
+    order over the bond list, so the output is deterministic.  Each search
+    buckets the bonds on a uniform grid (see :func:`_find_crossing`) and
+    tests only pairs whose closed bounding boxes meet, so it costs
+    near-linear time in the number of bonds; the grid is rebuilt after
+    every inserted swap.  Degeneracies a swap cannot express (a bond
+    through a vertex it does not terminate) raise :class:`PlanarizeError`;
+    a swap vertex that would itself land on another bond or vertex is
+    nudged by a deterministic epsilon so chains of crossings through one
+    point resolve pairwise.
 
     The input is returned unchanged (same object) when already planar.
     """
     pos = {vid: v.position for vid, v in tn.vertices.items()}
-
-    def find_crossing(bonds):
-        for i in range(len(bonds)):
-            a = bonds[i]
-            pa1, pa2 = pos[a.endpoint_a[0]], pos[a.endpoint_b[0]]
-            for j in range(i + 1, len(bonds)):
-                b = bonds[j]
-                if {a.endpoint_a[0], a.endpoint_b[0]} & {b.endpoint_a[0], b.endpoint_b[0]}:
-                    continue
-                pb1, pb2 = pos[b.endpoint_a[0]], pos[b.endpoint_b[0]]
-                pt = _proper_crossing(pa1, pa2, pb1, pb2)
-                if pt is not None:
-                    return i, j, pt
-        return None
-
-    hit = find_crossing(tn.bonds)
+    hit = _find_crossing(tn.bonds, pos)
     if hit is None:
         return tn
 
@@ -193,7 +246,7 @@ def planarize(tn: TensorNetwork2D) -> TensorNetwork2D:
 
     max_rounds = 10 * len(tn.bonds) ** 2 + 100
     for _ in range(max_rounds):
-        hit = find_crossing(out.bonds)
+        hit = _find_crossing(out.bonds, pos)
         if hit is None:
             return out
         i, j, pt = hit

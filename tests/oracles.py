@@ -2,12 +2,17 @@
 
 These deliberately avoid the package's contraction machinery: the network
 oracle is a literal sum over all joint bond-index assignments, evaluated in
-chunks so larger index spaces stay within memory.
+chunks so larger index spaces stay within memory.  The crossing oracle is
+the plain scan over all pairs of bonds that planarize's grid search must
+reproduce.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
+
+from sweepdecode.sweep import network
 
 
 def loop_contract(a: np.ndarray, b: np.ndarray, axis_pairs):
@@ -99,3 +104,29 @@ def assert_matches_oracle(result, tn, rel=1e-10):
     # summand magnitude instead of the (possibly zero) result.
     tol = rel * max(abs(mant), 1e-5 * total_abs)
     assert abs(got - mant) <= tol, f"expected {mant}, got {got} (tol {tol})"
+
+
+def first_crossing_all_pairs(bonds, pos):
+    """First crossing ``(i, j, point)`` over all bond pairs in ``(i, j)`` order.
+
+    Tests every pair of bonds without a shared vertex with
+    ``network._proper_crossing``; O(B^2) segment tests for B bonds.
+    """
+    for i in range(len(bonds)):
+        a = bonds[i]
+        pa1, pa2 = pos[a.endpoint_a[0]], pos[a.endpoint_b[0]]
+        for j in range(i + 1, len(bonds)):
+            b = bonds[j]
+            if {a.endpoint_a[0], a.endpoint_b[0]} & {b.endpoint_a[0], b.endpoint_b[0]}:
+                continue
+            pb1, pb2 = pos[b.endpoint_a[0]], pos[b.endpoint_b[0]]
+            pt = network._proper_crossing(pa1, pa2, pb1, pb2)
+            if pt is not None:
+                return i, j, pt
+    return None
+
+
+def planarize_all_pairs(tn):
+    """``planarize`` with its crossing search replaced by the all-pairs scan."""
+    with mock.patch.object(network, "_find_crossing", first_crossing_all_pairs):
+        return network.planarize(tn)
