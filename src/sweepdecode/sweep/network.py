@@ -11,11 +11,14 @@ in every cell its bounding box covers, and only bonds sharing a cell are
 tested against each other.  Two segments whose closed bounding boxes are
 disjoint never cross, so the grid finds the same first crossing as a scan
 over all pairs, in time near-linear in the number of bonds on networks
-whose bonds have similar lengths.
+whose bonds have similar lengths.  A bond much longer than the rest would
+cover a quadratic number of cells, so such a bond stays off the grid and
+is tested against every other bond instead.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -30,6 +33,14 @@ __all__ = [
     "PlanarizeError",
     "planarize",
 ]
+
+
+# A bond whose bounding box covers more grid cells than this is kept off
+# the grid.  Such a bond spans at least five cells along its larger side,
+# which is more than three times the mean that sets the cell side, so fewer
+# than a third of the bonds can be long (none on networks of similar bond
+# lengths), and no bond on the grid costs more than this many cells.
+MAX_BOND_CELLS = 16
 
 
 class PlanarizeError(ValueError):
@@ -167,18 +178,32 @@ def _proper_crossing(p1, p2, q1, q2):
     return None
 
 
+def _cells(box, side):
+    """Grid cells a closed box ``(x0, y0, x1, y1)`` covers, or None when
+    there are more than ``MAX_BOND_CELLS`` of them."""
+    x0, y0, x1, y1 = box
+    xs = range(math.floor(x0 / side), math.floor(x1 / side) + 1)
+    ys = range(math.floor(y0 / side), math.floor(y1 / side) + 1)
+    if len(xs) * len(ys) > MAX_BOND_CELLS:
+        return None
+    return [(cx, cy) for cx in xs for cy in ys]
+
+
 def _find_crossing(bonds, pos):
     """First crossing ``(i, j, point)`` in ascending ``(i, j)`` order, or None.
 
     Bonds are bucketed on a uniform grid whose cell side is the mean of
     each bond's larger bounding-box side; a bond sits in every cell its
-    bounding box covers.  Bond ``i`` is tested only against the bonds
-    ``j > i`` that share one of its cells, in ascending ``j``, skipping
-    pairs with disjoint bounding boxes or a shared vertex.  Any two closed
-    boxes that meet share a cell (cell indices are monotone in the
-    coordinates), and :func:`_proper_crossing` rejects disjoint boxes
-    anyway, so the result -- including which degenerate contact raises --
-    is the one a scan over all pairs in ``(i, j)`` order gives.
+    bounding box covers.  A bond covering more than ``MAX_BOND_CELLS``
+    cells is long: it stays off the grid and every bond is a candidate
+    partner of it.  Bond ``i`` is tested against the bonds ``j > i`` that
+    share one of its cells or are long (all ``j > i`` when ``i`` is long),
+    in ascending ``j``, skipping pairs with disjoint bounding boxes or a
+    shared vertex.  Any two closed boxes that meet share a cell (cell
+    indices are monotone in the coordinates), and :func:`_proper_crossing`
+    rejects disjoint boxes anyway, so the result -- including which
+    degenerate contact raises -- is the one a scan over all pairs in
+    ``(i, j)`` order gives.
     """
     ends = [(b.endpoint_a[0], b.endpoint_b[0]) for b in bonds]
     segs = [(pos[a], pos[b]) for a, b in ends]
@@ -189,18 +214,24 @@ def _find_crossing(bonds, pos):
 
     spans = []
     grid: dict = {}
-    for i, (x0, y0, x1, y1) in enumerate(boxes):
-        span = (
-            range(math.floor(x0 / side), math.floor(x1 / side) + 1),
-            range(math.floor(y0 / side), math.floor(y1 / side) + 1),
-        )
-        spans.append(span)
-        for cx in span[0]:
-            for cy in span[1]:
-                grid.setdefault((cx, cy), []).append(i)
+    long_bonds = []
+    for i, box in enumerate(boxes):
+        cells = _cells(box, side)
+        spans.append(cells)
+        if cells is None:
+            long_bonds.append(i)
+            continue
+        for cell in cells:
+            grid.setdefault(cell, []).append(i)
 
-    for i, (xs, ys) in enumerate(spans):
-        near = sorted({j for cx in xs for cy in ys for j in grid[(cx, cy)] if j > i})
+    n = len(bonds)
+    for i, cells in enumerate(spans):
+        if cells is None:
+            near = range(i + 1, n)
+        else:
+            near = {j for cell in cells for j in grid[cell] if j > i}
+            near.update(long_bonds[bisect.bisect_right(long_bonds, i):])
+            near = sorted(near)
         for j in near:
             if _boxes_disjoint(boxes[i], boxes[j]) or not set(ends[i]).isdisjoint(ends[j]):
                 continue

@@ -16,7 +16,9 @@ from sweepdecode.sweep import (
     format_network,
     planarize,
     sweep_contract,
+    sweep_key,
 )
+from sweepdecode.sweep import contract
 
 from netgen import grid_network, random_planar_network, scramble_positions
 from oracles import assert_matches_oracle, brute_force_value
@@ -340,3 +342,180 @@ class TestTextFormat:
             parse_network("tn2d v1 1 0\nv 0 0.0 0.0 1 2 1.0")  # truncated
         with pytest.raises(ValueError):
             parse_network("tn2d v1 1 0\nq 0")
+
+
+def with_tensors(tn, rng):
+    """Same vertices, positions and bonds as ``tn``; fresh random tensors."""
+    out = TensorNetwork2D()
+    for v in tn.vertices.values():
+        out.add_vertex(TNVertex(v.id, DenseTensor(rng.normal(size=v.tensor.extents)), v.position))
+    for b in tn.bonds:
+        out.add_bond(Bond(b.endpoint_a, b.endpoint_b, b.dimension))
+    return out
+
+
+def rebuilt(tn, position=None, dims=None, bond_order=None):
+    """Copy of ``tn`` with one vertex moved (``position = (vid, xy)``), some
+    bond dimensions changed (``dims = {bond index: dim}``, the endpoint
+    tensors resized to match) or the bonds listed in ``bond_order``."""
+    dims = dims or {}
+    extents = {v.id: list(v.tensor.extents) for v in tn.vertices.values()}
+    for k, d in dims.items():
+        for vid, axis in (tn.bonds[k].endpoint_a, tn.bonds[k].endpoint_b):
+            extents[vid][axis] = d
+    rng = np.random.default_rng(len(tn.bonds))
+    out = TensorNetwork2D()
+    for v in tn.vertices.values():
+        pos = position[1] if position and position[0] == v.id else v.position
+        arr = v.tensor.elements
+        if list(arr.shape) != extents[v.id]:
+            arr = rng.normal(size=extents[v.id])
+        out.add_vertex(TNVertex(v.id, DenseTensor(arr), pos))
+    for k in bond_order or range(len(tn.bonds)):
+        b = tn.bonds[k]
+        out.add_bond(Bond(b.endpoint_a, b.endpoint_b, dims.get(k, b.dimension)))
+    return out
+
+
+def planarize_counter(monkeypatch):
+    calls = []
+    real = contract.planarize
+
+    def counting(tn):
+        calls.append(tn)
+        return real(tn)
+
+    monkeypatch.setattr(contract, "planarize", counting)
+    return calls
+
+
+def plan_cases():
+    for seed in range(12):
+        tn = random_planar_network(np.random.default_rng(4000 + seed), max_vertices=10, product_cap=1 << 12)
+        yield tn
+        yield scramble_positions(tn, np.random.default_rng(seed))
+    yield grid_network(np.random.default_rng(4100), 4, 4, dim=2)
+    yield TestPlanarize().k4_square(np.random.default_rng(4101))
+
+
+class TestSweepPlanCache:
+    def test_cold_and_warm_cache_agree(self):
+        swaps = 0
+        for k, tn in enumerate(plan_cases()):
+            swaps += len(planarize(tn).vertices) - len(tn.vertices)
+            sibling = with_tensors(tn, np.random.default_rng(k))
+            for chi in (None, 2):
+                contract._plans.clear()
+                cold = sweep_contract(tn, chi)
+                warm_sibling = sweep_contract(sibling, chi)  # tn's plan
+                assert sweep_contract(tn, chi) == cold
+                contract._plans.clear()
+                assert sweep_contract(sibling, chi) == warm_sibling
+                assert sweep_contract(tn, chi) == cold
+        assert swaps > 20
+
+    def test_coset_style_networks_plan_once(self, monkeypatch):
+        calls = planarize_counter(monkeypatch)
+        contract._plans.clear()
+        base = scramble_positions(
+            random_planar_network(np.random.default_rng(4200), max_vertices=10, product_cap=1 << 12),
+            np.random.default_rng(4201),
+        )
+        for k in range(4):
+            net = with_tensors(base, np.random.default_rng(4300 + k))
+            assert_matches_oracle(sweep_contract(net, None), net, rel=1e-10)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("change", ["moved vertex", "bond dimension", "bond order"])
+    def test_changed_geometry_gets_fresh_plan(self, monkeypatch, change):
+        tn = TestPlanarize().k4_square(np.random.default_rng(4400))
+        if change == "moved vertex":
+            other = rebuilt(tn, position=(2, (1.5, 1.25)))
+        elif change == "bond dimension":
+            other = rebuilt(tn, dims={4: 3})  # a diagonal: its swap changes shape
+        else:
+            other = rebuilt(tn, bond_order=[5, 3, 1, 0, 4, 2])
+        calls = planarize_counter(monkeypatch)
+        contract._plans.clear()
+        sweep_contract(tn)
+        warm = sweep_contract(other)
+        assert len(calls) == 2
+        assert_matches_oracle(warm, other, rel=1e-12)
+        contract._plans.clear()
+        assert sweep_contract(other) == warm
+
+    def test_cache_is_bounded(self, monkeypatch):
+        calls = planarize_counter(monkeypatch)
+        contract._plans.clear()
+        nets = [grid_network(np.random.default_rng(k), 2, k + 2) for k in range(contract.PLAN_CACHE_SIZE + 1)]
+        for tn in nets:
+            sweep_contract(tn)
+        assert len(contract._plans) == contract.PLAN_CACHE_SIZE
+        sweep_contract(nets[-1])
+        assert len(calls) == len(nets)
+        sweep_contract(nets[0])  # the oldest plan was evicted
+        assert len(calls) == len(nets) + 1
+
+    @staticmethod
+    def non_contiguous_network():
+        """Vertices 0 and 1 share a point, so the zero-length bond between
+        them leaves vertex 1's bond to 5 between vertex 0's bonds to 3 and
+        to 2, although it departs left of both; vertex 3's backward bonds
+        then sit in slots 0 and 2."""
+        pos = {0: (0.0, 0.0), 1: (0.0, 0.0), 2: (1.0, 1.0), 3: (-1.0, 2.0), 5: (-3.0, 3.0)}
+        pairs = [(0, 3), (0, 1), (0, 2), (1, 5), (2, 3)]
+        return network_from_pairs(pos, pairs)
+
+    @pytest.mark.parametrize("case", ["dangling axis", "disconnected", "non-contiguous"])
+    def test_invalid_network_raises_every_call(self, case):
+        if case == "dangling axis":
+            tn = chain_network([np.ones(2), np.ones((2, 2)), np.ones(2)])
+            tn.bonds.pop()
+            kind = ValueError
+        elif case == "disconnected":
+            tn = TensorNetwork2D()
+            tn.add_vertex(TNVertex(0, DenseTensor(np.array(1.0)), (0.0, 0.0)))
+            tn.add_vertex(TNVertex(1, DenseTensor(np.array(2.0)), (1.0, 0.0)))
+            kind = ContractionError
+        else:
+            tn = self.non_contiguous_network()
+            kind = ContractionError
+        contract._plans.clear()
+        for _ in range(3):
+            with pytest.raises(kind) as err:
+                sweep_contract(tn)
+            if case == "non-contiguous":
+                assert "not contiguous" in str(err.value)
+        assert not contract._plans
+
+
+def network_from_pairs(pos, pairs, dim=2, rng=None):
+    """Network on the vertices of ``pos`` with one bond per vertex pair."""
+    rng = rng or np.random.default_rng(0)
+    degree = {vid: 0 for vid in pos}
+    axes = []
+    for a, b in pairs:
+        axes.append((degree[a], degree[b]))
+        degree[a] += 1
+        degree[b] += 1
+    tn = TensorNetwork2D()
+    for vid, xy in pos.items():
+        tn.add_vertex(TNVertex(vid, DenseTensor(rng.normal(size=(dim,) * degree[vid])), xy))
+    for (a, b), (ax_a, ax_b) in zip(pairs, axes):
+        tn.add_bond(Bond((a, ax_a), (b, ax_b), dim))
+    return tn
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("where", ["mid-sweep", "last vertex"])
+    @pytest.mark.parametrize("chi", [None, 2])
+    def test_non_finite_element_raises(self, bad, where, chi):
+        tn = grid_network(np.random.default_rng(4500), 4, 4, dim=2)
+        order = sorted(tn.vertices.values(), key=sweep_key)
+        v = order[len(order) // 2] if where == "mid-sweep" else order[-1]
+        arr = v.tensor.elements.copy()
+        arr[(0,) * arr.ndim] = bad
+        tn.vertices[v.id] = TNVertex(v.id, DenseTensor(arr), v.position)
+        with pytest.raises(ContractionError):
+            sweep_contract(tn, chi)
