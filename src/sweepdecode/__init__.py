@@ -3,12 +3,9 @@ tensor network contraction."""
 
 __version__ = "0.1.0"
 
-from .tensor import DenseTensor, contract_pair, normalize_scale, svd_split
+from .tensor import DenseTensor
 
 __all__ = [
     "DenseTensor",
-    "contract_pair",
-    "normalize_scale",
-    "svd_split",
     "__version__",
 ]

@@ -10,7 +10,6 @@ from .contract import (
     sweep_key,
 )
 from .network import Bond, PlanarizeError, TensorNetwork2D, TNVertex, planarize
-from .textfmt import format_network, load_network, parse_network, save_network
 
 __all__ = [
     "Bond",
@@ -22,11 +21,7 @@ __all__ = [
     "TensorNetwork2D",
     "compress_mps",
     "contract_step",
-    "format_network",
-    "load_network",
-    "parse_network",
     "planarize",
-    "save_network",
     "sweep_contract",
     "sweep_key",
 ]

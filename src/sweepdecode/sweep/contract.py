@@ -34,7 +34,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..tensor import DEFAULT_REL_CUTOFF
 from .network import TensorNetwork2D, planarize
 
 __all__ = [
@@ -48,6 +47,10 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+
+# Singular values below this fraction of the largest are dropped on every
+# compression, even when ``chi`` is not binding: they are rounding noise.
+DEFAULT_REL_CUTOFF = 1e-14
 
 # Plans kept at once.  A decoder contracts the networks of one code over
 # and over, so a handful of geometries covers it.
@@ -76,14 +79,13 @@ class MPSState:
     """Open boundary of a partial contraction.
 
     ``sites[k]`` is a float64 array with axes (left bond, open leg, right
-    bond) carrying the open leg for network bond id ``pending[k]``.  The
-    outermost bonds have extent 1.  Magnitudes are folded into
+    bond); which network bond each open leg carries is fixed by the sweep
+    plan.  The outermost bonds have extent 1.  Magnitudes are folded into
     ``log_scale`` (site arrays are kept near unit scale); ``mantissa``
     accumulates the sign/value once the boundary closes.
     """
 
     sites: list = field(default_factory=list)
-    pending: list = field(default_factory=list)
     log_scale: float = 0.0
     mantissa: float = 1.0
 
@@ -93,6 +95,12 @@ class MPSState:
         return max(site.shape[2] for site in self.sites[:-1])
 
     def _normalize_site(self, k: int):
+        """Shift site ``k`` by a power of two so its largest magnitude lands
+        in [2^-0.5, 2^0.5], folding the shift into ``log_scale``.
+
+        Only exponent bits change, so the elements are rescaled exactly.
+        An all-zero site is left alone; a non-finite one raises.
+        """
         arr = self.sites[k]
         m = np.max(np.abs(arr))
         if m == 0.0:
@@ -109,8 +117,8 @@ class _Step(NamedTuple):
     """One planned absorption.
 
     Vertex ``vid`` consumes the boundary slots ``lo..hi`` (none when
-    ``hi == lo - 1``: it then enters at slot ``lo``) and leaves
-    ``new_pending`` there, ordered left to right.  ``perms`` holds the
+    ``hi == lo - 1``: it then enters at slot ``lo``) and leaves one slot
+    per forward bond there, ordered left to right.  ``perms`` holds the
     transposes of its products: the consumed run's axes (left, right, then
     legs in the vertex's bond order) and the vertex's axes (contracted,
     then surviving), both None without backward bonds, and the order of
@@ -121,7 +129,6 @@ class _Step(NamedTuple):
     lo: int
     hi: int
     perms: tuple
-    new_pending: tuple
 
 
 class _Plan(NamedTuple):
@@ -218,13 +225,16 @@ def _plan_step(pending: list, v, vertices, incident, bonds) -> _Step:
         v_axis_pos = {a: 2 + a for a in range(v.tensor.rank)}
 
     open_axes = (0, *(v_axis_pos[axis] for _, axis, _ in forward), 1)
-    new_pending = tuple(bid for bid, _, _ in forward)
-    pending[lo : hi + 1] = new_pending
-    return _Step(v.id, lo, hi, (run_axes, vertex_axes, open_axes), new_pending)
+    pending[lo : hi + 1] = [bid for bid, _, _ in forward]
+    return _Step(v.id, lo, hi, (run_axes, vertex_axes, open_axes))
 
 
 def _build_plan(tn: TensorNetwork2D) -> _Plan:
-    """Validate, planarize and order ``tn`` and plan every absorption."""
+    """Validate, planarize and order ``tn`` and plan every absorption.
+
+    The replay on bond ids is the only record of which bond each boundary
+    slot carries; a bond it leaves open (a self-loop, say) raises here.
+    """
     tn.validate_closed()
     flat = planarize(tn)
     # swaps can join components that only met at crossings, so connectivity
@@ -242,6 +252,8 @@ def _build_plan(tn: TensorNetwork2D) -> _Plan:
         _plan_step(pending, v, flat.vertices, incident, flat.bonds)
         for v in sorted(flat.vertices.values(), key=sweep_key)
     )
+    if pending:
+        raise ContractionError("sweep finished with open boundary; network not closed")
     swaps = {vid: v.tensor for vid, v in flat.vertices.items() if vid not in tn.vertices}
     return _Plan(steps, swaps)
 
@@ -295,7 +307,7 @@ def contract_step(mps: MPSState, step: _Step, tensor) -> MPSState:
     ``np.tensordot`` does with the same axes.  Consumed sites leave the
     chain before their replacement is built.
     """
-    _, lo, hi, (run_axes, vertex_axes, open_axes), new_pending = step
+    _, lo, hi, (run_axes, vertex_axes, open_axes) = step
     sites = mps.sites
     elements = tensor.elements
     if hi >= lo:
@@ -334,7 +346,6 @@ def contract_step(mps: MPSState, step: _Step, tensor) -> MPSState:
         # (when the boundary is empty) into the scalar accumulator.
         mat = merged.reshape(left_dim, right_dim)
         del merged
-        del mps.pending[lo : hi + 1]
         if lo > 0:
             sites[lo - 1] = _dot_right(sites[lo - 1], mat)
         elif sites:
@@ -396,7 +407,6 @@ def contract_step(mps: MPSState, step: _Step, tensor) -> MPSState:
         new_sites.append(site)
 
     sites[lo:lo] = new_sites
-    mps.pending[lo : hi + 1] = new_pending
     mps._normalize_site(lo + t)
     return mps
 
@@ -436,7 +446,8 @@ def compress_mps(mps: MPSState, chi: int, rel_cutoff: float = DEFAULT_REL_CUTOFF
         keep = int(np.count_nonzero(s >= rel_cutoff * s[0])) if s[0] > 0.0 else 1
         keep = max(1, min(keep, chi))
         dropped += float(np.sum(s[keep:] ** 2))
-        mps.sites[k] = vt[:keep].reshape(keep, d, dr)
+        # a copy, so the site does not keep the whole of ``vt`` alive
+        mps.sites[k] = vt[:keep].reshape(keep, d, dr).copy()
         carry = u[:, :keep] * s[:keep]
         mps.sites[k - 1] = _dot_right(mps.sites[k - 1], carry)
     for k in range(n):
@@ -489,7 +500,4 @@ def sweep_contract(
             if chi is not None and mps.max_bond() > chi_prime:
                 _, err = compress_mps(mps, chi, rel_cutoff)
                 total_err = math.sqrt(total_err * total_err + err * err)
-
-    if mps.sites or mps.pending:
-        raise ContractionError("sweep finished with open boundary; network not closed")
     return SweepValue(mps.mantissa, mps.log_scale, total_err)

@@ -6,40 +6,25 @@ magnitude.  Every tensor therefore carries its numerical payload as
 ``elements * exp(log_scale)``: the element array is kept at O(1) magnitude
 and the scale is tracked separately as a natural logarithm.
 
-Element layout is axis-major (C order, axis 0 slowest), and every shape
-operation below is defined against that layout, so fuse/split round trips
-are bit-exact.
-
-All elements are real valued: the networks built in this package hold
-probabilities and 0/1 indicators, and real arithmetic is preserved by every
-operation used on them.
+Elements are real float64 in C order (axis 0 slowest), which the sweep's
+reshapes rely on: the networks built in this package hold probabilities
+and 0/1 indicators.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "DenseTensor",
-    "contract_pair",
-    "permute_axes",
-    "fuse_axes",
-    "split_axes",
-    "svd_split",
-    "normalize_scale",
-]
-
-DEFAULT_REL_CUTOFF = 1e-14
+__all__ = ["DenseTensor"]
 
 
 @dataclass(frozen=True)
 class DenseTensor:
     """An n-axis real tensor representing ``elements * exp(log_scale)``.
 
-    Values are immutable after construction; operations return new tensors.
+    The element array is read-only after construction.
     """
 
     elements: np.ndarray
@@ -60,143 +45,3 @@ class DenseTensor:
     @property
     def extents(self) -> tuple:
         return self.elements.shape
-
-    def densify(self) -> np.ndarray:
-        """Materialize the represented tensor as a plain array.
-
-        Only sensible when exp(log_scale) is representable; used by tests
-        and small-network tooling.
-        """
-        return self.elements * math.exp(self.log_scale)
-
-    def scalar(self) -> tuple:
-        """Return (mantissa, log_scale) for a rank-0 tensor."""
-        if self.elements.ndim != 0:
-            raise ValueError("scalar() requires a rank-0 tensor")
-        return float(self.elements), self.log_scale
-
-
-def normalize_scale(t: DenseTensor) -> DenseTensor:
-    """Rescale so max |element| lands in [0.5, 2], keeping the value fixed.
-
-    The shift is a power of two, so elements are rescaled exactly; only
-    log_scale picks up rounding (one multiply by ln 2).  All-zero and
-    non-finite-max tensors are returned unchanged.
-    """
-    m = float(np.max(np.abs(t.elements))) if t.elements.size else 0.0
-    if m == 0.0 or not math.isfinite(m):
-        return t
-    k = round(math.log2(m))
-    if k == 0:
-        return t
-    return DenseTensor(np.ldexp(t.elements, -k), t.log_scale + k * math.log(2.0))
-
-
-def contract_pair(a: DenseTensor, b: DenseTensor, axis_pairs) -> DenseTensor:
-    """Contract two tensors over the given (axis-of-a, axis-of-b) pairs.
-
-    Result axes are a's unpaired axes (in order) followed by b's unpaired
-    axes.  Scales add, plus whatever shift renormalization introduces.
-    """
-    axes_a = [p[0] for p in axis_pairs]
-    axes_b = [p[1] for p in axis_pairs]
-    if len(set(axes_a)) != len(axes_a) or len(set(axes_b)) != len(axes_b):
-        raise ValueError("duplicate axis in contraction pairs")
-    for ax_a, ax_b in axis_pairs:
-        if a.elements.shape[ax_a] != b.elements.shape[ax_b]:
-            raise ValueError(
-                f"extent mismatch: a axis {ax_a} has {a.elements.shape[ax_a]}, "
-                f"b axis {ax_b} has {b.elements.shape[ax_b]}"
-            )
-    out = np.tensordot(a.elements, b.elements, axes=(axes_a, axes_b))
-    return normalize_scale(DenseTensor(out, a.log_scale + b.log_scale))
-
-
-def permute_axes(t: DenseTensor, perm) -> DenseTensor:
-    perm = list(perm)
-    if sorted(perm) != list(range(t.rank)):
-        raise ValueError(f"{perm} is not a permutation of 0..{t.rank - 1}")
-    return DenseTensor(np.transpose(t.elements, perm), t.log_scale)
-
-
-def fuse_axes(t: DenseTensor, groups) -> DenseTensor:
-    """Fuse consecutive axis groups into single axes.
-
-    ``groups`` must list every axis exactly once, in order (permute first if
-    another order is wanted).  Under the axis-major layout this is a pure
-    reshape, hence exactly invertible by :func:`split_axes`.
-    """
-    flat = [ax for g in groups for ax in g]
-    if flat != list(range(t.rank)):
-        raise ValueError("groups must partition all axes in order")
-    shape = tuple(
-        int(np.prod([t.extents[ax] for ax in g], dtype=np.int64)) for g in groups
-    )
-    return DenseTensor(t.elements.reshape(shape), t.log_scale)
-
-
-def split_axes(t: DenseTensor, axis: int, extents) -> DenseTensor:
-    """Split one axis into several; inverse of fuse_axes for recorded extents."""
-    if int(np.prod(extents, dtype=np.int64)) != t.extents[axis]:
-        raise ValueError("split extents do not multiply to the axis extent")
-    shape = t.extents[:axis] + tuple(int(e) for e in extents) + t.extents[axis + 1 :]
-    return DenseTensor(t.elements.reshape(shape), t.log_scale)
-
-
-def svd_split(
-    t: DenseTensor,
-    left_axes,
-    right_axes,
-    max_rank: int | None = None,
-    rel_cutoff: float = DEFAULT_REL_CUTOFF,
-    absorb: str = "right",
-) -> tuple:
-    """Split a tensor across a new bond by truncated SVD.
-
-    Returns ``(left, right, trunc_error)`` where left carries ``left_axes``
-    plus the new bond as its last axis, right carries the bond first then
-    ``right_axes``, and ``trunc_error = sqrt(sum dropped sigma^2 / sum all
-    sigma^2)``.  Singular values are absorbed into the side named by
-    ``absorb``.  Singular values below ``rel_cutoff * sigma_max`` are
-    dropped even when ``max_rank`` is not binding.
-    """
-    left_axes = list(left_axes)
-    right_axes = list(right_axes)
-    if not left_axes or not right_axes:
-        raise ValueError("both axis sides of an svd_split must be non-empty")
-    if sorted(left_axes + right_axes) != list(range(t.rank)):
-        raise ValueError("left and right axes must partition all axes")
-    if absorb not in ("left", "right"):
-        raise ValueError("absorb must be 'left' or 'right'")
-    if not np.all(np.isfinite(t.elements)):
-        raise ValueError("svd_split requires finite tensor values")
-
-    perm = left_axes + right_axes
-    arr = np.transpose(t.elements, perm)
-    dl = int(np.prod([t.extents[ax] for ax in left_axes], dtype=np.int64))
-    dr = int(np.prod([t.extents[ax] for ax in right_axes], dtype=np.int64))
-    mat = arr.reshape(dl, dr)
-
-    u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    total = float(np.dot(s, s))
-    if total == 0.0:
-        r = 1
-        dropped = 0.0
-    else:
-        r = int(np.count_nonzero(s >= rel_cutoff * s[0]))
-        r = max(1, r if max_rank is None else min(r, int(max_rank)))
-        dropped = float(np.dot(s[r:], s[r:]))
-    trunc_error = math.sqrt(dropped / total) if total > 0.0 else 0.0
-
-    u = u[:, :r]
-    vt = vt[:r, :]
-    if absorb == "right":
-        vt = s[:r, None] * vt
-    else:
-        u = u * s[None, :r]
-
-    left_shape = tuple(t.extents[ax] for ax in left_axes) + (r,)
-    right_shape = (r,) + tuple(t.extents[ax] for ax in right_axes)
-    left = normalize_scale(DenseTensor(u.reshape(left_shape), t.log_scale if absorb == "left" else 0.0))
-    right = normalize_scale(DenseTensor(vt.reshape(right_shape), t.log_scale if absorb == "right" else 0.0))
-    return left, right, trunc_error

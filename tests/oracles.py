@@ -15,35 +15,6 @@ import numpy as np
 from sweepdecode.sweep import network
 
 
-def loop_contract(a: np.ndarray, b: np.ndarray, axis_pairs):
-    """Nested-loop pairwise contraction of two plain arrays."""
-    import itertools
-
-    pairs = list(axis_pairs)
-    a_paired = [p[0] for p in pairs]
-    b_paired = [p[1] for p in pairs]
-    a_free = [ax for ax in range(a.ndim) if ax not in a_paired]
-    b_free = [ax for ax in range(b.ndim) if ax not in b_paired]
-    out_shape = tuple(a.shape[ax] for ax in a_free) + tuple(b.shape[ax] for ax in b_free)
-    out = np.zeros(out_shape)
-    sum_ranges = [range(a.shape[p[0]]) for p in pairs]
-    for out_idx in itertools.product(*(range(d) for d in out_shape)):
-        acc = 0.0
-        for summed in itertools.product(*sum_ranges):
-            ia = [0] * a.ndim
-            ib = [0] * b.ndim
-            for ax, v in zip(a_free, out_idx[: len(a_free)]):
-                ia[ax] = v
-            for ax, v in zip(b_free, out_idx[len(a_free) :]):
-                ib[ax] = v
-            for (pa, pb), v in zip(pairs, summed):
-                ia[pa] = v
-                ib[pb] = v
-            acc += a[tuple(ia)] * b[tuple(ib)]
-        out[out_idx] = acc
-    return out
-
-
 def brute_force_value(tn, chunk=1 << 19):
     """Index-sum value of a closed network.
 

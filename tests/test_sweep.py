@@ -12,8 +12,6 @@ from sweepdecode.sweep import (
     TensorNetwork2D,
     TNVertex,
     compress_mps,
-    parse_network,
-    format_network,
     planarize,
     sweep_contract,
     sweep_key,
@@ -226,7 +224,7 @@ class TestPlanarize:
 class TestCompression:
     def random_mps(self, rng, shapes):
         sites = [rng.normal(size=s) for s in shapes]
-        return MPSState(sites=sites, pending=list(range(len(sites))))
+        return MPSState(sites=sites)
 
     def mps_dense(self, mps):
         out = mps.sites[0]
@@ -266,9 +264,35 @@ class TestCompression:
         np.testing.assert_allclose(self.mps_dense(mps), before, rtol=1e-12)
 
     def test_single_site_noop(self):
-        mps = MPSState(sites=[np.ones((1, 4, 1))], pending=[0])
+        mps = MPSState(sites=[np.ones((1, 4, 1))])
         _, err = compress_mps(mps, chi=1)
         assert err == 0.0
+
+    def test_truncated_sites_own_their_memory(self):
+        # a site cut from a larger SVD factor must not keep that factor alive
+        rng = np.random.default_rng(68)
+        shapes = [(1, 2, 8), (8, 2, 8), (8, 2, 8), (8, 2, 8), (8, 2, 1)]
+        mps = self.random_mps(rng, shapes)
+        _, err = compress_mps(mps, chi=2)
+        assert err > 0.0
+        for site in mps.sites:
+            assert site.base is None or site.base.nbytes == site.nbytes
+
+    @pytest.mark.parametrize("rel_cutoff, bond", [(contract.DEFAULT_REL_CUTOFF, 1), (0.0, 4)])
+    def test_rel_cutoff_drops_noise_rank(self, rel_cutoff, bond):
+        # the middle bond carries a rank-1 matrix plus noise of ~1e-16
+        # relative: the default cutoff drops the noise, no cutoff keeps it
+        rng = np.random.default_rng(72)
+        shapes = [(1, 2, 2), (2, 2, 4), (4, 2, 2), (2, 2, 1)]
+        mps = self.random_mps(rng, shapes)
+        rank1 = np.outer(rng.normal(size=4), rng.normal(size=4))
+        noise = rng.normal(size=(4, 4)) * 1e-16 * np.linalg.norm(rank1)
+        mps.sites[1] = np.tensordot(mps.sites[1], rank1 + noise, axes=([2], [0]))
+        before = self.mps_dense(mps)
+        _, err = compress_mps(mps, chi=8, rel_cutoff=rel_cutoff)
+        assert [site.shape[2] for site in mps.sites[:-1]] == [2, bond, 2]
+        assert err <= 1e-14
+        np.testing.assert_allclose(self.mps_dense(mps), before, rtol=1e-12)
 
     def test_approximation_monotone_in_chi(self):
         rng = np.random.default_rng(79)
@@ -305,43 +329,36 @@ class TestCompression:
         assert lazy.trunc_error == 0.0
 
 
-class TestTextFormat:
-    def test_round_trip(self):
-        rng = np.random.default_rng(97)
-        tn = random_planar_network(rng, max_vertices=6)
-        text = format_network(tn)
-        back = parse_network(text)
-        assert sorted(back.vertices) == sorted(tn.vertices)
-        for vid, v in tn.vertices.items():
-            w = back.vertices[vid]
-            np.testing.assert_array_equal(w.tensor.densify(), v.tensor.densify())
-            assert w.position == v.position
-        assert len(back.bonds) == len(tn.bonds)
-        v1 = brute_force_value(tn)
-        v2 = brute_force_value(back)
-        assert v2[0] * math.exp(v2[1]) == pytest.approx(v1[0] * math.exp(v1[1]), rel=1e-12)
+class TestNormalizeSite:
+    """``MPSState._normalize_site``, the sweep's one scale normalisation."""
 
-    def test_parse_comments_and_hex(self):
-        text = """
-        # a two-vertex dot product
-        tn2d v1 2 1
-        v 0 0.0 0.0 1 2 0x1.8p+1 2.0   # tensor [3, 2]
-        v 1 0.0 1.0 1 2 4.0 -1.0
-        b 0 0 1 0
-        """
-        tn = parse_network(text)
-        assert len(tn.vertices) == 2
-        np.testing.assert_array_equal(tn.vertices[0].tensor.elements, [3.0, 2.0])
-        got = sweep_contract(tn)
-        assert value_of(got) == pytest.approx(10.0, rel=1e-14)
+    @pytest.mark.parametrize("scale", [1e-200, 1e-3, 1.0, 1e5, 1e200])
+    def test_power_of_two_shift_preserves_value(self, scale):
+        arr = np.random.default_rng(101).normal(size=(2, 3, 2)) * scale
+        mps = MPSState(sites=[arr], log_scale=0.25)
+        mps._normalize_site(0)
+        k = round(math.log2(np.max(np.abs(arr))))
+        np.testing.assert_array_equal(mps.sites[0], np.ldexp(arr, -k))
+        assert mps.log_scale == 0.25 + k * math.log(2.0)
+        assert 2 ** -0.5 <= np.max(np.abs(mps.sites[0])) <= 2 ** 0.5
+        # the value, compared in log space since it need not be representable
+        want = np.log(np.abs(arr[arr != 0])) + 0.25
+        got = np.log(np.abs(mps.sites[0][arr != 0])) + mps.log_scale
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-13)
 
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_network("tn2d v2 0 0")
-        with pytest.raises(ValueError):
-            parse_network("tn2d v1 1 0\nv 0 0.0 0.0 1 2 1.0")  # truncated
-        with pytest.raises(ValueError):
-            parse_network("tn2d v1 1 0\nq 0")
+    @pytest.mark.parametrize("values", [[0.8, -1.1], [0.0, 0.0]])
+    def test_in_range_and_zero_sites_untouched(self, values):
+        arr = np.array(values).reshape(1, 2, 1)
+        mps = MPSState(sites=[arr])
+        mps._normalize_site(0)
+        assert mps.sites[0] is arr
+        assert mps.log_scale == 0.0
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_site_raises(self, bad):
+        mps = MPSState(sites=[np.array([1.0, bad]).reshape(1, 2, 1)])
+        with pytest.raises(ContractionError):
+            mps._normalize_site(0)
 
 
 def with_tensors(tn, rng):
@@ -466,7 +483,9 @@ class TestSweepPlanCache:
         pairs = [(0, 3), (0, 1), (0, 2), (1, 5), (2, 3)]
         return network_from_pairs(pos, pairs)
 
-    @pytest.mark.parametrize("case", ["dangling axis", "disconnected", "non-contiguous"])
+    @pytest.mark.parametrize(
+        "case", ["dangling axis", "disconnected", "non-contiguous", "self-loop", "self-loop in chain"]
+    )
     def test_invalid_network_raises_every_call(self, case):
         if case == "dangling axis":
             tn = chain_network([np.ones(2), np.ones((2, 2)), np.ones(2)])
@@ -477,8 +496,19 @@ class TestSweepPlanCache:
             tn.add_vertex(TNVertex(0, DenseTensor(np.array(1.0)), (0.0, 0.0)))
             tn.add_vertex(TNVertex(1, DenseTensor(np.array(2.0)), (1.0, 0.0)))
             kind = ContractionError
-        else:
+        elif case == "non-contiguous":
             tn = self.non_contiguous_network()
+            kind = ContractionError
+        elif case == "self-loop":
+            # add_bond rejects a self-loop, so it is appended directly; the
+            # plan leaves it open on the boundary
+            tn = TensorNetwork2D()
+            tn.add_vertex(TNVertex(0, DenseTensor(np.eye(2)), (0.0, 0.0)))
+            tn.bonds.append(Bond((0, 0), (0, 1), 2))
+            kind = ContractionError
+        else:
+            tn = chain_network([np.ones(2), np.ones((2, 2, 2, 2)), np.ones(2)])
+            tn.bonds.append(Bond((1, 2), (1, 3), 2))
             kind = ContractionError
         contract._plans.clear()
         for _ in range(3):
@@ -486,6 +516,8 @@ class TestSweepPlanCache:
                 sweep_contract(tn)
             if case == "non-contiguous":
                 assert "not contiguous" in str(err.value)
+            elif case.startswith("self-loop"):
+                assert "open boundary" in str(err.value)
         assert not contract._plans
 
 

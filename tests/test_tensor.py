@@ -1,23 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
-from sweepdecode.tensor import (
-    DenseTensor,
-    contract_pair,
-    fuse_axes,
-    normalize_scale,
-    permute_axes,
-    split_axes,
-    svd_split,
-)
-
-from oracles import loop_contract
-
-
-def dense(t):
-    return t.densify()
+from sweepdecode.tensor import DenseTensor
 
 
 class TestDenseTensor:
@@ -32,202 +16,7 @@ class TestDenseTensor:
         assert t.rank == 2
         assert t.extents == (2, 2)
 
-    def test_scalar_accessor(self):
-        t = DenseTensor(np.array(3.5), log_scale=1.0)
-        assert t.scalar() == (3.5, 1.0)
-        with pytest.raises(ValueError):
-            DenseTensor(np.array([1.0])).scalar()
-
     def test_c_layout_enforced(self):
         arr = np.asfortranarray(np.arange(6.0).reshape(2, 3))
         t = DenseTensor(arr)
         assert t.elements.flags.c_contiguous
-
-
-class TestNormalizeScale:
-    def test_tiny_value_moves_to_log_scale(self):
-        t = normalize_scale(DenseTensor(np.array([1e-200])))
-        # ln(1e-200) = -460.517...; a power-of-two shift lands within ln(2)/2
-        assert abs(t.log_scale - math.log(1e-200)) <= math.log(2.0) / 2 + 1e-12
-        assert 0.5 <= abs(t.elements[0]) <= 2.0
-
-    def test_value_preserved(self):
-        rng = np.random.default_rng(7)
-        arr = rng.normal(size=(3, 4)) * 3.7
-        t = normalize_scale(DenseTensor(arr, log_scale=0.25))
-        np.testing.assert_allclose(dense(t), arr * math.exp(0.25), rtol=1e-15)
-
-    def test_value_preserved_extreme_scales(self):
-        # densify rounding grows ~1 ulp per ln-unit of scale shift
-        rng = np.random.default_rng(7)
-        for scale in (1e-30, 1e-3, 1e5, 1e40):
-            arr = rng.normal(size=(3, 4)) * scale
-            t = normalize_scale(DenseTensor(arr, log_scale=0.25))
-            np.testing.assert_allclose(dense(t), arr * math.exp(0.25), rtol=1e-13)
-
-    def test_elements_rescaled_exactly(self):
-        # power-of-two shifts touch only the exponent bits
-        arr = np.array([0.3, -1.7e12])
-        t = normalize_scale(DenseTensor(arr))
-        k = round(math.log2(1.7e12))
-        np.testing.assert_array_equal(t.elements, np.ldexp(arr, -k))
-
-    def test_zero_and_nonfinite_untouched(self):
-        z = DenseTensor(np.zeros((2, 2)))
-        assert normalize_scale(z) is z
-        inf = DenseTensor(np.array([np.inf, 1.0]))
-        assert normalize_scale(inf) is inf
-
-    def test_in_range_untouched(self):
-        t = DenseTensor(np.array([0.8, -1.1]))
-        assert normalize_scale(t) is t
-
-
-class TestContractPair:
-    def test_vector_dot(self):
-        a = DenseTensor(np.array([1.0, 2.0]))
-        b = DenseTensor(np.array([3.0, 4.0]))
-        out = contract_pair(a, b, [(0, 0)])
-        assert out.rank == 0
-        mant, log = out.scalar()
-        assert mant * math.exp(log) == pytest.approx(11.0, rel=1e-15)
-
-    def test_matches_loop_oracle(self):
-        rng = np.random.default_rng(11)
-        cases = [
-            ((2, 3), (3, 4), [(1, 0)]),
-            ((2, 3, 4), (4, 3), [(2, 0), (1, 1)]),
-            ((4, 2, 3), (3, 4, 2), [(0, 1)]),
-            ((2, 2, 2, 2), (2, 2), [(3, 0)]),
-            ((3, 4), (4, 3), [(0, 1), (1, 0)]),
-        ]
-        for sa, sb, pairs in cases:
-            a = DenseTensor(rng.normal(size=sa))
-            b = DenseTensor(rng.normal(size=sb))
-            want = loop_contract(a.elements, b.elements, pairs)
-            got = contract_pair(a, b, pairs)
-            np.testing.assert_allclose(dense(got), want, rtol=1e-12, atol=1e-12)
-
-    def test_log_scales_add(self):
-        a = DenseTensor(np.array([[1.0, 0.5]]), log_scale=2.0)
-        b = DenseTensor(np.array([2.0, 2.0]), log_scale=-0.5)
-        out = contract_pair(a, b, [(1, 0)])
-        np.testing.assert_allclose(dense(out), np.array([3.0 * math.exp(1.5)]), rtol=1e-14)
-
-    def test_extent_mismatch_raises(self):
-        a = DenseTensor(np.zeros((2, 3)))
-        b = DenseTensor(np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            contract_pair(a, b, [(1, 0)])
-
-    def test_duplicate_axis_raises(self):
-        a = DenseTensor(np.zeros((2, 2)))
-        b = DenseTensor(np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            contract_pair(a, b, [(0, 0), (0, 1)])
-
-
-class TestReshapeOps:
-    def test_permute_matches_numpy(self):
-        rng = np.random.default_rng(3)
-        t = DenseTensor(rng.normal(size=(2, 3, 4)), log_scale=0.7)
-        p = permute_axes(t, (2, 0, 1))
-        np.testing.assert_allclose(dense(p), np.transpose(dense(t), (2, 0, 1)), rtol=1e-15)
-
-    def test_permute_validates(self):
-        t = DenseTensor(np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            permute_axes(t, (0, 0))
-
-    def test_fuse_split_round_trip(self):
-        rng = np.random.default_rng(5)
-        t = DenseTensor(rng.normal(size=(2, 3, 4, 5)))
-        fused = fuse_axes(t, [(0, 1), (2,), (3,)])
-        assert fused.extents == (6, 4, 5)
-        back = split_axes(fused, 0, (2, 3))
-        np.testing.assert_array_equal(back.elements, t.elements)
-
-    def test_fuse_requires_full_partition(self):
-        t = DenseTensor(np.zeros((2, 3, 4)))
-        with pytest.raises(ValueError):
-            fuse_axes(t, [(0,), (2,)])
-        with pytest.raises(ValueError):
-            fuse_axes(t, [(1, 0), (2,)])
-
-    def test_split_validates_extents(self):
-        t = DenseTensor(np.zeros((6, 4)))
-        with pytest.raises(ValueError):
-            split_axes(t, 0, (4, 2))
-
-
-class TestSvdSplit:
-    def reconstruct(self, left, right):
-        bond_left = left.rank - 1
-        return contract_pair(left, right, [(bond_left, 0)])
-
-    def test_exact_reconstruction(self):
-        rng = np.random.default_rng(13)
-        for shape, la, ra in [((4, 5), [0], [1]), ((2, 3, 4), [0, 1], [2]), ((3, 2, 2, 3), [0, 2], [1, 3])]:
-            t = DenseTensor(rng.normal(size=shape))
-            left, right, err = svd_split(t, la, ra)
-            assert err <= 1e-12
-            recon = self.reconstruct(left, right)
-            want = np.transpose(t.elements, la + ra)
-            np.testing.assert_allclose(dense(recon), want, rtol=1e-10, atol=1e-10)
-
-    def test_identity_rank_cut(self):
-        # all four singular values of the 4x4 identity are 1; keeping two
-        # drops half the squared weight
-        t = DenseTensor(np.eye(4))
-        left, right, err = svd_split(t, [0], [1], max_rank=2)
-        assert err == pytest.approx(math.sqrt(2.0 / 4.0), abs=1e-12)
-        assert left.extents == (4, 2)
-        assert right.extents == (2, 4)
-
-    def test_trunc_error_monotone_in_rank(self):
-        rng = np.random.default_rng(17)
-        t = DenseTensor(rng.normal(size=(6, 6)))
-        errs = [svd_split(t, [0], [1], max_rank=r)[2] for r in range(1, 7)]
-        assert all(e1 >= e2 - 1e-15 for e1, e2 in zip(errs, errs[1:]))
-        assert errs[-1] <= 1e-12
-
-    def test_absorb_side(self):
-        # the side not absorbing the singular values stays an isometry
-        rng = np.random.default_rng(19)
-        t = DenseTensor(rng.normal(size=(3, 3)))
-        left, right, _ = svd_split(t, [0], [1], absorb="right")
-        l = left.densify()
-        np.testing.assert_allclose(l.T @ l, np.eye(l.shape[1]), atol=1e-12)
-        left, right, _ = svd_split(t, [0], [1], absorb="left")
-        r = right.densify()
-        np.testing.assert_allclose(r @ r.T, np.eye(r.shape[0]), atol=1e-12)
-
-    def test_scale_preserved_through_split(self):
-        rng = np.random.default_rng(23)
-        t = DenseTensor(rng.normal(size=(4, 4)), log_scale=3.0)
-        left, right, _ = svd_split(t, [0], [1])
-        recon = self.reconstruct(left, right)
-        np.testing.assert_allclose(dense(recon), dense(t), rtol=1e-10)
-
-    def test_rejects_bad_partitions(self):
-        t = DenseTensor(np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            svd_split(t, [], [0, 1])
-        with pytest.raises(ValueError):
-            svd_split(t, [0], [0])
-        with pytest.raises(ValueError):
-            svd_split(t, [0], [1], absorb="middle")
-
-    def test_rejects_nonfinite(self):
-        t = DenseTensor(np.array([[1.0, np.nan], [0.0, 1.0]]))
-        with pytest.raises(ValueError):
-            svd_split(t, [0], [1])
-
-    def test_rel_cutoff_drops_noise_rank(self):
-        # rank-1 matrix plus no perturbation: second singular value is
-        # numerically zero and must be cut by the relative threshold
-        u = np.array([[1.0], [2.0]])
-        t = DenseTensor(u @ u.T)
-        left, right, err = svd_split(t, [0], [1])
-        assert left.extents == (2, 1)
-        assert err <= 1e-12
