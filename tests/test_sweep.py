@@ -329,38 +329,6 @@ class TestCompression:
         assert lazy.trunc_error == 0.0
 
 
-class TestNormalizeSite:
-    """``MPSState._normalize_site``, the sweep's one scale normalisation."""
-
-    @pytest.mark.parametrize("scale", [1e-200, 1e-3, 1.0, 1e5, 1e200])
-    def test_power_of_two_shift_preserves_value(self, scale):
-        arr = np.random.default_rng(101).normal(size=(2, 3, 2)) * scale
-        mps = MPSState(sites=[arr], log_scale=0.25)
-        mps._normalize_site(0)
-        k = round(math.log2(np.max(np.abs(arr))))
-        np.testing.assert_array_equal(mps.sites[0], np.ldexp(arr, -k))
-        assert mps.log_scale == 0.25 + k * math.log(2.0)
-        assert 2 ** -0.5 <= np.max(np.abs(mps.sites[0])) <= 2 ** 0.5
-        # the value, compared in log space since it need not be representable
-        want = np.log(np.abs(arr[arr != 0])) + 0.25
-        got = np.log(np.abs(mps.sites[0][arr != 0])) + mps.log_scale
-        np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-13)
-
-    @pytest.mark.parametrize("values", [[0.8, -1.1], [0.0, 0.0]])
-    def test_in_range_and_zero_sites_untouched(self, values):
-        arr = np.array(values).reshape(1, 2, 1)
-        mps = MPSState(sites=[arr])
-        mps._normalize_site(0)
-        assert mps.sites[0] is arr
-        assert mps.log_scale == 0.0
-
-    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-    def test_non_finite_site_raises(self, bad):
-        mps = MPSState(sites=[np.array([1.0, bad]).reshape(1, 2, 1)])
-        with pytest.raises(ContractionError):
-            mps._normalize_site(0)
-
-
 def with_tensors(tn, rng):
     """Same vertices, positions and bonds as ``tn``; fresh random tensors."""
     out = TensorNetwork2D()
