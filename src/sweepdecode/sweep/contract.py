@@ -6,7 +6,20 @@ MPS sites carrying the vertex's bonds to already swept vertices and emits
 one site per bond to unswept vertices, splitting the result back into a
 chain by exact reshapes.  The MPS is truncated (:func:`compress_mps`) only
 when its largest bond outgrows ``chi_prime``, so the cost of a sweep stays
-near ``O(n chi^3)`` without compressing after every step.
+near ``O(n chi^3)`` without compressing after every step.  Only the bonds a
+step creates inside its run of new sites are compared with ``chi_prime``:
+every other bond keeps an extent that was within it when last checked.
+
+At the bond dimensions a decoder runs (chi of 8 to 32), the matrices are a
+few dozen rows wide, so the kernels are written to pay for arithmetic
+rather than for call overhead.  Compression calls LAPACK directly
+(``dgeqrf``/``dorgqr`` for QR, ``dgesdd`` for SVD), skipping the checks
+and workspace queries of ``np.linalg``, and copies the Fortran-order
+factors to C order so that every value stays bit-identical to the
+``np.linalg`` path.  The pass-through sites that
+:func:`contract_step` emits are read-only reshapes of identity matrices
+shared across steps; the ``IDENTITY_CACHE_SIZE`` most recently used sizes
+are kept.
 
 A sweep is split into a plan and a run.  The plan depends only on the
 network's geometry: it validates and planarizes the network, orders its
@@ -26,6 +39,7 @@ every call, since errors are not cached.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from collections import OrderedDict
@@ -33,6 +47,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import lapack as _lapack
 
 from .network import TensorNetwork2D, planarize
 
@@ -55,6 +70,12 @@ DEFAULT_REL_CUTOFF = 1e-14
 # Plans kept at once.  A decoder contracts the networks of one code over
 # and over, so a handful of geometries covers it.
 PLAN_CACHE_SIZE = 8
+
+# Identity sizes kept at once for the pass-through sites of contract_step.
+# A sweep meets a dozen or so sizes (products of bond dimensions, nine at
+# chi=8 on a square code) over and over; an exact contraction's identities
+# can be MBs each, so only the most recently used ones stay alive.
+IDENTITY_CACHE_SIZE = 16
 
 
 class ContractionError(ValueError):
@@ -102,10 +123,10 @@ class MPSState:
         An all-zero site is left alone; a non-finite one raises.
         """
         arr = self.sites[k]
-        m = np.max(np.abs(arr))
+        m = np.abs(arr).max()
         if m == 0.0:
             return
-        if not np.isfinite(m):
+        if not math.isfinite(m):
             raise ContractionError("boundary MPS holds a non-finite value")
         e = round(math.log2(m))
         if e != 0:
@@ -286,6 +307,18 @@ def _plan_for(tn: TensorNetwork2D) -> _Plan:
     return plan
 
 
+@functools.lru_cache(maxsize=IDENTITY_CACHE_SIZE)
+def _identity(n: int) -> np.ndarray:
+    """A read-only ``n x n`` identity, shared by every caller.
+
+    Sites are never written in place (each update assigns a new array), and
+    the read-only flag makes a write that would corrupt every sharer raise.
+    """
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
 def _dot_right(site, mat):
     """``site`` (left, leg, right) times ``mat`` on its right bond."""
     dl, d, dr = site.shape
@@ -305,7 +338,8 @@ def contract_step(mps: MPSState, step: _Step, tensor) -> MPSState:
     Every product is ``np.dot`` on operands transposed by the step's
     planned permutations and reshaped to matrices, which is what
     ``np.tensordot`` does with the same axes.  Consumed sites leave the
-    chain before their replacement is built.
+    chain before their replacement is built.  Emitted sites other than the
+    one holding the data are read-only views of shared identities.
     """
     _, lo, hi, (run_axes, vertex_axes, open_axes) = step
     sites = mps.sites
@@ -333,7 +367,7 @@ def contract_step(mps: MPSState, step: _Step, tensor) -> MPSState:
         # inserted sites untouched, so the merged tensor is v's tensor with
         # an identity on that bond (extent 1 at either end of the chain).
         pass_dim = sites[lo - 1].shape[2] if 0 < lo < len(sites) else 1
-        merged = np.multiply.outer(np.eye(pass_dim), elements)
+        merged = np.multiply.outer(_identity(pass_dim), elements)
     mps.log_scale += tensor.log_scale
     # Order the open axes left to right by departure angle.
     merged = merged.transpose(open_axes)
@@ -395,13 +429,9 @@ def contract_step(mps: MPSState, step: _Step, tensor) -> MPSState:
     new_sites = []
     for k in range(m):
         if k < t:
-            d_in = prefix[k]
-            d_out = d_in * dims[k]
-            site = np.eye(d_out).reshape(d_in, dims[k], d_out)
+            site = _identity(prefix[k + 1]).reshape(prefix[k], dims[k], prefix[k + 1])
         elif k > t:
-            d_out = suffix[k + 1]
-            d_in = dims[k] * d_out
-            site = np.eye(d_in).reshape(d_in, dims[k], d_out)
+            site = _identity(suffix[k]).reshape(suffix[k], dims[k], suffix[k + 1])
         else:
             site = crossover
         new_sites.append(site)
@@ -409,6 +439,11 @@ def contract_step(mps: MPSState, step: _Step, tensor) -> MPSState:
     sites[lo:lo] = new_sites
     mps._normalize_site(lo + t)
     return mps
+
+
+def _check_info(routine: str, info: int):
+    if info != 0:
+        raise ContractionError(f"LAPACK {routine} failed (info={info})")
 
 
 def compress_mps(mps: MPSState, chi: int, rel_cutoff: float = DEFAULT_REL_CUTOFF):
@@ -423,33 +458,57 @@ def compress_mps(mps: MPSState, chi: int, rel_cutoff: float = DEFAULT_REL_CUTOFF
 
     is exact for the whole chain, not an upper bound.  Returns
     ``(mps, trunc_error)``; the state is modified in place.
+
+    The QR is LAPACK ``dgeqrf`` then ``dorgqr``, the SVD ``dgesdd`` with
+    thin factors, called through ``scipy.linalg.lapack``; a nonzero
+    ``info`` raises :class:`ContractionError`.  This is what
+    ``np.linalg.qr``/``svd`` run, without their per-call checks and
+    workspace queries.  QR workspaces are the minimum LAPACK accepts (the
+    column count) and are freed at once, so they add nothing to the peak
+    memory of a sweep; below 128 rows or columns LAPACK takes its unblocked
+    path whatever the workspace, as it does under ``np.linalg``.  LAPACK
+    returns Fortran-order factors; ``q`` and the kept parts of ``u`` and
+    ``vt`` are copied to C order before any product, because BLAS rounds a
+    product differently for each operand layout, and in C order every value
+    is bit-identical to the ``np.linalg`` path.
     """
     n = len(mps.sites)
     if n <= 1:
         return mps, 0.0
 
+    sites = mps.sites
     for k in range(n - 1):
-        dl, d, dr = mps.sites[k].shape
-        q, r = np.linalg.qr(mps.sites[k].reshape(dl * d, dr))
-        mps.sites[k] = q.reshape(dl, d, q.shape[1])
-        mps.sites[k + 1] = _dot_left(r, mps.sites[k + 1])
+        dl, d, dr = sites[k].shape
+        qr, tau, work, info = _lapack.dgeqrf(sites[k].reshape(dl * d, dr), lwork=dr)
+        del work
+        _check_info("dgeqrf", info)
+        rank = min(dl * d, dr)
+        r = np.triu(qr[:rank])
+        q, work, info = _lapack.dorgqr(qr[:, :rank], tau, lwork=rank)
+        del work, qr
+        _check_info("dorgqr", info)
+        sites[k] = np.ascontiguousarray(q).reshape(dl, d, rank)
+        del q
+        sites[k + 1] = _dot_left(r, sites[k + 1])
         mps._normalize_site(k + 1)
 
-    norm0 = float(np.linalg.norm(mps.sites[-1]))
+    norm0 = float(np.linalg.norm(sites[-1]))
     if norm0 == 0.0:
         return mps, 0.0
 
     dropped = 0.0
     for k in range(n - 1, 0, -1):
-        dl, d, dr = mps.sites[k].shape
-        u, s, vt = np.linalg.svd(mps.sites[k].reshape(dl, d * dr), full_matrices=False)
+        dl, d, dr = sites[k].shape
+        u, s, vt, info = _lapack.dgesdd(sites[k].reshape(dl, d * dr), full_matrices=0)
+        _check_info("dgesdd", info)
         keep = int(np.count_nonzero(s >= rel_cutoff * s[0])) if s[0] > 0.0 else 1
         keep = max(1, min(keep, chi))
-        dropped += float(np.sum(s[keep:] ** 2))
+        dropped += float((s[keep:] ** 2).sum())
         # a copy, so the site does not keep the whole of ``vt`` alive
-        mps.sites[k] = vt[:keep].reshape(keep, d, dr).copy()
-        carry = u[:, :keep] * s[:keep]
-        mps.sites[k - 1] = _dot_right(mps.sites[k - 1], carry)
+        sites[k] = np.ascontiguousarray(vt[:keep]).reshape(keep, d, dr)
+        carry = np.ascontiguousarray(u[:, :keep]) * s[:keep]
+        del u, vt
+        sites[k - 1] = _dot_right(sites[k - 1], carry)
     for k in range(n):
         mps._normalize_site(k)
     return mps, math.sqrt(dropped) / norm0
@@ -489,6 +548,14 @@ def sweep_contract(
     vertices, swaps = tn.vertices, plan.swaps
     mps = MPSState()
     total_err = 0.0
+    # Compression triggers when a bond exceeds chi_prime.  Only the bonds
+    # inside the run of sites a step emits can take a new extent: the bonds
+    # at either end of the run keep the extents of the bonds the step
+    # consumed (or of the bond a new component passes through), and every
+    # bond was at most chi_prime when last checked, so only the inner ones
+    # are tested.  A compression can leave bonds over chi_prime when chi
+    # exceeds it; until they are gone the whole chain is tested.
+    over = False
     # A non-finite product raises ContractionError at the step that made it
     # (every site that takes new data is normalized, and the closing scalar
     # is checked), so numpy's overflow and invalid-value warnings would only
@@ -497,7 +564,16 @@ def sweep_contract(
         for step in plan.steps:
             tensor = swaps[step.vid] if step.vid in swaps else vertices[step.vid].tensor
             contract_step(mps, step, tensor)
-            if chi is not None and mps.max_bond() > chi_prime:
+            if chi is None:
+                continue
+            if over:
+                fire = mps.max_bond() > chi_prime
+            else:
+                sites, lo = mps.sites, step.lo
+                inner = range(lo, lo + len(step.perms[2]) - 3)  # len(perms[2]) = new sites + 2
+                fire = any(sites[k].shape[2] > chi_prime for k in inner)
+            if fire:
                 _, err = compress_mps(mps, chi, rel_cutoff)
                 total_err = math.sqrt(total_err * total_err + err * err)
+            over = fire and mps.max_bond() > chi_prime
     return SweepValue(mps.mantissa, mps.log_scale, total_err)

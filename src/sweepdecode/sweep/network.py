@@ -61,6 +61,24 @@ class Bond:
     dimension: int
 
 
+def _check_bond(b: Bond, shapes: dict):
+    """Raise ValueError unless ``b`` joins axes of its dimension on two
+    distinct vertices of ``shapes`` (vertex id -> tensor shape)."""
+    for vid, axis in (b.endpoint_a, b.endpoint_b):
+        shape = shapes.get(vid)
+        if shape is None:
+            raise ValueError(f"bond references missing vertex {vid}")
+        if not (0 <= axis < len(shape)):
+            raise ValueError(f"bond references axis {axis} of rank-{len(shape)} vertex {vid}")
+        if shape[axis] != b.dimension:
+            raise ValueError(
+                f"bond dimension {b.dimension} != extent {shape[axis]} "
+                f"at vertex {vid} axis {axis}"
+            )
+    if b.endpoint_a[0] == b.endpoint_b[0]:
+        raise ValueError("self-loop bonds are not supported")
+
+
 class TensorNetwork2D:
     """Vertices keyed by id plus a list of bonds between (vertex, axis) slots."""
 
@@ -69,8 +87,11 @@ class TensorNetwork2D:
         self.bonds: list = []
         for v in vertices:
             self.add_vertex(v)
+        # each vertex's shape is read once, not once per bond end
+        shapes = {vid: v.tensor.extents for vid, v in self.vertices.items()}
         for b in bonds:
-            self.add_bond(b)
+            _check_bond(b, shapes)
+            self.bonds.append(b)
 
     def add_vertex(self, v: TNVertex):
         if v.id in self.vertices:
@@ -78,19 +99,8 @@ class TensorNetwork2D:
         self.vertices[v.id] = v
 
     def add_bond(self, b: Bond):
-        for vid, axis in (b.endpoint_a, b.endpoint_b):
-            if vid not in self.vertices:
-                raise ValueError(f"bond references missing vertex {vid}")
-            t = self.vertices[vid].tensor
-            if not (0 <= axis < t.rank):
-                raise ValueError(f"bond references axis {axis} of rank-{t.rank} vertex {vid}")
-            if t.extents[axis] != b.dimension:
-                raise ValueError(
-                    f"bond dimension {b.dimension} != extent {t.extents[axis]} "
-                    f"at vertex {vid} axis {axis}"
-                )
-        if b.endpoint_a[0] == b.endpoint_b[0]:
-            raise ValueError("self-loop bonds are not supported")
+        ends = (b.endpoint_a[0], b.endpoint_b[0])
+        _check_bond(b, {v: self.vertices[v].tensor.extents for v in ends if v in self.vertices})
         self.bonds.append(b)
 
     def next_vertex_id(self) -> int:

@@ -4,7 +4,9 @@ These deliberately avoid the package's contraction machinery: the network
 oracle is a literal sum over all joint bond-index assignments, evaluated in
 chunks so larger index spaces stay within memory.  The crossing oracle is
 the plain scan over all pairs of bonds that planarize's grid search must
-reproduce.
+reproduce.  The compression oracle runs the same QR and SVD passes as
+``compress_mps`` through ``np.linalg``, and the trigger oracle tests the
+whole chain after every step.
 """
 
 import math
@@ -12,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 
-from sweepdecode.sweep import network
+from sweepdecode.sweep import contract, network
 
 
 def brute_force_value(tn, chunk=1 << 19):
@@ -101,3 +103,58 @@ def planarize_all_pairs(tn):
     """``planarize`` with its crossing search replaced by the all-pairs scan."""
     with mock.patch.object(network, "_find_crossing", first_crossing_all_pairs):
         return network.planarize(tn)
+
+
+def compress_mps_reference(mps, chi, rel_cutoff=contract.DEFAULT_REL_CUTOFF):
+    """``compress_mps`` with ``np.linalg.qr`` and ``np.linalg.svd``.
+
+    Same passes, cutoff, normalisation and error; returns
+    ``(mps, trunc_error)`` and modifies ``mps`` in place.
+    """
+    n = len(mps.sites)
+    if n <= 1:
+        return mps, 0.0
+
+    for k in range(n - 1):
+        dl, d, dr = mps.sites[k].shape
+        q, r = np.linalg.qr(mps.sites[k].reshape(dl * d, dr))
+        mps.sites[k] = q.reshape(dl, d, q.shape[1])
+        nxt = mps.sites[k + 1]
+        mps.sites[k + 1] = np.tensordot(r, nxt, axes=([1], [0]))
+        mps._normalize_site(k + 1)
+
+    norm0 = float(np.linalg.norm(mps.sites[-1]))
+    if norm0 == 0.0:
+        return mps, 0.0
+
+    dropped = 0.0
+    for k in range(n - 1, 0, -1):
+        dl, d, dr = mps.sites[k].shape
+        u, s, vt = np.linalg.svd(mps.sites[k].reshape(dl, d * dr), full_matrices=False)
+        keep = int(np.count_nonzero(s >= rel_cutoff * s[0])) if s[0] > 0.0 else 1
+        keep = max(1, min(keep, chi))
+        dropped += float(np.sum(s[keep:] ** 2))
+        mps.sites[k] = vt[:keep].reshape(keep, d, dr).copy()
+        mps.sites[k - 1] = np.tensordot(mps.sites[k - 1], u[:, :keep] * s[:keep], axes=([2], [0]))
+    for k in range(n):
+        mps._normalize_site(k)
+    return mps, math.sqrt(dropped) / norm0
+
+
+def compression_steps(tn, chi, chi_prime=None):
+    """Indices of the steps after which a sweep of ``tn`` compresses, when
+    the whole chain's ``max_bond()`` is tested after every step; and the
+    resulting value, as ``sweep_contract`` would return it."""
+    chi_prime = 2 * chi if chi_prime is None else chi_prime
+    plan = contract._plan_for(tn)
+    mps = contract.MPSState()
+    fired = []
+    total_err = 0.0
+    for i, step in enumerate(plan.steps):
+        tensor = plan.swaps[step.vid] if step.vid in plan.swaps else tn.vertices[step.vid].tensor
+        contract.contract_step(mps, step, tensor)
+        if mps.max_bond() > chi_prime:
+            _, err = contract.compress_mps(mps, chi)
+            total_err = math.sqrt(total_err * total_err + err * err)
+            fired.append(i)
+    return fired, contract.SweepValue(mps.mantissa, mps.log_scale, total_err)

@@ -12,6 +12,7 @@ from sweepdecode.sweep import (
     TensorNetwork2D,
     TNVertex,
     compress_mps,
+    contract_step,
     planarize,
     sweep_contract,
     sweep_key,
@@ -19,7 +20,12 @@ from sweepdecode.sweep import (
 from sweepdecode.sweep import contract
 
 from netgen import grid_network, random_planar_network, scramble_positions
-from oracles import assert_matches_oracle, brute_force_value
+from oracles import (
+    assert_matches_oracle,
+    brute_force_value,
+    compress_mps_reference,
+    compression_steps,
+)
 
 
 def value_of(result):
@@ -327,6 +333,208 @@ class TestCompression:
         lazy = sweep_contract(tn, chi=2, chi_prime=1 << 30)
         assert value_of(lazy) == pytest.approx(exact, rel=1e-12)
         assert lazy.trunc_error == 0.0
+
+    @staticmethod
+    def reference_cases():
+        """Shapes for the LAPACK-vs-np.linalg check: tall and wide sites,
+        rank-deficient ones (a bond wider than the rank reaching it, and a
+        site of rank one) and an all-zero site."""
+        rng = np.random.default_rng(91)
+        tall = [(1, 4, 8), (8, 4, 16), (16, 2, 8), (8, 3, 1)]
+        wide = [(1, 2, 16), (16, 2, 16), (16, 2, 4), (4, 2, 1)]
+        for shapes in (tall, wide):
+            yield [rng.normal(size=sh) for sh in shapes]
+        deficient = [rng.normal(size=sh) for sh in [(1, 2, 8), (8, 2, 8), (8, 2, 8), (8, 2, 1)]]
+        deficient[2] = np.einsum("a,b,c->abc", *(rng.normal(size=n) for n in (8, 2, 8)))
+        yield deficient
+        zero = [rng.normal(size=sh) for sh in [(1, 2, 4), (4, 2, 4), (4, 2, 1)]]
+        zero[1] = np.zeros((4, 2, 4))
+        yield zero
+
+    @pytest.mark.parametrize("chi", [1, 2, 4, 8])
+    @pytest.mark.parametrize("rel_cutoff", [contract.DEFAULT_REL_CUTOFF, 0.0])
+    def test_matches_np_linalg_reference(self, chi, rel_cutoff):
+        # the same LAPACK algorithms run on both paths; numpy and scipy may
+        # link different BLAS builds, so agreement is to rounding, not bits
+        for sites in self.reference_cases():
+            got = MPSState(sites=[a.copy() for a in sites], log_scale=0.5)
+            ref = MPSState(sites=[a.copy() for a in sites], log_scale=0.5)
+            _, err = compress_mps(got, chi, rel_cutoff)
+            _, ref_err = compress_mps_reference(ref, chi, rel_cutoff)
+            assert err == pytest.approx(ref_err, rel=1e-13, abs=1e-300)
+            assert got.log_scale == pytest.approx(ref.log_scale, rel=1e-13)
+            assert [a.shape for a in got.sites] == [a.shape for a in ref.sites]
+            for a, b in zip(got.sites, ref.sites):
+                assert a.flags.c_contiguous
+                np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-13 * np.abs(b).max())
+
+    @pytest.mark.parametrize("routine", ["dgeqrf", "dorgqr", "dgesdd"])
+    def test_lapack_failure_raises(self, monkeypatch, routine):
+        real = getattr(contract._lapack, routine)
+
+        def failing(*args, **kwargs):
+            *out, _ = real(*args, **kwargs)
+            return (*out, 1)
+
+        monkeypatch.setattr(contract._lapack, routine, failing)
+        rng = np.random.default_rng(93)
+        mps = self.random_mps(rng, [(1, 2, 8), (8, 2, 8), (8, 2, 1)])
+        with pytest.raises(ContractionError, match=routine):
+            compress_mps(mps, chi=2)
+        with pytest.raises(ContractionError, match=routine):
+            sweep_contract(grid_network(rng, 4, 4, dim=2), chi=2)
+
+
+class TestIdentitySites:
+    @staticmethod
+    def recorded_sites(monkeypatch, tn, chi=None):
+        """Every site of the boundary after every step of a sweep of ``tn``."""
+        seen = []
+        real = contract.contract_step
+
+        def recording(mps, step, tensor):
+            real(mps, step, tensor)
+            seen.extend(mps.sites)
+            return mps
+
+        monkeypatch.setattr(contract, "contract_step", recording)
+        value = sweep_contract(tn, chi)
+        return seen, value
+
+    def test_identity_sites_are_shared_and_read_only(self, monkeypatch):
+        tn = grid_network(np.random.default_rng(95), 3, 4, dim=2)
+        contract._identity.cache_clear()
+        sites, value = self.recorded_sites(monkeypatch, tn)
+        assert_matches_oracle(value, tn, rel=1e-10)
+        shared = [a for a in sites if not a.flags.writeable]
+        assert len(shared) > 10
+        bases = {}
+        for a in shared:
+            n = a.base.shape[0]
+            np.testing.assert_array_equal(a.base, np.eye(n))
+            assert a.base is bases.setdefault(n, a.base)  # one base per size
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 2.0
+        assert len(bases) > 1
+
+    def test_equal_steps_share_one_base(self):
+        tn = grid_network(np.random.default_rng(96), 3, 3, dim=2)
+        step = contract._plan_for(tn).steps[0]
+        tensor = tn.vertices[step.vid].tensor
+        first = contract_step(MPSState(), step, tensor).sites
+        second = contract_step(MPSState(), step, tensor).sites
+        assert [a.shape for a in first] == [a.shape for a in second]
+        pairs = [(a, b) for a, b in zip(first, second) if not a.flags.writeable]
+        assert pairs and all(a.base is b.base for a, b in pairs)
+
+    def test_memo_is_bounded(self):
+        # the top vertex of a triangle with two bonds of dimension n below
+        # it emits an n x n identity site
+        contract._identity.cache_clear()
+        pos = {0: (0.0, 0.0), 1: (-1.0, 1.0), 2: (1.0, 1.0)}
+        for n in range(2, contract.IDENTITY_CACHE_SIZE + 6):
+            tn = network_from_pairs(pos, [(0, 1), (0, 2), (1, 2)], dim=n)
+            assert_matches_oracle(sweep_contract(tn), tn, rel=1e-12)
+            assert contract._identity.cache_info().currsize <= contract.IDENTITY_CACHE_SIZE
+        info = contract._identity.cache_info()
+        assert info.maxsize == contract.IDENTITY_CACHE_SIZE
+        assert info.misses > contract.IDENTITY_CACHE_SIZE
+        assert info.currsize == contract.IDENTITY_CACHE_SIZE
+
+
+class TestCompressionTrigger:
+    @staticmethod
+    def cases():
+        for seed in range(10):
+            rng = np.random.default_rng(5000 + seed)
+            tn = random_planar_network(rng, max_vertices=30, product_cap=1 << 40)
+            yield tn
+            yield scramble_positions(tn, rng)
+        for rows, cols, dim in [(4, 4, 2), (5, 5, 2), (4, 6, 3), (6, 6, 2), (8, 8, 2), (6, 9, 3)]:
+            yield grid_network(np.random.default_rng(rows * cols + dim), rows, cols, dim=dim)
+
+    @pytest.mark.parametrize("chi, chi_prime", [(2, None), (4, None), (4, 2), (2, 2)])
+    def test_fires_on_the_same_steps_as_a_whole_chain_check(self, monkeypatch, chi, chi_prime):
+        # chi_prime below chi leaves bonds over chi_prime after a
+        # compression, which the whole-chain check sees on the next step
+        fired_total = 0
+        for tn in self.cases():
+            try:
+                expected, ref_value = compression_steps(tn, chi, chi_prime)
+            except PlanarizeError:
+                continue
+            steps = [0]
+            fired = []
+            real_step, real_compress = contract.contract_step, contract.compress_mps
+
+            def counting_step(*args):
+                steps[0] += 1
+                return real_step(*args)
+
+            def recording_compress(*args):
+                fired.append(steps[0] - 1)
+                return real_compress(*args)
+
+            monkeypatch.setattr(contract, "contract_step", counting_step)
+            monkeypatch.setattr(contract, "compress_mps", recording_compress)
+            value = sweep_contract(tn, chi, chi_prime)
+            monkeypatch.undo()
+            assert fired == expected
+            assert value == ref_value
+            fired_total += len(fired)
+        assert fired_total > 50
+
+
+class TestNetworkConstruction:
+    @staticmethod
+    def parts():
+        vertices = [
+            TNVertex(0, DenseTensor(np.ones((2, 3))), (0.0, 0.0)),
+            TNVertex(1, DenseTensor(np.ones(2)), (1.0, 0.0)),
+            TNVertex(2, DenseTensor(np.ones(3)), (0.0, 1.0)),
+        ]
+        bonds = [Bond((0, 0), (1, 0), 2), Bond((0, 1), (2, 0), 3)]
+        return vertices, bonds
+
+    def test_valid_network_builds(self):
+        vertices, bonds = self.parts()
+        tn = TensorNetwork2D(vertices, bonds)
+        assert tn.bonds == bonds
+        assert_matches_oracle(sweep_contract(tn), tn, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("duplicate vertex", "duplicate vertex id 1"),
+            ("missing vertex", "missing vertex 7"),
+            ("axis out of range", "axis 1 of rank-1 vertex 2"),
+            ("negative axis", "axis -1 of rank-2 vertex 0"),
+            ("dimension mismatch", "bond dimension 2 != extent 3 at vertex 0 axis 1"),
+            ("self-loop", "self-loop"),
+        ],
+    )
+    def test_constructor_and_add_bond_raise(self, case, message):
+        vertices, bonds = self.parts()
+        if case == "duplicate vertex":
+            vertices.append(TNVertex(1, DenseTensor(np.ones(2)), (2.0, 0.0)))
+        elif case == "missing vertex":
+            bonds[1] = Bond((0, 1), (7, 0), 3)
+        elif case == "axis out of range":
+            bonds[1] = Bond((0, 1), (2, 1), 3)
+        elif case == "negative axis":
+            bonds[0] = Bond((0, -1), (1, 0), 2)
+        elif case == "dimension mismatch":
+            bonds[1] = Bond((0, 1), (2, 0), 2)
+        else:
+            bonds[1] = Bond((0, 0), (0, 0), 2)
+        with pytest.raises(ValueError, match=message):
+            TensorNetwork2D(vertices, bonds)
+        if case == "duplicate vertex":
+            return
+        tn = TensorNetwork2D(vertices)
+        with pytest.raises(ValueError, match=message):
+            for b in bonds:
+                tn.add_bond(b)
 
 
 def with_tensors(tn, rng):
