@@ -6,9 +6,7 @@ MPS sites carrying the vertex's bonds to already swept vertices and emits
 one site per bond to unswept vertices, splitting the result back into a
 chain by exact reshapes.  The MPS is truncated (:func:`compress_mps`) only
 when its largest bond outgrows ``chi_prime``, so the cost of a sweep stays
-near ``O(n chi^3)`` without compressing after every step.  Only the bonds a
-step creates inside its run of new sites are compared with ``chi_prime``:
-every other bond keeps an extent that was within it when last checked.
+near ``O(n chi^3)`` without compressing after every step.
 
 At the bond dimensions a decoder runs (chi of 8 to 32), the matrices are a
 few dozen rows wide, so the kernels are written to pay for arithmetic
@@ -17,9 +15,9 @@ rather than for call overhead.  Compression calls LAPACK directly
 and workspace queries of ``np.linalg``, and copies the Fortran-order
 factors to C order so that every value stays bit-identical to the
 ``np.linalg`` path.  The pass-through sites that
-:func:`contract_step` emits are read-only reshapes of identity matrices
-shared across steps; the ``IDENTITY_CACHE_SIZE`` most recently used sizes
-are kept.
+:func:`contract_step` emits are read-only reshapes of identity matrices;
+those up to ``IDENTITY_MEMO_MAX`` wide are built once and shared, which
+bounds the memo at 12 KB whatever is contracted.
 
 A sweep is split into a plan and a run.  The plan depends only on the
 network's geometry: it validates and planarizes the network, orders its
@@ -39,7 +37,6 @@ every call, since errors are not cached.
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from collections import OrderedDict
@@ -71,11 +68,13 @@ DEFAULT_REL_CUTOFF = 1e-14
 # and over, so a handful of geometries covers it.
 PLAN_CACHE_SIZE = 8
 
-# Identity sizes kept at once for the pass-through sites of contract_step.
-# A sweep meets a dozen or so sizes (products of bond dimensions, nine at
-# chi=8 on a square code) over and over; an exact contraction's identities
-# can be MBs each, so only the most recently used ones stay alive.
-IDENTITY_CACHE_SIZE = 16
+# Widest identity kept for the pass-through sites of contract_step.  A
+# sweep meets a few small sizes over and over (up to 16 wide: 95% of them
+# at chi=8 on a square code, 83% in an exact subsystem d=5 sweep); wider
+# ones, MBs each in an exact contraction, are built per step.  The memo
+# stays allocated between sweeps, so it is bounded in bytes: at most
+# sum(8 n^2 for n <= 16) = 12 KB.
+IDENTITY_MEMO_MAX = 16
 
 
 class ContractionError(ValueError):
@@ -307,15 +306,22 @@ def _plan_for(tn: TensorNetwork2D) -> _Plan:
     return plan
 
 
-@functools.lru_cache(maxsize=IDENTITY_CACHE_SIZE)
+_identities: dict = {}  # n -> read-only np.eye(n), for n <= IDENTITY_MEMO_MAX
+
+
 def _identity(n: int) -> np.ndarray:
-    """A read-only ``n x n`` identity, shared by every caller.
+    """A read-only ``n x n`` identity, shared by every caller when at most
+    ``IDENTITY_MEMO_MAX`` wide.
 
     Sites are never written in place (each update assigns a new array), and
     the read-only flag makes a write that would corrupt every sharer raise.
     """
-    eye = np.eye(n)
-    eye.setflags(write=False)
+    eye = _identities.get(n)
+    if eye is None:
+        eye = np.eye(n)
+        eye.setflags(write=False)
+        if n <= IDENTITY_MEMO_MAX:
+            _identities[n] = eye
     return eye
 
 
@@ -548,14 +554,6 @@ def sweep_contract(
     vertices, swaps = tn.vertices, plan.swaps
     mps = MPSState()
     total_err = 0.0
-    # Compression triggers when a bond exceeds chi_prime.  Only the bonds
-    # inside the run of sites a step emits can take a new extent: the bonds
-    # at either end of the run keep the extents of the bonds the step
-    # consumed (or of the bond a new component passes through), and every
-    # bond was at most chi_prime when last checked, so only the inner ones
-    # are tested.  A compression can leave bonds over chi_prime when chi
-    # exceeds it; until they are gone the whole chain is tested.
-    over = False
     # A non-finite product raises ContractionError at the step that made it
     # (every site that takes new data is normalized, and the closing scalar
     # is checked), so numpy's overflow and invalid-value warnings would only
@@ -564,16 +562,7 @@ def sweep_contract(
         for step in plan.steps:
             tensor = swaps[step.vid] if step.vid in swaps else vertices[step.vid].tensor
             contract_step(mps, step, tensor)
-            if chi is None:
-                continue
-            if over:
-                fire = mps.max_bond() > chi_prime
-            else:
-                sites, lo = mps.sites, step.lo
-                inner = range(lo, lo + len(step.perms[2]) - 3)  # len(perms[2]) = new sites + 2
-                fire = any(sites[k].shape[2] > chi_prime for k in inner)
-            if fire:
+            if chi is not None and mps.max_bond() > chi_prime:
                 _, err = compress_mps(mps, chi, rel_cutoff)
                 total_err = math.sqrt(total_err * total_err + err * err)
-            over = fire and mps.max_bond() > chi_prime
     return SweepValue(mps.mantissa, mps.log_scale, total_err)

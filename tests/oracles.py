@@ -5,8 +5,7 @@ oracle is a literal sum over all joint bond-index assignments, evaluated in
 chunks so larger index spaces stay within memory.  The crossing oracle is
 the plain scan over all pairs of bonds that planarize's grid search must
 reproduce.  The compression oracle runs the same QR and SVD passes as
-``compress_mps`` through ``np.linalg``, and the trigger oracle tests the
-whole chain after every step.
+``compress_mps`` through ``np.linalg``.
 """
 
 import math
@@ -139,22 +138,3 @@ def compress_mps_reference(mps, chi, rel_cutoff=contract.DEFAULT_REL_CUTOFF):
     for k in range(n):
         mps._normalize_site(k)
     return mps, math.sqrt(dropped) / norm0
-
-
-def compression_steps(tn, chi, chi_prime=None):
-    """Indices of the steps after which a sweep of ``tn`` compresses, when
-    the whole chain's ``max_bond()`` is tested after every step; and the
-    resulting value, as ``sweep_contract`` would return it."""
-    chi_prime = 2 * chi if chi_prime is None else chi_prime
-    plan = contract._plan_for(tn)
-    mps = contract.MPSState()
-    fired = []
-    total_err = 0.0
-    for i, step in enumerate(plan.steps):
-        tensor = plan.swaps[step.vid] if step.vid in plan.swaps else tn.vertices[step.vid].tensor
-        contract.contract_step(mps, step, tensor)
-        if mps.max_bond() > chi_prime:
-            _, err = contract.compress_mps(mps, chi)
-            total_err = math.sqrt(total_err * total_err + err * err)
-            fired.append(i)
-    return fired, contract.SweepValue(mps.mantissa, mps.log_scale, total_err)

