@@ -6,7 +6,18 @@ MPS sites carrying the vertex's bonds to already swept vertices and emits
 one site per bond to unswept vertices, splitting the result back into a
 chain by exact reshapes.  The MPS is truncated (:func:`compress_mps`) only
 when its largest bond outgrows ``chi_prime``, so the cost of a sweep stays
-near ``O(n chi^3)`` without compressing after every step.
+near ``O(n chi^3)`` without compressing after every step.  Only a step that
+emits two or more sites makes a bond the chain did not already have, so the
+largest bond is read after those steps alone; with ``chi_prime >= chi``
+this compresses at exactly the steps a check after every step would.
+
+Compression works only on what is not already canonical.  The sites a step
+emits left of its data site are reshaped identities, exact left
+isometries, and a run of them at the left end of the chain stays so until
+a step reaches it.  ``MPSState.head`` counts the sites of that run that
+the sweep has kept track of; :func:`compress_mps` starts its QR pass after
+them, since the QR of an identity is the identity and skipping it changes
+no bit.
 
 At the bond dimensions a decoder runs (chi of 8 to 32), the matrices are a
 few dozen rows wide, so the kernels are written to pay for arithmetic
@@ -17,7 +28,8 @@ factors to C order so that every value stays bit-identical to the
 ``np.linalg`` path.  The pass-through sites that
 :func:`contract_step` emits are read-only reshapes of identity matrices;
 those up to ``IDENTITY_MEMO_MAX`` wide are built once and shared, which
-bounds the memo at 12 KB whatever is contracted.
+bounds the memo at 12 KB whatever is contracted.  R factors up to that
+width take their upper triangle from one shared boolean mask.
 
 A sweep is split into a plan and a run.  The plan depends only on the
 network's geometry: it validates and planarizes the network, orders its
@@ -103,11 +115,18 @@ class MPSState:
     plan.  The outermost bonds have extent 1.  Magnitudes are folded into
     ``log_scale`` (site arrays are kept near unit scale); ``mantissa``
     accumulates the sign/value once the boundary closes.
+
+    ``head`` is a count of leading sites known to be exact reshaped
+    identities: ``sites[k]`` for ``k < head`` is ``np.eye(l * d)`` reshaped
+    to ``(l, d, l * d)``.  :func:`contract_step` keeps it, and
+    :func:`compress_mps` skips those sites and resets it to 0.  It may
+    undercount but never overcount, so 0 is always safe.
     """
 
     sites: list = field(default_factory=list)
     log_scale: float = 0.0
     mantissa: float = 1.0
+    head: int = 0
 
     def max_bond(self) -> int:
         if len(self.sites) < 2:
@@ -142,13 +161,16 @@ class _Step(NamedTuple):
     transposes of its products: the consumed run's axes (left, right, then
     legs in the vertex's bond order) and the vertex's axes (contracted,
     then surviving), both None without backward bonds, and the order of
-    the product's axes (left, open legs left to right, right).
+    the product's axes (left, open legs left to right, right).  ``grows``
+    is set when the vertex leaves two or more slots, the only steps that
+    can make a bond the boundary did not already have.
     """
 
     vid: int
     lo: int
     hi: int
     perms: tuple
+    grows: bool
 
 
 class _Plan(NamedTuple):
@@ -246,7 +268,7 @@ def _plan_step(pending: list, v, vertices, incident, bonds) -> _Step:
 
     open_axes = (0, *(v_axis_pos[axis] for _, axis, _ in forward), 1)
     pending[lo : hi + 1] = [bid for bid, _, _ in forward]
-    return _Step(v.id, lo, hi, (run_axes, vertex_axes, open_axes))
+    return _Step(v.id, lo, hi, (run_axes, vertex_axes, open_axes), len(forward) >= 2)
 
 
 def _build_plan(tn: TensorNetwork2D) -> _Plan:
@@ -325,6 +347,23 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
+# Upper-triangle mask of the R factors up to IDENTITY_MEMO_MAX wide; the
+# triangle of a (rank, width) factor is its top-left block.
+_upper_mask = np.triu(np.ones((IDENTITY_MEMO_MAX, IDENTITY_MEMO_MAX), dtype=bool))
+_upper_mask.setflags(write=False)
+
+
+def _upper(a: np.ndarray) -> np.ndarray:
+    """``np.triu(a)``, in C order, with the mask sliced from ``_upper_mask``
+    when neither side of ``a`` exceeds ``IDENTITY_MEMO_MAX``."""
+    rows, cols = a.shape
+    if max(rows, cols) > IDENTITY_MEMO_MAX:
+        return np.triu(a)
+    r = np.zeros((rows, cols))
+    np.copyto(r, a, where=_upper_mask[:rows, :cols])
+    return r
+
+
 def _dot_right(site, mat):
     """``site`` (left, leg, right) times ``mat`` on its right bond."""
     dl, d, dr = site.shape
@@ -346,8 +385,12 @@ def contract_step(mps: MPSState, step: _Step, tensor) -> MPSState:
     ``np.tensordot`` does with the same axes.  Consumed sites leave the
     chain before their replacement is built.  Emitted sites other than the
     one holding the data are read-only views of shared identities.
+
+    ``mps.head`` is kept: a step that starts inside the identity head or
+    right after it moves the head's end to its data site, and a step that
+    folds into a neighbour ends the head before that neighbour.
     """
-    _, lo, hi, (run_axes, vertex_axes, open_axes) = step
+    _, lo, hi, (run_axes, vertex_axes, open_axes), _ = step
     sites = mps.sites
     elements = tensor.elements
     if hi >= lo:
@@ -404,6 +447,8 @@ def contract_step(mps: MPSState, step: _Step, tensor) -> MPSState:
                 mps.log_scale += math.log(mag)
         if sites:
             mps._normalize_site(max(lo - 1, 0))
+        if lo <= mps.head:
+            mps.head = max(lo - 1, 0)
         return mps
 
     # Split back into one site per forward bond.  Internal bond k carries
@@ -444,6 +489,8 @@ def contract_step(mps: MPSState, step: _Step, tensor) -> MPSState:
 
     sites[lo:lo] = new_sites
     mps._normalize_site(lo + t)
+    if lo <= mps.head:
+        mps.head = lo + t
     return mps
 
 
@@ -477,19 +524,32 @@ def compress_mps(mps: MPSState, chi: int, rel_cutoff: float = DEFAULT_REL_CUTOFF
     ``vt`` are copied to C order before any product, because BLAS rounds a
     product differently for each operand layout, and in C order every value
     is bit-identical to the ``np.linalg`` path.
+
+    The QR pass starts at ``mps.head``: the sites before it are reshaped
+    identities, whose Householder QR has ``tau = 0`` and ``Q = R = I``, so
+    skipping them leaves every bit as it was.  Only the last skipped
+    product, the identity times site ``head``, is kept, because it turns
+    negative zeros into positive ones and the sign of a zero steers the
+    Householder reflections of the next QR.  ``head`` is 0 afterwards.
+    ``chi < 1`` raises ``ValueError``.
     """
+    if chi < 1:
+        raise ValueError("chi must be a positive integer")
+    head, mps.head = mps.head, 0
     n = len(mps.sites)
     if n <= 1:
         return mps, 0.0
 
     sites = mps.sites
-    for k in range(n - 1):
+    if head:
+        sites[head] = _dot_left(_identity(sites[head].shape[0]), sites[head])
+    for k in range(head, n - 1):
         dl, d, dr = sites[k].shape
         qr, tau, work, info = _lapack.dgeqrf(sites[k].reshape(dl * d, dr), lwork=dr)
         del work
         _check_info("dgeqrf", info)
         rank = min(dl * d, dr)
-        r = np.triu(qr[:rank])
+        r = _upper(qr[:rank])
         q, work, info = _lapack.dorgqr(qr[:, :rank], tau, lwork=rank)
         del work, qr
         _check_info("dorgqr", info)
@@ -530,11 +590,13 @@ def sweep_contract(
 
     ``chi`` bounds the boundary MPS bond dimension (``None`` contracts
     exactly).  Compression to ``chi`` triggers only when the largest bond
-    exceeds ``chi_prime`` (default ``2 * chi``).  The network is planarized
-    first if crossings are present.  Returns ``(mantissa, log_scale,
-    trunc_error)`` with the value equal to ``mantissa * exp(log_scale)``
-    and ``trunc_error`` the accumulated relative truncation estimate, 0 for
-    an exact contraction.
+    exceeds ``chi_prime`` (default ``2 * chi``), which is checked after the
+    steps that can grow a bond.  ``chi < 1``, ``chi_prime < chi`` and a
+    ``chi_prime`` without ``chi`` raise ``ValueError``.  The network is
+    planarized first if crossings are present.  Returns ``(mantissa,
+    log_scale, trunc_error)`` with the value equal to
+    ``mantissa * exp(log_scale)`` and ``trunc_error`` the accumulated
+    relative truncation estimate, 0 for an exact contraction.
 
     The geometry pass (validation, planarize, sweep order and the slot
     bookkeeping of every step) is taken from a cache keyed on the vertex
@@ -545,10 +607,15 @@ def sweep_contract(
     """
     if not tn.vertices:
         raise ContractionError("cannot contract an empty network")
-    if chi is not None and chi < 1:
+    if chi is None:
+        if chi_prime is not None:
+            raise ValueError("chi_prime needs a finite chi")
+    elif chi < 1:
         raise ValueError("chi must be a positive integer")
-    if chi is not None and chi_prime is None:
+    elif chi_prime is None:
         chi_prime = 2 * chi
+    elif chi_prime < chi:
+        raise ValueError("chi_prime must be at least chi")
     plan = _plan_for(tn)
 
     vertices, swaps = tn.vertices, plan.swaps
@@ -562,7 +629,7 @@ def sweep_contract(
         for step in plan.steps:
             tensor = swaps[step.vid] if step.vid in swaps else vertices[step.vid].tensor
             contract_step(mps, step, tensor)
-            if chi is not None and mps.max_bond() > chi_prime:
+            if chi is not None and step.grows and mps.max_bond() > chi_prime:
                 _, err = compress_mps(mps, chi, rel_cutoff)
                 total_err = math.sqrt(total_err * total_err + err * err)
     return SweepValue(mps.mantissa, mps.log_scale, total_err)

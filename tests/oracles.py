@@ -5,7 +5,8 @@ oracle is a literal sum over all joint bond-index assignments, evaluated in
 chunks so larger index spaces stay within memory.  The crossing oracle is
 the plain scan over all pairs of bonds that planarize's grid search must
 reproduce.  The compression oracle runs the same QR and SVD passes as
-``compress_mps`` through ``np.linalg``.
+``compress_mps`` through ``np.linalg``, and the trigger oracle reads the
+largest bond after every step of a sweep.
 """
 
 import math
@@ -138,3 +139,27 @@ def compress_mps_reference(mps, chi, rel_cutoff=contract.DEFAULT_REL_CUTOFF):
     for k in range(n):
         mps._normalize_site(k)
     return mps, math.sqrt(dropped) / norm0
+
+
+def sweep_checking_every_step(tn, chi, chi_prime=None, rel_cutoff=contract.DEFAULT_REL_CUTOFF):
+    """``sweep_contract`` with the compression trigger read after every step.
+
+    Runs the cached plan of ``tn`` through ``contract_step`` and compresses
+    whenever ``max_bond()`` exceeds ``chi_prime`` (default ``2 * chi``),
+    whatever the step.  Returns ``(SweepValue, steps)`` with the indices of
+    the steps after which it compressed.
+    """
+    plan = contract._plan_for(tn)
+    tensors = {vid: v.tensor for vid, v in tn.vertices.items()} | plan.swaps
+    chi_prime = 2 * chi if chi_prime is None else chi_prime
+    mps = contract.MPSState()
+    total_err = 0.0
+    fired = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, step in enumerate(plan.steps):
+            contract.contract_step(mps, step, tensors[step.vid])
+            if mps.max_bond() > chi_prime:
+                _, err = contract.compress_mps(mps, chi, rel_cutoff)
+                total_err = math.sqrt(total_err * total_err + err * err)
+                fired.append(i)
+    return contract.SweepValue(mps.mantissa, mps.log_scale, total_err), fired

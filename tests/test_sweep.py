@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from oracles import (
     assert_matches_oracle,
     brute_force_value,
     compress_mps_reference,
+    sweep_checking_every_step,
 )
 
 
@@ -444,6 +446,133 @@ class TestIdentitySites:
         assert wide[0] is not wide[1]
         assert not wide[0].flags.writeable
         assert max(memo) == widest
+
+
+def planarizes(tn):
+    try:
+        planarize(tn)
+    except PlanarizeError:  # a scrambled copy may put a vertex on a bond
+        return False
+    return True
+
+
+@functools.cache
+def netgen_corpus():
+    """Networks for the head and trigger checks: random planar ones, their
+    scrambled copies that planarize (with swaps inserted), grids of
+    dimension 2 and 3, and larger grids, whose boundaries compress many
+    times."""
+    rng = np.random.default_rng(4600)
+    seeds = lambda k: [np.random.default_rng(s) for s in rng.integers(1 << 31, size=k)]
+    planar = [random_planar_network(g) for g in seeds(24)]
+    scrambled = [scramble_positions(tn, g) for tn, g in zip(planar, seeds(24))]
+    scrambled = [tn for tn in scrambled if planarizes(tn)]
+    grids = [
+        grid_network(g, int(g.integers(2, 6)), int(g.integers(2, 6)), dim=int(g.integers(2, 4)))
+        for g in seeds(12)
+    ]
+    large = [grid_network(g, 8, 8, dim=2) for g in seeds(3)]
+    large += [grid_network(g, 6, 6, dim=3) for g in seeds(3)]
+    return planar + scrambled + grids + large
+
+
+class TestIdentityHead:
+    @pytest.mark.parametrize("chi", [None, 1, 2, 4, 8])
+    def test_head_is_identities_and_skipping_it_changes_no_bit(self, monkeypatch, chi):
+        real_step, real_compress = contract.contract_step, contract.compress_mps
+        heads = []
+
+        def checked_step(mps, step, tensor):
+            real_step(mps, step, tensor)
+            assert 0 <= mps.head <= max(len(mps.sites) - 1, 0)
+            for site in mps.sites[: mps.head]:
+                left, leg, right = site.shape
+                assert right == left * leg
+                np.testing.assert_array_equal(site.reshape(right, right), np.eye(right))
+            return mps
+
+        def checked_compress(mps, chi, rel_cutoff=contract.DEFAULT_REL_CUTOFF):
+            heads.append(mps.head)
+            full = MPSState(sites=list(mps.sites), log_scale=mps.log_scale)  # head 0
+            _, full_err = real_compress(full, chi, rel_cutoff)
+            _, err = real_compress(mps, chi, rel_cutoff)
+            assert mps.head == 0
+            assert err.hex() == full_err.hex()
+            assert mps.log_scale.hex() == full.log_scale.hex()
+            assert [a.shape for a in mps.sites] == [a.shape for a in full.sites]
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(mps.sites, full.sites))
+            return mps, err
+
+        corpus = netgen_corpus()
+        assert len(corpus) > 50
+        monkeypatch.setattr(contract, "contract_step", checked_step)
+        monkeypatch.setattr(contract, "compress_mps", checked_compress)
+        for tn in corpus:
+            sweep_contract(tn, chi)
+        if chi is None:
+            assert not heads
+        else:
+            # the skip is exercised, and not on every compression
+            assert max(heads) >= 2 and min(heads) == 0
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (4, 4), (3, 8), (16, 16), (8, 17), (20, 20), (12, 40)]
+    )
+    def test_upper_triangle_matches_np_triu(self, shape):
+        a = np.asfortranarray(np.random.default_rng(4601).normal(size=shape))
+        a[a < -1.0] = -0.0
+        r = contract._upper(a)
+        assert r.flags.c_contiguous
+        assert r.tobytes() == np.triu(a).tobytes()
+
+
+class TestCompressionTrigger:
+    @pytest.mark.parametrize(
+        "chi, chi_prime", [(1, None), (2, None), (4, None), (8, None), (2, 2), (3, 4)]
+    )
+    def test_matches_check_after_every_step(self, monkeypatch, chi, chi_prime):
+        corpus = netgen_corpus()
+        expected = [sweep_checking_every_step(tn, chi, chi_prime) for tn in corpus]
+        assert sum(len(fired) for _, fired in expected) >= 30
+
+        real_step, real_compress = contract.contract_step, contract.compress_mps
+        steps, fired = [], []
+
+        def counting_step(mps, step, tensor):
+            steps.append(step)
+            return real_step(mps, step, tensor)
+
+        def recording_compress(mps, chi, rel_cutoff=contract.DEFAULT_REL_CUTOFF):
+            fired.append(len(steps) - 1)
+            return real_compress(mps, chi, rel_cutoff)
+
+        monkeypatch.setattr(contract, "contract_step", counting_step)
+        monkeypatch.setattr(contract, "compress_mps", recording_compress)
+        for tn, (want_value, want_fired) in zip(corpus, expected):
+            steps.clear()
+            fired.clear()
+            value = sweep_contract(tn, chi, chi_prime)
+            assert fired == want_fired
+            assert all(steps[i].grows for i in fired)
+            assert [x.hex() for x in value] == [x.hex() for x in want_value]
+
+    @pytest.mark.parametrize("chi", [0, -1])
+    def test_compress_rejects_chi_below_one(self, chi):
+        mps = MPSState(sites=[np.ones((1, 2, 2)), np.ones((2, 2, 1))])
+        with pytest.raises(ValueError, match="chi must be a positive integer"):
+            compress_mps(mps, chi)
+        with pytest.raises(ValueError, match="chi must be a positive integer"):
+            compress_mps(MPSState(sites=[np.ones((1, 2, 1))]), chi)
+
+    @pytest.mark.parametrize("chi, chi_prime, message", [
+        (4, 3, "chi_prime must be at least chi"),
+        (2, 1, "chi_prime must be at least chi"),
+        (None, 4, "chi_prime needs a finite chi"),
+    ])
+    def test_sweep_rejects_chi_prime(self, chi, chi_prime, message):
+        tn = grid_network(np.random.default_rng(4602), 3, 3, dim=2)
+        with pytest.raises(ValueError, match=message):
+            sweep_contract(tn, chi, chi_prime)
 
 
 class TestNetworkConstruction:
