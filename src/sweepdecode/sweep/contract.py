@@ -4,12 +4,17 @@ Vertices are absorbed into a boundary matrix product state in ascending
 ``(y, x, id)`` order.  Each absorption (:func:`contract_step`) consumes the
 MPS sites carrying the vertex's bonds to already swept vertices and emits
 one site per bond to unswept vertices, splitting the result back into a
-chain by exact reshapes.  The MPS is truncated (:func:`compress_mps`) only
-when its largest bond outgrows ``chi_prime``, so the cost of a sweep stays
-near ``O(n chi^3)`` without compressing after every step.  Only a step that
-emits two or more sites makes a bond the chain did not already have, so the
-largest bond is read after those steps alone; with ``chi_prime >= chi``
-this compresses at exactly the steps a check after every step would.
+chain by exact reshapes.  It is one batched matrix product that transposes
+no boundary data: the consumed run is read as ``(left, L, right)`` as the
+chain stores it, the vertex is permuted to (forward axes left to right,
+backward axes in slot order) and reshaped to ``(S, L)``, and the product
+``(left, S, right)`` is already in chain order.  The MPS is truncated
+(:func:`compress_mps`) only when its largest bond outgrows ``chi_prime``,
+so the cost of a sweep stays near ``O(n chi^3)`` without compressing after
+every step.  Only a step that emits two or more sites makes a bond the
+chain did not already have, so the largest bond is read after those steps
+alone; with ``chi_prime >= chi`` this compresses at exactly the steps a
+check after every step would.
 
 Compression works only on what is not already canonical.  The sites a step
 emits left of its data site are reshaped identities, exact left
@@ -35,7 +40,7 @@ A sweep is split into a plan and a run.  The plan depends only on the
 network's geometry: it validates and planarizes the network, orders its
 vertices, and replays the sweep on bond ids alone to fix, for every step,
 the run of boundary slots the vertex consumes, the bonds it emits and the
-axis permutations of its products.  The run does only numerics on the
+permutation of the vertex's axes.  The run does only numerics on the
 vertices' tensors.  Plans are cached, keyed on everything a plan reads:
 the vertex ids, positions and tensor shapes, and the ordered bonds with
 both endpoints and their dimensions.  The four coset networks of a code
@@ -157,20 +162,23 @@ class _Step(NamedTuple):
 
     Vertex ``vid`` consumes the boundary slots ``lo..hi`` (none when
     ``hi == lo - 1``: it then enters at slot ``lo``) and leaves one slot
-    per forward bond there, ordered left to right.  ``perms`` holds the
-    transposes of its products: the consumed run's axes (left, right, then
-    legs in the vertex's bond order) and the vertex's axes (contracted,
-    then surviving), both None without backward bonds, and the order of
-    the product's axes (left, open legs left to right, right).  ``grows``
-    is set when the vertex leaves two or more slots, the only steps that
-    can make a bond the boundary did not already have.
+    per forward bond there, ordered left to right.  ``perm`` lists the
+    vertex's axes in the order its absorption reads them: the ``forward``
+    axes left to right by departure angle, then the backward axes in the
+    order of the slots they meet.  ``grows`` is set when the vertex leaves
+    two or more slots, the only steps that can make a bond the boundary
+    did not already have.
     """
 
     vid: int
     lo: int
     hi: int
-    perms: tuple
-    grows: bool
+    perm: tuple
+    forward: int
+
+    @property
+    def grows(self) -> bool:
+        return self.forward >= 2
 
 
 class _Plan(NamedTuple):
@@ -252,23 +260,14 @@ def _plan_step(pending: list, v, vertices, incident, bonds) -> _Step:
                 f"backward bonds of vertex {v.id} are not contiguous on the "
                 "boundary; the network is not planar as embedded"
             )
-        # The run merges to (left bond, leg_lo, ..., leg_hi, right bond);
-        # its product with the vertex leaves (left, right, surviving axes).
-        run_axes = (0, hi - lo + 2, *(1 + pending.index(bid) - lo for bid, _ in backward))
-        v_axes = [axis for _, axis in backward]
-        surviving = [a for a in range(v.tensor.rank) if a not in v_axes]
-        vertex_axes = (*v_axes, *surviving)
-        v_axis_pos = {a: 2 + i for i, a in enumerate(surviving)}
+        backward.sort(key=lambda item: pending.index(item[0]))
     else:
         lo = _insertion_index(pending, v, vertices, bonds)
         hi = lo - 1
-        run_axes = vertex_axes = None
-        # the product is (pass-through bond in, out, vertex axes)
-        v_axis_pos = {a: 2 + a for a in range(v.tensor.rank)}
 
-    open_axes = (0, *(v_axis_pos[axis] for _, axis, _ in forward), 1)
+    perm = (*(axis for _, axis, _ in forward), *(axis for _, axis in backward))
     pending[lo : hi + 1] = [bid for bid, _, _ in forward]
-    return _Step(v.id, lo, hi, (run_axes, vertex_axes, open_axes), len(forward) >= 2)
+    return _Step(v.id, lo, hi, perm, len(forward))
 
 
 def _build_plan(tn: TensorNetwork2D) -> _Plan:
@@ -380,54 +379,44 @@ def contract_step(mps: MPSState, step: _Step, tensor) -> MPSState:
     """Absorb one planned vertex, carrying the DenseTensor ``tensor``, into
     the boundary MPS, in place.
 
-    Every product is ``np.dot`` on operands transposed by the step's
-    planned permutations and reshaped to matrices, which is what
-    ``np.tensordot`` does with the same axes.  Consumed sites leave the
-    chain before their replacement is built.  Emitted sites other than the
-    one holding the data are read-only views of shared identities.
+    The consumed run merges, untransposed, into ``run`` of shape ``(left,
+    L, right)`` (a vertex with no backward bonds takes the identity on the
+    bond it enters across, as ``(p, 1, p)``), and ``np.matmul(W, run)``,
+    with ``W`` the vertex permuted by ``step.perm`` and reshaped to ``(S,
+    L)``, gives ``(left, S, right)``, whose reshape is the data site.
+    Consumed sites leave the chain before their replacement is built.
+    Emitted sites other than the data site are read-only views of shared
+    identities.
 
     ``mps.head`` is kept: a step that starts inside the identity head or
     right after it moves the head's end to its data site, and a step that
     folds into a neighbour ends the head before that neighbour.
     """
-    _, lo, hi, (run_axes, vertex_axes, open_axes), _ = step
+    _, lo, hi, perm, m = step
     sites = mps.sites
-    elements = tensor.elements
     if hi >= lo:
-        # Merge the consumed run into one tensor with axes
-        # (left bond, leg_lo, ..., leg_hi, right bond), then contract its
-        # legs with the vertex.
-        merged = sites.pop(lo)
+        left, right = sites[lo].shape[0], sites[hi].shape[2]
+        run = sites.pop(lo)
         for _ in range(hi - lo):
             site = sites.pop(lo)
-            merged = np.dot(
-                merged.reshape(-1, site.shape[0]), site.reshape(site.shape[0], -1)
-            ).reshape(merged.shape[:-1] + site.shape[1:])
+            run = np.dot(run.reshape(-1, site.shape[0]), site.reshape(site.shape[0], -1))
             del site
-        left, right = merged.shape[0], merged.shape[-1]
-        merged = merged.transpose(run_axes).reshape(left * right, -1)
-        vt = elements.transpose(vertex_axes)
-        merged = np.dot(merged, vt.reshape(merged.shape[1], -1)).reshape(
-            (left, right) + vt.shape[hi - lo + 1 :]
-        )
     else:
-        # A fresh component enters between pending slots lo-1 and lo.  The
-        # bond already running between those sites must pass through the
-        # inserted sites untouched, so the merged tensor is v's tensor with
-        # an identity on that bond (extent 1 at either end of the chain).
-        pass_dim = sites[lo - 1].shape[2] if 0 < lo < len(sites) else 1
-        merged = np.multiply.outer(_identity(pass_dim), elements)
+        # A fresh component enters between pending slots lo-1 and lo; the
+        # bond already running there (extent 1 at either end of the chain)
+        # passes through the inserted sites untouched.
+        left = right = sites[lo - 1].shape[2] if 0 < lo < len(sites) else 1
+        run = _identity(left)
+    vt = tensor.elements.transpose(perm)
+    dims = vt.shape[:m]
+    merged = np.matmul(vt.reshape(math.prod(dims), -1), run.reshape(left, -1, right))
+    del run
     mps.log_scale += tensor.log_scale
-    # Order the open axes left to right by departure angle.
-    merged = merged.transpose(open_axes)
-    left_dim, right_dim = merged.shape[0], merged.shape[-1]
-    dims = merged.shape[1:-1]
-    m = len(dims)
 
     if m == 0:
         # Fully absorbed: a (left, right) matrix folds into a neighbor, or
         # (when the boundary is empty) into the scalar accumulator.
-        mat = merged.reshape(left_dim, right_dim)
+        mat = merged.reshape(left, right)
         del merged
         if lo > 0:
             sites[lo - 1] = _dot_right(sites[lo - 1], mat)
@@ -456,13 +445,13 @@ def contract_step(mps: MPSState, step: _Step, tensor) -> MPSState:
     # of the crossover are reshaped identities fed from the left, sites
     # right of it identities fed from the right, and the full data sits in
     # the single crossover site as a pure reshape.
-    prefix = [left_dim]
+    prefix = [left]
     for d in dims:
         prefix.append(prefix[-1] * d)
-    suffix = [right_dim]
+    suffix = [right]
     for d in reversed(dims):
         suffix.append(suffix[-1] * d)
-    suffix.reverse()  # suffix[k] = dims[k:] product * right_dim
+    suffix.reverse()  # suffix[k] = dims[k:] product * right
 
     # Bond k (between sites k and k+1) carries prefix[k+1] left of the
     # crossover site t and suffix[k+1] right of it; picking t where the
@@ -492,6 +481,13 @@ def contract_step(mps: MPSState, step: _Step, tensor) -> MPSState:
     if lo <= mps.head:
         mps.head = lo + t
     return mps
+
+
+def _check_rel_cutoff(rel_cutoff: float):
+    # written so that NaN fails too; a cutoff of 1 or more keeps one
+    # singular value per bond whatever chi is
+    if not 0.0 <= rel_cutoff < 1.0:
+        raise ValueError("rel_cutoff must lie in [0, 1)")
 
 
 def _check_info(routine: str, info: int):
@@ -531,10 +527,12 @@ def compress_mps(mps: MPSState, chi: int, rel_cutoff: float = DEFAULT_REL_CUTOFF
     product, the identity times site ``head``, is kept, because it turns
     negative zeros into positive ones and the sign of a zero steers the
     Householder reflections of the next QR.  ``head`` is 0 afterwards.
-    ``chi < 1`` raises ``ValueError``.
+    ``chi < 1``, and a ``rel_cutoff`` outside ``[0, 1)`` (NaN included),
+    raise ``ValueError``.
     """
     if chi < 1:
         raise ValueError("chi must be a positive integer")
+    _check_rel_cutoff(rel_cutoff)
     head, mps.head = mps.head, 0
     n = len(mps.sites)
     if n <= 1:
@@ -591,12 +589,12 @@ def sweep_contract(
     ``chi`` bounds the boundary MPS bond dimension (``None`` contracts
     exactly).  Compression to ``chi`` triggers only when the largest bond
     exceeds ``chi_prime`` (default ``2 * chi``), which is checked after the
-    steps that can grow a bond.  ``chi < 1``, ``chi_prime < chi`` and a
-    ``chi_prime`` without ``chi`` raise ``ValueError``.  The network is
-    planarized first if crossings are present.  Returns ``(mantissa,
-    log_scale, trunc_error)`` with the value equal to
-    ``mantissa * exp(log_scale)`` and ``trunc_error`` the accumulated
-    relative truncation estimate, 0 for an exact contraction.
+    steps that can grow a bond.  ``chi < 1``, ``chi_prime < chi``, a
+    ``chi_prime`` without ``chi`` and a ``rel_cutoff`` outside ``[0, 1)``
+    raise ``ValueError``.  The network is planarized first if crossings are
+    present.  Returns ``(mantissa, log_scale, trunc_error)`` with the value
+    equal to ``mantissa * exp(log_scale)`` and ``trunc_error`` the
+    accumulated relative truncation estimate, 0 for an exact contraction.
 
     The geometry pass (validation, planarize, sweep order and the slot
     bookkeeping of every step) is taken from a cache keyed on the vertex
@@ -616,6 +614,7 @@ def sweep_contract(
         chi_prime = 2 * chi
     elif chi_prime < chi:
         raise ValueError("chi_prime must be at least chi")
+    _check_rel_cutoff(rel_cutoff)
     plan = _plan_for(tn)
 
     vertices, swaps = tn.vertices, plan.swaps

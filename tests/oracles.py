@@ -6,7 +6,9 @@ chunks so larger index spaces stay within memory.  The crossing oracle is
 the plain scan over all pairs of bonds that planarize's grid search must
 reproduce.  The compression oracle runs the same QR and SVD passes as
 ``compress_mps`` through ``np.linalg``, and the trigger oracle reads the
-largest bond after every step of a sweep.
+largest bond after every step of a sweep.  The kernel oracle absorbs a
+vertex as ``np.tensordot`` would: both operands transposed to matrices,
+one ``np.dot``, and the product transposed to chain order.
 """
 
 import math
@@ -163,3 +165,97 @@ def sweep_checking_every_step(tn, chi, chi_prime=None, rel_cutoff=contract.DEFAU
                 total_err = math.sqrt(total_err * total_err + err * err)
                 fired.append(i)
     return contract.SweepValue(mps.mantissa, mps.log_scale, total_err), fired
+
+
+def _tensordot_axes(step):
+    """The transposes of the tensordot-style absorption of ``step``: the
+    consumed run's axes (left, right, then legs in the vertex's axis
+    order), the vertex's axes (contracted, then surviving, both in axis
+    order), and the product's axes (left, open legs left to right, right).
+    The first two are None for a vertex with no backward bonds."""
+    forward, backward = step.perm[: step.forward], step.perm[step.forward :]
+    if not backward:
+        return None, None, (0, *(2 + a for a in forward), 1)
+    contracted, surviving = sorted(backward), sorted(forward)
+    run_axes = (0, len(backward) + 1, *(1 + backward.index(a) for a in contracted))
+    open_axes = (0, *(2 + surviving.index(a) for a in forward), 1)
+    return run_axes, (*contracted, *surviving), open_axes
+
+
+def contract_step_reference(mps, step, tensor):
+    """``contract_step`` with every product a ``np.dot`` of transposed
+    operands, as ``np.tensordot`` computes it.
+
+    Same slots, splitting, normalisation and ``head`` bookkeeping; modifies
+    ``mps`` in place and returns it.
+    """
+    run_axes, vertex_axes, open_axes = _tensordot_axes(step)
+    lo, hi, sites = step.lo, step.hi, mps.sites
+    if hi >= lo:
+        merged = sites.pop(lo)
+        for _ in range(hi - lo):
+            site = sites.pop(lo)
+            merged = np.dot(
+                merged.reshape(-1, site.shape[0]), site.reshape(site.shape[0], -1)
+            ).reshape(merged.shape[:-1] + site.shape[1:])
+        left, right = merged.shape[0], merged.shape[-1]
+        merged = merged.transpose(run_axes).reshape(left * right, -1)
+        vt = tensor.elements.transpose(vertex_axes)
+        merged = np.dot(merged, vt.reshape(merged.shape[1], -1)).reshape(
+            (left, right) + vt.shape[hi - lo + 1 :]
+        )
+    else:
+        pass_dim = sites[lo - 1].shape[2] if 0 < lo < len(sites) else 1
+        merged = np.multiply.outer(np.eye(pass_dim), tensor.elements)
+    mps.log_scale += tensor.log_scale
+    merged = merged.transpose(open_axes)
+    left_dim, right_dim = merged.shape[0], merged.shape[-1]
+    dims = merged.shape[1:-1]
+    m = len(dims)
+
+    if m == 0:
+        mat = merged.reshape(left_dim, right_dim)
+        if lo > 0:
+            sites[lo - 1] = np.tensordot(sites[lo - 1], mat, axes=([2], [0]))
+        elif sites:
+            sites[0] = np.tensordot(mat, sites[0], axes=([1], [0]))
+        else:
+            val = float(mat.reshape(()))
+            if val == 0.0:
+                mps.mantissa = 0.0
+            else:
+                mps.mantissa *= math.copysign(1.0, val)
+                mps.log_scale += math.log(abs(val))
+        if sites:
+            mps._normalize_site(max(lo - 1, 0))
+        if lo <= mps.head:
+            mps.head = max(lo - 1, 0)
+        return mps
+
+    prefix = [left_dim]
+    for d in dims:
+        prefix.append(prefix[-1] * d)
+    suffix = [right_dim]
+    for d in reversed(dims):
+        suffix.append(suffix[-1] * d)
+    suffix.reverse()
+    t = 0
+    for k in range(1, m):
+        if prefix[k] <= suffix[k]:
+            t = k
+        else:
+            break
+    new_sites = []
+    for k in range(m):
+        if k < t:
+            site = np.eye(prefix[k + 1]).reshape(prefix[k], dims[k], prefix[k + 1])
+        elif k > t:
+            site = np.eye(suffix[k]).reshape(suffix[k], dims[k], suffix[k + 1])
+        else:
+            site = merged.reshape(prefix[t], dims[t], suffix[t + 1])
+        new_sites.append(site)
+    sites[lo:lo] = new_sites
+    mps._normalize_site(lo + t)
+    if lo <= mps.head:
+        mps.head = lo + t
+    return mps

@@ -25,6 +25,7 @@ from oracles import (
     assert_matches_oracle,
     brute_force_value,
     compress_mps_reference,
+    contract_step_reference,
     sweep_checking_every_step,
 )
 
@@ -564,6 +565,16 @@ class TestCompressionTrigger:
         with pytest.raises(ValueError, match="chi must be a positive integer"):
             compress_mps(MPSState(sites=[np.ones((1, 2, 1))]), chi)
 
+    @pytest.mark.parametrize("rel_cutoff", [float("nan"), 1.0, -0.1])
+    def test_rel_cutoff_outside_unit_interval_raises(self, rel_cutoff):
+        mps = MPSState(sites=[np.ones((1, 2, 2)), np.ones((2, 2, 2)), np.ones((2, 2, 1))])
+        with pytest.raises(ValueError, match="rel_cutoff"):
+            compress_mps(mps, 4, rel_cutoff)
+        tn = grid_network(np.random.default_rng(4603), 3, 3, dim=2)
+        for chi in (None, 2):
+            with pytest.raises(ValueError, match="rel_cutoff"):
+                sweep_contract(tn, chi, rel_cutoff=rel_cutoff)
+
     @pytest.mark.parametrize("chi, chi_prime, message", [
         (4, 3, "chi_prime must be at least chi"),
         (2, 1, "chi_prime must be at least chi"),
@@ -573,6 +584,64 @@ class TestCompressionTrigger:
         tn = grid_network(np.random.default_rng(4602), 3, 3, dim=2)
         with pytest.raises(ValueError, match=message):
             sweep_contract(tn, chi, chi_prime)
+
+
+def absorption_branches(mps, step):
+    """Names of the branches of the absorption kernel that ``step`` takes
+    on the boundary ``mps`` (before the step)."""
+    lo, hi, n = step.lo, step.hi, len(mps.sites)
+    taken = set()
+    if hi < lo and 0 < lo < n and mps.sites[lo - 1].shape[2] > 1:
+        taken.add("pass-through mid-chain")
+    if step.forward == 0 and lo > 0:
+        taken.add("fold left")
+    if step.forward == 0 and lo == 0 and n > hi - lo + 1:
+        taken.add("fold at lo 0")
+    if hi - lo + 1 >= 3:
+        taken.add("run of 3+")
+    if step.forward >= 3:
+        taken.add("emits 3+")
+    return taken
+
+
+class TestAbsorptionKernel:
+    @pytest.mark.parametrize("chi", [None, 2, 4, 8])
+    def test_matches_tensordot_reference(self, monkeypatch, chi):
+        # both kernels absorb every step from the same boundary; the batched
+        # product sums in another order, so agreement is to rounding
+        branches = set()
+        for tn in netgen_corpus():
+            plan = contract._plan_for(tn)
+            tensors = {vid: v.tensor for vid, v in tn.vertices.items()} | plan.swaps
+            mps = MPSState()
+            with np.errstate(over="ignore", invalid="ignore"):
+                for step in plan.steps:
+                    branches |= absorption_branches(mps, step)
+                    ref = MPSState(list(mps.sites), mps.log_scale, mps.mantissa, mps.head)
+                    contract_step_reference(ref, step, tensors[step.vid])
+                    contract_step(mps, step, tensors[step.vid])
+                    assert [a.shape for a in mps.sites] == [b.shape for b in ref.sites]
+                    assert mps.head == ref.head
+                    assert mps.log_scale == pytest.approx(ref.log_scale, rel=1e-13, abs=1e-13)
+                    assert mps.mantissa == pytest.approx(ref.mantissa, rel=1e-13)
+                    for a, b in zip(mps.sites, ref.sites):
+                        np.testing.assert_allclose(
+                            a, b, rtol=1e-13, atol=1e-13 * np.abs(b).max()
+                        )
+                    if chi is not None and step.grows and mps.max_bond() > 2 * chi:
+                        compress_mps(mps, chi)
+            value = sweep_contract(tn, chi)
+            with monkeypatch.context() as m:
+                m.setattr(contract, "contract_step", contract_step_reference)
+                want = sweep_contract(tn, chi)
+            assert value.mantissa == want.mantissa
+            got_log = value.log_scale + math.log(abs(value.mantissa))
+            want_log = want.log_scale + math.log(abs(want.mantissa))
+            assert got_log == pytest.approx(want_log, rel=1e-12, abs=1e-12)
+            assert value.trunc_error == pytest.approx(want.trunc_error, rel=1e-12, abs=1e-15)
+        assert branches == {
+            "pass-through mid-chain", "fold left", "fold at lo 0", "run of 3+", "emits 3+"
+        }
 
 
 class TestNetworkConstruction:
