@@ -316,11 +316,8 @@ def _kept_edges(g: PlanarGraph):
     return kept, ghosts
 
 
-def _logical_paths(g: PlanarGraph, kept, ghosts, table):
-    """Shortest rough-to-rough edge path and smooth-to-smooth dual path."""
-    rough = g.rough_segments()
-    kept_set = set(kept)
-
+def _rough_path(g: PlanarGraph, kept):
+    """Shortest rough-to-rough path over the kept edges, or None."""
     adj = {}
     for e in kept:
         u, v = g.edges[e]
@@ -328,7 +325,13 @@ def _logical_paths(g: PlanarGraph, kept, ghosts, table):
         adj.setdefault(v, []).append((u, e))
     for ns in adj.values():
         ns.sort()
-    z_path = _bfs_path(adj, rough[0].vertices, set(rough[1].vertices))
+    rough = g.rough_segments()
+    return _bfs_path(adj, rough[0].vertices, set(rough[1].vertices))
+
+
+def _logical_paths(g: PlanarGraph, kept, table):
+    """Shortest rough-to-rough edge path and smooth-to-smooth dual path."""
+    z_path = _rough_path(g, kept)
     if z_path is None:
         raise PatchError("rough boundaries are not connected by kept edges")
 
@@ -364,7 +367,7 @@ def _logical_paths(g: PlanarGraph, kept, ghosts, table):
     x_path = _bfs_path(dual_adj, [nf], {nf + 1})
     if x_path is None:
         raise PatchError("smooth boundaries are not connected in the dual")
-    assert all(e in kept_set for e in x_path)
+    assert set(x_path) <= set(kept)
     return x_path, z_path
 
 
@@ -412,7 +415,7 @@ def surface_code_from_graph(g: PlanarGraph, *, family: str = "",
         checks.append(PauliOperator(np.zeros(n, dtype=np.uint8), z))
         coords.append(g.face_centroid(fi))
 
-    x_path, z_path = _logical_paths(g, kept, ghosts, table)
+    x_path, z_path = _logical_paths(g, kept, table)
     lx = np.zeros(n, dtype=np.uint8)
     for e in x_path:
         lx[qubit_of[e]] = 1
@@ -448,9 +451,7 @@ def surface_code_from_graph(g: PlanarGraph, *, family: str = "",
 
 def code_distances(g: PlanarGraph) -> tuple:
     """(x_distance, z_distance) certified by shortest boundary paths."""
-    table = edge_face_table(g)
-    kept, ghosts = _kept_edges(g)
-    x_path, z_path = _logical_paths(g, kept, ghosts, table)
+    x_path, z_path = _logical_paths(g, _kept_edges(g)[0], edge_face_table(g))
     return len(x_path), len(z_path)
 
 

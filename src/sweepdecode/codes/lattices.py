@@ -3,9 +3,10 @@
 Templates use exact integer coordinates; a vertex at integer (i, j)
 sits at real position (i*hx, j*hy).  Patches are cut by an axis-aligned
 integer window, the extreme-x perimeter runs become the rough sides,
-and the smallest window whose code reaches X and Z distance d is chosen
-by direct search.  Dual families reuse the primal patch through the
-planar dual, which exchanges rough and smooth boundaries.
+and a window whose code reaches X and Z distance d is chosen by direct
+search (see :func:`smallest_patch`).  Dual families reuse the primal
+patch through the planar dual, which exchanges rough and smooth
+boundaries.
 """
 
 import math
@@ -18,6 +19,7 @@ from .graphs import (
     BoundarySegment,
     PatchError,
     PlanarGraph,
+    _kept_edges,
     code_distances,
     dual_patch,
     validate_patch,
@@ -207,19 +209,20 @@ def template(name: str) -> LatticeTemplate:
     return builders[name]()
 
 
-def _coord_steps(t: LatticeTemplate):
-    """gcd step of distinct vertex x (and y) integer coordinates."""
-    xs = {t.basis[0][0], t.basis[1][0]} | {s[0] for s in t.sites}
-    ys = {t.basis[1][1]} | {s[1] for s in t.sites}
-
-    def gcd_all(vals):
-        g = 0
-        base = min(vals)
-        for v in vals:
-            g = math.gcd(g, v - base)
-        return max(g, 1)
-
-    return gcd_all(xs | {0}), gcd_all(ys | {0})
+def _search_space(t: LatticeTemplate, reach: int):
+    """Window offsets over one lattice period, then the x and y extents
+    to try: gcd steps of the vertex coordinates up to reach cells plus
+    the spread of the sites within a cell."""
+    xs = {t.basis[0][0], t.basis[1][0], 0} | {s[0] for s in t.sites}
+    ys = {t.basis[1][1], 0} | {s[1] for s in t.sites}
+    gx = math.gcd(*(v - min(xs) for v in xs)) or 1
+    gy = math.gcd(*(v - min(ys) for v in ys)) or 1
+    ax, by = t.basis[0][0], t.basis[1][1]
+    sx = max(s[0] for s in t.sites) - min(s[0] for s in t.sites)
+    sy = max(s[1] for s in t.sites) - min(s[1] for s in t.sites)
+    offsets = [(ox, oy) for oy in range(0, by, gy) for ox in range(0, ax, gx)]
+    return (offsets, range(gx, ax * reach + sx + gx + 1, gx),
+            range(gy, by * reach + sy + gy + 1, gy))
 
 
 def _cut_region(t: LatticeTemplate, ox: int, oy: int, wx: int, wy: int):
@@ -414,38 +417,14 @@ def _designate_arcs(g, cyc, la, ra):
     return PlanarGraph(g.positions, g.edges, g.faces, segments)
 
 
-def _designate(g, cyc, left, right, shifts=(0, 0, 0, 0)):
-    """Segments from rough arcs, with arc ends moved by the shifts.
-
-    shifts = (grow left start, grow left end, grow right start, grow
-    right end) in perimeter steps; negative values shrink.
-    """
-    k = len(cyc)
-    sa, sb, sc, sd = shifts
-
-    def arc(s, e):
-        n = (e - s) % k + 1
-        return [(s + i) % k for i in range(n)]
-
-    if len(left) + sa + sb < 1 or len(right) + sc + sd < 1:
-        return None
-    la = arc((left[0] - sa) % k, (left[-1] + sb) % k)
-    ra = arc((right[0] - sc) % k, (right[-1] + sd) % k)
-    return _designate_arcs(g, cyc, la, ra)
-
-
-def cut_window(t: LatticeTemplate, ox: int, oy: int, wx: int, wy: int):
+def cut_window(t: LatticeTemplate, ox: int, oy: int, wx: int, wy: int,
+               rotate: bool = False):
     """Patch of the window with rough sides at the x extremes.
 
-    Returns None when the window yields nothing patch-shaped.
+    ``rotate`` anchors the rough arcs at the y extremes instead, leaving
+    the patch geometry itself untouched.  Returns None when the window
+    yields nothing patch-shaped.
     """
-    return _cut_window_anchored(t, ox, oy, wx, wy)
-
-
-def _cut_window_anchored(t: LatticeTemplate, ox: int, oy: int,
-                         wx: int, wy: int, rotate: bool = False):
-    """Like cut_window; rotate anchors the rough arcs at the y extremes
-    instead, leaving the patch geometry itself untouched."""
     region = _cut_region(t, ox, oy, wx, wy)
     if region is None:
         return None
@@ -455,12 +434,7 @@ def _cut_window_anchored(t: LatticeTemplate, ox: int, oy: int,
     arcs = _extreme_arcs(cyc, ipos)
     if arcs is None:
         return None
-    return _designate(g, cyc, arcs[0], arcs[1])
-
-
-def _qubit_count(g: PlanarGraph) -> int:
-    ghosts = g.ghosts()
-    return sum(1 for u, v in g.edges if not (u in ghosts and v in ghosts))
+    return _designate_arcs(g, cyc, *arcs)
 
 
 def _safe_distances(g):
@@ -613,13 +587,10 @@ def _arc_search_hits(region, d):
             n_est = len(g.edges) - intra_left[arc_a] - intra_right[arc_b]
             candidates.append((n_est, len(arc_a) + len(arc_b), arc_a, arc_b))
     candidates.sort()
-    for n_est, _, arc_a, arc_b in candidates:
+    for _, _, arc_a, arc_b in candidates:
         gg = _designate_arcs(g, cyc, list(arc_a), list(arc_b))
-        if gg is None:
-            continue
-        if _safe_distances(gg) != (d, d):
-            continue
-        return ((_qubit_count(gg), arc_a, arc_b), gg)
+        if gg is not None and _safe_distances(gg) == (d, d):
+            return gg
     return None
 
 
@@ -637,46 +608,34 @@ def _anisotropic_patch(family: str, d: int) -> PlanarGraph:
     window of that along extent.
     """
     t = template(family)
-    gx, gy = _coord_steps(t)
-    ax = t.basis[0][0]
-    by = t.basis[1][1]
-    sx = max(s[0] for s in t.sites) - min(s[0] for s in t.sites)
-    sy = max(s[1] for s in t.sites) - min(s[1] for s in t.sites)
-    wx_hi = ax * (d + 4) + sx + gx
-    wy_hi = by * (d + 4) + sy + gy
+    offsets, wxs, wys = _search_space(t, d + 4)
     spread = 3
     best = None
     for rotate in (False, True):
-        for oy in range(0, by, gy):
-            for ox in range(0, ax, gx):
-                outer = (range(gx, wx_hi + 1, gx) if not rotate
-                         else range(gy, wy_hi + 1, gy))
-                for wa in outer:
-                    probe_dims = (wa, wy_hi) if not rotate else (wx_hi, wa)
-                    probe = _cut_window_anchored(t, ox, oy, *probe_dims,
-                                                 rotate=rotate)
-                    dd = _safe_distances(probe)
-                    if dd is None:
+        outer, inner = (wys, wxs) if rotate else (wxs, wys)
+        for ox, oy in offsets:
+            for wa in outer:
+                probe_dims = (wxs[-1], wa) if rotate else (wa, wys[-1])
+                probe = cut_window(t, ox, oy, *probe_dims, rotate=rotate)
+                dd = _safe_distances(probe)
+                if dd is None:
+                    continue
+                if dd[1] > d + spread:
+                    break
+                for wb in inner:
+                    wx_, wy_ = (wb, wa) if rotate else (wa, wb)
+                    gg = cut_window(t, ox, oy, wx_, wy_, rotate=rotate)
+                    dd2 = _safe_distances(gg)
+                    if dd2 is None:
                         continue
-                    if dd[1] > d + spread:
+                    if dd2[0] > d + spread:
                         break
-                    inner = (range(gy, wy_hi + 1, gy) if not rotate
-                             else range(gx, wx_hi + 1, gx))
-                    for wb in inner:
-                        wx_, wy_ = (wa, wb) if not rotate else (wb, wa)
-                        gg = _cut_window_anchored(t, ox, oy, wx_, wy_,
-                                                  rotate=rotate)
-                        dd2 = _safe_distances(gg)
-                        if dd2 is None:
-                            continue
-                        if dd2[0] > d + spread:
-                            break
-                        if min(dd2) != d:
-                            continue
-                        key = (_qubit_count(gg), wy_, wx_, oy, ox, rotate)
-                        if best is None or key < best[0]:
-                            best = (key, gg)
-                        break  # larger windows only add qubits here
+                    if min(dd2) != d:
+                        continue
+                    key = (len(_kept_edges(gg)[0]), wy_, wx_, oy, ox, rotate)
+                    if best is None or key < best[0]:
+                        best = (key, gg)
+                    break  # larger windows only add qubits here
     if best is None:
         raise ValueError(f"no {family} patch found with distance {d}")
     return best[1]
@@ -684,7 +643,7 @@ def _anisotropic_patch(family: str, d: int) -> PlanarGraph:
 
 @lru_cache(maxsize=None)
 def smallest_patch(family: str, d: int) -> PlanarGraph:
-    """Smallest window of the named primal lattice with distances (d, d).
+    """A small window of the named primal lattice with distances (d, d).
 
     Stage one designates the minimal perimeter arcs around the x
     extremes as the rough sides and takes the smallest window whose
@@ -696,6 +655,12 @@ def smallest_patch(family: str, d: int) -> PlanarGraph:
     ordered by qubit count, then window extents and offsets; offsets
     range over one lattice period.  Raises when no window in range
     works.
+
+    Stage two runs only when stage one finds nothing, so the result is
+    the smallest window of the first stage that succeeds, not the
+    smallest over both: stage two alone finds smaller triangular
+    patches (n=33 against 37 at d=5, 67 against 89 at d=7) at 10-20
+    times the search cost.
 
     Anisotropic families cannot reach equal sector distances for most
     d at all; they take the smallest window whose minimum sector
@@ -709,69 +674,44 @@ def smallest_patch(family: str, d: int) -> PlanarGraph:
         validate_patch(g)
         return g
     t = template(family)
-    gx, gy = _coord_steps(t)
-    ax = t.basis[0][0]
-    by = t.basis[1][1]
-    sx = max(s[0] for s in t.sites) - min(s[0] for s in t.sites)
-    sy = max(s[1] for s in t.sites) - min(s[1] for s in t.sites)
-    wx_hi = ax * (d + 3) + sx + gx
-    wy_hi = by * (d + 3) + sy + gy
+    offsets, wxs, wys = _search_space(t, d + 3)
 
     def scan(relaxed):
+        slack = 3 if relaxed else 0
         best = None
-        for oy in range(0, by, gy):
-            for ox in range(0, ax, gx):
-                for wx in range(gx, wx_hi + 1, gx):
-                    probe = cut_window(t, ox, oy, wx, wy_hi)
-                    dd = _safe_distances(probe)
-                    if dd is None:
-                        continue
-                    slack = 3 if relaxed else 0
-                    if dd[1] > d + slack:
+        for ox, oy in offsets:
+            for wx in wxs:
+                dd = _safe_distances(cut_window(t, ox, oy, wx, wys[-1]))
+                if dd is None:
+                    continue
+                if dd[1] > d + slack:
+                    break
+                if abs(dd[1] - d) > slack:
+                    continue
+                hit = None
+                for wy in wys:
+                    gg = cut_window(t, ox, oy, wx, wy)
+                    dd2 = _safe_distances(gg)
+                    if dd2 is not None and dd2[0] > d + slack:
                         break
-                    if abs(dd[1] - d) > slack:
-                        continue
-                    hit = None
-                    for wy in range(gy, wy_hi + 1, gy):
+                    if not relaxed:
+                        hit = gg if dd2 == (d, d) else None
+                    elif dd2 is None or max(abs(dd2[0] - d),
+                                            abs(dd2[1] - d)) <= slack:
                         region = _cut_region(t, ox, oy, wx, wy)
-                        if region is None:
-                            continue
-                        if not relaxed:
-                            g, cyc, ipos = region
-                            arcs = _extreme_arcs(cyc, ipos)
-                            if arcs is None:
-                                continue
-                            gg = _designate(g, cyc, arcs[0], arcs[1])
-                            dd2 = _safe_distances(gg)
-                            if dd2 is None:
-                                continue
-                            if dd2[0] > d:
-                                break
-                            if dd2 == (d, d):
-                                hit = ((_qubit_count(gg),), gg)
-                        else:
-                            dd2 = _safe_distances(
-                                cut_window(t, ox, oy, wx, wy))
-                            if dd2 is not None and dd2[0] > d + 3:
-                                break
-                            near = dd2 is None or (
-                                abs(dd2[0] - d) <= 3 and abs(dd2[1] - d) <= 3)
-                            found = _arc_search_hits(region, d) if near else None
-                            if found is not None:
-                                hit = found
-                        if hit is not None:
-                            break
-                    if hit is None:
-                        continue
-                    key = (hit[0][0], wy, wx, oy, ox)
-                    if best is None or key < best[0]:
-                        best = (key, hit[1])
-                    break  # wider windows only add qubits here
+                        if region is not None:
+                            hit = _arc_search_hits(region, d)
+                    if hit is not None:
+                        break
+                if hit is None:
+                    continue
+                key = (len(_kept_edges(hit)[0]), wy, wx, oy, ox)
+                if best is None or key < best[0]:
+                    best = (key, hit)
+                break  # wider windows only add qubits here
         return best
 
-    best = scan(relaxed=False)
-    if best is None:
-        best = scan(relaxed=True)
+    best = scan(relaxed=False) or scan(relaxed=True)
     if best is None:
         raise ValueError(f"no {family} patch found with distances {d}")
     g = best[1]

@@ -27,10 +27,11 @@ from .graphs import (
     _bfs_path,
     _kept_edges,
     _logical_paths,
+    _rough_path,
     edge_face_table,
     validate_patch,
 )
-from .lattices import _coord_steps, cut_window, template
+from .lattices import _search_space, cut_window, template
 
 # sextants NE, NW, W; the other fan takes SW, SE, E
 _WEST_FAN = frozenset((1, 2, 3))
@@ -101,15 +102,7 @@ def dressed_distances(g: PlanarGraph):
     table = edge_face_table(g)
     kept, ghosts, spokes, split, straddle_at = _fan_split(g)
 
-    adj = {}
-    for e in kept:
-        u, v = g.edges[e]
-        adj.setdefault(u, []).append((v, e))
-        adj.setdefault(v, []).append((u, e))
-    for ns in adj.values():
-        ns.sort()
-    rough = g.rough_segments()
-    z_path = _bfs_path(adj, rough[0].vertices, set(rough[1].vertices))
+    z_path = _rough_path(g, kept)
     if z_path is None:
         return None
 
@@ -166,34 +159,29 @@ def subsystem_patch(d: int) -> PlanarGraph:
     if d < 2:
         raise ValueError("distance must be at least 2")
     t = template("triangular")
-    gx, gy = _coord_steps(t)
-    ax = t.basis[0][0]
-    by = t.basis[1][1]
-    sx = max(s[0] for s in t.sites) - min(s[0] for s in t.sites)
-    sy = max(s[1] for s in t.sites) - min(s[1] for s in t.sites)
+    offsets, wxs, wys = _search_space(t, d + 4)
     best = None
-    for oy in range(0, by, gy):
-        for ox in range(0, ax, gx):
-            for wx in range(gx, ax * (d + 4) + sx + gx + 1, gx):
-                for wy in range(gy, by * (d + 4) + sy + gy + 1, gy):
-                    g = cut_window(t, ox, oy, wx, wy)
-                    if g is None:
-                        continue
-                    try:
-                        kept, _, _, split, _ = _fan_split(g)
-                    except PatchError:
-                        continue
-                    if not split:
-                        continue
-                    key = (len(kept), wy, wx, oy, ox)
-                    if best is not None and key >= best[0]:
-                        continue
-                    try:
-                        dd = dressed_distances(g)
-                    except PatchError:
-                        continue
-                    if dd == (d, d):
-                        best = (key, g)
+    for ox, oy in offsets:
+        for wx in wxs:
+            for wy in wys:
+                g = cut_window(t, ox, oy, wx, wy)
+                if g is None:
+                    continue
+                try:
+                    kept, _, _, split, _ = _fan_split(g)
+                except PatchError:
+                    continue
+                if not split:
+                    continue
+                key = (len(kept), wy, wx, oy, ox)
+                if best is not None and key >= best[0]:
+                    continue
+                try:
+                    dd = dressed_distances(g)
+                except PatchError:
+                    continue
+                if dd == (d, d):
+                    best = (key, g)
     if best is None:
         raise ValueError(f"no subsystem patch found with distances {d}")
     g = best[1]
@@ -281,7 +269,7 @@ def subsystem_code(d: int, *, check: bool = True) -> CodeDefinition:
         face_bits.append(z)
         coords.append(g.face_centroid(fi))
 
-    x_path, z_path = _logical_paths(g, kept, ghosts, table)
+    x_path, z_path = _logical_paths(g, kept, table)
     lx = np.zeros(n, dtype=np.uint8)
     for e in x_path:
         lx[qubit_of[e]] = 1

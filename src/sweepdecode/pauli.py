@@ -32,10 +32,7 @@ __all__ = [
     "gf2_nullspace",
     "syndrome_batch",
     "pure_error_batch",
-    "parse_code",
     "format_code",
-    "load_code",
-    "save_code",
 ]
 
 
@@ -225,16 +222,20 @@ class CodeDefinition:
 
     def _solver(self):
         if "solver" not in self._tables:
-            r, pivots, t = gf2_rref(self.check_matrix())
-            self._tables["solver"] = (r, pivots, t)
+            _, pivots, t = gf2_rref(self.check_matrix())
+            self._tables["solver"] = (pivots, t)
         return self._tables["solver"]
 
 
+def _batch(bits, width: int, what: str) -> np.ndarray:
+    arr = np.asarray(bits)
+    if arr.ndim != 2 or arr.shape[1] != width:
+        raise ValueError(f"{what} must be a (batch, {width}) array, got shape {arr.shape}")
+    return arr
+
+
 def syndrome(code: CodeDefinition, error: PauliOperator) -> np.ndarray:
-    if error.n != code.n:
-        raise ValueError(f"error acts on {error.n} qubits, code has {code.n}")
-    vec = np.concatenate([error.x, error.z])
-    return (code.check_matrix() @ vec) % 2
+    return syndrome_batch(code, error.x[None, :], error.z[None, :])[0]
 
 
 def syndrome_batch(code: CodeDefinition, x_bits: np.ndarray, z_bits: np.ndarray) -> np.ndarray:
@@ -242,38 +243,30 @@ def syndrome_batch(code: CodeDefinition, x_bits: np.ndarray, z_bits: np.ndarray)
 
     Returns (batch, num_checks) uint8.
     """
-    vecs = np.concatenate([x_bits, z_bits], axis=1)
+    vecs = np.concatenate([_batch(x_bits, code.n, "x bits"),
+                           _batch(z_bits, code.n, "z bits")], axis=1)
     return (vecs @ code.check_matrix().T) % 2
 
 
 def pure_error(code: CodeDefinition, syn) -> PauliOperator:
-    """A deterministic Pauli whose syndrome is ``syn``.
-
-    Solves the GF(2) system through a row-reduced form precomputed per
-    code; for codes with dependent checks (subsystem gauge generators) an
-    inconsistent target raises.
-    """
-    syn = _as_bits(syn, code.num_checks)
-    r, pivots, t = code._solver()
-    rhs = (t @ syn) % 2
-    rank = len(pivots)
-    if np.any(rhs[rank:]):
-        raise ValueError("syndrome is not attainable by any Pauli error")
-    sol = np.zeros(2 * code.n, dtype=np.uint8)
-    # r is in RREF, so pivot variables read directly off the reduced rhs;
-    # sol shares the [x | z] layout of the solved system
-    for row, col in enumerate(pivots):
-        sol[col] = rhs[row]
-    return PauliOperator(sol[: code.n], sol[code.n :])
+    """A deterministic Pauli whose syndrome is ``syn``; see
+    :func:`pure_error_batch`."""
+    x, z = pure_error_batch(code, _as_bits(syn)[None, :])
+    return PauliOperator(x[0], z[0])
 
 
 def pure_error_batch(code: CodeDefinition, syns: np.ndarray):
-    """Vectorized pure_error: syns is (batch, num_checks).
+    """Deterministic Paulis whose syndromes are the rows of ``syns``,
+    a (batch, num_checks) array.
 
-    Returns (x_bits, z_bits) arrays of shape (batch, n).
+    Solves the GF(2) system through a row-reduced form precomputed per
+    code; the reduced form is in RREF, so pivot variables read directly
+    off the reduced right-hand side.  For codes with dependent checks (subsystem gauge
+    generators) an inconsistent target raises.  Returns (x_bits, z_bits)
+    arrays of shape (batch, n).
     """
-    syns = np.asarray(syns, dtype=np.uint8)
-    r, pivots, t = code._solver()
+    syns = np.asarray(_batch(syns, code.num_checks, "syndromes"), dtype=np.uint8)
+    pivots, t = code._solver()
     rhs = (syns @ t.T) % 2
     rank = len(pivots)
     if np.any(rhs[:, rank:]):
@@ -383,61 +376,3 @@ def format_code(code: CodeDefinition) -> str:
     lines.append("[check_coords]")
     lines.extend(f"{float(x)!r} {float(y)!r}" for x, y in code.check_coords)
     return "\n".join(lines) + "\n"
-
-
-def parse_code(text: str) -> CodeDefinition:
-    section = None
-    meta = {}
-    checks = []
-    logicals = []
-    qubit_coords = []
-    check_coords = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1]
-            continue
-        if section == "code":
-            key, _, value = line.partition("=")
-            meta[key.strip()] = value.strip()
-        elif section == "checks":
-            checks.append(pauli_from_string(line))
-        elif section == "logicals":
-            logicals.append(pauli_from_string(line))
-        elif section == "qubit_coords":
-            x, y = line.split()
-            qubit_coords.append((float(x), float(y)))
-        elif section == "check_coords":
-            x, y = line.split()
-            check_coords.append((float(x), float(y)))
-        else:
-            raise ValueError(f"content outside any known section: {line!r}")
-    if "n" not in meta or "distance" not in meta:
-        raise ValueError("missing required keys in [code] section")
-    if len(logicals) != 2:
-        raise ValueError("[logicals] must hold exactly two lines: X then Z")
-    code = CodeDefinition(
-        n=int(meta["n"]),
-        checks=checks,
-        logical_x=logicals[0],
-        logical_z=logicals[1],
-        qubit_coords=qubit_coords,
-        check_coords=check_coords,
-        claimed_distance=int(meta["distance"]),
-        is_subsystem=meta.get("subsystem", "false").lower() == "true",
-        family=meta.get("family", ""),
-    )
-    validate_code(code)
-    return code
-
-
-def load_code(path) -> CodeDefinition:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_code(fh.read())
-
-
-def save_code(code: CodeDefinition, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_code(code))

@@ -279,11 +279,9 @@ def planarize(tn: TensorNetwork2D) -> TensorNetwork2D:
     if hit is None:
         return tn
 
-    out = TensorNetwork2D()
-    for v in tn.vertices.values():
-        out.add_vertex(TNVertex(v.id, v.tensor, v.position))
-    for b in tn.bonds:
-        out.add_bond(Bond(b.endpoint_a, b.endpoint_b, b.dimension))
+    # the working copy shares the vertex and bond objects, which are
+    # never mutated: swaps only replace entries of its own bond list
+    out = TensorNetwork2D(tn.vertices.values(), tn.bonds)
 
     max_rounds = 10 * len(tn.bonds) ** 2 + 100
     for _ in range(max_rounds):

@@ -13,7 +13,6 @@ from sweepdecode.pauli import (
     format_code,
     gf2_rref,
     multiply,
-    parse_code,
     stabiliser_basis,
     validate_code,
     weight,
@@ -122,13 +121,6 @@ class TestCode:
     def test_distinct_fan_coordinates(self):
         code = subsystem_code(3)
         assert len(set(code.check_coords)) == code.num_checks
-
-    def test_round_trip(self):
-        code = subsystem_code(2)
-        again = parse_code(format_code(code))
-        assert again.is_subsystem
-        assert again.n == code.n
-        assert format_code(again) == format_code(code)
 
     def test_deterministic(self):
         a = format_code(subsystem_code(3))

@@ -5,13 +5,11 @@ from sweepdecode.pauli import (
     CodeDefinition,
     PauliOperator,
     commutes,
-    format_code,
     gf2_nullspace,
     gf2_rref,
     identity_pauli,
     logical_class,
     multiply,
-    parse_code,
     pauli_from_string,
     pauli_to_string,
     pure_error,
@@ -148,6 +146,15 @@ class TestSyndrome:
         for i, p in enumerate(ps):
             np.testing.assert_array_equal(batch[i], syndrome(code, p))
 
+    def test_malformed_input_rejected(self):
+        code = smallest_patch()
+        bits = np.zeros((3, 5), dtype=np.uint8)
+        for x, z in ((bits[0], bits[0]), (bits, bits[:, :4]), (bits[None], bits[None])):
+            with pytest.raises(ValueError):
+                syndrome_batch(code, x, z)
+        with pytest.raises(ValueError):
+            syndrome(code, identity_pauli(4))
+
 
 class TestPureError:
     def test_zero_syndrome_gives_identity(self):
@@ -204,6 +211,15 @@ class TestPureError:
             single = pure_error(code, syns[i])
             np.testing.assert_array_equal(xs[i], single.x)
             np.testing.assert_array_equal(zs[i], single.z)
+
+    def test_malformed_input_rejected(self):
+        code = smallest_patch()
+        for syns in (np.zeros(4), np.zeros((2, 3)), np.zeros((1, 2, 4))):
+            with pytest.raises(ValueError):
+                pure_error_batch(code, syns)
+        for syn in ([0, 0, 0], np.zeros((1, 4))):
+            with pytest.raises(ValueError):
+                pure_error(code, syn)
 
 
 class TestLogicalClass:
@@ -280,26 +296,6 @@ class TestValidation:
         code.qubit_coords[1] = code.qubit_coords[0]
         with pytest.raises(ValueError):
             validate_code(code)
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        for code in (smallest_patch(), two_by_two_gauge_code()):
-            back = parse_code(format_code(code))
-            assert back.n == code.n
-            assert back.is_subsystem == code.is_subsystem
-            assert back.claimed_distance == code.claimed_distance
-            assert back.checks == code.checks
-            assert back.logical_x == code.logical_x
-            assert back.logical_z == code.logical_z
-            assert back.qubit_coords == [(float(x), float(y)) for x, y in code.qubit_coords]
-
-    def test_parse_rejects_malformed(self):
-        with pytest.raises(ValueError):
-            parse_code("[code]\nn=3\n")  # missing distance and sections
-        good = format_code(smallest_patch())
-        with pytest.raises(ValueError):
-            parse_code(good.replace("[checks]", "[cheks]"))
 
 
 class TestGF2:
