@@ -316,6 +316,21 @@ def _kept_edges(g: PlanarGraph):
     return kept, ghosts
 
 
+def _face_supports(g: PlanarGraph, kept) -> list:
+    """Kept edges of each face in cycle order; raises when one keeps none.
+
+    A face whose edges all join two ghosts would give an empty Z check.
+    """
+    kept = set(kept)
+    supports = []
+    for fi, cycle in enumerate(g.faces):
+        support = [e for e in cycle if e in kept]
+        if not support:
+            raise PatchError(f"face {fi} lost all qubit edges")
+        supports.append(support)
+    return supports
+
+
 def _rough_path(g: PlanarGraph, kept):
     """Shortest rough-to-rough path over the kept edges, or None."""
     adj = {}
@@ -405,11 +420,8 @@ def surface_code_from_graph(g: PlanarGraph, *, family: str = "",
             x[qubit_of[e]] = 1
         checks.append(PauliOperator(x, np.zeros(n, dtype=np.uint8)))
         coords.append(g.positions[v])
-    for fi, cycle in enumerate(g.faces):
+    for fi, support in enumerate(_face_supports(g, kept)):
         z = np.zeros(n, dtype=np.uint8)
-        support = [e for e in cycle if e in qubit_of]
-        if not support:
-            raise PatchError(f"face {fi} lost all qubit edges")
         for e in support:
             z[qubit_of[e]] = 1
         checks.append(PauliOperator(np.zeros(n, dtype=np.uint8), z))

@@ -19,6 +19,7 @@ from .graphs import (
     BoundarySegment,
     PatchError,
     PlanarGraph,
+    _face_supports,
     _kept_edges,
     code_distances,
     dual_patch,
@@ -446,6 +447,19 @@ def _safe_distances(g):
         return None
 
 
+def _keeps_face_qubits(g) -> bool:
+    """Whether every face keeps a qubit edge, so no Z check is empty.
+
+    ``code_distances`` cannot see an emptied face, so a window it
+    certifies may still fail to build; the scan checks both.
+    """
+    try:
+        _face_supports(g, _kept_edges(g)[0])
+    except PatchError:
+        return False
+    return True
+
+
 _MAX_SIDE_ARCS = 64
 
 
@@ -589,7 +603,8 @@ def _arc_search_hits(region, d):
     candidates.sort()
     for _, _, arc_a, arc_b in candidates:
         gg = _designate_arcs(g, cyc, list(arc_a), list(arc_b))
-        if gg is not None and _safe_distances(gg) == (d, d):
+        if gg is not None and _safe_distances(gg) == (d, d) \
+                and _keeps_face_qubits(gg):
             return gg
     return None
 
@@ -605,7 +620,9 @@ def _anisotropic_patch(family: str, d: int) -> PlanarGraph:
     Scans both arc anchorings (rough at the x or at the y extremes);
     the `along` axis is whichever the rough arcs terminate, so a probe
     window maximal in the other direction lower-bounds dz for every
-    window of that along extent.
+    window of that along extent.  The kept-edge count never falls as the
+    inner extent grows, so the inner loop stops at the first window
+    whose key reaches the best key, before its distances are computed.
     """
     t = template(family)
     offsets, wxs, wys = _search_space(t, d + 4)
@@ -625,6 +642,11 @@ def _anisotropic_patch(family: str, d: int) -> PlanarGraph:
                 for wb in inner:
                     wx_, wy_ = (wb, wa) if rotate else (wa, wb)
                     gg = cut_window(t, ox, oy, wx_, wy_, rotate=rotate)
+                    if gg is None:
+                        continue
+                    key = (len(_kept_edges(gg)[0]), wy_, wx_, oy, ox, rotate)
+                    if best is not None and key >= best[0]:
+                        break  # the kept count never falls as wb grows
                     dd2 = _safe_distances(gg)
                     if dd2 is None:
                         continue
@@ -632,9 +654,7 @@ def _anisotropic_patch(family: str, d: int) -> PlanarGraph:
                         break
                     if min(dd2) != d:
                         continue
-                    key = (len(_kept_edges(gg)[0]), wy_, wx_, oy, ox, rotate)
-                    if best is None or key < best[0]:
-                        best = (key, gg)
+                    best = (key, gg)
                     break  # larger windows only add qubits here
     if best is None:
         raise ValueError(f"no {family} patch found with distance {d}")
@@ -695,7 +715,8 @@ def smallest_patch(family: str, d: int) -> PlanarGraph:
                     if dd2 is not None and dd2[0] > d + slack:
                         break
                     if not relaxed:
-                        hit = gg if dd2 == (d, d) else None
+                        hit = gg if dd2 == (d, d) and \
+                            _keeps_face_qubits(gg) else None
                     elif dd2 is None or max(abs(dd2[0] - d),
                                             abs(dd2[1] - d)) <= slack:
                         region = _cut_region(t, ox, oy, wx, wy)

@@ -25,6 +25,7 @@ from .graphs import (
     PatchError,
     PlanarGraph,
     _bfs_path,
+    _face_supports,
     _kept_edges,
     _logical_paths,
     _rough_path,
@@ -99,8 +100,13 @@ def dressed_distances(g: PlanarGraph):
     leaving through its partner costs nothing, so the dual walk runs
     over faces with each straddle pair contracted to a single node.
     """
+    return _dressed_distances(g, _fan_split(g))
+
+
+def _dressed_distances(g: PlanarGraph, fan):
+    """:func:`dressed_distances` of ``g`` given its ``_fan_split``."""
     table = edge_face_table(g)
-    kept, ghosts, spokes, split, straddle_at = _fan_split(g)
+    kept, _, _, split, straddle_at = fan
 
     z_path = _rough_path(g, kept)
     if z_path is None:
@@ -155,6 +161,22 @@ def subsystem_patch(d: int) -> PlanarGraph:
     offsets, and certifies each with :func:`dressed_distances`.
     Windows without a split vertex are rejected, so the delivered code
     always carries at least one gauge qubit.
+
+    Three breaks skip windows that cannot win.  Each rests on a
+    monotonicity of triangular windows ("wider windows only add qubits
+    here", as in ``smallest_patch``), and the pruned scan returns the
+    exhaustive scan's patch for d = 2..12:
+
+    - the kept-edge count never falls as ``wy`` grows, so once a
+      window's key reaches the best key, no taller window at the same
+      (ox, oy, wx) can beat it; the key is read before the fan split;
+    - the dressed x distance (smooth to smooth, across y) never falls
+      as ``wy`` grows, so once it exceeds d no taller window is a hit;
+    - the dressed z distance (rough to rough, across x) is set by
+      ``wx`` and never falls as it grows, so once one window of this
+      width exceeds d, no window of this width or wider is a hit.
+
+    Each window the breaks leave is fan-split once.
     """
     if d < 2:
         raise ValueError("distance must be at least 2")
@@ -163,25 +185,30 @@ def subsystem_patch(d: int) -> PlanarGraph:
     best = None
     for ox, oy in offsets:
         for wx in wxs:
+            too_wide = False
             for wy in wys:
                 g = cut_window(t, ox, oy, wx, wy)
                 if g is None:
                     continue
-                try:
-                    kept, _, _, split, _ = _fan_split(g)
-                except PatchError:
-                    continue
-                if not split:
-                    continue
-                key = (len(kept), wy, wx, oy, ox)
+                key = (len(_kept_edges(g)[0]), wy, wx, oy, ox)
                 if best is not None and key >= best[0]:
-                    continue
+                    break
                 try:
-                    dd = dressed_distances(g)
+                    fan = _fan_split(g)
+                    dd = _dressed_distances(g, fan) if fan[3] else None
                 except PatchError:
                     continue
+                if dd is None:
+                    continue
+                if dd[1] > d:
+                    too_wide = True
+                    break
+                if dd[0] > d:
+                    break
                 if dd == (d, d):
                     best = (key, g)
+            if too_wide:
+                break
     if best is None:
         raise ValueError(f"no subsystem patch found with distances {d}")
     g = best[1]
@@ -258,11 +285,8 @@ def subsystem_code(d: int, *, check: bool = True) -> CodeDefinition:
             coords.append((px + pull * (cx - px), py + pull * (cy - py)))
 
     face_bits = []
-    for fi, cycle in enumerate(g.faces):
+    for fi, support in enumerate(_face_supports(g, kept)):
         z = np.zeros(n, dtype=np.uint8)
-        support = [e for e in cycle if e in qubit_of]
-        if not support:
-            raise PatchError(f"face {fi} lost all qubit edges")
         for e in support:
             z[qubit_of[e]] = 1
         checks.append(PauliOperator(np.zeros(n, dtype=np.uint8), z))

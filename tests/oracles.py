@@ -8,7 +8,9 @@ reproduce.  The compression oracle runs the same QR and SVD passes as
 ``compress_mps`` through ``np.linalg``, and the trigger oracle reads the
 largest bond after every step of a sweep.  The kernel oracle absorbs a
 vertex as ``np.tensordot`` would: both operands transposed to matrices,
-one ``np.dot``, and the product transposed to chain order.
+one ``np.dot``, and the product transposed to chain order.  The patch
+oracle is the subsystem window scan without its breaks: it cuts, fan-splits
+and certifies every window of the search space.
 """
 
 import math
@@ -16,6 +18,9 @@ from unittest import mock
 
 import numpy as np
 
+from sweepdecode.codes import subsystem
+from sweepdecode.codes.graphs import PatchError, validate_patch
+from sweepdecode.codes.lattices import _search_space, cut_window, template
 from sweepdecode.sweep import contract, network
 
 
@@ -259,3 +264,39 @@ def contract_step_reference(mps, step, tensor):
     if lo <= mps.head:
         mps.head = lo + t
     return mps
+
+
+def subsystem_patch_exhaustive(d):
+    """``subsystem_patch`` scanning every window of its search space.
+
+    Each window is cut and fan-split; one with a split vertex and a key
+    below the best so far is certified by ``dressed_distances``.
+    """
+    t = template("triangular")
+    offsets, wxs, wys = _search_space(t, d + 4)
+    best = None
+    for ox, oy in offsets:
+        for wx in wxs:
+            for wy in wys:
+                g = cut_window(t, ox, oy, wx, wy)
+                if g is None:
+                    continue
+                try:
+                    kept, _, _, split, _ = subsystem._fan_split(g)
+                except PatchError:
+                    continue
+                if not split:
+                    continue
+                key = (len(kept), wy, wx, oy, ox)
+                if best is not None and key >= best[0]:
+                    continue
+                try:
+                    dd = subsystem.dressed_distances(g)
+                except PatchError:
+                    continue
+                if dd == (d, d):
+                    best = (key, g)
+    if best is None:
+        raise ValueError(f"no subsystem patch found with distances {d}")
+    validate_patch(best[1])
+    return best[1]

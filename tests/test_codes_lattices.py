@@ -4,6 +4,7 @@ import pytest
 
 from sweepdecode.codes._distance import brute_force_distances
 from sweepdecode.codes.graphs import (
+    PatchError,
     code_distances,
     dual_patch,
     surface_code_from_graph,
@@ -11,6 +12,7 @@ from sweepdecode.codes.graphs import (
 )
 from sweepdecode.codes.lattices import (
     DUAL_OF_PRIMAL,
+    _keeps_face_qubits,
     cut_window,
     regular_lattice,
     smallest_patch,
@@ -92,6 +94,16 @@ class TestSmallestPatch:
         assert code_distances(g) == (3, 3)
         code = surface_code_from_graph(g, family="trunc_hex")
         assert brute_force_distances(code, 3) == (3, 3)
+
+    def test_certification_rejects_emptied_face(self):
+        # a kagome window with distances (7, 7) whose face 0 keeps no
+        # qubit edge; the scan once returned it for d=7
+        g = cut_window(template("kagome"), 3, 1, 18, 7)
+        assert code_distances(g) == (7, 7)
+        assert not _keeps_face_qubits(g)
+        with pytest.raises(PatchError, match="face 0 lost all qubit edges"):
+            surface_code_from_graph(g, family="kagome")
+        assert _keeps_face_qubits(smallest_patch("kagome", 3))
 
     def test_geometry_of_small_patches(self):
         for family in ("square", "triangular", "kagome"):

@@ -1,6 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from oracles import subsystem_patch_exhaustive
+from sweepdecode.codes import subsystem
 from sweepdecode.codes._distance import brute_force_distances
 from sweepdecode.codes.graphs import validate_patch
 from sweepdecode.codes.subsystem import (
@@ -38,6 +42,24 @@ class TestPatch:
     def test_rejects_distance_below_two(self):
         with pytest.raises(ValueError):
             subsystem_patch(1)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_pruned_scan_matches_exhaustive(self, d):
+        assert subsystem_patch(d) == subsystem_patch_exhaustive(d)
+
+    def test_scan_cuts_at_most_half_the_windows(self, monkeypatch):
+        # the d=5 search space holds 380 windows
+        cuts = []
+        cut = subsystem.cut_window
+
+        def counting_cut(*args):
+            cuts.append(args)
+            return cut(*args)
+
+        monkeypatch.setattr(subsystem, "cut_window", counting_cut)
+        subsystem_patch.cache_clear()
+        subsystem_patch(5)
+        assert len(cuts) <= 190
 
 
 class TestCode:
@@ -127,6 +149,17 @@ class TestCode:
         subsystem_patch.cache_clear()
         b = format_code(subsystem_code(3))
         assert a == b
+
+    @pytest.mark.parametrize("d, prefix", [
+        (2, "b7c918ac6e480b74"),
+        (3, "253159145e94d028"),
+        (4, "b55ce1c592d2c55a"),
+        (6, "f0a031f3fadcf87c"),
+        (7, "8b4f006eb6762139"),
+    ])
+    def test_code_digest(self, d, prefix):
+        code = format_code(subsystem_code(d))
+        assert hashlib.sha256(code.encode()).hexdigest()[:16] == prefix
 
     def test_validate_accepts(self):
         validate_code(subsystem_code(4))
