@@ -603,8 +603,8 @@ def _arc_search_hits(region, d):
     candidates.sort()
     for _, _, arc_a, arc_b in candidates:
         gg = _designate_arcs(g, cyc, list(arc_a), list(arc_b))
-        if gg is not None and _safe_distances(gg) == (d, d) \
-                and _keeps_face_qubits(gg):
+        if (gg is not None and _safe_distances(gg) == (d, d)
+                and _keeps_face_qubits(gg)):
             return gg
     return None
 
@@ -715,8 +715,8 @@ def smallest_patch(family: str, d: int) -> PlanarGraph:
                     if dd2 is not None and dd2[0] > d + slack:
                         break
                     if not relaxed:
-                        hit = gg if dd2 == (d, d) and \
-                            _keeps_face_qubits(gg) else None
+                        hit = (gg if dd2 == (d, d) and _keeps_face_qubits(gg)
+                               else None)
                     elif dd2 is None or max(abs(dd2[0] - d),
                                             abs(dd2[1] - d)) <= slack:
                         region = _cut_region(t, ox, oy, wx, wy)
