@@ -386,16 +386,14 @@ def _logical_paths(g: PlanarGraph, kept, table):
     return x_path, z_path
 
 
-def surface_code_from_graph(g: PlanarGraph, *, family: str = "",
-                            check: bool = True) -> CodeDefinition:
+def surface_code_from_graph(g: PlanarGraph, *, family: str = "") -> CodeDefinition:
     """Qubit per edge, X check per non-ghost vertex, Z check per face.
 
     Checks incident to the rough boundary are truncated by the removal
     of ghost-to-ghost edges.  The logicals are shortest boundary-to-
     boundary paths, so their weights certify the code distances.
     """
-    if check:
-        validate_patch(g)
+    validate_patch(g)
     table = edge_face_table(g)
     kept, ghosts = _kept_edges(g)
     qubit_of = {e: i for i, e in enumerate(kept)}
@@ -456,8 +454,7 @@ def surface_code_from_graph(g: PlanarGraph, *, family: str = "",
         is_subsystem=False,
         family=family,
     )
-    if check:
-        validate_code(code)
+    validate_code(code)
     return code
 
 

@@ -88,112 +88,26 @@ def _kagome_template() -> LatticeTemplate:
 
 
 def _truncated_template() -> LatticeTemplate:
-    """Split every kagome vertex into a pair, one per adjacent triangle.
-
-    This yields the 3.12.12 tiling: the triangles shrink by half toward
-    their centroids and the hexagons open into twelve-gons.  Derived
-    numerically from the kagome template so cell bookkeeping stays
-    consistent.
-    """
-    kag = _kagome_template()
-    ax, ay = kag.basis[0]
-    bx, by = kag.basis[1]
-
-    # Factor 6 keeps the halfway points integral: centroid minus corner
-    # has even components at this scale.
-    def coord(site, cell):
-        sx, sy = kag.sites[site]
-        m, n = cell
-        return (6 * (m * ax + n * bx + sx), 6 * (m * ay + n * by + sy))
-
-    def shift(cell, d):
-        return (cell[0] + d[0], cell[1] + d[1])
-
-    # Triangle face instances, by anchor cell, that touch cell (0, 0).
-    tris = []
-    for fi, cyc in enumerate(kag.faces):
-        if len(cyc) != 3:
-            continue
-        for m in (-1, 0, 1):
-            for n in (-1, 0, 1):
-                tris.append((fi, (m, n),
-                             tuple((s, shift(d, (m, n))) for s, d in cyc)))
-
-    # Each kagome site at cell (0,0) lies in exactly two triangles; the
-    # split vertex toward a triangle sits halfway to its centroid.
-    split_sites = []
-    split_index = {}
-    for s in range(len(kag.sites)):
-        homes = [(fi, anchor, cyc) for fi, anchor, cyc in tris
-                 if (s, (0, 0)) in cyc]
-        if len(homes) != 2:
-            raise AssertionError("kagome site not in two triangles")
-        for fi, anchor, cyc in sorted(homes):
-            px, py = coord(s, (0, 0))
-            cx = sum(coord(t, d)[0] for t, d in cyc) // 3
-            cy = sum(coord(t, d)[1] for t, d in cyc) // 3
-            pos = (px + (cx - px) // 2, py + (cy - py) // 2)
-            split_index[(s, fi, anchor)] = len(split_sites)
-            split_sites.append(pos)
-
-    def split_of(site, cell, tri_face, tri_anchor):
-        # normalize so the site sits at cell (0, 0)
-        anchor = (tri_anchor[0] - cell[0], tri_anchor[1] - cell[1])
-        return split_index[(site, tri_face, anchor)], cell
-
-    def tri_home(site, cell, face_kind):
-        for fi, anchor, cyc in tris:
-            if fi == face_kind and (site, (0, 0)) in cyc:
-                return split_of(site, cell, fi, shift(anchor, cell))
-        raise AssertionError("triangle home not found")
-
-    edges = []
-    # A kagome edge lies in exactly one triangle; both endpoints split
-    # toward it and stay joined.
-    for sa, sb, d in kag.edges:
-        for fi, anchor, cyc in tris:
-            if (sa, (0, 0)) in cyc and (sb, d) in cyc:
-                ia, ca = split_of(sa, (0, 0), fi, anchor)
-                ib, cb = split_of(sb, d, fi, anchor)
-                edges.append((ia, ib, (cb[0] - ca[0], cb[1] - ca[1])))
-                break
-        else:
-            raise AssertionError("kagome edge not in a triangle")
-    # The splitting edge joining a vertex's two halves.
-    for s in range(len(kag.sites)):
-        (ia, _), (ib, _) = (tri_home(s, (0, 0), 0), tri_home(s, (0, 0), 1))
-        edges.append((ia, ib, (0, 0)))
-
-    faces = []
-    for fi, cyc in enumerate(kag.faces):
-        if len(cyc) == 3:
-            faces.append(tuple(split_of(s, d, fi, (0, 0)) for s, d in cyc))
-            continue
-        # Hexagon opens into a 12-gon; order each pair of splits by
-        # angle about the face centre.
-        centre_x = sum(coord(s, d)[0] for s, d in cyc) / 6.0
-        centre_y = sum(coord(s, d)[1] for s, d in cyc) / 6.0
-        ring = []
-        for s, d in cyc:
-            pair = [tri_home(s, d, 0), tri_home(s, d, 1)]
-            def ang(sc):
-                idx, cell = sc
-                x = split_sites[idx][0] + 6 * (cell[0] * ax + cell[1] * bx)
-                y = split_sites[idx][1] + 6 * (cell[0] * ay + cell[1] * by)
-                return math.atan2(y - centre_y, x - centre_x)
-            px, py = coord(s, d)
-            base = math.atan2(py - centre_y, px - centre_x)
-            pair.sort(key=lambda sc: (ang(sc) - base + math.pi) % (2 * math.pi))
-            ring.extend(pair)
-        faces.append(tuple(ring))
-
+    """The 3.12.12 tiling: each kagome vertex split in two, each half moved
+    halfway toward the centroid of one of its two triangles, in kagome
+    coordinates scaled by 6 so the halfway points stay integral."""
     return LatticeTemplate(
         name="trunc_hex",
-        basis=((6 * ax, 0), (6 * bx, 6 * by)),
-        sites=tuple(split_sites),
-        edges=tuple(edges),
-        faces=tuple(faces),
-        hscale=(kag.hscale[0] / 6.0, kag.hscale[1] / 6.0),
+        basis=((24, 0), (12, 12)),
+        sites=((12, 2), (12, -2), (9, 5), (3, 7), (15, 5), (21, 7)),
+        edges=(
+            (0, 2, (0, 0)), (0, 4, (0, 0)), (2, 4, (0, 0)),
+            (5, 3, (1, 0)), (5, 1, (0, 1)), (3, 1, (-1, 1)),
+            (0, 1, (0, 0)), (2, 3, (0, 0)), (4, 5, (0, 0)),
+        ),
+        faces=(
+            ((0, (0, 0)), (4, (0, 0)), (2, (0, 0))),
+            ((5, (0, 0)), (3, (1, 0)), (1, (0, 1))),
+            ((0, (0, 0)), (1, (0, 0)), (3, (1, -1)), (2, (1, -1)),
+             (4, (1, -1)), (5, (1, -1)), (1, (1, 0)), (0, (1, 0)),
+             (2, (1, 0)), (3, (1, 0)), (5, (0, 0)), (4, (0, 0))),
+        ),
+        hscale=(0.5 / 6.0, math.sqrt(3.0) / 12.0),
     )
 
 

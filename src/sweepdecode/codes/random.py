@@ -231,8 +231,7 @@ def _build(d, seed, tag, maker):
         if dx < d or dz < d:
             last = PatchError(f"distances {(dx, dz)} below {d}")
             continue
-        code = surface_code_from_graph(g, family=tag, check=True)
-        return code
+        return surface_code_from_graph(g, family=tag)
     raise RuntimeError(f"could not build {tag} code at d={d}: {last}")
 
 

@@ -237,7 +237,7 @@ def _commuting_z_logical(n, z_path_bits, fan_rows, face_rows):
     return out
 
 
-def subsystem_code(d: int, *, check: bool = True) -> CodeDefinition:
+def subsystem_code(d: int) -> CodeDefinition:
     """Fan-split subsystem code of dressed distance d on both sectors.
 
     Checks hold the gauge generators: X fans (full stars along the
@@ -315,6 +315,5 @@ def subsystem_code(d: int, *, check: bool = True) -> CodeDefinition:
         is_subsystem=True,
         family="subsystem_square",
     )
-    if check:
-        validate_code(code)
+    validate_code(code)
     return code

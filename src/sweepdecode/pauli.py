@@ -202,7 +202,7 @@ class CodeDefinition:
     claimed_distance: int
     is_subsystem: bool = False
     family: str = ""
-    _tables: dict = field(default_factory=dict, repr=False, compare=False)
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_checks(self) -> int:

@@ -9,7 +9,8 @@ no boundary data: the consumed run is read as ``(left, L, right)`` as the
 chain stores it, the vertex is permuted to (forward axes left to right,
 backward axes in slot order) and reshaped to ``(S, L)``, and the product
 ``(left, S, right)`` is already in chain order.  The MPS is truncated
-(:func:`compress_mps`) only when its largest bond outgrows ``chi_prime``,
+(:func:`compress_mps`, to ``chi`` less the singular values below the
+constant ``REL_CUTOFF``) only when its largest bond outgrows ``chi_prime``,
 so the cost of a sweep stays near ``O(n chi^3)`` without compressing after
 every step.  Only a step that emits two or more sites makes a bond the
 chain did not already have, so the largest bond is read after those steps
@@ -55,6 +56,7 @@ every call, since errors are not cached.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -79,7 +81,7 @@ TWO_PI = 2.0 * math.pi
 
 # Singular values below this fraction of the largest are dropped on every
 # compression, even when ``chi`` is not binding: they are rounding noise.
-DEFAULT_REL_CUTOFF = 1e-14
+REL_CUTOFF = 1e-14
 
 # Plans kept at once.  A decoder contracts the networks of one code over
 # and over, so a handful of geometries covers it.
@@ -103,7 +105,6 @@ class SweepValue(NamedTuple):
 
     mantissa: float
     log_scale: float
-    trunc_error: float
 
 
 def sweep_key(vertex) -> tuple:
@@ -483,11 +484,15 @@ def contract_step(mps: MPSState, step: _Step, tensor) -> MPSState:
     return mps
 
 
-def _check_rel_cutoff(rel_cutoff: float):
-    # written so that NaN fails too; a cutoff of 1 or more keeps one
-    # singular value per bond whatever chi is
-    if not 0.0 <= rel_cutoff < 1.0:
-        raise ValueError("rel_cutoff must lie in [0, 1)")
+def _bond_cap(value, name: str) -> int:
+    """``value`` as an int of at least 1; anything else raises ValueError."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        value = 0  # a float (NaN included) or a string is no bond dimension
+    if value < 1:
+        raise ValueError(f"{name} must be a positive integer")
+    return value
 
 
 def _check_info(routine: str, info: int):
@@ -495,18 +500,19 @@ def _check_info(routine: str, info: int):
         raise ContractionError(f"LAPACK {routine} failed (info={info})")
 
 
-def compress_mps(mps: MPSState, chi: int, rel_cutoff: float = DEFAULT_REL_CUTOFF):
+def compress_mps(mps: MPSState, chi: int):
     """Truncate every internal bond of ``mps`` to at most ``chi``.
 
     A left-to-right QR pass makes the state left-canonical, then a
-    right-to-left SVD pass truncates each bond.  In that gauge each bond's
-    truncation is optimal, successive error vectors are mutually
-    orthogonal, and the relative error
+    right-to-left SVD pass truncates each bond, dropping the singular values
+    beyond ``chi`` and those below ``REL_CUTOFF`` of the largest.  In that
+    gauge each bond's truncation is optimal and successive error vectors are
+    mutually orthogonal, so the boundary discard
 
         sqrt(sum_k dropped_k^2) / |psi|
 
-    is exact for the whole chain, not an upper bound.  Returns
-    ``(mps, trunc_error)``; the state is modified in place.
+    is the exact relative error of this compression, not an upper bound.
+    Returns ``(mps, discard)``; the state is modified in place.
 
     The QR is LAPACK ``dgeqrf`` then ``dorgqr``, the SVD ``dgesdd`` with
     thin factors, called through ``scipy.linalg.lapack``; a nonzero
@@ -527,12 +533,9 @@ def compress_mps(mps: MPSState, chi: int, rel_cutoff: float = DEFAULT_REL_CUTOFF
     product, the identity times site ``head``, is kept, because it turns
     negative zeros into positive ones and the sign of a zero steers the
     Householder reflections of the next QR.  ``head`` is 0 afterwards.
-    ``chi < 1``, and a ``rel_cutoff`` outside ``[0, 1)`` (NaN included),
-    raise ``ValueError``.
+    A ``chi`` that is not an integer of at least 1 raises ``ValueError``.
     """
-    if chi < 1:
-        raise ValueError("chi must be a positive integer")
-    _check_rel_cutoff(rel_cutoff)
+    chi = _bond_cap(chi, "chi")
     head, mps.head = mps.head, 0
     n = len(mps.sites)
     if n <= 1:
@@ -565,7 +568,7 @@ def compress_mps(mps: MPSState, chi: int, rel_cutoff: float = DEFAULT_REL_CUTOFF
         dl, d, dr = sites[k].shape
         u, s, vt, info = _lapack.dgesdd(sites[k].reshape(dl, d * dr), full_matrices=0)
         _check_info("dgesdd", info)
-        keep = int(np.count_nonzero(s >= rel_cutoff * s[0])) if s[0] > 0.0 else 1
+        keep = int(np.count_nonzero(s >= REL_CUTOFF * s[0])) if s[0] > 0.0 else 1
         keep = max(1, min(keep, chi))
         dropped += float((s[keep:] ** 2).sum())
         # a copy, so the site does not keep the whole of ``vt`` alive
@@ -582,19 +585,17 @@ def sweep_contract(
     tn: TensorNetwork2D,
     chi: int | None = None,
     chi_prime: int | None = None,
-    rel_cutoff: float = DEFAULT_REL_CUTOFF,
 ) -> SweepValue:
     """Contract a closed planar network to a scalar.
 
     ``chi`` bounds the boundary MPS bond dimension (``None`` contracts
     exactly).  Compression to ``chi`` triggers only when the largest bond
     exceeds ``chi_prime`` (default ``2 * chi``), which is checked after the
-    steps that can grow a bond.  ``chi < 1``, ``chi_prime < chi``, a
-    ``chi_prime`` without ``chi`` and a ``rel_cutoff`` outside ``[0, 1)``
-    raise ``ValueError``.  The network is planarized first if crossings are
-    present.  Returns ``(mantissa, log_scale, trunc_error)`` with the value
-    equal to ``mantissa * exp(log_scale)`` and ``trunc_error`` the
-    accumulated relative truncation estimate, 0 for an exact contraction.
+    steps that can grow a bond.  A ``chi`` or ``chi_prime`` that is not an
+    integer of at least 1, ``chi_prime < chi`` and a ``chi_prime`` without
+    ``chi`` raise ``ValueError``.  The network is planarized first if
+    crossings are present.  Returns ``(mantissa, log_scale)`` with the value
+    equal to ``mantissa * exp(log_scale)``.
 
     The geometry pass (validation, planarize, sweep order and the slot
     bookkeeping of every step) is taken from a cache keyed on the vertex
@@ -608,18 +609,15 @@ def sweep_contract(
     if chi is None:
         if chi_prime is not None:
             raise ValueError("chi_prime needs a finite chi")
-    elif chi < 1:
-        raise ValueError("chi must be a positive integer")
-    elif chi_prime is None:
-        chi_prime = 2 * chi
-    elif chi_prime < chi:
-        raise ValueError("chi_prime must be at least chi")
-    _check_rel_cutoff(rel_cutoff)
+    else:
+        chi = _bond_cap(chi, "chi")
+        chi_prime = 2 * chi if chi_prime is None else _bond_cap(chi_prime, "chi_prime")
+        if chi_prime < chi:
+            raise ValueError("chi_prime must be at least chi")
     plan = _plan_for(tn)
 
     vertices, swaps = tn.vertices, plan.swaps
     mps = MPSState()
-    total_err = 0.0
     # A non-finite product raises ContractionError at the step that made it
     # (every site that takes new data is normalized, and the closing scalar
     # is checked), so numpy's overflow and invalid-value warnings would only
@@ -629,6 +627,5 @@ def sweep_contract(
             tensor = swaps[step.vid] if step.vid in swaps else vertices[step.vid].tensor
             contract_step(mps, step, tensor)
             if chi is not None and step.grows and mps.max_bond() > chi_prime:
-                _, err = compress_mps(mps, chi, rel_cutoff)
-                total_err = math.sqrt(total_err * total_err + err * err)
-    return SweepValue(mps.mantissa, mps.log_scale, total_err)
+                compress_mps(mps, chi)
+    return SweepValue(mps.mantissa, mps.log_scale)

@@ -267,14 +267,17 @@ def planarize(tn: TensorNetwork2D) -> TensorNetwork2D:
     tests only pairs whose closed bounding boxes meet, so it costs
     near-linear time in the number of bonds; the grid is rebuilt after
     every inserted swap.  Degeneracies a swap cannot express (a bond
-    through a vertex it does not terminate) raise :class:`PlanarizeError`;
-    a swap vertex that would itself land on another bond or vertex is
-    nudged by a deterministic epsilon so chains of crossings through one
-    point resolve pairwise.
+    through a vertex it does not terminate) and a vertex at a non-finite
+    position raise :class:`PlanarizeError`; a swap vertex that would itself
+    land on another bond or vertex is nudged by a deterministic epsilon so
+    chains of crossings through one point resolve pairwise.
 
     The input is returned unchanged (same object) when already planar.
     """
     pos = {vid: v.position for vid, v in tn.vertices.items()}
+    for vid, p in pos.items():
+        if not all(math.isfinite(c) for c in p):
+            raise PlanarizeError(f"vertex {vid} has a non-finite position {p}")
     hit = _find_crossing(tn.bonds, pos)
     if hit is None:
         return tn

@@ -112,11 +112,12 @@ def planarize_all_pairs(tn):
         return network.planarize(tn)
 
 
-def compress_mps_reference(mps, chi, rel_cutoff=contract.DEFAULT_REL_CUTOFF):
+def compress_mps_reference(mps, chi):
     """``compress_mps`` with ``np.linalg.qr`` and ``np.linalg.svd``.
 
-    Same passes, cutoff, normalisation and error; returns
-    ``(mps, trunc_error)`` and modifies ``mps`` in place.
+    Same passes, cutoff (read from ``contract.REL_CUTOFF`` at call time),
+    normalisation and discard; returns ``(mps, discard)`` and modifies
+    ``mps`` in place.
     """
     n = len(mps.sites)
     if n <= 1:
@@ -138,7 +139,7 @@ def compress_mps_reference(mps, chi, rel_cutoff=contract.DEFAULT_REL_CUTOFF):
     for k in range(n - 1, 0, -1):
         dl, d, dr = mps.sites[k].shape
         u, s, vt = np.linalg.svd(mps.sites[k].reshape(dl, d * dr), full_matrices=False)
-        keep = int(np.count_nonzero(s >= rel_cutoff * s[0])) if s[0] > 0.0 else 1
+        keep = int(np.count_nonzero(s >= contract.REL_CUTOFF * s[0])) if s[0] > 0.0 else 1
         keep = max(1, min(keep, chi))
         dropped += float(np.sum(s[keep:] ** 2))
         mps.sites[k] = vt[:keep].reshape(keep, d, dr).copy()
@@ -148,7 +149,7 @@ def compress_mps_reference(mps, chi, rel_cutoff=contract.DEFAULT_REL_CUTOFF):
     return mps, math.sqrt(dropped) / norm0
 
 
-def sweep_checking_every_step(tn, chi, chi_prime=None, rel_cutoff=contract.DEFAULT_REL_CUTOFF):
+def sweep_checking_every_step(tn, chi, chi_prime=None):
     """``sweep_contract`` with the compression trigger read after every step.
 
     Runs the cached plan of ``tn`` through ``contract_step`` and compresses
@@ -160,16 +161,14 @@ def sweep_checking_every_step(tn, chi, chi_prime=None, rel_cutoff=contract.DEFAU
     tensors = {vid: v.tensor for vid, v in tn.vertices.items()} | plan.swaps
     chi_prime = 2 * chi if chi_prime is None else chi_prime
     mps = contract.MPSState()
-    total_err = 0.0
     fired = []
     with np.errstate(over="ignore", invalid="ignore"):
         for i, step in enumerate(plan.steps):
             contract.contract_step(mps, step, tensors[step.vid])
             if mps.max_bond() > chi_prime:
-                _, err = contract.compress_mps(mps, chi, rel_cutoff)
-                total_err = math.sqrt(total_err * total_err + err * err)
+                contract.compress_mps(mps, chi)
                 fired.append(i)
-    return contract.SweepValue(mps.mantissa, mps.log_scale, total_err), fired
+    return contract.SweepValue(mps.mantissa, mps.log_scale), fired
 
 
 def _tensordot_axes(step):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,20 @@ class TestSyndrome:
                 syndrome_batch(code, x, z)
         with pytest.raises(ValueError):
             syndrome(code, identity_pauli(4))
+
+    def test_replaced_code_builds_its_own_tables(self):
+        # the cached check matrix and solver belong to one code, not to
+        # every copy dataclasses.replace makes of it
+        code = smallest_patch()
+        error = single_qubit_pauli(5, 0, "X")
+        syn = syndrome(code, error)
+        np.testing.assert_array_equal(syn, [0, 0, 1, 0])
+        pure_error(code, syn)
+        flipped = dataclasses.replace(code, checks=code.checks[::-1])
+        flipped_syn = syndrome(flipped, error)
+        np.testing.assert_array_equal(flipped_syn, [0, 1, 0, 0])
+        np.testing.assert_array_equal(syndrome(flipped, pure_error(flipped, flipped_syn)), flipped_syn)
+        np.testing.assert_array_equal(syndrome(code, error), syn)
 
 
 class TestPureError:
