@@ -386,6 +386,63 @@ def _logical_paths(g: PlanarGraph, kept, table):
     return x_path, z_path
 
 
+def _midpoint(g: PlanarGraph, e: int):
+    u, v = g.edges[e]
+    (ux, uy), (vx, vy) = g.positions[u], g.positions[v]
+    return ((ux + vx) / 2.0, (uy + vy) / 2.0)
+
+
+def _css_code(g: PlanarGraph, kept, x_supports, x_coords, *,
+              claimed_distance=None, fix_z=None, family="") -> CodeDefinition:
+    """Validated code on the kept edges of ``g``, one qubit per edge.
+
+    Checks are an X check per edge list in ``x_supports`` at ``x_coords``,
+    then a Z check per face on its kept edges at the face centroid.  The
+    logicals are the shortest boundary paths of :func:`_logical_paths`;
+    ``claimed_distance`` defaults to the shorter one.  A code given
+    ``fix_z(z_bits, x_rows, z_rows)`` is a subsystem code: its X checks
+    are gauge generators, and the fix returns a Z string that commutes
+    with all of them.
+    """
+    qubit_of = {e: i for i, e in enumerate(kept)}
+    n = len(kept)
+    zero = np.zeros(n, dtype=np.uint8)
+
+    def bits(support):
+        row = np.zeros(n, dtype=np.uint8)
+        for e in support:
+            row[qubit_of[e]] = 1
+        return row
+
+    x_rows = [bits(s) for s in x_supports]
+    z_rows = [bits(s) for s in _face_supports(g, kept)]
+    x_path, z_path = _logical_paths(g, kept, edge_face_table(g))
+    lz = bits(z_path)
+    if fix_z is not None:
+        lz = fix_z(lz, np.array(x_rows), np.array(z_rows))
+    logical_x = PauliOperator(bits(x_path), zero)
+    logical_z = PauliOperator(zero, lz)
+    if commutes(logical_x, logical_z):
+        raise PatchError("boundary paths cross an even number of times")
+
+    code = CodeDefinition(
+        n=n,
+        checks=([PauliOperator(x, zero) for x in x_rows]
+                + [PauliOperator(zero, z) for z in z_rows]),
+        logical_x=logical_x,
+        logical_z=logical_z,
+        qubit_coords=[_midpoint(g, e) for e in kept],
+        check_coords=list(x_coords) + [g.face_centroid(fi)
+                                       for fi in range(len(g.faces))],
+        claimed_distance=(min(len(x_path), len(z_path))
+                          if claimed_distance is None else claimed_distance),
+        is_subsystem=fix_z is not None,
+        family=family,
+    )
+    validate_code(code)
+    return code
+
+
 def surface_code_from_graph(g: PlanarGraph, *, family: str = "") -> CodeDefinition:
     """Qubit per edge, X check per non-ghost vertex, Z check per face.
 
@@ -394,18 +451,14 @@ def surface_code_from_graph(g: PlanarGraph, *, family: str = "") -> CodeDefiniti
     boundary paths, so their weights certify the code distances.
     """
     validate_patch(g)
-    table = edge_face_table(g)
     kept, ghosts = _kept_edges(g)
-    qubit_of = {e: i for i, e in enumerate(kept)}
-    n = len(kept)
-
     incident = [[] for _ in range(g.num_vertices)]
     for e in kept:
         u, v = g.edges[e]
         incident[u].append(e)
         incident[v].append(e)
 
-    checks = []
+    stars = []
     coords = []
     for v in range(g.num_vertices):
         if v in ghosts:
@@ -413,49 +466,9 @@ def surface_code_from_graph(g: PlanarGraph, *, family: str = "") -> CodeDefiniti
             continue
         if not incident[v]:
             raise PatchError(f"vertex {v} acts on zero qubits")
-        x = np.zeros(n, dtype=np.uint8)
-        for e in incident[v]:
-            x[qubit_of[e]] = 1
-        checks.append(PauliOperator(x, np.zeros(n, dtype=np.uint8)))
+        stars.append(incident[v])
         coords.append(g.positions[v])
-    for fi, support in enumerate(_face_supports(g, kept)):
-        z = np.zeros(n, dtype=np.uint8)
-        for e in support:
-            z[qubit_of[e]] = 1
-        checks.append(PauliOperator(np.zeros(n, dtype=np.uint8), z))
-        coords.append(g.face_centroid(fi))
-
-    x_path, z_path = _logical_paths(g, kept, table)
-    lx = np.zeros(n, dtype=np.uint8)
-    for e in x_path:
-        lx[qubit_of[e]] = 1
-    lz = np.zeros(n, dtype=np.uint8)
-    for e in z_path:
-        lz[qubit_of[e]] = 1
-    logical_x = PauliOperator(lx, np.zeros(n, dtype=np.uint8))
-    logical_z = PauliOperator(np.zeros(n, dtype=np.uint8), lz)
-    if commutes(logical_x, logical_z):
-        raise PatchError("boundary paths cross an even number of times")
-
-    qubit_coords = []
-    for e in kept:
-        u, v = g.edges[e]
-        (ux, uy), (vx, vy) = g.positions[u], g.positions[v]
-        qubit_coords.append(((ux + vx) / 2.0, (uy + vy) / 2.0))
-
-    code = CodeDefinition(
-        n=n,
-        checks=checks,
-        logical_x=logical_x,
-        logical_z=logical_z,
-        qubit_coords=qubit_coords,
-        check_coords=coords,
-        claimed_distance=min(len(x_path), len(z_path)),
-        is_subsystem=False,
-        family=family,
-    )
-    validate_code(code)
-    return code
+    return _css_code(g, kept, stars, coords, family=family)
 
 
 def code_distances(g: PlanarGraph) -> tuple:
@@ -486,9 +499,7 @@ def dual_patch(g: PlanarGraph) -> PlanarGraph:
     for e in kept:
         if len(table[e]) != 1:
             continue
-        u, v = g.edges[e]
-        (ux, uy), (vx, vy) = g.positions[u], g.positions[v]
-        mx, my = (ux + vx) / 2.0, (uy + vy) / 2.0
+        mx, my = _midpoint(g, e)
         cx, cy = positions[table[e][0]]
         positions.append((mx + (mx - cx) * 0.5, my + (my - cy) * 0.5))
         ghost_of_edge[e] = nf + len(ghost_of_edge)

@@ -1,17 +1,19 @@
 """Regular lattice patches cut from periodic templates.
 
 Templates use exact integer coordinates; a vertex at integer (i, j)
-sits at real position (i*hx, j*hy).  Patches are cut by an axis-aligned
-integer window, the extreme-x perimeter runs become the rough sides,
-and a window whose code reaches X and Z distance d is chosen by direct
-search (see :func:`smallest_patch`).  Dual families reuse the primal
-patch through the planar dual, which exchanges rough and smooth
-boundaries.
+sits at real position (i*hx, j*hy).  A window is an axis-aligned closed
+integer box, and its patch is the template faces whose bounding boxes
+lie inside it, with their edges and vertices.  The extreme-x perimeter
+runs become the rough sides, and a window whose code reaches X and Z
+distance d is chosen by direct search (see :func:`smallest_patch`).
+Dual families reuse the primal patch through the planar dual, which
+exchanges rough and smooth boundaries.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .graphs import (
     ROUGH,
@@ -23,6 +25,8 @@ from .graphs import (
     _kept_edges,
     code_distances,
     dual_patch,
+    edge_face_table,
+    perimeter_cycle,
     validate_patch,
 )
 
@@ -34,28 +38,43 @@ REGULAR_FAMILIES = PRIMAL_FAMILIES + tuple(DUAL_OF_PRIMAL.values())
 
 @dataclass(frozen=True)
 class LatticeTemplate:
-    name: str
     basis: tuple          # ((ax, 0), (bx, by)) integer lattice vectors
     sites: tuple          # integer (i, j) offsets within one cell
     edges: tuple          # (site_a, site_b, (dm, dn)) for a@(0,0)-b@(dm,dn)
     faces: tuple          # vertex cycles of (site, (dm, dn))
     hscale: tuple         # (hx, hy) real units per integer step
 
+    @cached_property
+    def face_refs(self) -> tuple:
+        """Per face: its integer bounding box ``(x0, x1, y0, y1)`` about the
+        origin of its cell, and the ``(dm, dn, template edge)`` of each
+        cycle step, the edge anchored in cell ``(m + dm, n + dn)``."""
+        (ax, _), (bx, by) = self.basis
+        step = {}
+        for e, (sa, sb, (dm, dn)) in enumerate(self.edges):
+            step[(sa, sb, dm, dn)] = (0, 0, e)
+            step[(sb, sa, -dm, -dn)] = (-dm, -dn, e)
+        out = []
+        for cyc in self.faces:
+            xs = [dm * ax + dn * bx + self.sites[s][0] for s, (dm, dn) in cyc]
+            ys = [dn * by + self.sites[s][1] for s, (dm, dn) in cyc]
+            refs = []
+            for (sa, (ma, na)), (sb, (mb, nb)) in zip(cyc, cyc[1:] + cyc[:1]):
+                dm, dn, e = step[(sa, sb, mb - ma, nb - na)]
+                refs.append((ma + dm, na + dn, e))
+            out.append(((min(xs), max(xs), min(ys), max(ys)), tuple(refs)))
+        return tuple(out)
 
-def _square_template() -> LatticeTemplate:
-    return LatticeTemplate(
-        name="square",
+
+TEMPLATES = {
+    "square": LatticeTemplate(
         basis=((1, 0), (0, 1)),
         sites=((0, 0),),
         edges=((0, 0, (1, 0)), (0, 0, (0, 1))),
         faces=(((0, (0, 0)), (0, (1, 0)), (0, (1, 1)), (0, (0, 1))),),
         hscale=(1.0, 1.0),
-    )
-
-
-def _triangular_template() -> LatticeTemplate:
-    return LatticeTemplate(
-        name="triangular",
+    ),
+    "triangular": LatticeTemplate(
         basis=((2, 0), (1, 1)),
         sites=((0, 0),),
         edges=((0, 0, (1, 0)), (0, 0, (0, 1)), (0, 0, (-1, 1))),
@@ -64,13 +83,9 @@ def _triangular_template() -> LatticeTemplate:
             ((0, (1, 0)), (0, (1, 1)), (0, (0, 1))),
         ),
         hscale=(0.5, math.sqrt(3.0) / 2.0),
-    )
-
-
-def _kagome_template() -> LatticeTemplate:
+    ),
     # Sites are the edge midpoints of the triangular lattice.
-    return LatticeTemplate(
-        name="kagome",
+    "kagome": LatticeTemplate(
         basis=((4, 0), (2, 2)),
         sites=((2, 0), (1, 1), (3, 1)),
         edges=(
@@ -84,15 +99,11 @@ def _kagome_template() -> LatticeTemplate:
              (0, (1, 0)), (1, (1, 0)), (2, (0, 0))),
         ),
         hscale=(0.5, math.sqrt(3.0) / 2.0),
-    )
-
-
-def _truncated_template() -> LatticeTemplate:
-    """The 3.12.12 tiling: each kagome vertex split in two, each half moved
-    halfway toward the centroid of one of its two triangles, in kagome
-    coordinates scaled by 6 so the halfway points stay integral."""
-    return LatticeTemplate(
-        name="trunc_hex",
+    ),
+    # The 3.12.12 tiling: each kagome vertex split in two, each half moved
+    # halfway toward the centroid of one of its two triangles, in kagome
+    # coordinates scaled by 6 so the halfway points stay integral.
+    "trunc_hex": LatticeTemplate(
         basis=((24, 0), (12, 12)),
         sites=((12, 2), (12, -2), (9, 5), (3, 7), (15, 5), (21, 7)),
         edges=(
@@ -108,20 +119,14 @@ def _truncated_template() -> LatticeTemplate:
              (2, (1, 0)), (3, (1, 0)), (5, (0, 0)), (4, (0, 0))),
         ),
         hscale=(0.5 / 6.0, math.sqrt(3.0) / 12.0),
-    )
+    ),
+}
 
 
-@lru_cache(maxsize=None)
 def template(name: str) -> LatticeTemplate:
-    builders = {
-        "square": _square_template,
-        "triangular": _triangular_template,
-        "kagome": _kagome_template,
-        "trunc_hex": _truncated_template,
-    }
-    if name not in builders:
+    if name not in TEMPLATES:
         raise ValueError(f"unknown primal lattice {name!r}")
-    return builders[name]()
+    return TEMPLATES[name]
 
 
 def _search_space(t: LatticeTemplate, reach: int):
@@ -141,115 +146,43 @@ def _search_space(t: LatticeTemplate, reach: int):
 
 
 def _cut_region(t: LatticeTemplate, ox: int, oy: int, wx: int, wy: int):
-    """Graph of all template vertices inside the closed integer window.
+    """Graph of the template faces inside the closed integer window.
 
-    Edges survive when both endpoints do; edges bounding no surviving
-    face are dropped.  Returns (graph, perimeter cycle, integer
-    positions) with placeholder segments, or None when the remains are
-    disconnected or the boundary is not a single simple cycle.
+    A face is kept when its integer bounding box lies in the window; the
+    edges are those of the kept faces, in (cell m, cell n, template edge)
+    order, and the vertices those of the edges, in (n, site, m) order.
+    Returns (graph, perimeter cycle, integer positions) with placeholder
+    segments, or None when no face fits or the boundary is not a single
+    simple cycle (a patch in two pieces has two boundary walks).
     """
     (ax, _), (bx, by) = t.basis
-    smin_y = min(s[1] for s in t.sites)
-    smax_y = max(s[1] for s in t.sites)
-
-    index = {}
-    coords = []
-    n_lo = (oy - smax_y) // by - 1
-    n_hi = (oy + wy - smin_y) // by + 1
-    for n in range(n_lo, n_hi + 1):
-        base_y = n * by
-        for si, (sx, sy) in enumerate(t.sites):
-            iy = base_y + sy
-            if not (oy <= iy <= oy + wy):
-                continue
-            m_lo = (ox - n * bx - sx) // ax - 1
-            m_hi = (ox + wx - n * bx - sx) // ax + 1
-            for m in range(m_lo, m_hi + 1):
-                ix = m * ax + n * bx + sx
-                if ox <= ix <= ox + wx:
-                    index[(si, m, n)] = len(coords)
-                    coords.append((ix, iy))
-
-    if len(coords) < 4:
-        return None
-
-    edges = []
-    edge_by_pair = {}
-    cells = sorted({(m, n) for (_, m, n) in index})
-    cell_set = set()
-    for m, n in cells:
-        for dm in (-1, 0, 1):
-            for dn in (-1, 0, 1):
-                cell_set.add((m + dm, n + dn))
-    for m, n in sorted(cell_set):
-        for sa, sb, (dm, dn) in t.edges:
-            ka = (sa, m, n)
-            kb = (sb, m + dm, n + dn)
-            if ka in index and kb in index:
-                u, v = index[ka], index[kb]
-                edge_by_pair[(min(u, v), max(u, v))] = len(edges)
-                edges.append((u, v))
-
     faces = []
-    for m, n in sorted(cell_set):
-        for cyc in t.faces:
-            vids = []
-            ok = True
-            for s, (dm, dn) in cyc:
-                k = (s, m + dm, n + dn)
-                if k not in index:
-                    ok = False
-                    break
-                vids.append(index[k])
-            if ok:
-                face_edges = []
-                for i, u in enumerate(vids):
-                    v = vids[(i + 1) % len(vids)]
-                    face_edges.append(edge_by_pair[(min(u, v), max(u, v))])
-                faces.append(tuple(face_edges))
-
-    # Drop edges bounding no face, then unused vertices.
-    used = set()
-    for cyc in faces:
-        used.update(cyc)
-    if not used:
+    for fi, ((x0, x1, y0, y1), _) in enumerate(t.face_refs):
+        for n in range(-((y0 - oy) // by), (oy + wy - y1) // by + 1):
+            for m in range(-((n * bx + x0 - ox) // ax),
+                           (ox + wx - n * bx - x1) // ax + 1):
+                faces.append((m, n, fi))
+    if not faces:
         return None
-    kept_edges = sorted(used)
-    vmap = {}
-    for e in kept_edges:
-        for v in edges[e]:
-            if v not in vmap:
-                vmap[v] = None
-    for i, v in enumerate(sorted(vmap)):
-        vmap[v] = i
-    new_positions = [None] * len(vmap)
-    for v, i in vmap.items():
-        new_positions[i] = coords[v]
-    emap = {e: i for i, e in enumerate(kept_edges)}
-    new_edges = [(vmap[edges[e][0]], vmap[edges[e][1]]) for e in kept_edges]
-    new_faces = [tuple(emap[e] for e in cyc) for cyc in faces]
-
-    # Connectivity over the kept graph.
-    adj = {}
-    for u, v in new_edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj.get(u, ()):
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    if len(seen) != len(new_positions):
-        return None
+    faces.sort()
+    cycles = [[(m + dm, n + dn, e) for dm, dn, e in t.face_refs[fi][1]]
+              for m, n, fi in faces]
+    edge_keys = sorted({k for cyc in cycles for k in cyc})
+    edge_of = {k: i for i, k in enumerate(edge_keys)}
+    ends = []
+    for m, n, e in edge_keys:
+        sa, sb, (dm, dn) = t.edges[e]
+        ends.append(((n, sa, m), (n + dn, sb, m + dm)))
+    vertex_keys = sorted({v for pair in ends for v in pair})
+    vertex_of = {k: i for i, k in enumerate(vertex_keys)}
+    ipos = [(m * ax + n * bx + t.sites[s][0], n * by + t.sites[s][1])
+            for n, s, m in vertex_keys]
 
     hx, hy = t.hscale
     g = PlanarGraph(
-        positions=tuple((ix * hx, iy * hy) for ix, iy in new_positions),
-        edges=tuple(new_edges),
-        faces=tuple(new_faces),
+        positions=tuple((ix * hx, iy * hy) for ix, iy in ipos),
+        edges=tuple((vertex_of[a], vertex_of[b]) for a, b in ends),
+        faces=tuple(tuple(edge_of[k] for k in cyc) for cyc in cycles),
         segments=(
             BoundarySegment(ROUGH, (0,)),
             BoundarySegment(SMOOTH, (0,)),
@@ -257,14 +190,13 @@ def _cut_region(t: LatticeTemplate, ox: int, oy: int, wx: int, wy: int):
             BoundarySegment(SMOOTH, (0,)),
         ),
     )
-    from .graphs import perimeter_cycle
     try:
         cyc = perimeter_cycle(g)
     except PatchError:
         return None
     if len(set(cyc)) != len(cyc):
         return None  # pinched: the arc designation needs a simple cycle
-    return g, cyc, new_positions
+    return g, cyc, ipos
 
 
 def _extreme_arcs(cyc, int_positions):
@@ -426,10 +358,6 @@ def _arc_search_hits(region, d):
     distances, exact unless a dropped ghost-to-ghost chord interferes,
     so survivors are confirmed by building the actual patch.
     """
-    from collections import deque
-
-    from .graphs import edge_face_table
-
     g, cyc, ipos = region
     k = len(cyc)
     extreme = _extreme_arcs(cyc, ipos)

@@ -20,14 +20,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..pauli import CodeDefinition, PauliOperator, gf2_rref, validate_code
+from ..pauli import CodeDefinition, gf2_rref
 from .graphs import (
     PatchError,
     PlanarGraph,
     _bfs_path,
-    _face_supports,
+    _css_code,
     _kept_edges,
-    _logical_paths,
+    _midpoint,
     _rough_path,
     edge_face_table,
     validate_patch,
@@ -216,7 +216,7 @@ def subsystem_patch(d: int) -> PlanarGraph:
     return g
 
 
-def _commuting_z_logical(n, z_path_bits, fan_rows, face_rows):
+def _commuting_z_logical(z_path_bits, fan_rows, face_rows):
     """Adjust a rough-to-rough Z string by faces until every fan commutes.
 
     The string already commutes with every full star, so the system
@@ -247,19 +247,10 @@ def subsystem_code(d: int) -> CodeDefinition:
     pushed into the gauge centraliser by face multiplication.
     """
     g = subsystem_patch(d)
-    table = edge_face_table(g)
-    kept, ghosts, spokes, split, straddle_at = _fan_split(g)
-    qubit_of = {e: i for i, e in enumerate(kept)}
-    n = len(kept)
+    kept, ghosts, spokes, split, _ = _fan_split(g)
 
-    def midpoint(e):
-        u, v = g.edges[e]
-        (ux, uy), (vx, vy) = g.positions[u], g.positions[v]
-        return ((ux + vx) / 2.0, (uy + vy) / 2.0)
-
-    checks = []
+    fans = []
     coords = []
-    fan_bits = []
     for v in range(g.num_vertices):
         if v in ghosts:
             continue
@@ -272,48 +263,12 @@ def subsystem_code(d: int) -> CodeDefinition:
             east = [s for s in sorted(sm) if s not in _WEST_FAN]
             groups = [west, east]
         for sextants in groups:
-            x = np.zeros(n, dtype=np.uint8)
-            for s in sextants:
-                x[qubit_of[sm[s]]] = 1
-            checks.append(PauliOperator(x, np.zeros(n, dtype=np.uint8)))
-            fan_bits.append(x)
-            mids = [midpoint(sm[s]) for s in sextants]
+            fans.append([sm[s] for s in sextants])
+            mids = [_midpoint(g, sm[s]) for s in sextants]
             cx = sum(m[0] for m in mids) / len(mids)
             cy = sum(m[1] for m in mids) / len(mids)
             px, py = g.positions[v]
             pull = 0.3 if v in split else 0.0
             coords.append((px + pull * (cx - px), py + pull * (cy - py)))
-
-    face_bits = []
-    for fi, support in enumerate(_face_supports(g, kept)):
-        z = np.zeros(n, dtype=np.uint8)
-        for e in support:
-            z[qubit_of[e]] = 1
-        checks.append(PauliOperator(np.zeros(n, dtype=np.uint8), z))
-        face_bits.append(z)
-        coords.append(g.face_centroid(fi))
-
-    x_path, z_path = _logical_paths(g, kept, table)
-    lx = np.zeros(n, dtype=np.uint8)
-    for e in x_path:
-        lx[qubit_of[e]] = 1
-    lz = np.zeros(n, dtype=np.uint8)
-    for e in z_path:
-        lz[qubit_of[e]] = 1
-    lz = _commuting_z_logical(
-        n, lz, np.array(fan_bits, dtype=np.uint8),
-        np.array(face_bits, dtype=np.uint8))
-
-    code = CodeDefinition(
-        n=n,
-        checks=checks,
-        logical_x=PauliOperator(lx, np.zeros(n, dtype=np.uint8)),
-        logical_z=PauliOperator(np.zeros(n, dtype=np.uint8), lz),
-        qubit_coords=[midpoint(e) for e in kept],
-        check_coords=coords,
-        claimed_distance=d,
-        is_subsystem=True,
-        family="subsystem_square",
-    )
-    validate_code(code)
-    return code
+    return _css_code(g, kept, fans, coords, claimed_distance=d,
+                     fix_z=_commuting_z_logical, family="subsystem_square")

@@ -412,7 +412,6 @@ def contract_step(mps: MPSState, step: _Step, tensor) -> MPSState:
     dims = vt.shape[:m]
     merged = np.matmul(vt.reshape(math.prod(dims), -1), run.reshape(left, -1, right))
     del run
-    mps.log_scale += tensor.log_scale
 
     if m == 0:
         # Fully absorbed: a (left, right) matrix folds into a neighbor, or

@@ -288,9 +288,6 @@ def planarize(tn: TensorNetwork2D) -> TensorNetwork2D:
 
     max_rounds = 10 * len(tn.bonds) ** 2 + 100
     for _ in range(max_rounds):
-        hit = _find_crossing(out.bonds, pos)
-        if hit is None:
-            return out
         i, j, pt = hit
         bond_a = out.bonds[i]
         bond_b = out.bonds[j]
@@ -346,4 +343,7 @@ def planarize(tn: TensorNetwork2D) -> TensorNetwork2D:
         out.add_bond(Bond((wid, 2), bond_a.endpoint_b, bond_a.dimension))
         out.add_bond(Bond(bond_b.endpoint_a, (wid, 1), bond_b.dimension))
         out.add_bond(Bond((wid, 3), bond_b.endpoint_b, bond_b.dimension))
+        hit = _find_crossing(out.bonds, pos)
+        if hit is None:
+            return out
     raise PlanarizeError("crossing removal did not converge")

@@ -10,7 +10,9 @@ largest bond after every step of a sweep.  The kernel oracle absorbs a
 vertex as ``np.tensordot`` would: both operands transposed to matrices,
 one ``np.dot``, and the product transposed to chain order.  The patch
 oracle is the subsystem window scan without its breaks: it cuts, fan-splits
-and certifies every window of the search space.
+and certifies every window of the search space.  The window oracle cuts a
+lattice window by listing its vertices, then the edges between them, then
+the faces, and pruning the edges that bound no face.
 """
 
 import math
@@ -18,8 +20,16 @@ from unittest import mock
 
 import numpy as np
 
-from sweepdecode.codes import subsystem
-from sweepdecode.codes.graphs import PatchError, validate_patch
+from sweepdecode.codes import lattices, subsystem
+from sweepdecode.codes.graphs import (
+    ROUGH,
+    SMOOTH,
+    BoundarySegment,
+    PatchError,
+    PlanarGraph,
+    perimeter_cycle,
+    validate_patch,
+)
 from sweepdecode.codes.lattices import _search_space, cut_window, template
 from sweepdecode.sweep import contract, network
 
@@ -29,9 +39,9 @@ def brute_force_value(tn, chunk=1 << 19):
 
     Sums, over every joint assignment of all bond indices, the product of
     one element per vertex.  Returns ``(value, log_scale, abs_sum)`` where
-    log_scale collects the vertices' scale fields, the value part is
-    unnormalized, and abs_sum (the same sum over absolute products) sets
-    the scale against which cancellation error should be judged.
+    the value part is unnormalized, log_scale is 0.0 (tensors carry no
+    scale of their own), and abs_sum (the same sum over absolute products)
+    sets the scale against which cancellation error should be judged.
     """
     bonds = list(tn.bonds)
     dims = [b.dimension for b in bonds]
@@ -55,7 +65,6 @@ def brute_force_value(tn, chunk=1 << 19):
 
     total = 0.0
     total_abs = 0.0
-    log_extra = sum(v.tensor.log_scale for v in tn.vertices.values())
     for start in range(0, n_assign, chunk):
         flat = np.arange(start, min(start + chunk, n_assign), dtype=np.int64)
         rows = {}
@@ -72,7 +81,7 @@ def brute_force_value(tn, chunk=1 << 19):
             prod = prod * v.tensor.elements[tuple(sel)]
         total += float(prod.sum())
         total_abs += float(np.abs(prod).sum())
-    return total, log_extra, total_abs
+    return total, 0.0, total_abs
 
 
 def assert_matches_oracle(result, tn, rel=1e-10):
@@ -211,7 +220,6 @@ def contract_step_reference(mps, step, tensor):
     else:
         pass_dim = sites[lo - 1].shape[2] if 0 < lo < len(sites) else 1
         merged = np.multiply.outer(np.eye(pass_dim), tensor.elements)
-    mps.log_scale += tensor.log_scale
     merged = merged.transpose(open_axes)
     left_dim, right_dim = merged.shape[0], merged.shape[-1]
     dims = merged.shape[1:-1]
@@ -299,3 +307,136 @@ def subsystem_patch_exhaustive(d):
         raise ValueError(f"no subsystem patch found with distances {d}")
     validate_patch(best[1])
     return best[1]
+
+
+def cut_region_reference(t, ox, oy, wx, wy):
+    """``lattices._cut_region`` by enumeration: the window's vertices,
+    then the edges between them, then the faces, then the pruning.
+
+    Edges survive when both endpoints do; edges bounding no surviving
+    face are dropped.  Returns (graph, perimeter cycle, integer
+    positions) with placeholder segments, or None when the remains are
+    disconnected or the boundary is not a single simple cycle.
+    """
+    (ax, _), (bx, by) = t.basis
+    smin_y = min(s[1] for s in t.sites)
+    smax_y = max(s[1] for s in t.sites)
+
+    index = {}
+    coords = []
+    n_lo = (oy - smax_y) // by - 1
+    n_hi = (oy + wy - smin_y) // by + 1
+    for n in range(n_lo, n_hi + 1):
+        base_y = n * by
+        for si, (sx, sy) in enumerate(t.sites):
+            iy = base_y + sy
+            if not (oy <= iy <= oy + wy):
+                continue
+            m_lo = (ox - n * bx - sx) // ax - 1
+            m_hi = (ox + wx - n * bx - sx) // ax + 1
+            for m in range(m_lo, m_hi + 1):
+                ix = m * ax + n * bx + sx
+                if ox <= ix <= ox + wx:
+                    index[(si, m, n)] = len(coords)
+                    coords.append((ix, iy))
+
+    if len(coords) < 4:
+        return None
+
+    edges = []
+    edge_by_pair = {}
+    cells = sorted({(m, n) for (_, m, n) in index})
+    cell_set = set()
+    for m, n in cells:
+        for dm in (-1, 0, 1):
+            for dn in (-1, 0, 1):
+                cell_set.add((m + dm, n + dn))
+    for m, n in sorted(cell_set):
+        for sa, sb, (dm, dn) in t.edges:
+            ka = (sa, m, n)
+            kb = (sb, m + dm, n + dn)
+            if ka in index and kb in index:
+                u, v = index[ka], index[kb]
+                edge_by_pair[(min(u, v), max(u, v))] = len(edges)
+                edges.append((u, v))
+
+    faces = []
+    for m, n in sorted(cell_set):
+        for cyc in t.faces:
+            vids = []
+            ok = True
+            for s, (dm, dn) in cyc:
+                k = (s, m + dm, n + dn)
+                if k not in index:
+                    ok = False
+                    break
+                vids.append(index[k])
+            if ok:
+                face_edges = []
+                for i, u in enumerate(vids):
+                    v = vids[(i + 1) % len(vids)]
+                    face_edges.append(edge_by_pair[(min(u, v), max(u, v))])
+                faces.append(tuple(face_edges))
+
+    # Drop edges bounding no face, then unused vertices.
+    used = set()
+    for cyc in faces:
+        used.update(cyc)
+    if not used:
+        return None
+    kept_edges = sorted(used)
+    vmap = {}
+    for e in kept_edges:
+        for v in edges[e]:
+            if v not in vmap:
+                vmap[v] = None
+    for i, v in enumerate(sorted(vmap)):
+        vmap[v] = i
+    new_positions = [None] * len(vmap)
+    for v, i in vmap.items():
+        new_positions[i] = coords[v]
+    emap = {e: i for i, e in enumerate(kept_edges)}
+    new_edges = [(vmap[edges[e][0]], vmap[edges[e][1]]) for e in kept_edges]
+    new_faces = [tuple(emap[e] for e in cyc) for cyc in faces]
+
+    # Connectivity over the kept graph.
+    adj = {}
+    for u, v in new_edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    seen = {0}
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v in adj.get(u, ()):
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    if len(seen) != len(new_positions):
+        return None
+
+    hx, hy = t.hscale
+    g = PlanarGraph(
+        positions=tuple((ix * hx, iy * hy) for ix, iy in new_positions),
+        edges=tuple(new_edges),
+        faces=tuple(new_faces),
+        segments=(
+            BoundarySegment(ROUGH, (0,)),
+            BoundarySegment(SMOOTH, (0,)),
+            BoundarySegment(ROUGH, (0,)),
+            BoundarySegment(SMOOTH, (0,)),
+        ),
+    )
+    try:
+        cyc = perimeter_cycle(g)
+    except PatchError:
+        return None
+    if len(set(cyc)) != len(cyc):
+        return None  # pinched: the arc designation needs a simple cycle
+    return g, cyc, new_positions
+
+
+def cut_window_reference(t, ox, oy, wx, wy, rotate=False):
+    """``cut_window`` with its region cut by :func:`cut_region_reference`."""
+    with mock.patch.object(lattices, "_cut_region", cut_region_reference):
+        return lattices.cut_window(t, ox, oy, wx, wy, rotate=rotate)

@@ -117,6 +117,17 @@ class TestPatchValidation:
         assert code.claimed_distance == 2
         assert brute_force_distances(code, 2) == (2, 2)
 
+    def test_two_components_rejected(self):
+        # the bowtie with its pinch vertex split in two: each triangle
+        # has its own boundary walk
+        g = bowtie_patch()
+        apart = PlanarGraph(
+            g.positions + ((1.5, 1.0),),
+            ((0, 1), (1, 2), (0, 2), (5, 3), (3, 4), (5, 4)),
+            g.faces, g.segments)
+        with pytest.raises(PatchError, match="more than one closed walk"):
+            perimeter_cycle(apart)
+
     def test_edge_face_table(self):
         table = edge_face_table(square_two_patch())
         assert table[5] == [0, 1]      # middle vertical borders both faces

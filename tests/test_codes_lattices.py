@@ -13,12 +13,15 @@ from sweepdecode.codes.graphs import (
 from sweepdecode.codes.lattices import (
     DUAL_OF_PRIMAL,
     _keeps_face_qubits,
+    _search_space,
     cut_window,
     regular_lattice,
     smallest_patch,
     template,
 )
 from sweepdecode.pauli import pauli_to_string, validate_code
+
+from oracles import cut_window_reference
 
 
 def swap_xz(s):
@@ -48,6 +51,29 @@ class TestTemplates:
         assert g.num_vertices == 6
         assert len(g.edges) == 7
         assert len(g.faces) == 2
+
+
+class TestCutWindow:
+    # (family, reach, stride): every window of the smaller search spaces,
+    # every stride-th one of trunc_hex's, whose space is the largest
+    SPACES = [("square", 5, 1), ("triangular", 5, 1), ("kagome", 2, 1),
+              ("trunc_hex", 3, 389)]
+
+    @pytest.mark.parametrize("family, reach, stride", SPACES,
+                             ids=[s[0] for s in SPACES])
+    def test_matches_enumeration_reference(self, family, reach, stride):
+        t = template(family)
+        offsets, wxs, wys = _search_space(t, reach)
+        windows = [(ox, oy, wx, wy) for ox, oy in offsets
+                   for wx in wxs for wy in wys][::stride]
+        patches = 0
+        for window in windows:
+            for rotate in (False, True):
+                g = cut_window(t, *window, rotate=rotate)
+                assert g == cut_window_reference(t, *window, rotate=rotate), \
+                    (window, rotate)
+                patches += g is not None
+        assert patches > len(windows) // 10
 
 
 class TestSmallestPatch:

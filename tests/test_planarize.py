@@ -69,6 +69,25 @@ class TestScaling:
         # the all-pairs scan makes about len(tn.bonds) ** 2 / 2 of these
         assert len(calls) <= len(tn.bonds)
 
+    def test_one_crossing_search_per_swap_plus_one(self, monkeypatch):
+        calls = []
+        real = network._find_crossing
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(network, "_find_crossing", counting)
+        for seed in range(6):
+            tn = random_planar_network(
+                np.random.default_rng(seed), max_vertices=14, product_cap=1 << 12
+            )
+            tn = scramble_positions(tn, np.random.default_rng(10_000 + seed))
+            calls.clear()
+            swaps = len(planarize(tn).vertices) - len(tn.vertices)
+            assert swaps > 0
+            assert len(calls) == swaps + 1
+
 
 class TestNearlyCollinearBonds:
     """Rounding once reported crossings between segments whose bounding
