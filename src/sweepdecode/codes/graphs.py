@@ -65,9 +65,6 @@ class PlanarGraph:
     def rough_segments(self):
         return [s for s in self.segments if s.kind == ROUGH]
 
-    def smooth_segments(self):
-        return [s for s in self.segments if s.kind == SMOOTH]
-
     def ghosts(self) -> set:
         out = set()
         for s in self.rough_segments():
@@ -94,20 +91,6 @@ class PlanarGraph:
         xs = [self.positions[v][0] for v in vs]
         ys = [self.positions[v][1] for v in vs]
         return (sum(xs) / len(vs), sum(ys) / len(vs))
-
-
-def _orient(p, q, r) -> float:
-    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-
-
-def _segments_cross(a, b, c, d) -> bool:
-    """Proper interior crossing of segments ab and cd (no shared endpoints)."""
-    d1 = _orient(c, d, a)
-    d2 = _orient(c, d, b)
-    d3 = _orient(a, b, c)
-    d4 = _orient(a, b, d)
-    return ((d1 > 0) != (d2 > 0) and (d3 > 0) != (d4 > 0)
-            and d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0)
 
 
 def edge_face_table(g: PlanarGraph):
@@ -237,8 +220,8 @@ def _segment_walk(g: PlanarGraph, table) -> tuple:
     raise PatchError("segments are not contiguous along the outer cycle")
 
 
-def validate_patch(g: PlanarGraph, *, geometry: bool = False):
-    """Structural checks; ``geometry`` adds the O(E^2) crossing scan."""
+def validate_patch(g: PlanarGraph):
+    """Structural checks of the graph, its faces and its segments."""
     n = g.num_vertices
     seen_pairs = set()
     for e, (u, v) in enumerate(g.edges):
@@ -266,21 +249,6 @@ def validate_patch(g: PlanarGraph, *, geometry: bool = False):
     if kinds not in ([ROUGH, SMOOTH, ROUGH, SMOOTH], [SMOOTH, ROUGH, SMOOTH, ROUGH]):
         raise PatchError("boundary segments must alternate rough/smooth")
     _segment_walk(g, table)
-
-    if geometry:
-        pts = g.positions
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if pts[i] == pts[j]:
-                    raise PatchError(f"vertices {i} and {j} coincide")
-        for e in range(len(g.edges)):
-            a, b = g.edges[e]
-            for f in range(e + 1, len(g.edges)):
-                c, d = g.edges[f]
-                if len({a, b, c, d}) < 4:
-                    continue
-                if _segments_cross(pts[a], pts[b], pts[c], pts[d]):
-                    raise PatchError(f"edges {e} and {f} cross")
 
 
 def _bfs_path(adjacency, sources, targets):
@@ -344,8 +312,12 @@ def _rough_path(g: PlanarGraph, kept):
     return _bfs_path(adj, rough[0].vertices, set(rough[1].vertices))
 
 
-def _logical_paths(g: PlanarGraph, kept, table):
-    """Shortest rough-to-rough edge path and smooth-to-smooth dual path."""
+def _logical_paths(g: PlanarGraph, kept, table, merge=None):
+    """Shortest rough-to-rough edge path and smooth-to-smooth dual path.
+
+    ``merge`` maps a face to the face whose dual node it shares; an edge
+    between two faces of one node is free, so the dual walk skips it.
+    """
     z_path = _rough_path(g, kept)
     if z_path is None:
         raise PatchError("rough boundaries are not connected by kept edges")
@@ -368,10 +340,12 @@ def _logical_paths(g: PlanarGraph, kept, table):
         dual_adj.setdefault(a, []).append((b, e))
         dual_adj.setdefault(b, []).append((a, e))
 
+    node = (merge or {}).get
     for e in kept:
-        fs = table[e]
+        fs = [node(f, f) for f in table[e]]
         if len(fs) == 2:
-            link(fs[0], fs[1], e)
+            if fs[0] != fs[1]:
+                link(fs[0], fs[1], e)
             continue
         sides = sides_of[e]
         if len(sides) != 1:
@@ -477,6 +451,37 @@ def code_distances(g: PlanarGraph) -> tuple:
     return len(x_path), len(z_path)
 
 
+def _designate_arcs(g, cyc, la, ra):
+    """Segments from two explicit rough arc position runs.
+
+    Returns the designated PlanarGraph, or None when the arcs collide
+    or leave an empty smooth run between them.
+    """
+    k = len(cyc)
+    if not la or not ra or set(la) & set(ra):
+        return None
+    gap1 = (ra[0] - la[-1]) % k - 1
+    gap2 = (la[0] - ra[-1]) % k - 1
+    if gap1 < 1 or gap2 < 1:
+        return None
+
+    def arc(s, e):
+        n = (e - s) % k + 1
+        return [(s + i) % k for i in range(n)]
+
+    s1 = arc((la[-1] + 1) % k, (ra[0] - 1) % k)
+    s2 = arc((ra[-1] + 1) % k, (la[0] - 1) % k)
+    if set(s1) & set(s2) or (set(s1) | set(s2)) & (set(la) | set(ra)):
+        return None
+    segments = (
+        BoundarySegment(ROUGH, tuple(cyc[i] for i in la)),
+        BoundarySegment(SMOOTH, tuple(cyc[i] for i in s1)),
+        BoundarySegment(ROUGH, tuple(cyc[i] for i in ra)),
+        BoundarySegment(SMOOTH, tuple(cyc[i] for i in s2)),
+    )
+    return PlanarGraph(g.positions, g.edges, g.faces, segments)
+
+
 def dual_patch(g: PlanarGraph) -> PlanarGraph:
     """Planar dual of a patch, with rough and smooth sides exchanged.
 
@@ -485,7 +490,9 @@ def dual_patch(g: PlanarGraph) -> PlanarGraph:
     side are joined so the dual's boundary faces close; those joining
     edges are exactly the ones the code construction drops again.  The
     dual's qubit edges appear in the same order as the primal's, so the
-    two codes match check for check under an X/Z exchange.
+    two codes match check for check under an X/Z exchange.  The two
+    ghost runs of the dual's perimeter are its rough arcs, designated by
+    :func:`_designate_arcs` as a cut lattice window's are.
     """
     validate_patch(g)
     table = edge_face_table(g)
@@ -563,49 +570,23 @@ def dual_patch(g: PlanarGraph) -> PlanarGraph:
             cycle = [edge_index[e] for e in ring]
         faces.append(tuple(cycle))
 
-    # Boundary runs: ghosts along each primal smooth side become the
-    # dual rough segments; the faces met between them form the smooth
-    # segments.  Walk the dual perimeter and classify.  A primal face
+    # The ghosts along each primal smooth side form a dual rough arc;
+    # the faces met between them form the smooth runs.  A primal face
     # touching both rough sides is a pinch of the dual, met once in
     # each smooth run.
-    dual = PlanarGraph(
-        positions=tuple(positions),
-        edges=tuple(edges),
-        faces=tuple(faces),
-        segments=(
-            BoundarySegment(ROUGH, (0,)),
-            BoundarySegment(SMOOTH, (0,)),
-            BoundarySegment(ROUGH, (0,)),
-            BoundarySegment(SMOOTH, (0,)),
-        ),
-    )
+    dual = PlanarGraph(tuple(positions), tuple(edges), tuple(faces), ())
     cyc = perimeter_cycle(dual)
-    is_ghost = [v >= nf for v in cyc]
-    if not any(is_ghost) or all(is_ghost):
-        raise PatchError("dual boundary lacks alternation")
-    # rotate the cycle to a rough-run start
     k = len(cyc)
-    start = next(i for i in range(k)
-                 if is_ghost[i] and not is_ghost[(i - 1) % k])
-    cyc = [cyc[(start + i) % k] for i in range(k)]
-    is_ghost = [v >= nf for v in cyc]
-    segments = []
-    i = 0
-    while i < k:
-        kind = ROUGH if is_ghost[i] else SMOOTH
+    ghost = [v >= nf for v in cyc]
+    starts = [i for i in range(k) if ghost[i] and not ghost[i - 1]]
+    if len(starts) != 2:
+        raise PatchError(f"dual boundary has {len(starts)} ghost runs, expected 2")
+    runs = []
+    for i in starts:
         j = i
-        while j < k and is_ghost[j] == is_ghost[i]:
+        while ghost[(j + 1) % k]:
             j += 1
-        segments.append(BoundarySegment(kind, tuple(cyc[i:j])))
-        i = j
-    if len(segments) != 4:
-        raise PatchError(f"dual boundary has {len(segments)} runs, expected 4")
-
-    dual = PlanarGraph(
-        positions=dual.positions,
-        edges=dual.edges,
-        faces=dual.faces,
-        segments=tuple(segments),
-    )
+        runs.append([m % k for m in range(i, j + 1)])
+    dual = _designate_arcs(dual, cyc, *runs)
     validate_patch(dual)
     return dual

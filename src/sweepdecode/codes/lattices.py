@@ -21,6 +21,7 @@ from .graphs import (
     BoundarySegment,
     PatchError,
     PlanarGraph,
+    _designate_arcs,
     _face_supports,
     _kept_edges,
     code_distances,
@@ -231,37 +232,6 @@ def _extreme_arcs(cyc, int_positions):
     if set(left) & set(right):
         return None
     return left, right
-
-
-def _designate_arcs(g, cyc, la, ra):
-    """Segments from two explicit rough arc position runs.
-
-    Returns the designated PlanarGraph, or None when the arcs collide
-    or leave an empty smooth run between them.
-    """
-    k = len(cyc)
-    if not la or not ra or set(la) & set(ra):
-        return None
-    gap1 = (ra[0] - la[-1]) % k - 1
-    gap2 = (la[0] - ra[-1]) % k - 1
-    if gap1 < 1 or gap2 < 1:
-        return None
-
-    def arc(s, e):
-        n = (e - s) % k + 1
-        return [(s + i) % k for i in range(n)]
-
-    s1 = arc((la[-1] + 1) % k, (ra[0] - 1) % k)
-    s2 = arc((ra[-1] + 1) % k, (la[0] - 1) % k)
-    if set(s1) & set(s2) or (set(s1) | set(s2)) & (set(la) | set(ra)):
-        return None
-    segments = (
-        BoundarySegment(ROUGH, tuple(cyc[i] for i in la)),
-        BoundarySegment(SMOOTH, tuple(cyc[i] for i in s1)),
-        BoundarySegment(ROUGH, tuple(cyc[i] for i in ra)),
-        BoundarySegment(SMOOTH, tuple(cyc[i] for i in s2)),
-    )
-    return PlanarGraph(g.positions, g.edges, g.faces, segments)
 
 
 def cut_window(t: LatticeTemplate, ox: int, oy: int, wx: int, wy: int,

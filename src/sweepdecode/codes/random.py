@@ -22,7 +22,9 @@ from .graphs import (
     BoundarySegment,
     PatchError,
     PlanarGraph,
+    _midpoint,
     code_distances,
+    edge_face_table,
     surface_code_from_graph,
 )
 from ..pauli import CodeDefinition
@@ -135,10 +137,7 @@ def _derived_graph(g: PlanarGraph) -> PlanarGraph:
     """
     nv = g.num_vertices
     ne = len(g.edges)
-    positions = list(g.positions)
-    for u, v in g.edges:
-        (x0, y0), (x1, y1) = g.positions[u], g.positions[v]
-        positions.append(((x0 + x1) / 2.0, (y0 + y1) / 2.0))
+    positions = list(g.positions) + [_midpoint(g, e) for e in range(ne)]
     for fi in range(len(g.faces)):
         positions.append(g.face_centroid(fi))
 
@@ -179,13 +178,10 @@ def _derived_graph(g: PlanarGraph) -> PlanarGraph:
     # spliced in between.  Midpoints sit off the rectangle's corners, so
     # the segment bridges between a rough run and its smooth neighbours
     # belong to the smooth runs; the rough arcs stay the x-extreme runs.
-    face_count = [0] * len(g.edges)
-    for cyc in g.faces:
-        for ei in cyc:
-            face_count[ei] += 1
+    table = edge_face_table(g)
     boundary_mid = {}
     for ei, (u, v) in enumerate(g.edges):
-        if face_count[ei] == 1:
+        if len(table[ei]) == 1:
             boundary_mid[(u, v)] = nv + ei
             boundary_mid[(v, u)] = nv + ei
 

@@ -24,11 +24,10 @@ from ..pauli import CodeDefinition, gf2_rref
 from .graphs import (
     PatchError,
     PlanarGraph,
-    _bfs_path,
     _css_code,
     _kept_edges,
+    _logical_paths,
     _midpoint,
-    _rough_path,
     edge_face_table,
     validate_patch,
 )
@@ -54,14 +53,16 @@ def _fan_split(g: PlanarGraph):
     the paired faces merge into bowtie stabilisers.
     """
     kept, ghosts = _kept_edges(g)
-    coords = g.positions
+    leaving = {}  # (vertex, edge) -> sextant the edge leaves the vertex in
+    for e, (u, v) in enumerate(g.edges):
+        leaving[u, e] = _sextant(g.positions, u, v)
+        leaving[v, e] = _sextant(g.positions, v, u)
     spokes = {}
     for e in kept:
-        u, v = g.edges[e]
-        for a, b in ((u, v), (v, u)):
+        for a in g.edges[e]:
             if a in ghosts:
                 continue
-            s = _sextant(coords, a, b)
+            s = leaving[a, e]
             sm = spokes.setdefault(a, {})
             if s in sm:
                 raise PatchError(f"vertex {a} has two spokes toward sextant {s}")
@@ -69,22 +70,16 @@ def _fan_split(g: PlanarGraph):
 
     straddle_at = {}
     for fi, cycle in enumerate(g.faces):
-        vs = g.face_vertices(fi)
-        k = len(cycle)
-        corner = None
-        for idx, v in enumerate(vs):
-            e1, e2 = cycle[idx], cycle[(idx + 1) % k]
-            if v not in g.edges[e1] or v not in g.edges[e2]:
-                e1, e2 = cycle[(idx - 1) % k], cycle[idx]
-            w1 = next(w for w in g.edges[e1] if w != v)
-            w2 = next(w for w in g.edges[e2] if w != v)
-            s1, s2 = _sextant(coords, v, w1), _sextant(coords, v, w2)
-            if (s1 in _WEST_FAN) != (s2 in _WEST_FAN):
-                if corner is not None:
-                    raise PatchError(f"face {fi} straddles two corners")
-                corner = v
-        if corner is not None:
-            straddle_at.setdefault(corner, []).append(fi)
+        corners = []
+        for e1, e2 in zip(cycle, cycle[1:] + cycle[:1]):
+            u, v = g.edges[e1]
+            c = u if u in g.edges[e2] else v  # the corner the two share
+            if (leaving[c, e1] in _WEST_FAN) != (leaving[c, e2] in _WEST_FAN):
+                corners.append(c)
+        if len(corners) > 1:
+            raise PatchError(f"face {fi} straddles two corners")
+        if corners:
+            straddle_at.setdefault(corners[0], []).append(fi)
 
     split = {v for v, sm in spokes.items()
              if len(sm) == 6 and len(straddle_at.get(v, ())) == 2}
@@ -97,58 +92,20 @@ def dressed_distances(g: PlanarGraph):
     Both come from shortest paths.  Z strings must still join the rough
     sides vertex by vertex, unchanged by the split.  X strings join the
     smooth sides in the dual, but entering one face of a bowtie and
-    leaving through its partner costs nothing, so the dual walk runs
-    over faces with each straddle pair contracted to a single node.
+    leaving through its partner costs nothing, so the two straddle faces
+    of each split vertex share one dual node in the walk of
+    ``graphs._logical_paths``.
     """
     return _dressed_distances(g, _fan_split(g))
 
 
 def _dressed_distances(g: PlanarGraph, fan):
     """:func:`dressed_distances` of ``g`` given its ``_fan_split``."""
-    table = edge_face_table(g)
     kept, _, _, split, straddle_at = fan
-
-    z_path = _rough_path(g, kept)
-    if z_path is None:
-        return None
-
-    node_of = {}
-    nid = 0
-    for v in sorted(split):
-        f1, f2 = straddle_at[v]
-        node_of[f1] = node_of[f2] = nid
-        nid += 1
-    for fi in range(len(g.faces)):
-        if fi not in node_of:
-            node_of[fi] = nid
-            nid += 1
-
-    smooth_of = {}
-    for si, s in enumerate(g.smooth_segments()):
-        for v in s.vertices:
-            smooth_of[v] = si
-    dual_adj = {}
-
-    def link(a, b, e):
-        dual_adj.setdefault(a, []).append((b, e))
-        dual_adj.setdefault(b, []).append((a, e))
-
-    for e in kept:
-        fs = table[e]
-        if len(fs) == 2:
-            a, b = node_of[fs[0]], node_of[fs[1]]
-            if a != b:
-                link(a, b, e)
-            continue
-        u, v = g.edges[e]
-        sides = {smooth_of[w] for w in (u, v) if w in smooth_of}
-        if len(sides) != 1:
-            return None
-        link(node_of[fs[0]], nid + sides.pop(), e)
-    for ns in dual_adj.values():
-        ns.sort()
-    x_path = _bfs_path(dual_adj, [nid], {nid + 1})
-    if x_path is None:
+    merge = {straddle_at[v][1]: straddle_at[v][0] for v in split}
+    try:
+        x_path, z_path = _logical_paths(g, kept, edge_face_table(g), merge)
+    except PatchError:
         return None
     return len(x_path), len(z_path)
 

@@ -12,7 +12,10 @@ one ``np.dot``, and the product transposed to chain order.  The patch
 oracle is the subsystem window scan without its breaks: it cuts, fan-splits
 and certifies every window of the search space.  The window oracle cuts a
 lattice window by listing its vertices, then the edges between them, then
-the faces, and pruning the edges that bound no face.
+the faces, and pruning the edges that bound no face.  The embedding oracle
+scans every pair of vertices and of edges of a patch.  The fan oracles
+split a triangular patch face by face through ``face_vertices`` and walk a
+dual graph built from the smooth segments' vertex sets.
 """
 
 import math
@@ -27,6 +30,10 @@ from sweepdecode.codes.graphs import (
     BoundarySegment,
     PatchError,
     PlanarGraph,
+    _bfs_path,
+    _kept_edges,
+    _rough_path,
+    edge_face_table,
     perimeter_cycle,
     validate_patch,
 )
@@ -440,3 +447,129 @@ def cut_window_reference(t, ox, oy, wx, wy, rotate=False):
     """``cut_window`` with its region cut by :func:`cut_region_reference`."""
     with mock.patch.object(lattices, "_cut_region", cut_region_reference):
         return lattices.cut_window(t, ox, oy, wx, wy, rotate=rotate)
+
+
+def _orient(p, q, r) -> float:
+    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+
+def _segments_cross(a, b, c, d) -> bool:
+    """Proper interior crossing of segments ab and cd (no shared endpoints)."""
+    d1 = _orient(c, d, a)
+    d2 = _orient(c, d, b)
+    d3 = _orient(a, b, c)
+    d4 = _orient(a, b, d)
+    return ((d1 > 0) != (d2 > 0) and (d3 > 0) != (d4 > 0)
+            and d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0)
+
+
+def assert_straight_line_embedding(g):
+    """Raise ``PatchError`` if two vertices of ``g`` coincide or two of its
+    edges cross; an O(V^2 + E^2) scan over all pairs."""
+    pts = g.positions
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if pts[i] == pts[j]:
+                raise PatchError(f"vertices {i} and {j} coincide")
+    for e in range(len(g.edges)):
+        a, b = g.edges[e]
+        for f in range(e + 1, len(g.edges)):
+            c, d = g.edges[f]
+            if len({a, b, c, d}) < 4:
+                continue
+            if _segments_cross(pts[a], pts[b], pts[c], pts[d]):
+                raise PatchError(f"edges {e} and {f} cross")
+
+
+def fan_split_reference(g):
+    """``subsystem._fan_split`` as first written: it reads each face's
+    corners through ``face_vertices`` and takes two sextants per corner."""
+    kept, ghosts = _kept_edges(g)
+    coords = g.positions
+    spokes = {}
+    for e in kept:
+        u, v = g.edges[e]
+        for a, b in ((u, v), (v, u)):
+            if a in ghosts:
+                continue
+            s = subsystem._sextant(coords, a, b)
+            sm = spokes.setdefault(a, {})
+            if s in sm:
+                raise PatchError(f"vertex {a} has two spokes toward sextant {s}")
+            sm[s] = e
+
+    straddle_at = {}
+    for fi, cycle in enumerate(g.faces):
+        vs = g.face_vertices(fi)
+        k = len(cycle)
+        corner = None
+        for idx, v in enumerate(vs):
+            e1, e2 = cycle[idx], cycle[(idx + 1) % k]
+            if v not in g.edges[e1] or v not in g.edges[e2]:
+                e1, e2 = cycle[(idx - 1) % k], cycle[idx]
+            w1 = next(w for w in g.edges[e1] if w != v)
+            w2 = next(w for w in g.edges[e2] if w != v)
+            s1 = subsystem._sextant(coords, v, w1)
+            s2 = subsystem._sextant(coords, v, w2)
+            if (s1 in subsystem._WEST_FAN) != (s2 in subsystem._WEST_FAN):
+                if corner is not None:
+                    raise PatchError(f"face {fi} straddles two corners")
+                corner = v
+        if corner is not None:
+            straddle_at.setdefault(corner, []).append(fi)
+
+    split = {v for v, sm in spokes.items()
+             if len(sm) == 6 and len(straddle_at.get(v, ())) == 2}
+    return kept, ghosts, spokes, split, straddle_at
+
+
+def dressed_distances_reference(g, fan):
+    """``subsystem._dressed_distances`` on a dual graph of its own: each
+    straddle pair is one node, and a boundary edge takes its smooth side
+    from the smooth segment holding its endpoints."""
+    table = edge_face_table(g)
+    kept, _, _, split, straddle_at = fan
+
+    z_path = _rough_path(g, kept)
+    if z_path is None:
+        return None
+
+    node_of = {}
+    nid = 0
+    for v in sorted(split):
+        f1, f2 = straddle_at[v]
+        node_of[f1] = node_of[f2] = nid
+        nid += 1
+    for fi in range(len(g.faces)):
+        if fi not in node_of:
+            node_of[fi] = nid
+            nid += 1
+
+    smooth_of = {}
+    for si, s in enumerate(s for s in g.segments if s.kind == SMOOTH):
+        for v in s.vertices:
+            smooth_of[v] = si
+    dual_adj = {}
+
+    def link(a, b, e):
+        dual_adj.setdefault(a, []).append((b, e))
+        dual_adj.setdefault(b, []).append((a, e))
+
+    for e in kept:
+        fs = table[e]
+        if len(fs) == 2:
+            a, b = node_of[fs[0]], node_of[fs[1]]
+            if a != b:
+                link(a, b, e)
+            continue
+        u, v = g.edges[e]
+        sides = {smooth_of[w] for w in (u, v) if w in smooth_of}
+        if len(sides) != 1:
+            return None
+        link(node_of[fs[0]], nid + sides.pop(), e)
+    for ns in dual_adj.values():
+        ns.sort()
+    x_path = _bfs_path(dual_adj, [nid], {nid + 1})
+    if x_path is None:
+        return None
+    return len(x_path), len(z_path)

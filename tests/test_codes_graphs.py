@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import assert_straight_line_embedding
 from sweepdecode.codes._distance import brute_force_distances
 from sweepdecode.codes.graphs import (
     ROUGH,
@@ -59,7 +60,9 @@ def bowtie_patch() -> PlanarGraph:
 
 class TestPatchValidation:
     def test_square_two_patch_valid(self):
-        validate_patch(square_two_patch(), geometry=True)
+        g = square_two_patch()
+        validate_patch(g)
+        assert_straight_line_embedding(g)
 
     def test_euler_violation_detected(self):
         g = square_two_patch()
@@ -100,8 +103,8 @@ class TestPatchValidation:
             BoundarySegment(SMOOTH, (3,)),
         )
         g = PlanarGraph(positions, edges, faces, segments)
-        with pytest.raises(PatchError):
-            validate_patch(g, geometry=True)
+        with pytest.raises(PatchError, match="edges 4 and 5 cross"):
+            assert_straight_line_embedding(g)
 
     def test_perimeter_cycle_of_block(self):
         cyc = perimeter_cycle(square_two_patch())
@@ -111,7 +114,8 @@ class TestPatchValidation:
     def test_pinched_boundary_walk(self):
         g = bowtie_patch()
         assert perimeter_cycle(g) == [0, 1, 2, 4, 3, 2]
-        validate_patch(g, geometry=True)
+        validate_patch(g)
+        assert_straight_line_embedding(g)
         code = surface_code_from_graph(g)
         assert code.n == 4
         assert code.claimed_distance == 2

@@ -21,7 +21,7 @@ from sweepdecode.codes.lattices import (
 )
 from sweepdecode.pauli import pauli_to_string, validate_code
 
-from oracles import cut_window_reference
+from oracles import assert_straight_line_embedding, cut_window_reference
 
 
 def swap_xz(s):
@@ -47,7 +47,8 @@ class TestTemplates:
     def test_cut_window_square_block(self):
         g = cut_window(template("square"), 0, 0, 2, 1)
         assert g is not None
-        validate_patch(g, geometry=True)
+        validate_patch(g)
+        assert_straight_line_embedding(g)
         assert g.num_vertices == 6
         assert len(g.edges) == 7
         assert len(g.faces) == 2
@@ -116,7 +117,8 @@ class TestSmallestPatch:
     @pytest.mark.slow
     def test_trunc_hex_d3(self):
         g = smallest_patch("trunc_hex", 3)
-        validate_patch(g, geometry=True)
+        validate_patch(g)
+        assert_straight_line_embedding(g)
         assert code_distances(g) == (3, 3)
         code = surface_code_from_graph(g, family="trunc_hex")
         assert brute_force_distances(code, 3) == (3, 3)
@@ -133,7 +135,9 @@ class TestSmallestPatch:
 
     def test_geometry_of_small_patches(self):
         for family in ("square", "triangular", "kagome"):
-            validate_patch(smallest_patch(family, 3), geometry=True)
+            g = smallest_patch(family, 3)
+            validate_patch(g)
+            assert_straight_line_embedding(g)
 
 
 class TestRegularLattice:
@@ -160,7 +164,8 @@ class TestRegularLattice:
         # sides, so their duals have a pinched boundary.
         for d in (2, 3):
             g = regular_lattice("rhombille", d)
-            validate_patch(g, geometry=True)
+            validate_patch(g)
+            assert_straight_line_embedding(g)
             code = surface_code_from_graph(g)
             kagome = surface_code_from_graph(regular_lattice("kagome", d))
             assert sorted(pauli_to_string(c) for c in code.checks) \

@@ -3,10 +3,15 @@ import hashlib
 import numpy as np
 import pytest
 
-from oracles import subsystem_patch_exhaustive
+from oracles import (
+    dressed_distances_reference,
+    fan_split_reference,
+    subsystem_patch_exhaustive,
+)
 from sweepdecode.codes import subsystem
 from sweepdecode.codes._distance import brute_force_distances
-from sweepdecode.codes.graphs import validate_patch
+from sweepdecode.codes.graphs import PatchError, validate_patch
+from sweepdecode.codes.lattices import _search_space, cut_window, template
 from sweepdecode.codes.subsystem import (
     dressed_distances,
     subsystem_code,
@@ -60,6 +65,33 @@ class TestPatch:
         subsystem_patch.cache_clear()
         subsystem_patch(5)
         assert len(cuts) <= 190
+
+    def test_fan_pass_matches_reference(self):
+        # every other window of the d=2..6 search spaces
+        t = template("triangular")
+        windows = []
+        for d in range(2, 7):
+            offsets, wxs, wys = _search_space(t, d + 4)
+            windows += [(ox, oy, wx, wy) for ox, oy in offsets
+                        for wx in wxs for wy in wys]
+        compared = 0
+        for window in windows[::2]:
+            g = cut_window(t, *window)
+            if g is None:
+                continue
+            try:
+                ref = fan_split_reference(g)
+            except PatchError:
+                with pytest.raises(PatchError):
+                    subsystem._fan_split(g)
+                continue
+            fan = subsystem._fan_split(g)
+            assert fan == ref
+            if fan[3]:
+                assert subsystem._dressed_distances(g, fan) \
+                    == dressed_distances_reference(g, ref)
+                compared += 1
+        assert compared > 500
 
 
 class TestCode:
