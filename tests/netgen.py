@@ -127,3 +127,30 @@ def scramble_positions(tn, rng):
     for b in tn.bonds:
         out.add_bond(Bond(b.endpoint_a, b.endpoint_b, b.dimension))
     return out
+
+
+def coset_geometry_network(code, rng):
+    """A coset network's geometry for ``code`` with random positive tensors.
+
+    One vertex per generator at its ``check_coords`` and one per qubit at
+    its ``qubit_coords``, with a dimension-2 bond for every qubit in a
+    generator's support: the vertices, positions and bonds a decoder's
+    coset network has, without its probabilities.
+    """
+    m = code.num_checks
+    tn = TensorNetwork2D()
+    bonds = []
+    qubit_degree = [0] * code.n
+    for j, check in enumerate(code.checks):
+        qubits = [q for q in range(code.n) if check.x[q] or check.z[q]]
+        for axis, q in enumerate(qubits):
+            bonds.append(Bond((j, axis), (m + q, qubit_degree[q]), 2))
+            qubit_degree[q] += 1
+        arr = rng.uniform(0.1, 1.0, size=(2,) * len(qubits))
+        tn.add_vertex(TNVertex(j, DenseTensor(arr), tuple(code.check_coords[j])))
+    for q in range(code.n):
+        arr = rng.uniform(0.1, 1.0, size=(2,) * qubit_degree[q])
+        tn.add_vertex(TNVertex(m + q, DenseTensor(arr), tuple(code.qubit_coords[q])))
+    for b in bonds:
+        tn.add_bond(b)
+    return tn

@@ -6,7 +6,8 @@ chunks so larger index spaces stay within memory.  The crossing oracle is
 the plain scan over all pairs of bonds that planarize's grid search must
 reproduce.  The compression oracle runs the same QR and SVD passes as
 ``compress_mps`` through ``np.linalg``, and the trigger oracle reads the
-largest bond after every step of a sweep.  The kernel oracle absorbs a
+largest bond after every step of a sweep.  The plan oracle orders a sweep
+by the network's own positions, never turned.  The kernel oracle absorbs a
 vertex as ``np.tensordot`` would: both operands transposed to matrices,
 one ``np.dot``, and the product transposed to chain order.  The patch
 oracle is the subsystem window scan without its breaks: it cuts, fan-splits
@@ -185,6 +186,25 @@ def sweep_checking_every_step(tn, chi, chi_prime=None):
                 contract.compress_mps(mps, chi)
                 fired.append(i)
     return contract.SweepValue(mps.mantissa, mps.log_scale), fired
+
+
+def plan_unrotated(tn):
+    """The sweep plan of ``tn`` in its own frame, as every plan was made
+    before the frame was chosen: planarize, then replay the steps in
+    ascending ``sweep_key`` order of the untouched positions."""
+    flat = network.planarize(tn)
+    incident = {vid: [] for vid in flat.vertices}
+    for bid, bond in enumerate(flat.bonds):
+        incident[bond.endpoint_a[0]].append((bid, bond.endpoint_a[1]))
+        incident[bond.endpoint_b[0]].append((bid, bond.endpoint_b[1]))
+    pending = []
+    steps = tuple(
+        contract._plan_step(pending, v, flat.vertices, incident, flat.bonds)
+        for v in sorted(flat.vertices.values(), key=contract.sweep_key)
+    )
+    assert not pending
+    swaps = {vid: v.tensor for vid, v in flat.vertices.items() if vid not in tn.vertices}
+    return contract._Plan(steps, swaps, 0)
 
 
 def _tensordot_axes(step):

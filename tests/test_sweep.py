@@ -1,10 +1,12 @@
 import functools
 import math
+import time
 
 import numpy as np
 import pytest
 
 from sweepdecode import DenseTensor
+from sweepdecode.codes import graphs, lattices, subsystem
 from sweepdecode.sweep import (
     Bond,
     ContractionError,
@@ -20,12 +22,13 @@ from sweepdecode.sweep import (
 )
 from sweepdecode.sweep import contract
 
-from netgen import grid_network, random_planar_network, scramble_positions
+from netgen import coset_geometry_network, grid_network, random_planar_network, scramble_positions
 from oracles import (
     assert_matches_oracle,
     brute_force_value,
     compress_mps_reference,
     contract_step_reference,
+    plan_unrotated,
     sweep_checking_every_step,
 )
 
@@ -862,6 +865,97 @@ class TestSweepPlanCache:
             elif case.startswith("self-loop"):
                 assert "open boundary" in str(err.value)
         assert not contract._plans
+
+
+def run_plan(plan, tn):
+    """The exact sweep of ``tn`` along ``plan``: ``(SweepValue, largest
+    bond)``."""
+    tensors = {vid: v.tensor for vid, v in tn.vertices.items()} | plan.swaps
+    mps = MPSState()
+    widest = 0
+    for step in plan.steps:
+        contract_step(mps, step, tensors[step.vid])
+        widest = max(widest, mps.max_bond())
+    return contract.SweepValue(mps.mantissa, mps.log_scale), widest
+
+
+def assert_same_value(got, want):
+    """Equal signs and values within 1e-12 relative."""
+    assert got.mantissa == want.mantissa
+    assert got.log_scale == pytest.approx(want.log_scale, abs=1e-12)
+
+
+@functools.cache
+def code_network(family, d):
+    """Coset-network geometry of the ``family`` code of distance ``d``."""
+    if family == "subsystem":
+        code = subsystem.subsystem_code(d)
+    else:
+        code = graphs.surface_code_from_graph(lattices.regular_lattice(family, d), family=family)
+    return coset_geometry_network(code, np.random.default_rng(d))
+
+
+class TestSweepFrame:
+    def test_corpus_values_match_unturned_plan(self):
+        turned = 0
+        for tn in netgen_corpus():
+            plan = contract._build_plan(tn)
+            turned += plan.turns != 0
+            assert_same_value(run_plan(plan, tn)[0], run_plan(plan_unrotated(tn), tn)[0])
+        assert turned > 0
+
+    # the unturned exact sweep of a square, triangular or hexagonal code at
+    # d=7 keeps 4096-wide bonds, sites of 268 MB
+    @pytest.mark.parametrize(
+        "family, d",
+        [(f, d) for f in ("square", "triangular", "hexagonal", "subsystem") for d in (3, 5)]
+        + [("subsystem", 7)],
+    )
+    def test_code_values_match_unturned_plan(self, family, d):
+        tn = code_network(family, d)
+        want = run_plan(plan_unrotated(tn), tn)[0]
+        assert want.mantissa == 1.0
+        assert_same_value(run_plan(contract._build_plan(tn), tn)[0], want)
+
+    @pytest.mark.parametrize("d", [3, 5, 9])
+    def test_square_codes_keep_their_frame(self, d):
+        # every frame of a square code costs the same, and a tie keeps 0
+        tn = code_network("square", d)
+        plan = contract._build_plan(tn)
+        assert plan.turns == 0
+        assert plan.steps == plan_unrotated(tn).steps
+
+    def test_subsystem_d5_sweeps_its_short_side(self):
+        tn = code_network("subsystem", 5)
+        plan = contract._build_plan(tn)
+        assert plan.turns % 2 == 1
+        assert run_plan(plan, tn)[1] == 64
+        assert run_plan(plan_unrotated(tn), tn)[1] == 128
+
+    def test_triangular_d9_contracts_exactly_in_well_under_a_second(self):
+        # unturned, its largest bond is 4096 and a sweep takes ~20 s
+        tn = code_network("triangular", 9)
+        contract._plans.clear()
+        start = time.perf_counter()
+        sweep_contract(tn)
+        assert time.perf_counter() - start < 1.0
+        assert run_plan(contract._plan_for(tn), tn)[1] <= 128
+
+    def test_turned_frames_that_fail_are_skipped(self, monkeypatch):
+        tn = code_network("subsystem", 3)
+        assert contract._build_plan(tn).turns != 0
+        replay = contract._replay
+
+        def failing(flat, incident, turns):
+            if turns:
+                raise ContractionError("turned replay fails")
+            return replay(flat, incident, turns)
+
+        monkeypatch.setattr(contract, "_replay", failing)
+        plan = contract._build_plan(tn)
+        want = plan_unrotated(tn)
+        assert (plan.steps, plan.turns) == (want.steps, 0)
+        assert plan.swaps.keys() == want.swaps.keys()
 
 
 def network_from_pairs(pos, pairs, dim=2, rng=None):
