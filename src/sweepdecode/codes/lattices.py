@@ -34,7 +34,6 @@ from .graphs import (
 PRIMAL_FAMILIES = ("square", "triangular", "kagome", "trunc_hex")
 DUAL_OF_PRIMAL = {"triangular": "hexagonal", "kagome": "rhombille",
                   "trunc_hex": "asanoha"}
-REGULAR_FAMILIES = PRIMAL_FAMILIES + tuple(DUAL_OF_PRIMAL.values())
 
 
 @dataclass(frozen=True)

@@ -17,15 +17,8 @@ __all__ = [
     "PauliOperator",
     "CodeDefinition",
     "commutes",
-    "multiply",
-    "syndrome",
-    "pure_error",
     "logical_class",
-    "pauli_from_string",
     "pauli_to_string",
-    "identity_pauli",
-    "single_qubit_pauli",
-    "weight",
     "validate_code",
     "stabiliser_basis",
     "gf2_rref",
@@ -78,42 +71,12 @@ class PauliOperator:
     def __repr__(self) -> str:
         return f"PauliOperator({pauli_to_string(self)!r})"
 
-    def is_identity(self) -> bool:
-        return not self.x.any() and not self.z.any()
 
-
-_CHAR_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_BITS_CHAR = {v: k for k, v in _CHAR_BITS.items()}
-
-
-def pauli_from_string(s: str) -> PauliOperator:
-    try:
-        pairs = [_CHAR_BITS[c] for c in s]
-    except KeyError as exc:
-        raise ValueError(f"invalid Pauli character {exc.args[0]!r}") from None
-    x = [p[0] for p in pairs]
-    z = [p[1] for p in pairs]
-    return PauliOperator(x, z)
+_BITS_CHAR = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 
 
 def pauli_to_string(p: PauliOperator) -> str:
     return "".join(_BITS_CHAR[(int(a), int(b))] for a, b in zip(p.x, p.z))
-
-
-def identity_pauli(n: int) -> PauliOperator:
-    return PauliOperator(np.zeros(n, dtype=np.uint8), np.zeros(n, dtype=np.uint8))
-
-
-def single_qubit_pauli(n: int, i: int, kind: str) -> PauliOperator:
-    x = np.zeros(n, dtype=np.uint8)
-    z = np.zeros(n, dtype=np.uint8)
-    xb, zb = _CHAR_BITS[kind]
-    x[i], z[i] = xb, zb
-    return PauliOperator(x, z)
-
-
-def weight(p: PauliOperator) -> int:
-    return int(np.count_nonzero(p.x | p.z))
 
 
 def commutes(p: PauliOperator, q: PauliOperator) -> bool:
@@ -121,12 +84,6 @@ def commutes(p: PauliOperator, q: PauliOperator) -> bool:
         raise ValueError(f"operator lengths differ: {p.n} vs {q.n}")
     overlap = int(np.dot(p.x, q.z)) + int(np.dot(p.z, q.x))
     return overlap % 2 == 0
-
-
-def multiply(p: PauliOperator, q: PauliOperator) -> PauliOperator:
-    if p.n != q.n:
-        raise ValueError(f"operator lengths differ: {p.n} vs {q.n}")
-    return PauliOperator(p.x ^ q.x, p.z ^ q.z)
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +191,6 @@ def _batch(bits, width: int, what: str) -> np.ndarray:
     return arr
 
 
-def syndrome(code: CodeDefinition, error: PauliOperator) -> np.ndarray:
-    return syndrome_batch(code, error.x[None, :], error.z[None, :])[0]
-
-
 def syndrome_batch(code: CodeDefinition, x_bits: np.ndarray, z_bits: np.ndarray) -> np.ndarray:
     """Syndromes of many errors at once; bits are (batch, n) arrays.
 
@@ -246,13 +199,6 @@ def syndrome_batch(code: CodeDefinition, x_bits: np.ndarray, z_bits: np.ndarray)
     vecs = np.concatenate([_batch(x_bits, code.n, "x bits"),
                            _batch(z_bits, code.n, "z bits")], axis=1)
     return (vecs @ code.check_matrix().T) % 2
-
-
-def pure_error(code: CodeDefinition, syn) -> PauliOperator:
-    """A deterministic Pauli whose syndrome is ``syn``; see
-    :func:`pure_error_batch`."""
-    x, z = pure_error_batch(code, _as_bits(syn)[None, :])
-    return PauliOperator(x[0], z[0])
 
 
 def pure_error_batch(code: CodeDefinition, syns: np.ndarray):

@@ -12,12 +12,12 @@ chain stores it, the vertex is permuted to (forward axes left to right,
 backward axes in slot order) and reshaped to ``(S, L)``, and the product
 ``(left, S, right)`` is already in chain order.  The MPS is truncated
 (:func:`compress_mps`, to ``chi`` less the singular values below the
-constant ``REL_CUTOFF``) only when its largest bond outgrows ``chi_prime``,
-so the cost of a sweep stays near ``O(n chi^3)`` without compressing after
-every step.  Only a step that emits two or more sites makes a bond the
-chain did not already have, so the largest bond is read after those steps
-alone; with ``chi_prime >= chi`` this compresses at exactly the steps a
-check after every step would.
+constant ``REL_CUTOFF``) only when a bond is above ``2 * chi``, the
+paper's buffer chi' fixed at twice chi, so the cost of a sweep stays near
+``O(n chi^3)`` without compressing after every step.  Only a step that
+emits two or more sites makes a bond the chain did not already have, so
+the largest bond is read after those steps alone; this compresses at
+exactly the steps a check after every step would.
 
 Compression works only on what is not already canonical.  The sites a step
 emits left of its data site are reshaped identities, exact left
@@ -76,7 +76,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import lapack as _lapack
 
-from .network import TensorNetwork2D, TNVertex, planarize
+from .network import TensorNetwork2D, TNVertex, _orient, planarize
 
 __all__ = [
     "MPSState",
@@ -247,9 +247,7 @@ def _insertion_index(pending, v, vertices, bonds) -> int:
             raise ContractionError(
                 "pending bond does not separate swept from unswept vertices"
             )
-        sx, sy = s.position
-        ux, uy = u.position
-        cross = (ux - sx) * (p[1] - sy) - (uy - sy) * (p[0] - sx)
+        cross = _orient(s.position, u.position, p)
         if cross < 0.0:
             idx += 1
         elif cross == 0.0:
@@ -605,14 +603,14 @@ def contract_step(mps: MPSState, step: _Step, tensor) -> MPSState:
     return mps
 
 
-def _bond_cap(value, name: str) -> int:
+def _bond_cap(value) -> int:
     """``value`` as an int of at least 1; anything else raises ValueError."""
     try:
         value = operator.index(value)
     except TypeError:
         value = 0  # a float (NaN included) or a string is no bond dimension
     if value < 1:
-        raise ValueError(f"{name} must be a positive integer")
+        raise ValueError("chi must be a positive integer")
     return value
 
 
@@ -656,7 +654,7 @@ def compress_mps(mps: MPSState, chi: int):
     Householder reflections of the next QR.  ``head`` is 0 afterwards.
     A ``chi`` that is not an integer of at least 1 raises ``ValueError``.
     """
-    chi = _bond_cap(chi, "chi")
+    chi = _bond_cap(chi)
     head, mps.head = mps.head, 0
     n = len(mps.sites)
     if n <= 1:
@@ -702,21 +700,16 @@ def compress_mps(mps: MPSState, chi: int):
     return mps, math.sqrt(dropped) / norm0
 
 
-def sweep_contract(
-    tn: TensorNetwork2D,
-    chi: int | None = None,
-    chi_prime: int | None = None,
-) -> SweepValue:
+def sweep_contract(tn: TensorNetwork2D, chi: int | None = None) -> SweepValue:
     """Contract a closed planar network to a scalar.
 
     ``chi`` bounds the boundary MPS bond dimension (``None`` contracts
-    exactly).  Compression to ``chi`` triggers only when the largest bond
-    exceeds ``chi_prime`` (default ``2 * chi``), which is checked after the
-    steps that can grow a bond.  A ``chi`` or ``chi_prime`` that is not an
-    integer of at least 1, ``chi_prime < chi`` and a ``chi_prime`` without
-    ``chi`` raise ``ValueError``.  The network is planarized first if
-    crossings are present.  Returns ``(mantissa, log_scale)`` with the value
-    equal to ``mantissa * exp(log_scale)``.
+    exactly).  Compression to ``chi`` triggers only when a bond is above
+    ``2 * chi``, which is checked after the steps that can grow a bond.  A
+    ``chi`` that is not an integer of at least 1 raises ``ValueError``.
+    The network is planarized first if crossings are present.  Returns
+    ``(mantissa, log_scale)`` with the value equal to
+    ``mantissa * exp(log_scale)``.
 
     The geometry pass (validation, planarize, the sweep frame and order,
     and the slot bookkeeping of every step) is taken from a cache keyed on
@@ -727,14 +720,8 @@ def sweep_contract(
     """
     if not tn.vertices:
         raise ContractionError("cannot contract an empty network")
-    if chi is None:
-        if chi_prime is not None:
-            raise ValueError("chi_prime needs a finite chi")
-    else:
-        chi = _bond_cap(chi, "chi")
-        chi_prime = 2 * chi if chi_prime is None else _bond_cap(chi_prime, "chi_prime")
-        if chi_prime < chi:
-            raise ValueError("chi_prime must be at least chi")
+    if chi is not None:
+        chi = _bond_cap(chi)
     plan = _plan_for(tn)
 
     vertices, swaps = tn.vertices, plan.swaps
@@ -747,6 +734,6 @@ def sweep_contract(
         for step in plan.steps:
             tensor = swaps[step.vid] if step.vid in swaps else vertices[step.vid].tensor
             contract_step(mps, step, tensor)
-            if chi is not None and step.grows and mps.max_bond() > chi_prime:
+            if chi is not None and step.grows and mps.max_bond() > 2 * chi:
                 compress_mps(mps, chi)
     return SweepValue(mps.mantissa, mps.log_scale)

@@ -16,10 +16,14 @@ lattice window by listing its vertices, then the edges between them, then
 the faces, and pruning the edges that bound no face.  The embedding oracle
 scans every pair of vertices and of edges of a patch.  The fan oracles
 split a triangular patch face by face through ``face_vertices`` and walk a
-dual graph built from the smooth segments' vertex sets.
+dual graph built from the smooth segments' vertex sets.  The distance
+oracle enumerates single-type supports by weight; CSS codes admit
+single-type minimum-weight logicals, so it is exact up to its weight limit
+and exponential in it.
 """
 
 import math
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -39,6 +43,7 @@ from sweepdecode.codes.graphs import (
     validate_patch,
 )
 from sweepdecode.codes.lattices import _search_space, cut_window, template
+from sweepdecode.pauli import stabiliser_basis
 from sweepdecode.sweep import contract, network
 
 
@@ -166,23 +171,22 @@ def compress_mps_reference(mps, chi):
     return mps, math.sqrt(dropped) / norm0
 
 
-def sweep_checking_every_step(tn, chi, chi_prime=None):
+def sweep_checking_every_step(tn, chi):
     """``sweep_contract`` with the compression trigger read after every step.
 
     Runs the cached plan of ``tn`` through ``contract_step`` and compresses
-    whenever ``max_bond()`` exceeds ``chi_prime`` (default ``2 * chi``),
-    whatever the step.  Returns ``(SweepValue, steps)`` with the indices of
-    the steps after which it compressed.
+    whenever a bond is above ``2 * chi``, whatever the step.  Returns
+    ``(SweepValue, steps)`` with the indices of the steps after which it
+    compressed.
     """
     plan = contract._plan_for(tn)
     tensors = {vid: v.tensor for vid, v in tn.vertices.items()} | plan.swaps
-    chi_prime = 2 * chi if chi_prime is None else chi_prime
     mps = contract.MPSState()
     fired = []
     with np.errstate(over="ignore", invalid="ignore"):
         for i, step in enumerate(plan.steps):
             contract.contract_step(mps, step, tensors[step.vid])
-            if mps.max_bond() > chi_prime:
+            if mps.max_bond() > 2 * chi:
                 contract.compress_mps(mps, chi)
                 fired.append(i)
     return contract.SweepValue(mps.mantissa, mps.log_scale), fired
@@ -593,3 +597,52 @@ def dressed_distances_reference(g, fan):
     if x_path is None:
         return None
     return len(x_path), len(z_path)
+
+
+def _mask(bits) -> int:
+    m = 0
+    for i, b in enumerate(bits):
+        if b:
+            m |= 1 << i
+    return m
+
+
+def min_single_type_weight(n, even_masks, odd_mask, limit):
+    """Smallest support size with even overlap against every mask in
+    even_masks and odd overlap against odd_mask, or None."""
+    even_masks = [m for m in set(even_masks) if m]
+    for w in range(1, limit + 1):
+        for support in combinations(range(n), w):
+            s = 0
+            for q in support:
+                s |= 1 << q
+            if (s & odd_mask).bit_count() % 2 == 0:
+                continue
+            if all((s & m).bit_count() % 2 == 0 for m in even_masks):
+                return w
+    return None
+
+
+def brute_force_distances(code, limit, *, dressed=False) -> tuple:
+    """(X distance, Z distance) up to the weight limit; None when above.
+
+    Requires CSS checks (each check a single Pauli type).  For
+    subsystem codes the default counts bare logicals (commuting with
+    every check); dressed=True quotients by the gauge group instead,
+    constraining candidates only by the stabiliser centre.
+    """
+    for c in code.checks:
+        if c.x.any() and c.z.any():
+            raise ValueError("brute-force distances require CSS checks")
+    constraints = code.checks
+    if dressed:
+        if not code.is_subsystem:
+            raise ValueError("dressed distance applies to subsystem codes")
+        constraints = stabiliser_basis(code)
+    x_even = [_mask(c.z) for c in constraints]
+    z_even = [_mask(c.x) for c in constraints]
+    dx = min_single_type_weight(
+        code.n, x_even, _mask(code.logical_z.z), limit)
+    dz = min_single_type_weight(
+        code.n, z_even, _mask(code.logical_x.x), limit)
+    return dx, dz

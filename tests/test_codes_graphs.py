@@ -1,7 +1,6 @@
 import pytest
 
-from oracles import assert_straight_line_embedding
-from sweepdecode.codes._distance import brute_force_distances
+from oracles import assert_straight_line_embedding, brute_force_distances
 from sweepdecode.codes.graphs import (
     ROUGH,
     SMOOTH,

@@ -2,7 +2,6 @@ import math
 
 import pytest
 
-from sweepdecode.codes._distance import brute_force_distances
 from sweepdecode.codes.graphs import (
     PatchError,
     code_distances,
@@ -21,7 +20,7 @@ from sweepdecode.codes.lattices import (
 )
 from sweepdecode.pauli import pauli_to_string, validate_code
 
-from oracles import assert_straight_line_embedding, cut_window_reference
+from oracles import assert_straight_line_embedding, brute_force_distances, cut_window_reference
 
 
 def swap_xz(s):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from sweepdecode.codes._distance import brute_force_distances
 from sweepdecode.codes.graphs import code_distances
 from sweepdecode.codes.random import (
     TRI_HEIGHT,
@@ -11,7 +10,9 @@ from sweepdecode.codes.random import (
     random_quadrangulation_code,
     random_triangulation_code,
 )
-from sweepdecode.pauli import format_code, validate_code, weight
+from sweepdecode.pauli import format_code, validate_code
+
+from oracles import brute_force_distances
 
 
 class TestTriangulation:
@@ -81,7 +82,7 @@ class TestQuadrangulation:
 
     def test_faces_are_quads(self):
         code = random_quadrangulation_code(3, seed=1)
-        z_weights = {weight(c) for c in code.checks if c.z.any()}
+        z_weights = {int(c.z.sum()) for c in code.checks if c.z.any()}
         assert z_weights <= {2, 3, 4}
         assert 4 in z_weights
 

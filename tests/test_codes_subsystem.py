@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from oracles import (
+    brute_force_distances,
     dressed_distances_reference,
     fan_split_reference,
     subsystem_patch_exhaustive,
 )
 from sweepdecode.codes import subsystem
-from sweepdecode.codes._distance import brute_force_distances
 from sweepdecode.codes.graphs import PatchError, validate_patch
 from sweepdecode.codes.lattices import _search_space, cut_window, template
 from sweepdecode.codes.subsystem import (
@@ -18,13 +18,12 @@ from sweepdecode.codes.subsystem import (
     subsystem_patch,
 )
 from sweepdecode.pauli import (
+    PauliOperator,
     commutes,
     format_code,
     gf2_rref,
-    multiply,
     stabiliser_basis,
     validate_code,
-    weight,
 )
 
 
@@ -35,6 +34,10 @@ def gauge_rank(code):
         rows[i, code.n :] = c.z
     _, pivots, _ = gf2_rref(rows)
     return len(pivots)
+
+
+def weight(p):
+    return int(np.count_nonzero(p.x | p.z))
 
 
 class TestPatch:
@@ -135,7 +138,7 @@ class TestCode:
         found_star = found_bowtie = 0
         for i, a in enumerate(fans):
             for b in fans[i + 1:]:
-                prod = multiply(a, b)
+                prod = PauliOperator(a.x ^ b.x, a.z ^ b.z)
                 if weight(prod) == 6 and all(
                         commutes(prod, c) for c in code.checks):
                     found_star += 1
@@ -144,7 +147,7 @@ class TestCode:
             if not odd:
                 continue
             assert len(odd) == 2  # the pair facing each other across the vertex
-            prod = multiply(odd[0], odd[1])
+            prod = PauliOperator(odd[0].x ^ odd[1].x, odd[0].z ^ odd[1].z)
             assert all(commutes(prod, c) for c in code.checks)
             found_bowtie += 1
         assert found_star >= 2

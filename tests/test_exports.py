@@ -7,6 +7,7 @@ import pytest
 
 MODULES = [
     "sweepdecode",
+    "sweepdecode.pauli",
     "sweepdecode.tensor",
     "sweepdecode.sweep",
     "sweepdecode.sweep.contract",

@@ -330,12 +330,15 @@ class TestCompression:
         assert med[2] >= med[4] - 1e-12
 
     def test_chi_prime_delays_compression(self):
-        # with a huge chi_prime no compression ever triggers, so the capped
-        # run degenerates to the exact one
+        # the buffer chi' = 2 chi: with the largest bond of the exact sweep
+        # at exactly 2 chi no compression triggers, so the capped run is
+        # the exact one although chi is below that bond
         rng = np.random.default_rng(89)
         tn = grid_network(rng, 5, 5, dim=2)
+        chi = max(bond for _, bond in exact_bond_trace(tn)) // 2
         exact = sweep_contract(tn)
-        lazy = sweep_contract(tn, chi=2, chi_prime=1 << 30)
+        lazy = sweep_contract(tn, chi=chi)
+        assert chi > 1
         assert [x.hex() for x in lazy] == [x.hex() for x in exact]
 
     @staticmethod
@@ -532,35 +535,76 @@ class TestIdentityHead:
         assert r.tobytes() == np.triu(a).tobytes()
 
 
+def exact_bond_trace(tn):
+    """``(step.grows, largest bond)`` after each step of the exact sweep."""
+    plan = contract._plan_for(tn)
+    tensors = {vid: v.tensor for vid, v in tn.vertices.items()} | plan.swaps
+    mps, trace = MPSState(), []
+    for step in plan.steps:
+        contract_step(mps, step, tensors[step.vid])
+        trace.append((step.grows, mps.max_bond()))
+    return trace
+
+
+def record_compressions(monkeypatch):
+    """Patch the sweep so that it appends each step it takes to ``steps``
+    and, for each compression, the index of the step before it to
+    ``fired``; returns ``(steps, fired)``."""
+    real_step, real_compress = contract.contract_step, contract.compress_mps
+    steps, fired = [], []
+
+    def counting_step(mps, step, tensor):
+        steps.append(step)
+        return real_step(mps, step, tensor)
+
+    def recording_compress(mps, chi):
+        fired.append(len(steps) - 1)
+        return real_compress(mps, chi)
+
+    monkeypatch.setattr(contract, "contract_step", counting_step)
+    monkeypatch.setattr(contract, "compress_mps", recording_compress)
+    return steps, fired
+
+
 class TestCompressionTrigger:
-    @pytest.mark.parametrize(
-        "chi, chi_prime", [(1, None), (2, None), (4, None), (8, None), (2, 2), (3, 4)]
-    )
-    def test_matches_check_after_every_step(self, monkeypatch, chi, chi_prime):
+    @pytest.mark.parametrize("chi", [1, 2, 4, 8])
+    def test_matches_check_after_every_step(self, monkeypatch, chi):
         corpus = netgen_corpus()
-        expected = [sweep_checking_every_step(tn, chi, chi_prime) for tn in corpus]
+        expected = [sweep_checking_every_step(tn, chi) for tn in corpus]
         assert sum(len(fired) for _, fired in expected) >= 30
 
-        real_step, real_compress = contract.contract_step, contract.compress_mps
-        steps, fired = [], []
-
-        def counting_step(mps, step, tensor):
-            steps.append(step)
-            return real_step(mps, step, tensor)
-
-        def recording_compress(mps, chi):
-            fired.append(len(steps) - 1)
-            return real_compress(mps, chi)
-
-        monkeypatch.setattr(contract, "contract_step", counting_step)
-        monkeypatch.setattr(contract, "compress_mps", recording_compress)
+        steps, fired = record_compressions(monkeypatch)
         for tn, (want_value, want_fired) in zip(corpus, expected):
             steps.clear()
             fired.clear()
-            value = sweep_contract(tn, chi, chi_prime)
+            value = sweep_contract(tn, chi)
             assert fired == want_fired
             assert all(steps[i].grows for i in fired)
             assert [x.hex() for x in value] == [x.hex() for x in want_value]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_compresses_only_above_twice_chi(self, monkeypatch, dim):
+        # Until the first compression the boundary is the exact one, so the
+        # first compression follows the first growing step whose exact
+        # largest bond is above 2 chi, and there is none if no bond is.
+        # Bonds of dimension 2 end at an even largest bond, exactly 2 chi
+        # for one chi; dimension 3 at an odd one, exactly 2 chi + 1.
+        tn = grid_network(np.random.default_rng(4605), 4, 4, dim=dim)
+        trace = exact_bond_trace(tn)
+        largest = max(bond for _, bond in trace)
+        steps, fired = record_compressions(monkeypatch)
+        first_fired = {}
+        for chi in range(1, largest + 1):
+            steps.clear()
+            fired.clear()
+            sweep_contract(tn, chi)
+            first = [i for i, (grows, bond) in enumerate(trace) if grows and bond > 2 * chi]
+            assert fired[:1] == first[:1]
+            first_fired[chi] = fired[:1]
+        edge = largest // 2
+        assert largest == 2 * edge + (dim == 3)
+        assert bool(first_fired[edge]) == (dim == 3)
+        assert first_fired[edge + 1] == []
 
     @pytest.mark.parametrize("chi", [0, -1])
     def test_compress_rejects_chi_below_one(self, chi):
@@ -578,24 +622,11 @@ class TestCompressionTrigger:
         tn = grid_network(np.random.default_rng(4603), 6, 6, dim=2)
         with pytest.raises(ValueError, match="chi must be a positive integer"):
             sweep_contract(tn, bad)
-        with pytest.raises(ValueError, match="chi_prime must be a positive integer"):
-            sweep_contract(tn, 2, bad)
 
     def test_numpy_integer_chi_matches_int(self):
         tn = grid_network(np.random.default_rng(4604), 6, 6, dim=2)
-        want = [x.hex() for x in sweep_contract(tn, 4, 8)]
+        want = [x.hex() for x in sweep_contract(tn, 4)]
         assert [x.hex() for x in sweep_contract(tn, np.int64(4))] == want
-        assert [x.hex() for x in sweep_contract(tn, np.int64(4), np.int64(8))] == want
-
-    @pytest.mark.parametrize("chi, chi_prime, message", [
-        (4, 3, "chi_prime must be at least chi"),
-        (2, 1, "chi_prime must be at least chi"),
-        (None, 4, "chi_prime needs a finite chi"),
-    ])
-    def test_sweep_rejects_chi_prime(self, chi, chi_prime, message):
-        tn = grid_network(np.random.default_rng(4602), 3, 3, dim=2)
-        with pytest.raises(ValueError, match=message):
-            sweep_contract(tn, chi, chi_prime)
 
 
 def absorption_branches(mps, step):
