@@ -2,22 +2,23 @@
 
 Vertices are absorbed into a boundary matrix product state in ascending
 ``(y, x, id)`` order of their positions in the plan's frame: the network
-turned by a whole number of quarter turns, chosen once per geometry (see
-the plan below).  Each absorption (:func:`contract_step`) consumes the
-MPS sites carrying the vertex's bonds to already swept vertices and emits
-one site per bond to unswept vertices, splitting the result back into a
-chain by exact reshapes.  It is one batched matrix product that transposes
-no boundary data: the consumed run is read as ``(left, L, right)`` as the
-chain stores it, the vertex is permuted to (forward axes left to right,
-backward axes in slot order) and reshaped to ``(S, L)``, and the product
-``(left, S, right)`` is already in chain order.  The MPS is truncated
-(:func:`compress_mps`, to ``chi`` less the singular values below the
-constant ``REL_CUTOFF``) only when a bond is above ``2 * chi``, the
-paper's buffer chi' fixed at twice chi, so the cost of a sweep stays near
-``O(n chi^3)`` without compressing after every step.  Only a step that
-emits two or more sites makes a bond the chain did not already have, so
-the largest bond is read after those steps alone; this compresses at
-exactly the steps a check after every step would.
+turned by a whole number of quarter turns, chosen once per geometry and
+``chi`` (see the plan below).  Each absorption (:func:`contract_step`)
+consumes the MPS sites carrying the vertex's bonds to already swept
+vertices and emits one site per bond to unswept vertices, splitting the
+result back into a chain by exact reshapes.  It is one batched matrix
+product that transposes no boundary data: the consumed run is read as
+``(left, L, right)`` as the chain stores it, the vertex is permuted to
+(forward axes left to right, backward axes in slot order) and reshaped to
+``(S, L)``, and the product ``(left, S, right)`` is already in chain
+order.  The MPS is truncated (:func:`compress_mps`, to ``chi`` less the
+singular values below the constant ``REL_CUTOFF``) only when a bond is
+above ``2 * chi``, the paper's buffer chi' fixed at twice chi, so the cost
+of a sweep stays near ``O(n chi^3)`` without compressing after every step.
+A step makes no bond but those between the sites it emits, and it reports
+the largest of them (``MPSState.emitted``); testing that alone against
+``2 * chi`` compresses at exactly the steps a check of the whole chain
+after every step would.
 
 Compression works only on what is not already canonical.  The sites a step
 emits left of its data site are reshaped identities, exact left
@@ -40,28 +41,52 @@ bounds the memo at 12 KB whatever is contracted.  R factors up to that
 width take their upper triangle from one shared boolean mask.
 
 A sweep is split into a plan and a run.  The plan depends only on the
-network's geometry: it validates and planarizes the network, orders its
-vertices, and replays the sweep on bond ids alone to fix, for every step,
-the run of boundary slots the vertex consumes, the bonds it emits and the
-permutation of the vertex's axes.  It replays the sweep in four frames,
-the planarized positions turned by 0, 1, 2 and 3 quarter turns, and keeps
-the one whose exact sweep takes the fewest multiply-adds, counted on
-shapes alone; the lowest turn wins a tie.  The count does not depend on
-``chi``, so the plan stays a function of the geometry.  A code cut wider
-than it is tall is then swept along its short side, so its boundary stays
-short: the exact sweep of a triangular d=9 coset network keeps bonds of
-at most 128, against 4096 unturned.  Quarter turns only negate and swap
-coordinates, which is exact in floating point, so every crossing, angle
-and collinearity test sees the same geometry in each frame.  The run does
-only numerics on the vertices' tensors.  Plans are cached, keyed on
+network's geometry and on ``chi``: it validates and planarizes the
+network, chooses a form and a frame for it, orders the vertices, and
+replays the sweep on bond ids alone to fix, for every step, the run of
+boundary slots the vertex consumes, the bonds it emits and the permutation
+of the vertex's axes.  The candidate forms are the network as it is and,
+when its graph is bipartite (and planarize inserted no swap), each colour
+class folded into the other: every vertex of the absorbed class, taken in
+ascending :func:`sweep_key` order, merges into the neighbour that has
+absorbed the fewest so far (the lowest key on a tie), the merged vertex
+sits at its host's position, and the parallel bonds between two merged
+vertices are fused into one.  A fold whose drawing crosses itself, which
+planarize would repair with swaps, is no candidate.  A coset network, one
+vertex per generator and one per qubit, folds to about half its vertices,
+so a sweep takes about half the absorptions, and at the bond dimensions a
+decoder runs each absorption costs more in call overhead than in
+arithmetic.  Each form is replayed in four frames, the planarized
+positions turned by 0, 1, 2 and 3 quarter turns; quarter turns only negate
+and swap coordinates, which is exact in floating point, so every
+crossing, angle and collinearity test sees the same geometry in each
+frame.  One shape-only replay (:func:`_model`) prices every candidate: its
+multiply-adds, absorptions and compressed sites at constants fitted to
+measured sweeps, with bonds capped at ``chi`` after each step that emits
+one above ``2 * chi``, and the most elements it holds at once.  The plan
+keeps the fastest candidate whose modelled peak is no higher than that of
+the fastest unfolded one; ties go to unfolded, then to the lowest turn.
+A code cut wider than it is tall is thus swept along its short side (the
+exact sweep of a triangular d=9 coset network keeps bonds of at most 128,
+against 4096 unturned), and a fold is taken only where it is modelled
+faster without holding more.
+
+The run does only numerics on the vertices' tensors.  A merged vertex's
+tensor is built at its host's own step, by a recipe the plan holds: one
+``np.dot`` per absorbed vertex on transposed and reshaped views, then one
+copy that puts the fused axes in the order the step reads them; it is
+dropped after the step, so the merged tensors never all exist at once.
+The folded network is the same network summed in another order, so its
+value moves only by rounding.  Plans are cached, keyed on ``chi`` and on
 everything a plan reads: the vertex ids, positions and tensor shapes, and
 the ordered bonds with both endpoints and their dimensions.  The four
 coset networks of a code and the networks of every syndrome share that
-key, so the geometry pass is paid once per code.  A plan holds no tensor
-of the network (only the swap tensors planarize inserted, which depend on
-bond dimensions alone), and equal keys replay the same deterministic
-build, so a cache hit returns exactly what a rebuild would.  A network
-that fails to plan raises on every call, since errors are not cached.
+key, so the plan is paid once per code and ``chi``.  A plan holds no
+tensor of the network (only the swap tensors planarize inserted, which
+depend on bond dimensions alone), and equal keys replay the same
+deterministic build, so a cache hit returns exactly what a rebuild would.
+A network that fails to plan raises on every call, since errors are not
+cached.
 """
 
 from __future__ import annotations
@@ -76,7 +101,16 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import lapack as _lapack
 
-from .network import TensorNetwork2D, TNVertex, _orient, planarize
+from ..tensor import DenseTensor
+from .network import (
+    Bond,
+    PlanarizeError,
+    TensorNetwork2D,
+    TNVertex,
+    _find_crossing,
+    _orient,
+    planarize,
+)
 
 __all__ = [
     "MPSState",
@@ -105,6 +139,12 @@ PLAN_CACHE_SIZE = 8
 # stays allocated between sweeps, so it is bounded in bytes: at most
 # sum(8 n^2 for n <= 16) = 12 KB.
 IDENTITY_MEMO_MAX = 16
+
+# Constants of the plan cost model (_model), fitted to the measured sweeps
+# in BENCH_plan_model.json by ``python scripts/plan_model.py --fit``.
+MODEL_SECONDS_PER_MADD = 5.27e-11
+MODEL_SECONDS_PER_ABSORPTION = 8.72e-6
+MODEL_SECONDS_PER_COMPRESSED_SITE = 3.59e-5
 
 
 class ContractionError(ValueError):
@@ -144,12 +184,16 @@ class MPSState:
     to ``(l, d, l * d)``.  :func:`contract_step` keeps it, and
     :func:`compress_mps` skips those sites and resets it to 0.  It may
     undercount but never overcount, so 0 is always safe.
+
+    ``emitted`` is the largest bond the last :func:`contract_step` made
+    between the sites it emitted, 0 when it made none.
     """
 
     sites: list = field(default_factory=list)
     log_scale: float = 0.0
     mantissa: float = 1.0
     head: int = 0
+    emitted: int = 0
 
     def max_bond(self) -> int:
         if len(self.sites) < 2:
@@ -199,17 +243,76 @@ class _Step(NamedTuple):
         return self.forward >= 2
 
 
+class _Merge(NamedTuple):
+    """How a folded plan builds the tensor of one merged vertex.
+
+    The host's elements are multiplied by each absorbed vertex in turn,
+    one ``np.dot`` per vertex.  ``products`` holds a ``(vid, shape, xperm,
+    xmat, vperm, vmat)`` per absorbed vertex: the product so far is
+    reshaped to ``shape``, transposed by ``xperm`` (free axes, then the
+    bonds shared with ``vid``) and reshaped to the matrix ``xmat``; the
+    elements of ``vid`` are transposed by ``vperm`` (shared bonds, then
+    free axes) and reshaped to ``vmat``.  A ``None`` permutation is the
+    identity.  The last product is reshaped to ``shape``, transposed by
+    ``perm`` and reshaped to ``out``, one axis per fused bond.
+    """
+
+    host: int
+    products: tuple
+    shape: tuple
+    perm: tuple | None
+    out: tuple
+
+
 class _Plan(NamedTuple):
-    """The steps of a sweep and the frame they were planned in.
+    """The steps of a sweep and the network form and frame they run in.
 
     ``turns`` counts the quarter turns, ``(x, y) -> (-y, x)`` each, applied
     to the vertex positions before they were ordered by :func:`sweep_key`
-    and their bonds by departure angle.
+    and their bonds by departure angle.  ``fold`` is 0 for the network as
+    given, 1 when colour class 0 is folded into class 1 and 2 for the
+    reverse; a folded step's vertex is a host, whose tensor ``merges``
+    says how to build, with its axes already in the order ``perm`` reads
+    them.  ``seconds`` and ``peak`` are the plan's modelled time and peak
+    elements (:func:`_model`).
     """
 
     steps: tuple
     swaps: dict  # vertex id -> tensor of each swap vertex planarize inserted
     turns: int
+    fold: int
+    merges: dict  # host id -> _Merge; empty when unfolded
+    seconds: float
+    peak: int
+
+
+class _Layout(NamedTuple):
+    """A network form on shapes alone: what a replay and the model read.
+
+    ``merges`` maps each host of a folded form to its :class:`_Merge`,
+    with its axes in the form's own axis order, and ``legs`` to the
+    planarized bonds each of its axes fuses.
+    """
+
+    positions: dict
+    bonds: list
+    incident: dict
+    shapes: dict
+    merges: dict
+    legs: dict
+
+
+class _Candidate(NamedTuple):
+    """A form and frame the plan chooses from: the ``fold`` of
+    :class:`_Plan`, replayed in frame ``turns`` to ``steps`` over
+    ``layout``, and their modelled ``seconds`` and ``peak``."""
+
+    fold: int
+    turns: int
+    layout: _Layout
+    steps: tuple
+    seconds: float
+    peak: int
 
 
 def _angle_from(origin, target) -> float:
@@ -304,21 +407,22 @@ def _turned(position, turns: int) -> tuple:
     return (x, y)
 
 
-def _replay(flat: TensorNetwork2D, incident: dict, turns: int) -> tuple:
-    """The steps of a sweep over the planar ``flat`` in ascending
-    :func:`sweep_key` order of its positions turned by ``turns`` quarter
-    turns.
+def _frame(positions: dict, turns: int) -> dict:
+    """Vertex id -> a vertex at its position turned by ``turns``."""
+    return {vid: TNVertex(vid, None, _turned(p, turns)) for vid, p in positions.items()}
+
+
+def _replay(layout: _Layout, turns: int) -> tuple:
+    """The steps of a sweep over ``layout`` in ascending :func:`sweep_key`
+    order of its positions turned by ``turns`` quarter turns.
 
     The replay on bond ids is the only record of which bond each boundary
     slot carries; a bond it leaves open (a self-loop, say) raises here.
     """
-    vertices = {
-        vid: TNVertex(vid, v.tensor, _turned(v.position, turns))
-        for vid, v in flat.vertices.items()
-    }
+    vertices = _frame(layout.positions, turns)
     pending: list = []
     steps = tuple(
-        _plan_step(pending, v, vertices, incident, flat.bonds)
+        _plan_step(pending, v, vertices, layout.incident, layout.bonds)
         for v in sorted(vertices.values(), key=sweep_key)
     )
     if pending:
@@ -326,59 +430,340 @@ def _replay(flat: TensorNetwork2D, incident: dict, turns: int) -> tuple:
     return steps
 
 
-def _exact_cost(steps, shapes: dict) -> int:
-    """Multiply-adds of an exact sweep along ``steps``, from shapes alone.
+def _layout(flat: TensorNetwork2D) -> _Layout:
+    """The planarized network ``flat`` as it is, unfolded."""
+    incident: dict = {vid: [] for vid in flat.vertices}
+    for bid, bond in enumerate(flat.bonds):
+        incident[bond.endpoint_a[0]].append((bid, bond.endpoint_a[1]))
+        incident[bond.endpoint_b[0]].append((bid, bond.endpoint_b[1]))
+    return _Layout(
+        {vid: v.position for vid, v in flat.vertices.items()},
+        flat.bonds,
+        incident,
+        {vid: v.tensor.extents for vid, v in flat.vertices.items()},
+        {},
+        {},
+    )
 
-    ``shapes`` maps every vertex id to its tensor's extents.  The chain is
-    replayed as ``(left, leg, right)`` triples by the rule of
-    :func:`contract_step`, counting the merge of the consumed run, the
-    vertex product and the fold into a neighbour; reshapes and identities
-    cost nothing.  Python ints, so no count overflows.
+
+def _colour_classes(layout: _Layout) -> tuple | None:
+    """The two colour classes of the connected ``layout``'s graph, class 0
+    holding its lowest vertex id, or None when the graph is not bipartite."""
+    colour = {min(layout.positions): 0}
+    stack = list(colour)
+    while stack:
+        vid = stack.pop()
+        for bid, _ in layout.incident[vid]:
+            bond = layout.bonds[bid]
+            for other, _ in (bond.endpoint_a, bond.endpoint_b):
+                if other == vid:
+                    continue
+                if other not in colour:
+                    colour[other] = 1 - colour[vid]
+                    stack.append(other)
+                elif colour[other] == colour[vid]:
+                    return None
+    return tuple(sorted(vid for vid, c in colour.items() if c == k) for k in (0, 1))
+
+
+def _perm(legs: list, order: list) -> tuple | None:
+    """The transpose taking axes that carry ``legs`` to ``order``, or None
+    when it is the identity."""
+    perm = tuple(legs.index(b) for b in order)
+    return None if perm == tuple(range(len(perm))) else perm
+
+
+def _merge_recipe(host: int, members, axes: dict, dims: dict, out_legs) -> _Merge:
+    """The :class:`_Merge` of ``host`` absorbing ``members`` in order.
+
+    ``axes`` maps each vertex id to the bond ids of its axes, ``dims`` each
+    bond id to its dimension, and ``out_legs`` lists, per output axis, the
+    bonds it fuses in bond id order.  The bonds a product contracts are
+    taken in the order the product so far holds them.
     """
-    sites: list = []
-    cost = 0
+    size = lambda legs: math.prod(dims[b] for b in legs)
+    legs = list(axes[host])
+    products = []
+    for vid in members:
+        vlegs = list(axes[vid])
+        shared = [b for b in legs if b in vlegs]
+        free = [b for b in legs if b not in shared]
+        vfree = [b for b in vlegs if b not in shared]
+        products.append((
+            vid,
+            tuple(dims[b] for b in legs),
+            _perm(legs, free + shared),
+            (size(free), size(shared)),
+            _perm(vlegs, shared + vfree),
+            (size(shared), size(vfree)),
+        ))
+        legs = free + vfree
+    return _Merge(
+        host,
+        tuple(products),
+        tuple(dims[b] for b in legs),
+        _perm(legs, [b for fused in out_legs for b in fused]),
+        tuple(size(fused) for fused in out_legs),
+    )
+
+
+def _assign(base: _Layout, hosts, absorbed, keys: dict) -> tuple:
+    """Which host each ``absorbed`` vertex merges into: per host, in order,
+    its absorbed vertices.
+
+    The absorbed vertices are taken in ascending ``keys`` order, and each
+    goes to the neighbour that has absorbed the fewest so far, the lowest
+    key on a tie.
+    """
+    bonds = base.bonds
+    members: dict = {h: [] for h in hosts}
+    for vid in sorted(absorbed, key=keys.__getitem__):
+        near = {
+            end[0]
+            for bid, _ in base.incident[vid]
+            for end in (bonds[bid].endpoint_a, bonds[bid].endpoint_b)
+            if end[0] != vid
+        }
+        members[min(near, key=lambda h: (len(members[h]), keys[h]))].append(vid)
+    return tuple((h, tuple(members[h])) for h in hosts)
+
+
+def _fold(base: _Layout, assignment) -> _Layout | None:
+    """``base`` with each host of ``assignment`` merged with its absorbed
+    vertices.
+
+    A merged vertex sits at its host's position and fuses the bonds it has
+    to each other merged vertex into one, their bond ids in ascending
+    order.  None when that drawing crosses itself (or puts a vertex on a
+    bond), as planarize would then insert swaps.
+    """
+    owner = {u: h for h, members in assignment for u in (h, *members)}
+    fused: dict = {}  # (host a, host b) -> bond ids
+    for bid, bond in enumerate(base.bonds):
+        a, b = owner[bond.endpoint_a[0]], owner[bond.endpoint_b[0]]
+        if a != b:
+            fused.setdefault((b, a) if (b, a) in fused else (a, b), []).append(bid)
+    dims = {bid: bond.dimension for bid, bond in enumerate(base.bonds)}
+    legs: dict = {h: [] for h, _ in assignment}
+    incident: dict = {h: [] for h, _ in assignment}
+    bonds = []
+    for fbid, (pair, bids) in enumerate(fused.items()):
+        ends = []
+        for h in pair:
+            ends.append((h, len(legs[h])))
+            incident[h].append((fbid, len(legs[h])))
+            legs[h].append(tuple(bids))
+        bonds.append(Bond(*ends, math.prod(dims[bid] for bid in bids)))
+    positions = {h: base.positions[h] for h, _ in assignment}
+    try:
+        if _find_crossing(bonds, positions) is not None:
+            return None
+    except PlanarizeError:
+        return None
+
+    axes = {}
+    for vid, ends in base.incident.items():
+        axes[vid] = [None] * len(ends)
+        for bid, axis in ends:
+            axes[vid][axis] = bid
+    merges = {h: _merge_recipe(h, members, axes, dims, legs[h]) for h, members in assignment}
+    shapes = {h: merge.out for h, merge in merges.items()}
+    return _Layout(positions, bonds, incident, shapes, merges, legs)
+
+
+def _tally(steps, layout: _Layout, chi: int | None) -> tuple:
+    """``(madds, absorptions, compressed, peak)`` of a sweep along
+    ``steps``, from shapes alone.
+
+    The chain is replayed as ``(left, leg, right)`` triples by the rule of
+    :func:`contract_step`.  ``madds`` counts the multiply-adds of every
+    product: building each merged tensor, merging the consumed run, the
+    vertex product, the fold into a neighbour and, with ``chi``, each
+    compression's QR and SVD passes at their leading terms.
+    ``absorptions`` counts the steps and the vertices folded into hosts,
+    ``compressed`` the sites the compressions pass.  A compression follows
+    each step that emits a bond above ``2 * chi`` and caps every bond at
+    ``chi`` and at the ranks its QR and SVD reach.  ``peak`` is the most
+    elements alive at once: the chain's sites (less the shared identities
+    of :func:`_identity`), a merged tensor and its factors, the consumed
+    run, the vertex product and its normalised copy, and a compression's
+    LAPACK copies, factors and workspace.  Python ints, so no count
+    overflows.
+    """
+    sites: list = []  # (left, leg, right, elements held)
+    madds = absorptions = compressed = peak = held = 0
+
+    def put(k: int, left: int, leg: int, right: int):
+        nonlocal held
+        held += left * leg * right - sites[k][3]
+        sites[k] = (left, leg, right, left * leg * right)
+
     for vid, lo, hi, perm, m in steps:
-        extents = shapes[vid]
+        extents = layout.shapes[vid]
         dims = [extents[axis] for axis in perm[:m]]
+        size = math.prod(extents)
+        merge = layout.merges.get(vid)
+        if merge is not None:
+            for _, _, _, (f, s), _, (_, g) in merge.products:
+                madds += f * s * g
+                absorptions += 1
+                peak = max(peak, held + f * s + s * g + f * g)
+            peak = max(peak, held + 2 * size)
+        absorptions += 1
         if hi >= lo:
-            left, legs, _ = sites[lo]
+            left, legs, right, _ = sites[lo]
             right = sites[hi][2]
-            for dl, d, dr in sites[lo + 1 : hi + 1]:
-                cost += left * legs * dl * d * dr
+            for dl, d, dr, _ in sites[lo + 1 : hi + 1]:
+                madds += left * legs * dl * d * dr
                 legs *= d
+            held -= sum(site[3] for site in sites[lo : hi + 1])
             del sites[lo : hi + 1]
         else:
             left = right = sites[lo - 1][2] if 0 < lo < len(sites) else 1
             legs = 1
-        cost += left * math.prod(dims) * legs * right
+        product = left * math.prod(dims) * right
+        madds += product * legs
+        peak = max(peak, held + size + left * legs * right + product)
 
         if m == 0:
             if lo > 0:
-                dl, d, dr = sites[lo - 1]
-                cost += dl * d * dr * right
-                sites[lo - 1] = (dl, d, right)
+                dl, d, _, _ = sites[lo - 1]
+                madds += dl * d * left * right
+                put(lo - 1, dl, d, right)
             elif sites:
-                dl, d, dr = sites[0]
-                cost += left * dl * d * dr
-                sites[0] = (left, d, dr)
+                _, d, dr, _ = sites[0]
+                madds += left * right * d * dr
+                put(0, left, d, dr)
+            if sites:
+                peak = max(peak, held + sites[max(lo - 1, 0)][3])
             continue
 
-        prefix, suffix, t = _split(left, dims, right)
-        sites[lo:lo] = [
-            (prefix[k] if k <= t else suffix[k], d, prefix[k + 1] if k < t else suffix[k + 1])
-            for k, d in enumerate(dims)
-        ]
-    return cost
+        prefix, suffix, t, emitted = _split(left, dims, right)
+        for k, d in enumerate(dims):
+            l = prefix[k] if k <= t else suffix[k]
+            r = prefix[k + 1] if k < t else suffix[k + 1]
+            shared = k != t and max(l, r) <= IDENTITY_MEMO_MAX
+            sites.insert(lo + k, (l, d, r, 0 if shared else l * d * r))
+            held += sites[lo + k][3]
+        peak = max(peak, held + product)
+        if chi is None or emitted <= 2 * chi:
+            continue
+
+        compressed += len(sites)
+        for k in range(len(sites) - 1):
+            l, d, r, _ = sites[k]
+            rank = min(l * d, r)
+            _, nd, nr, _ = sites[k + 1]
+            madds += 2 * max(l * d, r) * rank * rank + rank * r * nd * nr
+            peak = max(peak, held + l * d * r + 2 * l * d * rank)
+            put(k, l, d, rank)
+            put(k + 1, rank, nd, nr)
+        for k in range(len(sites) - 1, 0, -1):
+            l, d, r, _ = sites[k]
+            n = d * r
+            rank = min(l, n)
+            keep = min(chi, rank)
+            pl, pd, _, _ = sites[k - 1]
+            madds += 7 * max(l, n) * rank * rank + pl * pd * l * keep
+            # dgesdd's copy of the site, u, vt and its workspace
+            peak = max(peak, held + l * n + l * rank + rank * n + 4 * rank * rank + max(l, n))
+            put(k, keep, d, r)
+            put(k - 1, pl, pd, keep)
+    return madds, absorptions, compressed, peak
 
 
-def _build_plan(tn: TensorNetwork2D) -> _Plan:
+def _model(steps, layout: _Layout, chi: int | None) -> tuple:
+    """``(seconds, peak)``: the modelled time and peak elements of a sweep
+    along ``steps``.  The time prices :func:`_tally`'s multiply-adds at
+    ``MODEL_SECONDS_PER_MADD``, its absorptions at
+    ``MODEL_SECONDS_PER_ABSORPTION`` and its compressed sites at
+    ``MODEL_SECONDS_PER_COMPRESSED_SITE``."""
+    madds, absorptions, compressed, peak = _tally(steps, layout, chi)
+    seconds = (
+        madds * MODEL_SECONDS_PER_MADD
+        + absorptions * MODEL_SECONDS_PER_ABSORPTION
+        + compressed * MODEL_SECONDS_PER_COMPRESSED_SITE
+    )
+    return seconds, peak
+
+
+def _candidates(flat: TensorNetwork2D, chi: int | None, fold: bool = True) -> list:
+    """Every form and frame :func:`_build_plan` chooses from, modelled.
+
+    The forms are the network as given and, when ``fold`` is set and its
+    graph is bipartite, each colour class folded into the other (:func:`_assign` in the
+    network's own :func:`sweep_key` order, then :func:`_fold`); each is
+    replayed in the four quarter-turned frames.  The unturned replay of
+    the unfolded form runs first and its errors raise; any other replay
+    that raises is no candidate.
+    """
+    base = _layout(flat)
+    layouts = [(0, base)]
+    classes = _colour_classes(base) if fold and len(base.positions) > 1 else None
+    if classes is not None:
+        keys = {vid: sweep_key(v) for vid, v in _frame(base.positions, 0).items()}
+        for fold, (absorbed, hosts) in ((1, classes), (2, classes[::-1])):
+            folded = _fold(base, _assign(base, hosts, absorbed, keys))
+            if folded is not None:
+                layouts.append((fold, folded))
+    out = []
+    for turns in range(4):
+        for fold, layout in layouts:
+            try:
+                steps = _replay(layout, turns)
+            except ContractionError:
+                if fold == 0 and turns == 0:
+                    raise
+                continue
+            out.append(_Candidate(fold, turns, layout, steps, *_model(steps, layout, chi)))
+    return out
+
+
+def _choose(candidates) -> _Candidate:
+    """The fastest modelled candidate whose modelled peak is no higher than
+    that of the unfolded plan, itself the fastest unfolded candidate; ties
+    go to unfolded, then to the lowest turn."""
+    rank = lambda c: (c.seconds, c.fold, c.turns)
+    unfolded = min((c for c in candidates if c.fold == 0), key=rank)
+    return min((c for c in candidates if c.peak <= unfolded.peak), key=rank)
+
+
+def _in_step_order(merge: _Merge, legs, order) -> _Merge:
+    """``merge`` building its axes in ``order``, a permutation of the axes
+    it builds, each of which fuses the bonds of its entry in ``legs``."""
+    perm = merge.perm or tuple(range(len(merge.shape)))
+    chunks, k = [], 0
+    for fused in legs:
+        chunks.append(perm[k : k + len(fused)])
+        k += len(fused)
+    perm = tuple(i for axis in order for i in chunks[axis])
+    return merge._replace(
+        perm=None if perm == tuple(range(len(perm))) else perm,
+        out=tuple(merge.out[axis] for axis in order),
+    )
+
+
+def _plan_of(candidate: _Candidate, swaps: dict) -> _Plan:
+    """The plan that runs ``candidate``.  A merged vertex's tensor is built
+    with its axes in the order its step reads them, so that step reads
+    them as they are."""
+    fold, turns, layout, steps, seconds, peak = candidate
+    merges = {}
+    if fold:
+        merges = {
+            s.vid: _in_step_order(layout.merges[s.vid], layout.legs[s.vid], s.perm)
+            for s in steps
+        }
+        steps = tuple(s._replace(perm=tuple(range(len(s.perm)))) for s in steps)
+    return _Plan(steps, swaps, turns, fold, merges, seconds, peak)
+
+
+def _build_plan(tn: TensorNetwork2D, chi: int | None) -> _Plan:
     """Validate, planarize and order ``tn`` and plan every absorption.
 
-    The network is planarized once and its sweep replayed in four frames,
-    turned by 0 to 3 quarter turns; the plan keeps the frame whose exact
-    sweep costs the fewest multiply-adds (:func:`_exact_cost`), the lowest
-    turn on a tie.  The unturned replay runs first and its errors raise; a
-    turned frame whose replay raises is no candidate.
+    The network is planarized once; each candidate form and frame
+    (:func:`_candidates`) is replayed and modelled (:func:`_model`) at
+    ``chi``, and :func:`_choose` picks one.
     """
     tn.validate_closed()
     flat = planarize(tn)
@@ -386,25 +771,10 @@ def _build_plan(tn: TensorNetwork2D) -> _Plan:
     # is a property of the planarized network
     if not flat.is_connected():
         raise ContractionError("network is not connected")
-
-    incident: dict = {vid: [] for vid in flat.vertices}
-    for bid, bond in enumerate(flat.bonds):
-        incident[bond.endpoint_a[0]].append((bid, bond.endpoint_a[1]))
-        incident[bond.endpoint_b[0]].append((bid, bond.endpoint_b[1]))
-
-    shapes = {vid: v.tensor.extents for vid, v in flat.vertices.items()}
-    frames = []
-    for turns in range(4):
-        try:
-            steps = _replay(flat, incident, turns)
-        except ContractionError:
-            if turns == 0:
-                raise
-            continue
-        frames.append((_exact_cost(steps, shapes), turns, steps))
-    _, turns, steps = min(frames, key=lambda frame: frame[:2])
     swaps = {vid: v.tensor for vid, v in flat.vertices.items() if vid not in tn.vertices}
-    return _Plan(steps, swaps, turns)
+    # a merged tensor reads the network's own vertices, so a network that
+    # needed swaps is not folded
+    return _plan_of(_choose(_candidates(flat, chi, fold=not swaps)), swaps)
 
 
 def _geometry_key(tn: TensorNetwork2D) -> tuple:
@@ -419,20 +789,47 @@ _plans: OrderedDict = OrderedDict()
 _plans_lock = threading.Lock()
 
 
-def _plan_for(tn: TensorNetwork2D) -> _Plan:
-    """The cached plan of ``tn``'s geometry, built on a miss."""
-    key = _geometry_key(tn)
+def _plan_for(tn: TensorNetwork2D, chi: int | None = None) -> _Plan:
+    """The cached plan of ``tn``'s geometry at ``chi``, built on a miss."""
+    key = (_geometry_key(tn), chi)
     with _plans_lock:
         plan = _plans.get(key)
         if plan is not None:
             _plans.move_to_end(key)
             return plan
-    plan = _build_plan(tn)
+    plan = _build_plan(tn, chi)
     with _plans_lock:
         _plans[key] = plan
         if len(_plans) > PLAN_CACHE_SIZE:
             _plans.popitem(last=False)
     return plan
+
+
+class _Merged(NamedTuple):
+    """A merged vertex's tensor as :func:`contract_step` reads it: the
+    element array alone, built for one step and dropped after it."""
+
+    elements: np.ndarray
+
+
+def _vertex_tensor(plan: _Plan, vertices: dict, vid: int):
+    """The tensor the step of ``vid`` absorbs, for a network with the
+    vertices ``vertices``: its own, a swap's, or, in a folded plan, the
+    merged tensor of host ``vid``, built here by its :class:`_Merge`."""
+    merge = plan.merges.get(vid)
+    if merge is None:
+        return plan.swaps[vid] if vid in plan.swaps else vertices[vid].tensor
+    x = vertices[vid].tensor.elements
+    for u, shape, xperm, xmat, vperm, vmat in merge.products:
+        if xperm is not None:
+            x = x.reshape(shape).transpose(xperm)
+        v = vertices[u].tensor.elements
+        if vperm is not None:
+            v = v.transpose(vperm)
+        x = np.dot(x.reshape(xmat), v.reshape(vmat))
+    if merge.perm is not None:
+        x = x.reshape(merge.shape).transpose(merge.perm)
+    return _Merged(x.reshape(merge.out))
 
 
 _identities: dict = {}  # n -> read-only np.eye(n), for n <= IDENTITY_MEMO_MAX
@@ -484,9 +881,10 @@ def _dot_left(mat, site):
 
 
 def _split(left: int, dims, right: int) -> tuple:
-    """``(prefix, suffix, t)``: how an absorption splits its product back
-    into one site per forward extent of ``dims``, between the bonds
-    ``left`` and ``right``.
+    """``(prefix, suffix, t, emitted)``: how an absorption splits its
+    product back into one site per forward extent of ``dims``, between the
+    bonds ``left`` and ``right``, and the largest bond between those sites
+    (0 when there is at most one).
 
     ``prefix[k]`` is ``left`` times the product of ``dims[:k]`` and
     ``suffix[k]`` the product of ``dims[k:]`` times ``right``.  The data
@@ -514,12 +912,14 @@ def _split(left: int, dims, right: int) -> tuple:
             t = k
         else:
             break
-    return prefix, suffix, t
+    emitted = max(prefix[t] if t > 0 else 0, suffix[t + 1] if t < len(dims) - 1 else 0)
+    return prefix, suffix, t, emitted
 
 
 def contract_step(mps: MPSState, step: _Step, tensor) -> MPSState:
-    """Absorb one planned vertex, carrying the DenseTensor ``tensor``, into
-    the boundary MPS, in place.
+    """Absorb one planned vertex, carrying ``tensor`` (a DenseTensor, or a
+    merged vertex's :class:`_Merged`: only ``elements`` is read), into the
+    boundary MPS, in place.
 
     The consumed run merges, untransposed, into ``run`` of shape ``(left,
     L, right)`` (a vertex with no backward bonds takes the identity on the
@@ -533,6 +933,8 @@ def contract_step(mps: MPSState, step: _Step, tensor) -> MPSState:
     ``mps.head`` is kept: a step that starts inside the identity head or
     right after it moves the head's end to its data site, and a step that
     folds into a neighbour ends the head before that neighbour.
+    ``mps.emitted`` is set to the largest bond between the sites the step
+    emits, the only bonds it makes.
     """
     _, lo, hi, perm, m = step
     sites = mps.sites
@@ -559,6 +961,7 @@ def contract_step(mps: MPSState, step: _Step, tensor) -> MPSState:
         # (when the boundary is empty) into the scalar accumulator.
         mat = merged.reshape(left, right)
         del merged
+        mps.emitted = 0
         if lo > 0:
             sites[lo - 1] = _dot_right(sites[lo - 1], mat)
         elif sites:
@@ -583,7 +986,7 @@ def contract_step(mps: MPSState, step: _Step, tensor) -> MPSState:
 
     # Split back into one site per forward bond: the full data in the
     # crossover site as a pure reshape, reshaped identities either side.
-    prefix, suffix, t = _split(left, dims, right)
+    prefix, suffix, t, mps.emitted = _split(left, dims, right)
     crossover = merged.reshape(prefix[t], dims[t], suffix[t + 1])
     del merged
     new_sites = []
@@ -704,27 +1107,35 @@ def sweep_contract(tn: TensorNetwork2D, chi: int | None = None) -> SweepValue:
     """Contract a closed planar network to a scalar.
 
     ``chi`` bounds the boundary MPS bond dimension (``None`` contracts
-    exactly).  Compression to ``chi`` triggers only when a bond is above
-    ``2 * chi``, which is checked after the steps that can grow a bond.  A
-    ``chi`` that is not an integer of at least 1 raises ``ValueError``.
-    The network is planarized first if crossings are present.  Returns
-    ``(mantissa, log_scale)`` with the value equal to
+    exactly).  Compression to ``chi`` triggers only when a step emits a
+    bond above ``2 * chi`` (``MPSState.emitted``), and only a step can make
+    one.  A ``chi`` that is not an integer of at least 1 raises
+    ``ValueError``.  The network is planarized first if crossings are
+    present.  Returns ``(mantissa, log_scale)`` with the value equal to
     ``mantissa * exp(log_scale)``.
 
-    The geometry pass (validation, planarize, the sweep frame and order,
-    and the slot bookkeeping of every step) is taken from a cache keyed on
-    the vertex ids, positions and tensor shapes and the ordered bonds, so
-    networks that differ only in tensor values pay it once; see the module
-    docstring.  Only the absorptions and compressions run on every call.
-    A non-finite value met during the sweep raises :class:`ContractionError`.
+    The plan (validation, planarize, the network form and sweep frame, the
+    order and the slot bookkeeping of every step) is taken from a cache
+    keyed on ``chi`` and on the vertex ids, positions and tensor shapes and
+    the ordered bonds, so networks that differ only in tensor values pay it
+    once per ``chi``; see the module docstring.  On a bipartite network the
+    plan may fold one colour class into the other: each merged tensor is
+    then built at its host's step (:func:`_vertex_tensor`), and the value
+    is that of the same network summed in another order, equal up to
+    rounding.  A non-finite value met during the sweep raises
+    :class:`ContractionError`.
     """
     if not tn.vertices:
         raise ContractionError("cannot contract an empty network")
     if chi is not None:
         chi = _bond_cap(chi)
-    plan = _plan_for(tn)
+    return _run(_plan_for(tn, chi), tn.vertices, chi)
 
-    vertices, swaps = tn.vertices, plan.swaps
+
+def _run(plan: _Plan, vertices: dict, chi: int | None) -> SweepValue:
+    """The sweep of ``plan`` over the network whose vertices are ``vertices``,
+    compressed to ``chi`` (already checked) when a step emits a bond above
+    ``2 * chi``."""
     mps = MPSState()
     # A non-finite product raises ContractionError at the step that made it
     # (every site that takes new data is normalized, and the closing scalar
@@ -732,8 +1143,7 @@ def sweep_contract(tn: TensorNetwork2D, chi: int | None = None) -> SweepValue:
     # repeat that.
     with np.errstate(over="ignore", invalid="ignore"):
         for step in plan.steps:
-            tensor = swaps[step.vid] if step.vid in swaps else vertices[step.vid].tensor
-            contract_step(mps, step, tensor)
-            if chi is not None and step.grows and mps.max_bond() > 2 * chi:
+            contract_step(mps, step, _vertex_tensor(plan, vertices, step.vid))
+            if chi is not None and mps.emitted > 2 * chi:
                 compress_mps(mps, chi)
     return SweepValue(mps.mantissa, mps.log_scale)

@@ -174,18 +174,17 @@ def compress_mps_reference(mps, chi):
 def sweep_checking_every_step(tn, chi):
     """``sweep_contract`` with the compression trigger read after every step.
 
-    Runs the cached plan of ``tn`` through ``contract_step`` and compresses
-    whenever a bond is above ``2 * chi``, whatever the step.  Returns
-    ``(SweepValue, steps)`` with the indices of the steps after which it
-    compressed.
+    Runs the cached plan of ``tn`` at ``chi`` through ``contract_step``,
+    reading each step's tensor as the sweep does, and compresses whenever a
+    bond is above ``2 * chi``, whatever the step.  Returns ``(SweepValue,
+    steps)`` with the indices of the steps after which it compressed.
     """
-    plan = contract._plan_for(tn)
-    tensors = {vid: v.tensor for vid, v in tn.vertices.items()} | plan.swaps
+    plan = contract._plan_for(tn, chi)
     mps = contract.MPSState()
     fired = []
     with np.errstate(over="ignore", invalid="ignore"):
         for i, step in enumerate(plan.steps):
-            contract.contract_step(mps, step, tensors[step.vid])
+            contract.contract_step(mps, step, contract._vertex_tensor(plan, tn.vertices, step.vid))
             if mps.max_bond() > 2 * chi:
                 contract.compress_mps(mps, chi)
                 fired.append(i)
@@ -194,8 +193,9 @@ def sweep_checking_every_step(tn, chi):
 
 def plan_unrotated(tn):
     """The sweep plan of ``tn`` in its own frame, as every plan was made
-    before the frame was chosen: planarize, then replay the steps in
-    ascending ``sweep_key`` order of the untouched positions."""
+    before the frame and the fold were chosen: planarize, then replay the
+    steps in ascending ``sweep_key`` order of the untouched positions.  It
+    folds nothing and is not modelled."""
     flat = network.planarize(tn)
     incident = {vid: [] for vid in flat.vertices}
     for bid, bond in enumerate(flat.bonds):
@@ -208,7 +208,7 @@ def plan_unrotated(tn):
     )
     assert not pending
     swaps = {vid: v.tensor for vid, v in flat.vertices.items() if vid not in tn.vertices}
-    return contract._Plan(steps, swaps, 0)
+    return contract._Plan(steps, swaps, 0, 0, {}, None, None)
 
 
 def _tensordot_axes(step):
@@ -230,8 +230,8 @@ def contract_step_reference(mps, step, tensor):
     """``contract_step`` with every product a ``np.dot`` of transposed
     operands, as ``np.tensordot`` computes it.
 
-    Same slots, splitting, normalisation and ``head`` bookkeeping; modifies
-    ``mps`` in place and returns it.
+    Same slots, splitting, normalisation and ``head`` and ``emitted``
+    bookkeeping; modifies ``mps`` in place and returns it.
     """
     run_axes, vertex_axes, open_axes = _tensordot_axes(step)
     lo, hi, sites = step.lo, step.hi, mps.sites
@@ -257,6 +257,7 @@ def contract_step_reference(mps, step, tensor):
     m = len(dims)
 
     if m == 0:
+        mps.emitted = 0
         mat = merged.reshape(left_dim, right_dim)
         if lo > 0:
             sites[lo - 1] = np.tensordot(sites[lo - 1], mat, axes=([2], [0]))
@@ -298,6 +299,7 @@ def contract_step_reference(mps, step, tensor):
             site = merged.reshape(prefix[t], dims[t], suffix[t + 1])
         new_sites.append(site)
     sites[lo:lo] = new_sites
+    mps.emitted = max((site.shape[2] for site in new_sites[:-1]), default=0)
     mps._normalize_site(lo + t)
     if lo <= mps.head:
         mps.head = lo + t

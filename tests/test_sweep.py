@@ -391,8 +391,9 @@ class TestCompression:
         mps = self.random_mps(rng, [(1, 2, 8), (8, 2, 8), (8, 2, 1)])
         with pytest.raises(ContractionError, match=routine):
             compress_mps(mps, chi=2)
+        # the folded 4x4 grid keeps bonds of at most 4, so chi=1 compresses
         with pytest.raises(ContractionError, match=routine):
-            sweep_contract(grid_network(rng, 4, 4, dim=2), chi=2)
+            sweep_contract(grid_network(rng, 4, 4, dim=2), chi=1)
 
 
 class TestIdentitySites:
@@ -430,8 +431,9 @@ class TestIdentitySites:
 
     def test_equal_steps_share_one_base(self):
         tn = grid_network(np.random.default_rng(96), 3, 3, dim=2)
-        step = contract._plan_for(tn).steps[0]
-        tensor = tn.vertices[step.vid].tensor
+        plan = contract._plan_for(tn)
+        step = plan.steps[0]
+        tensor = contract._vertex_tensor(plan, tn.vertices, step.vid)
         first = contract_step(MPSState(), step, tensor).sites
         second = contract_step(MPSState(), step, tensor).sites
         assert [a.shape for a in first] == [a.shape for a in second]
@@ -470,7 +472,9 @@ def netgen_corpus():
     """Networks for the head and trigger checks: random planar ones, their
     scrambled copies that planarize (with swaps inserted), grids of
     dimension 2 and 3, and larger grids, whose boundaries compress many
-    times."""
+    times.  Grids are bipartite, so their plans fold, which halves their
+    compressions; the 7x7 grid of dimension 3 brings them back above 30
+    at chi=8."""
     rng = np.random.default_rng(4600)
     seeds = lambda k: [np.random.default_rng(s) for s in rng.integers(1 << 31, size=k)]
     planar = [random_planar_network(g) for g in seeds(24)]
@@ -482,6 +486,7 @@ def netgen_corpus():
     ]
     large = [grid_network(g, 8, 8, dim=2) for g in seeds(3)]
     large += [grid_network(g, 6, 6, dim=3) for g in seeds(3)]
+    large += [grid_network(g, 7, 7, dim=3) for g in seeds(1)]
     return planar + scrambled + grids + large
 
 
@@ -535,13 +540,13 @@ class TestIdentityHead:
         assert r.tobytes() == np.triu(a).tobytes()
 
 
-def exact_bond_trace(tn):
-    """``(step.grows, largest bond)`` after each step of the exact sweep."""
-    plan = contract._plan_for(tn)
-    tensors = {vid: v.tensor for vid, v in tn.vertices.items()} | plan.swaps
+def exact_bond_trace(tn, chi=None):
+    """``(step.grows, largest bond)`` after each step of the sweep along the
+    plan of ``tn`` at ``chi``, run without compressing."""
+    plan = contract._plan_for(tn, chi)
     mps, trace = MPSState(), []
     for step in plan.steps:
-        contract_step(mps, step, tensors[step.vid])
+        contract_step(mps, step, contract._vertex_tensor(plan, tn.vertices, step.vid))
         trace.append((step.grows, mps.max_bond()))
     return trace
 
@@ -589,12 +594,13 @@ class TestCompressionTrigger:
         # largest bond is above 2 chi, and there is none if no bond is.
         # Bonds of dimension 2 end at an even largest bond, exactly 2 chi
         # for one chi; dimension 3 at an odd one, exactly 2 chi + 1.
+        # Plans are made per chi, so each chi is traced along its own plan.
         tn = grid_network(np.random.default_rng(4605), 4, 4, dim=dim)
-        trace = exact_bond_trace(tn)
-        largest = max(bond for _, bond in trace)
+        largest = max(bond for _, bond in exact_bond_trace(tn))
         steps, fired = record_compressions(monkeypatch)
         first_fired = {}
         for chi in range(1, largest + 1):
+            trace = exact_bond_trace(tn, chi)
             steps.clear()
             fired.clear()
             sweep_contract(tn, chi)
@@ -654,15 +660,15 @@ class TestAbsorptionKernel:
         # product sums in another order, so agreement is to rounding
         branches = set()
         for tn in netgen_corpus():
-            plan = contract._plan_for(tn)
-            tensors = {vid: v.tensor for vid, v in tn.vertices.items()} | plan.swaps
+            plan = contract._plan_for(tn, chi)
             mps = MPSState()
             with np.errstate(over="ignore", invalid="ignore"):
                 for step in plan.steps:
                     branches |= absorption_branches(mps, step)
+                    tensor = contract._vertex_tensor(plan, tn.vertices, step.vid)
                     ref = MPSState(list(mps.sites), mps.log_scale, mps.mantissa, mps.head)
-                    contract_step_reference(ref, step, tensors[step.vid])
-                    contract_step(mps, step, tensors[step.vid])
+                    contract_step_reference(ref, step, tensor)
+                    contract_step(mps, step, tensor)
                     assert [a.shape for a in mps.sites] == [b.shape for b in ref.sites]
                     assert mps.head == ref.head
                     assert mps.log_scale == pytest.approx(ref.log_scale, rel=1e-13, abs=1e-13)
@@ -901,11 +907,10 @@ class TestSweepPlanCache:
 def run_plan(plan, tn):
     """The exact sweep of ``tn`` along ``plan``: ``(SweepValue, largest
     bond)``."""
-    tensors = {vid: v.tensor for vid, v in tn.vertices.items()} | plan.swaps
     mps = MPSState()
     widest = 0
     for step in plan.steps:
-        contract_step(mps, step, tensors[step.vid])
+        contract_step(mps, step, contract._vertex_tensor(plan, tn.vertices, step.vid))
         widest = max(widest, mps.max_bond())
     return contract.SweepValue(mps.mantissa, mps.log_scale), widest
 
@@ -930,7 +935,7 @@ class TestSweepFrame:
     def test_corpus_values_match_unturned_plan(self):
         turned = 0
         for tn in netgen_corpus():
-            plan = contract._build_plan(tn)
+            plan = contract._build_plan(tn, None)
             turned += plan.turns != 0
             assert_same_value(run_plan(plan, tn)[0], run_plan(plan_unrotated(tn), tn)[0])
         assert turned > 0
@@ -946,21 +951,27 @@ class TestSweepFrame:
         tn = code_network(family, d)
         want = run_plan(plan_unrotated(tn), tn)[0]
         assert want.mantissa == 1.0
-        assert_same_value(run_plan(contract._build_plan(tn), tn)[0], want)
+        assert_same_value(run_plan(contract._build_plan(tn, None), tn)[0], want)
 
     @pytest.mark.parametrize("d", [3, 5, 9])
     def test_square_codes_keep_their_frame(self, d):
-        # every frame of a square code costs the same, and a tie keeps 0
+        # every frame of an unfolded square code costs the same, and a tie
+        # keeps 0
         tn = code_network("square", d)
-        plan = contract._build_plan(tn)
+        unfolded = [c for c in contract._candidates(planarize(tn), None) if c.fold == 0]
+        assert len(unfolded) == 4
+        assert len({c.seconds for c in unfolded}) == 1
+        plan = contract._choose(unfolded)
         assert plan.turns == 0
         assert plan.steps == plan_unrotated(tn).steps
 
     def test_subsystem_d5_sweeps_its_short_side(self):
+        # folded, generators into qubits, the exact sweep keeps bonds of 32
+        # (64 unfolded along the short side)
         tn = code_network("subsystem", 5)
-        plan = contract._build_plan(tn)
+        plan = contract._build_plan(tn, None)
         assert plan.turns % 2 == 1
-        assert run_plan(plan, tn)[1] == 64
+        assert run_plan(plan, tn)[1] == 32
         assert run_plan(plan_unrotated(tn), tn)[1] == 128
 
     def test_triangular_d9_contracts_exactly_in_well_under_a_second(self):
@@ -974,18 +985,21 @@ class TestSweepFrame:
 
     def test_turned_frames_that_fail_are_skipped(self, monkeypatch):
         tn = code_network("subsystem", 3)
-        assert contract._build_plan(tn).turns != 0
+        assert contract._build_plan(tn, None).turns != 0
         replay = contract._replay
 
-        def failing(flat, incident, turns):
+        def failing(layout, turns):
             if turns:
                 raise ContractionError("turned replay fails")
-            return replay(flat, incident, turns)
+            return replay(layout, turns)
 
         monkeypatch.setattr(contract, "_replay", failing)
-        plan = contract._build_plan(tn)
+        candidates = contract._candidates(planarize(tn), None)
+        assert {c.turns for c in candidates} == {0}
         want = plan_unrotated(tn)
-        assert (plan.steps, plan.turns) == (want.steps, 0)
+        assert [c.steps for c in candidates if c.fold == 0] == [want.steps]
+        plan = contract._build_plan(tn, None)
+        assert plan.turns == 0
         assert plan.swaps.keys() == want.swaps.keys()
 
 
@@ -1017,5 +1031,106 @@ class TestNonFiniteValues:
         arr = v.tensor.elements.copy()
         arr[(0,) * arr.ndim] = bad
         tn.vertices[v.id] = TNVertex(v.id, DenseTensor(arr), v.position)
+        with pytest.raises(ContractionError):
+            sweep_contract(tn, chi)
+
+
+# Folded candidates whose modelled peak is above this many elements (an
+# exact sweep along a code's long side) are not run.
+FOLD_PEAK_CAP = 1 << 20
+
+
+def fold_cases():
+    """The code networks the fold checks run on: square, triangular,
+    hexagonal and subsystem codes at d=3 and d=5, and subsystem d=7."""
+    cases = [(f, d) for f in ("square", "triangular", "hexagonal", "subsystem") for d in (3, 5)]
+    return cases + [("subsystem", 7)]
+
+
+def unfolded_best(candidates):
+    return contract._choose([c for c in candidates if c.fold == 0])
+
+
+def every_fold_crosses():
+    """A bipartite planar network each of whose two folds crosses itself."""
+    pos = {
+        0: (2.8, 9.1), 1: (8.2, 2.9), 2: (8.3, 9.0), 3: (2.8, 8.9),
+        4: (4.0, 5.7), 5: (1.9, 8.4), 6: (8.9, 4.8), 7: (5.5, 2.1),
+    }
+    pairs = [(0, 5), (1, 7), (2, 4), (2, 6), (3, 4), (3, 5), (4, 7), (5, 7)]
+    return network_from_pairs(pos, pairs, rng=np.random.default_rng(4700))
+
+
+class TestFold:
+    @staticmethod
+    def assert_folds_match(tn):
+        """Every folded candidate of ``tn`` that is run sweeps exactly to
+        the unfolded plan's value; returns how many were run."""
+        want = run_plan(plan_unrotated(tn), tn)[0]
+        run = 0
+        for c in contract._candidates(planarize(tn), None):
+            if c.fold and c.peak <= FOLD_PEAK_CAP:
+                assert_same_value(run_plan(contract._plan_of(c, {}), tn)[0], want)
+                run += 1
+        return run
+
+    def test_corpus_folds_match_unfolded(self):
+        run = sum(self.assert_folds_match(tn) for tn in netgen_corpus() if planarize(tn) is tn)
+        assert run > 50
+
+    @pytest.mark.parametrize("family, d", fold_cases())
+    def test_code_folds_match_unfolded(self, family, d):
+        assert self.assert_folds_match(code_network(family, d)) >= 2
+
+    def test_odd_cycles_keep_the_unfolded_plan(self):
+        odd = 0
+        for tn in netgen_corpus():
+            flat = planarize(tn)
+            if contract._colour_classes(contract._layout(flat)) is None:
+                odd += 1
+                assert {c.fold for c in contract._candidates(flat, None)} == {0}
+                assert contract._build_plan(tn, None).fold == 0
+        assert odd > 20
+
+    def test_folds_that_cross_are_no_candidates(self):
+        tn = every_fold_crosses()
+        assert planarize(tn) is tn
+        base = contract._layout(tn)
+        classes = contract._colour_classes(base)
+        assert classes is not None
+        keys = {vid: sweep_key(v) for vid, v in tn.vertices.items()}
+        for absorbed, hosts in (classes, classes[::-1]):
+            assert contract._fold(base, contract._assign(base, hosts, absorbed, keys)) is None
+        for chi in (None, 1):
+            assert {c.fold for c in contract._candidates(tn, chi)} == {0}
+            assert contract._build_plan(tn, chi).fold == 0
+        assert_matches_oracle(sweep_contract(tn), tn, rel=1e-12)
+
+    def test_chosen_peak_is_never_above_unfolded(self):
+        folded = guarded = 0
+        networks = [code_network(f, d) for f, d in fold_cases()] + list(netgen_corpus())
+        for tn in networks:
+            for chi in (None, 8):
+                candidates = contract._candidates(planarize(tn), chi)
+                unfolded = unfolded_best(candidates)
+                plan = contract._build_plan(tn, chi)
+                assert plan.peak <= unfolded.peak
+                folded += plan.fold != 0
+                fastest = min(candidates, key=lambda c: (c.seconds, c.fold, c.turns))
+                guarded += fastest.peak > unfolded.peak
+        # the guard binds on some networks, and folds win on others
+        assert folded > 20 and guarded > 0
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("where", ["host", "absorbed"])
+    @pytest.mark.parametrize("chi", [None, 1])
+    def test_non_finite_element_raises(self, bad, where, chi):
+        tn = grid_network(np.random.default_rng(4500), 4, 4, dim=2)
+        merge = next(m for m in contract._plan_for(tn, chi).merges.values() if m.products)
+        vid = merge.host if where == "host" else merge.products[0][0]
+        v = tn.vertices[vid]
+        arr = v.tensor.elements.copy()
+        arr[(0,) * arr.ndim] = bad
+        tn.vertices[vid] = TNVertex(vid, DenseTensor(arr), v.position)
         with pytest.raises(ContractionError):
             sweep_contract(tn, chi)
