@@ -20,8 +20,9 @@ networks of one depolarising shot swept along its plan, the fastest of
 thread.  Beside each time the file records the model's prediction and
 its counts, the code's chosen and unfolded plans, the git sha and the
 machine.  ``--fit`` refits ``MODEL_SECONDS_PER_*`` by non-negative least
-squares on relative error, which are then written into ``contract.py``
-by hand.
+squares on relative error and rewrites the file's predictions and
+summary with the fitted values, which are then written into
+``contract.py`` by hand.
 """
 
 import argparse
@@ -219,17 +220,31 @@ def measure():
 
 
 def fit():
+    """Refit the constants to the recorded times and rewrite the file's
+    predictions and summary with them; ``contract.py`` then takes the
+    printed constants."""
     from scipy.optimize import nnls
 
     with open(OUT) as f:
-        rows = json.load(f)["configurations"]
+        result = json.load(f)
+    rows = result["configurations"]
     a = np.array([[r["madds"], r["absorptions"], r["compressed_sites"]] for r in rows], float)
     t = np.array([r["measured_decode_s"] for r in rows])
     coef, _ = nnls(a / t[:, None], np.ones(len(rows)))
-    for name, value in zip(("MADD", "ABSORPTION", "COMPRESSED_SITE"), coef):
-        print(f"MODEL_SECONDS_PER_{name} = {value:.3g}")
+    names = ("MODEL_SECONDS_PER_MADD", "MODEL_SECONDS_PER_ABSORPTION",
+             "MODEL_SECONDS_PER_COMPRESSED_SITE")
+    result["constants"] = {name: float(f"{value:.3g}") for name, value in zip(names, coef)}
+    coef = np.array(list(result["constants"].values()))
+    for r, seconds in zip(rows, a @ coef):
+        r["model_decode_s"] = float(seconds)
+    result["summary"] = summary(rows)
+    with open(OUT, "w") as f:
+        json.dump(result, f, indent=1)
+    for name, value in result["constants"].items():
+        print(f"{name} = {value:.3g}")
     rel = a @ coef / t - 1.0
     print(f"relative error: median {np.median(np.abs(rel)):.3f}, max {np.abs(rel).max():.3f}")
+    print(json.dumps(result["summary"], indent=1))
 
 
 def main(argv=None):

@@ -142,9 +142,9 @@ IDENTITY_MEMO_MAX = 16
 
 # Constants of the plan cost model (_model), fitted to the measured sweeps
 # in BENCH_plan_model.json by ``python scripts/plan_model.py --fit``.
-MODEL_SECONDS_PER_MADD = 5.27e-11
-MODEL_SECONDS_PER_ABSORPTION = 8.72e-6
-MODEL_SECONDS_PER_COMPRESSED_SITE = 3.59e-5
+MODEL_SECONDS_PER_MADD = 5.12e-11
+MODEL_SECONDS_PER_ABSORPTION = 8.51e-6
+MODEL_SECONDS_PER_COMPRESSED_SITE = 3.64e-5
 
 
 class ContractionError(ValueError):
