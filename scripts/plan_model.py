@@ -78,8 +78,7 @@ def plans(networks, chi):
     """``(candidates, chosen, unfolded)`` of the code's networks at ``chi``."""
     tn = networks[0]
     tn.validate_closed()
-    flat = contract.planarize(tn)
-    candidates = contract._candidates(flat, chi, fold=flat is tn)
+    candidates = contract._candidates(contract.planarize(tn), chi)
     unfolded = min((c for c in candidates if c.fold == 0),
                    key=lambda c: (c.seconds, c.turns))
     return candidates, contract._choose(candidates), unfolded
@@ -128,7 +127,7 @@ def configurations():
                         # counts and model per decode: four sweeps
                         "madds": 4 * madds, "absorptions": 4 * absorptions,
                         "compressed_sites": 4 * compressed, "model_decode_s": 4 * c.seconds,
-                        "_plan": contract._plan_of(c, {}), "_networks": networks,
+                        "_plan": contract._plan_of(c), "_networks": networks,
                     })
     return out
 

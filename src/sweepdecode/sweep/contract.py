@@ -41,22 +41,22 @@ bounds the memo at 12 KB whatever is contracted.  R factors up to that
 width take their upper triangle from one shared boolean mask.
 
 A sweep is split into a plan and a run.  The plan depends only on the
-network's geometry and on ``chi``: it validates and planarizes the
-network, chooses a form and a frame for it, orders the vertices, and
+network's geometry and on ``chi``: it validates the network, checks that
+no two bonds cross (:func:`planarize`, which raises at the first
+crossing), chooses a form and a frame for it, orders the vertices, and
 replays the sweep on bond ids alone to fix, for every step, the run of
 boundary slots the vertex consumes, the bonds it emits and the permutation
 of the vertex's axes.  The candidate forms are the network as it is and,
-when its graph is bipartite (and planarize inserted no swap), each colour
-class folded into the other: every vertex of the absorbed class, taken in
-ascending :func:`sweep_key` order, merges into the neighbour that has
-absorbed the fewest so far (the lowest key on a tie), the merged vertex
-sits at its host's position, and the parallel bonds between two merged
-vertices are fused into one.  A fold whose drawing crosses itself, which
-planarize would repair with swaps, is no candidate.  A coset network, one
+when its graph is bipartite, each colour class folded into the other:
+every vertex of the absorbed class, taken in ascending :func:`sweep_key`
+order, merges into the neighbour that has absorbed the fewest so far (the
+lowest key on a tie), the merged vertex sits at its host's position, and
+the parallel bonds between two merged vertices are fused into one.  A
+fold whose drawing crosses itself is no candidate.  A coset network, one
 vertex per generator and one per qubit, folds to about half its vertices,
 so a sweep takes about half the absorptions, and at the bond dimensions a
 decoder runs each absorption costs more in call overhead than in
-arithmetic.  Each form is replayed in four frames, the planarized
+arithmetic.  Each form is replayed in four frames, the network's
 positions turned by 0, 1, 2 and 3 quarter turns; quarter turns only negate
 and swap coordinates, which is exact in floating point, so every
 crossing, angle and collinearity test sees the same geometry in each
@@ -82,11 +82,10 @@ everything a plan reads: the vertex ids, positions and tensor shapes, and
 the ordered bonds with both endpoints and their dimensions.  The four
 coset networks of a code and the networks of every syndrome share that
 key, so the plan is paid once per code and ``chi``.  A plan holds no
-tensor of the network (only the swap tensors planarize inserted, which
-depend on bond dimensions alone), and equal keys replay the same
-deterministic build, so a cache hit returns exactly what a rebuild would.
-A network that fails to plan raises on every call, since errors are not
-cached.
+tensor, and equal keys replay the same deterministic build, so a cache
+hit returns exactly what a rebuild would.  A network that fails to plan,
+such as one two of whose bonds cross, raises on every call, since errors
+are not cached.
 """
 
 from __future__ import annotations
@@ -101,7 +100,6 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import lapack as _lapack
 
-from ..tensor import DenseTensor
 from .network import (
     Bond,
     PlanarizeError,
@@ -227,9 +225,7 @@ class _Step(NamedTuple):
     per forward bond there, ordered left to right.  ``perm`` lists the
     vertex's axes in the order its absorption reads them: the ``forward``
     axes left to right by departure angle, then the backward axes in the
-    order of the slots they meet.  ``grows`` is set when the vertex leaves
-    two or more slots, the only steps that can make a bond the boundary
-    did not already have.
+    order of the slots they meet.
     """
 
     vid: int
@@ -237,10 +233,6 @@ class _Step(NamedTuple):
     hi: int
     perm: tuple
     forward: int
-
-    @property
-    def grows(self) -> bool:
-        return self.forward >= 2
 
 
 class _Merge(NamedTuple):
@@ -273,17 +265,13 @@ class _Plan(NamedTuple):
     given, 1 when colour class 0 is folded into class 1 and 2 for the
     reverse; a folded step's vertex is a host, whose tensor ``merges``
     says how to build, with its axes already in the order ``perm`` reads
-    them.  ``seconds`` and ``peak`` are the plan's modelled time and peak
-    elements (:func:`_model`).
+    them.
     """
 
     steps: tuple
-    swaps: dict  # vertex id -> tensor of each swap vertex planarize inserted
     turns: int
     fold: int
     merges: dict  # host id -> _Merge; empty when unfolded
-    seconds: float
-    peak: int
 
 
 class _Layout(NamedTuple):
@@ -291,7 +279,7 @@ class _Layout(NamedTuple):
 
     ``merges`` maps each host of a folded form to its :class:`_Merge`,
     with its axes in the form's own axis order, and ``legs`` to the
-    planarized bonds each of its axes fuses.
+    network's bonds each of its axes fuses.
     """
 
     positions: dict
@@ -430,17 +418,17 @@ def _replay(layout: _Layout, turns: int) -> tuple:
     return steps
 
 
-def _layout(flat: TensorNetwork2D) -> _Layout:
-    """The planarized network ``flat`` as it is, unfolded."""
-    incident: dict = {vid: [] for vid in flat.vertices}
-    for bid, bond in enumerate(flat.bonds):
+def _layout(tn: TensorNetwork2D) -> _Layout:
+    """The network ``tn`` as it is, unfolded."""
+    incident: dict = {vid: [] for vid in tn.vertices}
+    for bid, bond in enumerate(tn.bonds):
         incident[bond.endpoint_a[0]].append((bid, bond.endpoint_a[1]))
         incident[bond.endpoint_b[0]].append((bid, bond.endpoint_b[1]))
     return _Layout(
-        {vid: v.position for vid, v in flat.vertices.items()},
-        flat.bonds,
+        {vid: v.position for vid, v in tn.vertices.items()},
+        tn.bonds,
         incident,
-        {vid: v.tensor.extents for vid, v in flat.vertices.items()},
+        {vid: v.tensor.extents for vid, v in tn.vertices.items()},
         {},
         {},
     )
@@ -535,7 +523,7 @@ def _fold(base: _Layout, assignment) -> _Layout | None:
     A merged vertex sits at its host's position and fuses the bonds it has
     to each other merged vertex into one, their bond ids in ascending
     order.  None when that drawing crosses itself (or puts a vertex on a
-    bond), as planarize would then insert swaps.
+    bond), which the sweep cannot read.
     """
     owner = {u: h for h, members in assignment for u in (h, *members)}
     fused: dict = {}  # (host a, host b) -> bond ids
@@ -687,19 +675,19 @@ def _model(steps, layout: _Layout, chi: int | None) -> tuple:
     return seconds, peak
 
 
-def _candidates(flat: TensorNetwork2D, chi: int | None, fold: bool = True) -> list:
+def _candidates(tn: TensorNetwork2D, chi: int | None) -> list:
     """Every form and frame :func:`_build_plan` chooses from, modelled.
 
-    The forms are the network as given and, when ``fold`` is set and its
-    graph is bipartite, each colour class folded into the other (:func:`_assign` in the
+    The forms are the network as given and, when its graph is bipartite,
+    each colour class folded into the other (:func:`_assign` in the
     network's own :func:`sweep_key` order, then :func:`_fold`); each is
     replayed in the four quarter-turned frames.  The unturned replay of
     the unfolded form runs first and its errors raise; any other replay
     that raises is no candidate.
     """
-    base = _layout(flat)
+    base = _layout(tn)
     layouts = [(0, base)]
-    classes = _colour_classes(base) if fold and len(base.positions) > 1 else None
+    classes = _colour_classes(base) if len(base.positions) > 1 else None
     if classes is not None:
         keys = {vid: sweep_key(v) for vid, v in _frame(base.positions, 0).items()}
         for fold, (absorbed, hosts) in ((1, classes), (2, classes[::-1])):
@@ -743,11 +731,11 @@ def _in_step_order(merge: _Merge, legs, order) -> _Merge:
     )
 
 
-def _plan_of(candidate: _Candidate, swaps: dict) -> _Plan:
+def _plan_of(candidate: _Candidate) -> _Plan:
     """The plan that runs ``candidate``.  A merged vertex's tensor is built
     with its axes in the order its step reads them, so that step reads
     them as they are."""
-    fold, turns, layout, steps, seconds, peak = candidate
+    fold, turns, layout, steps, _, _ = candidate
     merges = {}
     if fold:
         merges = {
@@ -755,26 +743,20 @@ def _plan_of(candidate: _Candidate, swaps: dict) -> _Plan:
             for s in steps
         }
         steps = tuple(s._replace(perm=tuple(range(len(s.perm)))) for s in steps)
-    return _Plan(steps, swaps, turns, fold, merges, seconds, peak)
+    return _Plan(steps, turns, fold, merges)
 
 
 def _build_plan(tn: TensorNetwork2D, chi: int | None) -> _Plan:
-    """Validate, planarize and order ``tn`` and plan every absorption.
+    """Validate ``tn``, check that it is planar and plan every absorption.
 
-    The network is planarized once; each candidate form and frame
-    (:func:`_candidates`) is replayed and modelled (:func:`_model`) at
-    ``chi``, and :func:`_choose` picks one.
+    Each candidate form and frame (:func:`_candidates`) is replayed and
+    modelled (:func:`_model`) at ``chi``, and :func:`_choose` picks one.
     """
     tn.validate_closed()
-    flat = planarize(tn)
-    # swaps can join components that only met at crossings, so connectivity
-    # is a property of the planarized network
-    if not flat.is_connected():
+    planarize(tn)
+    if not tn.is_connected():
         raise ContractionError("network is not connected")
-    swaps = {vid: v.tensor for vid, v in flat.vertices.items() if vid not in tn.vertices}
-    # a merged tensor reads the network's own vertices, so a network that
-    # needed swaps is not folded
-    return _plan_of(_choose(_candidates(flat, chi, fold=not swaps)), swaps)
+    return _plan_of(_choose(_candidates(tn, chi)))
 
 
 def _geometry_key(tn: TensorNetwork2D) -> tuple:
@@ -814,11 +796,11 @@ class _Merged(NamedTuple):
 
 def _vertex_tensor(plan: _Plan, vertices: dict, vid: int):
     """The tensor the step of ``vid`` absorbs, for a network with the
-    vertices ``vertices``: its own, a swap's, or, in a folded plan, the
-    merged tensor of host ``vid``, built here by its :class:`_Merge`."""
+    vertices ``vertices``: its own or, in a folded plan, the merged tensor
+    of host ``vid``, built here by its :class:`_Merge`."""
     merge = plan.merges.get(vid)
     if merge is None:
-        return plan.swaps[vid] if vid in plan.swaps else vertices[vid].tensor
+        return vertices[vid].tensor
     x = vertices[vid].tensor.elements
     for u, shape, xperm, xmat, vperm, vmat in merge.products:
         if xperm is not None:
@@ -1110,19 +1092,19 @@ def sweep_contract(tn: TensorNetwork2D, chi: int | None = None) -> SweepValue:
     exactly).  Compression to ``chi`` triggers only when a step emits a
     bond above ``2 * chi`` (``MPSState.emitted``), and only a step can make
     one.  A ``chi`` that is not an integer of at least 1 raises
-    ``ValueError``.  The network is planarized first if crossings are
-    present.  Returns ``(mantissa, log_scale)`` with the value equal to
-    ``mantissa * exp(log_scale)``.
+    ``ValueError``, and a network two of whose bonds cross raises
+    :class:`PlanarizeError`.  Returns ``(mantissa, log_scale)`` with the
+    value equal to ``mantissa * exp(log_scale)``.
 
-    The plan (validation, planarize, the network form and sweep frame, the
-    order and the slot bookkeeping of every step) is taken from a cache
-    keyed on ``chi`` and on the vertex ids, positions and tensor shapes and
-    the ordered bonds, so networks that differ only in tensor values pay it
-    once per ``chi``; see the module docstring.  On a bipartite network the
-    plan may fold one colour class into the other: each merged tensor is
-    then built at its host's step (:func:`_vertex_tensor`), and the value
-    is that of the same network summed in another order, equal up to
-    rounding.  A non-finite value met during the sweep raises
+    The plan (validation, the planarity check, the network form and sweep
+    frame, the order and the slot bookkeeping of every step) is taken from
+    a cache keyed on ``chi`` and on the vertex ids, positions and tensor
+    shapes and the ordered bonds, so networks that differ only in tensor
+    values pay it once per ``chi``; see the module docstring.  On a
+    bipartite network the plan may fold one colour class into the other:
+    each merged tensor is then built at its host's step
+    (:func:`_vertex_tensor`), and the value is that of the same network
+    summed in another order, equal up to rounding.  A non-finite value met during the sweep raises
     :class:`ContractionError`.
     """
     if not tn.vertices:

@@ -1,10 +1,9 @@
-"""Geometrically embedded tensor networks and crossing removal.
+"""Geometrically embedded tensor networks and the check that they are planar.
 
 A network is a set of tensors at 2D positions joined by bonds drawn as
 straight segments.  Contraction only needs the combinatorial structure,
 but the sweep algorithm needs an embedding in which bonds do not cross;
-:func:`planarize` restores that property by splicing a swap tensor into
-every crossing point.
+:func:`planarize` checks that property and raises at the first crossing.
 
 Crossings are found on a uniform grid of buckets: each bond is registered
 in every cell its bounding box covers, and only bonds sharing a cell are
@@ -21,8 +20,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..tensor import DenseTensor
 
@@ -44,7 +41,7 @@ MAX_BOND_CELLS = 16
 
 
 class PlanarizeError(ValueError):
-    """Geometry that crossing removal cannot repair."""
+    """A drawing whose bonds cross, or that is degenerate."""
 
 
 @dataclass
@@ -102,9 +99,6 @@ class TensorNetwork2D:
         ends = (b.endpoint_a[0], b.endpoint_b[0])
         _check_bond(b, {v: self.vertices[v].tensor.extents for v in ends if v in self.vertices})
         self.bonds.append(b)
-
-    def next_vertex_id(self) -> int:
-        return max(self.vertices) + 1 if self.vertices else 0
 
     def validate_closed(self):
         """Every tensor axis must be covered by exactly one bond endpoint."""
@@ -251,99 +245,27 @@ def _find_crossing(bonds, pos):
     return None
 
 
-def _swap_tensor(dim_a: int, dim_b: int) -> DenseTensor:
-    eye_a = np.eye(dim_a)
-    eye_b = np.eye(dim_b)
-    # axes: (a_in, b_in, a_out, b_out); passes both indices straight through
-    return DenseTensor(np.einsum("ik,jl->ijkl", eye_a, eye_b))
-
-
 def planarize(tn: TensorNetwork2D) -> TensorNetwork2D:
-    """Replace every bond crossing with a degree-4 swap tensor.
+    """Return ``tn`` itself when no two of its bonds cross; raise otherwise.
 
-    Crossings are removed one at a time, always the first in ``(i, j)``
-    order over the bond list, so the output is deterministic.  Each search
-    buckets the bonds on a uniform grid (see :func:`_find_crossing`) and
-    tests only pairs whose closed bounding boxes meet, so it costs
-    near-linear time in the number of bonds; the grid is rebuilt after
-    every inserted swap.  Degeneracies a swap cannot express (a bond
-    through a vertex it does not terminate) and a vertex at a non-finite
-    position raise :class:`PlanarizeError`; a swap vertex that would itself
-    land on another bond or vertex is nudged by a deterministic epsilon so
-    chains of crossings through one point resolve pairwise.
-
-    The input is returned unchanged (same object) when already planar.
+    The sweep reads the drawing as planar, and every code family's coset
+    network is drawn without crossings, so this is a check, not a repair.
+    The first crossing in ``(i, j)`` order over the bond list (see
+    :func:`_find_crossing`) raises :class:`PlanarizeError` naming both
+    bonds; so do a vertex at a non-finite position and a vertex on the
+    interior of a bond it does not end.  The name is kept for the layer
+    trace, which wraps this function as the sweep calls it.
     """
     pos = {vid: v.position for vid, v in tn.vertices.items()}
     for vid, p in pos.items():
         if not all(math.isfinite(c) for c in p):
             raise PlanarizeError(f"vertex {vid} has a non-finite position {p}")
     hit = _find_crossing(tn.bonds, pos)
-    if hit is None:
-        return tn
-
-    # the working copy shares the vertex and bond objects, which are
-    # never mutated: swaps only replace entries of its own bond list
-    out = TensorNetwork2D(tn.vertices.values(), tn.bonds)
-
-    max_rounds = 10 * len(tn.bonds) ** 2 + 100
-    for _ in range(max_rounds):
+    if hit is not None:
         i, j, pt = hit
-        bond_a = out.bonds[i]
-        bond_b = out.bonds[j]
-
-        # Keep the swap off every other vertex and bond so later crossings
-        # stay pairwise.  The halves of both bonds re-terminate at the swap,
-        # so it need not sit exactly on either segment; candidates spiral
-        # outward through eight directions at a step tied to bond_a's length.
-        pa1, pa2 = pos[bond_a.endpoint_a[0]], pos[bond_a.endpoint_b[0]]
-        norm = math.hypot(pa2[0] - pa1[0], pa2[1] - pa1[1])
-        ux, uy = (pa2[0] - pa1[0]) / norm, (pa2[1] - pa1[1]) / norm
-        dirs = [
-            (ux, uy), (-uy, ux), (-ux, -uy), (uy, -ux),
-            (ux - uy, uy + ux), (-ux - uy, -uy + ux),
-            (-ux + uy, -uy - ux), (ux + uy, uy - ux),
-        ]
-        step = 1e-9 * norm
-
-        def is_clean(cand):
-            if any(cand == p for p in pos.values()):
-                return False
-            for other in out.bonds:
-                if other is bond_a or other is bond_b:
-                    continue
-                o1, o2 = pos[other.endpoint_a[0]], pos[other.endpoint_b[0]]
-                if _orient(o1, o2, cand) == 0.0 and _on_segment(cand, o1, o2):
-                    return False
-            return True
-
-        if not is_clean(pt):
-            found = None
-            k = 1
-            while found is None and k < 1000:
-                for dx, dy in dirs:
-                    cand = (pt[0] + k * step * dx, pt[1] + k * step * dy)
-                    if is_clean(cand):
-                        found = cand
-                        break
-                k += 1
-            if found is None:
-                raise PlanarizeError(
-                    f"could not place a swap vertex near {pt}; geometry too degenerate"
-                )
-            pt = found
-
-        wid = out.next_vertex_id()
-        swap = TNVertex(wid, _swap_tensor(bond_a.dimension, bond_b.dimension), pt)
-        out.add_vertex(swap)
-        pos[wid] = pt
-        del out.bonds[j]
-        del out.bonds[i]
-        out.add_bond(Bond(bond_a.endpoint_a, (wid, 0), bond_a.dimension))
-        out.add_bond(Bond((wid, 2), bond_a.endpoint_b, bond_a.dimension))
-        out.add_bond(Bond(bond_b.endpoint_a, (wid, 1), bond_b.dimension))
-        out.add_bond(Bond((wid, 3), bond_b.endpoint_b, bond_b.dimension))
-        hit = _find_crossing(out.bonds, pos)
-        if hit is None:
-            return out
-    raise PlanarizeError("crossing removal did not converge")
+        a, b = tn.bonds[i], tn.bonds[j]
+        raise PlanarizeError(
+            f"bond {i} ({a.endpoint_a[0]}-{a.endpoint_b[0]}) crosses bond {j} "
+            f"({b.endpoint_a[0]}-{b.endpoint_b[0]}) at {pt}"
+        )
+    return tn

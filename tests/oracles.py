@@ -193,22 +193,21 @@ def sweep_checking_every_step(tn, chi):
 
 def plan_unrotated(tn):
     """The sweep plan of ``tn`` in its own frame, as every plan was made
-    before the frame and the fold were chosen: planarize, then replay the
-    steps in ascending ``sweep_key`` order of the untouched positions.  It
-    folds nothing and is not modelled."""
-    flat = network.planarize(tn)
-    incident = {vid: [] for vid in flat.vertices}
-    for bid, bond in enumerate(flat.bonds):
+    before the frame and the fold were chosen: check that ``tn`` is
+    planar, then replay the steps in ascending ``sweep_key`` order of the
+    untouched positions.  It folds nothing."""
+    network.planarize(tn)
+    incident = {vid: [] for vid in tn.vertices}
+    for bid, bond in enumerate(tn.bonds):
         incident[bond.endpoint_a[0]].append((bid, bond.endpoint_a[1]))
         incident[bond.endpoint_b[0]].append((bid, bond.endpoint_b[1]))
     pending = []
     steps = tuple(
-        contract._plan_step(pending, v, flat.vertices, incident, flat.bonds)
-        for v in sorted(flat.vertices.values(), key=contract.sweep_key)
+        contract._plan_step(pending, v, tn.vertices, incident, tn.bonds)
+        for v in sorted(tn.vertices.values(), key=contract.sweep_key)
     )
     assert not pending
-    swaps = {vid: v.tensor for vid, v in flat.vertices.items() if vid not in tn.vertices}
-    return contract._Plan(steps, swaps, 0, 0, {}, None, None)
+    return contract._Plan(steps, 0, 0, {})
 
 
 def _tensordot_axes(step):

@@ -7,6 +7,7 @@ import pytest
 
 from sweepdecode import DenseTensor
 from sweepdecode.codes import graphs, lattices, subsystem
+from sweepdecode.codes.random import random_quadrangulation_code, random_triangulation_code
 from sweepdecode.sweep import (
     Bond,
     ContractionError,
@@ -22,10 +23,9 @@ from sweepdecode.sweep import (
 )
 from sweepdecode.sweep import contract
 
-from netgen import coset_geometry_network, grid_network, random_planar_network, scramble_positions
+from netgen import coset_geometry_network, grid_network, random_planar_network
 from oracles import (
     assert_matches_oracle,
-    brute_force_value,
     compress_mps_reference,
     contract_step_reference,
     plan_unrotated,
@@ -143,36 +143,59 @@ class TestSweepContractExact:
             sweep_contract(tn2)
 
 
-class TestPlanarize:
-    def k4_square(self, rng):
-        """Complete graph on four corners of a square; diagonals cross."""
-        tn = TensorNetwork2D()
-        pos = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
-        pairs = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (1, 3)]
-        deg = {i: 0 for i in range(4)}
-        axes = []
-        for a, b in pairs:
-            axes.append((deg[a], deg[b]))
-            deg[a] += 1
-            deg[b] += 1
-        for i in range(4):
-            tn.add_vertex(TNVertex(i, DenseTensor(rng.normal(size=(2,) * deg[i])), pos[i]))
-        for (a, b), (ax_a, ax_b) in zip(pairs, axes):
-            tn.add_bond(Bond((a, ax_a), (b, ax_b), 2))
-        return tn
+K4_CROSSED = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]  # diagonals cross
+K4_NESTED = [(0.0, 0.0), (2.0, 0.0), (1.0, 2.0), (1.0, 0.7)]  # vertex 3 inside
 
-    def test_k4_needs_one_swap(self):
-        rng = np.random.default_rng(43)
-        tn = self.k4_square(rng)
-        flat = planarize(tn)
-        assert len(flat.vertices) == 5
-        assert len(flat.bonds) == 8
-        swap = flat.vertices[4]
-        assert swap.tensor.extents == (2, 2, 2, 2)
+
+def k4_network(rng, pos):
+    """Complete graph on four vertices at ``pos``; bonds 4 and 5 are
+    0-2 and 1-3, the diagonals of ``K4_CROSSED``."""
+    tn = TensorNetwork2D()
+    pairs = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (1, 3)]
+    deg = {i: 0 for i in range(4)}
+    axes = []
+    for a, b in pairs:
+        axes.append((deg[a], deg[b]))
+        deg[a] += 1
+        deg[b] += 1
+    for i in range(4):
+        tn.add_vertex(TNVertex(i, DenseTensor(rng.normal(size=(2,) * deg[i])), pos[i]))
+    for (a, b), (ax_a, ax_b) in zip(pairs, axes):
+        tn.add_bond(Bond((a, ax_a), (b, ax_b), 2))
+    return tn
+
+
+RANDOM_CODES = {
+    "random_triangulation": random_triangulation_code,
+    "random_quadrangulation": random_quadrangulation_code,
+}
+
+
+def planarity_cases():
+    """Codes whose coset-network drawing must be crossing-free: every
+    regular family and subsystem at d=3, square, triangular, hexagonal and
+    subsystem at d=5, subsystem at d=7, and random triangulation and
+    quadrangulation codes at d=5, seeds 0-2."""
+    regular = lattices.PRIMAL_FAMILIES + tuple(lattices.DUAL_OF_PRIMAL.values())
+    cases = [(f, 3, 0) for f in (*regular, "subsystem")]
+    cases += [(f, 5, 0) for f in ("square", "triangular", "hexagonal", "subsystem")]
+    cases += [("subsystem", 7, 0)]
+    return cases + [(f, 5, seed) for f in RANDOM_CODES for seed in range(3)]
+
+
+class TestPlanarize:
+    def test_k4_crossing_raises_every_call(self):
+        tn = k4_network(np.random.default_rng(47), K4_CROSSED)
+        contract._plans.clear()
+        for _ in range(3):
+            with pytest.raises(PlanarizeError, match=r"bond 4 \(0-2\) crosses bond 5 \(1-3\)"):
+                sweep_contract(tn)
+        assert not contract._plans
 
     def test_k4_value_preserved(self):
-        rng = np.random.default_rng(47)
-        tn = self.k4_square(rng)
+        # K4 drawn with one vertex inside the triangle of the others
+        tn = k4_network(np.random.default_rng(47), K4_NESTED)
+        assert planarize(tn) is tn
         assert_matches_oracle(sweep_contract(tn), tn, rel=1e-12)
 
     def test_planar_input_returned_unchanged(self):
@@ -180,21 +203,10 @@ class TestPlanarize:
         tn = random_planar_network(rng)
         assert planarize(tn) is tn
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_scrambled_positions_still_contract(self, seed):
-        rng = np.random.default_rng(3000 + seed)
-        tn = random_planar_network(rng, max_vertices=8, product_cap=1 << 12)
-        scrambled = scramble_positions(tn, np.random.default_rng(seed))
-        assert_matches_oracle(sweep_contract(scrambled), scrambled, rel=1e-10)
-
-    def test_planarize_preserves_value_directly(self):
-        rng = np.random.default_rng(59)
-        tn = self.k4_square(rng)
-        flat = planarize(tn)
-        v_orig = brute_force_value(tn)
-        v_flat = brute_force_value(flat)
-        got = v_flat[0] * math.exp(v_flat[1] - v_orig[1])
-        assert got == pytest.approx(v_orig[0], rel=1e-12)
+    @pytest.mark.parametrize("family, d, seed", planarity_cases())
+    def test_code_networks_are_planar(self, family, d, seed):
+        tn = code_network(family, d, seed)
+        assert planarize(tn) is tn
 
     def test_bond_through_vertex_rejected(self):
         # vertex 1 sits exactly on the segment from 0 to 2
@@ -216,26 +228,6 @@ class TestPlanarize:
         tn.vertices[4].position = (1.0, bad)
         with pytest.raises(PlanarizeError, match="vertex 4 has a non-finite position"):
             sweep_contract(tn)
-
-    def test_triple_crossing_resolves(self):
-        # three bonds through one point: nudging must split them pairwise
-        rng = np.random.default_rng(61)
-        tn = TensorNetwork2D()
-        pos = [(-1.0, -1.0), (1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, 0.0), (1.0, 0.0)]
-        for i in range(6):
-            tn.add_vertex(TNVertex(i, DenseTensor(rng.normal(size=(2, 2))), pos[i]))
-        tn.add_bond(Bond((0, 0), (1, 0), 2))
-        tn.add_bond(Bond((2, 0), (3, 0), 2))
-        tn.add_bond(Bond((4, 0), (5, 0), 2))
-        # close remaining axes without adding crossing-free degeneracies:
-        # top and bottom edges, plus a second middle bond through (0, 0)
-        tn.add_bond(Bond((0, 1), (3, 1), 2))
-        tn.add_bond(Bond((2, 1), (1, 1), 2))
-        tn.add_bond(Bond((4, 1), (5, 1), 2))
-        flat = planarize(tn)
-        flat.validate_closed()
-        assert len(flat.vertices) > 6
-        assert_matches_oracle(sweep_contract(tn), tn, rel=1e-10)
 
 
 class TestCompression:
@@ -459,27 +451,17 @@ class TestIdentitySites:
         assert max(memo) == widest
 
 
-def planarizes(tn):
-    try:
-        planarize(tn)
-    except PlanarizeError:  # a scrambled copy may put a vertex on a bond
-        return False
-    return True
-
-
 @functools.cache
 def netgen_corpus():
-    """Networks for the head and trigger checks: random planar ones, their
-    scrambled copies that planarize (with swaps inserted), grids of
-    dimension 2 and 3, and larger grids, whose boundaries compress many
+    """Networks for the head and trigger checks: random planar ones, grids
+    of dimension 2 and 3, and larger grids, whose boundaries compress many
     times.  Grids are bipartite, so their plans fold, which halves their
     compressions; the 7x7 grid of dimension 3 brings them back above 30
     at chi=8."""
     rng = np.random.default_rng(4600)
     seeds = lambda k: [np.random.default_rng(s) for s in rng.integers(1 << 31, size=k)]
     planar = [random_planar_network(g) for g in seeds(24)]
-    scrambled = [scramble_positions(tn, g) for tn, g in zip(planar, seeds(24))]
-    scrambled = [tn for tn in scrambled if planarizes(tn)]
+    planar += [random_planar_network(g) for g in seeds(24)]
     grids = [
         grid_network(g, int(g.integers(2, 6)), int(g.integers(2, 6)), dim=int(g.integers(2, 4)))
         for g in seeds(12)
@@ -487,7 +469,7 @@ def netgen_corpus():
     large = [grid_network(g, 8, 8, dim=2) for g in seeds(3)]
     large += [grid_network(g, 6, 6, dim=3) for g in seeds(3)]
     large += [grid_network(g, 7, 7, dim=3) for g in seeds(1)]
-    return planar + scrambled + grids + large
+    return planar + grids + large
 
 
 class TestIdentityHead:
@@ -541,13 +523,14 @@ class TestIdentityHead:
 
 
 def exact_bond_trace(tn, chi=None):
-    """``(step.grows, largest bond)`` after each step of the sweep along the
-    plan of ``tn`` at ``chi``, run without compressing."""
+    """``(step.forward >= 2, largest bond)`` after each step of the sweep
+    along the plan of ``tn`` at ``chi``, run without compressing; a step
+    leaving fewer than two slots makes no new bond."""
     plan = contract._plan_for(tn, chi)
     mps, trace = MPSState(), []
     for step in plan.steps:
         contract_step(mps, step, contract._vertex_tensor(plan, tn.vertices, step.vid))
-        trace.append((step.grows, mps.max_bond()))
+        trace.append((step.forward >= 2, mps.max_bond()))
     return trace
 
 
@@ -584,7 +567,7 @@ class TestCompressionTrigger:
             fired.clear()
             value = sweep_contract(tn, chi)
             assert fired == want_fired
-            assert all(steps[i].grows for i in fired)
+            assert all(steps[i].forward >= 2 for i in fired)
             assert [x.hex() for x in value] == [x.hex() for x in want_value]
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -677,7 +660,7 @@ class TestAbsorptionKernel:
                         np.testing.assert_allclose(
                             a, b, rtol=1e-13, atol=1e-13 * np.abs(b).max()
                         )
-                    if chi is not None and step.grows and mps.max_bond() > 2 * chi:
+                    if chi is not None and step.forward >= 2 and mps.max_bond() > 2 * chi:
                         compress_mps(mps, chi)
             value = sweep_contract(tn, chi)
             with monkeypatch.context() as m:
@@ -790,36 +773,34 @@ def planarize_counter(monkeypatch):
 
 
 def plan_cases():
-    for seed in range(12):
-        tn = random_planar_network(np.random.default_rng(4000 + seed), max_vertices=10, product_cap=1 << 12)
-        yield tn
-        yield scramble_positions(tn, np.random.default_rng(seed))
+    for seed in range(24):
+        yield random_planar_network(np.random.default_rng(4000 + seed), max_vertices=10, product_cap=1 << 12)
     yield grid_network(np.random.default_rng(4100), 4, 4, dim=2)
-    yield TestPlanarize().k4_square(np.random.default_rng(4101))
+    yield k4_network(np.random.default_rng(4101), K4_NESTED)
 
 
 class TestSweepPlanCache:
     def test_cold_and_warm_cache_agree(self):
-        swaps = 0
+        folds = set()
         for k, tn in enumerate(plan_cases()):
-            swaps += len(planarize(tn).vertices) - len(tn.vertices)
             sibling = with_tensors(tn, np.random.default_rng(k))
             for chi in (None, 2):
                 contract._plans.clear()
                 cold = sweep_contract(tn, chi)
+                folds.add(contract._plan_for(tn, chi).fold)
                 warm_sibling = sweep_contract(sibling, chi)  # tn's plan
                 assert sweep_contract(tn, chi) == cold
                 contract._plans.clear()
                 assert sweep_contract(sibling, chi) == warm_sibling
                 assert sweep_contract(tn, chi) == cold
-        assert swaps > 20
+        # cached plans both folded and unfolded
+        assert 0 in folds and len(folds) > 1
 
     def test_coset_style_networks_plan_once(self, monkeypatch):
         calls = planarize_counter(monkeypatch)
         contract._plans.clear()
-        base = scramble_positions(
-            random_planar_network(np.random.default_rng(4200), max_vertices=10, product_cap=1 << 12),
-            np.random.default_rng(4201),
+        base = random_planar_network(
+            np.random.default_rng(4200), max_vertices=10, product_cap=1 << 12
         )
         for k in range(4):
             net = with_tensors(base, np.random.default_rng(4300 + k))
@@ -828,11 +809,11 @@ class TestSweepPlanCache:
 
     @pytest.mark.parametrize("change", ["moved vertex", "bond dimension", "bond order"])
     def test_changed_geometry_gets_fresh_plan(self, monkeypatch, change):
-        tn = TestPlanarize().k4_square(np.random.default_rng(4400))
+        tn = k4_network(np.random.default_rng(4400), K4_NESTED)
         if change == "moved vertex":
-            other = rebuilt(tn, position=(2, (1.5, 1.25)))
+            other = rebuilt(tn, position=(2, (1.5, 2.25)))
         elif change == "bond dimension":
-            other = rebuilt(tn, dims={4: 3})  # a diagonal: its swap changes shape
+            other = rebuilt(tn, dims={4: 3})
         else:
             other = rebuilt(tn, bond_order=[5, 3, 1, 0, 4, 2])
         calls = planarize_counter(monkeypatch)
@@ -922,10 +903,13 @@ def assert_same_value(got, want):
 
 
 @functools.cache
-def code_network(family, d):
-    """Coset-network geometry of the ``family`` code of distance ``d``."""
+def code_network(family, d, seed=0):
+    """Coset-network geometry of the ``family`` code of distance ``d``
+    (and ``seed``, for a family of ``RANDOM_CODES``)."""
     if family == "subsystem":
         code = subsystem.subsystem_code(d)
+    elif family in RANDOM_CODES:
+        code = RANDOM_CODES[family](d, seed)
     else:
         code = graphs.surface_code_from_graph(lattices.regular_lattice(family, d), family=family)
     return coset_geometry_network(code, np.random.default_rng(d))
@@ -958,7 +942,7 @@ class TestSweepFrame:
         # every frame of an unfolded square code costs the same, and a tie
         # keeps 0
         tn = code_network("square", d)
-        unfolded = [c for c in contract._candidates(planarize(tn), None) if c.fold == 0]
+        unfolded = [c for c in contract._candidates(tn, None) if c.fold == 0]
         assert len(unfolded) == 4
         assert len({c.seconds for c in unfolded}) == 1
         plan = contract._choose(unfolded)
@@ -994,13 +978,11 @@ class TestSweepFrame:
             return replay(layout, turns)
 
         monkeypatch.setattr(contract, "_replay", failing)
-        candidates = contract._candidates(planarize(tn), None)
+        candidates = contract._candidates(tn, None)
         assert {c.turns for c in candidates} == {0}
         want = plan_unrotated(tn)
         assert [c.steps for c in candidates if c.fold == 0] == [want.steps]
-        plan = contract._build_plan(tn, None)
-        assert plan.turns == 0
-        assert plan.swaps.keys() == want.swaps.keys()
+        assert contract._build_plan(tn, None).turns == 0
 
 
 def network_from_pairs(pos, pairs, dim=2, rng=None):
@@ -1068,14 +1050,14 @@ class TestFold:
         the unfolded plan's value; returns how many were run."""
         want = run_plan(plan_unrotated(tn), tn)[0]
         run = 0
-        for c in contract._candidates(planarize(tn), None):
+        for c in contract._candidates(tn, None):
             if c.fold and c.peak <= FOLD_PEAK_CAP:
-                assert_same_value(run_plan(contract._plan_of(c, {}), tn)[0], want)
+                assert_same_value(run_plan(contract._plan_of(c), tn)[0], want)
                 run += 1
         return run
 
     def test_corpus_folds_match_unfolded(self):
-        run = sum(self.assert_folds_match(tn) for tn in netgen_corpus() if planarize(tn) is tn)
+        run = sum(self.assert_folds_match(tn) for tn in netgen_corpus())
         assert run > 50
 
     @pytest.mark.parametrize("family, d", fold_cases())
@@ -1085,10 +1067,9 @@ class TestFold:
     def test_odd_cycles_keep_the_unfolded_plan(self):
         odd = 0
         for tn in netgen_corpus():
-            flat = planarize(tn)
-            if contract._colour_classes(contract._layout(flat)) is None:
+            if contract._colour_classes(contract._layout(tn)) is None:
                 odd += 1
-                assert {c.fold for c in contract._candidates(flat, None)} == {0}
+                assert {c.fold for c in contract._candidates(tn, None)} == {0}
                 assert contract._build_plan(tn, None).fold == 0
         assert odd > 20
 
@@ -1111,11 +1092,11 @@ class TestFold:
         networks = [code_network(f, d) for f, d in fold_cases()] + list(netgen_corpus())
         for tn in networks:
             for chi in (None, 8):
-                candidates = contract._candidates(planarize(tn), chi)
+                candidates = contract._candidates(tn, chi)
                 unfolded = unfolded_best(candidates)
-                plan = contract._build_plan(tn, chi)
-                assert plan.peak <= unfolded.peak
-                folded += plan.fold != 0
+                chosen = contract._choose(candidates)
+                assert chosen.peak <= unfolded.peak
+                folded += chosen.fold != 0
                 fastest = min(candidates, key=lambda c: (c.seconds, c.fold, c.turns))
                 guarded += fastest.peak > unfolded.peak
         # the guard binds on some networks, and folds win on others
