@@ -28,6 +28,7 @@ from .graphs import (
     _kept_edges,
     _logical_paths,
     _midpoint,
+    _rough_path,
     edge_face_table,
     validate_patch,
 )
@@ -114,26 +115,20 @@ def _dressed_distances(g: PlanarGraph, fan):
 def subsystem_patch(d: int) -> PlanarGraph:
     """Smallest triangular window whose fan-split code has distances (d, d).
 
-    The scan orders candidates by qubit count, then window extents and
-    offsets, and certifies each with :func:`dressed_distances`.
-    Windows without a split vertex are rejected, so the delivered code
-    always carries at least one gauge qubit.
+    The scan orders windows by qubit count, then extents and offsets.
+    It reads each window's z distance (rough to rough, across x) as the
+    length of ``graphs._rough_path``, which the fan split leaves intact,
+    and fan-splits only windows where it is d; those with a split vertex
+    are certified by :func:`dressed_distances`.
 
-    Three breaks skip windows that cannot win.  Each rests on a
-    monotonicity of triangular windows ("wider windows only add qubits
-    here", as in ``smallest_patch``), and the pruned scan returns the
-    exhaustive scan's patch for d = 2..12:
-
-    - the kept-edge count never falls as ``wy`` grows, so once a
-      window's key reaches the best key, no taller window at the same
-      (ox, oy, wx) can beat it; the key is read before the fan split;
-    - the dressed x distance (smooth to smooth, across y) never falls
-      as ``wy`` grows, so once it exceeds d no taller window is a hit;
-    - the dressed z distance (rough to rough, across x) is set by
-      ``wx`` and never falls as it grows, so once one window of this
-      width exceeds d, no window of this width or wider is a hit.
-
-    Each window the breaks leave is fan-split once.
+    Each break rests on a monotonicity that the tests check on every
+    window of the d = 2..6 spaces (the scan matches the exhaustive one
+    for d = 2..13).  As ``wy`` grows the kept-edge count and the dressed
+    x distance never fall and z never rises, so a column ends once the
+    key reaches the best, x exceeds d or z drops below d.  As ``wx``
+    grows z never falls, so z above d on a column's tallest window,
+    where it is smallest, ends the offset; a shorter window cannot
+    tell, as at ``wy`` = 2 it can read one above every taller one.
     """
     if d < 2:
         raise ValueError("distance must be at least 2")
@@ -142,35 +137,41 @@ def subsystem_patch(d: int) -> PlanarGraph:
     best = None
     for ox, oy in offsets:
         for wx in wxs:
-            too_wide = False
+            low = None  # z distance of the last window read, the lowest
             for wy in wys:
                 g = cut_window(t, ox, oy, wx, wy)
                 if g is None:
                     continue
-                key = (len(_kept_edges(g)[0]), wy, wx, oy, ox)
+                kept = _kept_edges(g)[0]
+                key = (len(kept), wy, wx, oy, ox)
                 if best is not None and key >= best[0]:
                     break
+                z = _rough_path(g, kept)
+                if z is None:
+                    continue
+                low = len(z)
+                if low < d:
+                    break
+                if low > d:
+                    continue
                 try:
                     fan = _fan_split(g)
                     dd = _dressed_distances(g, fan) if fan[3] else None
                 except PatchError:
                     continue
-                if dd is None:
-                    continue
-                if dd[1] > d:
-                    too_wide = True
-                    break
-                if dd[0] > d:
+                if dd and dd[0] > d:
                     break
                 if dd == (d, d):
                     best = (key, g)
-            if too_wide:
-                break
+            if low is None or low > d:  # the tallest window decides
+                g = g if wy == wys[-1] else cut_window(t, ox, oy, wx, wys[-1])
+                z = g and _rough_path(g, _kept_edges(g)[0])
+                if z and len(z) > d:
+                    break
     if best is None:
         raise ValueError(f"no subsystem patch found with distances {d}")
-    g = best[1]
-    validate_patch(g)
-    return g
+    validate_patch(best[1])
+    return best[1]
 
 
 def _commuting_z_logical(z_path_bits, fan_rows, face_rows):

@@ -10,7 +10,12 @@ from oracles import (
     subsystem_patch_exhaustive,
 )
 from sweepdecode.codes import subsystem
-from sweepdecode.codes.graphs import PatchError, validate_patch
+from sweepdecode.codes.graphs import (
+    PatchError,
+    _kept_edges,
+    _rough_path,
+    validate_patch,
+)
 from sweepdecode.codes.lattices import _search_space, cut_window, template
 from sweepdecode.codes.subsystem import (
     dressed_distances,
@@ -51,23 +56,80 @@ class TestPatch:
         with pytest.raises(ValueError):
             subsystem_patch(1)
 
-    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
     def test_pruned_scan_matches_exhaustive(self, d):
         assert subsystem_patch(d) == subsystem_patch_exhaustive(d)
 
     def test_scan_cuts_at_most_half_the_windows(self, monkeypatch):
-        # the d=5 search space holds 380 windows
-        cuts = []
-        cut = subsystem.cut_window
+        # the d=5 search space holds 380 windows; 9 of them read z = 5
+        calls = {}
 
-        def counting_cut(*args):
-            cuts.append(args)
-            return cut(*args)
+        def counting(name):
+            f = getattr(subsystem, name)
 
-        monkeypatch.setattr(subsystem, "cut_window", counting_cut)
+            def wrapper(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return f(*args)
+            return wrapper
+
+        for name in ("cut_window", "_fan_split"):
+            monkeypatch.setattr(subsystem, name, counting(name))
         subsystem_patch.cache_clear()
         subsystem_patch(5)
-        assert len(cuts) <= 190
+        assert calls["cut_window"] <= 80
+        assert calls["_fan_split"] <= 15
+
+    def test_scan_premises_hold(self):
+        # every window of the d=2..6 search spaces, column by column
+        t = template("triangular")
+        split_windows = 0
+        for d in range(2, 7):
+            offsets, wxs, wys = _search_space(t, d + 4)
+            z = {}
+            for ox, oy in offsets:
+                for wx in wxs:
+                    kept, zs, dx = [], [], []
+                    for wy in wys:
+                        g = cut_window(t, ox, oy, wx, wy)
+                        if g is None:
+                            continue
+                        edges = _kept_edges(g)[0]
+                        kept.append(len(edges))
+                        path = _rough_path(g, edges)
+                        if path is not None:
+                            zs.append(len(path))
+                            z[ox, oy, wx, wy] = len(path)
+                        try:
+                            fan = subsystem._fan_split(g)
+                        except PatchError:
+                            continue
+                        dd = subsystem._dressed_distances(g, fan)
+                        if fan[3] and dd is not None:
+                            assert dd[1] == len(path)
+                            dx.append(dd[0])
+                            split_windows += 1
+                    # as wy grows: kept and dx never fall, z never rises
+                    assert kept == sorted(kept)
+                    assert dx == sorted(dx)
+                    assert zs == sorted(zs, reverse=True)
+            for ox, oy in offsets:
+                for wy in wys:  # z never falls as wx grows
+                    row = [z[ox, oy, wx, wy] for wx in wxs
+                           if (ox, oy, wx, wy) in z]
+                    assert row == sorted(row)
+        assert split_windows > 500
+
+    @pytest.mark.parametrize("d, wx, z", [(5, 10, 5), (13, 28, 14)])
+    def test_short_window_reads_z_above_its_column(self, d, wx, z):
+        # at offset (1, 0) the wy=2 window reads z one above every taller
+        # one, so it cannot judge a column too wide: at d=13 a break on it
+        # would skip windows with z = d
+        t = template("triangular")
+        _, _, wys = _search_space(t, d + 4)
+        zs = [dressed_distances(cut_window(t, 1, 0, wx, wy))[1]
+              for wy in wys[1:]]
+        assert zs[0] == z
+        assert set(zs[1:]) == {z - 1}
 
     def test_fan_pass_matches_reference(self):
         # every other window of the d=2..6 search spaces
