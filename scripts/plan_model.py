@@ -76,9 +76,7 @@ def coset_networks(code, seed=0):
 
 def plans(networks, chi):
     """``(candidates, chosen, unfolded)`` of the code's networks at ``chi``."""
-    tn = networks[0]
-    tn.validate_closed()
-    candidates = contract._candidates(contract.planarize(tn), chi)
+    candidates = contract._candidates(contract.planarize(networks[0]), chi)
     unfolded = min((c for c in candidates if c.fold == 0),
                    key=lambda c: (c.seconds, c.turns))
     return candidates, contract._choose(candidates), unfolded

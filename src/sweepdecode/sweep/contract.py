@@ -41,9 +41,9 @@ bounds the memo at 12 KB whatever is contracted.  R factors up to that
 width take their upper triangle from one shared boolean mask.
 
 A sweep is split into a plan and a run.  The plan depends only on the
-network's geometry and on ``chi``: it validates the network, checks that
-no two bonds cross (:func:`planarize`, which raises at the first
-crossing), chooses a form and a frame for it, orders the vertices, and
+network's geometry and on ``chi``: it checks the network's bonds and
+axes, that no two bonds cross (both :func:`planarize`) and that it is
+connected, chooses a form and a frame for it, orders the vertices, and
 replays the sweep on bond ids alone to fix, for every step, the run of
 boundary slots the vertex consumes, the bonds it emits and the permutation
 of the vertex's axes.  The candidate forms are the network as it is and,
@@ -81,11 +81,12 @@ value moves only by rounding.  Plans are cached, keyed on ``chi`` and on
 everything a plan reads: the vertex ids, positions and tensor shapes, and
 the ordered bonds with both endpoints and their dimensions.  The four
 coset networks of a code and the networks of every syndrome share that
-key, so the plan is paid once per code and ``chi``.  A plan holds no
-tensor, and equal keys replay the same deterministic build, so a cache
-hit returns exactly what a rebuild would.  A network that fails to plan,
-such as one two of whose bonds cross, raises on every call, since errors
-are not cached.
+key, so the plan and its check are paid once per code and ``chi``.  A
+plan holds no tensor, and equal keys replay the same deterministic build,
+so a cache hit returns exactly what a rebuild would, and stands for a
+network that passed the check, which reads nothing the key does not hold.
+A network that fails to plan, such as one two of whose bonds cross, raises
+on every call, since errors are not cached.
 """
 
 from __future__ import annotations
@@ -435,8 +436,9 @@ def _layout(tn: TensorNetwork2D) -> _Layout:
 
 
 def _colour_classes(layout: _Layout) -> tuple | None:
-    """The two colour classes of the connected ``layout``'s graph, class 0
-    holding its lowest vertex id, or None when the graph is not bipartite."""
+    """The two colour classes of ``layout``'s graph, class 0 holding its
+    lowest vertex id, or None when the graph is not bipartite.  A graph
+    that is not connected raises :class:`ContractionError`."""
     colour = {min(layout.positions): 0}
     stack = list(colour)
     while stack:
@@ -444,13 +446,13 @@ def _colour_classes(layout: _Layout) -> tuple | None:
         for bid, _ in layout.incident[vid]:
             bond = layout.bonds[bid]
             for other, _ in (bond.endpoint_a, bond.endpoint_b):
-                if other == vid:
-                    continue
                 if other not in colour:
                     colour[other] = 1 - colour[vid]
                     stack.append(other)
-                elif colour[other] == colour[vid]:
-                    return None
+    if len(colour) < len(layout.positions):
+        raise ContractionError("network is not connected")
+    if any(colour[b.endpoint_a[0]] == colour[b.endpoint_b[0]] for b in layout.bonds):
+        return None
     return tuple(sorted(vid for vid, c in colour.items() if c == k) for k in (0, 1))
 
 
@@ -681,9 +683,9 @@ def _candidates(tn: TensorNetwork2D, chi: int | None) -> list:
     The forms are the network as given and, when its graph is bipartite,
     each colour class folded into the other (:func:`_assign` in the
     network's own :func:`sweep_key` order, then :func:`_fold`); each is
-    replayed in the four quarter-turned frames.  The unturned replay of
-    the unfolded form runs first and its errors raise; any other replay
-    that raises is no candidate.
+    replayed in the four quarter-turned frames.  A disconnected network
+    raises, as does the unturned replay of the unfolded form, run first;
+    any other replay that raises is no candidate.
     """
     base = _layout(tn)
     layouts = [(0, base)]
@@ -747,15 +749,12 @@ def _plan_of(candidate: _Candidate) -> _Plan:
 
 
 def _build_plan(tn: TensorNetwork2D, chi: int | None) -> _Plan:
-    """Validate ``tn``, check that it is planar and plan every absorption.
+    """Check ``tn`` (:func:`planarize`) and plan every absorption.
 
     Each candidate form and frame (:func:`_candidates`) is replayed and
     modelled (:func:`_model`) at ``chi``, and :func:`_choose` picks one.
     """
-    tn.validate_closed()
     planarize(tn)
-    if not tn.is_connected():
-        raise ContractionError("network is not connected")
     return _plan_of(_choose(_candidates(tn, chi)))
 
 
@@ -1091,20 +1090,24 @@ def sweep_contract(tn: TensorNetwork2D, chi: int | None = None) -> SweepValue:
     ``chi`` bounds the boundary MPS bond dimension (``None`` contracts
     exactly).  Compression to ``chi`` triggers only when a step emits a
     bond above ``2 * chi`` (``MPSState.emitted``), and only a step can make
-    one.  A ``chi`` that is not an integer of at least 1 raises
-    ``ValueError``, and a network two of whose bonds cross raises
-    :class:`PlanarizeError`.  Returns ``(mantissa, log_scale)`` with the
-    value equal to ``mantissa * exp(log_scale)``.
+    one.  Returns ``(mantissa, log_scale)`` with the value equal to
+    ``mantissa * exp(log_scale)``.  ``ValueError`` is raised for a ``chi``
+    that is not an integer of at least 1, and by :func:`planarize` for a
+    bond naming a missing vertex or an axis out of range or of the wrong
+    dimension, a self-loop, a slot two bonds end and a dangling axis;
+    :class:`PlanarizeError`, a ``ValueError``, for crossing bonds, a vertex
+    on a bond or at a non-finite position; and :class:`ContractionError`,
+    also one, for an empty or disconnected network.
 
-    The plan (validation, the planarity check, the network form and sweep
-    frame, the order and the slot bookkeeping of every step) is taken from
-    a cache keyed on ``chi`` and on the vertex ids, positions and tensor
-    shapes and the ordered bonds, so networks that differ only in tensor
-    values pay it once per ``chi``; see the module docstring.  On a
-    bipartite network the plan may fold one colour class into the other:
-    each merged tensor is then built at its host's step
-    (:func:`_vertex_tensor`), and the value is that of the same network
-    summed in another order, equal up to rounding.  A non-finite value met during the sweep raises
+    The plan (the check, the network form and sweep frame, the order and
+    the slot bookkeeping of every step) is taken from a cache keyed on
+    ``chi`` and on the vertex ids, positions and tensor shapes and the
+    ordered bonds, so networks that differ only in tensor values pay it
+    once per ``chi``; see the module docstring.  On a bipartite network the
+    plan may fold one colour class into the other: each merged tensor is
+    then built at its host's step (:func:`_vertex_tensor`), and the value
+    is that of the same network summed in another order, equal up to
+    rounding.  A non-finite value met during the sweep raises
     :class:`ContractionError`.
     """
     if not tn.vertices:

@@ -1,9 +1,10 @@
-"""Geometrically embedded tensor networks and the check that they are planar.
+"""Geometrically embedded tensor networks and the one check they pass.
 
 A network is a set of tensors at 2D positions joined by bonds drawn as
-straight segments.  Contraction only needs the combinatorial structure,
-but the sweep algorithm needs an embedding in which bonds do not cross;
-:func:`planarize` checks that property and raises at the first crossing.
+straight segments, which :class:`TensorNetwork2D` only holds.  The sweep
+needs every axis to end one bond of its dimension and bonds that do not
+cross; :func:`planarize` checks both, once per plan, and raises at the
+first fault.
 
 Crossings are found on a uniform grid of buckets: each bond is registered
 in every cell its bounding box covers, and only bonds sharing a cell are
@@ -58,77 +59,20 @@ class Bond:
     dimension: int
 
 
-def _check_bond(b: Bond, shapes: dict):
-    """Raise ValueError unless ``b`` joins axes of its dimension on two
-    distinct vertices of ``shapes`` (vertex id -> tensor shape)."""
-    for vid, axis in (b.endpoint_a, b.endpoint_b):
-        shape = shapes.get(vid)
-        if shape is None:
-            raise ValueError(f"bond references missing vertex {vid}")
-        if not (0 <= axis < len(shape)):
-            raise ValueError(f"bond references axis {axis} of rank-{len(shape)} vertex {vid}")
-        if shape[axis] != b.dimension:
-            raise ValueError(
-                f"bond dimension {b.dimension} != extent {shape[axis]} "
-                f"at vertex {vid} axis {axis}"
-            )
-    if b.endpoint_a[0] == b.endpoint_b[0]:
-        raise ValueError("self-loop bonds are not supported")
-
-
 class TensorNetwork2D:
-    """Vertices keyed by id plus a list of bonds between (vertex, axis) slots."""
+    """Vertices keyed by id plus a list of bonds between (vertex, axis) slots.
+
+    A plain container that rejects only a duplicate id, which the dict would
+    drop; :func:`planarize` checks the rest as the sweep plans the network.
+    """
 
     def __init__(self, vertices=(), bonds=()):
         self.vertices: dict = {}
-        self.bonds: list = []
         for v in vertices:
-            self.add_vertex(v)
-        # each vertex's shape is read once, not once per bond end
-        shapes = {vid: v.tensor.extents for vid, v in self.vertices.items()}
-        for b in bonds:
-            _check_bond(b, shapes)
-            self.bonds.append(b)
-
-    def add_vertex(self, v: TNVertex):
-        if v.id in self.vertices:
-            raise ValueError(f"duplicate vertex id {v.id}")
-        self.vertices[v.id] = v
-
-    def add_bond(self, b: Bond):
-        ends = (b.endpoint_a[0], b.endpoint_b[0])
-        _check_bond(b, {v: self.vertices[v].tensor.extents for v in ends if v in self.vertices})
-        self.bonds.append(b)
-
-    def validate_closed(self):
-        """Every tensor axis must be covered by exactly one bond endpoint."""
-        seen = set()
-        for b in self.bonds:
-            for ep in (b.endpoint_a, b.endpoint_b):
-                if ep in seen:
-                    raise ValueError(f"(vertex, axis) slot {ep} used by two bonds")
-                seen.add(ep)
-        for v in self.vertices.values():
-            for axis in range(v.tensor.rank):
-                if (v.id, axis) not in seen:
-                    raise ValueError(f"dangling axis {axis} on vertex {v.id}")
-
-    def is_connected(self) -> bool:
-        if not self.vertices:
-            return False
-        adj: dict = {vid: [] for vid in self.vertices}
-        for b in self.bonds:
-            adj[b.endpoint_a[0]].append(b.endpoint_b[0])
-            adj[b.endpoint_b[0]].append(b.endpoint_a[0])
-        start = next(iter(self.vertices))
-        seen = {start}
-        stack = [start]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
+            if v.id in self.vertices:
+                raise ValueError(f"duplicate vertex id {v.id}")
+            self.vertices[v.id] = v
+        self.bonds: list = list(bonds)
 
 
 def _orient(a, b, c) -> float:
@@ -246,16 +190,45 @@ def _find_crossing(bonds, pos):
 
 
 def planarize(tn: TensorNetwork2D) -> TensorNetwork2D:
-    """Return ``tn`` itself when no two of its bonds cross; raise otherwise.
+    """Return ``tn`` itself when it is closed and drawn without crossings;
+    raise otherwise.  This is the one check of a network.
 
-    The sweep reads the drawing as planar, and every code family's coset
-    network is drawn without crossings, so this is a check, not a repair.
-    The first crossing in ``(i, j)`` order over the bond list (see
-    :func:`_find_crossing`) raises :class:`PlanarizeError` naming both
-    bonds; so do a vertex at a non-finite position and a vertex on the
-    interior of a bond it does not end.  The name is kept for the layer
-    trace, which wraps this function as the sweep calls it.
+    ``ValueError`` is raised, in this order, for a bond naming a missing
+    vertex or an axis out of range, or whose dimension is not the extent of
+    an axis it ends, for a self-loop, a (vertex, axis) slot two bonds end
+    and an axis no bond ends.  The sweep reads the drawing as planar, and
+    every code family's coset network is drawn without crossings, so the
+    rest is a check, not a repair: a vertex at a non-finite position, then
+    the first crossing or vertex on the interior of a bond it does not end,
+    in ``(i, j)`` order over the bond list (see :func:`_find_crossing`),
+    raise :class:`PlanarizeError`; a crossing names both bonds.  The name
+    is kept for the layer trace, which wraps this function as the sweep
+    calls it.
     """
+    shapes = {vid: v.tensor.extents for vid, v in tn.vertices.items()}
+    seen = set()
+    for b in tn.bonds:
+        for vid, axis in (b.endpoint_a, b.endpoint_b):
+            shape = shapes.get(vid)
+            if shape is None:
+                raise ValueError(f"bond references missing vertex {vid}")
+            if not (0 <= axis < len(shape)):
+                raise ValueError(f"bond references axis {axis} of rank-{len(shape)} vertex {vid}")
+            if shape[axis] != b.dimension:
+                raise ValueError(
+                    f"bond dimension {b.dimension} != extent {shape[axis]} "
+                    f"at vertex {vid} axis {axis}"
+                )
+        if b.endpoint_a[0] == b.endpoint_b[0]:
+            raise ValueError("self-loop bonds are not supported")
+        for ep in (b.endpoint_a, b.endpoint_b):
+            if ep in seen:
+                raise ValueError(f"(vertex, axis) slot {ep} used by two bonds")
+            seen.add(ep)
+    for vid, shape in shapes.items():
+        for axis in range(len(shape)):
+            if (vid, axis) not in seen:
+                raise ValueError(f"dangling axis {axis} on vertex {vid}")
     pos = {vid: v.position for vid, v in tn.vertices.items()}
     for vid, p in pos.items():
         if not all(math.isfinite(c) for c in p):

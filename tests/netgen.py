@@ -70,7 +70,7 @@ def random_planar_network(
         axes_of[a].append(k)
         axes_of[b].append(k)
 
-    tn = TensorNetwork2D()
+    vertices = []
     endpoint_axis = {}
     for i in range(nv):
         shape = tuple(dims[k] for k in axes_of[i])
@@ -78,17 +78,18 @@ def random_planar_network(
             arr = rng.integers(-3, 4, size=shape).astype(float)
         else:
             arr = rng.normal(size=shape)
-        tn.add_vertex(TNVertex(i, DenseTensor(arr), (float(points[i, 0]), float(points[i, 1]))))
+        vertices.append(TNVertex(i, DenseTensor(arr), (float(points[i, 0]), float(points[i, 1]))))
         for axis, k in enumerate(axes_of[i]):
             endpoint_axis[(i, k)] = axis
-    for k, (a, b) in enumerate(chosen):
-        tn.add_bond(Bond((a, endpoint_axis[(a, k)]), (b, endpoint_axis[(b, k)]), dims[k]))
-    return tn
+    bonds = [
+        Bond((a, endpoint_axis[(a, k)]), (b, endpoint_axis[(b, k)]), dims[k])
+        for k, (a, b) in enumerate(chosen)
+    ]
+    return TensorNetwork2D(vertices, bonds)
 
 
 def grid_network(rng, rows, cols, dim=2, positive=False):
     """Square-grid network with nearest-neighbor bonds."""
-    tn = TensorNetwork2D()
     vid = lambda r, c: r * cols + c
     bonds = []
     for r in range(rows):
@@ -101,18 +102,23 @@ def grid_network(rng, rows, cols, dim=2, positive=False):
     for k, (a, b) in enumerate(bonds):
         axes_of[a].append(k)
         axes_of[b].append(k)
+    vertices = []
     endpoint_axis = {}
     for r in range(rows):
         for c in range(cols):
             i = vid(r, c)
             shape = (dim,) * len(axes_of[i])
             arr = rng.uniform(0.1, 1.0, size=shape) if positive else rng.normal(size=shape)
-            tn.add_vertex(TNVertex(i, DenseTensor(arr), (float(c), float(r))))
+            vertices.append(TNVertex(i, DenseTensor(arr), (float(c), float(r))))
             for axis, k in enumerate(axes_of[i]):
                 endpoint_axis[(i, k)] = axis
-    for k, (a, b) in enumerate(bonds):
-        tn.add_bond(Bond((a, endpoint_axis[(a, k)]), (b, endpoint_axis[(b, k)]), dim))
-    return tn
+    return TensorNetwork2D(
+        vertices,
+        [
+            Bond((a, endpoint_axis[(a, k)]), (b, endpoint_axis[(b, k)]), dim)
+            for k, (a, b) in enumerate(bonds)
+        ],
+    )
 
 
 def scramble_positions(tn, rng):
@@ -120,13 +126,11 @@ def scramble_positions(tn, rng):
     ids = sorted(tn.vertices)
     perm = rng.permutation(len(ids))
     old = [tn.vertices[i].position for i in ids]
-    out = TensorNetwork2D()
+    vertices = []
     for j, i in enumerate(ids):
         v = tn.vertices[i]
-        out.add_vertex(TNVertex(v.id, v.tensor, old[perm[j]]))
-    for b in tn.bonds:
-        out.add_bond(Bond(b.endpoint_a, b.endpoint_b, b.dimension))
-    return out
+        vertices.append(TNVertex(v.id, v.tensor, old[perm[j]]))
+    return TensorNetwork2D(vertices, tn.bonds)
 
 
 def coset_geometry_network(code, rng):
@@ -138,7 +142,7 @@ def coset_geometry_network(code, rng):
     coset network has, without its probabilities.
     """
     m = code.num_checks
-    tn = TensorNetwork2D()
+    vertices = []
     bonds = []
     qubit_degree = [0] * code.n
     for j, check in enumerate(code.checks):
@@ -147,10 +151,8 @@ def coset_geometry_network(code, rng):
             bonds.append(Bond((j, axis), (m + q, qubit_degree[q]), 2))
             qubit_degree[q] += 1
         arr = rng.uniform(0.1, 1.0, size=(2,) * len(qubits))
-        tn.add_vertex(TNVertex(j, DenseTensor(arr), tuple(code.check_coords[j])))
+        vertices.append(TNVertex(j, DenseTensor(arr), tuple(code.check_coords[j])))
     for q in range(code.n):
         arr = rng.uniform(0.1, 1.0, size=(2,) * qubit_degree[q])
-        tn.add_vertex(TNVertex(m + q, DenseTensor(arr), tuple(code.qubit_coords[q])))
-    for b in bonds:
-        tn.add_bond(b)
-    return tn
+        vertices.append(TNVertex(m + q, DenseTensor(arr), tuple(code.qubit_coords[q])))
+    return TensorNetwork2D(vertices, bonds)

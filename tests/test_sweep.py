@@ -40,20 +40,17 @@ def value_of(result):
 def chain_network(mats, positions=None):
     """Open chain: rank-1 tensors at the ends, rank-2 in the middle."""
     n = len(mats)
-    tn = TensorNetwork2D()
-    for i, m in enumerate(mats):
-        pos = positions[i] if positions else (0.0, float(i))
-        tn.add_vertex(TNVertex(i, DenseTensor(m), pos))
-    for i in range(n - 1):
-        axis_a = 0 if i == 0 else 1
-        tn.add_bond(Bond((i, axis_a), (i + 1, 0), mats[i].shape[-1]))
-    return tn
+    vertices = [
+        TNVertex(i, DenseTensor(m), positions[i] if positions else (0.0, float(i)))
+        for i, m in enumerate(mats)
+    ]
+    bonds = [Bond((i, 0 if i == 0 else 1), (i + 1, 0), mats[i].shape[-1]) for i in range(n - 1)]
+    return TensorNetwork2D(vertices, bonds)
 
 
 class TestSweepContractExact:
     def test_single_scalar_vertex(self):
-        tn = TensorNetwork2D()
-        tn.add_vertex(TNVertex(0, DenseTensor(np.array(7.0)), (0.0, 0.0)))
+        tn = TensorNetwork2D([TNVertex(0, DenseTensor(np.array(7.0)), (0.0, 0.0))])
         result = sweep_contract(tn)
         assert value_of(result) == pytest.approx(7.0, rel=1e-15)
 
@@ -108,12 +105,11 @@ class TestSweepContractExact:
         base = value_of(sweep_contract(tn))
         angle = 0.37
         c, s = math.cos(angle), math.sin(angle)
-        moved = TensorNetwork2D()
+        vertices = []
         for v in tn.vertices.values():
             x, y = v.position
-            moved.add_vertex(TNVertex(v.id, v.tensor, (c * x - s * y + 5.0, s * x + c * y - 2.0)))
-        for b in tn.bonds:
-            moved.add_bond(Bond(b.endpoint_a, b.endpoint_b, b.dimension))
+            vertices.append(TNVertex(v.id, v.tensor, (c * x - s * y + 5.0, s * x + c * y - 2.0)))
+        moved = TensorNetwork2D(vertices, tn.bonds)
         assert value_of(sweep_contract(moved)) == pytest.approx(base, rel=1e-12)
 
     def test_large_scale_factors_survive(self):
@@ -129,16 +125,16 @@ class TestSweepContractExact:
         assert got_log == pytest.approx(want_log, rel=1e-12)
 
     def test_validation_errors(self):
-        tn = TensorNetwork2D()
         with pytest.raises(ContractionError):
-            sweep_contract(tn)
-        tn.add_vertex(TNVertex(0, DenseTensor(np.zeros(2)), (0.0, 0.0)))
+            sweep_contract(TensorNetwork2D())
+        tn = TensorNetwork2D([TNVertex(0, DenseTensor(np.zeros(2)), (0.0, 0.0))])
         with pytest.raises(ValueError):  # dangling axis
             sweep_contract(tn)
         # disconnected: two scalar vertices
-        tn2 = TensorNetwork2D()
-        tn2.add_vertex(TNVertex(0, DenseTensor(np.array(1.0)), (0.0, 0.0)))
-        tn2.add_vertex(TNVertex(1, DenseTensor(np.array(2.0)), (1.0, 0.0)))
+        tn2 = TensorNetwork2D([
+            TNVertex(0, DenseTensor(np.array(1.0)), (0.0, 0.0)),
+            TNVertex(1, DenseTensor(np.array(2.0)), (1.0, 0.0)),
+        ])
         with pytest.raises(ContractionError):
             sweep_contract(tn2)
 
@@ -150,7 +146,6 @@ K4_NESTED = [(0.0, 0.0), (2.0, 0.0), (1.0, 2.0), (1.0, 0.7)]  # vertex 3 inside
 def k4_network(rng, pos):
     """Complete graph on four vertices at ``pos``; bonds 4 and 5 are
     0-2 and 1-3, the diagonals of ``K4_CROSSED``."""
-    tn = TensorNetwork2D()
     pairs = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (1, 3)]
     deg = {i: 0 for i in range(4)}
     axes = []
@@ -158,11 +153,9 @@ def k4_network(rng, pos):
         axes.append((deg[a], deg[b]))
         deg[a] += 1
         deg[b] += 1
-    for i in range(4):
-        tn.add_vertex(TNVertex(i, DenseTensor(rng.normal(size=(2,) * deg[i])), pos[i]))
-    for (a, b), (ax_a, ax_b) in zip(pairs, axes):
-        tn.add_bond(Bond((a, ax_a), (b, ax_b), 2))
-    return tn
+    vertices = [TNVertex(i, DenseTensor(rng.normal(size=(2,) * deg[i])), pos[i]) for i in range(4)]
+    bonds = [Bond((a, ax_a), (b, ax_b), 2) for (a, b), (ax_a, ax_b) in zip(pairs, axes)]
+    return TensorNetwork2D(vertices, bonds)
 
 
 RANDOM_CODES = {
@@ -210,15 +203,16 @@ class TestPlanarize:
 
     def test_bond_through_vertex_rejected(self):
         # vertex 1 sits exactly on the segment from 0 to 2
-        tn = TensorNetwork2D()
-        tn.add_vertex(TNVertex(0, DenseTensor(np.zeros((2, 2))), (0.0, 0.0)))
-        tn.add_vertex(TNVertex(1, DenseTensor(np.zeros((2, 2))), (1.0, 1.0)))
-        tn.add_vertex(TNVertex(2, DenseTensor(np.zeros((2, 2))), (2.0, 2.0)))
-        tn.add_vertex(TNVertex(3, DenseTensor(np.zeros((2, 2))), (0.0, 2.0)))
-        tn.add_bond(Bond((0, 0), (2, 0), 2))
-        tn.add_bond(Bond((1, 0), (3, 0), 2))
-        tn.add_bond(Bond((0, 1), (3, 1), 2))
-        tn.add_bond(Bond((1, 1), (2, 1), 2))
+        pos = [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (0.0, 2.0)]
+        tn = TensorNetwork2D(
+            [TNVertex(i, DenseTensor(np.zeros((2, 2))), p) for i, p in enumerate(pos)],
+            [
+                Bond((0, 0), (2, 0), 2),
+                Bond((1, 0), (3, 0), 2),
+                Bond((0, 1), (3, 1), 2),
+                Bond((1, 1), (2, 1), 2),
+            ],
+        )
         with pytest.raises(PlanarizeError):
             planarize(tn)
 
@@ -704,10 +698,15 @@ class TestNetworkConstruction:
         ],
     )
     def test_constructor_and_add_bond_raise(self, case, message):
+        # the constructor rejects a duplicate id; every other fault is
+        # found by the check, alone and as sweep_contract plans
         vertices, bonds = self.parts()
         if case == "duplicate vertex":
             vertices.append(TNVertex(1, DenseTensor(np.ones(2)), (2.0, 0.0)))
-        elif case == "missing vertex":
+            with pytest.raises(ValueError, match=message):
+                TensorNetwork2D(vertices, bonds)
+            return
+        if case == "missing vertex":
             bonds[1] = Bond((0, 1), (7, 0), 3)
         elif case == "axis out of range":
             bonds[1] = Bond((0, 1), (2, 1), 3)
@@ -717,24 +716,25 @@ class TestNetworkConstruction:
             bonds[1] = Bond((0, 1), (2, 0), 2)
         else:
             bonds[1] = Bond((0, 0), (0, 0), 2)
+        tn = TensorNetwork2D(vertices, bonds)
         with pytest.raises(ValueError, match=message):
-            TensorNetwork2D(vertices, bonds)
-        if case == "duplicate vertex":
-            return
-        tn = TensorNetwork2D(vertices)
-        with pytest.raises(ValueError, match=message):
-            for b in bonds:
-                tn.add_bond(b)
+            planarize(tn)
+        contract._plans.clear()
+        for _ in range(3):
+            with pytest.raises(ValueError, match=message):
+                sweep_contract(tn)
+        assert not contract._plans
 
 
 def with_tensors(tn, rng):
     """Same vertices, positions and bonds as ``tn``; fresh random tensors."""
-    out = TensorNetwork2D()
-    for v in tn.vertices.values():
-        out.add_vertex(TNVertex(v.id, DenseTensor(rng.normal(size=v.tensor.extents)), v.position))
-    for b in tn.bonds:
-        out.add_bond(Bond(b.endpoint_a, b.endpoint_b, b.dimension))
-    return out
+    return TensorNetwork2D(
+        [
+            TNVertex(v.id, DenseTensor(rng.normal(size=v.tensor.extents)), v.position)
+            for v in tn.vertices.values()
+        ],
+        tn.bonds,
+    )
 
 
 def rebuilt(tn, position=None, dims=None, bond_order=None):
@@ -747,17 +747,18 @@ def rebuilt(tn, position=None, dims=None, bond_order=None):
         for vid, axis in (tn.bonds[k].endpoint_a, tn.bonds[k].endpoint_b):
             extents[vid][axis] = d
     rng = np.random.default_rng(len(tn.bonds))
-    out = TensorNetwork2D()
+    vertices = []
     for v in tn.vertices.values():
         pos = position[1] if position and position[0] == v.id else v.position
         arr = v.tensor.elements
         if list(arr.shape) != extents[v.id]:
             arr = rng.normal(size=extents[v.id])
-        out.add_vertex(TNVertex(v.id, DenseTensor(arr), pos))
+        vertices.append(TNVertex(v.id, DenseTensor(arr), pos))
+    bonds = []
     for k in bond_order or range(len(tn.bonds)):
         b = tn.bonds[k]
-        out.add_bond(Bond(b.endpoint_a, b.endpoint_b, dims.get(k, b.dimension)))
-    return out
+        bonds.append(Bond(b.endpoint_a, b.endpoint_b, dims.get(k, b.dimension)))
+    return TensorNetwork2D(vertices, bonds)
 
 
 def planarize_counter(monkeypatch):
@@ -848,40 +849,59 @@ class TestSweepPlanCache:
         return network_from_pairs(pos, pairs)
 
     @pytest.mark.parametrize(
-        "case", ["dangling axis", "disconnected", "non-contiguous", "self-loop", "self-loop in chain"]
+        "case",
+        [
+            "dangling axis",
+            "slot used twice",
+            "disconnected",
+            "non-contiguous",
+            "self-loop",
+            "self-loop in chain",
+            "edited dimension",
+            "edited missing vertex",
+        ],
     )
     def test_invalid_network_raises_every_call(self, case):
+        # each network is edited after construction, which checks nothing
+        # but the vertex ids
+        kind = ValueError
         if case == "dangling axis":
             tn = chain_network([np.ones(2), np.ones((2, 2)), np.ones(2)])
             tn.bonds.pop()
-            kind = ValueError
+            message = "dangling axis 1 on vertex 1"
+        elif case == "slot used twice":
+            tn = chain_network([np.ones(2), np.ones((2, 2)), np.ones(2)])
+            tn.bonds[1] = Bond((1, 0), (2, 0), 2)
+            message = r"slot \(1, 0\) used by two bonds"
         elif case == "disconnected":
-            tn = TensorNetwork2D()
-            tn.add_vertex(TNVertex(0, DenseTensor(np.array(1.0)), (0.0, 0.0)))
-            tn.add_vertex(TNVertex(1, DenseTensor(np.array(2.0)), (1.0, 0.0)))
-            kind = ContractionError
+            tn = TensorNetwork2D([
+                TNVertex(0, DenseTensor(np.array(1.0)), (0.0, 0.0)),
+                TNVertex(1, DenseTensor(np.array(2.0)), (1.0, 0.0)),
+            ])
+            kind, message = ContractionError, "network is not connected"
         elif case == "non-contiguous":
             tn = self.non_contiguous_network()
-            kind = ContractionError
+            kind, message = ContractionError, "not contiguous"
         elif case == "self-loop":
-            # add_bond rejects a self-loop, so it is appended directly; the
-            # plan leaves it open on the boundary
-            tn = TensorNetwork2D()
-            tn.add_vertex(TNVertex(0, DenseTensor(np.eye(2)), (0.0, 0.0)))
+            tn = TensorNetwork2D([TNVertex(0, DenseTensor(np.eye(2)), (0.0, 0.0))])
             tn.bonds.append(Bond((0, 0), (0, 1), 2))
-            kind = ContractionError
-        else:
+            message = "self-loop"
+        elif case == "self-loop in chain":
             tn = chain_network([np.ones(2), np.ones((2, 2, 2, 2)), np.ones(2)])
             tn.bonds.append(Bond((1, 2), (1, 3), 2))
-            kind = ContractionError
+            message = "self-loop"
+        elif case == "edited dimension":
+            tn = TensorNetwork2D(*TestNetworkConstruction.parts())
+            tn.bonds[1] = Bond((0, 1), (2, 0), 2)
+            message = "bond dimension 2 != extent 3 at vertex 0 axis 1"
+        else:
+            tn = TensorNetwork2D(*TestNetworkConstruction.parts())
+            tn.bonds[1] = Bond((0, 1), (7, 0), 3)
+            message = "missing vertex 7"
         contract._plans.clear()
         for _ in range(3):
-            with pytest.raises(kind) as err:
+            with pytest.raises(kind, match=message):
                 sweep_contract(tn)
-            if case == "non-contiguous":
-                assert "not contiguous" in str(err.value)
-            elif case.startswith("self-loop"):
-                assert "open boundary" in str(err.value)
         assert not contract._plans
 
 
@@ -994,12 +1014,12 @@ def network_from_pairs(pos, pairs, dim=2, rng=None):
         axes.append((degree[a], degree[b]))
         degree[a] += 1
         degree[b] += 1
-    tn = TensorNetwork2D()
-    for vid, xy in pos.items():
-        tn.add_vertex(TNVertex(vid, DenseTensor(rng.normal(size=(dim,) * degree[vid])), xy))
-    for (a, b), (ax_a, ax_b) in zip(pairs, axes):
-        tn.add_bond(Bond((a, ax_a), (b, ax_b), dim))
-    return tn
+    vertices = [
+        TNVertex(vid, DenseTensor(rng.normal(size=(dim,) * degree[vid])), xy)
+        for vid, xy in pos.items()
+    ]
+    bonds = [Bond((a, ax_a), (b, ax_b), dim) for (a, b), (ax_a, ax_b) in zip(pairs, axes)]
+    return TensorNetwork2D(vertices, bonds)
 
 
 class TestNonFiniteValues:
@@ -1086,6 +1106,14 @@ class TestFold:
             assert {c.fold for c in contract._candidates(tn, chi)} == {0}
             assert contract._build_plan(tn, chi).fold == 0
         assert_matches_oracle(sweep_contract(tn), tn, rel=1e-12)
+
+    # the benchmark's codes, square d=5 at chi=8 and subsystem d=5 exact
+    @pytest.mark.parametrize(
+        "family, chi, fold, turns, steps", [("square", 8, 2, 2, 40), ("subsystem", None, 1, 1, 49)]
+    )
+    def test_benchmark_code_plans(self, family, chi, fold, turns, steps):
+        plan = contract._build_plan(code_network(family, 5), chi)
+        assert (plan.fold, plan.turns, len(plan.steps)) == (fold, turns, steps)
 
     def test_chosen_peak_is_never_above_unfolded(self):
         folded = guarded = 0
