@@ -11,10 +11,11 @@
 Run it from the repository root.  A configuration is a (code, form,
 frame, chi): the square, triangular, hexagonal and subsystem codes at d=5
 and d=7, each form the plan chooses from (unfolded, colour class 0 folded
-into class 1, class 1 into class 0) in each quarter-turned frame, at
-chi=8 and exact.  A configuration whose modelled peak or time is out of
-reach (an exact sweep along a code's long side, say) is left out, as is
-one whose steps repeat another frame's.  Each is timed as the four coset
+into class 1, class 1 into class 0, and each fold with its merged vertices
+paired in one of the four frames' sweep orders) in each quarter-turned
+frame, at chi=8 and exact.  A configuration whose modelled peak or time
+is out of reach (an exact sweep along a code's long side, say) is left
+out, as is one whose steps repeat another frame's.  Each is timed as the four coset
 networks of one depolarising shot swept along its plan, the fastest of
 ``REPEATS`` repeats, interleaved across configurations, on one BLAS
 thread.  Beside each time the file records the model's prediction and
@@ -22,7 +23,9 @@ its counts, the code's chosen and unfolded plans, the git sha and the
 machine.  ``--fit`` refits ``MODEL_SECONDS_PER_*`` by non-negative least
 squares on relative error and rewrites the file's predictions and
 summary with the fitted values, which are then written into
-``contract.py`` by hand.
+``contract.py`` by hand.  ``--plans`` also prints, for each benchmark
+code, the chosen plan's modelled peak in bytes beside the tracemalloc
+peak of one sweep along it.
 """
 
 import argparse
@@ -32,6 +35,7 @@ import platform
 import subprocess
 import sys
 import time
+import tracemalloc
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -56,6 +60,8 @@ SECONDS_LIMIT = 0.2
 # the benchmark's codes, as perfbench/workloads.py builds them
 BENCHMARK_CODES = (("square", 5, 8), ("subsystem", 5, None))
 FORMS = ("unfolded", "class 0 into class 1", "class 1 into class 0")
+CONSTANTS = ("MODEL_SECONDS_PER_MADD", "MODEL_SECONDS_PER_STEP",
+             "MODEL_SECONDS_PER_MERGED_VERTEX", "MODEL_SECONDS_PER_COMPRESSED_SITE")
 
 
 def build_code(family, d):
@@ -82,9 +88,29 @@ def plans(networks, chi):
     return candidates, contract._choose(candidates), unfolded
 
 
+def form(c):
+    """The name of ``c``'s network form."""
+    return FORMS[c.fold] + ("" if c.pairs is None else f", paired in frame {c.pairs}")
+
+
 def describe(c):
-    return {"form": FORMS[c.fold], "fold": c.fold, "turns": c.turns, "steps": len(c.steps),
-            "model_s": c.seconds, "model_peak": c.peak}
+    return {"form": form(c), "fold": c.fold, "pairs": c.pairs, "turns": c.turns,
+            "steps": len(c.steps), "model_s": c.seconds, "model_peak": c.peak}
+
+
+def traced_peak(plan, tn, chi):
+    """The most bytes tracemalloc sees allocated at once during one sweep
+    of ``tn`` along ``plan``, after one warm-up sweep."""
+    vertices = tn.vertices
+    contract._run(plan, vertices, chi)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        contract._run(plan, vertices, chi)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def print_plans():
@@ -96,9 +122,11 @@ def print_plans():
         cold = time.perf_counter() - start
         _, chosen, unfolded = plans([tn], chi)
         for name, c in (("chosen", chosen), ("unfolded", unfolded)):
-            print(f"{family} d={d} chi={chi} {name}: {FORMS[c.fold]}, turns {c.turns}, "
+            print(f"{family} d={d} chi={chi} {name}: {form(c)}, turns {c.turns}, "
                   f"{len(c.steps)} steps, modelled {c.seconds * 1e3:.3f} ms, "
                   f"peak {c.peak} elements")
+        print(f"{family} d={d} chi={chi} chosen peak: modelled {8 * chosen.peak} bytes, "
+              f"traced {traced_peak(contract._plan_of(chosen), tn, chi)} bytes")
         print(f"{family} d={d} chi={chi} cold plan build {cold * 1e3:.1f} ms")
 
 
@@ -117,13 +145,13 @@ def configurations():
                     if key in seen or c.peak > PEAK_LIMIT or c.seconds > SECONDS_LIMIT:
                         continue
                     seen.add(key)
-                    madds, absorptions, compressed, _ = contract._tally(c.steps, c.layout, chi)
+                    madds, merged, compressed, _ = contract._tally(c.steps, c.layout, chi)
                     out.append({
                         "code": f"{family}_d{d}", "chi": chi, **describe(c),
                         "chosen": key == (chosen.fold, chosen.steps),
                         "unfolded": key == (unfolded.fold, unfolded.steps),
                         # counts and model per decode: four sweeps
-                        "madds": 4 * madds, "absorptions": 4 * absorptions,
+                        "madds": 4 * madds, "merged_vertices": 4 * merged,
                         "compressed_sites": 4 * compressed, "model_decode_s": 4 * c.seconds,
                         "_plan": contract._plan_of(c), "_networks": networks,
                     })
@@ -204,11 +232,7 @@ def measure():
     rows = [{k: v for k, v in cfg.items() if not k.startswith("_")} for cfg in configs]
     result = {
         "git_sha": git_sha(), "machine": machine(), "p": P, "repeats": REPEATS,
-        "constants": {
-            "MODEL_SECONDS_PER_MADD": contract.MODEL_SECONDS_PER_MADD,
-            "MODEL_SECONDS_PER_ABSORPTION": contract.MODEL_SECONDS_PER_ABSORPTION,
-            "MODEL_SECONDS_PER_COMPRESSED_SITE": contract.MODEL_SECONDS_PER_COMPRESSED_SITE,
-        },
+        "constants": {name: getattr(contract, name) for name in CONSTANTS},
         "summary": summary(rows), "configurations": rows,
     }
     with open(OUT, "w") as f:
@@ -225,12 +249,12 @@ def fit():
     with open(OUT) as f:
         result = json.load(f)
     rows = result["configurations"]
-    a = np.array([[r["madds"], r["absorptions"], r["compressed_sites"]] for r in rows], float)
+    # per decode: four sweeps
+    a = np.array([[r["madds"], 4 * r["steps"], r["merged_vertices"], r["compressed_sites"]]
+                  for r in rows], float)
     t = np.array([r["measured_decode_s"] for r in rows])
     coef, _ = nnls(a / t[:, None], np.ones(len(rows)))
-    names = ("MODEL_SECONDS_PER_MADD", "MODEL_SECONDS_PER_ABSORPTION",
-             "MODEL_SECONDS_PER_COMPRESSED_SITE")
-    result["constants"] = {name: float(f"{value:.3g}") for name, value in zip(names, coef)}
+    result["constants"] = {name: float(f"{value:.3g}") for name, value in zip(CONSTANTS, coef)}
     coef = np.array(list(result["constants"].values()))
     for r, seconds in zip(rows, a @ coef):
         r["model_decode_s"] = float(seconds)

@@ -10,6 +10,7 @@ Dual families reuse the primal patch through the planar dual, which
 exchanges rough and smooth boundaries.
 """
 
+import bisect
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -143,6 +144,25 @@ def _search_space(t: LatticeTemplate, reach: int):
     offsets = [(ox, oy) for oy in range(0, by, gy) for ox in range(0, ax, gx)]
     return (offsets, range(gx, ax * reach + sx + gx + 1, gx),
             range(gy, by * reach + sy + gy + 1, gy))
+
+
+def _widths(t: LatticeTemplate, ox: int, oy: int, wxs: range, wy: int) -> range:
+    """``wxs`` from the narrowest width at which a template face fits a
+    window at offset ``(ox, oy)`` of height ``wy``.
+
+    A face placed in row ``n`` lies ``(n bx + x0 - ox) mod ax`` right of
+    ``ox`` at its leftmost placement inside the window, so it fits a width
+    of that plus its own width; a narrower window, of any height up to
+    ``wy``, holds no face and cuts to nothing.
+    """
+    (ax, _), (bx, by) = t.basis
+    first = min(
+        ((n * bx + x0 - ox) % ax + x1 - x0
+         for (x0, x1, y0, y1), _ in t.face_refs
+         for n in range(-((y0 - oy) // by), (oy + wy - y1) // by + 1)),
+        default=wxs.stop,
+    )
+    return wxs[bisect.bisect_left(wxs, first):]
 
 
 def _cut_region(t: LatticeTemplate, ox: int, oy: int, wx: int, wy: int):
@@ -440,8 +460,9 @@ def _anisotropic_patch(family: str, d: int) -> PlanarGraph:
     spread = 3
     best = None
     for rotate in (False, True):
-        outer, inner = (wys, wxs) if rotate else (wxs, wys)
         for ox, oy in offsets:
+            fit = _widths(t, ox, oy, wxs, wys[-1])
+            outer, inner = (wys, fit) if rotate else (fit, wys)
             for wa in outer:
                 probe_dims = (wxs[-1], wa) if rotate else (wa, wys[-1])
                 probe = cut_window(t, ox, oy, *probe_dims, rotate=rotate)
@@ -511,7 +532,7 @@ def smallest_patch(family: str, d: int) -> PlanarGraph:
         slack = 3 if relaxed else 0
         best = None
         for ox, oy in offsets:
-            for wx in wxs:
+            for wx in _widths(t, ox, oy, wxs, wys[-1]):
                 dd = _safe_distances(cut_window(t, ox, oy, wx, wys[-1]))
                 if dd is None:
                     continue

@@ -32,7 +32,7 @@ from .graphs import (
     edge_face_table,
     validate_patch,
 )
-from .lattices import _search_space, cut_window, template
+from .lattices import _search_space, _widths, cut_window, template
 
 # sextants NE, NW, W; the other fan takes SW, SE, E
 _WEST_FAN = frozenset((1, 2, 3))
@@ -115,11 +115,12 @@ def _dressed_distances(g: PlanarGraph, fan):
 def subsystem_patch(d: int) -> PlanarGraph:
     """Smallest triangular window whose fan-split code has distances (d, d).
 
-    The scan orders windows by qubit count, then extents and offsets.
-    It reads each window's z distance (rough to rough, across x) as the
-    length of ``graphs._rough_path``, which the fan split leaves intact,
-    and fan-splits only windows where it is d; those with a split vertex
-    are certified by :func:`dressed_distances`.
+    The scan orders windows by qubit count, then extents and offsets,
+    each offset's widths from the narrowest that holds a face
+    (``lattices._widths``).  It reads each window's z distance (rough to
+    rough, across x) as the length of ``graphs._rough_path``, which the
+    fan split leaves intact, and fan-splits only windows where it is d;
+    those with a split vertex are certified by :func:`dressed_distances`.
 
     Each break rests on a monotonicity that the tests check on every
     window of the d = 2..6 spaces (the scan matches the exhaustive one
@@ -136,7 +137,7 @@ def subsystem_patch(d: int) -> PlanarGraph:
     offsets, wxs, wys = _search_space(t, d + 4)
     best = None
     for ox, oy in offsets:
-        for wx in wxs:
+        for wx in _widths(t, ox, oy, wxs, wys[-1]):
             low = None  # z distance of the last window read, the lowest
             for wy in wys:
                 g = cut_window(t, ox, oy, wx, wy)

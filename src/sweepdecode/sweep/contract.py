@@ -56,20 +56,28 @@ fold whose drawing crosses itself is no candidate.  A coset network, one
 vertex per generator and one per qubit, folds to about half its vertices,
 so a sweep takes about half the absorptions, and at the bond dimensions a
 decoder runs each absorption costs more in call overhead than in
-arithmetic.  Each form is replayed in four frames, the network's
-positions turned by 0, 1, 2 and 3 quarter turns; quarter turns only negate
-and swap coordinates, which is exact in floating point, so every
-crossing, angle and collinearity test sees the same geometry in each
-frame.  One shape-only replay (:func:`_model`) prices every candidate: its
-multiply-adds, absorptions and compressed sites at constants fitted to
-measured sweeps, with bonds capped at ``chi`` after each step that emits
-one above ``2 * chi``, and the most elements it holds at once.  The plan
-keeps the fastest candidate whose modelled peak is no higher than that of
-the fastest unfolded one; ties go to unfolded, then to the lowest turn.
-A code cut wider than it is tall is thus swept along its short side (the
-exact sweep of a triangular d=9 coset network keeps bonds of at most 128,
-against 4096 unturned), and a fold is taken only where it is modelled
-faster without holding more.
+arithmetic.  Each fold is also paired once more (:func:`_pair`), once in
+the sweep order of each frame below: walking the merged vertices in that
+order, each one not yet taken takes its first later neighbour not yet
+taken, and the pair merges, at the earlier one's position, its members,
+the partner and the partner's members, in that order.  A pairing whose
+drawing crosses is no candidate either.  Paired, the subsystem d=5 coset
+network sweeps in 25 steps, against 49 folded and 105 as it is.  Each
+form is replayed in four frames, the network's positions turned by 0, 1,
+2 and 3 quarter turns; quarter turns only negate and swap coordinates,
+which is exact in floating point, so every crossing, angle and
+collinearity test sees the same geometry in each frame.  One shape-only
+replay (:func:`_model`) prices every candidate: its multiply-adds, steps,
+merged vertices and compressed sites at constants fitted to measured
+sweeps, with bonds capped at ``chi`` after each step that emits one above
+``2 * chi``, and the most elements it holds at once.  The plan keeps the
+fastest candidate whose modelled peak is no higher than that of the
+fastest unfolded one; ties go to the lowest fold (unfolded first), then
+to unpaired, the lowest pairing frame and the lowest turn.  A code cut
+wider than it is tall is thus swept along its short side (the exact
+sweep of a triangular d=9 coset network keeps bonds of at most 128,
+against 4096 unturned), and a fold or a pairing is taken only where it
+is modelled faster without holding more.
 
 The run does only numerics on the vertices' tensors.  A merged vertex's
 tensor is built at its host's own step, by a recipe the plan holds: one
@@ -141,9 +149,10 @@ IDENTITY_MEMO_MAX = 16
 
 # Constants of the plan cost model (_model), fitted to the measured sweeps
 # in BENCH_plan_model.json by ``python scripts/plan_model.py --fit``.
-MODEL_SECONDS_PER_MADD = 5.12e-11
-MODEL_SECONDS_PER_ABSORPTION = 8.51e-6
-MODEL_SECONDS_PER_COMPRESSED_SITE = 3.64e-5
+MODEL_SECONDS_PER_MADD = 3.4e-11
+MODEL_SECONDS_PER_STEP = 9.9e-6
+MODEL_SECONDS_PER_MERGED_VERTEX = 5.96e-6
+MODEL_SECONDS_PER_COMPRESSED_SITE = 4.28e-5
 
 
 class ContractionError(ValueError):
@@ -266,13 +275,15 @@ class _Plan(NamedTuple):
     given, 1 when colour class 0 is folded into class 1 and 2 for the
     reverse; a folded step's vertex is a host, whose tensor ``merges``
     says how to build, with its axes already in the order ``perm`` reads
-    them.
+    them.  ``pairs`` is None for a fold as it is, or the frame, in quarter
+    turns, in whose sweep order :func:`_pair` paired its merged vertices.
     """
 
     steps: tuple
     turns: int
     fold: int
     merges: dict  # host id -> _Merge; empty when unfolded
+    pairs: int | None = None
 
 
 class _Layout(NamedTuple):
@@ -292,11 +303,12 @@ class _Layout(NamedTuple):
 
 
 class _Candidate(NamedTuple):
-    """A form and frame the plan chooses from: the ``fold`` of
-    :class:`_Plan`, replayed in frame ``turns`` to ``steps`` over
+    """A form and frame the plan chooses from: the ``fold`` and ``pairs``
+    of :class:`_Plan`, replayed in frame ``turns`` to ``steps`` over
     ``layout``, and their modelled ``seconds`` and ``peak``."""
 
     fold: int
+    pairs: int | None
     turns: int
     layout: _Layout
     steps: tuple
@@ -349,19 +361,21 @@ def _insertion_index(pending, v, vertices, bonds) -> int:
     return idx
 
 
-def _plan_step(pending: list, v, vertices, incident, bonds) -> _Step:
-    """Plan the absorption of ``v`` and apply it to the bond ids ``pending``.
+def _plan_step(pending: list, open_: set, v, vertices, incident, bonds) -> _Step:
+    """Plan the absorption of ``v`` and apply it to the bond ids ``pending``
+    and to ``open_``, the same ids as a set.
 
     Bonds already pending are backward (their other endpoint was swept);
     the rest are forward and leave in order of departure angle.  Backward
     legs must occupy a contiguous run of pending slots, which planarity
-    guarantees.
+    guarantees: the run is grown from the slot of one of them, so a step
+    searches the boundary once.
     """
-    backward = []
+    backward = {}  # bond id -> axis
     forward = []
     for bid, axis in incident[v.id]:
-        if bid in pending:
-            backward.append((bid, axis))
+        if bid in open_:
+            backward[bid] = axis
         else:
             bond = bonds[bid]
             other = bond.endpoint_b[0] if bond.endpoint_a[0] == v.id else bond.endpoint_a[0]
@@ -369,20 +383,24 @@ def _plan_step(pending: list, v, vertices, incident, bonds) -> _Step:
     forward.sort(key=lambda item: item[2])
 
     if backward:
-        positions = sorted(pending.index(bid) for bid, _ in backward)
-        lo, hi = positions[0], positions[-1]
-        if positions != list(range(lo, hi + 1)):
+        lo = hi = pending.index(next(iter(backward)))
+        while lo > 0 and pending[lo - 1] in backward:
+            lo -= 1
+        while hi + 1 < len(pending) and pending[hi + 1] in backward:
+            hi += 1
+        if hi - lo + 1 != len(backward):
             raise ContractionError(
                 f"backward bonds of vertex {v.id} are not contiguous on the "
                 "boundary; the network is not planar as embedded"
             )
-        backward.sort(key=lambda item: pending.index(item[0]))
     else:
         lo = _insertion_index(pending, v, vertices, bonds)
         hi = lo - 1
 
-    perm = (*(axis for _, axis, _ in forward), *(axis for _, axis in backward))
+    perm = (*(axis for _, axis, _ in forward), *(backward[bid] for bid in pending[lo : hi + 1]))
+    open_.difference_update(backward)
     pending[lo : hi + 1] = [bid for bid, _, _ in forward]
+    open_.update(pending[lo : lo + len(forward)])
     return _Step(v.id, lo, hi, perm, len(forward))
 
 
@@ -410,8 +428,9 @@ def _replay(layout: _Layout, turns: int) -> tuple:
     """
     vertices = _frame(layout.positions, turns)
     pending: list = []
+    open_: set = set()
     steps = tuple(
-        _plan_step(pending, v, vertices, layout.incident, layout.bonds)
+        _plan_step(pending, open_, v, vertices, layout.incident, layout.bonds)
         for v in sorted(vertices.values(), key=sweep_key)
     )
     if pending:
@@ -459,8 +478,10 @@ def _colour_classes(layout: _Layout) -> tuple | None:
 def _perm(legs: list, order: list) -> tuple | None:
     """The transpose taking axes that carry ``legs`` to ``order``, or None
     when it is the identity."""
-    perm = tuple(legs.index(b) for b in order)
-    return None if perm == tuple(range(len(perm))) else perm
+    if legs == order:
+        return None
+    slot = {b: k for k, b in enumerate(legs)}
+    return tuple(map(slot.__getitem__, order))
 
 
 def _merge_recipe(host: int, members, axes: dict, dims: dict, out_legs) -> _Merge:
@@ -471,17 +492,19 @@ def _merge_recipe(host: int, members, axes: dict, dims: dict, out_legs) -> _Merg
     bonds it fuses in bond id order.  The bonds a product contracts are
     taken in the order the product so far holds them.
     """
-    size = lambda legs: math.prod(dims[b] for b in legs)
-    legs = list(axes[host])
+    size = lambda legs: math.prod(map(dims.__getitem__, legs))
+    legs = axes[host]
     products = []
     for vid in members:
-        vlegs = list(axes[vid])
-        shared = [b for b in legs if b in vlegs]
-        free = [b for b in legs if b not in shared]
-        vfree = [b for b in vlegs if b not in shared]
+        vlegs = axes[vid]
+        vset = set(vlegs)
+        shared = [b for b in legs if b in vset]
+        sset = set(shared)
+        free = [b for b in legs if b not in sset]
+        vfree = [b for b in vlegs if b not in sset]
         products.append((
             vid,
-            tuple(dims[b] for b in legs),
+            tuple(map(dims.__getitem__, legs)),
             _perm(legs, free + shared),
             (size(free), size(shared)),
             _perm(vlegs, shared + vfree),
@@ -491,9 +514,9 @@ def _merge_recipe(host: int, members, axes: dict, dims: dict, out_legs) -> _Merg
     return _Merge(
         host,
         tuple(products),
-        tuple(dims[b] for b in legs),
+        tuple(map(dims.__getitem__, legs)),
         _perm(legs, [b for fused in out_legs for b in fused]),
-        tuple(size(fused) for fused in out_legs),
+        tuple(map(size, out_legs)),
     )
 
 
@@ -561,27 +584,61 @@ def _fold(base: _Layout, assignment) -> _Layout | None:
     return _Layout(positions, bonds, incident, shapes, merges, legs)
 
 
+def _pair(folded: _Layout, assignment, turns: int) -> tuple:
+    """``assignment``, whose fold is ``folded``, with its merged vertices
+    paired along a greedy matching in the sweep order of frame ``turns``.
+
+    The hosts are walked in ascending :func:`sweep_key` order of their
+    positions turned by ``turns`` quarter turns; each host not yet taken
+    takes the first neighbour in ``folded`` that comes later in that order
+    and is not yet taken, if there is one.  The pair keeps the earlier
+    host, which absorbs its own members, the partner, then the partner's
+    members.
+    """
+    order = [v.id for v in sorted(_frame(folded.positions, turns).values(), key=sweep_key)]
+    rank = {h: k for k, h in enumerate(order)}
+    near: dict = {h: set() for h in order}
+    for bond in folded.bonds:
+        a, b = bond.endpoint_a[0], bond.endpoint_b[0]
+        near[a].add(b)
+        near[b].add(a)
+    members = dict(assignment)
+    groups = {}
+    taken: set = set()
+    for h in order:
+        if h in taken:
+            continue
+        later = [u for u in near[h] if rank[u] > rank[h] and u not in taken]
+        if later:
+            partner = min(later, key=rank.__getitem__)
+            taken.add(partner)
+            groups[h] = (*members[h], partner, *members[partner])
+        else:
+            groups[h] = members[h]
+    return tuple((h, groups[h]) for h, _ in assignment if h in groups)
+
+
 def _tally(steps, layout: _Layout, chi: int | None) -> tuple:
-    """``(madds, absorptions, compressed, peak)`` of a sweep along
-    ``steps``, from shapes alone.
+    """``(madds, merged, compressed, peak)`` of a sweep along ``steps``,
+    from shapes alone.
 
     The chain is replayed as ``(left, leg, right)`` triples by the rule of
     :func:`contract_step`.  ``madds`` counts the multiply-adds of every
     product: building each merged tensor, merging the consumed run, the
     vertex product, the fold into a neighbour and, with ``chi``, each
     compression's QR and SVD passes at their leading terms.
-    ``absorptions`` counts the steps and the vertices folded into hosts,
+    ``merged`` counts the vertices merged into hosts, one product each, and
     ``compressed`` the sites the compressions pass.  A compression follows
     each step that emits a bond above ``2 * chi`` and caps every bond at
     ``chi`` and at the ranks its QR and SVD reach.  ``peak`` is the most
     elements alive at once: the chain's sites (less the shared identities
     of :func:`_identity`), a merged tensor and its factors, the consumed
-    run, the vertex product and its normalised copy, and a compression's
-    LAPACK copies, factors and workspace.  Python ints, so no count
-    overflows.
+    run so far and its product with each next site, the merged run, the
+    vertex product and its normalised copy, and a compression's LAPACK
+    copies, factors and workspace.  Python ints, so no count overflows.
     """
     sites: list = []  # (left, leg, right, elements held)
-    madds = absorptions = compressed = peak = held = 0
+    madds = merged = compressed = peak = held = 0
 
     def put(k: int, left: int, leg: int, right: int):
         nonlocal held
@@ -596,15 +653,16 @@ def _tally(steps, layout: _Layout, chi: int | None) -> tuple:
         if merge is not None:
             for _, _, _, (f, s), _, (_, g) in merge.products:
                 madds += f * s * g
-                absorptions += 1
+                merged += 1
                 peak = max(peak, held + f * s + s * g + f * g)
             peak = max(peak, held + 2 * size)
-        absorptions += 1
         if hi >= lo:
             left, legs, right, _ = sites[lo]
             right = sites[hi][2]
             for dl, d, dr, _ in sites[lo + 1 : hi + 1]:
                 madds += left * legs * dl * d * dr
+                # the run so far and its product with the next site
+                peak = max(peak, held + left * legs * dl + left * legs * d * dr)
                 legs *= d
             held -= sum(site[3] for site in sites[lo : hi + 1])
             del sites[lo : hi + 1]
@@ -659,19 +717,22 @@ def _tally(steps, layout: _Layout, chi: int | None) -> tuple:
             peak = max(peak, held + l * n + l * rank + rank * n + 4 * rank * rank + max(l, n))
             put(k, keep, d, r)
             put(k - 1, pl, pd, keep)
-    return madds, absorptions, compressed, peak
+    return madds, merged, compressed, peak
 
 
 def _model(steps, layout: _Layout, chi: int | None) -> tuple:
     """``(seconds, peak)``: the modelled time and peak elements of a sweep
     along ``steps``.  The time prices :func:`_tally`'s multiply-adds at
-    ``MODEL_SECONDS_PER_MADD``, its absorptions at
-    ``MODEL_SECONDS_PER_ABSORPTION`` and its compressed sites at
-    ``MODEL_SECONDS_PER_COMPRESSED_SITE``."""
-    madds, absorptions, compressed, peak = _tally(steps, layout, chi)
+    ``MODEL_SECONDS_PER_MADD``, each step at ``MODEL_SECONDS_PER_STEP``,
+    each vertex merged into a host at ``MODEL_SECONDS_PER_MERGED_VERTEX``
+    and each compressed site at ``MODEL_SECONDS_PER_COMPRESSED_SITE``: a
+    step's call overhead is several numpy calls, a merged vertex's one
+    ``np.dot``."""
+    madds, merged, compressed, peak = _tally(steps, layout, chi)
     seconds = (
         madds * MODEL_SECONDS_PER_MADD
-        + absorptions * MODEL_SECONDS_PER_ABSORPTION
+        + len(steps) * MODEL_SECONDS_PER_STEP
+        + merged * MODEL_SECONDS_PER_MERGED_VERTEX
         + compressed * MODEL_SECONDS_PER_COMPRESSED_SITE
     )
     return seconds, peak
@@ -682,38 +743,48 @@ def _candidates(tn: TensorNetwork2D, chi: int | None) -> list:
 
     The forms are the network as given and, when its graph is bipartite,
     each colour class folded into the other (:func:`_assign` in the
-    network's own :func:`sweep_key` order, then :func:`_fold`); each is
-    replayed in the four quarter-turned frames.  A disconnected network
-    raises, as does the unturned replay of the unfolded form, run first;
-    any other replay that raises is no candidate.
+    network's own :func:`sweep_key` order, then :func:`_fold`) and each
+    such fold with its merged vertices paired in each of the four frames'
+    sweep orders (:func:`_pair`, then :func:`_fold` of the paired
+    assignment); each form is replayed in the four quarter-turned frames.
+    A fold or pairing whose drawing crosses is no form.  A disconnected
+    network raises, as does the unturned replay of the unfolded form, run
+    first; any other replay that raises is no candidate.
     """
     base = _layout(tn)
-    layouts = [(0, base)]
+    layouts = [(0, None, base)]
     classes = _colour_classes(base) if len(base.positions) > 1 else None
     if classes is not None:
         keys = {vid: sweep_key(v) for vid, v in _frame(base.positions, 0).items()}
         for fold, (absorbed, hosts) in ((1, classes), (2, classes[::-1])):
-            folded = _fold(base, _assign(base, hosts, absorbed, keys))
-            if folded is not None:
-                layouts.append((fold, folded))
+            assignment = _assign(base, hosts, absorbed, keys)
+            folded = _fold(base, assignment)
+            if folded is None:
+                continue
+            layouts.append((fold, None, folded))
+            for pairs in range(4):
+                paired = _fold(base, _pair(folded, assignment, pairs))
+                if paired is not None:
+                    layouts.append((fold, pairs, paired))
     out = []
     for turns in range(4):
-        for fold, layout in layouts:
+        for fold, pairs, layout in layouts:
             try:
                 steps = _replay(layout, turns)
             except ContractionError:
                 if fold == 0 and turns == 0:
                     raise
                 continue
-            out.append(_Candidate(fold, turns, layout, steps, *_model(steps, layout, chi)))
+            out.append(_Candidate(fold, pairs, turns, layout, steps, *_model(steps, layout, chi)))
     return out
 
 
 def _choose(candidates) -> _Candidate:
     """The fastest modelled candidate whose modelled peak is no higher than
     that of the unfolded plan, itself the fastest unfolded candidate; ties
-    go to unfolded, then to the lowest turn."""
-    rank = lambda c: (c.seconds, c.fold, c.turns)
+    go to the lowest fold (unfolded first), then to unpaired, the lowest
+    pairing frame and the lowest turn."""
+    rank = lambda c: (c.seconds, c.fold, -1 if c.pairs is None else c.pairs, c.turns)
     unfolded = min((c for c in candidates if c.fold == 0), key=rank)
     return min((c for c in candidates if c.peak <= unfolded.peak), key=rank)
 
@@ -737,7 +808,7 @@ def _plan_of(candidate: _Candidate) -> _Plan:
     """The plan that runs ``candidate``.  A merged vertex's tensor is built
     with its axes in the order its step reads them, so that step reads
     them as they are."""
-    fold, turns, layout, steps, _, _ = candidate
+    fold, pairs, turns, layout, steps, _, _ = candidate
     merges = {}
     if fold:
         merges = {
@@ -745,7 +816,7 @@ def _plan_of(candidate: _Candidate) -> _Plan:
             for s in steps
         }
         steps = tuple(s._replace(perm=tuple(range(len(s.perm)))) for s in steps)
-    return _Plan(steps, turns, fold, merges)
+    return _Plan(steps, turns, fold, merges, pairs)
 
 
 def _build_plan(tn: TensorNetwork2D, chi: int | None) -> _Plan:
@@ -1104,11 +1175,11 @@ def sweep_contract(tn: TensorNetwork2D, chi: int | None = None) -> SweepValue:
     ``chi`` and on the vertex ids, positions and tensor shapes and the
     ordered bonds, so networks that differ only in tensor values pay it
     once per ``chi``; see the module docstring.  On a bipartite network the
-    plan may fold one colour class into the other: each merged tensor is
-    then built at its host's step (:func:`_vertex_tensor`), and the value
-    is that of the same network summed in another order, equal up to
-    rounding.  A non-finite value met during the sweep raises
-    :class:`ContractionError`.
+    plan may fold one colour class into the other, and pair the merged
+    vertices: each merged tensor is then built at its host's step
+    (:func:`_vertex_tensor`), and the value is that of the same network
+    summed in another order, equal up to rounding.  A non-finite value met
+    during the sweep raises :class:`ContractionError`.
     """
     if not tn.vertices:
         raise ContractionError("cannot contract an empty network")

@@ -156,3 +156,36 @@ def coset_geometry_network(code, rng):
         arr = rng.uniform(0.1, 1.0, size=(2,) * qubit_degree[q])
         vertices.append(TNVertex(m + q, DenseTensor(arr), tuple(code.qubit_coords[q])))
     return TensorNetwork2D(vertices, bonds)
+
+
+def depolarised_coset_network(code, p, rng):
+    """A coset network of ``code`` as a decoder builds it, under
+    depolarising noise of strength ``p``: a delta tensor per generator and,
+    per qubit, the probability of the Pauli that a random residual times
+    each combination of its generators' Paulis puts on it.
+
+    It has the geometry of :func:`coset_geometry_network`, with the
+    rank-deficient tensors of a real decode in place of random ones.
+    """
+    probs = np.array([1.0 - p, p / 3.0, p / 3.0, p / 3.0])  # I, X, Z, Y
+    m = code.num_checks
+    vertices = []
+    bonds = []
+    qubit_checks = [[] for _ in range(code.n)]
+    for j, check in enumerate(code.checks):
+        qubits = [q for q in range(code.n) if check.x[q] or check.z[q]]
+        for axis, q in enumerate(qubits):
+            bonds.append(Bond((j, axis), (m + q, len(qubit_checks[q])), 2))
+            qubit_checks[q].append(j)
+        delta = np.zeros((2,) * len(qubits))
+        delta[(0,) * len(qubits)] = delta[(1,) * len(qubits)] = 1.0
+        vertices.append(TNVertex(j, DenseTensor(delta), tuple(code.check_coords[j])))
+    residual = rng.integers(4, size=code.n)
+    for q, checks in enumerate(qubit_checks):
+        k = len(checks)
+        bits = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+        pauli = np.array([code.checks[j].x[q] + 2 * code.checks[j].z[q] for j in checks])
+        gen = np.bitwise_xor.reduce(bits * pauli, axis=1)
+        arr = probs[gen ^ residual[q]].reshape((2,) * k)
+        vertices.append(TNVertex(m + q, DenseTensor(arr), tuple(code.qubit_coords[q])))
+    return TensorNetwork2D(vertices, bonds)

@@ -201,9 +201,9 @@ def plan_unrotated(tn):
     for bid, bond in enumerate(tn.bonds):
         incident[bond.endpoint_a[0]].append((bid, bond.endpoint_a[1]))
         incident[bond.endpoint_b[0]].append((bid, bond.endpoint_b[1]))
-    pending = []
+    pending, open_ = [], set()
     steps = tuple(
-        contract._plan_step(pending, v, tn.vertices, incident, tn.bonds)
+        contract._plan_step(pending, open_, v, tn.vertices, incident, tn.bonds)
         for v in sorted(tn.vertices.values(), key=contract.sweep_key)
     )
     assert not pending

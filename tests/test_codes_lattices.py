@@ -11,8 +11,10 @@ from sweepdecode.codes.graphs import (
 )
 from sweepdecode.codes.lattices import (
     DUAL_OF_PRIMAL,
+    _cut_region,
     _keeps_face_qubits,
     _search_space,
+    _widths,
     cut_window,
     regular_lattice,
     smallest_patch,
@@ -74,6 +76,25 @@ class TestCutWindow:
                     (window, rotate)
                 patches += g is not None
         assert patches > len(windows) // 10
+
+
+    @pytest.mark.parametrize("family, reach", [("square", 5), ("triangular", 5), ("kagome", 2),
+                                               ("trunc_hex", 3)])
+    def test_scans_skip_only_widths_that_hold_no_face(self, family, reach):
+        # every window narrower than an offset's first width cuts to
+        # nothing, and the first width cuts a region at some height
+        t = template(family)
+        offsets, wxs, wys = _search_space(t, reach)
+        skipped = 0
+        for ox, oy in offsets:
+            fit = _widths(t, ox, oy, wxs, wys[-1])
+            assert list(fit) == [wx for wx in wxs if wx >= fit[0]]
+            for wx in wxs[: len(wxs) - len(fit)]:
+                skipped += 1
+                assert all(_cut_region(t, ox, oy, wx, wy) is None for wy in wys)
+            assert any(_cut_region(t, ox, oy, fit[0], wy) is not None for wy in wys)
+        # square faces are one step wide, the others' wider than a step
+        assert (skipped == 0) == (family == "square")
 
 
 class TestSmallestPatch:
