@@ -587,6 +587,4 @@ def dual_patch(g: PlanarGraph) -> PlanarGraph:
         while ghost[(j + 1) % k]:
             j += 1
         runs.append([m % k for m in range(i, j + 1)])
-    dual = _designate_arcs(dual, cyc, *runs)
-    validate_patch(dual)
-    return dual
+    return _designate_arcs(dual, cyc, *runs)

@@ -29,7 +29,6 @@ from .graphs import (
     dual_patch,
     edge_face_table,
     perimeter_cycle,
-    validate_patch,
 )
 
 PRIMAL_FAMILIES = ("square", "triangular", "kagome", "trunc_hex")
@@ -522,9 +521,7 @@ def smallest_patch(family: str, d: int) -> PlanarGraph:
     if d < 2:
         raise ValueError("distance must be at least 2")
     if family in ANISOTROPIC_FAMILIES:
-        g = _anisotropic_patch(family, d)
-        validate_patch(g)
-        return g
+        return _anisotropic_patch(family, d)
     t = template(family)
     offsets, wxs, wys = _search_space(t, d + 3)
 
@@ -567,9 +564,7 @@ def smallest_patch(family: str, d: int) -> PlanarGraph:
     best = scan(relaxed=False) or scan(relaxed=True)
     if best is None:
         raise ValueError(f"no {family} patch found with distances {d}")
-    g = best[1]
-    validate_patch(g)
-    return g
+    return best[1]
 
 
 def regular_lattice(family: str, d: int) -> PlanarGraph:

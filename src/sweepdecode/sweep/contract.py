@@ -1,100 +1,25 @@
 """Sweep-line contraction of planar tensor networks.
 
-Vertices are absorbed into a boundary matrix product state in ascending
-``(y, x, id)`` order of their positions in the plan's frame: the network
-turned by a whole number of quarter turns, chosen once per geometry and
-``chi`` (see the plan below).  Each absorption (:func:`contract_step`)
-consumes the MPS sites carrying the vertex's bonds to already swept
-vertices and emits one site per bond to unswept vertices, splitting the
-result back into a chain by exact reshapes.  It is one batched matrix
-product that transposes no boundary data: the consumed run is read as
-``(left, L, right)`` as the chain stores it, the vertex is permuted to
-(forward axes left to right, backward axes in slot order) and reshaped to
-``(S, L)``, and the product ``(left, S, right)`` is already in chain
-order.  The MPS is truncated (:func:`compress_mps`, to ``chi`` less the
-singular values below the constant ``REL_CUTOFF``) only when a bond is
-above ``2 * chi``, the paper's buffer chi' fixed at twice chi, so the cost
-of a sweep stays near ``O(n chi^3)`` without compressing after every step.
-A step makes no bond but those between the sites it emits, and it reports
-the largest of them (``MPSState.emitted``); testing that alone against
-``2 * chi`` compresses at exactly the steps a check of the whole chain
-after every step would.
+:func:`sweep_contract` contracts a closed network in two parts.  The plan
+(:class:`_Plan`) depends only on the network's geometry and on ``chi``, and
+holds no tensor: the form and frame the network is swept in and, per step
+(:class:`_Step`), the vertex it absorbs, the boundary slots it consumes
+and the order it reads the vertex's axes in.  The run (:func:`_run`) does
+only numerics: it absorbs each step's element array into a boundary
+matrix product state, and compresses that state when it grows too wide.
 
-Compression works only on what is not already canonical.  The sites a step
-emits left of its data site are reshaped identities, exact left
-isometries, and a run of them at the left end of the chain stays so until
-a step reaches it.  ``MPSState.head`` counts the sites of that run that
-the sweep has kept track of; :func:`compress_mps` starts its QR pass after
-them, since the QR of an identity is the identity and skipping it changes
-no bit.
+Each rule is stated where it is enforced:
 
-At the bond dimensions a decoder runs (chi of 8 to 32), the matrices are a
-few dozen rows wide, so the kernels are written to pay for arithmetic
-rather than for call overhead.  Compression calls LAPACK directly
-(``dgeqrf``/``dorgqr`` for QR, ``dgesdd`` for SVD), skipping the checks
-and workspace queries of ``np.linalg``, and copies the Fortran-order
-factors to C order so that every value stays bit-identical to the
-``np.linalg`` path.  The pass-through sites that
-:func:`contract_step` emits are read-only reshapes of identity matrices;
-those up to ``IDENTITY_MEMO_MAX`` wide are built once and shared, which
-bounds the memo at 12 KB whatever is contracted.  R factors up to that
-width take their upper triangle from one shared boolean mask.
-
-A sweep is split into a plan and a run.  The plan depends only on the
-network's geometry and on ``chi``: it checks the network's bonds and
-axes, that no two bonds cross (both :func:`planarize`) and that it is
-connected, chooses a form and a frame for it, orders the vertices, and
-replays the sweep on bond ids alone to fix, for every step, the run of
-boundary slots the vertex consumes, the bonds it emits and the permutation
-of the vertex's axes.  The candidate forms are the network as it is and,
-when its graph is bipartite, each colour class folded into the other:
-every vertex of the absorbed class, taken in ascending :func:`sweep_key`
-order, merges into the neighbour that has absorbed the fewest so far (the
-lowest key on a tie), the merged vertex sits at its host's position, and
-the parallel bonds between two merged vertices are fused into one.  A
-fold whose drawing crosses itself is no candidate.  A coset network, one
-vertex per generator and one per qubit, folds to about half its vertices,
-so a sweep takes about half the absorptions, and at the bond dimensions a
-decoder runs each absorption costs more in call overhead than in
-arithmetic.  Each fold is also paired once more (:func:`_pair`), once in
-the sweep order of each frame below: walking the merged vertices in that
-order, each one not yet taken takes its first later neighbour not yet
-taken, and the pair merges, at the earlier one's position, its members,
-the partner and the partner's members, in that order.  A pairing whose
-drawing crosses is no candidate either.  Paired, the subsystem d=5 coset
-network sweeps in 25 steps, against 49 folded and 105 as it is.  Each
-form is replayed in four frames, the network's positions turned by 0, 1,
-2 and 3 quarter turns; quarter turns only negate and swap coordinates,
-which is exact in floating point, so every crossing, angle and
-collinearity test sees the same geometry in each frame.  One shape-only
-replay (:func:`_model`) prices every candidate: its multiply-adds, steps,
-merged vertices and compressed sites at constants fitted to measured
-sweeps, with bonds capped at ``chi`` after each step that emits one above
-``2 * chi``, and the most elements it holds at once.  The plan keeps the
-fastest candidate whose modelled peak is no higher than that of the
-fastest unfolded one; ties go to the lowest fold (unfolded first), then
-to unpaired, the lowest pairing frame and the lowest turn.  A code cut
-wider than it is tall is thus swept along its short side (the exact
-sweep of a triangular d=9 coset network keeps bonds of at most 128,
-against 4096 unturned), and a fold or a pairing is taken only where it
-is modelled faster without holding more.
-
-The run does only numerics on the vertices' tensors.  A merged vertex's
-tensor is built at its host's own step, by a recipe the plan holds: one
-``np.dot`` per absorbed vertex on transposed and reshaped views, then one
-copy that puts the fused axes in the order the step reads them; it is
-dropped after the step, so the merged tensors never all exist at once.
-The folded network is the same network summed in another order, so its
-value moves only by rounding.  Plans are cached, keyed on ``chi`` and on
-everything a plan reads: the vertex ids, positions and tensor shapes, and
-the ordered bonds with both endpoints and their dimensions.  The four
-coset networks of a code and the networks of every syndrome share that
-key, so the plan and its check are paid once per code and ``chi``.  A
-plan holds no tensor, and equal keys replay the same deterministic build,
-so a cache hit returns exactly what a rebuild would, and stands for a
-network that passed the check, which reads nothing the key does not hold.
-A network that fails to plan, such as one two of whose bonds cross, raises
-on every call, since errors are not cached.
+- the network checks: :func:`planarize`;
+- the candidate forms, frames and pairing: :func:`_candidates`;
+- the cost model: :func:`_model`, on the counts of :func:`_tally`;
+- the peak guard and the ties: :func:`_choose`;
+- the recipe of a merged vertex: :class:`_Merge`;
+- the plan cache and its key: :func:`_plan_for`;
+- an absorption: :func:`contract_step`, split into sites by :func:`_split`;
+- the identity head: :class:`MPSState`;
+- the truncation and its LAPACK calls: :func:`compress_mps`;
+- the ``2 * chi`` compression trigger: :func:`_run`.
 """
 
 from __future__ import annotations
@@ -169,9 +94,8 @@ class SweepValue(NamedTuple):
 def sweep_key(vertex) -> tuple:
     """Sort key of ``vertex`` in a sweep: ascending ``(y, x, id)``.
 
-    A plan applies it to the positions of its own frame, the network turned
-    by ``_Plan.turns`` quarter turns, so the order of a network's own
-    positions is that of a plan with ``turns == 0``.
+    A plan applies it to the positions of its own frame (``_Plan.turns``),
+    so the order of a network's own positions is that of frame 0.
     """
     x, y = vertex.position
     return (y, x, vertex.id)
@@ -187,11 +111,17 @@ class MPSState:
     ``log_scale`` (site arrays are kept near unit scale); ``mantissa``
     accumulates the sign/value once the boundary closes.
 
-    ``head`` is a count of leading sites known to be exact reshaped
-    identities: ``sites[k]`` for ``k < head`` is ``np.eye(l * d)`` reshaped
-    to ``(l, d, l * d)``.  :func:`contract_step` keeps it, and
-    :func:`compress_mps` skips those sites and resets it to 0.  It may
-    undercount but never overcount, so 0 is always safe.
+    ``head`` counts leading sites known to be exact reshaped identities:
+    ``sites[k]`` for ``k < head`` is ``np.eye(l * d)`` reshaped to ``(l, d,
+    l * d)``.  The sites a step emits left of its data site are such
+    identities, and a run of them at the left end of the chain stays so
+    until a step reaches it.  :func:`contract_step` keeps the count: a step
+    that starts inside the head or right after it moves the head's end to
+    its data site, and a step that folds into a neighbour ends the head
+    before that neighbour.  :func:`compress_mps` starts its QR pass at
+    ``head`` and resets it to 0: the Householder QR of an identity has
+    ``tau = 0`` and ``Q = R = I``, so skipping those sites changes no bit.
+    ``head`` may undercount but never overcount, so 0 is always safe.
 
     ``emitted`` is the largest bond the last :func:`contract_step` made
     between the sites it emitted, 0 when it made none.
@@ -246,20 +176,25 @@ class _Step(NamedTuple):
 
 
 class _Merge(NamedTuple):
-    """How a folded plan builds the tensor of one merged vertex.
+    """How a folded plan builds the tensor of one merged vertex, at its
+    host's step (:func:`_vertex_tensor`).
 
     The host's elements are multiplied by each absorbed vertex in turn,
-    one ``np.dot`` per vertex.  ``products`` holds a ``(vid, shape, xperm,
-    xmat, vperm, vmat)`` per absorbed vertex: the product so far is
-    reshaped to ``shape``, transposed by ``xperm`` (free axes, then the
-    bonds shared with ``vid``) and reshaped to the matrix ``xmat``; the
-    elements of ``vid`` are transposed by ``vperm`` (shared bonds, then
-    free axes) and reshaped to ``vmat``.  A ``None`` permutation is the
-    identity.  The last product is reshaped to ``shape``, transposed by
-    ``perm`` and reshaped to ``out``, one axis per fused bond.
+    one ``np.dot`` on transposed and reshaped views per vertex.
+    ``products`` holds a ``(vid, shape, xperm, xmat, vperm, vmat)`` per
+    absorbed vertex: the product so far is reshaped to ``shape``,
+    transposed by ``xperm`` (free axes, then the bonds shared with ``vid``
+    in the order the product holds them) and reshaped to the matrix
+    ``xmat``; the elements of ``vid`` are transposed by ``vperm`` (shared
+    bonds, then free axes) and reshaped to ``vmat``.  A ``None``
+    permutation is the identity.  The last product is reshaped to
+    ``shape``, transposed by ``perm`` and reshaped to ``out``, one axis per
+    fused bond; in a plan, in the order the host's step reads them
+    (:func:`_plan_of`), so the step reads the tensor as it is.  The tensor
+    is dropped after its step, so the merged tensors never all exist at
+    once.
     """
 
-    host: int
     products: tuple
     shape: tuple
     perm: tuple | None
@@ -269,14 +204,9 @@ class _Merge(NamedTuple):
 class _Plan(NamedTuple):
     """The steps of a sweep and the network form and frame they run in.
 
-    ``turns`` counts the quarter turns, ``(x, y) -> (-y, x)`` each, applied
-    to the vertex positions before they were ordered by :func:`sweep_key`
-    and their bonds by departure angle.  ``fold`` is 0 for the network as
-    given, 1 when colour class 0 is folded into class 1 and 2 for the
-    reverse; a folded step's vertex is a host, whose tensor ``merges``
-    says how to build, with its axes already in the order ``perm`` reads
-    them.  ``pairs`` is None for a fold as it is, or the frame, in quarter
-    turns, in whose sweep order :func:`_pair` paired its merged vertices.
+    ``turns`` is the frame, and ``fold`` and ``pairs`` the form, as
+    :func:`_candidates` defines them.  A folded plan's step absorbs a
+    host, whose tensor ``merges`` builds.
     """
 
     steps: tuple
@@ -405,9 +335,7 @@ def _plan_step(pending: list, open_: set, v, vertices, incident, bonds) -> _Step
 
 
 def _turned(position, turns: int) -> tuple:
-    """``position`` turned by ``turns`` quarter turns, ``(x, y) -> (-y, x)``
-    each; negation is exact, so every test on the turned positions sees
-    the same geometry."""
+    """``position`` in frame ``turns`` (:func:`_candidates`)."""
     x, y = position
     for _ in range(turns):
         x, y = -y, x
@@ -421,7 +349,7 @@ def _frame(positions: dict, turns: int) -> dict:
 
 def _replay(layout: _Layout, turns: int) -> tuple:
     """The steps of a sweep over ``layout`` in ascending :func:`sweep_key`
-    order of its positions turned by ``turns`` quarter turns.
+    order of its positions in frame ``turns``.
 
     The replay on bond ids is the only record of which bond each boundary
     slot carries; a bond it leaves open (a self-loop, say) raises here.
@@ -454,20 +382,29 @@ def _layout(tn: TensorNetwork2D) -> _Layout:
     )
 
 
+def _neighbours(layout: _Layout) -> dict:
+    """Vertex id -> the set of ids it shares a bond with in ``layout``."""
+    near: dict = {vid: set() for vid in layout.positions}
+    for bond in layout.bonds:
+        a, b = bond.endpoint_a[0], bond.endpoint_b[0]
+        near[a].add(b)
+        near[b].add(a)
+    return near
+
+
 def _colour_classes(layout: _Layout) -> tuple | None:
     """The two colour classes of ``layout``'s graph, class 0 holding its
     lowest vertex id, or None when the graph is not bipartite.  A graph
     that is not connected raises :class:`ContractionError`."""
+    near = _neighbours(layout)
     colour = {min(layout.positions): 0}
     stack = list(colour)
     while stack:
         vid = stack.pop()
-        for bid, _ in layout.incident[vid]:
-            bond = layout.bonds[bid]
-            for other, _ in (bond.endpoint_a, bond.endpoint_b):
-                if other not in colour:
-                    colour[other] = 1 - colour[vid]
-                    stack.append(other)
+        for other in near[vid]:
+            if other not in colour:
+                colour[other] = 1 - colour[vid]
+                stack.append(other)
     if len(colour) < len(layout.positions):
         raise ContractionError("network is not connected")
     if any(colour[b.endpoint_a[0]] == colour[b.endpoint_b[0]] for b in layout.bonds):
@@ -489,8 +426,7 @@ def _merge_recipe(host: int, members, axes: dict, dims: dict, out_legs) -> _Merg
 
     ``axes`` maps each vertex id to the bond ids of its axes, ``dims`` each
     bond id to its dimension, and ``out_legs`` lists, per output axis, the
-    bonds it fuses in bond id order.  The bonds a product contracts are
-    taken in the order the product so far holds them.
+    bonds it fuses in bond id order.
     """
     size = lambda legs: math.prod(map(dims.__getitem__, legs))
     legs = axes[host]
@@ -512,7 +448,6 @@ def _merge_recipe(host: int, members, axes: dict, dims: dict, out_legs) -> _Merg
         ))
         legs = free + vfree
     return _Merge(
-        host,
         tuple(products),
         tuple(map(dims.__getitem__, legs)),
         _perm(legs, [b for fused in out_legs for b in fused]),
@@ -521,35 +456,20 @@ def _merge_recipe(host: int, members, axes: dict, dims: dict, out_legs) -> _Merg
 
 
 def _assign(base: _Layout, hosts, absorbed, keys: dict) -> tuple:
-    """Which host each ``absorbed`` vertex merges into: per host, in order,
-    its absorbed vertices.
-
-    The absorbed vertices are taken in ascending ``keys`` order, and each
-    goes to the neighbour that has absorbed the fewest so far, the lowest
-    key on a tie.
-    """
-    bonds = base.bonds
+    """Per host, in order, the ``absorbed`` vertices it merges by the fold
+    rule of :func:`_candidates`, taken in ascending ``keys`` order."""
+    near = _neighbours(base)
     members: dict = {h: [] for h in hosts}
     for vid in sorted(absorbed, key=keys.__getitem__):
-        near = {
-            end[0]
-            for bid, _ in base.incident[vid]
-            for end in (bonds[bid].endpoint_a, bonds[bid].endpoint_b)
-            if end[0] != vid
-        }
-        members[min(near, key=lambda h: (len(members[h]), keys[h]))].append(vid)
+        members[min(near[vid], key=lambda h: (len(members[h]), keys[h]))].append(vid)
     return tuple((h, tuple(members[h])) for h in hosts)
 
 
 def _fold(base: _Layout, assignment) -> _Layout | None:
     """``base`` with each host of ``assignment`` merged with its absorbed
-    vertices.
-
-    A merged vertex sits at its host's position and fuses the bonds it has
-    to each other merged vertex into one, their bond ids in ascending
-    order.  None when that drawing crosses itself (or puts a vertex on a
-    bond), which the sweep cannot read.
-    """
+    vertices, as :func:`_candidates` folds it, or None when that drawing
+    crosses itself (or puts a vertex on a bond), which the sweep cannot
+    read."""
     owner = {u: h for h, members in assignment for u in (h, *members)}
     fused: dict = {}  # (host a, host b) -> bond ids
     for bid, bond in enumerate(base.bonds):
@@ -586,22 +506,11 @@ def _fold(base: _Layout, assignment) -> _Layout | None:
 
 def _pair(folded: _Layout, assignment, turns: int) -> tuple:
     """``assignment``, whose fold is ``folded``, with its merged vertices
-    paired along a greedy matching in the sweep order of frame ``turns``.
-
-    The hosts are walked in ascending :func:`sweep_key` order of their
-    positions turned by ``turns`` quarter turns; each host not yet taken
-    takes the first neighbour in ``folded`` that comes later in that order
-    and is not yet taken, if there is one.  The pair keeps the earlier
-    host, which absorbs its own members, the partner, then the partner's
-    members.
-    """
+    paired in the sweep order of frame ``turns`` by the rule of
+    :func:`_candidates`."""
     order = [v.id for v in sorted(_frame(folded.positions, turns).values(), key=sweep_key)]
     rank = {h: k for k, h in enumerate(order)}
-    near: dict = {h: set() for h in order}
-    for bond in folded.bonds:
-        a, b = bond.endpoint_a[0], bond.endpoint_b[0]
-        near[a].add(b)
-        near[b].add(a)
+    near = _neighbours(folded)
     members = dict(assignment)
     groups = {}
     taken: set = set()
@@ -623,19 +532,22 @@ def _tally(steps, layout: _Layout, chi: int | None) -> tuple:
     from shapes alone.
 
     The chain is replayed as ``(left, leg, right)`` triples by the rule of
-    :func:`contract_step`.  ``madds`` counts the multiply-adds of every
-    product: building each merged tensor, merging the consumed run, the
-    vertex product, the fold into a neighbour and, with ``chi``, each
-    compression's QR and SVD passes at their leading terms.
-    ``merged`` counts the vertices merged into hosts, one product each, and
-    ``compressed`` the sites the compressions pass.  A compression follows
-    each step that emits a bond above ``2 * chi`` and caps every bond at
-    ``chi`` and at the ranks its QR and SVD reach.  ``peak`` is the most
-    elements alive at once: the chain's sites (less the shared identities
-    of :func:`_identity`), a merged tensor and its factors, the consumed
-    run so far and its product with each next site, the merged run, the
-    vertex product and its normalised copy, and a compression's LAPACK
-    copies, factors and workspace.  Python ints, so no count overflows.
+    :func:`contract_step` and compressed where :func:`_run` compresses,
+    each compression capping every bond at ``chi`` and at the ranks its QR
+    and SVD reach on those shapes.  ``madds`` counts the multiply-adds of
+    every product: building each merged tensor, merging the consumed run,
+    the vertex product, the fold into a neighbour and each compression's
+    QR and SVD passes at their leading terms.  ``merged`` counts the
+    vertices merged into hosts, one product each, and ``compressed`` the
+    sites the compressions pass.  ``peak`` estimates the most elements
+    alive at once: the chain's sites (less the shared identities of
+    :func:`_identity`), a merged tensor and its factors, the consumed run
+    so far and its product with each next site, the merged run, the vertex
+    product and its normalised copy, and a compression's LAPACK copies,
+    factors and workspace.  It is an estimate at the ranks the shapes
+    allow, not a bound: a compression that finds lower ranks moves the
+    later compressions to other steps, where the sweep can hold more.
+    Python ints, so no count overflows.
     """
     sites: list = []  # (left, leg, right, elements held)
     madds = merged = compressed = peak = held = 0
@@ -721,13 +633,16 @@ def _tally(steps, layout: _Layout, chi: int | None) -> tuple:
 
 
 def _model(steps, layout: _Layout, chi: int | None) -> tuple:
-    """``(seconds, peak)``: the modelled time and peak elements of a sweep
-    along ``steps``.  The time prices :func:`_tally`'s multiply-adds at
+    """``(seconds, peak)``: the plan's cost model of a sweep along
+    ``steps``.
+
+    The time prices :func:`_tally`'s multiply-adds at
     ``MODEL_SECONDS_PER_MADD``, each step at ``MODEL_SECONDS_PER_STEP``,
     each vertex merged into a host at ``MODEL_SECONDS_PER_MERGED_VERTEX``
     and each compressed site at ``MODEL_SECONDS_PER_COMPRESSED_SITE``: a
     step's call overhead is several numpy calls, a merged vertex's one
-    ``np.dot``."""
+    ``np.dot``.  The peak is :func:`_tally`'s, in elements.
+    """
     madds, merged, compressed, peak = _tally(steps, layout, chi)
     seconds = (
         madds * MODEL_SECONDS_PER_MADD
@@ -739,17 +654,40 @@ def _model(steps, layout: _Layout, chi: int | None) -> tuple:
 
 
 def _candidates(tn: TensorNetwork2D, chi: int | None) -> list:
-    """Every form and frame :func:`_build_plan` chooses from, modelled.
+    """Every form and frame :func:`_choose` picks from, replayed
+    (:func:`_replay`) and modelled (:func:`_model`) at ``chi``.
 
-    The forms are the network as given and, when its graph is bipartite,
-    each colour class folded into the other (:func:`_assign` in the
-    network's own :func:`sweep_key` order, then :func:`_fold`) and each
-    such fold with its merged vertices paired in each of the four frames'
-    sweep orders (:func:`_pair`, then :func:`_fold` of the paired
-    assignment); each form is replayed in the four quarter-turned frames.
-    A fold or pairing whose drawing crosses is no form.  A disconnected
-    network raises, as does the unturned replay of the unfolded form, run
-    first; any other replay that raises is no candidate.
+    The forms, named by ``fold`` and ``pairs``:
+
+    - ``fold`` 0, ``pairs`` None: the network as it is.
+    - ``fold`` 1 and 2, when the graph is bipartite: colour class 0 folded
+      into class 1, and class 1 into class 0 (:func:`_colour_classes`).
+      Every vertex of the absorbed class, in ascending :func:`sweep_key`
+      order of the network's own positions, merges into the neighbour that
+      has absorbed the fewest so far, the lowest key on a tie
+      (:func:`_assign`).  A merged vertex sits at its host's position, and
+      the bonds between two merged vertices fuse into one, in ascending
+      bond id order (:func:`_fold`).  A coset network, one vertex per
+      generator and one per qubit, folds to about half its vertices, and
+      at the bond dimensions a decoder runs an absorption costs more in
+      call overhead than in arithmetic.
+    - ``pairs`` 0 to 3: a fold paired once more in the sweep order of that
+      frame (:func:`_pair`).  Walking the merged vertices in that order,
+      each one not yet taken takes its first later neighbour not yet
+      taken, and the pair merges, at the earlier one's position, its
+      members, the partner and the partner's members, in that order.
+
+    A fold or pairing whose drawing crosses is no form.  Each form is
+    replayed in four frames, ``turns`` 0 to 3: the positions turned by that
+    many quarter turns, ``(x, y) -> (-y, x)`` each (:func:`_turned`),
+    before the vertices are ordered by :func:`sweep_key` and their bonds by
+    departure angle.  A quarter turn only negates and swaps coordinates,
+    which is exact in floating point, so every crossing, angle and
+    collinearity test sees the same geometry in each frame; a turn lets a
+    code cut wider than it is tall be swept along its short side.
+
+    A disconnected network raises, as does the unturned replay of the
+    unfolded form, run first; any other replay that raises is no candidate.
     """
     base = _layout(tn)
     layouts = [(0, None, base)]
@@ -780,10 +718,12 @@ def _candidates(tn: TensorNetwork2D, chi: int | None) -> list:
 
 
 def _choose(candidates) -> _Candidate:
-    """The fastest modelled candidate whose modelled peak is no higher than
-    that of the unfolded plan, itself the fastest unfolded candidate; ties
-    go to the lowest fold (unfolded first), then to unpaired, the lowest
-    pairing frame and the lowest turn."""
+    """The fastest modelled candidate whose modelled peak is no higher
+    than that of the fastest unfolded one; ties go to the lowest fold
+    (unfolded first), then to unpaired, the lowest pairing frame and the
+    lowest turn.  The guard compares :func:`_tally`'s estimates, so a
+    sweep along the chosen plan can still hold more than the unfolded one
+    would."""
     rank = lambda c: (c.seconds, c.fold, -1 if c.pairs is None else c.pairs, c.turns)
     unfolded = min((c for c in candidates if c.fold == 0), key=rank)
     return min((c for c in candidates if c.peak <= unfolded.peak), key=rank)
@@ -805,9 +745,9 @@ def _in_step_order(merge: _Merge, legs, order) -> _Merge:
 
 
 def _plan_of(candidate: _Candidate) -> _Plan:
-    """The plan that runs ``candidate``.  A merged vertex's tensor is built
-    with its axes in the order its step reads them, so that step reads
-    them as they are."""
+    """The plan that runs ``candidate``, each merge building its axes in
+    the order its step reads them (:func:`_in_step_order`), so that step
+    reads them as they are."""
     fold, pairs, turns, layout, steps, _, _ = candidate
     merges = {}
     if fold:
@@ -820,17 +760,13 @@ def _plan_of(candidate: _Candidate) -> _Plan:
 
 
 def _build_plan(tn: TensorNetwork2D, chi: int | None) -> _Plan:
-    """Check ``tn`` (:func:`planarize`) and plan every absorption.
-
-    Each candidate form and frame (:func:`_candidates`) is replayed and
-    modelled (:func:`_model`) at ``chi``, and :func:`_choose` picks one.
-    """
+    """Check ``tn`` (:func:`planarize`) and plan its sweep at ``chi``."""
     planarize(tn)
     return _plan_of(_choose(_candidates(tn, chi)))
 
 
 def _geometry_key(tn: TensorNetwork2D) -> tuple:
-    """Everything :func:`_build_plan` reads from ``tn``."""
+    """The part of :func:`_plan_for`'s key that ``tn`` gives."""
     return (
         tuple((v.id, tuple(v.position), v.tensor.extents) for v in tn.vertices.values()),
         tuple((b.endpoint_a, b.endpoint_b, b.dimension) for b in tn.bonds),
@@ -842,7 +778,20 @@ _plans_lock = threading.Lock()
 
 
 def _plan_for(tn: TensorNetwork2D, chi: int | None = None) -> _Plan:
-    """The cached plan of ``tn``'s geometry at ``chi``, built on a miss."""
+    """The plan of ``tn`` at ``chi``: cached, built on a miss.
+
+    The key is ``chi`` and everything :func:`_build_plan` reads from
+    ``tn``: the vertex ids, positions and tensor shapes, and the ordered
+    bonds with both endpoints and their dimensions.  The four coset
+    networks of a code and the networks of every syndrome share it, so the
+    plan and its check are paid once per code and ``chi``.  A plan holds
+    no tensor, and equal keys replay the same deterministic build, so a
+    hit returns exactly what a rebuild would and stands for a network that
+    passed the check, which reads nothing the key does not hold.  The
+    least recently used of more than ``PLAN_CACHE_SIZE`` plans is dropped.
+    Errors are not cached, so a network that fails to plan raises on every
+    call.
+    """
     key = (_geometry_key(tn), chi)
     with _plans_lock:
         plan = _plans.get(key)
@@ -857,21 +806,14 @@ def _plan_for(tn: TensorNetwork2D, chi: int | None = None) -> _Plan:
     return plan
 
 
-class _Merged(NamedTuple):
-    """A merged vertex's tensor as :func:`contract_step` reads it: the
-    element array alone, built for one step and dropped after it."""
-
-    elements: np.ndarray
-
-
-def _vertex_tensor(plan: _Plan, vertices: dict, vid: int):
-    """The tensor the step of ``vid`` absorbs, for a network with the
-    vertices ``vertices``: its own or, in a folded plan, the merged tensor
-    of host ``vid``, built here by its :class:`_Merge`."""
+def _vertex_tensor(plan: _Plan, vertices: dict, vid: int) -> np.ndarray:
+    """The element array the step of ``vid`` absorbs, for a network with
+    the vertices ``vertices``: the vertex's own or, in a folded plan, the
+    one its :class:`_Merge` builds here."""
     merge = plan.merges.get(vid)
-    if merge is None:
-        return vertices[vid].tensor
     x = vertices[vid].tensor.elements
+    if merge is None:
+        return x
     for u, shape, xperm, xmat, vperm, vmat in merge.products:
         if xperm is not None:
             x = x.reshape(shape).transpose(xperm)
@@ -881,7 +823,7 @@ def _vertex_tensor(plan: _Plan, vertices: dict, vid: int):
         x = np.dot(x.reshape(xmat), v.reshape(vmat))
     if merge.perm is not None:
         x = x.reshape(merge.shape).transpose(merge.perm)
-    return _Merged(x.reshape(merge.out))
+    return x.reshape(merge.out)
 
 
 _identities: dict = {}  # n -> read-only np.eye(n), for n <= IDENTITY_MEMO_MAX
@@ -968,25 +910,21 @@ def _split(left: int, dims, right: int) -> tuple:
     return prefix, suffix, t, emitted
 
 
-def contract_step(mps: MPSState, step: _Step, tensor) -> MPSState:
-    """Absorb one planned vertex, carrying ``tensor`` (a DenseTensor, or a
-    merged vertex's :class:`_Merged`: only ``elements`` is read), into the
-    boundary MPS, in place.
+def contract_step(mps: MPSState, step: _Step, elements: np.ndarray) -> MPSState:
+    """Absorb the vertex of ``step``, whose element array is ``elements``,
+    into the boundary MPS, in place.
 
+    It is one batched matrix product that transposes no boundary data.
     The consumed run merges, untransposed, into ``run`` of shape ``(left,
-    L, right)`` (a vertex with no backward bonds takes the identity on the
-    bond it enters across, as ``(p, 1, p)``), and ``np.matmul(W, run)``,
-    with ``W`` the vertex permuted by ``step.perm`` and reshaped to ``(S,
-    L)``, gives ``(left, S, right)``, whose reshape is the data site.
-    Consumed sites leave the chain before their replacement is built.
-    Emitted sites other than the data site are read-only views of shared
-    identities.
-
-    ``mps.head`` is kept: a step that starts inside the identity head or
-    right after it moves the head's end to its data site, and a step that
-    folds into a neighbour ends the head before that neighbour.
-    ``mps.emitted`` is set to the largest bond between the sites the step
-    emits, the only bonds it makes.
+    L, right)`` as the chain stores it (a vertex with no backward bonds
+    takes the identity on the bond it enters across, as ``(p, 1, p)``),
+    and ``np.matmul(W, run)``, with ``W`` the elements permuted by
+    ``step.perm`` and reshaped to ``(S, L)``, gives ``(left, S, right)``,
+    already in chain order.  :func:`_split` cuts it into the data site, a
+    reshape of the product, and read-only views of shared identities
+    (:func:`_identity`) either side.  Consumed sites leave the chain
+    before their replacement is built.  The step keeps ``mps.head`` and
+    sets ``mps.emitted`` (:class:`MPSState`).
     """
     _, lo, hi, perm, m = step
     sites = mps.sites
@@ -1003,7 +941,7 @@ def contract_step(mps: MPSState, step: _Step, tensor) -> MPSState:
         # passes through the inserted sites untouched.
         left = right = sites[lo - 1].shape[2] if 0 < lo < len(sites) else 1
         run = _identity(left)
-    vt = tensor.elements.transpose(perm)
+    vt = elements.transpose(perm)
     dims = vt.shape[:m]
     merged = np.matmul(vt.reshape(math.prod(dims), -1), run.reshape(left, -1, right))
     del run
@@ -1036,8 +974,6 @@ def contract_step(mps: MPSState, step: _Step, tensor) -> MPSState:
             mps.head = max(lo - 1, 0)
         return mps
 
-    # Split back into one site per forward bond: the full data in the
-    # crossover site as a pure reshape, reshaped identities either side.
     prefix, suffix, t, mps.emitted = _split(left, dims, right)
     crossover = merged.reshape(prefix[t], dims[t], suffix[t + 1])
     del merged
@@ -1077,37 +1013,33 @@ def _check_info(routine: str, info: int):
 def compress_mps(mps: MPSState, chi: int):
     """Truncate every internal bond of ``mps`` to at most ``chi``.
 
-    A left-to-right QR pass makes the state left-canonical, then a
-    right-to-left SVD pass truncates each bond, dropping the singular values
-    beyond ``chi`` and those below ``REL_CUTOFF`` of the largest.  In that
-    gauge each bond's truncation is optimal and successive error vectors are
-    mutually orthogonal, so the boundary discard
+    A left-to-right QR pass, after the identity head (:class:`MPSState`),
+    makes the state left-canonical, then a right-to-left SVD pass
+    truncates each bond, dropping the singular values beyond ``chi`` and
+    those below ``REL_CUTOFF`` of the largest.  In that gauge each bond's
+    truncation is optimal and successive error vectors are mutually
+    orthogonal, so the boundary discard
 
         sqrt(sum_k dropped_k^2) / |psi|
 
     is the exact relative error of this compression, not an upper bound.
-    Returns ``(mps, discard)``; the state is modified in place.
+    Returns ``(mps, discard)``; the state is modified in place.  A ``chi``
+    that is not an integer of at least 1 raises ``ValueError``.
 
     The QR is LAPACK ``dgeqrf`` then ``dorgqr``, the SVD ``dgesdd`` with
     thin factors, called through ``scipy.linalg.lapack``; a nonzero
     ``info`` raises :class:`ContractionError`.  This is what
     ``np.linalg.qr``/``svd`` run, without their per-call checks and
-    workspace queries.  QR workspaces are the minimum LAPACK accepts (the
-    column count) and are freed at once, so they add nothing to the peak
-    memory of a sweep; below 128 rows or columns LAPACK takes its unblocked
-    path whatever the workspace, as it does under ``np.linalg``.  LAPACK
-    returns Fortran-order factors; ``q`` and the kept parts of ``u`` and
-    ``vt`` are copied to C order before any product, because BLAS rounds a
-    product differently for each operand layout, and in C order every value
-    is bit-identical to the ``np.linalg`` path.
-
-    The QR pass starts at ``mps.head``: the sites before it are reshaped
-    identities, whose Householder QR has ``tau = 0`` and ``Q = R = I``, so
-    skipping them leaves every bit as it was.  Only the last skipped
-    product, the identity times site ``head``, is kept, because it turns
-    negative zeros into positive ones and the sign of a zero steers the
-    Householder reflections of the next QR.  ``head`` is 0 afterwards.
-    A ``chi`` that is not an integer of at least 1 raises ``ValueError``.
+    workspace queries, which cost more than the arithmetic on the few
+    dozen rows of a decoder's bonds.  QR workspaces are the minimum LAPACK
+    accepts (the column count) and are freed at once, so they add nothing
+    to the peak memory of a sweep; below 128 rows or columns LAPACK takes
+    its unblocked path whatever the workspace, as it does under
+    ``np.linalg``.  LAPACK returns Fortran-order factors; ``q`` and the
+    kept parts of ``u`` and ``vt`` are copied to C order before any
+    product, because BLAS rounds a product differently for each operand
+    layout, and in C order every value is bit-identical to the
+    ``np.linalg`` path.
     """
     chi = _bond_cap(chi)
     head, mps.head = mps.head, 0
@@ -1117,6 +1049,9 @@ def compress_mps(mps: MPSState, chi: int):
 
     sites = mps.sites
     if head:
+        # Of the skipped identities only the last product, with site head,
+        # is made: it turns negative zeros into positive ones, and the sign
+        # of a zero steers the Householder reflections of the next QR.
         sites[head] = _dot_left(_identity(sites[head].shape[0]), sites[head])
     for k in range(head, n - 1):
         dl, d, dr = sites[k].shape
@@ -1159,27 +1094,15 @@ def sweep_contract(tn: TensorNetwork2D, chi: int | None = None) -> SweepValue:
     """Contract a closed planar network to a scalar.
 
     ``chi`` bounds the boundary MPS bond dimension (``None`` contracts
-    exactly).  Compression to ``chi`` triggers only when a step emits a
-    bond above ``2 * chi`` (``MPSState.emitted``), and only a step can make
-    one.  Returns ``(mantissa, log_scale)`` with the value equal to
-    ``mantissa * exp(log_scale)``.  ``ValueError`` is raised for a ``chi``
-    that is not an integer of at least 1, and by :func:`planarize` for a
-    bond naming a missing vertex or an axis out of range or of the wrong
-    dimension, a self-loop, a slot two bonds end and a dangling axis;
-    :class:`PlanarizeError`, a ``ValueError``, for crossing bonds, a vertex
-    on a bond or at a non-finite position; and :class:`ContractionError`,
-    also one, for an empty or disconnected network.
+    exactly; see :func:`_run`).  Returns ``(mantissa, log_scale)`` with the
+    value equal to ``mantissa * exp(log_scale)``.  The plan comes from
+    :func:`_plan_for`; a folded plan sums the same network in another
+    order, so its value is equal up to rounding.
 
-    The plan (the check, the network form and sweep frame, the order and
-    the slot bookkeeping of every step) is taken from a cache keyed on
-    ``chi`` and on the vertex ids, positions and tensor shapes and the
-    ordered bonds, so networks that differ only in tensor values pay it
-    once per ``chi``; see the module docstring.  On a bipartite network the
-    plan may fold one colour class into the other, and pair the merged
-    vertices: each merged tensor is then built at its host's step
-    (:func:`_vertex_tensor`), and the value is that of the same network
-    summed in another order, equal up to rounding.  A non-finite value met
-    during the sweep raises :class:`ContractionError`.
+    Raises ``ValueError`` for a ``chi`` that is not an integer of at least
+    1, what :func:`planarize` raises for a network it rejects, and
+    :class:`ContractionError`, also a ``ValueError``, for an empty or
+    disconnected network and for a non-finite value met during the sweep.
     """
     if not tn.vertices:
         raise ContractionError("cannot contract an empty network")
@@ -1189,9 +1112,17 @@ def sweep_contract(tn: TensorNetwork2D, chi: int | None = None) -> SweepValue:
 
 
 def _run(plan: _Plan, vertices: dict, chi: int | None) -> SweepValue:
-    """The sweep of ``plan`` over the network whose vertices are ``vertices``,
-    compressed to ``chi`` (already checked) when a step emits a bond above
-    ``2 * chi``."""
+    """The sweep of ``plan`` over the network whose vertices are
+    ``vertices``, at ``chi`` (already checked).
+
+    After each step that emits a bond above ``2 * chi`` the boundary is
+    compressed to ``chi``: the paper's buffer chi' fixed at twice chi, so
+    a sweep costs near ``O(n chi^3)`` without compressing after every
+    step.  A step makes no bond but those between the sites it emits, and
+    reports the largest of them (``MPSState.emitted``), so testing that
+    alone compresses at exactly the steps a check of the whole chain after
+    every step would.
+    """
     mps = MPSState()
     # A non-finite product raises ContractionError at the step that made it
     # (every site that takes new data is normalized, and the closing scalar

@@ -225,7 +225,7 @@ def _tensordot_axes(step):
     return run_axes, (*contracted, *surviving), open_axes
 
 
-def contract_step_reference(mps, step, tensor):
+def contract_step_reference(mps, step, elements):
     """``contract_step`` with every product a ``np.dot`` of transposed
     operands, as ``np.tensordot`` computes it.
 
@@ -243,13 +243,13 @@ def contract_step_reference(mps, step, tensor):
             ).reshape(merged.shape[:-1] + site.shape[1:])
         left, right = merged.shape[0], merged.shape[-1]
         merged = merged.transpose(run_axes).reshape(left * right, -1)
-        vt = tensor.elements.transpose(vertex_axes)
+        vt = elements.transpose(vertex_axes)
         merged = np.dot(merged, vt.reshape(merged.shape[1], -1)).reshape(
             (left, right) + vt.shape[hi - lo + 1 :]
         )
     else:
         pass_dim = sites[lo - 1].shape[2] if 0 < lo < len(sites) else 1
-        merged = np.multiply.outer(np.eye(pass_dim), tensor.elements)
+        merged = np.multiply.outer(np.eye(pass_dim), elements)
     merged = merged.transpose(open_axes)
     left_dim, right_dim = merged.shape[0], merged.shape[-1]
     dims = merged.shape[1:-1]

@@ -1,7 +1,9 @@
 import functools
+import json
 import math
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1197,6 +1199,14 @@ class TestFold:
         plan = contract._build_plan(code_network(family, 5), chi)
         assert (plan.fold, plan.pairs, plan.turns, len(plan.steps)) == (fold, pairs, turns, steps)
 
+    def test_model_constants_match_their_record(self):
+        # scripts/plan_model.py --fit writes the fitted constants to
+        # BENCH_plan_model.json, and they are copied into contract.py by hand
+        path = Path(__file__).resolve().parents[1] / "BENCH_plan_model.json"
+        recorded = json.loads(path.read_text())["constants"]
+        names = [n for n in dir(contract) if n.startswith("MODEL_SECONDS_PER_")]
+        assert recorded == {n: getattr(contract, n) for n in names}
+
     # the benchmark's codes and noise
     @pytest.mark.parametrize("family, p, chi", [("square", 0.15, 8), ("subsystem", 0.05, None)])
     def test_modelled_peak_bounds_traced_peak(self, family, p, chi):
@@ -1240,8 +1250,10 @@ class TestFold:
     @pytest.mark.parametrize("chi", [None, 1])
     def test_non_finite_element_raises(self, bad, where, chi):
         tn = grid_network(np.random.default_rng(4500), 4, 4, dim=2)
-        merge = next(m for m in contract._plan_for(tn, chi).merges.values() if m.products)
-        vid = merge.host if where == "host" else merge.products[0][0]
+        host, merge = next(
+            (h, m) for h, m in contract._plan_for(tn, chi).merges.items() if m.products
+        )
+        vid = host if where == "host" else merge.products[0][0]
         v = tn.vertices[vid]
         arr = v.tensor.elements.copy()
         arr[(0,) * arr.ndim] = bad
