@@ -12,6 +12,7 @@ strand rough vertices); such ghosts are inert.
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,9 +49,11 @@ class PlanarGraph:
 
     ``faces`` lists internal faces only, each as a cyclically ordered
     tuple of edge indices.  ``segments`` cuts the outer boundary walk
-    (see ``perimeter_cycle``) into four runs, alternating rough and
-    smooth; rough runs own the corner vertices.  A pinch vertex, met
-    twice by the walk, appears once in each run that passes it.
+    (see ``walk``) into four runs, alternating rough and smooth; rough
+    runs own the corner vertices.  A pinch vertex, met twice by the walk,
+    appears once in each run that passes it.  The tables derived from the
+    graph (``face_table``, ``walk``, ``kept``) are computed once, on first
+    use.
     """
 
     positions: tuple
@@ -92,23 +95,81 @@ class PlanarGraph:
         ys = [self.positions[v][1] for v in vs]
         return (sum(xs) / len(vs), sum(ys) / len(vs))
 
+    @cached_property
+    def face_table(self) -> list:
+        """List of face indices per edge; every edge must lie in one or two."""
+        table = [[] for _ in self.edges]
+        for fi, cycle in enumerate(self.faces):
+            seen = set()
+            for e in cycle:
+                if e in seen:
+                    raise PatchError(f"face {fi} repeats edge {e}")
+                seen.add(e)
+                table[e].append(fi)
+        for e, fs in enumerate(table):
+            if not fs:
+                raise PatchError(f"edge {e} lies in no face")
+            if len(fs) > 2:
+                raise PatchError(f"edge {e} lies in {len(fs)} faces")
+        return table
 
-def edge_face_table(g: PlanarGraph):
-    """List of face indices per edge; every edge must lie in one or two."""
-    table = [[] for _ in g.edges]
-    for fi, cycle in enumerate(g.faces):
-        seen = set()
-        for e in cycle:
-            if e in seen:
-                raise PatchError(f"face {fi} repeats edge {e}")
-            seen.add(e)
-            table[e].append(fi)
-    for e, fs in enumerate(table):
-        if not fs:
-            raise PatchError(f"edge {e} lies in no face")
-        if len(fs) > 2:
-            raise PatchError(f"edge {e} lies in {len(fs)} faces")
-    return table
+    @cached_property
+    def walk(self) -> tuple:
+        """Outer boundary as a closed walk: (vertices, edges).
+
+        ``edges[i]`` joins ``vertices[i]`` to ``vertices[i + 1]``
+        (cyclically).  At a vertex on two boundary edges the walk goes on
+        along the other one.  A pinch vertex lies on four or more, and the
+        walk pairs them across the outside gaps of its angular edge ring,
+        so it passes the vertex once per gap, like the crossing of a
+        figure eight; otherwise the walk is a simple cycle.
+        """
+        boundary = [e for e, fs in enumerate(self.face_table) if len(fs) == 1]
+        if not boundary:
+            raise PatchError("patch has no boundary")
+        at = {}
+        for e in boundary:
+            for w in self.edges[e]:
+                at.setdefault(w, []).append(e)
+        turn = {}
+        for v, es in at.items():
+            if len(es) == 2:
+                pairs = [es]
+            else:
+                ring = _angular_ring(
+                    self, v, [e for e, uv in enumerate(self.edges) if v in uv])
+                pairs = [(ring[r - 1], ring[r]) for r in _outside_gaps(self, ring)]
+                if 2 * len(pairs) != len(es) or \
+                        {e for pr in pairs for e in pr} != set(es):
+                    raise PatchError(f"boundary does not pass vertex {v} "
+                                     "through its outside gaps")
+            for a, b in pairs:
+                turn[(v, a)] = b
+                turn[(v, b)] = a
+
+        def other(e, v):
+            a, b = self.edges[e]
+            return b if a == v else a
+
+        start = min(at)
+        first = min(at[start], key=lambda e: other(e, start))
+        vertices, edges = [start], [first]
+        v, e = other(first, start), first
+        while (v, turn[(v, e)]) != (start, first):
+            e = turn[(v, e)]
+            vertices.append(v)
+            edges.append(e)
+            v = other(e, v)
+        if len(edges) != len(boundary):
+            raise PatchError("boundary edges form more than one closed walk")
+        return vertices, edges
+
+    @cached_property
+    def kept(self) -> tuple:
+        """The qubit edges: every edge but those joining two ghosts."""
+        ghosts = self.ghosts()
+        return tuple(e for e, (u, v) in enumerate(self.edges)
+                     if u not in ghosts or v not in ghosts)
 
 
 def _angular_ring(g: PlanarGraph, v: int, edges) -> list:
@@ -123,77 +184,18 @@ def _angular_ring(g: PlanarGraph, v: int, edges) -> list:
     return sorted(edges, key=angle)
 
 
-def _outside_gaps(ring, table) -> list:
+def _outside_gaps(g: PlanarGraph, ring) -> list:
     """Ring positions r where ring[r - 1] and ring[r] share no face.
 
     Such an angular gap faces the outside, so it exists only at the
     boundary.  A ring of two edges has no gap this test can see.
     """
+    table = g.face_table
     return [r for r in range(len(ring))
             if not set(table[ring[r - 1]]) & set(table[ring[r]])]
 
 
-def _boundary_walk(g: PlanarGraph, table) -> tuple:
-    """Outer boundary as a closed walk: (vertices, edges).
-
-    ``edges[i]`` joins ``vertices[i]`` to ``vertices[i + 1]``
-    (cyclically).  At a vertex on two boundary edges the walk goes on
-    along the other one.  A pinch vertex lies on four or more, and the
-    walk pairs them across the outside gaps of its angular edge ring,
-    so it passes the vertex once per gap.
-    """
-    boundary = [e for e, fs in enumerate(table) if len(fs) == 1]
-    if not boundary:
-        raise PatchError("patch has no boundary")
-    at = {}
-    for e in boundary:
-        for w in g.edges[e]:
-            at.setdefault(w, []).append(e)
-    turn = {}
-    for v, es in at.items():
-        if len(es) == 2:
-            pairs = [es]
-        else:
-            ring = _angular_ring(
-                g, v, [e for e, uv in enumerate(g.edges) if v in uv])
-            pairs = [(ring[r - 1], ring[r]) for r in _outside_gaps(ring, table)]
-            if 2 * len(pairs) != len(es) or \
-                    {e for pr in pairs for e in pr} != set(es):
-                raise PatchError(f"boundary does not pass vertex {v} "
-                                 "through its outside gaps")
-        for a, b in pairs:
-            turn[(v, a)] = b
-            turn[(v, b)] = a
-
-    def other(e, v):
-        a, b = g.edges[e]
-        return b if a == v else a
-
-    start = min(at)
-    first = min(at[start], key=lambda e: other(e, start))
-    vertices, edges = [start], [first]
-    v, e = other(first, start), first
-    while (v, turn[(v, e)]) != (start, first):
-        e = turn[(v, e)]
-        vertices.append(v)
-        edges.append(e)
-        v = other(e, v)
-    if len(edges) != len(boundary):
-        raise PatchError("boundary edges form more than one closed walk")
-    return vertices, edges
-
-
-def perimeter_cycle(g: PlanarGraph) -> list:
-    """Outer boundary walk as a vertex list, from the edges in one face.
-
-    The walk is a simple cycle unless the patch is pinched: a vertex
-    whose faces reach the outside in two separate fans is listed once
-    per pass, like the crossing of a figure eight.
-    """
-    return _boundary_walk(g, edge_face_table(g))[0]
-
-
-def _segment_walk(g: PlanarGraph, table) -> tuple:
+def _segment_walk(g: PlanarGraph) -> tuple:
     """The boundary walk read along the segments: (owner, edges).
 
     ``owner[i]`` is the index in ``g.segments`` of the run holding the
@@ -201,7 +203,7 @@ def _segment_walk(g: PlanarGraph, table) -> tuple:
     to the next.  Raises unless the segments, concatenated, are the walk
     read from some position in one direction.
     """
-    vertices, walk_edges = _boundary_walk(g, table)
+    vertices, walk_edges = g.walk
     chain = [v for s in g.segments for v in s.vertices]
     if sorted(chain) != sorted(vertices):
         raise PatchError("segments do not partition the outer cycle")
@@ -234,7 +236,7 @@ def validate_patch(g: PlanarGraph):
             raise PatchError(f"duplicate edge {pair}")
         seen_pairs.add(pair)
 
-    table = edge_face_table(g)
+    g.face_table  # raises on an edge in no face, or in three
     for fi in range(len(g.faces)):
         g.face_vertices(fi)  # raises on malformed cycles
 
@@ -248,7 +250,7 @@ def validate_patch(g: PlanarGraph):
     kinds = [s.kind for s in g.segments]
     if kinds not in ([ROUGH, SMOOTH, ROUGH, SMOOTH], [SMOOTH, ROUGH, SMOOTH, ROUGH]):
         raise PatchError("boundary segments must alternate rough/smooth")
-    _segment_walk(g, table)
+    _segment_walk(g)
 
 
 def _bfs_path(adjacency, sources, targets):
@@ -274,22 +276,12 @@ def _bfs_path(adjacency, sources, targets):
     return None
 
 
-def _kept_edges(g: PlanarGraph):
-    ghosts = g.ghosts()
-    kept = []
-    for e, (u, v) in enumerate(g.edges):
-        if u in ghosts and v in ghosts:
-            continue
-        kept.append(e)
-    return kept, ghosts
-
-
-def _face_supports(g: PlanarGraph, kept) -> list:
+def _face_supports(g: PlanarGraph) -> list:
     """Kept edges of each face in cycle order; raises when one keeps none.
 
     A face whose edges all join two ghosts would give an empty Z check.
     """
-    kept = set(kept)
+    kept = set(g.kept)
     supports = []
     for fi, cycle in enumerate(g.faces):
         support = [e for e in cycle if e in kept]
@@ -299,10 +291,10 @@ def _face_supports(g: PlanarGraph, kept) -> list:
     return supports
 
 
-def _rough_path(g: PlanarGraph, kept):
+def _rough_path(g: PlanarGraph):
     """Shortest rough-to-rough path over the kept edges, or None."""
     adj = {}
-    for e in kept:
+    for e in g.kept:
         u, v = g.edges[e]
         adj.setdefault(u, []).append((v, e))
         adj.setdefault(v, []).append((u, e))
@@ -312,13 +304,13 @@ def _rough_path(g: PlanarGraph, kept):
     return _bfs_path(adj, rough[0].vertices, set(rough[1].vertices))
 
 
-def _logical_paths(g: PlanarGraph, kept, table, merge=None):
+def _logical_paths(g: PlanarGraph, merge=None):
     """Shortest rough-to-rough edge path and smooth-to-smooth dual path.
 
     ``merge`` maps a face to the face whose dual node it shares; an edge
     between two faces of one node is free, so the dual walk skips it.
     """
-    z_path = _rough_path(g, kept)
+    z_path = _rough_path(g)
     if z_path is None:
         raise PatchError("rough boundaries are not connected by kept edges")
 
@@ -326,7 +318,7 @@ def _logical_paths(g: PlanarGraph, kept, table, merge=None):
     # edge takes its smooth side from its place in the walk, since a
     # pinch vertex lies on both smooth sides.
     smooth_ids = [si for si, s in enumerate(g.segments) if s.kind == SMOOTH]
-    owner, walk_edges = _segment_walk(g, table)
+    owner, walk_edges = _segment_walk(g)
     k = len(owner)
     sides_of = {}
     for i, e in enumerate(walk_edges):
@@ -341,8 +333,8 @@ def _logical_paths(g: PlanarGraph, kept, table, merge=None):
         dual_adj.setdefault(b, []).append((a, e))
 
     node = (merge or {}).get
-    for e in kept:
-        fs = [node(f, f) for f in table[e]]
+    for e in g.kept:
+        fs = [node(f, f) for f in g.face_table[e]]
         if len(fs) == 2:
             if fs[0] != fs[1]:
                 link(fs[0], fs[1], e)
@@ -356,7 +348,7 @@ def _logical_paths(g: PlanarGraph, kept, table, merge=None):
     x_path = _bfs_path(dual_adj, [nf], {nf + 1})
     if x_path is None:
         raise PatchError("smooth boundaries are not connected in the dual")
-    assert set(x_path) <= set(kept)
+    assert set(x_path) <= set(g.kept)
     return x_path, z_path
 
 
@@ -366,7 +358,7 @@ def _midpoint(g: PlanarGraph, e: int):
     return ((ux + vx) / 2.0, (uy + vy) / 2.0)
 
 
-def _css_code(g: PlanarGraph, kept, x_supports, x_coords, *,
+def _css_code(g: PlanarGraph, x_supports, x_coords, *,
               claimed_distance=None, fix_z=None, family="") -> CodeDefinition:
     """Validated code on the kept edges of ``g``, one qubit per edge.
 
@@ -378,8 +370,8 @@ def _css_code(g: PlanarGraph, kept, x_supports, x_coords, *,
     are gauge generators, and the fix returns a Z string that commutes
     with all of them.
     """
-    qubit_of = {e: i for i, e in enumerate(kept)}
-    n = len(kept)
+    qubit_of = {e: i for i, e in enumerate(g.kept)}
+    n = len(g.kept)
     zero = np.zeros(n, dtype=np.uint8)
 
     def bits(support):
@@ -389,8 +381,8 @@ def _css_code(g: PlanarGraph, kept, x_supports, x_coords, *,
         return row
 
     x_rows = [bits(s) for s in x_supports]
-    z_rows = [bits(s) for s in _face_supports(g, kept)]
-    x_path, z_path = _logical_paths(g, kept, edge_face_table(g))
+    z_rows = [bits(s) for s in _face_supports(g)]
+    x_path, z_path = _logical_paths(g)
     lz = bits(z_path)
     if fix_z is not None:
         lz = fix_z(lz, np.array(x_rows), np.array(z_rows))
@@ -405,7 +397,7 @@ def _css_code(g: PlanarGraph, kept, x_supports, x_coords, *,
                 + [PauliOperator(zero, z) for z in z_rows]),
         logical_x=logical_x,
         logical_z=logical_z,
-        qubit_coords=[_midpoint(g, e) for e in kept],
+        qubit_coords=[_midpoint(g, e) for e in g.kept],
         check_coords=list(x_coords) + [g.face_centroid(fi)
                                        for fi in range(len(g.faces))],
         claimed_distance=(min(len(x_path), len(z_path))
@@ -425,9 +417,9 @@ def surface_code_from_graph(g: PlanarGraph, *, family: str = "") -> CodeDefiniti
     boundary paths, so their weights certify the code distances.
     """
     validate_patch(g)
-    kept, ghosts = _kept_edges(g)
+    ghosts = g.ghosts()
     incident = [[] for _ in range(g.num_vertices)]
-    for e in kept:
+    for e in g.kept:
         u, v = g.edges[e]
         incident[u].append(e)
         incident[v].append(e)
@@ -442,21 +434,24 @@ def surface_code_from_graph(g: PlanarGraph, *, family: str = "") -> CodeDefiniti
             raise PatchError(f"vertex {v} acts on zero qubits")
         stars.append(incident[v])
         coords.append(g.positions[v])
-    return _css_code(g, kept, stars, coords, family=family)
+    return _css_code(g, stars, coords, family=family)
 
 
 def code_distances(g: PlanarGraph) -> tuple:
     """(x_distance, z_distance) certified by shortest boundary paths."""
-    x_path, z_path = _logical_paths(g, _kept_edges(g)[0], edge_face_table(g))
+    x_path, z_path = _logical_paths(g)
     return len(x_path), len(z_path)
 
 
-def _designate_arcs(g, cyc, la, ra):
-    """Segments from two explicit rough arc position runs.
+def _designate_arcs(g, la, ra):
+    """Segments from two rough arcs, given as runs of positions in the
+    boundary walk of ``g``.
 
     Returns the designated PlanarGraph, or None when the arcs collide
-    or leave an empty smooth run between them.
+    or leave an empty smooth run between them.  It shares the face table
+    and the walk of ``g``, which do not depend on the segments.
     """
+    cyc = g.walk[0]
     k = len(cyc)
     if not la or not ra or set(la) & set(ra):
         return None
@@ -479,7 +474,9 @@ def _designate_arcs(g, cyc, la, ra):
         BoundarySegment(ROUGH, tuple(cyc[i] for i in ra)),
         BoundarySegment(SMOOTH, tuple(cyc[i] for i in s2)),
     )
-    return PlanarGraph(g.positions, g.edges, g.faces, segments)
+    out = PlanarGraph(g.positions, g.edges, g.faces, segments)
+    out.__dict__.update(face_table=g.face_table, walk=g.walk)
+    return out
 
 
 def dual_patch(g: PlanarGraph) -> PlanarGraph:
@@ -495,8 +492,7 @@ def dual_patch(g: PlanarGraph) -> PlanarGraph:
     :func:`_designate_arcs` as a cut lattice window's are.
     """
     validate_patch(g)
-    table = edge_face_table(g)
-    kept, ghosts = _kept_edges(g)
+    table, kept, ghosts = g.face_table, g.kept, g.ghosts()
 
     positions = [g.face_centroid(fi) for fi in range(len(g.faces))]
     nf = len(g.faces)
@@ -556,7 +552,7 @@ def dual_patch(g: PlanarGraph) -> PlanarGraph:
         if len(ring) < 2:
             raise PatchError(f"dangling boundary vertex {v}")
         # Cut the angular ring at its outside gap.
-        cuts = _outside_gaps(ring, table)
+        cuts = _outside_gaps(g, ring)
         if v in perim_at:
             if len(cuts) == 1:
                 r = cuts[0]
@@ -575,7 +571,7 @@ def dual_patch(g: PlanarGraph) -> PlanarGraph:
     # touching both rough sides is a pinch of the dual, met once in
     # each smooth run.
     dual = PlanarGraph(tuple(positions), tuple(edges), tuple(faces), ())
-    cyc = perimeter_cycle(dual)
+    cyc = dual.walk[0]
     k = len(cyc)
     ghost = [v >= nf for v in cyc]
     starts = [i for i in range(k) if ghost[i] and not ghost[i - 1]]
@@ -587,4 +583,4 @@ def dual_patch(g: PlanarGraph) -> PlanarGraph:
         while ghost[(j + 1) % k]:
             j += 1
         runs.append([m % k for m in range(i, j + 1)])
-    return _designate_arcs(dual, cyc, *runs)
+    return _designate_arcs(dual, *runs)

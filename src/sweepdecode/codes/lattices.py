@@ -24,11 +24,8 @@ from .graphs import (
     PlanarGraph,
     _designate_arcs,
     _face_supports,
-    _kept_edges,
     code_distances,
     dual_patch,
-    edge_face_table,
-    perimeter_cycle,
 )
 
 PRIMAL_FAMILIES = ("square", "triangular", "kagome", "trunc_hex")
@@ -170,9 +167,9 @@ def _cut_region(t: LatticeTemplate, ox: int, oy: int, wx: int, wy: int):
     A face is kept when its integer bounding box lies in the window; the
     edges are those of the kept faces, in (cell m, cell n, template edge)
     order, and the vertices those of the edges, in (n, site, m) order.
-    Returns (graph, perimeter cycle, integer positions) with placeholder
-    segments, or None when no face fits or the boundary is not a single
-    simple cycle (a patch in two pieces has two boundary walks).
+    Returns (graph, integer positions) with placeholder segments, or None
+    when no face fits or the boundary is not a single simple cycle (a
+    patch in two pieces has two boundary walks).
     """
     (ax, _), (bx, by) = t.basis
     faces = []
@@ -210,12 +207,12 @@ def _cut_region(t: LatticeTemplate, ox: int, oy: int, wx: int, wy: int):
         ),
     )
     try:
-        cyc = perimeter_cycle(g)
+        cyc = g.walk[0]
     except PatchError:
         return None
     if len(set(cyc)) != len(cyc):
         return None  # pinched: the arc designation needs a simple cycle
-    return g, cyc, ipos
+    return g, ipos
 
 
 def _extreme_arcs(cyc, int_positions):
@@ -263,13 +260,13 @@ def cut_window(t: LatticeTemplate, ox: int, oy: int, wx: int, wy: int,
     region = _cut_region(t, ox, oy, wx, wy)
     if region is None:
         return None
-    g, cyc, ipos = region
+    g, ipos = region
     if rotate:
         ipos = [(p[1], p[0]) for p in ipos]
-    arcs = _extreme_arcs(cyc, ipos)
+    arcs = _extreme_arcs(g.walk[0], ipos)
     if arcs is None:
         return None
-    return _designate_arcs(g, cyc, *arcs)
+    return _designate_arcs(g, *arcs)
 
 
 def _safe_distances(g):
@@ -288,7 +285,7 @@ def _keeps_face_qubits(g) -> bool:
     certifies may still fail to build; the scan checks both.
     """
     try:
-        _face_supports(g, _kept_edges(g)[0])
+        _face_supports(g)
     except PatchError:
         return False
     return True
@@ -297,7 +294,7 @@ def _keeps_face_qubits(g) -> bool:
 _MAX_SIDE_ARCS = 64
 
 
-def _candidate_arcs(g, cyc, ipos):
+def _candidate_arcs(g, ipos):
     """Rough-arc candidates per side, anchored at the x extremes.
 
     A perimeter vertex of window degree 2 has no edge into the bulk, so
@@ -306,6 +303,7 @@ def _candidate_arcs(g, cyc, ipos):
     between degree-2 vertices, extended by at most one such vertex per
     end; each must touch its side's x extreme.
     """
+    cyc = g.walk[0]
     k = len(cyc)
     deg = [0] * g.num_vertices
     for u, v in g.edges:
@@ -346,12 +344,13 @@ def _arc_search_hits(region, d):
     distances, exact unless a dropped ghost-to-ghost chord interferes,
     so survivors are confirmed by building the actual patch.
     """
-    g, cyc, ipos = region
+    g, ipos = region
+    cyc, walk_edges = g.walk
     k = len(cyc)
     extreme = _extreme_arcs(cyc, ipos)
     if extreme is None:
         return None
-    lefts, rights = _candidate_arcs(g, cyc, ipos)
+    lefts, rights = _candidate_arcs(g, ipos)
     if not lefts or not rights:
         return None
 
@@ -382,16 +381,10 @@ def _arc_search_hits(region, d):
     vdist = {i: bfs(cyc[i], adj, g.num_vertices)
              for i in sorted({i for a in lefts for i in a})}
 
-    table = edge_face_table(g)
-    pair_index = {}
-    for ei, (u, v) in enumerate(g.edges):
-        pair_index[(min(u, v), max(u, v))] = ei
-    pedge_face = []
-    for i in range(k):
-        u, v = cyc[i], cyc[(i + 1) % k]
-        pedge_face.append(table[pair_index[(min(u, v), max(u, v))]][0])
+    pairs = {(min(u, v), max(u, v)) for u, v in g.edges}
+    pedge_face = [g.face_table[e][0] for e in walk_edges]
     fadj = [[] for _ in g.faces]
-    for fs in table:
+    for fs in g.face_table:
         if len(fs) == 2:
             fadj[fs[0]].append(fs[1])
             fadj[fs[1]].append(fs[0])
@@ -402,7 +395,7 @@ def _arc_search_hits(region, d):
         count = 0
         for i, u in enumerate(vs):
             for v in vs[i + 1:]:
-                if (min(u, v), max(u, v)) in pair_index:
+                if (min(u, v), max(u, v)) in pairs:
                     count += 1
         return count
 
@@ -432,7 +425,7 @@ def _arc_search_hits(region, d):
             candidates.append((n_est, len(arc_a) + len(arc_b), arc_a, arc_b))
     candidates.sort()
     for _, _, arc_a, arc_b in candidates:
-        gg = _designate_arcs(g, cyc, list(arc_a), list(arc_b))
+        gg = _designate_arcs(g, list(arc_a), list(arc_b))
         if (gg is not None and _safe_distances(gg) == (d, d)
                 and _keeps_face_qubits(gg)):
             return gg
@@ -475,7 +468,7 @@ def _anisotropic_patch(family: str, d: int) -> PlanarGraph:
                     gg = cut_window(t, ox, oy, wx_, wy_, rotate=rotate)
                     if gg is None:
                         continue
-                    key = (len(_kept_edges(gg)[0]), wy_, wx_, oy, ox, rotate)
+                    key = (len(gg.kept), wy_, wx_, oy, ox, rotate)
                     if best is not None and key >= best[0]:
                         break  # the kept count never falls as wb grows
                     dd2 = _safe_distances(gg)
@@ -555,7 +548,7 @@ def smallest_patch(family: str, d: int) -> PlanarGraph:
                         break
                 if hit is None:
                     continue
-                key = (len(_kept_edges(hit)[0]), wy, wx, oy, ox)
+                key = (len(hit.kept), wy, wx, oy, ox)
                 if best is None or key < best[0]:
                     best = (key, hit)
                 break  # wider windows only add qubits here

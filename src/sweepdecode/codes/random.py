@@ -24,7 +24,6 @@ from .graphs import (
     PlanarGraph,
     _midpoint,
     code_distances,
-    edge_face_table,
     surface_code_from_graph,
 )
 from ..pauli import CodeDefinition
@@ -178,10 +177,9 @@ def _derived_graph(g: PlanarGraph) -> PlanarGraph:
     # spliced in between.  Midpoints sit off the rectangle's corners, so
     # the segment bridges between a rough run and its smooth neighbours
     # belong to the smooth runs; the rough arcs stay the x-extreme runs.
-    table = edge_face_table(g)
     boundary_mid = {}
     for ei, (u, v) in enumerate(g.edges):
-        if len(table[ei]) == 1:
+        if len(g.face_table[ei]) == 1:
             boundary_mid[(u, v)] = nv + ei
             boundary_mid[(v, u)] = nv + ei
 

@@ -25,11 +25,9 @@ from .graphs import (
     PatchError,
     PlanarGraph,
     _css_code,
-    _kept_edges,
     _logical_paths,
     _midpoint,
     _rough_path,
-    edge_face_table,
     validate_patch,
 )
 from .lattices import _search_space, _widths, cut_window, template
@@ -53,7 +51,7 @@ def _fan_split(g: PlanarGraph):
     its straddle faces are present, i.e. away from the boundary; there
     the paired faces merge into bowtie stabilisers.
     """
-    kept, ghosts = _kept_edges(g)
+    kept, ghosts = g.kept, g.ghosts()
     leaving = {}  # (vertex, edge) -> sextant the edge leaves the vertex in
     for e, (u, v) in enumerate(g.edges):
         leaving[u, e] = _sextant(g.positions, u, v)
@@ -102,10 +100,10 @@ def dressed_distances(g: PlanarGraph):
 
 def _dressed_distances(g: PlanarGraph, fan):
     """:func:`dressed_distances` of ``g`` given its ``_fan_split``."""
-    kept, _, _, split, straddle_at = fan
+    _, _, _, split, straddle_at = fan
     merge = {straddle_at[v][1]: straddle_at[v][0] for v in split}
     try:
-        x_path, z_path = _logical_paths(g, kept, edge_face_table(g), merge)
+        x_path, z_path = _logical_paths(g, merge)
     except PatchError:
         return None
     return len(x_path), len(z_path)
@@ -143,11 +141,10 @@ def subsystem_patch(d: int) -> PlanarGraph:
                 g = cut_window(t, ox, oy, wx, wy)
                 if g is None:
                     continue
-                kept = _kept_edges(g)[0]
-                key = (len(kept), wy, wx, oy, ox)
+                key = (len(g.kept), wy, wx, oy, ox)
                 if best is not None and key >= best[0]:
                     break
-                z = _rough_path(g, kept)
+                z = _rough_path(g)
                 if z is None:
                     continue
                 low = len(z)
@@ -166,7 +163,7 @@ def subsystem_patch(d: int) -> PlanarGraph:
                     best = (key, g)
             if low is None or low > d:  # the tallest window decides
                 g = g if wy == wys[-1] else cut_window(t, ox, oy, wx, wys[-1])
-                z = g and _rough_path(g, _kept_edges(g)[0])
+                z = g and _rough_path(g)
                 if z and len(z) > d:
                     break
     if best is None:
@@ -206,7 +203,7 @@ def subsystem_code(d: int) -> CodeDefinition:
     pushed into the gauge centraliser by face multiplication.
     """
     g = subsystem_patch(d)
-    kept, ghosts, spokes, split, _ = _fan_split(g)
+    _, ghosts, spokes, split, _ = _fan_split(g)
 
     fans = []
     coords = []
@@ -229,5 +226,5 @@ def subsystem_code(d: int) -> CodeDefinition:
             px, py = g.positions[v]
             pull = 0.3 if v in split else 0.0
             coords.append((px + pull * (cx - px), py + pull * (cy - py)))
-    return _css_code(g, kept, fans, coords, claimed_distance=d,
+    return _css_code(g, fans, coords, claimed_distance=d,
                      fix_z=_commuting_z_logical, family="subsystem_square")

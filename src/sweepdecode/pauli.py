@@ -9,7 +9,8 @@ works through the operations here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -159,29 +160,40 @@ class CodeDefinition:
     claimed_distance: int
     is_subsystem: bool = False
     family: str = ""
-    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_checks(self) -> int:
         return len(self.checks)
 
+    @cached_property
     def check_matrix(self) -> np.ndarray:
         """(num_checks, 2n) rows [z-bits | x-bits]: row @ [e.x | e.z] gives
         the commutation bit of each check with e."""
-        if "m_syn" not in self._tables:
-            m = np.zeros((self.num_checks, 2 * self.n), dtype=np.uint8)
-            for i, c in enumerate(self.checks):
-                m[i, : self.n] = c.z
-                m[i, self.n :] = c.x
-            m.setflags(write=False)
-            self._tables["m_syn"] = m
-        return self._tables["m_syn"]
+        m = np.zeros((self.num_checks, 2 * self.n), dtype=np.uint8)
+        for i, c in enumerate(self.checks):
+            m[i, : self.n] = c.z
+            m[i, self.n :] = c.x
+        m.setflags(write=False)
+        return m
 
-    def _solver(self):
-        if "solver" not in self._tables:
-            _, pivots, t = gf2_rref(self.check_matrix())
-            self._tables["solver"] = (pivots, t)
-        return self._tables["solver"]
+    @cached_property
+    def _solver(self) -> tuple:
+        """``(pivots, t)`` of the check matrix's row reduction."""
+        _, pivots, t = gf2_rref(self.check_matrix)
+        t.setflags(write=False)
+        return pivots, t
+
+    @cached_property
+    def _stabilisers(self) -> list:
+        """:func:`stabiliser_basis`, from the check matrix's rows."""
+        m = self.check_matrix
+        rows = np.concatenate([m[:, self.n :], m[:, : self.n]], axis=1)  # [x | z]
+        if self.is_subsystem:
+            # Gram matrix of the symplectic form restricted to the gauge
+            # span: its nullspace picks out the central combinations.
+            rows = (gf2_nullspace((rows @ m.T) % 2) @ rows) % 2
+        r, pivots, _ = gf2_rref(rows)
+        return [PauliOperator(b[: self.n], b[self.n :]) for b in r[: len(pivots)]]
 
 
 def _batch(bits, width: int, what: str) -> np.ndarray:
@@ -198,7 +210,7 @@ def syndrome_batch(code: CodeDefinition, x_bits: np.ndarray, z_bits: np.ndarray)
     """
     vecs = np.concatenate([_batch(x_bits, code.n, "x bits"),
                            _batch(z_bits, code.n, "z bits")], axis=1)
-    return (vecs @ code.check_matrix().T) % 2
+    return (vecs @ code.check_matrix.T) % 2
 
 
 def pure_error_batch(code: CodeDefinition, syns: np.ndarray):
@@ -212,7 +224,7 @@ def pure_error_batch(code: CodeDefinition, syns: np.ndarray):
     arrays of shape (batch, n).
     """
     syns = np.asarray(_batch(syns, code.num_checks, "syndromes"), dtype=np.uint8)
-    pivots, t = code._solver()
+    pivots, t = code._solver
     rhs = (syns @ t.T) % 2
     rank = len(pivots)
     if np.any(rhs[:, rank:]):
@@ -225,32 +237,12 @@ def pure_error_batch(code: CodeDefinition, syns: np.ndarray):
 def stabiliser_basis(code: CodeDefinition) -> list:
     """Independent generators of the stabiliser subgroup.
 
-    For stabiliser codes this is an independent subset of the checks; for
-    subsystem codes it is the center of the gauge group (products of gauge
+    For stabiliser codes these are the row-reduced checks; for subsystem
+    codes they span the center of the gauge group (products of gauge
     generators commuting with the whole group), found by linear algebra on
-    the symplectic Gram matrix.
+    the symplectic Gram matrix.  Computed once per code.
     """
-    if "stab_basis" in code._tables:
-        return code._tables["stab_basis"]
-    rows = np.zeros((code.num_checks, 2 * code.n), dtype=np.uint8)
-    for i, c in enumerate(code.checks):
-        rows[i, : code.n] = c.x
-        rows[i, code.n :] = c.z
-    if not code.is_subsystem:
-        r, pivots, _ = gf2_rref(rows)
-        basis_rows = r[: len(pivots)]
-    else:
-        # Gram matrix of the symplectic form restricted to the gauge span:
-        # its nullspace picks out the central combinations.
-        swapped = np.concatenate([rows[:, code.n :], rows[:, : code.n]], axis=1)
-        gram = (rows @ swapped.T) % 2
-        null = gf2_nullspace(gram)
-        cand = (null @ rows) % 2
-        r, pivots, _ = gf2_rref(cand)
-        basis_rows = r[: len(pivots)]
-    basis = [PauliOperator(b[: code.n], b[code.n :]) for b in basis_rows]
-    code._tables["stab_basis"] = basis
-    return basis
+    return code._stabilisers
 
 
 def logical_class(code: CodeDefinition, p: PauliOperator) -> str:

@@ -997,7 +997,8 @@ def contract_step(mps: MPSState, step: _Step, elements: np.ndarray) -> MPSState:
 def _bond_cap(value) -> int:
     """``value`` as an int of at least 1; anything else raises ValueError."""
     try:
-        value = operator.index(value)
+        # a bool passes operator.index as 0 or 1, but is no bond dimension
+        value = 0 if isinstance(value, bool) else operator.index(value)
     except TypeError:
         value = 0  # a float (NaN included) or a string is no bond dimension
     if value < 1:

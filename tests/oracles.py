@@ -36,10 +36,7 @@ from sweepdecode.codes.graphs import (
     PatchError,
     PlanarGraph,
     _bfs_path,
-    _kept_edges,
     _rough_path,
-    edge_face_table,
-    perimeter_cycle,
     validate_patch,
 )
 from sweepdecode.codes.lattices import _search_space, cut_window, template
@@ -346,9 +343,9 @@ def cut_region_reference(t, ox, oy, wx, wy):
     then the edges between them, then the faces, then the pruning.
 
     Edges survive when both endpoints do; edges bounding no surviving
-    face are dropped.  Returns (graph, perimeter cycle, integer
-    positions) with placeholder segments, or None when the remains are
-    disconnected or the boundary is not a single simple cycle.
+    face are dropped.  Returns (graph, integer positions) with
+    placeholder segments, or None when the remains are disconnected or
+    the boundary is not a single simple cycle.
     """
     (ax, _), (bx, by) = t.basis
     smin_y = min(s[1] for s in t.sites)
@@ -460,12 +457,12 @@ def cut_region_reference(t, ox, oy, wx, wy):
         ),
     )
     try:
-        cyc = perimeter_cycle(g)
+        cyc = g.walk[0]
     except PatchError:
         return None
     if len(set(cyc)) != len(cyc):
         return None  # pinched: the arc designation needs a simple cycle
-    return g, cyc, new_positions
+    return g, new_positions
 
 
 def cut_window_reference(t, ox, oy, wx, wy, rotate=False):
@@ -509,7 +506,7 @@ def assert_straight_line_embedding(g):
 def fan_split_reference(g):
     """``subsystem._fan_split`` as first written: it reads each face's
     corners through ``face_vertices`` and takes two sextants per corner."""
-    kept, ghosts = _kept_edges(g)
+    kept, ghosts = g.kept, g.ghosts()
     coords = g.positions
     spokes = {}
     for e in kept:
@@ -552,10 +549,10 @@ def dressed_distances_reference(g, fan):
     """``subsystem._dressed_distances`` on a dual graph of its own: each
     straddle pair is one node, and a boundary edge takes its smooth side
     from the smooth segment holding its endpoints."""
-    table = edge_face_table(g)
+    table = g.face_table
     kept, _, _, split, straddle_at = fan
 
-    z_path = _rough_path(g, kept)
+    z_path = _rough_path(g)
     if z_path is None:
         return None
 

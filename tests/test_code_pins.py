@@ -40,13 +40,15 @@ REGULAR_PINS = {
     "trunc_hex": (3, ("3228082e4551b88d",)),
     "asanoha": (3, ("9fda1ba95ca62688",)),
 }
-REGULAR_CASES = [(family, d0 + k, prefix)
+# trunc_hex d=3 takes ~10 s to build, paid by whichever of its two codes
+# (or test_codes_lattices.py::test_trunc_hex_d3) runs first
+REGULAR_CASES = [pytest.param(family, d0 + k, prefix, id=f"{family}_d{d0 + k}",
+                              marks=pytest.mark.slow if d0 == 3 else ())
                  for family, (d0, prefixes) in REGULAR_PINS.items()
                  for k, prefix in enumerate(prefixes)]
 
 
-@pytest.mark.parametrize("family, d, prefix", REGULAR_CASES,
-                         ids=[f"{family}_d{d}" for family, d, _ in REGULAR_CASES])
+@pytest.mark.parametrize("family, d, prefix", REGULAR_CASES)
 def test_regular_code_digest(family, d, prefix):
     code = surface_code_from_graph(regular_lattice(family, d), family=family)
     digest = hashlib.sha256(format_code(code).encode()).hexdigest()

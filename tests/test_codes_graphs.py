@@ -8,8 +8,6 @@ from sweepdecode.codes.graphs import (
     PatchError,
     PlanarGraph,
     dual_patch,
-    edge_face_table,
-    perimeter_cycle,
     surface_code_from_graph,
     validate_patch,
 )
@@ -106,13 +104,13 @@ class TestPatchValidation:
             assert_straight_line_embedding(g)
 
     def test_perimeter_cycle_of_block(self):
-        cyc = perimeter_cycle(square_two_patch())
+        cyc = square_two_patch().walk[0]
         assert sorted(cyc) == [0, 1, 2, 3, 4, 5]
         assert len(cyc) == 6
 
     def test_pinched_boundary_walk(self):
         g = bowtie_patch()
-        assert perimeter_cycle(g) == [0, 1, 2, 4, 3, 2]
+        assert g.walk[0] == [0, 1, 2, 4, 3, 2]
         validate_patch(g)
         assert_straight_line_embedding(g)
         code = surface_code_from_graph(g)
@@ -129,10 +127,10 @@ class TestPatchValidation:
             ((0, 1), (1, 2), (0, 2), (5, 3), (3, 4), (5, 4)),
             g.faces, g.segments)
         with pytest.raises(PatchError, match="more than one closed walk"):
-            perimeter_cycle(apart)
+            apart.walk
 
     def test_edge_face_table(self):
-        table = edge_face_table(square_two_patch())
+        table = square_two_patch().face_table
         assert table[5] == [0, 1]      # middle vertical borders both faces
         assert table[0] == [0]
 

@@ -2,8 +2,10 @@ import math
 
 import pytest
 
+from sweepdecode.codes import lattices
 from sweepdecode.codes.graphs import (
     PatchError,
+    PlanarGraph,
     code_distances,
     dual_patch,
     surface_code_from_graph,
@@ -20,6 +22,7 @@ from sweepdecode.codes.lattices import (
     smallest_patch,
     template,
 )
+from sweepdecode.codes.subsystem import subsystem_code, subsystem_patch
 from sweepdecode.pauli import pauli_to_string, validate_code
 
 from oracles import assert_straight_line_embedding, brute_force_distances, cut_window_reference
@@ -198,3 +201,41 @@ class TestRegularLattice:
         assert sorted(pauli_to_string(c) for c in hexa.checks) \
             == sorted(swap_xz(pauli_to_string(c)) for c in tri.checks)
         assert brute_force_distances(hexa, 3) == (3, 3)
+
+
+class TestOneWalkPerCut:
+    """From the cut to the code, each window's boundary is walked once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"walk": 0, "cut": 0}
+        walk, cut = PlanarGraph.walk.func, lattices._cut_region
+
+        def counting_walk(g):
+            calls["walk"] += 1
+            return walk(g)
+
+        def counting_cut(*args):
+            calls["cut"] += 1
+            return cut(*args)
+
+        monkeypatch.setattr(PlanarGraph.walk, "func", counting_walk)
+        monkeypatch.setattr(lattices, "_cut_region", counting_cut)
+        return calls
+
+    def test_square_d5(self, calls):
+        # a cold build that keeps the cache of other tests' patches
+        surface_code_from_graph(smallest_patch.__wrapped__("square", 5))
+        assert calls == {"walk": 9, "cut": 9}
+
+    def test_subsystem_d5(self, calls):
+        subsystem_patch.cache_clear()
+        subsystem_code(5)
+        assert calls == {"walk": 55, "cut": 55}
+
+    def test_designated_graph_shares_its_cuts_tables(self):
+        g, ipos = _cut_region(template("square"), 0, 0, 4, 3)
+        designated = lattices._designate_arcs(g, *lattices._extreme_arcs(g.walk[0], ipos))
+        assert designated.face_table is g.face_table
+        assert designated.walk is g.walk
+        assert designated.kept != g.kept  # the kept edges depend on the segments

@@ -10,12 +10,7 @@ from oracles import (
     subsystem_patch_exhaustive,
 )
 from sweepdecode.codes import subsystem
-from sweepdecode.codes.graphs import (
-    PatchError,
-    _kept_edges,
-    _rough_path,
-    validate_patch,
-)
+from sweepdecode.codes.graphs import PatchError, _rough_path, validate_patch
 from sweepdecode.codes.lattices import _search_space, cut_window, template
 from sweepdecode.codes.subsystem import (
     dressed_distances,
@@ -93,9 +88,8 @@ class TestPatch:
                         g = cut_window(t, ox, oy, wx, wy)
                         if g is None:
                             continue
-                        edges = _kept_edges(g)[0]
-                        kept.append(len(edges))
-                        path = _rough_path(g, edges)
+                        kept.append(len(g.kept))
+                        path = _rough_path(g)
                         if path is not None:
                             zs.append(len(path))
                             z[ox, oy, wx, wy] = len(path)
@@ -225,7 +219,6 @@ class TestCode:
         bare = brute_force_distances(code, 2)
         assert bare == (None, None)
 
-    @pytest.mark.slow
     def test_dressed_distance_brute_force_d4(self):
         code = subsystem_code(4)
         assert brute_force_distances(code, 4, dressed=True) == (4, 4)
