@@ -18,17 +18,22 @@ is out of reach (an exact sweep along a code's long side, say) is left
 out, as is one whose steps repeat another frame's.  Each is timed as the four coset
 networks of one depolarising shot swept along its plan, the fastest of
 ``REPEATS`` repeats, interleaved across configurations, on one BLAS
-thread.  Beside each time the file records the model's prediction and
-its counts, the code's chosen and unfolded plans, the git sha and the
-machine.  ``--fit`` refits ``MODEL_SECONDS_PER_*`` by non-negative least
+thread.  The model prices a cold sweep, so every sweep timed or traced
+here builds each of its merged tensors (:func:`cold_sweeps`).  Beside
+each time the file records the model's prediction and its counts, the
+code's chosen and unfolded plans, the git sha and the machine.  ``--fit`` refits ``MODEL_SECONDS_PER_*`` by non-negative least
 squares on relative error and rewrites the file's predictions and
 summary with the fitted values, which are then written into
 ``contract.py`` by hand.  ``--plans`` also prints, for each benchmark
 code, the chosen plan's modelled peak in bytes beside the tracemalloc
-peak of one sweep along it.
+peak of one sweep along it, and the entries and bytes its memo of merged
+tensors holds once the four cosets of the benchmark's first ``MIN_SHOTS``
+shots are swept: memory that stays resident between decodes, which the
+benchmark's per-decode peak does not see.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -44,6 +49,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 import numpy as np  # noqa: E402
 
 import cosetnet  # noqa: E402
+from workloads import MIN_SHOTS, WORKLOADS  # noqa: E402
 from sweepdecode import pauli  # noqa: E402
 from sweepdecode.codes import graphs, lattices, subsystem  # noqa: E402
 from sweepdecode.sweep import contract  # noqa: E402
@@ -57,8 +63,6 @@ REPEATS = 7
 # a configuration above either is left out: 4M elements is 32 MB a sweep
 PEAK_LIMIT = 4_000_000
 SECONDS_LIMIT = 0.2
-# the benchmark's codes, as perfbench/workloads.py builds them
-BENCHMARK_CODES = (("square", 5, 8), ("subsystem", 5, None))
 FORMS = ("unfolded", "class 0 into class 1", "class 1 into class 0")
 CONSTANTS = ("MODEL_SECONDS_PER_MADD", "MODEL_SECONDS_PER_STEP",
              "MODEL_SECONDS_PER_MERGED_VERTEX", "MODEL_SECONDS_PER_COMPRESSED_SITE")
@@ -70,14 +74,33 @@ def build_code(family, d):
     return graphs.surface_code_from_graph(lattices.regular_lattice(family, d), family=family)
 
 
-def coset_networks(code, seed=0):
-    """The four coset networks of the first shot of a depolarising stream."""
-    probs = cosetnet.depolarising(P)
+def coset_networks(code, p=P, shots=1, seed=0):
+    """The four coset networks of each of the first ``shots`` shots of a
+    depolarising stream at ``p``, drawn as the benchmark draws them."""
+    probs = cosetnet.depolarising(p)
     nets = cosetnet.CosetNetworks(code, probs)
-    k = np.random.default_rng(seed).choice(4, size=code.n, p=probs)
-    x, z = (k & 1).astype(np.uint8), (k >> 1).astype(np.uint8)
-    syn = pauli.syndrome_batch(code, x[None, :], z[None, :])[0]
-    return [nets.network(r) for r in nets.residuals(syn)]
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(shots):
+        k = rng.choice(4, size=code.n, p=probs)
+        x, z = (k & 1).astype(np.uint8), (k >> 1).astype(np.uint8)
+        syn = pauli.syndrome_batch(code, x[None, :], z[None, :])[0]
+        out += [nets.network(r) for r in nets.residuals(syn)]
+    return out
+
+
+@contextlib.contextmanager
+def cold_sweeps(plans):
+    """Sweeps along ``plans`` that build every merged tensor, as the model
+    prices them: their memos are cleared, and no memo keeps an entry while
+    this is open."""
+    for plan in plans:
+        plan.memo.clear()
+    saved, contract.MERGE_MEMO_BYTES = contract.MERGE_MEMO_BYTES, 0
+    try:
+        yield
+    finally:
+        contract.MERGE_MEMO_BYTES = saved
 
 
 def plans(networks, chi):
@@ -99,22 +122,25 @@ def describe(c):
 
 
 def traced_peak(plan, tn, chi):
-    """The most bytes tracemalloc sees allocated at once during one sweep
-    of ``tn`` along ``plan``, after one warm-up sweep."""
+    """The most bytes tracemalloc sees allocated at once during one cold
+    sweep of ``tn`` along ``plan``, after one warm-up sweep (which fills
+    the identity memo, not the merged tensors')."""
     vertices = tn.vertices
-    contract._run(plan, vertices, chi)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
+    with cold_sweeps([plan]):
         contract._run(plan, vertices, chi)
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            contract._run(plan, vertices, chi)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
 
 
 def print_plans():
-    for family, d, chi in BENCHMARK_CODES:
+    for wl in WORKLOADS.values():
+        family, d, chi = wl.family, wl.d, wl.chi
         code = build_code(family, d)
         tn = coset_networks(code)[0]
         start = time.perf_counter()
@@ -128,6 +154,13 @@ def print_plans():
         print(f"{family} d={d} chi={chi} chosen peak: modelled {8 * chosen.peak} bytes, "
               f"traced {traced_peak(contract._plan_of(chosen), tn, chi)} bytes")
         print(f"{family} d={d} chi={chi} cold plan build {cold * 1e3:.1f} ms")
+        networks = coset_networks(code, wl.p, MIN_SHOTS)
+        memo = contract._plan_for(networks[0], chi).memo
+        memo.clear()
+        for net in networks:
+            contract.sweep_contract(net, chi)
+        print(f"{family} d={d} chi={chi} p={wl.p} merged-tensor memo after {MIN_SHOTS} shots: "
+              f"{len(memo.arrays)} entries, {memo.nbytes} bytes")
 
 
 def configurations():
@@ -160,13 +193,14 @@ def configurations():
 
 def time_all(configs):
     best = [float("inf")] * len(configs)
-    for _ in range(REPEATS):
-        for i, cfg in enumerate(configs):
-            plan, networks, chi = cfg["_plan"], cfg["_networks"], cfg["chi"]
-            start = time.perf_counter()
-            for tn in networks:
-                contract._run(plan, tn.vertices, chi)
-            best[i] = min(best[i], time.perf_counter() - start)
+    with cold_sweeps(cfg["_plan"] for cfg in configs):
+        for _ in range(REPEATS):
+            for i, cfg in enumerate(configs):
+                plan, networks, chi = cfg["_plan"], cfg["_networks"], cfg["chi"]
+                start = time.perf_counter()
+                for tn in networks:
+                    contract._run(plan, tn.vertices, chi)
+                best[i] = min(best[i], time.perf_counter() - start)
     for cfg, seconds in zip(configs, best):
         cfg["measured_decode_s"] = seconds
 

@@ -1,12 +1,14 @@
 """Sweep-line contraction of planar tensor networks.
 
 :func:`sweep_contract` contracts a closed network in two parts.  The plan
-(:class:`_Plan`) depends only on the network's geometry and on ``chi``, and
-holds no tensor: the form and frame the network is swept in and, per step
-(:class:`_Step`), the vertex it absorbs, the boundary slots it consumes
-and the order it reads the vertex's axes in.  The run (:func:`_run`) does
-only numerics: it absorbs each step's element array into a boundary
-matrix product state, and compresses that state when it grows too wide.
+(:class:`_Plan`) depends only on the network's geometry and on ``chi``:
+the form and frame the network is swept in and, per step (:class:`_Step`),
+the vertex it absorbs, the boundary slots it consumes and the order it
+reads the vertex's axes in.  The one thing it holds beyond those is a memo
+of the merged tensors a folded sweep has built, keyed by the tensor
+objects they were built from.  The run (:func:`_run`) does only numerics:
+it absorbs each step's element array into a boundary matrix product
+state, and compresses that state when it grows too wide.
 
 Each rule is stated where it is enforced:
 
@@ -15,6 +17,8 @@ Each rule is stated where it is enforced:
 - the cost model: :func:`_model`, on the counts of :func:`_tally`;
 - the peak guard and the ties: :func:`_choose`;
 - the recipe of a merged vertex: :class:`_Merge`;
+- the memo of merged tensors and its ``MERGE_MEMO_BYTES`` bound:
+  :class:`_MergeMemo`, filled by :func:`_vertex_tensor`;
 - the plan cache and its key: :func:`_plan_for`;
 - an absorption: :func:`contract_step`, split into sites by :func:`_split`;
 - the identity head: :class:`MPSState`;
@@ -63,6 +67,17 @@ REL_CUTOFF = 1e-14
 # Plans kept at once.  A decoder contracts the networks of one code over
 # and over, so a handful of geometries covers it.
 PLAN_CACHE_SIZE = 8
+
+# Bytes one plan's memo of merged tensors (_MergeMemo) may hold, counting
+# its arrays and the input tensors its keys keep alive.  A merged tensor
+# depends only on its host's and absorbed vertices' tensors, and a coset
+# network picks each qubit's from four, so a code has few variants.  Every
+# variant of the benchmark's codes, measured: square d=5 at chi=8, 172
+# entries of 0.06 MB (0.09 MB with their keys); subsystem d=5 exact,
+# paired, 388 entries of 0.39 MB (0.53 MB).  The larger fits four times
+# over, and all cached plans together hold at most PLAN_CACHE_SIZE *
+# MERGE_MEMO_BYTES = 16 MB.
+MERGE_MEMO_BYTES = 2 << 20
 
 # Widest identity kept for the pass-through sites of contract_step.  A
 # sweep meets a few small sizes over and over (up to 16 wide: 95% of them
@@ -190,9 +205,9 @@ class _Merge(NamedTuple):
     permutation is the identity.  The last product is reshaped to
     ``shape``, transposed by ``perm`` and reshaped to ``out``, one axis per
     fused bond; in a plan, in the order the host's step reads them
-    (:func:`_plan_of`), so the step reads the tensor as it is.  The tensor
-    is dropped after its step, so the merged tensors never all exist at
-    once.
+    (:func:`_plan_of`), so the step reads the tensor as it is.  The plan's
+    :class:`_MergeMemo` keeps each tensor built, so the same operands are
+    multiplied once per plan, not once per sweep.
     """
 
     products: tuple
@@ -201,19 +216,54 @@ class _Merge(NamedTuple):
     out: tuple
 
 
+class _MergeMemo:
+    """The merged tensors one plan has built (:func:`_vertex_tensor`).
+
+    A key is the host's id and the :class:`DenseTensor` objects of the host
+    and of its absorbed vertices, in the order its :class:`_Merge` reads
+    them.  A tensor hashes by identity and its elements never change after
+    construction, so an entry is what the recipe would compute from those
+    operands again, bit for bit.  Entries are read-only.  ``nbytes``
+    counts the arrays and, per entry, the key's tensors, which the key
+    keeps alive.  An entry larger than ``MERGE_MEMO_BYTES`` alone is not
+    kept, and an insert that would take ``nbytes`` past it first clears
+    the memo.
+    """
+
+    def __init__(self):
+        self.arrays: dict = {}
+        self.nbytes = 0
+        self._lock = threading.Lock()
+
+    def put(self, key, array: np.ndarray):
+        size = array.nbytes + sum(t.elements.nbytes for t in key[1:])
+        if size > MERGE_MEMO_BYTES:
+            return
+        with self._lock:
+            if self.nbytes + size > MERGE_MEMO_BYTES:
+                self.clear()
+            self.arrays[key] = array
+            self.nbytes += size
+
+    def clear(self):
+        self.arrays.clear()
+        self.nbytes = 0
+
+
 class _Plan(NamedTuple):
     """The steps of a sweep and the network form and frame they run in.
 
     ``turns`` is the frame, and ``fold`` and ``pairs`` the form, as
     :func:`_candidates` defines them.  A folded plan's step absorbs a
-    host, whose tensor ``merges`` builds.
+    host, whose tensor ``merges`` builds and ``memo`` keeps.
     """
 
     steps: tuple
     turns: int
     fold: int
     merges: dict  # host id -> _Merge; empty when unfolded
-    pairs: int | None = None
+    pairs: int | None
+    memo: _MergeMemo
 
 
 class _Layout(NamedTuple):
@@ -528,7 +578,8 @@ def _pair(folded: _Layout, assignment, turns: int) -> tuple:
 
 
 def _tally(steps, layout: _Layout, chi: int | None) -> tuple:
-    """``(madds, merged, compressed, peak)`` of a sweep along ``steps``,
+    """``(madds, merged, compressed, peak)`` of a cold sweep along
+    ``steps``, one that builds every merged tensor (its plan's memo empty),
     from shapes alone.
 
     The chain is replayed as ``(left, leg, right)`` triples by the rule of
@@ -633,8 +684,9 @@ def _tally(steps, layout: _Layout, chi: int | None) -> tuple:
 
 
 def _model(steps, layout: _Layout, chi: int | None) -> tuple:
-    """``(seconds, peak)``: the plan's cost model of a sweep along
-    ``steps``.
+    """``(seconds, peak)``: the plan's cost model of a cold sweep along
+    ``steps``, as :func:`_tally` counts it.  A warm sweep, whose merged
+    tensors are memoized, costs less by the merged vertices' share.
 
     The time prices :func:`_tally`'s multiply-adds at
     ``MODEL_SECONDS_PER_MADD``, each step at ``MODEL_SECONDS_PER_STEP``,
@@ -756,7 +808,7 @@ def _plan_of(candidate: _Candidate) -> _Plan:
             for s in steps
         }
         steps = tuple(s._replace(perm=tuple(range(len(s.perm)))) for s in steps)
-    return _Plan(steps, turns, fold, merges, pairs)
+    return _Plan(steps, turns, fold, merges, pairs, _MergeMemo())
 
 
 def _build_plan(tn: TensorNetwork2D, chi: int | None) -> _Plan:
@@ -784,13 +836,17 @@ def _plan_for(tn: TensorNetwork2D, chi: int | None = None) -> _Plan:
     ``tn``: the vertex ids, positions and tensor shapes, and the ordered
     bonds with both endpoints and their dimensions.  The four coset
     networks of a code and the networks of every syndrome share it, so the
-    plan and its check are paid once per code and ``chi``.  A plan holds
-    no tensor, and equal keys replay the same deterministic build, so a
-    hit returns exactly what a rebuild would and stands for a network that
-    passed the check, which reads nothing the key does not hold.  The
-    least recently used of more than ``PLAN_CACHE_SIZE`` plans is dropped.
-    Errors are not cached, so a network that fails to plan raises on every
-    call.
+    plan and its check are paid once per code and ``chi``.  Equal keys
+    replay the same deterministic build, so a hit's steps and merges are
+    exactly what a rebuild would make, and it stands for a network that
+    passed the check, which reads nothing the key does not hold.  The one
+    tensor-dependent part of a plan, its :class:`_MergeMemo`, is keyed by
+    tensor identity, and a tensor's elements never change after
+    construction, so any network of the key may share it: a memo entry is
+    what the rebuilt plan would compute from the same tensors.  The least
+    recently used of more than ``PLAN_CACHE_SIZE`` plans is dropped, and
+    its memo with it.  Errors are not cached, so a network that fails to
+    plan raises on every call.
     """
     key = (_geometry_key(tn), chi)
     with _plans_lock:
@@ -809,21 +865,30 @@ def _plan_for(tn: TensorNetwork2D, chi: int | None = None) -> _Plan:
 def _vertex_tensor(plan: _Plan, vertices: dict, vid: int) -> np.ndarray:
     """The element array the step of ``vid`` absorbs, for a network with
     the vertices ``vertices``: the vertex's own or, in a folded plan, the
-    one its :class:`_Merge` builds here."""
+    one its :class:`_Merge` builds from the tensors of its host and
+    absorbed vertices, read from the plan's memo when it holds them."""
     merge = plan.merges.get(vid)
-    x = vertices[vid].tensor.elements
+    host = vertices[vid].tensor
     if merge is None:
+        return host.elements
+    key = (vid, host, *[vertices[p[0]].tensor for p in merge.products])
+    x = plan.memo.arrays.get(key)
+    if x is not None:
         return x
-    for u, shape, xperm, xmat, vperm, vmat in merge.products:
+    x = host.elements
+    for (_, shape, xperm, xmat, vperm, vmat), absorbed in zip(merge.products, key[2:]):
         if xperm is not None:
             x = x.reshape(shape).transpose(xperm)
-        v = vertices[u].tensor.elements
+        v = absorbed.elements
         if vperm is not None:
             v = v.transpose(vperm)
         x = np.dot(x.reshape(xmat), v.reshape(vmat))
     if merge.perm is not None:
         x = x.reshape(merge.shape).transpose(merge.perm)
-    return x.reshape(merge.out)
+    x = x.reshape(merge.out)
+    x.setflags(write=False)
+    plan.memo.put(key, x)
+    return x
 
 
 _identities: dict = {}  # n -> read-only np.eye(n), for n <= IDENTITY_MEMO_MAX

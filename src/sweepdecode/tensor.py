@@ -17,19 +17,26 @@ import numpy as np
 __all__ = ["DenseTensor"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DenseTensor:
     """An n-axis real tensor; the element array is read-only after
-    construction."""
+    construction.
+
+    The tensor holds a private copy of what it is given, so no handle the
+    caller keeps (the array itself, a base it views, or one whose write
+    flag the caller sets again) can change its elements.  ``elements`` is
+    a view of that copy, and numpy refuses to make a view of a read-only
+    array writeable again.  The tensor compares and hashes by identity:
+    the sweep's memo of merged tensors keys on the tensor objects, which
+    that invariant makes sound.
+    """
 
     elements: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.elements, dtype=np.float64)
-        if not arr.flags.c_contiguous:
-            arr = np.ascontiguousarray(arr)
-        object.__setattr__(self, "elements", arr)
+        arr = np.array(self.elements, dtype=np.float64, order="C")
         arr.setflags(write=False)
+        object.__setattr__(self, "elements", arr.view())
 
     @property
     def rank(self) -> int:

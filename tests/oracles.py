@@ -204,7 +204,7 @@ def plan_unrotated(tn):
         for v in sorted(tn.vertices.values(), key=contract.sweep_key)
     )
     assert not pending
-    return contract._Plan(steps, 0, 0, {})
+    return contract._Plan(steps, 0, 0, {}, None, contract._MergeMemo())
 
 
 def _tensordot_axes(step):

@@ -430,6 +430,25 @@ class TestIdentitySites:
         pairs = [(a, b) for a, b in zip(first, second) if not a.flags.writeable]
         assert pairs and all(a.base is b.base for a, b in pairs)
 
+    def test_vertices_sharing_one_tensor(self, monkeypatch):
+        # hosts whose own and absorbed tensors are the same objects still
+        # merge by their own recipes
+        tn = grid_network(np.random.default_rng(4850), 4, 4, dim=2)
+        shared = {}
+        for v in tn.vertices.values():
+            shared.setdefault(v.tensor.rank, v.tensor)
+        tn = TensorNetwork2D(
+            [TNVertex(v.id, shared[v.tensor.rank], v.position) for v in tn.vertices.values()],
+            tn.bonds,
+        )
+        contract._plans.clear()
+        with monkeypatch.context() as m:
+            m.setattr(contract, "MERGE_MEMO_BYTES", 0)
+            want = sweep_contract(tn)
+        plan = contract._plan_for(tn, None)
+        assert sweep_contract(tn) == sweep_contract(tn) == want
+        assert len(plan.memo.arrays) == len(plan.steps)
+
     def test_memo_is_bounded_in_bytes(self, monkeypatch):
         # the top vertex of a triangle with two bonds of dimension n below
         # it emits an n x n identity site
@@ -1212,10 +1231,13 @@ class TestFold:
 
     # the benchmark's codes and noise
     @pytest.mark.parametrize("family, p, chi", [("square", 0.15, 8), ("subsystem", 0.05, None)])
-    def test_modelled_peak_bounds_traced_peak(self, family, p, chi):
+    def test_modelled_peak_bounds_traced_peak(self, family, p, chi, monkeypatch):
         # the chosen plan and every paired candidate of at most 1 MB: the
-        # modelled peak is never more than 15% below what one sweep of a
-        # decoder's coset network holds
+        # modelled peak is never more than 15% below what one cold sweep of
+        # a decoder's coset network holds.  The model prices a cold sweep,
+        # which builds every merged tensor; the memo that keeps them is
+        # resident memory, bounded apart, so here it keeps none.
+        monkeypatch.setattr(contract, "MERGE_MEMO_BYTES", 0)
         tn = depolarised_coset_network(code_of(family, 5), p, np.random.default_rng(0))
         candidates = contract._candidates(tn, chi)
         chosen = contract._choose(candidates)
@@ -1263,3 +1285,137 @@ class TestFold:
         tn.vertices[vid] = TNVertex(vid, DenseTensor(arr), v.position)
         with pytest.raises(ContractionError):
             sweep_contract(tn, chi)
+
+
+def variant_networks(tn, rng, count, kinds=2):
+    """``count`` networks of ``tn``'s geometry whose vertices each take one
+    of ``kinds`` tensors, fixed per vertex, at random: tensor objects that
+    networks share, as a decoder's coset networks share them."""
+    choices = {
+        vid: [v.tensor] + [
+            DenseTensor(rng.uniform(0.1, 1.0, size=v.tensor.extents)) for _ in range(kinds - 1)
+        ]
+        for vid, v in tn.vertices.items()
+    }
+    return [
+        TensorNetwork2D(
+            [TNVertex(vid, choices[vid][rng.integers(kinds)], v.position) for vid, v in tn.vertices.items()],
+            tn.bonds,
+        )
+        for _ in range(count)
+    ]
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def entry_bytes(key, array):
+    """What a memo entry counts: its array and the tensors of its key."""
+    return array.nbytes + sum(t.elements.nbytes for t in key[1:])
+
+
+def memo_bytes(memo):
+    """What ``memo.nbytes`` should read."""
+    return sum(entry_bytes(key, a) for key, a in memo.arrays.items())
+
+
+class TestMergeMemo:
+    @pytest.mark.parametrize("family, d", fold_cases())
+    def test_hits_are_fresh_builds_bit_for_bit(self, family, d):
+        tn = code_network(family, d)
+        networks = variant_networks(tn, np.random.default_rng(d), 6)
+        plans = [
+            contract._plan_of(c) for c in contract._candidates(tn, None)
+            if c.fold and c.peak <= FOLD_PEAK_CAP
+        ]
+        assert plans
+        for plan in plans:
+            for net in networks:
+                for step in plan.steps:
+                    contract._vertex_tensor(plan, net.vertices, step.vid)
+            filled = dict(plan.memo.arrays)
+            assert len(filled) > len(plan.steps)  # several variants per host
+            fresh = plan._replace(memo=contract._MergeMemo())
+            for net in networks:
+                for step in plan.steps:
+                    hit = contract._vertex_tensor(plan, net.vertices, step.vid)
+                    assert any(hit is a for a in filled.values())
+                    built = contract._vertex_tensor(fresh, net.vertices, step.vid)
+                    assert same_bits(hit, built)
+            assert plan.memo.arrays == filled  # every read hit
+            for a in filled.values():
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[(0,) * a.ndim] = 2.0
+            assert plan.memo.nbytes == memo_bytes(plan.memo)
+
+    @pytest.mark.parametrize("family, d", [("square", 5), ("subsystem", 5), ("hexagonal", 5)])
+    @pytest.mark.parametrize("chi", [None, 8])
+    def test_warm_sweeps_equal_cold_ones_bit_for_bit(self, family, d, chi, monkeypatch):
+        networks = variant_networks(code_network(family, d), np.random.default_rng(7), 8)
+        contract._plans.clear()
+        plan = contract._plan_for(networks[0], chi)
+        with monkeypatch.context() as m:
+            m.setattr(contract, "MERGE_MEMO_BYTES", 0)  # every sweep builds every tensor
+            unmemoized = [sweep_contract(net, chi) for net in networks]
+        assert not plan.memo.arrays
+        cold = [sweep_contract(net, chi) for net in networks]
+        assert plan.fold == 0 or plan.memo.arrays
+        warm = [sweep_contract(net, chi) for net in networks]
+        assert warm == cold == unmemoized
+
+    def test_equal_elements_in_distinct_tensors_miss(self):
+        tn = grid_network(np.random.default_rng(4800), 4, 4, dim=2)
+        twin = TensorNetwork2D(
+            [TNVertex(v.id, DenseTensor(v.tensor.elements), v.position) for v in tn.vertices.values()],
+            tn.bonds,
+        )
+        contract._plans.clear()
+        plan = contract._plan_for(tn, None)
+        assert plan.merges
+        first = sweep_contract(tn)
+        entries = len(plan.memo.arrays)
+        assert entries == len(plan.steps)
+        assert sweep_contract(twin) == first
+        assert len(plan.memo.arrays) == 2 * entries
+
+    def test_vertices_sharing_one_tensor(self, monkeypatch):
+        # hosts whose own and absorbed tensors are the same objects still
+        # merge by their own recipes
+        tn = grid_network(np.random.default_rng(4850), 4, 4, dim=2)
+        shared = {}
+        for v in tn.vertices.values():
+            shared.setdefault(v.tensor.rank, v.tensor)
+        tn = TensorNetwork2D(
+            [TNVertex(v.id, shared[v.tensor.rank], v.position) for v in tn.vertices.values()],
+            tn.bonds,
+        )
+        contract._plans.clear()
+        with monkeypatch.context() as m:
+            m.setattr(contract, "MERGE_MEMO_BYTES", 0)
+            want = sweep_contract(tn)
+        plan = contract._plan_for(tn, None)
+        assert sweep_contract(tn) == sweep_contract(tn) == want
+        assert len(plan.memo.arrays) == len(plan.steps)
+
+    def test_memo_is_bounded_in_bytes(self, monkeypatch):
+        tn = grid_network(np.random.default_rng(4900), 3, 3, dim=2)
+        contract._plans.clear()
+        plan = contract._plan_for(tn, None)
+        sweep_contract(tn)
+        widest = max(entry_bytes(key, a) for key, a in plan.memo.arrays.items())
+        cap = 3 * widest
+        monkeypatch.setattr(contract, "MERGE_MEMO_BYTES", cap)
+        plan.memo.clear()
+        rng = np.random.default_rng(4901)
+        for _ in range(20):
+            net = with_tensors(tn, rng)  # fresh tensors: every build misses
+            assert_matches_oracle(sweep_contract(net), net, rel=1e-10)
+            assert 0 < plan.memo.nbytes <= cap
+            assert plan.memo.nbytes == memo_bytes(plan.memo)
+        # an entry larger than the bound alone is not kept
+        plan.memo.clear()
+        monkeypatch.setattr(contract, "MERGE_MEMO_BYTES", 1)
+        sweep_contract(with_tensors(tn, rng))
+        assert not plan.memo.arrays and plan.memo.nbytes == 0

@@ -17,6 +17,27 @@ class TestDenseTensor:
         with pytest.raises(ValueError):
             t.elements[0] = 5.0
 
+    def test_caller_writes_through_a_base_do_not_reach_elements(self):
+        a = np.ones(4)
+        t = DenseTensor(a[:2])
+        a[0] = 5.0
+        np.testing.assert_array_equal(t.elements, [1.0, 1.0])
+
+    def test_caller_reenabling_writes_does_not_reach_elements(self):
+        b = np.ones(3)
+        t = DenseTensor(b)
+        b.setflags(write=True)
+        b[0] = 5.0
+        np.testing.assert_array_equal(t.elements, [1.0, 1.0, 1.0])
+        assert not t.elements.flags.writeable
+        with pytest.raises(ValueError):
+            t.elements.setflags(write=True)  # a private copy owns its data
+
+    def test_compares_and_hashes_by_identity(self):
+        a, b = DenseTensor(np.ones(2)), DenseTensor(np.ones(2))
+        assert a != b and a == a
+        assert len({a, b, a}) == 2
+
     def test_accepts_lists_and_casts(self):
         t = DenseTensor([[1, 2], [3, 4]])
         assert t.elements.dtype == np.float64
