@@ -26,10 +26,11 @@ squares on relative error and rewrites the file's predictions and
 summary with the fitted values, which are then written into
 ``contract.py`` by hand.  ``--plans`` also prints, for each benchmark
 code, the chosen plan's modelled peak in bytes beside the tracemalloc
-peak of one sweep along it, and the entries and bytes its memo of merged
-tensors holds once the four cosets of the benchmark's first ``MIN_SHOTS``
+peak of one sweep along it, and the entries and bytes its memo of step
+arrays holds once the four cosets of the benchmark's first ``MIN_SHOTS``
 shots are swept: memory that stays resident between decodes, which the
-benchmark's per-decode peak does not see.
+benchmark's per-decode peak does not see.  It prints the same for square
+d=7 at chi=8, whose plan is unfolded.
 """
 
 import argparse
@@ -154,13 +155,21 @@ def print_plans():
         print(f"{family} d={d} chi={chi} chosen peak: modelled {8 * chosen.peak} bytes, "
               f"traced {traced_peak(contract._plan_of(chosen), tn, chi)} bytes")
         print(f"{family} d={d} chi={chi} cold plan build {cold * 1e3:.1f} ms")
-        networks = coset_networks(code, wl.p, MIN_SHOTS)
-        memo = contract._plan_for(networks[0], chi).memo
-        memo.clear()
-        for net in networks:
-            contract.sweep_contract(net, chi)
-        print(f"{family} d={d} chi={chi} p={wl.p} merged-tensor memo after {MIN_SHOTS} shots: "
-              f"{len(memo.arrays)} entries, {memo.nbytes} bytes")
+        print_memo(code, f"{family} d={d} chi={chi}", chi, wl.p)
+    print_memo(build_code("square", 7), "square d=7 chi=8", 8, P)
+
+
+def print_memo(code, name, chi, p):
+    """Print the entries and bytes the memo of the plan of ``code`` at
+    ``chi`` holds once the four cosets of ``MIN_SHOTS`` shots at ``p`` are
+    swept."""
+    networks = coset_networks(code, p, MIN_SHOTS)
+    plan = contract._plan_for(networks[0], chi)
+    plan.memo.clear()
+    for net in networks:
+        contract.sweep_contract(net, chi)
+    print(f"{name} p={p} {form(plan)}: step-array memo after {MIN_SHOTS} shots: "
+          f"{len(plan.memo.arrays)} entries, {plan.memo.nbytes} bytes")
 
 
 def configurations():

@@ -14,7 +14,7 @@ import bisect
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 from .graphs import (
     ROUGH,
@@ -257,7 +257,12 @@ def cut_window(t: LatticeTemplate, ox: int, oy: int, wx: int, wy: int,
     the patch geometry itself untouched.  Returns None when the window
     yields nothing patch-shaped.
     """
-    region = _cut_region(t, ox, oy, wx, wy)
+    return _patch(_cut_region(t, ox, oy, wx, wy), rotate)
+
+
+def _patch(region, rotate: bool = False):
+    """:func:`cut_window` of the window whose :func:`_cut_region` is
+    ``region``."""
     if region is None:
         return None
     g, ipos = region
@@ -446,18 +451,22 @@ def _anisotropic_patch(family: str, d: int) -> PlanarGraph:
     window of that along extent.  The kept-edge count never falls as the
     inner extent grows, so the inner loop stops at the first window
     whose key reaches the best key, before its distances are computed.
+    The key orders every window, so the scan's order does not change
+    the patch it returns.
     """
     t = template(family)
     offsets, wxs, wys = _search_space(t, d + 4)
     spread = 3
     best = None
-    for rotate in (False, True):
-        for ox, oy in offsets:
-            fit = _widths(t, ox, oy, wxs, wys[-1])
+    for ox, oy in offsets:
+        # both anchorings meet some windows of an offset: each is cut once
+        cut = lru_cache(maxsize=None)(partial(_cut_region, t, ox, oy))
+        fit = _widths(t, ox, oy, wxs, wys[-1])
+        for rotate in (False, True):
             outer, inner = (wys, fit) if rotate else (fit, wys)
             for wa in outer:
                 probe_dims = (wxs[-1], wa) if rotate else (wa, wys[-1])
-                probe = cut_window(t, ox, oy, *probe_dims, rotate=rotate)
+                probe = _patch(cut(*probe_dims), rotate)
                 dd = _safe_distances(probe)
                 if dd is None:
                     continue
@@ -465,7 +474,7 @@ def _anisotropic_patch(family: str, d: int) -> PlanarGraph:
                     break
                 for wb in inner:
                     wx_, wy_ = (wb, wa) if rotate else (wa, wb)
-                    gg = cut_window(t, ox, oy, wx_, wy_, rotate=rotate)
+                    gg = _patch(cut(wx_, wy_), rotate)
                     if gg is None:
                         continue
                     key = (len(gg.kept), wy_, wx_, oy, ox, rotate)
@@ -517,13 +526,16 @@ def smallest_patch(family: str, d: int) -> PlanarGraph:
         return _anisotropic_patch(family, d)
     t = template(family)
     offsets, wxs, wys = _search_space(t, d + 3)
+    # both stages, each column's probe and the height loop that reaches
+    # it, and the relaxed arc search meet one window: the build cuts it once
+    cut = lru_cache(maxsize=None)(partial(_cut_region, t))
 
     def scan(relaxed):
         slack = 3 if relaxed else 0
         best = None
         for ox, oy in offsets:
             for wx in _widths(t, ox, oy, wxs, wys[-1]):
-                dd = _safe_distances(cut_window(t, ox, oy, wx, wys[-1]))
+                dd = _safe_distances(_patch(cut(ox, oy, wx, wys[-1])))
                 if dd is None:
                     continue
                 if dd[1] > d + slack:
@@ -532,7 +544,7 @@ def smallest_patch(family: str, d: int) -> PlanarGraph:
                     continue
                 hit = None
                 for wy in wys:
-                    gg = cut_window(t, ox, oy, wx, wy)
+                    gg = _patch(cut(ox, oy, wx, wy))
                     dd2 = _safe_distances(gg)
                     if dd2 is not None and dd2[0] > d + slack:
                         break
@@ -541,7 +553,7 @@ def smallest_patch(family: str, d: int) -> PlanarGraph:
                                else None)
                     elif dd2 is None or max(abs(dd2[0] - d),
                                             abs(dd2[1] - d)) <= slack:
-                        region = _cut_region(t, ox, oy, wx, wy)
+                        region = cut(ox, oy, wx, wy)
                         if region is not None:
                             hit = _arc_search_hits(region, d)
                     if hit is not None:

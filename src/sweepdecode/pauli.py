@@ -200,6 +200,8 @@ def _batch(bits, width: int, what: str) -> np.ndarray:
     arr = np.asarray(bits)
     if arr.ndim != 2 or arr.shape[1] != width:
         raise ValueError(f"{what} must be a (batch, {width}) array, got shape {arr.shape}")
+    if not (arr.astype(bool) == arr).all():  # only 0 and 1 equal their truth value
+        raise ValueError(f"{what} must hold only 0 and 1")
     return arr
 
 

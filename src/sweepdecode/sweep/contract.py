@@ -3,11 +3,11 @@
 :func:`sweep_contract` contracts a closed network in two parts.  The plan
 (:class:`_Plan`) depends only on the network's geometry and on ``chi``:
 the form and frame the network is swept in and, per step (:class:`_Step`),
-the vertex it absorbs, the boundary slots it consumes and the order it
-reads the vertex's axes in.  The one thing it holds beyond those is a memo
-of the merged tensors a folded sweep has built, keyed by the tensor
-objects they were built from.  The run (:func:`_run`) does only numerics:
-it absorbs each step's element array into a boundary matrix product
+the vertex it absorbs, the boundary slots it consumes and how it lays out
+the vertex's axes.  The one thing it holds beyond those is a memo of the
+arrays its steps absorb, each laid out in its step's order and keyed by
+the tensor objects it was built from.  The run (:func:`_run`) does only
+numerics: it absorbs each step's array into a boundary matrix product
 state, and compresses that state when it grows too wide.
 
 Each rule is stated where it is enforced:
@@ -17,8 +17,8 @@ Each rule is stated where it is enforced:
 - the cost model: :func:`_model`, on the counts of :func:`_tally`;
 - the peak guard and the ties: :func:`_choose`;
 - the recipe of a merged vertex: :class:`_Merge`;
-- the memo of merged tensors and its ``MERGE_MEMO_BYTES`` bound:
-  :class:`_MergeMemo`, filled by :func:`_vertex_tensor`;
+- the array a step absorbs: :func:`_vertex_tensor`, which fills the memo
+  of step arrays, :class:`_MergeMemo`, up to ``MERGE_MEMO_BYTES``;
 - the plan cache and its key: :func:`_plan_for`;
 - an absorption: :func:`contract_step`, split into sites by :func:`_split`;
 - the identity head: :class:`MPSState`;
@@ -68,14 +68,17 @@ REL_CUTOFF = 1e-14
 # and over, so a handful of geometries covers it.
 PLAN_CACHE_SIZE = 8
 
-# Bytes one plan's memo of merged tensors (_MergeMemo) may hold, counting
-# its arrays and the input tensors its keys keep alive.  A merged tensor
-# depends only on its host's and absorbed vertices' tensors, and a coset
+# Bytes one plan's memo of step arrays (_MergeMemo) may hold, counting its
+# arrays and the input tensors its keys keep alive.  It holds every step's
+# array, merged or not.  An array depends only on the tensors of its
+# vertex (and, folded, of the vertices merged into it), and a coset
 # network picks each qubit's from four, so a code has few variants.  Every
-# variant of the benchmark's codes, measured: square d=5 at chi=8, 172
-# entries of 0.06 MB (0.09 MB with their keys); subsystem d=5 exact,
+# merged variant of the benchmark's codes, measured: square d=5 at chi=8,
+# 172 entries of 0.06 MB (0.09 MB with their keys); subsystem d=5 exact,
 # paired, 388 entries of 0.39 MB (0.53 MB).  The larger fits four times
-# over, and all cached plans together hold at most PLAN_CACHE_SIZE *
+# over.  An unfolded plan holds one entry per vertex and variant: square
+# d=7 at chi=8, 293 entries of 0.06 MB after 64 shots (plan_model.py
+# --plans).  All cached plans together hold at most PLAN_CACHE_SIZE *
 # MERGE_MEMO_BYTES = 16 MB.
 MERGE_MEMO_BYTES = 2 << 20
 
@@ -177,10 +180,11 @@ class _Step(NamedTuple):
 
     Vertex ``vid`` consumes the boundary slots ``lo..hi`` (none when
     ``hi == lo - 1``: it then enters at slot ``lo``) and leaves one slot
-    per forward bond there, ordered left to right.  ``perm`` lists the
-    vertex's axes in the order its absorption reads them: the ``forward``
-    axes left to right by departure angle, then the backward axes in the
-    order of the slots they meet.
+    per forward bond there, ordered left to right.  ``perm`` is how the
+    plan lays out the vertex's axes in the array the step absorbs
+    (:func:`_vertex_tensor`): the ``forward`` axes left to right by
+    departure angle, then the backward axes in the order of the slots they
+    meet.
     """
 
     vid: int
@@ -204,10 +208,8 @@ class _Merge(NamedTuple):
     bonds, then free axes) and reshaped to ``vmat``.  A ``None``
     permutation is the identity.  The last product is reshaped to
     ``shape``, transposed by ``perm`` and reshaped to ``out``, one axis per
-    fused bond; in a plan, in the order the host's step reads them
-    (:func:`_plan_of`), so the step reads the tensor as it is.  The plan's
-    :class:`_MergeMemo` keeps each tensor built, so the same operands are
-    multiplied once per plan, not once per sweep.
+    fused bond in the folded form's axis order; the host's step then lays
+    the axes out as every step does (:func:`_vertex_tensor`).
     """
 
     products: tuple
@@ -217,13 +219,15 @@ class _Merge(NamedTuple):
 
 
 class _MergeMemo:
-    """The merged tensors one plan has built (:func:`_vertex_tensor`).
+    """The step arrays one plan has built (:func:`_vertex_tensor`), merged
+    or not.
 
-    A key is the host's id and the :class:`DenseTensor` objects of the host
-    and of its absorbed vertices, in the order its :class:`_Merge` reads
-    them.  A tensor hashes by identity and its elements never change after
-    construction, so an entry is what the recipe would compute from those
-    operands again, bit for bit.  Entries are read-only.  ``nbytes``
+    A key is the step's vertex id and the :class:`DenseTensor` objects of
+    that vertex and, in a folded plan, of the vertices its :class:`_Merge`
+    absorbs, in the order the recipe reads them.  A tensor hashes by
+    identity and its elements never change after construction, so an entry
+    is what :func:`_vertex_tensor` would compute from those operands
+    again, bit for bit.  Entries are read-only and C-contiguous.  ``nbytes``
     counts the arrays and, per entry, the key's tensors, which the key
     keeps alive.  An entry larger than ``MERGE_MEMO_BYTES`` alone is not
     kept, and an insert that would take ``nbytes`` past it first clears
@@ -255,7 +259,8 @@ class _Plan(NamedTuple):
 
     ``turns`` is the frame, and ``fold`` and ``pairs`` the form, as
     :func:`_candidates` defines them.  A folded plan's step absorbs a
-    host, whose tensor ``merges`` builds and ``memo`` keeps.
+    host, whose tensor ``merges`` builds; ``memo`` keeps every step's
+    array (:func:`_vertex_tensor`).
     """
 
     steps: tuple
@@ -270,8 +275,7 @@ class _Layout(NamedTuple):
     """A network form on shapes alone: what a replay and the model read.
 
     ``merges`` maps each host of a folded form to its :class:`_Merge`,
-    with its axes in the form's own axis order, and ``legs`` to the
-    network's bonds each of its axes fuses.
+    with its axes in the form's own axis order.
     """
 
     positions: dict
@@ -279,7 +283,6 @@ class _Layout(NamedTuple):
     incident: dict
     shapes: dict
     merges: dict
-    legs: dict
 
 
 class _Candidate(NamedTuple):
@@ -422,14 +425,9 @@ def _layout(tn: TensorNetwork2D) -> _Layout:
     for bid, bond in enumerate(tn.bonds):
         incident[bond.endpoint_a[0]].append((bid, bond.endpoint_a[1]))
         incident[bond.endpoint_b[0]].append((bid, bond.endpoint_b[1]))
-    return _Layout(
-        {vid: v.position for vid, v in tn.vertices.items()},
-        tn.bonds,
-        incident,
-        {vid: v.tensor.extents for vid, v in tn.vertices.items()},
-        {},
-        {},
-    )
+    positions = {vid: v.position for vid, v in tn.vertices.items()}
+    shapes = {vid: v.tensor.extents for vid, v in tn.vertices.items()}
+    return _Layout(positions, tn.bonds, incident, shapes, {})
 
 
 def _neighbours(layout: _Layout) -> dict:
@@ -551,7 +549,7 @@ def _fold(base: _Layout, assignment) -> _Layout | None:
             axes[vid][axis] = bid
     merges = {h: _merge_recipe(h, members, axes, dims, legs[h]) for h, members in assignment}
     shapes = {h: merge.out for h, merge in merges.items()}
-    return _Layout(positions, bonds, incident, shapes, merges, legs)
+    return _Layout(positions, bonds, incident, shapes, merges)
 
 
 def _pair(folded: _Layout, assignment, turns: int) -> tuple:
@@ -781,34 +779,9 @@ def _choose(candidates) -> _Candidate:
     return min((c for c in candidates if c.peak <= unfolded.peak), key=rank)
 
 
-def _in_step_order(merge: _Merge, legs, order) -> _Merge:
-    """``merge`` building its axes in ``order``, a permutation of the axes
-    it builds, each of which fuses the bonds of its entry in ``legs``."""
-    perm = merge.perm or tuple(range(len(merge.shape)))
-    chunks, k = [], 0
-    for fused in legs:
-        chunks.append(perm[k : k + len(fused)])
-        k += len(fused)
-    perm = tuple(i for axis in order for i in chunks[axis])
-    return merge._replace(
-        perm=None if perm == tuple(range(len(perm))) else perm,
-        out=tuple(merge.out[axis] for axis in order),
-    )
-
-
-def _plan_of(candidate: _Candidate) -> _Plan:
-    """The plan that runs ``candidate``, each merge building its axes in
-    the order its step reads them (:func:`_in_step_order`), so that step
-    reads them as they are."""
-    fold, pairs, turns, layout, steps, _, _ = candidate
-    merges = {}
-    if fold:
-        merges = {
-            s.vid: _in_step_order(layout.merges[s.vid], layout.legs[s.vid], s.perm)
-            for s in steps
-        }
-        steps = tuple(s._replace(perm=tuple(range(len(s.perm)))) for s in steps)
-    return _Plan(steps, turns, fold, merges, pairs, _MergeMemo())
+def _plan_of(c: _Candidate) -> _Plan:
+    """The plan that runs candidate ``c``, its memo empty."""
+    return _Plan(c.steps, c.turns, c.fold, c.layout.merges, c.pairs, _MergeMemo())
 
 
 def _build_plan(tn: TensorNetwork2D, chi: int | None) -> _Plan:
@@ -862,30 +835,38 @@ def _plan_for(tn: TensorNetwork2D, chi: int | None = None) -> _Plan:
     return plan
 
 
-def _vertex_tensor(plan: _Plan, vertices: dict, vid: int) -> np.ndarray:
-    """The element array the step of ``vid`` absorbs, for a network with
-    the vertices ``vertices``: the vertex's own or, in a folded plan, the
-    one its :class:`_Merge` builds from the tensors of its host and
-    absorbed vertices, read from the plan's memo when it holds them."""
+def _vertex_tensor(plan: _Plan, vertices: dict, step: _Step) -> np.ndarray:
+    """The array ``step`` absorbs, for a network with the vertices
+    ``vertices``: the tensor of its vertex or, in a folded plan, the one
+    the vertex's :class:`_Merge` builds from the tensors of its host and
+    absorbed vertices, transposed to ``step.perm``.  It is read-only and
+    C-contiguous, and read from the plan's memo when it holds it."""
+    vid = step.vid
     merge = plan.merges.get(vid)
     host = vertices[vid].tensor
     if merge is None:
-        return host.elements
-    key = (vid, host, *[vertices[p[0]].tensor for p in merge.products])
+        key = (vid, host)  # a third of the time of the general key
+    else:
+        key = (vid, host, *[vertices[p[0]].tensor for p in merge.products])
     x = plan.memo.arrays.get(key)
     if x is not None:
         return x
     x = host.elements
-    for (_, shape, xperm, xmat, vperm, vmat), absorbed in zip(merge.products, key[2:]):
-        if xperm is not None:
-            x = x.reshape(shape).transpose(xperm)
-        v = absorbed.elements
-        if vperm is not None:
-            v = v.transpose(vperm)
-        x = np.dot(x.reshape(xmat), v.reshape(vmat))
-    if merge.perm is not None:
-        x = x.reshape(merge.shape).transpose(merge.perm)
-    x = x.reshape(merge.out)
+    if merge is not None:
+        for (_, shape, xperm, xmat, vperm, vmat), absorbed in zip(merge.products, key[2:]):
+            if xperm is not None:
+                x = x.reshape(shape).transpose(xperm)
+            v = absorbed.elements
+            if vperm is not None:
+                v = v.transpose(vperm)
+            x = np.dot(x.reshape(xmat), v.reshape(vmat))
+        if merge.perm is not None:
+            x = x.reshape(merge.shape).transpose(merge.perm)
+        x = x.reshape(merge.out)
+    x = x.transpose(step.perm)
+    if not x.flags.c_contiguous:
+        # np.ascontiguousarray would make a 0-d array 1-d
+        x = x.copy()
     x.setflags(write=False)
     plan.memo.put(key, x)
     return x
@@ -976,22 +957,23 @@ def _split(left: int, dims, right: int) -> tuple:
 
 
 def contract_step(mps: MPSState, step: _Step, elements: np.ndarray) -> MPSState:
-    """Absorb the vertex of ``step``, whose element array is ``elements``,
-    into the boundary MPS, in place.
+    """Absorb the vertex of ``step``, whose array laid out in the step's
+    order (:func:`_vertex_tensor`) is ``elements``, into the boundary MPS,
+    in place.
 
-    It is one batched matrix product that transposes no boundary data.
-    The consumed run merges, untransposed, into ``run`` of shape ``(left,
-    L, right)`` as the chain stores it (a vertex with no backward bonds
-    takes the identity on the bond it enters across, as ``(p, 1, p)``),
-    and ``np.matmul(W, run)``, with ``W`` the elements permuted by
-    ``step.perm`` and reshaped to ``(S, L)``, gives ``(left, S, right)``,
-    already in chain order.  :func:`_split` cuts it into the data site, a
-    reshape of the product, and read-only views of shared identities
-    (:func:`_identity`) either side.  Consumed sites leave the chain
+    It is one batched matrix product that transposes no data.  The
+    consumed run merges, untransposed, into ``run`` of shape ``(left, L,
+    right)`` as the chain stores it (a vertex with no backward bonds takes
+    the identity on the bond it enters across, as ``(p, 1, p)``), and
+    ``np.matmul(W, run)``, with ``W`` the elements as given reshaped to
+    ``(S, L)``, gives ``(left, S, right)``, already in chain order.
+    :func:`_split` cuts it into the data site, a reshape of the product,
+    and read-only views of shared identities (:func:`_identity`) either
+    side.  Consumed sites leave the chain
     before their replacement is built.  The step keeps ``mps.head`` and
     sets ``mps.emitted`` (:class:`MPSState`).
     """
-    _, lo, hi, perm, m = step
+    _, lo, hi, _, m = step
     sites = mps.sites
     if hi >= lo:
         left, right = sites[lo].shape[0], sites[hi].shape[2]
@@ -1006,9 +988,8 @@ def contract_step(mps: MPSState, step: _Step, elements: np.ndarray) -> MPSState:
         # passes through the inserted sites untouched.
         left = right = sites[lo - 1].shape[2] if 0 < lo < len(sites) else 1
         run = _identity(left)
-    vt = elements.transpose(perm)
-    dims = vt.shape[:m]
-    merged = np.matmul(vt.reshape(math.prod(dims), -1), run.reshape(left, -1, right))
+    dims = elements.shape[:m]
+    merged = np.matmul(elements.reshape(math.prod(dims), -1), run.reshape(left, -1, right))
     del run
 
     if m == 0:
@@ -1196,7 +1177,7 @@ def _run(plan: _Plan, vertices: dict, chi: int | None) -> SweepValue:
     # repeat that.
     with np.errstate(over="ignore", invalid="ignore"):
         for step in plan.steps:
-            contract_step(mps, step, _vertex_tensor(plan, vertices, step.vid))
+            contract_step(mps, step, _vertex_tensor(plan, vertices, step))
             if chi is not None and mps.emitted > 2 * chi:
                 compress_mps(mps, chi)
     return SweepValue(mps.mantissa, mps.log_scale)

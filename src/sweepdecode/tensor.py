@@ -27,8 +27,8 @@ class DenseTensor:
     flag the caller sets again) can change its elements.  ``elements`` is
     a view of that copy, and numpy refuses to make a view of a read-only
     array writeable again.  The tensor compares and hashes by identity:
-    the sweep's memo of merged tensors keys on the tensor objects, which
-    that invariant makes sound.
+    the sweep's memo of step arrays, merged or not, keys on the tensor
+    objects, which that invariant makes sound.
     """
 
     elements: np.ndarray

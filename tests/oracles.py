@@ -181,7 +181,7 @@ def sweep_checking_every_step(tn, chi):
     fired = []
     with np.errstate(over="ignore", invalid="ignore"):
         for i, step in enumerate(plan.steps):
-            contract.contract_step(mps, step, contract._vertex_tensor(plan, tn.vertices, step.vid))
+            contract.contract_step(mps, step, contract._vertex_tensor(plan, tn.vertices, step))
             if mps.max_bond() > 2 * chi:
                 contract.compress_mps(mps, chi)
                 fired.append(i)
@@ -226,9 +226,12 @@ def contract_step_reference(mps, step, elements):
     """``contract_step`` with every product a ``np.dot`` of transposed
     operands, as ``np.tensordot`` computes it.
 
-    Same slots, splitting, normalisation and ``head`` and ``emitted``
-    bookkeeping; modifies ``mps`` in place and returns it.
+    ``elements`` is laid out in the step's order, as ``contract_step``
+    reads it; the reference puts its axes back in the vertex's own order
+    first.  Same slots, splitting, normalisation and ``head`` and
+    ``emitted`` bookkeeping; modifies ``mps`` in place and returns it.
     """
+    elements = elements.transpose(np.argsort(step.perm))
     run_axes, vertex_axes, open_axes = _tensordot_axes(step)
     lo, hi, sites = step.lo, step.hi, mps.sites
     if hi >= lo:

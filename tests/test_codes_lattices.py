@@ -239,3 +239,18 @@ class TestOneWalkPerCut:
         assert designated.face_table is g.face_table
         assert designated.walk is g.walk
         assert designated.kept != g.kept  # the kept edges depend on the segments
+
+    # both stages of these builds scan, and the relaxed one searches arcs
+    # in windows a stage has cut: one cut per visit makes 81 cuts of 52
+    # windows here, and 226 of 136
+    @pytest.mark.parametrize("family, d", [("triangular", 4), ("kagome", 2)])
+    def test_build_cuts_each_window_once(self, family, d, monkeypatch):
+        windows, cut = [], lattices._cut_region
+
+        def recording_cut(t, *window):
+            windows.append(window)
+            return cut(t, *window)
+
+        monkeypatch.setattr(lattices, "_cut_region", recording_cut)
+        smallest_patch.__wrapped__(family, d)
+        assert windows and len(windows) == len(set(windows))

@@ -132,6 +132,15 @@ class TestSyndrome:
                      (bits[:, :4], bits[:, :4])):
             with pytest.raises(ValueError):
                 syndrome_batch(code, x, z)
+        # an entry that is not a bit, of any dtype, names its argument
+        for dtype, bad, name in ((np.uint8, 2, "x bits"), (np.int64, -1, "z bits"),
+                                 (np.float64, 0.5, "x bits")):
+            x, z = bits.astype(dtype), bits.astype(dtype)
+            (x if name == "x bits" else z)[1, 2] = bad
+            with pytest.raises(ValueError, match=name):
+                syndrome_batch(code, x, z)
+        for ok in (bits.astype(bool), bits.astype(np.int64), bits.tolist()):
+            np.testing.assert_array_equal(syndrome_batch(code, ok, ok), np.zeros((3, 4)))
 
     def test_replaced_code_builds_its_own_tables(self):
         # the cached check matrix and solver belong to one code, not to
@@ -204,6 +213,12 @@ class TestPureError:
         for syns in (np.zeros(4), np.zeros((2, 3)), np.zeros((1, 2, 4))):
             with pytest.raises(ValueError):
                 pure_error_batch(code, syns)
+        for bad in (np.array([[0, 0, 3, 0]], dtype=np.uint8), [[0, -1, 0, 0]], [[0, 0, 0, 0.5]]):
+            with pytest.raises(ValueError, match="syndromes"):
+                pure_error_batch(code, bad)
+        for ok in (np.array([[0, 0, 1, 0]], dtype=bool), [[0, 0, 1, 0]]):
+            xs, zs = pure_error_batch(code, ok)
+            np.testing.assert_array_equal(syndrome_batch(code, xs, zs), [[0, 0, 1, 0]])
 
 
 class TestLogicalClass:

@@ -404,7 +404,7 @@ class TestIdentitySites:
         plan = plan_unrotated(tn)
         mps, sites = MPSState(), []
         for step in plan.steps:
-            contract_step(mps, step, contract._vertex_tensor(plan, tn.vertices, step.vid))
+            contract_step(mps, step, contract._vertex_tensor(plan, tn.vertices, step))
             sites.extend(mps.sites)
         assert_matches_oracle(contract.SweepValue(mps.mantissa, mps.log_scale), tn, rel=1e-10)
         shared = [a for a in sites if not a.flags.writeable]
@@ -423,7 +423,7 @@ class TestIdentitySites:
         tn = grid_network(np.random.default_rng(96), 3, 3, dim=2)
         plan = plan_unrotated(tn)
         step = plan.steps[0]
-        tensor = contract._vertex_tensor(plan, tn.vertices, step.vid)
+        tensor = contract._vertex_tensor(plan, tn.vertices, step)
         first = contract_step(MPSState(), step, tensor).sites
         second = contract_step(MPSState(), step, tensor).sites
         assert [a.shape for a in first] == [a.shape for a in second]
@@ -546,7 +546,7 @@ def exact_bond_trace(tn, chi=None):
     plan = contract._plan_for(tn, chi)
     mps, trace = MPSState(), []
     for step in plan.steps:
-        contract_step(mps, step, contract._vertex_tensor(plan, tn.vertices, step.vid))
+        contract_step(mps, step, contract._vertex_tensor(plan, tn.vertices, step))
         trace.append((step.forward >= 2, mps.max_bond()))
     return trace
 
@@ -665,7 +665,7 @@ class TestAbsorptionKernel:
             with np.errstate(over="ignore", invalid="ignore"):
                 for step in plan.steps:
                     branches |= absorption_branches(mps, step)
-                    tensor = contract._vertex_tensor(plan, tn.vertices, step.vid)
+                    tensor = contract._vertex_tensor(plan, tn.vertices, step)
                     ref = MPSState(list(mps.sites), mps.log_scale, mps.mantissa, mps.head)
                     contract_step_reference(ref, step, tensor)
                     contract_step(mps, step, tensor)
@@ -934,7 +934,7 @@ def run_plan(plan, tn):
     mps = MPSState()
     widest = 0
     for step in plan.steps:
-        contract_step(mps, step, contract._vertex_tensor(plan, tn.vertices, step.vid))
+        contract_step(mps, step, contract._vertex_tensor(plan, tn.vertices, step))
         widest = max(widest, mps.max_bond())
     return contract.SweepValue(mps.mantissa, mps.log_scale), widest
 
@@ -1320,7 +1320,50 @@ def memo_bytes(memo):
     return sum(entry_bytes(key, a) for key, a in memo.arrays.items())
 
 
+def step_arrays(plan, tn, chi, monkeypatch):
+    """Every ``(step, array)`` that ``_run`` hands to ``contract_step`` in
+    one sweep of ``tn`` along ``plan`` at ``chi``."""
+    seen, real = [], contract.contract_step
+
+    def recording_step(mps, step, elements):
+        seen.append((step, elements))
+        return real(mps, step, elements)
+
+    with monkeypatch.context() as m:
+        m.setattr(contract, "contract_step", recording_step)
+        contract._run(plan, tn.vertices, chi)
+    return seen
+
+
 class TestMergeMemo:
+    @pytest.mark.parametrize("chi", [None, 8])
+    def test_steps_absorb_read_only_c_arrays_in_step_order(self, chi, monkeypatch):
+        # the chosen plan and the best unfolded one of every network; an
+        # unfolded step's array is its vertex's tensor, transposed
+        networks = [code_network(f, d) for f, d in fold_cases()] + list(netgen_corpus())
+        folded = 0
+        for tn in networks:
+            candidates = contract._candidates(tn, chi)
+            for c in (contract._choose(candidates), unfolded_best(candidates)):
+                folded += c.fold != 0
+                plan = contract._plan_of(c)
+                arrays = step_arrays(plan, tn, chi, monkeypatch)
+                assert [step for step, _ in arrays] == list(plan.steps)
+                for step, a in arrays:
+                    assert not a.flags.writeable and a.flags.c_contiguous
+                    assert a.shape == tuple(c.layout.shapes[step.vid][k] for k in step.perm)
+                    if not c.fold:
+                        own = tn.vertices[step.vid].tensor.elements
+                        assert same_bits(a, own.transpose(step.perm))
+        assert folded > 20
+
+    def test_rank_0_vertex_stays_0_d(self):
+        tn = TensorNetwork2D([TNVertex(0, DenseTensor(np.array(7.0)), (0.0, 0.0))])
+        contract._plans.clear()
+        assert value_of(sweep_contract(tn)) == pytest.approx(7.0, rel=1e-15)
+        (entry,) = contract._plan_for(tn, None).memo.arrays.values()
+        assert entry.shape == () and not entry.flags.writeable
+
     @pytest.mark.parametrize("family, d", fold_cases())
     def test_hits_are_fresh_builds_bit_for_bit(self, family, d):
         tn = code_network(family, d)
@@ -1333,15 +1376,15 @@ class TestMergeMemo:
         for plan in plans:
             for net in networks:
                 for step in plan.steps:
-                    contract._vertex_tensor(plan, net.vertices, step.vid)
+                    contract._vertex_tensor(plan, net.vertices, step)
             filled = dict(plan.memo.arrays)
             assert len(filled) > len(plan.steps)  # several variants per host
             fresh = plan._replace(memo=contract._MergeMemo())
             for net in networks:
                 for step in plan.steps:
-                    hit = contract._vertex_tensor(plan, net.vertices, step.vid)
+                    hit = contract._vertex_tensor(plan, net.vertices, step)
                     assert any(hit is a for a in filled.values())
-                    built = contract._vertex_tensor(fresh, net.vertices, step.vid)
+                    built = contract._vertex_tensor(fresh, net.vertices, step)
                     assert same_bits(hit, built)
             assert plan.memo.arrays == filled  # every read hit
             for a in filled.values():
@@ -1361,7 +1404,7 @@ class TestMergeMemo:
             unmemoized = [sweep_contract(net, chi) for net in networks]
         assert not plan.memo.arrays
         cold = [sweep_contract(net, chi) for net in networks]
-        assert plan.fold == 0 or plan.memo.arrays
+        assert plan.memo.arrays
         warm = [sweep_contract(net, chi) for net in networks]
         assert warm == cold == unmemoized
 
