@@ -29,8 +29,11 @@ code, the chosen plan's modelled peak in bytes beside the tracemalloc
 peak of one sweep along it, and the entries and bytes its memo of step
 arrays holds once the four cosets of the benchmark's first ``MIN_SHOTS``
 shots are swept: memory that stays resident between decodes, which the
-benchmark's per-decode peak does not see.  It prints the same for square
-d=7 at chi=8, whose plan is unfolded.
+benchmark's per-decode peak does not see.  Beside it, the plans that sweep
+built, 0 when every lookup of the plan cache hits (a lookup that starts
+missing slows each decode some tenfold and changes no value), and the
+time of one warm plan lookup.  It prints the same for square d=7 at
+chi=8, whose plan is unfolded.
 """
 
 import argparse
@@ -41,6 +44,7 @@ import platform
 import subprocess
 import sys
 import time
+import timeit
 import tracemalloc
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -162,14 +166,29 @@ def print_plans():
 def print_memo(code, name, chi, p):
     """Print the entries and bytes the memo of the plan of ``code`` at
     ``chi`` holds once the four cosets of ``MIN_SHOTS`` shots at ``p`` are
-    swept."""
+    swept, the plans built during that sweep (0 when every lookup hits),
+    and the time of one warm plan lookup, the fastest of ``REPEATS``."""
     networks = coset_networks(code, p, MIN_SHOTS)
     plan = contract._plan_for(networks[0], chi)
     plan.memo.clear()
-    for net in networks:
-        contract.sweep_contract(net, chi)
+    builds, build = [], contract._build_plan
+
+    def counted_build(tn, chi):
+        builds.append(tn)
+        return build(tn, chi)
+
+    contract._build_plan = counted_build
+    try:
+        for net in networks:
+            contract.sweep_contract(net, chi)
+    finally:
+        contract._build_plan = build
     print(f"{name} p={p} {form(plan)}: step-array memo after {MIN_SHOTS} shots: "
-          f"{len(plan.memo.arrays)} entries, {plan.memo.nbytes} bytes")
+          f"{len(plan.memo.arrays)} entries, {plan.memo.nbytes} bytes; "
+          f"{len(builds)} plan builds")
+    lookup = min(timeit.repeat(lambda: [contract._plan_for(net, chi) for net in networks],
+                               number=10, repeat=REPEATS)) / (10 * len(networks))
+    print(f"{name}: warm plan lookup (_plan_for) {lookup * 1e6:.1f} us per call")
 
 
 def configurations():

@@ -30,13 +30,20 @@ __all__ = [
 ]
 
 
-def _as_bits(v, n=None) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.uint8) % 2
+def _only_bits(arr: np.ndarray, what: str) -> np.ndarray:
+    """``arr``, which must hold only 0 and 1 (booleans included)."""
+    if not (arr.astype(bool) == arr).all():  # only 0 and 1 equal their truth value
+        raise ValueError(f"{what} must hold only 0 and 1")
+    return arr
+
+
+def _as_bits(v, what: str, n=None) -> np.ndarray:
+    arr = np.asarray(v)
     if arr.ndim != 1:
         raise ValueError("bit vectors must be one-dimensional")
     if n is not None and arr.shape[0] != n:
         raise ValueError(f"expected length {n}, got {arr.shape[0]}")
-    arr = np.ascontiguousarray(arr)
+    arr = _only_bits(arr, what).astype(np.uint8)  # a copy, C-contiguous as 1-d
     arr.setflags(write=False)
     return arr
 
@@ -47,8 +54,8 @@ class PauliOperator:
     z: np.ndarray
 
     def __post_init__(self):
-        x = _as_bits(self.x)
-        z = _as_bits(self.z, x.shape[0])
+        x = _as_bits(self.x, "x")
+        z = _as_bits(self.z, "z", x.shape[0])
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "z", z)
 
@@ -200,9 +207,7 @@ def _batch(bits, width: int, what: str) -> np.ndarray:
     arr = np.asarray(bits)
     if arr.ndim != 2 or arr.shape[1] != width:
         raise ValueError(f"{what} must be a (batch, {width}) array, got shape {arr.shape}")
-    if not (arr.astype(bool) == arr).all():  # only 0 and 1 equal their truth value
-        raise ValueError(f"{what} must hold only 0 and 1")
-    return arr
+    return _only_bits(arr, what)
 
 
 def syndrome_batch(code: CodeDefinition, x_bits: np.ndarray, z_bits: np.ndarray) -> np.ndarray:

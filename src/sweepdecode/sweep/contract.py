@@ -19,7 +19,7 @@ Each rule is stated where it is enforced:
 - the recipe of a merged vertex: :class:`_Merge`;
 - the array a step absorbs: :func:`_vertex_tensor`, which fills the memo
   of step arrays, :class:`_MergeMemo`, up to ``MERGE_MEMO_BYTES``;
-- the plan cache and its key: :func:`_plan_for`;
+- the plan cache and its lookup by geometry: :func:`_plan_for`;
 - an absorption: :func:`contract_step`, split into sites by :func:`_split`;
 - the identity head: :class:`MPSState`;
 - the truncation and its LAPACK calls: :func:`compress_mps`;
@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 import operator
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -65,7 +64,9 @@ TWO_PI = 2.0 * math.pi
 REL_CUTOFF = 1e-14
 
 # Plans kept at once.  A decoder contracts the networks of one code over
-# and over, so a handful of geometries covers it.
+# and over, so a handful of geometries covers it.  A lookup compares the
+# network's geometry with the kept plans', most recently used first, so
+# decoding one code compares with one plan per call.
 PLAN_CACHE_SIZE = 8
 
 # Bytes one plan's memo of step arrays (_MergeMemo) may hold, counting its
@@ -790,48 +791,54 @@ def _build_plan(tn: TensorNetwork2D, chi: int | None) -> _Plan:
     return _plan_of(_choose(_candidates(tn, chi)))
 
 
-def _geometry_key(tn: TensorNetwork2D) -> tuple:
-    """The part of :func:`_plan_for`'s key that ``tn`` gives."""
-    return (
-        tuple((v.id, tuple(v.position), v.tensor.extents) for v in tn.vertices.values()),
-        tuple((b.endpoint_a, b.endpoint_b, b.dimension) for b in tn.bonds),
-    )
+def _geometry(tn: TensorNetwork2D) -> tuple:
+    """What :func:`_build_plan` reads from ``tn``, as four flat tuples:
+    the vertex ids in dict order, their positions (``tuple()`` returns a
+    tuple itself and snapshots a list or array), their tensors' extents,
+    and the bonds, immutable :class:`Bond` values."""
+    return (tuple(tn.vertices), tuple([tuple(v.position) for v in tn.vertices.values()]),
+            tuple([v.tensor.extents for v in tn.vertices.values()]), tuple(tn.bonds))
 
 
-_plans: OrderedDict = OrderedDict()
+_plans: list = []  # ((chi, geometry), plan), most recently used first
 _plans_lock = threading.Lock()
 
 
 def _plan_for(tn: TensorNetwork2D, chi: int | None = None) -> _Plan:
     """The plan of ``tn`` at ``chi``: cached, built on a miss.
 
-    The key is ``chi`` and everything :func:`_build_plan` reads from
-    ``tn``: the vertex ids, positions and tensor shapes, and the ordered
-    bonds with both endpoints and their dimensions.  The four coset
-    networks of a code and the networks of every syndrome share it, so the
-    plan and its check are paid once per code and ``chi``.  Equal keys
-    replay the same deterministic build, so a hit's steps and merges are
-    exactly what a rebuild would make, and it stands for a network that
-    passed the check, which reads nothing the key does not hold.  The one
-    tensor-dependent part of a plan, its :class:`_MergeMemo`, is keyed by
-    tensor identity, and a tensor's elements never change after
-    construction, so any network of the key may share it: a memo entry is
-    what the rebuilt plan would compute from the same tensors.  The least
-    recently used of more than ``PLAN_CACHE_SIZE`` plans is dropped, and
-    its memo with it.  Errors are not cached, so a network that fails to
-    plan raises on every call.
+    A cached plan is found by ``==`` on ``chi`` and :func:`_geometry`,
+    everything :func:`_build_plan` reads from ``tn``: the vertex ids,
+    positions and tensor shapes, and the ordered bonds with both endpoints
+    and their dimensions.  No key is hashed.  The four coset networks of a
+    code and the networks of every syndrome share their position tuples,
+    their bond objects and the tensors (with their stored extents) each
+    vertex picks from, so the comparison mostly meets the same objects,
+    which tuple equality passes without comparing them, and the plan and
+    its check are paid once per code and ``chi``.  A network edited in
+    place after its plan was cached compares unequal and is planned anew.
+    Equal geometries replay the same deterministic build, so a hit's steps
+    and merges are exactly what a rebuild would make, and it stands for a
+    network that passed the check, which reads nothing the geometry does
+    not hold.  The one tensor-dependent part of a plan, its
+    :class:`_MergeMemo`, is keyed by tensor identity, and a tensor's
+    elements never change after construction, so any network of the
+    geometry may share it: a memo entry is what the rebuilt plan would
+    compute from the same tensors.  The least recently used of more than
+    ``PLAN_CACHE_SIZE`` plans is dropped, and its memo with it.  Errors
+    are not cached, so a network that fails to plan raises on every call.
     """
-    key = (_geometry_key(tn), chi)
+    key = (chi, _geometry(tn))
     with _plans_lock:
-        plan = _plans.get(key)
-        if plan is not None:
-            _plans.move_to_end(key)
-            return plan
+        for i, (cached, plan) in enumerate(_plans):
+            if cached == key:
+                if i:  # the usual hit, at 0, allocates nothing
+                    _plans.insert(0, _plans.pop(i))
+                return plan
     plan = _build_plan(tn, chi)
     with _plans_lock:
-        _plans[key] = plan
-        if len(_plans) > PLAN_CACHE_SIZE:
-            _plans.popitem(last=False)
+        _plans.insert(0, (key, plan))
+        del _plans[PLAN_CACHE_SIZE:]
     return plan
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..tensor import DenseTensor
 
@@ -52,8 +53,11 @@ class TNVertex:
     position: tuple
 
 
-@dataclass
-class Bond:
+class Bond(NamedTuple):
+    """A bond joining two (vertex id, axis) slots: an immutable value, so
+    a network's bond list holds everything the sweep's plan cache compares
+    (:func:`planarize` rejects an endpoint that is not a tuple)."""
+
     endpoint_a: tuple  # (vertex id, axis index)
     endpoint_b: tuple
     dimension: int
@@ -193,7 +197,8 @@ def planarize(tn: TensorNetwork2D) -> TensorNetwork2D:
     """Return ``tn`` itself when it is closed and drawn without crossings;
     raise otherwise.  This is the one check of a network.
 
-    ``ValueError`` is raised, in this order, for a bond naming a missing
+    ``ValueError`` is raised, in this order, for a bond that is not a
+    :class:`Bond` between ``(vertex id, axis)`` tuples, naming a missing
     vertex or an axis out of range, or whose dimension is not the extent of
     an axis it ends, for a self-loop, a (vertex, axis) slot two bonds end
     and an axis no bond ends.  The sweep reads the drawing as planar, and
@@ -208,6 +213,8 @@ def planarize(tn: TensorNetwork2D) -> TensorNetwork2D:
     shapes = {vid: v.tensor.extents for vid, v in tn.vertices.items()}
     seen = set()
     for b in tn.bonds:
+        if not (isinstance(b, Bond) and all(isinstance(ep, tuple) for ep in b[:2])):
+            raise ValueError(f"{b!r} is not a Bond between (vertex id, axis) tuples")
         for vid, axis in (b.endpoint_a, b.endpoint_b):
             shape = shapes.get(vid)
             if shape is None:

@@ -10,7 +10,7 @@ apart, as a natural logarithm on the boundary state (``MPSState.log_scale``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,20 +28,20 @@ class DenseTensor:
     a view of that copy, and numpy refuses to make a view of a read-only
     array writeable again.  The tensor compares and hashes by identity:
     the sweep's memo of step arrays, merged or not, keys on the tensor
-    objects, which that invariant makes sound.
+    objects, which that invariant makes sound.  ``extents``, the shape of
+    the elements, is stored at construction, so the sweep's plan lookup
+    reads one tuple per vertex and meets the same tuple on every call.
     """
 
     elements: np.ndarray
+    extents: tuple = field(init=False)
 
     def __post_init__(self):
         arr = np.array(self.elements, dtype=np.float64, order="C")
         arr.setflags(write=False)
         object.__setattr__(self, "elements", arr.view())
+        object.__setattr__(self, "extents", arr.shape)
 
     @property
     def rank(self) -> int:
         return self.elements.ndim
-
-    @property
-    def extents(self) -> tuple:
-        return self.elements.shape

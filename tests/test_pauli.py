@@ -93,6 +93,31 @@ class TestOperatorAlgebra:
         s = "IXYZZYXI"
         assert pauli_to_string(pauli(s)) == s
 
+    @pytest.mark.parametrize(
+        "x, z, name",
+        [
+            (np.array([2, 0, 1]), np.array([0, 0, 0]), "x"),
+            (np.array([1, 0, 1]), np.array([-1, 0, 0]), "z"),
+            (np.array([0.5, 0, 1]), np.array([0, 0, 0]), "x"),
+            (np.array([0, 0, 1], dtype=np.uint8), np.array([0, 3, 0], dtype=np.uint8), "z"),
+        ],
+    )
+    def test_entry_that_is_not_a_bit_raises(self, x, z, name):
+        # checked before any cast: 2 and -1 are not read as 0 and 1
+        with pytest.raises(ValueError, match=f"^{name} must hold only 0 and 1"):
+            PauliOperator(x, z)
+
+    def test_bits_of_any_type_are_read_as_a_private_copy(self):
+        want = pauli("XYIZ")
+        for x, z in (([True, True, False, False], [False, True, False, True]),
+                     ([1, 1, 0, 0], [0, 1, 0, 1]),
+                     (np.array([1.0, 1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0, 1.0]))):
+            assert PauliOperator(x, z) == want
+        x = np.array([1, 1, 0, 0], dtype=np.uint8)
+        p = PauliOperator(x, want.z)
+        assert p.x.dtype == np.uint8 and not p.x.flags.writeable
+        assert x.flags.writeable and not np.shares_memory(p.x, x)
+
 
 class TestSyndrome:
     def test_identity_error_silent(self):

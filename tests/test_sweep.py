@@ -3,6 +3,7 @@ import json
 import math
 import time
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -860,6 +861,80 @@ class TestSweepPlanCache:
         assert len(calls) == len(nets)
         sweep_contract(nets[0])  # the oldest plan was evicted
         assert len(calls) == len(nets) + 1
+
+    # the benchmark's codes and noise
+    @pytest.mark.parametrize("family, p, chi", [("square", 0.15, 8), ("subsystem", 0.05, None)])
+    def test_benchmark_coset_networks_plan_once(self, family, p, chi, monkeypatch):
+        # eight coset networks, the four cosets of two syndromes, each built
+        # anew: equal geometry in distinct objects still hits
+        code = code_of(family, 5)
+        networks = [depolarised_coset_network(code, p, np.random.default_rng(k)) for k in range(8)]
+        calls = planarize_counter(monkeypatch)
+        contract._plans.clear()
+        values = [sweep_contract(net, chi) for net in networks]
+        assert len(calls) == 1 and len(contract._plans) == 1
+        plan = contract._build_plan(networks[0], chi)
+        assert values == [contract._run(plan, net.vertices, chi) for net in networks]
+
+    @pytest.mark.parametrize(
+        "edit", ["position reassigned", "position list edited", "bond replaced", "bond appended"]
+    )
+    def test_edit_after_caching_misses(self, monkeypatch, edit):
+        tn = k4_network(np.random.default_rng(4450), K4_NESTED)
+        position = [1.0, 2.0]
+        tn.vertices[2].position = position
+        calls = planarize_counter(monkeypatch)
+        contract._plans.clear()
+        sweep_contract(tn)
+        if edit == "position reassigned":
+            tn.vertices[2].position = (1.5, 2.25)
+        elif edit == "position list edited":
+            position[:] = [1.5, 2.25]
+        elif edit == "bond replaced":
+            b = tn.bonds[4]
+            tn.bonds[4] = Bond(b.endpoint_b, b.endpoint_a, b.dimension)
+        else:
+            tn.bonds.append(Bond((0, 0), (1, 0), 2))
+            for k in range(3):
+                with pytest.raises(ValueError, match=r"slot \(0, 0\) used by two bonds"):
+                    sweep_contract(tn)
+                assert len(calls) == k + 2
+            return
+        assert_matches_oracle(sweep_contract(tn), tn, rel=1e-12)
+        sweep_contract(tn)
+        assert len(calls) == 2 and len(contract._plans) == 2
+
+    def test_vertex_order_and_chi_miss(self, monkeypatch):
+        tn = grid_network(np.random.default_rng(4460), 3, 3, dim=2)
+        calls = planarize_counter(monkeypatch)
+        contract._plans.clear()
+        sweep_contract(tn)
+        sweep_contract(tn, 2)
+        assert len(calls) == 2
+        tn.vertices = dict(reversed(tn.vertices.items()))
+        assert_matches_oracle(sweep_contract(tn), tn, rel=1e-12)
+        assert len(calls) == 3 and len(contract._plans) == 3
+
+    def test_bond_fields_cannot_be_assigned(self):
+        b = Bond((0, 0), (1, 0), 2)
+        for name, value in (("endpoint_a", (0, 1)), ("endpoint_b", (1, 1)), ("dimension", 3)):
+            with pytest.raises(AttributeError):
+                setattr(b, name, value)
+        assert b == Bond((0, 0), (1, 0), 2)
+
+    @pytest.mark.parametrize("case", ["list endpoint", "not a Bond"])
+    def test_mutable_bond_raises_every_call(self, case):
+        tn = TensorNetwork2D(*TestNetworkConstruction.parts())
+        b = tn.bonds[1]
+        if case == "list endpoint":
+            tn.bonds[1] = Bond(b.endpoint_a, list(b.endpoint_b), b.dimension)
+        else:
+            tn.bonds[1] = types.SimpleNamespace(**b._asdict())
+        contract._plans.clear()
+        for _ in range(3):
+            with pytest.raises(ValueError, match=r"is not a Bond between \(vertex id, axis\) tuples"):
+                sweep_contract(tn)
+        assert not contract._plans
 
     @staticmethod
     def non_contiguous_network():
