@@ -15,29 +15,30 @@ into class 1, class 1 into class 0, and each fold with its merged vertices
 paired in one of the four frames' sweep orders) in each quarter-turned
 frame, at chi=8 and exact.  A configuration whose modelled peak or time
 is out of reach (an exact sweep along a code's long side, say) is left
-out, as is one whose steps repeat another frame's.  Each is timed as the four coset
-networks of one depolarising shot swept along its plan, the fastest of
-``REPEATS`` repeats, interleaved across configurations, on one BLAS
-thread.  The model prices a cold sweep, so every sweep timed or traced
-here builds each of its merged tensors (:func:`cold_sweeps`).  Beside
-each time the file records the model's prediction and its counts, the
-code's chosen and unfolded plans, the git sha and the machine.  ``--fit`` refits ``MODEL_SECONDS_PER_*`` by non-negative least
-squares on relative error and rewrites the file's predictions and
-summary with the fitted values, which are then written into
-``contract.py`` by hand.  ``--plans`` also prints, for each benchmark
-code, the chosen plan's modelled peak in bytes beside the tracemalloc
-peak of one sweep along it, and the entries and bytes its memo of step
-arrays holds once the four cosets of the benchmark's first ``MIN_SHOTS``
-shots are swept: memory that stays resident between decodes, which the
-benchmark's per-decode peak does not see.  Beside it, the plans that sweep
-built, 0 when every lookup of the plan cache hits (a lookup that starts
-missing slows each decode some tenfold and changes no value), and the
-time of one warm plan lookup.  It prints the same for square d=7 at
-chi=8, whose plan is unfolded.
+out, as is one whose steps repeat another frame's.  Each is timed as the
+four coset networks of one depolarising shot swept along its plan, the
+fastest of ``REPEATS`` repeats, interleaved across configurations, on one
+BLAS thread.  The model prices a warm sweep, the one a decoder repeats, so
+every sweep timed or traced here runs after one that filled its plan's
+memo of step arrays: it builds no merged tensor.  Beside each time the
+file records the model's prediction and its counts, the code's chosen and
+unfolded plans, the git sha and the machine.  ``--fit`` refits
+``MODEL_SECONDS_PER_*`` by non-negative least squares on relative error
+(:func:`fitted`) and rewrites the file's predictions and summary with the
+fitted values, which are then written into ``contract.py`` by hand.
+``--plans`` also prints, for each benchmark code, the chosen plan's
+modelled peak in bytes beside the tracemalloc peak of one warm sweep
+along it, and the entries and bytes its memo of step arrays holds once
+the four cosets of the benchmark's first ``MIN_SHOTS`` shots are swept:
+memory that stays resident between decodes, which the benchmark's
+per-decode peak does not see.  Beside it, the plans that sweep built, 0
+when every lookup of the plan cache hits (a lookup that starts missing
+slows each decode some tenfold and changes no value), and the time of
+one warm plan lookup.  It prints the same for square d=7 at chi=8, whose
+plan is unfolded.
 """
 
 import argparse
-import contextlib
 import json
 import os
 import platform
@@ -70,7 +71,7 @@ PEAK_LIMIT = 4_000_000
 SECONDS_LIMIT = 0.2
 FORMS = ("unfolded", "class 0 into class 1", "class 1 into class 0")
 CONSTANTS = ("MODEL_SECONDS_PER_MADD", "MODEL_SECONDS_PER_STEP",
-             "MODEL_SECONDS_PER_MERGED_VERTEX", "MODEL_SECONDS_PER_COMPRESSED_SITE")
+             "MODEL_SECONDS_PER_COMPRESSED_SITE")
 
 
 def build_code(family, d):
@@ -94,20 +95,6 @@ def coset_networks(code, p=P, shots=1, seed=0):
     return out
 
 
-@contextlib.contextmanager
-def cold_sweeps(plans):
-    """Sweeps along ``plans`` that build every merged tensor, as the model
-    prices them: their memos are cleared, and no memo keeps an entry while
-    this is open."""
-    for plan in plans:
-        plan.memo.clear()
-    saved, contract.MERGE_MEMO_BYTES = contract.MERGE_MEMO_BYTES, 0
-    try:
-        yield
-    finally:
-        contract.MERGE_MEMO_BYTES = saved
-
-
 def plans(networks, chi):
     """``(candidates, chosen, unfolded)`` of the code's networks at ``chi``."""
     candidates = contract._candidates(contract.planarize(networks[0]), chi)
@@ -127,20 +114,19 @@ def describe(c):
 
 
 def traced_peak(plan, tn, chi):
-    """The most bytes tracemalloc sees allocated at once during one cold
-    sweep of ``tn`` along ``plan``, after one warm-up sweep (which fills
-    the identity memo, not the merged tensors')."""
+    """The most bytes tracemalloc sees allocated at once during one warm
+    sweep of ``tn`` along ``plan``, after one warm-up sweep, which fills
+    the plan's memo of step arrays and the identity memo."""
     vertices = tn.vertices
-    with cold_sweeps([plan]):
+    contract._run(plan, vertices, chi)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
         contract._run(plan, vertices, chi)
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            contract._run(plan, vertices, chi)
-            return tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def print_plans():
@@ -206,28 +192,30 @@ def configurations():
                     if key in seen or c.peak > PEAK_LIMIT or c.seconds > SECONDS_LIMIT:
                         continue
                     seen.add(key)
-                    madds, merged, compressed, _ = contract._tally(c.steps, c.layout, chi)
+                    madds, compressed, _ = contract._tally(c.steps, c.layout, chi)
                     out.append({
                         "code": f"{family}_d{d}", "chi": chi, **describe(c),
                         "chosen": key == (chosen.fold, chosen.steps),
                         "unfolded": key == (unfolded.fold, unfolded.steps),
                         # counts and model per decode: four sweeps
-                        "madds": 4 * madds, "merged_vertices": 4 * merged,
-                        "compressed_sites": 4 * compressed, "model_decode_s": 4 * c.seconds,
+                        "madds": 4 * madds, "compressed_sites": 4 * compressed,
+                        "model_decode_s": 4 * c.seconds,
                         "_plan": contract._plan_of(c), "_networks": networks,
                     })
     return out
 
 
 def time_all(configs):
+    """Time each configuration's warm decode: a first sweep of each network
+    fills its plan's memo, untimed."""
     best = [float("inf")] * len(configs)
-    with cold_sweeps(cfg["_plan"] for cfg in configs):
-        for _ in range(REPEATS):
-            for i, cfg in enumerate(configs):
-                plan, networks, chi = cfg["_plan"], cfg["_networks"], cfg["chi"]
-                start = time.perf_counter()
-                for tn in networks:
-                    contract._run(plan, tn.vertices, chi)
+    for rep in range(REPEATS + 1):
+        for i, cfg in enumerate(configs):
+            plan, networks, chi = cfg["_plan"], cfg["_networks"], cfg["chi"]
+            start = time.perf_counter()
+            for tn in networks:
+                contract._run(plan, tn.vertices, chi)
+            if rep:
                 best[i] = min(best[i], time.perf_counter() - start)
     for cfg, seconds in zip(configs, best):
         cfg["measured_decode_s"] = seconds
@@ -302,21 +290,32 @@ def measure():
     print(json.dumps(result["summary"], indent=1))
 
 
+def counts(rows):
+    """Per row, the counts each constant prices in one decode (four
+    sweeps), in ``CONSTANTS`` order."""
+    return np.array([[r["madds"], 4 * r["steps"], r["compressed_sites"]] for r in rows], float)
+
+
+def fitted(rows):
+    """The constants that fit ``rows``' measured times by non-negative
+    least squares on relative error, to three significant figures."""
+    from scipy.optimize import nnls
+
+    t = np.array([r["measured_decode_s"] for r in rows])
+    coef, _ = nnls(counts(rows) / t[:, None], np.ones(len(rows)))
+    return {name: float(f"{value:.3g}") for name, value in zip(CONSTANTS, coef)}
+
+
 def fit():
     """Refit the constants to the recorded times and rewrite the file's
     predictions and summary with them; ``contract.py`` then takes the
     printed constants."""
-    from scipy.optimize import nnls
-
     with open(OUT) as f:
         result = json.load(f)
     rows = result["configurations"]
-    # per decode: four sweeps
-    a = np.array([[r["madds"], 4 * r["steps"], r["merged_vertices"], r["compressed_sites"]]
-                  for r in rows], float)
+    result["constants"] = fitted(rows)
+    a = counts(rows)
     t = np.array([r["measured_decode_s"] for r in rows])
-    coef, _ = nnls(a / t[:, None], np.ones(len(rows)))
-    result["constants"] = {name: float(f"{value:.3g}") for name, value in zip(CONSTANTS, coef)}
     coef = np.array(list(result["constants"].values()))
     for r, seconds in zip(rows, a @ coef):
         r["model_decode_s"] = float(seconds)

@@ -6,15 +6,18 @@ the form and frame the network is swept in and, per step (:class:`_Step`),
 the vertex it absorbs, the boundary slots it consumes and how it lays out
 the vertex's axes.  The one thing it holds beyond those is a memo of the
 arrays its steps absorb, each laid out in its step's order and keyed by
-the tensor objects it was built from.  The run (:func:`_run`) does only
-numerics: it absorbs each step's array into a boundary matrix product
-state, and compresses that state when it grows too wide.
+the tensor objects it was built from, so a decoder, which sweeps networks
+of one code over and over, builds each array once; the cost model that
+picks the plan prices the warm sweeps that follow.  The run (:func:`_run`)
+does only numerics: it absorbs each step's array into a boundary matrix
+product state, and compresses that state when it grows too wide.
 
 Each rule is stated where it is enforced:
 
 - the network checks: :func:`planarize`;
 - the candidate forms, frames and pairing: :func:`_candidates`;
-- the cost model: :func:`_model`, on the counts of :func:`_tally`;
+- the cost model of a warm sweep: :func:`_model`, on the counts of
+  :func:`_tally`;
 - the peak guard and the ties: :func:`_choose`;
 - the recipe of a merged vertex: :class:`_Merge`;
 - the array a step absorbs: :func:`_vertex_tensor`, which fills the memo
@@ -91,12 +94,11 @@ MERGE_MEMO_BYTES = 2 << 20
 # sum(8 n^2 for n <= 16) = 12 KB.
 IDENTITY_MEMO_MAX = 16
 
-# Constants of the plan cost model (_model), fitted to the measured sweeps
-# in BENCH_plan_model.json by ``python scripts/plan_model.py --fit``.
-MODEL_SECONDS_PER_MADD = 3.4e-11
-MODEL_SECONDS_PER_STEP = 9.9e-6
-MODEL_SECONDS_PER_MERGED_VERTEX = 5.96e-6
-MODEL_SECONDS_PER_COMPRESSED_SITE = 4.28e-5
+# Constants of the plan cost model (_model), fitted to the measured warm
+# sweeps in BENCH_plan_model.json by ``python scripts/plan_model.py --fit``.
+MODEL_SECONDS_PER_MADD = 3.88e-11
+MODEL_SECONDS_PER_STEP = 1.21e-5
+MODEL_SECONDS_PER_COMPRESSED_SITE = 4.31e-5
 
 
 class ContractionError(ValueError):
@@ -197,25 +199,23 @@ class _Step(NamedTuple):
 
 class _Merge(NamedTuple):
     """How a folded plan builds the tensor of one merged vertex, at its
-    host's step (:func:`_vertex_tensor`).
+    host's step (:func:`_vertex_tensor`).  A plan builds each variant of
+    it once, on a miss of its memo, so a warm sweep never runs it.
 
-    The host's elements are multiplied by each absorbed vertex in turn,
-    one ``np.dot`` on transposed and reshaped views per vertex.
-    ``products`` holds a ``(vid, shape, xperm, xmat, vperm, vmat)`` per
-    absorbed vertex: the product so far is reshaped to ``shape``,
-    transposed by ``xperm`` (free axes, then the bonds shared with ``vid``
-    in the order the product holds them) and reshaped to the matrix
-    ``xmat``; the elements of ``vid`` are transposed by ``vperm`` (shared
-    bonds, then free axes) and reshaped to ``vmat``.  A ``None``
-    permutation is the identity.  The last product is reshaped to
-    ``shape``, transposed by ``perm`` and reshaped to ``out``, one axis per
-    fused bond in the folded form's axis order; the host's step then lays
-    the axes out as every step does (:func:`_vertex_tensor`).
+    The host's elements are contracted with each absorbed vertex in turn,
+    one ``np.tensordot`` per vertex.  ``products`` holds a ``(vid, axes,
+    vaxes)`` per absorbed vertex: ``axes`` are the product's axes that
+    carry the bonds it shares with ``vid``, in the order the product holds
+    them, and ``vaxes`` are the axes of ``vid`` that carry the same bonds,
+    in the same order.  Each product keeps the product's free axes, then
+    those of ``vid``.  The last product is transposed by ``perm`` and
+    reshaped to ``out``, one axis per fused bond in the folded form's axis
+    order; the host's step then lays the axes out as every step does
+    (:func:`_vertex_tensor`).
     """
 
     products: tuple
-    shape: tuple
-    perm: tuple | None
+    perm: tuple
     out: tuple
 
 
@@ -273,7 +273,8 @@ class _Plan(NamedTuple):
 
 
 class _Layout(NamedTuple):
-    """A network form on shapes alone: what a replay and the model read.
+    """A network form on shapes alone: what a replay, the model and a plan
+    read.
 
     ``merges`` maps each host of a folded form to its :class:`_Merge`,
     with its axes in the form's own axis order.
@@ -461,15 +462,6 @@ def _colour_classes(layout: _Layout) -> tuple | None:
     return tuple(sorted(vid for vid, c in colour.items() if c == k) for k in (0, 1))
 
 
-def _perm(legs: list, order: list) -> tuple | None:
-    """The transpose taking axes that carry ``legs`` to ``order``, or None
-    when it is the identity."""
-    if legs == order:
-        return None
-    slot = {b: k for k, b in enumerate(legs)}
-    return tuple(map(slot.__getitem__, order))
-
-
 def _merge_recipe(host: int, members, axes: dict, dims: dict, out_legs) -> _Merge:
     """The :class:`_Merge` of ``host`` absorbing ``members`` in order.
 
@@ -477,30 +469,18 @@ def _merge_recipe(host: int, members, axes: dict, dims: dict, out_legs) -> _Merg
     bond id to its dimension, and ``out_legs`` lists, per output axis, the
     bonds it fuses in bond id order.
     """
-    size = lambda legs: math.prod(map(dims.__getitem__, legs))
     legs = axes[host]
     products = []
     for vid in members:
         vlegs = axes[vid]
-        vset = set(vlegs)
-        shared = [b for b in legs if b in vset]
-        sset = set(shared)
-        free = [b for b in legs if b not in sset]
-        vfree = [b for b in vlegs if b not in sset]
-        products.append((
-            vid,
-            tuple(map(dims.__getitem__, legs)),
-            _perm(legs, free + shared),
-            (size(free), size(shared)),
-            _perm(vlegs, shared + vfree),
-            (size(shared), size(vfree)),
-        ))
-        legs = free + vfree
+        shared = [b for b in legs if b in vlegs]
+        products.append((vid, tuple(map(legs.index, shared)), tuple(map(vlegs.index, shared))))
+        legs = [b for b in legs if b not in shared] + [b for b in vlegs if b not in shared]
+    order = [b for fused in out_legs for b in fused]
     return _Merge(
         tuple(products),
-        tuple(map(dims.__getitem__, legs)),
-        _perm(legs, [b for fused in out_legs for b in fused]),
-        tuple(map(size, out_legs)),
+        tuple(map(legs.index, order)),
+        tuple(math.prod(map(dims.__getitem__, fused)) for fused in out_legs),
     )
 
 
@@ -577,30 +557,29 @@ def _pair(folded: _Layout, assignment, turns: int) -> tuple:
 
 
 def _tally(steps, layout: _Layout, chi: int | None) -> tuple:
-    """``(madds, merged, compressed, peak)`` of a cold sweep along
-    ``steps``, one that builds every merged tensor (its plan's memo empty),
-    from shapes alone.
+    """``(madds, compressed, peak)`` of a warm sweep along ``steps``, one
+    whose step arrays its plan's memo already holds, from shapes alone.
 
     The chain is replayed as ``(left, leg, right)`` triples by the rule of
     :func:`contract_step` and compressed where :func:`_run` compresses,
     each compression capping every bond at ``chi`` and at the ranks its QR
     and SVD reach on those shapes.  ``madds`` counts the multiply-adds of
-    every product: building each merged tensor, merging the consumed run,
-    the vertex product, the fold into a neighbour and each compression's
-    QR and SVD passes at their leading terms.  ``merged`` counts the
-    vertices merged into hosts, one product each, and ``compressed`` the
-    sites the compressions pass.  ``peak`` estimates the most elements
-    alive at once: the chain's sites (less the shared identities of
-    :func:`_identity`), a merged tensor and its factors, the consumed run
-    so far and its product with each next site, the merged run, the vertex
-    product and its normalised copy, and a compression's LAPACK copies,
-    factors and workspace.  It is an estimate at the ranks the shapes
-    allow, not a bound: a compression that finds lower ranks moves the
-    later compressions to other steps, where the sweep can hold more.
-    Python ints, so no count overflows.
+    every product: merging the consumed run, the vertex product, the fold
+    into a neighbour and each compression's QR and SVD passes at their
+    leading terms.  ``compressed`` counts the sites the compressions pass.
+    ``peak`` estimates the most elements alive at once: the chain's sites
+    (less the shared identities of :func:`_identity`), the step's array,
+    the consumed run so far and its product with each next site, the
+    merged run, the vertex product and its normalised copy, and a
+    compression's LAPACK copies, factors and workspace.  It is an estimate
+    at the ranks the shapes allow, not a bound: a compression that finds
+    lower ranks moves the later compressions to other steps, where the
+    sweep can hold more.  Building a merged vertex's tensor, which a plan
+    does once per variant (:class:`_Merge`), is neither counted nor
+    held.  Python ints, so no count overflows.
     """
     sites: list = []  # (left, leg, right, elements held)
-    madds = merged = compressed = peak = held = 0
+    madds = compressed = peak = held = 0
 
     def put(k: int, left: int, leg: int, right: int):
         nonlocal held
@@ -611,13 +590,6 @@ def _tally(steps, layout: _Layout, chi: int | None) -> tuple:
         extents = layout.shapes[vid]
         dims = [extents[axis] for axis in perm[:m]]
         size = math.prod(extents)
-        merge = layout.merges.get(vid)
-        if merge is not None:
-            for _, _, _, (f, s), _, (_, g) in merge.products:
-                madds += f * s * g
-                merged += 1
-                peak = max(peak, held + f * s + s * g + f * g)
-            peak = max(peak, held + 2 * size)
         if hi >= lo:
             left, legs, right, _ = sites[lo]
             right = sites[hi][2]
@@ -679,26 +651,23 @@ def _tally(steps, layout: _Layout, chi: int | None) -> tuple:
             peak = max(peak, held + l * n + l * rank + rank * n + 4 * rank * rank + max(l, n))
             put(k, keep, d, r)
             put(k - 1, pl, pd, keep)
-    return madds, merged, compressed, peak
+    return madds, compressed, peak
 
 
 def _model(steps, layout: _Layout, chi: int | None) -> tuple:
-    """``(seconds, peak)``: the plan's cost model of a cold sweep along
-    ``steps``, as :func:`_tally` counts it.  A warm sweep, whose merged
-    tensors are memoized, costs less by the merged vertices' share.
+    """``(seconds, peak)``: the plan's cost model of a warm sweep along
+    ``steps``, as :func:`_tally` counts it, the sweep a decoder repeats.
 
     The time prices :func:`_tally`'s multiply-adds at
-    ``MODEL_SECONDS_PER_MADD``, each step at ``MODEL_SECONDS_PER_STEP``,
-    each vertex merged into a host at ``MODEL_SECONDS_PER_MERGED_VERTEX``
+    ``MODEL_SECONDS_PER_MADD``, each step at ``MODEL_SECONDS_PER_STEP``
     and each compressed site at ``MODEL_SECONDS_PER_COMPRESSED_SITE``: a
-    step's call overhead is several numpy calls, a merged vertex's one
-    ``np.dot``.  The peak is :func:`_tally`'s, in elements.
+    step's call overhead is several numpy calls, a compressed site's a
+    few LAPACK calls.  The peak is :func:`_tally`'s, in elements.
     """
-    madds, merged, compressed, peak = _tally(steps, layout, chi)
+    madds, compressed, peak = _tally(steps, layout, chi)
     seconds = (
         madds * MODEL_SECONDS_PER_MADD
         + len(steps) * MODEL_SECONDS_PER_STEP
-        + merged * MODEL_SECONDS_PER_MERGED_VERTEX
         + compressed * MODEL_SECONDS_PER_COMPRESSED_SITE
     )
     return seconds, peak
@@ -860,16 +829,9 @@ def _vertex_tensor(plan: _Plan, vertices: dict, step: _Step) -> np.ndarray:
         return x
     x = host.elements
     if merge is not None:
-        for (_, shape, xperm, xmat, vperm, vmat), absorbed in zip(merge.products, key[2:]):
-            if xperm is not None:
-                x = x.reshape(shape).transpose(xperm)
-            v = absorbed.elements
-            if vperm is not None:
-                v = v.transpose(vperm)
-            x = np.dot(x.reshape(xmat), v.reshape(vmat))
-        if merge.perm is not None:
-            x = x.reshape(merge.shape).transpose(merge.perm)
-        x = x.reshape(merge.out)
+        for (_, axes, vaxes), absorbed in zip(merge.products, key[2:]):
+            x = np.tensordot(x, absorbed.elements, (axes, vaxes))
+        x = x.transpose(merge.perm).reshape(merge.out)
     x = x.transpose(step.perm)
     if not x.flags.c_contiguous:
         # np.ascontiguousarray would make a 0-d array 1-d

@@ -1,6 +1,9 @@
 import functools
+import importlib.util
 import json
 import math
+import os
+import sys
 import time
 import tracemalloc
 import types
@@ -1166,6 +1169,60 @@ def every_fold_crosses():
     return network_from_pairs(pos, pairs, rng=np.random.default_rng(4700))
 
 
+def merged_by_einsum(tn, layout, group, host):
+    """The tensor of merged vertex ``host`` of the folded ``layout`` of
+    ``tn``, by ``np.einsum`` over the tensors of the vertices of
+    ``group[host]``, each axis labelled by the bond id it carries: one
+    output axis per bond of ``host`` in ``layout``, which fuses the bonds
+    of ``tn`` between the two groups it joins, in ascending bond id
+    order."""
+    owner = {v: h for h, members in group.items() for v in members}
+    bonds_of = {v: [None] * tn.vertices[v].tensor.rank for v in group[host]}
+    for bid, bond in enumerate(tn.bonds):
+        for v, axis in (bond.endpoint_a, bond.endpoint_b):
+            if v in bonds_of:
+                bonds_of[v][axis] = bid
+    out = []
+    for fbid, _ in sorted(layout.incident[host], key=lambda end: end[1]):
+        ends = {layout.bonds[fbid].endpoint_a[0], layout.bonds[fbid].endpoint_b[0]}
+        out.append([
+            bid for bid, b in enumerate(tn.bonds)
+            if {owner[b.endpoint_a[0]], owner[b.endpoint_b[0]]} == ends
+        ])
+    labels = {bid: k for k, bid in enumerate(dict.fromkeys(b for bids in bonds_of.values() for b in bids))}
+    assert len(labels) <= 52  # np.einsum's limit on labels
+    operands = []
+    for v, bids in bonds_of.items():
+        operands += [tn.vertices[v].tensor.elements, [labels[bid] for bid in bids]]
+    full = np.einsum(*operands, [labels[bid] for fused in out for bid in fused])
+    return full.reshape([math.prod(tn.bonds[bid].dimension for bid in fused) for fused in out])
+
+
+def assert_merges_match_einsum(tn):
+    """Every merged host's step array of the chosen plans of ``tn`` (exact
+    and at chi=8) and of each of its paired candidates is the host's
+    :func:`merged_by_einsum` tensor in the step's axis order, to 1e-14
+    relative; returns how many arrays were checked."""
+    exact = contract._candidates(tn, None)
+    plans = [contract._choose(exact), contract._choose(contract._candidates(tn, 8))]
+    plans += [c for c in exact if c.pairs is not None]
+    checked = 0
+    oracle = {}  # (id(layout), host) -> merged_by_einsum
+    for c in {(c.fold, c.pairs, c.turns): c for c in plans if c.fold}.values():
+        plan = contract._plan_of(c)
+        group = {h: {h, *(vid for vid, _, _ in m.products)} for h, m in plan.merges.items()}
+        for step in plan.steps:
+            key = (id(c.layout), step.vid)
+            if key not in oracle:
+                oracle[key] = merged_by_einsum(tn, c.layout, group, step.vid)
+            want = oracle[key].transpose(step.perm)
+            got = contract._vertex_tensor(plan, tn.vertices, step)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max(initial=0.0) <= 1e-14 * np.abs(want).max(initial=0.0)
+            checked += 1
+    return checked
+
+
 class TestFold:
     @staticmethod
     def assert_folds_match(tn):
@@ -1304,14 +1361,29 @@ class TestFold:
         names = [n for n in dir(contract) if n.startswith("MODEL_SECONDS_PER_")]
         assert recorded == {n: getattr(contract, n) for n in names}
 
+    def test_recorded_constants_fit_their_rows(self, monkeypatch):
+        # the constants BENCH_plan_model.json records are what
+        # scripts/plan_model.py --fit computes from the file's own rows
+        root = Path(__file__).resolve().parents[1]
+        # the script prepends to sys.path and sets a BLAS thread count
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", os.environ.get("OPENBLAS_NUM_THREADS", "1"))
+        spec = importlib.util.spec_from_file_location("plan_model", root / "scripts" / "plan_model.py")
+        plan_model = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(plan_model)
+        record = json.loads((root / "BENCH_plan_model.json").read_text())
+        assert plan_model.fitted(record["configurations"]) == record["constants"]
+
     # the benchmark's codes and noise
     @pytest.mark.parametrize("family, p, chi", [("square", 0.15, 8), ("subsystem", 0.05, None)])
     def test_modelled_peak_bounds_traced_peak(self, family, p, chi, monkeypatch):
         # the chosen plan and every paired candidate of at most 1 MB: the
         # modelled peak is never more than 15% below what one cold sweep of
-        # a decoder's coset network holds.  The model prices a cold sweep,
-        # which builds every merged tensor; the memo that keeps them is
-        # resident memory, bounded apart, so here it keeps none.
+        # a decoder's coset network holds.  The model prices a warm sweep,
+        # whose step arrays the memo holds; a cold one also builds every
+        # merged tensor, so it holds more, and bounding it is the stricter
+        # check.  The memo is resident memory, bounded apart, so here it
+        # keeps nothing.
         monkeypatch.setattr(contract, "MERGE_MEMO_BYTES", 0)
         tn = depolarised_coset_network(code_of(family, 5), p, np.random.default_rng(0))
         candidates = contract._candidates(tn, chi)
@@ -1344,6 +1416,13 @@ class TestFold:
                 guarded += fastest.peak > unfolded.peak
         # the guard binds on some networks, and folds win on others
         assert folded > 20 and guarded > 0
+
+    @pytest.mark.parametrize("family, d", fold_cases())
+    def test_code_merges_match_einsum(self, family, d):
+        assert assert_merges_match_einsum(code_network(family, d)) > 20
+
+    def test_corpus_merges_match_einsum(self):
+        assert sum(map(assert_merges_match_einsum, netgen_corpus())) > 500
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("where", ["host", "absorbed"])

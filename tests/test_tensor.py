@@ -33,6 +33,24 @@ class TestDenseTensor:
         with pytest.raises(ValueError):
             t.elements.setflags(write=True)  # a private copy owns its data
 
+    def test_reshaping_a_read_does_not_reach_the_tensor(self):
+        # the sweep's memo keys on the tensor object, so its stored array
+        # must keep its shape
+        t = DenseTensor(np.arange(6.0).reshape(2, 3))
+        view = t.elements
+        view.shape = (3, 2)
+        assert t.elements.shape == t.extents == (2, 3)
+        with pytest.raises(AttributeError):
+            t.extents = (3, 2)
+        with pytest.raises(AttributeError):
+            t.elements = np.zeros((3, 2))
+
+    @pytest.mark.parametrize("bad", [np.array([[1 + 2j, 3]]), [1j, 2.0], np.complex64(1.0)])
+    def test_complex_elements_raise(self, bad):
+        # a cast to float64 would drop the imaginary parts
+        with pytest.raises(ValueError, match="complex"):
+            DenseTensor(bad)
+
     def test_compares_and_hashes_by_identity(self):
         a, b = DenseTensor(np.ones(2)), DenseTensor(np.ones(2))
         assert a != b and a == a
