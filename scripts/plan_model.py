@@ -25,7 +25,11 @@ file records the model's prediction and its counts, the code's chosen and
 unfolded plans, the git sha and the machine.  ``--fit`` refits
 ``MODEL_SECONDS_PER_*`` by non-negative least squares on relative error
 (:func:`fitted`) and rewrites the file's predictions and summary with the
-fitted values, which are then written into ``contract.py`` by hand.
+fitted values, which are then written into ``contract.py`` by hand.  It
+prints, for the constants ``contract.py`` holds and for the refit, the
+relative error and the shares of pairs of configurations each ranks
+right, within a code and over all pairs: a refit can lower the error and
+still rank fewer plans right.
 ``--plans`` also prints, for each benchmark code, the chosen plan's
 modelled peak in bytes beside the tracemalloc peak of one warm sweep
 along it, and the entries and bytes its memo of step arrays holds once
@@ -309,23 +313,31 @@ def fitted(rows):
 def fit():
     """Refit the constants to the recorded times and rewrite the file's
     predictions and summary with them; ``contract.py`` then takes the
-    printed constants."""
+    printed constants.  The fit minimises relative error, not the ranking
+    of plans that ``_choose`` acts on, so the constants ``contract.py``
+    holds and the refit are printed side by side, each with its relative
+    error and the shares of pairs it ranks right, within a code and over
+    all pairs."""
     with open(OUT) as f:
         result = json.load(f)
     rows = result["configurations"]
-    result["constants"] = fitted(rows)
     a = counts(rows)
     t = np.array([r["measured_decode_s"] for r in rows])
-    coef = np.array(list(result["constants"].values()))
-    for r, seconds in zip(rows, a @ coef):
-        r["model_decode_s"] = float(seconds)
-    result["summary"] = summary(rows)
+    current = {name: getattr(contract, name) for name in CONSTANTS}
+    result["constants"] = fitted(rows)
+    # the refit last, so the file holds its predictions and summary
+    for label, constants in (("contract.py", current), ("refit", result["constants"])):
+        model = a @ np.array([constants[name] for name in CONSTANTS])
+        for r, seconds in zip(rows, model):
+            r["model_decode_s"] = float(seconds)
+        result["summary"] = summary(rows)
+        rel = np.abs(model / t - 1.0)
+        print(f"{label}: " + ", ".join(f"{name} = {value:.3g}" for name, value in constants.items()))
+        print(f"  relative error: median {np.median(rel):.3f}, max {rel.max():.3f}; pairs ranked "
+              f"within code {result['summary']['pairs_ranked_within_code_share']:.3f}, "
+              f"all {result['summary']['pairs_ranked_all_share']:.3f}")
     with open(OUT, "w") as f:
         json.dump(result, f, indent=1)
-    for name, value in result["constants"].items():
-        print(f"{name} = {value:.3g}")
-    rel = a @ coef / t - 1.0
-    print(f"relative error: median {np.median(np.abs(rel)):.3f}, max {np.abs(rel).max():.3f}")
     print(json.dumps(result["summary"], indent=1))
 
 

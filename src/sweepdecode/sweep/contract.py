@@ -24,7 +24,8 @@ Each rule is stated where it is enforced:
   of step arrays, :class:`_MergeMemo`, up to ``MERGE_MEMO_BYTES``;
 - the plan cache and its lookup by geometry: :func:`_plan_for`;
 - an absorption: :func:`contract_step`, split into sites by :func:`_split`;
-- the identity head: :class:`MPSState`;
+- the pass-through identities, the chain's read-only sites:
+  :class:`MPSState`;
 - the truncation and its LAPACK calls: :func:`compress_mps`;
 - the ``2 * chi`` compression trigger: :func:`_run`.
 """
@@ -40,25 +41,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import lapack as _lapack
 
-from .network import (
-    Bond,
-    PlanarizeError,
-    TensorNetwork2D,
-    TNVertex,
-    _find_crossing,
-    _orient,
-    planarize,
-)
+from .network import Bond, TensorNetwork2D, TNVertex, _orient, planarize
 
-__all__ = [
-    "MPSState",
-    "SweepValue",
-    "ContractionError",
-    "sweep_key",
-    "contract_step",
-    "compress_mps",
-    "sweep_contract",
-]
+__all__ = ["SweepValue", "ContractionError", "sweep_key", "sweep_contract"]
 
 TWO_PI = 2.0 * math.pi
 
@@ -132,17 +117,14 @@ class MPSState:
     ``log_scale`` (site arrays are kept near unit scale); ``mantissa``
     accumulates the sign/value once the boundary closes.
 
-    ``head`` counts leading sites known to be exact reshaped identities:
-    ``sites[k]`` for ``k < head`` is ``np.eye(l * d)`` reshaped to ``(l, d,
-    l * d)``.  The sites a step emits left of its data site are such
-    identities, and a run of them at the left end of the chain stays so
-    until a step reaches it.  :func:`contract_step` keeps the count: a step
-    that starts inside the head or right after it moves the head's end to
-    its data site, and a step that folds into a neighbour ends the head
-    before that neighbour.  :func:`compress_mps` starts its QR pass at
-    ``head`` and resets it to 0: the Householder QR of an identity has
-    ``tau = 0`` and ``Q = R = I``, so skipping those sites changes no bit.
-    ``head`` may undercount but never overcount, so 0 is always safe.
+    The pass-through identities :func:`contract_step` emits either side of
+    its data site are read-only views of :func:`_identity`, and they are
+    the chain's only read-only sites: every other site is a fresh array (a
+    reshaped product, a normalised copy or a compression factor).  One
+    emitted right of a data site keeps a fresh site on its left, so the
+    read-only sites at the left end of the chain are ``np.eye(l * d)``
+    reshaped to ``(l, d, l * d)``, which :func:`compress_mps` finds by
+    their flag.  The chain is internal to the sweep for that reason.
 
     ``emitted`` is the largest bond the last :func:`contract_step` made
     between the sites it emitted, 0 when it made none.
@@ -151,7 +133,6 @@ class MPSState:
     sites: list = field(default_factory=list)
     log_scale: float = 0.0
     mantissa: float = 1.0
-    head: int = 0
     emitted: int = 0
 
     def max_bond(self) -> int:
@@ -232,7 +213,8 @@ class _MergeMemo:
     counts the arrays and, per entry, the key's tensors, which the key
     keeps alive.  An entry larger than ``MERGE_MEMO_BYTES`` alone is not
     kept, and an insert that would take ``nbytes`` past it first clears
-    the memo.
+    the memo.  A key already held, put again by a thread that missed it
+    too, keeps its entry and is counted once.
     """
 
     def __init__(self):
@@ -245,6 +227,8 @@ class _MergeMemo:
         if size > MERGE_MEMO_BYTES:
             return
         with self._lock:
+            if key in self.arrays:
+                return
             if self.nbytes + size > MERGE_MEMO_BYTES:
                 self.clear()
             self.arrays[key] = array
@@ -494,11 +478,10 @@ def _assign(base: _Layout, hosts, absorbed, keys: dict) -> tuple:
     return tuple((h, tuple(members[h])) for h in hosts)
 
 
-def _fold(base: _Layout, assignment) -> _Layout | None:
+def _fold(base: _Layout, assignment) -> _Layout:
     """``base`` with each host of ``assignment`` merged with its absorbed
-    vertices, as :func:`_candidates` folds it, or None when that drawing
-    crosses itself (or puts a vertex on a bond), which the sweep cannot
-    read."""
+    vertices, as :func:`_candidates` folds it.  Its drawing may cross
+    itself: it is a candidate when its replay succeeds."""
     owner = {u: h for h, members in assignment for u in (h, *members)}
     fused: dict = {}  # (host a, host b) -> bond ids
     for bid, bond in enumerate(base.bonds):
@@ -517,12 +500,6 @@ def _fold(base: _Layout, assignment) -> _Layout | None:
             legs[h].append(tuple(bids))
         bonds.append(Bond(*ends, math.prod(dims[bid] for bid in bids)))
     positions = {h: base.positions[h] for h, _ in assignment}
-    try:
-        if _find_crossing(bonds, positions) is not None:
-            return None
-    except PlanarizeError:
-        return None
-
     axes = {}
     for vid, ends in base.incident.items():
         axes[vid] = [None] * len(ends)
@@ -697,17 +674,20 @@ def _candidates(tn: TensorNetwork2D, chi: int | None) -> list:
       taken, and the pair merges, at the earlier one's position, its
       members, the partner and the partner's members, in that order.
 
-    A fold or pairing whose drawing crosses is no form.  Each form is
-    replayed in four frames, ``turns`` 0 to 3: the positions turned by that
-    many quarter turns, ``(x, y) -> (-y, x)`` each (:func:`_turned`),
-    before the vertices are ordered by :func:`sweep_key` and their bonds by
-    departure angle.  A quarter turn only negates and swaps coordinates,
+    Each form is replayed in four frames, ``turns`` 0 to 3: the positions
+    turned by that many quarter turns, ``(x, y) -> (-y, x)`` each
+    (:func:`_turned`), before the vertices are ordered by :func:`sweep_key`
+    and their bonds by departure angle.  A quarter turn only negates and swaps coordinates,
     which is exact in floating point, so every crossing, angle and
     collinearity test sees the same geometry in each frame; a turn lets a
     code cut wider than it is tall be swept along its short side.
 
-    A disconnected network raises, as does the unturned replay of the
-    unfolded form, run first; any other replay that raises is no candidate.
+    A form is a candidate in a frame when its replay succeeds: every
+    vertex's backward legs meet a contiguous run of the boundary, which is
+    all an exact sweep needs, so a folded form whose drawing crosses
+    itself is a candidate in the frames where it replays.  A disconnected
+    network raises, as does the unturned replay of the unfolded form, run
+    first; any other replay that raises is no candidate.
     """
     base = _layout(tn)
     layouts = [(0, None, base)]
@@ -717,13 +697,9 @@ def _candidates(tn: TensorNetwork2D, chi: int | None) -> list:
         for fold, (absorbed, hosts) in ((1, classes), (2, classes[::-1])):
             assignment = _assign(base, hosts, absorbed, keys)
             folded = _fold(base, assignment)
-            if folded is None:
-                continue
             layouts.append((fold, None, folded))
             for pairs in range(4):
-                paired = _fold(base, _pair(folded, assignment, pairs))
-                if paired is not None:
-                    layouts.append((fold, pairs, paired))
+                layouts.append((fold, pairs, _fold(base, _pair(folded, assignment, pairs))))
     out = []
     for turns in range(4):
         for fold, pairs, layout in layouts:
@@ -795,9 +771,15 @@ def _plan_for(tn: TensorNetwork2D, chi: int | None = None) -> _Plan:
     geometry may share it: a memo entry is what the rebuilt plan would
     compute from the same tensors.  The least recently used of more than
     ``PLAN_CACHE_SIZE`` plans is dropped, and its memo with it.  Errors
-    are not cached, so a network that fails to plan raises on every call.
+    are not cached, so a network that fails to plan raises on every call;
+    a vertex :func:`_geometry` cannot read raises what :func:`planarize`
+    raises for it.
     """
-    key = (chi, _geometry(tn))
+    try:
+        key = (chi, _geometry(tn))
+    except (TypeError, AttributeError):
+        planarize(tn)  # names the vertex
+        raise
     with _plans_lock:
         for i, (cached, plan) in enumerate(_plans):
             if cached == key:
@@ -938,9 +920,8 @@ def contract_step(mps: MPSState, step: _Step, elements: np.ndarray) -> MPSState:
     ``(S, L)``, gives ``(left, S, right)``, already in chain order.
     :func:`_split` cuts it into the data site, a reshape of the product,
     and read-only views of shared identities (:func:`_identity`) either
-    side.  Consumed sites leave the chain
-    before their replacement is built.  The step keeps ``mps.head`` and
-    sets ``mps.emitted`` (:class:`MPSState`).
+    side.  Consumed sites leave the chain before their replacement is
+    built.  The step sets ``mps.emitted`` (:class:`MPSState`).
     """
     _, lo, hi, _, m = step
     sites = mps.sites
@@ -985,8 +966,6 @@ def contract_step(mps: MPSState, step: _Step, elements: np.ndarray) -> MPSState:
                 mps.log_scale += math.log(mag)
         if sites:
             mps._normalize_site(max(lo - 1, 0))
-        if lo <= mps.head:
-            mps.head = max(lo - 1, 0)
         return mps
 
     prefix, suffix, t, mps.emitted = _split(left, dims, right)
@@ -1004,8 +983,6 @@ def contract_step(mps: MPSState, step: _Step, elements: np.ndarray) -> MPSState:
 
     sites[lo:lo] = new_sites
     mps._normalize_site(lo + t)
-    if lo <= mps.head:
-        mps.head = lo + t
     return mps
 
 
@@ -1029,10 +1006,11 @@ def _check_info(routine: str, info: int):
 def compress_mps(mps: MPSState, chi: int):
     """Truncate every internal bond of ``mps`` to at most ``chi``.
 
-    A left-to-right QR pass, after the identity head (:class:`MPSState`),
-    makes the state left-canonical, then a right-to-left SVD pass
-    truncates each bond, dropping the singular values beyond ``chi`` and
-    those below ``REL_CUTOFF`` of the largest.  In that gauge each bond's
+    A left-to-right QR pass, which skips the pass-through identities at
+    the left end of the chain (its leading read-only sites,
+    :class:`MPSState`), makes the state left-canonical, then a
+    right-to-left SVD pass truncates each bond, dropping the singular
+    values beyond ``chi`` and those below ``REL_CUTOFF`` of the largest.  In that gauge each bond's
     truncation is optimal and successive error vectors are mutually
     orthogonal, so the boundary discard
 
@@ -1058,12 +1036,16 @@ def compress_mps(mps: MPSState, chi: int):
     ``np.linalg`` path.
     """
     chi = _bond_cap(chi)
-    head, mps.head = mps.head, 0
     n = len(mps.sites)
     if n <= 1:
         return mps, 0.0
 
     sites = mps.sites
+    # Each leading identity is np.eye(l * d) as (l, d, l * d), whose
+    # Householder QR has tau = 0 and Q = R = I: skipping it changes no bit.
+    head = 0
+    while head < n - 1 and not sites[head].flags.writeable:
+        head += 1
     if head:
         # Of the skipped identities only the last product, with site head,
         # is made: it turns negative zeros into positive ones, and the sign

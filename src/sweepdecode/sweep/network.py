@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -197,19 +198,32 @@ def planarize(tn: TensorNetwork2D) -> TensorNetwork2D:
     """Return ``tn`` itself when it is closed and drawn without crossings;
     raise otherwise.  This is the one check of a network.
 
+    A vertex whose tensor is not a :class:`DenseTensor` raises
+    ``ValueError``, and one whose position is not two finite real
+    coordinates :class:`PlanarizeError`, both naming the vertex.  Then
     ``ValueError`` is raised, in this order, for a bond that is not a
     :class:`Bond` between ``(vertex id, axis)`` tuples, naming a missing
     vertex or an axis out of range, or whose dimension is not the extent of
     an axis it ends, for a self-loop, a (vertex, axis) slot two bonds end
     and an axis no bond ends.  The sweep reads the drawing as planar, and
     every code family's coset network is drawn without crossings, so the
-    rest is a check, not a repair: a vertex at a non-finite position, then
-    the first crossing or vertex on the interior of a bond it does not end,
-    in ``(i, j)`` order over the bond list (see :func:`_find_crossing`),
-    raise :class:`PlanarizeError`; a crossing names both bonds.  The name
-    is kept for the layer trace, which wraps this function as the sweep
-    calls it.
+    rest is a check, not a repair: the first crossing or vertex on the
+    interior of a bond it does not end, in ``(i, j)`` order over the bond
+    list (see :func:`_find_crossing`), raises :class:`PlanarizeError`; a
+    crossing names both bonds.  The name is kept for the layer trace, which
+    wraps this function as the sweep calls it.
     """
+    for vid, v in tn.vertices.items():
+        if not isinstance(v.tensor, DenseTensor):
+            raise ValueError(f"vertex {vid} tensor is a {type(v.tensor).__name__}, not a DenseTensor")
+        try:
+            x, y = v.position
+        except (TypeError, ValueError):
+            x = y = None
+        if not (isinstance(x, numbers.Real) and isinstance(y, numbers.Real)):
+            raise PlanarizeError(f"vertex {vid} position {v.position!r} is not two real coordinates")
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise PlanarizeError(f"vertex {vid} has a non-finite position {v.position}")
     shapes = {vid: v.tensor.extents for vid, v in tn.vertices.items()}
     seen = set()
     for b in tn.bonds:
@@ -236,11 +250,7 @@ def planarize(tn: TensorNetwork2D) -> TensorNetwork2D:
         for axis in range(len(shape)):
             if (vid, axis) not in seen:
                 raise ValueError(f"dangling axis {axis} on vertex {vid}")
-    pos = {vid: v.position for vid, v in tn.vertices.items()}
-    for vid, p in pos.items():
-        if not all(math.isfinite(c) for c in p):
-            raise PlanarizeError(f"vertex {vid} has a non-finite position {p}")
-    hit = _find_crossing(tn.bonds, pos)
+    hit = _find_crossing(tn.bonds, {vid: v.position for vid, v in tn.vertices.items()})
     if hit is not None:
         i, j, pt = hit
         a, b = tn.bonds[i], tn.bonds[j]

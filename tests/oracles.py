@@ -228,8 +228,8 @@ def contract_step_reference(mps, step, elements):
 
     ``elements`` is laid out in the step's order, as ``contract_step``
     reads it; the reference puts its axes back in the vertex's own order
-    first.  Same slots, splitting, normalisation and ``head`` and
-    ``emitted`` bookkeeping; modifies ``mps`` in place and returns it.
+    first.  Same slots, splitting, normalisation and ``emitted``
+    bookkeeping; modifies ``mps`` in place and returns it.
     """
     elements = elements.transpose(np.argsort(step.perm))
     run_axes, vertex_axes, open_axes = _tensordot_axes(step)
@@ -271,8 +271,6 @@ def contract_step_reference(mps, step, elements):
                 mps.log_scale += math.log(abs(val))
         if sites:
             mps._normalize_site(max(lo - 1, 0))
-        if lo <= mps.head:
-            mps.head = max(lo - 1, 0)
         return mps
 
     prefix = [left_dim]
@@ -300,8 +298,6 @@ def contract_step_reference(mps, step, elements):
     sites[lo:lo] = new_sites
     mps.emitted = max((site.shape[2] for site in new_sites[:-1]), default=0)
     mps._normalize_site(lo + t)
-    if lo <= mps.head:
-        mps.head = lo + t
     return mps
 
 

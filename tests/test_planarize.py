@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from sweepdecode.sweep import Bond, PlanarizeError, network, planarize, sweep_contract
+from sweepdecode import DenseTensor
+from sweepdecode.sweep import (
+    Bond,
+    PlanarizeError,
+    TensorNetwork2D,
+    TNVertex,
+    network,
+    planarize,
+    sweep_contract,
+)
 
 from netgen import grid_network, random_planar_network, scramble_positions
 from oracles import first_crossing_all_pairs, planarize_all_pairs
@@ -178,3 +187,37 @@ class TestLongBonds:
             assert got == crossing_outcome(first_crossing_all_pairs, bonds, pos), seed
             hits += got is not None
         assert hits > 30
+
+
+def two_vertices(position=(1.0, 0.0), tensor=None):
+    """Vertex 0 at the origin bonded to vertex 1 at ``position``, which
+    holds ``tensor`` (a vector of ones when None)."""
+    tensor = DenseTensor(np.ones(2)) if tensor is None else tensor
+    vertices = [TNVertex(0, DenseTensor(np.ones(2)), (0.0, 0.0)), TNVertex(1, tensor, position)]
+    return TensorNetwork2D(vertices, [Bond((0, 0), (1, 0), 2)])
+
+
+class TestMalformedVertices:
+    """A vertex the sweep cannot read raises the check's typed error, not
+    whatever the plan cache's lookup or the sweep would meet first."""
+
+    @pytest.mark.parametrize(
+        "position",
+        [5.0, None, (1 + 2j, 0.0), ("1", "2"), (0.0,), (1.0, 2.0, 3.0)],
+        ids=["float", "None", "complex", "strings", "one", "three"],
+    )
+    def test_position_that_is_not_two_real_coordinates_raises(self, position):
+        tn = two_vertices(position=position)
+        for check in (planarize, sweep_contract, sweep_contract):
+            with pytest.raises(PlanarizeError, match=r"^vertex 1 position .* is not two real coordinates$"):
+                check(tn)
+
+    def test_tensor_that_is_not_a_dense_tensor_raises(self):
+        tn = two_vertices(tensor=np.ones(2))
+        for check in (planarize, sweep_contract, sweep_contract):
+            with pytest.raises(ValueError, match=r"^vertex 1 tensor is a ndarray, not a DenseTensor$"):
+                check(tn)
+
+    @pytest.mark.parametrize("position", [[1.0, 0.0], np.array([1.0, 0.0]), (1, 0), (np.float32(1.0), 0.0)])
+    def test_any_pair_of_real_coordinates_is_read(self, position):
+        assert sweep_contract(two_vertices(position=position)) == sweep_contract(two_vertices())

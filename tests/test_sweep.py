@@ -4,6 +4,7 @@ import json
 import math
 import os
 import sys
+import threading
 import time
 import tracemalloc
 import types
@@ -18,17 +19,15 @@ from sweepdecode.codes.random import random_quadrangulation_code, random_triangu
 from sweepdecode.sweep import (
     Bond,
     ContractionError,
-    MPSState,
     PlanarizeError,
     TensorNetwork2D,
     TNVertex,
-    compress_mps,
-    contract_step,
     planarize,
     sweep_contract,
     sweep_key,
 )
-from sweepdecode.sweep import contract
+from sweepdecode.sweep import contract, network
+from sweepdecode.sweep.contract import MPSState, compress_mps, contract_step
 
 from netgen import (
     coset_geometry_network,
@@ -493,6 +492,12 @@ def netgen_corpus():
     return planar + grids + large
 
 
+def read_only_head(sites):
+    """How many sites at the left end of ``sites`` are read-only: the
+    identities :func:`contract.compress_mps` skips."""
+    return next((k for k, site in enumerate(sites) if site.flags.writeable), len(sites))
+
+
 class TestIdentityHead:
     @pytest.mark.parametrize("chi", [None, 1, 2, 4, 8])
     def test_head_is_identities_and_skipping_it_changes_no_bit(self, monkeypatch, chi):
@@ -501,19 +506,24 @@ class TestIdentityHead:
 
         def checked_step(mps, step, tensor):
             real_step(mps, step, tensor)
-            assert 0 <= mps.head <= max(len(mps.sites) - 1, 0)
-            for site in mps.sites[: mps.head]:
+            head = read_only_head(mps.sites)
+            for k, site in enumerate(mps.sites):
+                if site.flags.writeable:
+                    continue
+                # an identity fed from the left, (l, d, l * d), or from the
+                # right, (d * r, d, r); those of the head from the left
                 left, leg, right = site.shape
-                assert right == left * leg
-                np.testing.assert_array_equal(site.reshape(right, right), np.eye(right))
+                n = max(left, right)
+                assert left * leg * right == n * n and (k >= head or right == left * leg)
+                np.testing.assert_array_equal(site.reshape(n, n), np.eye(n))
             return mps
 
         def checked_compress(mps, chi):
-            heads.append(mps.head)
-            full = MPSState(sites=list(mps.sites), log_scale=mps.log_scale)  # head 0
+            heads.append(read_only_head(mps.sites))
+            copies = [site.copy() for site in mps.sites]  # writeable: no head
+            full = MPSState(sites=copies, log_scale=mps.log_scale)
             _, full_err = real_compress(full, chi)
             _, err = real_compress(mps, chi)
-            assert mps.head == 0
             assert err.hex() == full_err.hex()
             assert mps.log_scale.hex() == full.log_scale.hex()
             assert [a.shape for a in mps.sites] == [a.shape for a in full.sites]
@@ -670,11 +680,10 @@ class TestAbsorptionKernel:
                 for step in plan.steps:
                     branches |= absorption_branches(mps, step)
                     tensor = contract._vertex_tensor(plan, tn.vertices, step)
-                    ref = MPSState(list(mps.sites), mps.log_scale, mps.mantissa, mps.head)
+                    ref = MPSState(list(mps.sites), mps.log_scale, mps.mantissa)
                     contract_step_reference(ref, step, tensor)
                     contract_step(mps, step, tensor)
                     assert [a.shape for a in mps.sites] == [b.shape for b in ref.sites]
-                    assert mps.head == ref.head
                     assert mps.log_scale == pytest.approx(ref.log_scale, rel=1e-13, abs=1e-13)
                     assert mps.mantissa == pytest.approx(ref.mantissa, rel=1e-13)
                     for a, b in zip(mps.sites, ref.sites):
@@ -1155,6 +1164,30 @@ def fold_cases():
     return cases + [("subsystem", 7)]
 
 
+# The plan of each fold case at chi=8 and exact, as (family, d, chi, fold,
+# pairs, turns, steps), but the benchmark's two (test_benchmark_code_plans).
+# Subsystem d=3 takes class 1 folded into class 0 and paired in frame 0, a
+# form whose drawing crosses itself, as long as its replay succeeds.
+FOLD_CASE_PLANS = [
+    ("square", 3, 8, 2, 3, 1, 6),
+    ("square", 3, None, 2, 3, 1, 6),
+    ("square", 5, None, 2, 0, 0, 20),
+    ("triangular", 3, 8, 0, None, 1, 41),
+    ("triangular", 3, None, 0, None, 1, 41),
+    ("triangular", 5, 8, 0, None, 1, 73),
+    ("triangular", 5, None, 0, None, 1, 73),
+    ("hexagonal", 3, 8, 0, None, 1, 41),
+    ("hexagonal", 3, None, 0, None, 1, 41),
+    ("hexagonal", 5, 8, 0, None, 1, 73),
+    ("hexagonal", 5, None, 0, None, 1, 73),
+    ("subsystem", 3, 8, 2, 0, 2, 11),
+    ("subsystem", 3, None, 2, 0, 2, 11),
+    ("subsystem", 5, 8, 0, None, 1, 105),
+    ("subsystem", 7, 8, 0, None, 1, 241),
+    ("subsystem", 7, None, 1, None, 1, 109),
+]
+
+
 def unfolded_best(candidates):
     return contract._choose([c for c in candidates if c.fold == 0])
 
@@ -1167,6 +1200,15 @@ def every_fold_crosses():
     }
     pairs = [(0, 5), (1, 7), (2, 4), (2, 6), (3, 4), (3, 5), (4, 7), (5, 7)]
     return network_from_pairs(pos, pairs, rng=np.random.default_rng(4700))
+
+
+def crosses(layout):
+    """Whether the drawing of ``layout`` crosses itself or puts a vertex
+    on a bond, as :func:`planarize` reads a drawing."""
+    try:
+        return network._find_crossing(layout.bonds, layout.positions) is not None
+    except PlanarizeError:
+        return True
 
 
 def merged_by_einsum(tn, layout, group, host):
@@ -1260,34 +1302,56 @@ class TestFold:
                 assert contract._build_plan(tn, None).fold == 0
         assert odd > 20
 
-    def test_folds_that_cross_are_no_candidates(self):
-        tn = every_fold_crosses()
-        assert planarize(tn) is tn
-        base = contract._layout(tn)
-        classes = contract._colour_classes(base)
-        assert classes is not None
-        keys = {vid: sweep_key(v) for vid, v in tn.vertices.items()}
-        for absorbed, hosts in (classes, classes[::-1]):
-            assert contract._fold(base, contract._assign(base, hosts, absorbed, keys)) is None
-        for chi in (None, 1):
-            assert {c.fold for c in contract._candidates(tn, chi)} == {0}
-            assert contract._build_plan(tn, chi).fold == 0
-        assert_matches_oracle(sweep_contract(tn), tn, rel=1e-12)
-
     @staticmethod
     def folds(tn):
-        """``(fold, assignment, folded layout)`` of each fold of ``tn``
-        that does not cross, as :func:`contract._candidates` makes them."""
+        """``(fold, assignment, folded layout)`` of each fold of ``tn``, as
+        :func:`contract._candidates` makes them."""
         base = contract._layout(tn)
         classes = contract._colour_classes(base)
         keys = {vid: sweep_key(v) for vid, v in tn.vertices.items()}
         out = []
         for fold, (absorbed, hosts) in ((1, classes), (2, classes[::-1])):
             assignment = contract._assign(base, hosts, absorbed, keys)
-            folded = contract._fold(base, assignment)
-            if folded is not None:
-                out.append((fold, assignment, folded))
+            out.append((fold, assignment, contract._fold(base, assignment)))
         return base, out
+
+    @staticmethod
+    def crossing_candidates(tn, chi):
+        """Assert that each folded form of ``tn``, paired or not, is a
+        candidate at ``chi`` in exactly the frames where its replay
+        succeeds, with the replay's steps.  Returns the candidates whose
+        drawing crosses itself and the ``(fold, pairs, turns)`` of the
+        replays that raised."""
+        base, folds = TestFold.folds(tn)
+        forms = []
+        for fold, assignment, folded in folds:
+            forms.append((fold, None, folded))
+            for pairs in range(4):
+                forms.append((fold, pairs, contract._fold(base, contract._pair(folded, assignment, pairs))))
+        replays, dropped = {}, []
+        for fold, pairs, layout in forms:
+            for turns in range(4):
+                try:
+                    replays[fold, pairs, turns] = contract._replay(layout, turns)
+                except ContractionError:
+                    dropped.append((fold, pairs, turns))
+        candidates = {(c.fold, c.pairs, c.turns): c for c in contract._candidates(tn, chi) if c.fold}
+        assert candidates.keys() == replays.keys()
+        assert all(c.steps == replays[key] for key, c in candidates.items())
+        return [c for c in candidates.values() if crosses(c.layout)], dropped
+
+    def test_folds_that_cross_are_candidates_when_they_replay(self):
+        tn = every_fold_crosses()
+        assert planarize(tn) is tn
+        _, folds = self.folds(tn)
+        assert all(crosses(folded) for _, _, folded in folds)
+        for chi in (None, 1):
+            crossing, dropped = self.crossing_candidates(tn, chi)
+            assert {c.fold for c in crossing} == {1, 2} and dropped
+            # every folded form here comes of a crossing fold
+            for c in contract._candidates(tn, chi):
+                assert_matches_oracle(run_plan(contract._plan_of(c), tn)[0], tn, rel=1e-12)
+        assert_matches_oracle(sweep_contract(tn), tn, rel=1e-12)
 
     def test_pairs_cover_each_host_once(self):
         pairings = 0
@@ -1328,29 +1392,32 @@ class TestFold:
         # two quarter turns sweep 4, 2, 0: 4 takes 2, and 0 stays alone
         assert contract._pair(folded, assignment, 2) == ((0, (1,)), (4, (2, 3)))
 
-    def test_pairings_that_cross_are_no_candidates(self):
+    def test_pairings_that_cross_are_candidates_when_they_replay(self):
         # square d=5 folded class 1 into class 0 and paired in frame 1
         # draws crossing bonds
         tn = code_network("square", 5)
-        base, folds = self.folds(tn)
-        crossing = set()
-        for fold, assignment, folded in folds:
-            for turns in range(4):
-                if contract._fold(base, contract._pair(folded, assignment, turns)) is None:
-                    crossing.add((fold, turns))
-        assert (2, 1) in crossing
+        want = run_plan(plan_unrotated(tn), tn)[0]
         for chi in (None, 8):
-            formed = {(c.fold, c.pairs) for c in contract._candidates(tn, chi)}
-            assert not formed & crossing
-            assert {(f, p) for f, _, _ in folds for p in range(4)} - crossing <= formed
+            crossing, dropped = self.crossing_candidates(tn, chi)
+            assert (2, 1) in {(c.fold, c.pairs) for c in crossing} and dropped
+        run = [c for c in crossing if c.peak <= FOLD_PEAK_CAP]
+        assert run
+        for c in run:
+            assert_same_value(run_plan(contract._plan_of(c), tn)[0], want)
 
-    # the benchmark's codes, square d=5 at chi=8 and subsystem d=5 exact
+    # the benchmark's codes, square d=5 at chi=8 and subsystem d=5 exact,
+    # then the rest of the fold cases (FOLD_CASE_PLANS)
     @pytest.mark.parametrize(
         "family, chi, fold, pairs, turns, steps",
-        [("square", 8, 2, None, 2, 40), ("subsystem", None, 1, 2, 1, 25)],
+        [("square", 8, 2, None, 2, 40), ("subsystem", None, 1, 2, 1, 25)]
+        + [
+            pytest.param((family, d), chi, *plan, id=f"{family}{d}-{chi}-{'-'.join(map(str, plan))}")
+            for family, d, chi, *plan in FOLD_CASE_PLANS
+        ],
     )
     def test_benchmark_code_plans(self, family, chi, fold, pairs, turns, steps):
-        plan = contract._build_plan(code_network(family, 5), chi)
+        code = (family, 5) if isinstance(family, str) else family
+        plan = contract._build_plan(code_network(*code), chi)
         assert (plan.fold, plan.pairs, plan.turns, len(plan.steps)) == (fold, pairs, turns, steps)
 
     def test_model_constants_match_their_record(self):
@@ -1616,3 +1683,44 @@ class TestMergeMemo:
         monkeypatch.setattr(contract, "MERGE_MEMO_BYTES", 1)
         sweep_contract(with_tensors(tn, rng))
         assert not plan.memo.arrays and plan.memo.nbytes == 0
+
+    def test_a_key_put_twice_is_counted_once(self):
+        # two threads that miss one step array both build and put it
+        memo = contract._MergeMemo()
+        key, array = (0, DenseTensor(np.ones((2, 3)))), np.zeros(4)
+        memo.put(key, array)
+        memo.put(key, array.copy())
+        assert memo.arrays[key] is array
+        assert memo.nbytes == memo_bytes(memo) == entry_bytes(key, array)
+
+    def test_threads_that_miss_together_count_each_array_once(self):
+        # four threads sweep the same networks along one cold plan, so two
+        # of them often build and put the same step array
+        tn = grid_network(np.random.default_rng(4903), 4, 4, dim=2)
+        contract._plans.clear()
+        plan = contract._plan_for(tn, None)
+        nets = variant_networks(tn, np.random.default_rng(4904), 6)
+        want = [sweep_contract(net) for net in nets]
+        got, errors = [], []
+
+        def sweep_all():
+            try:
+                got.append([sweep_contract(net) for net in nets])
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                plan.memo.clear()
+                threads = [threading.Thread(target=sweep_all) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads) and not errors
+                assert plan.memo.nbytes == memo_bytes(plan.memo)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(got) == 20 and all(values == want for values in got)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sweepdecode.sweep import ContractionError, MPSState
+from sweepdecode.sweep import ContractionError
+from sweepdecode.sweep.contract import MPSState
 from sweepdecode.tensor import DenseTensor
 
 
