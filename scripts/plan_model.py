@@ -102,8 +102,7 @@ def coset_networks(code, p=P, shots=1, seed=0):
 def plans(networks, chi):
     """``(candidates, chosen, unfolded)`` of the code's networks at ``chi``."""
     candidates = contract._candidates(contract.planarize(networks[0]), chi)
-    unfolded = min((c for c in candidates if c.fold == 0),
-                   key=lambda c: (c.seconds, c.turns))
+    unfolded = contract._choose([c for c in candidates if c.fold == 0])
     return candidates, contract._choose(candidates), unfolded
 
 
@@ -147,7 +146,7 @@ def print_plans():
                   f"{len(c.steps)} steps, modelled {c.seconds * 1e3:.3f} ms, "
                   f"peak {c.peak} elements")
         print(f"{family} d={d} chi={chi} chosen peak: modelled {8 * chosen.peak} bytes, "
-              f"traced {traced_peak(contract._plan_of(chosen), tn, chi)} bytes")
+              f"traced {traced_peak(chosen, tn, chi)} bytes")
         print(f"{family} d={d} chi={chi} cold plan build {cold * 1e3:.1f} ms")
         print_memo(code, f"{family} d={d} chi={chi}", chi, wl.p)
     print_memo(build_code("square", 7), "square d=7 chi=8", 8, P)
@@ -204,7 +203,7 @@ def configurations():
                         # counts and model per decode: four sweeps
                         "madds": 4 * madds, "compressed_sites": 4 * compressed,
                         "model_decode_s": 4 * c.seconds,
-                        "_plan": contract._plan_of(c), "_networks": networks,
+                        "_plan": c, "_networks": networks,
                     })
     return out
 

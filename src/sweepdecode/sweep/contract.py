@@ -2,15 +2,17 @@
 
 :func:`sweep_contract` contracts a closed network in two parts.  The plan
 (:class:`_Plan`) depends only on the network's geometry and on ``chi``:
-the form and frame the network is swept in and, per step (:class:`_Step`),
-the vertex it absorbs, the boundary slots it consumes and how it lays out
-the vertex's axes.  The one thing it holds beyond those is a memo of the
-arrays its steps absorb, each laid out in its step's order and keyed by
-the tensor objects it was built from, so a decoder, which sweeps networks
-of one code over and over, builds each array once; the cost model that
-picks the plan prices the warm sweeps that follow.  The run (:func:`_run`)
-does only numerics: it absorbs each step's array into a boundary matrix
-product state, and compresses that state when it grows too wide.
+the form and frame the network is swept in, the recipe of each vertex's
+tensor in that form (:class:`_Merge`), its modelled cost and, per step
+(:class:`_Step`), the vertex it absorbs, the boundary slots it consumes
+and how it lays out the vertex's axes.  The one thing it holds beyond
+those is a memo of the arrays its steps absorb, each laid out in its
+step's order and keyed by the tensor objects it was built from, so a
+decoder, which sweeps networks of one code over and over, builds each
+array once; the cost model that picks the plan prices the warm sweeps
+that follow.  The run (:func:`_run`) does only numerics: it absorbs each
+step's array into a boundary matrix product state, and compresses that
+state when it grows too wide.
 
 Each rule is stated where it is enforced:
 
@@ -19,7 +21,7 @@ Each rule is stated where it is enforced:
 - the cost model of a warm sweep: :func:`_model`, on the counts of
   :func:`_tally`;
 - the peak guard and the ties: :func:`_choose`;
-- the recipe of a merged vertex: :class:`_Merge`;
+- the recipe of each step's array: :class:`_Merge`;
 - the array a step absorbs: :func:`_vertex_tensor`, which fills the memo
   of step arrays, :class:`_MergeMemo`, up to ``MERGE_MEMO_BYTES``;
 - the plan cache and its lookup by geometry: :func:`_plan_for`;
@@ -179,20 +181,21 @@ class _Step(NamedTuple):
 
 
 class _Merge(NamedTuple):
-    """How a folded plan builds the tensor of one merged vertex, at its
-    host's step (:func:`_vertex_tensor`).  A plan builds each variant of
+    """How a plan builds the tensor of one vertex of its form, at the
+    vertex's step (:func:`_vertex_tensor`).  A plan builds each variant of
     it once, on a miss of its memo, so a warm sweep never runs it.
 
-    The host's elements are contracted with each absorbed vertex in turn,
-    one ``np.tensordot`` per vertex.  ``products`` holds a ``(vid, axes,
-    vaxes)`` per absorbed vertex: ``axes`` are the product's axes that
-    carry the bonds it shares with ``vid``, in the order the product holds
-    them, and ``vaxes`` are the axes of ``vid`` that carry the same bonds,
-    in the same order.  Each product keeps the product's free axes, then
-    those of ``vid``.  The last product is transposed by ``perm`` and
-    reshaped to ``out``, one axis per fused bond in the folded form's axis
-    order; the host's step then lays the axes out as every step does
-    (:func:`_vertex_tensor`).
+    The host's elements, those of the vertex itself, are contracted with
+    each absorbed vertex in turn, one ``np.tensordot`` per vertex.
+    ``products`` holds a ``(vid, axes, vaxes)`` per absorbed vertex:
+    ``axes`` are the product's axes that carry the bonds it shares with
+    ``vid``, in the order the product holds them, and ``vaxes`` are the
+    axes of ``vid`` that carry the same bonds, in the same order.  Each
+    product keeps the product's free axes, then those of ``vid``.  The
+    last product is transposed by ``perm`` and reshaped to ``out``, one
+    axis per bond of the form, in its axis order; the step then lays the
+    axes out as every step does (:func:`_vertex_tensor`).  An unfolded
+    vertex absorbs nothing: its recipe is ``((), identity, extents)``.
     """
 
     products: tuple
@@ -201,12 +204,11 @@ class _Merge(NamedTuple):
 
 
 class _MergeMemo:
-    """The step arrays one plan has built (:func:`_vertex_tensor`), merged
-    or not.
+    """The step arrays one plan has built (:func:`_vertex_tensor`).
 
     A key is the step's vertex id and the :class:`DenseTensor` objects of
-    that vertex and, in a folded plan, of the vertices its :class:`_Merge`
-    absorbs, in the order the recipe reads them.  A tensor hashes by
+    that vertex and of the vertices its :class:`_Merge` absorbs (none when
+    unfolded), in the order the recipe reads them.  A tensor hashes by
     identity and its elements never change after construction, so an entry
     is what :func:`_vertex_tensor` would compute from those operands
     again, bit for bit.  Entries are read-only and C-contiguous.  ``nbytes``
@@ -239,42 +241,32 @@ class _MergeMemo:
         self.nbytes = 0
 
 
-class _Plan(NamedTuple):
-    """The steps of a sweep and the network form and frame they run in.
-
-    ``turns`` is the frame, and ``fold`` and ``pairs`` the form, as
-    :func:`_candidates` defines them.  A folded plan's step absorbs a
-    host, whose tensor ``merges`` builds; ``memo`` keeps every step's
-    array (:func:`_vertex_tensor`).
-    """
-
-    steps: tuple
-    turns: int
-    fold: int
-    merges: dict  # host id -> _Merge; empty when unfolded
-    pairs: int | None
-    memo: _MergeMemo
-
-
 class _Layout(NamedTuple):
     """A network form on shapes alone: what a replay, the model and a plan
     read.
 
-    ``merges`` maps each host of a folded form to its :class:`_Merge`,
-    with its axes in the form's own axis order.
+    ``merges`` maps every vertex of the form to the :class:`_Merge` that
+    builds its tensor, with its axes in the form's own axis order; an
+    unfolded vertex's recipe absorbs nothing.
     """
 
     positions: dict
     bonds: list
     incident: dict
-    shapes: dict
     merges: dict
 
 
-class _Candidate(NamedTuple):
-    """A form and frame the plan chooses from: the ``fold`` and ``pairs``
-    of :class:`_Plan`, replayed in frame ``turns`` to ``steps`` over
-    ``layout``, and their modelled ``seconds`` and ``peak``."""
+class _Plan(NamedTuple):
+    """A sweep: a network form and frame, its steps, what the cost model
+    makes of them, and the arrays its steps have absorbed.
+
+    ``fold`` and ``pairs`` name the form, and ``turns`` the frame, as
+    :func:`_candidates` defines them; ``layout`` is the form, replayed in
+    that frame to ``steps``, whose warm sweep :func:`_model` prices at
+    ``seconds`` and ``peak``.  Every candidate is a plan, and
+    :func:`_choose` picks the one that runs.  ``memo`` keeps every step's
+    array (:func:`_vertex_tensor`).
+    """
 
     fold: int
     pairs: int | None
@@ -283,6 +275,7 @@ class _Candidate(NamedTuple):
     steps: tuple
     seconds: float
     peak: int
+    memo: _MergeMemo
 
 
 def _angle_from(origin, target) -> float:
@@ -412,8 +405,9 @@ def _layout(tn: TensorNetwork2D) -> _Layout:
         incident[bond.endpoint_a[0]].append((bid, bond.endpoint_a[1]))
         incident[bond.endpoint_b[0]].append((bid, bond.endpoint_b[1]))
     positions = {vid: v.position for vid, v in tn.vertices.items()}
-    shapes = {vid: v.tensor.extents for vid, v in tn.vertices.items()}
-    return _Layout(positions, tn.bonds, incident, shapes, {})
+    merges = {vid: _Merge((), tuple(range(v.tensor.rank)), v.tensor.extents)
+              for vid, v in tn.vertices.items()}
+    return _Layout(positions, tn.bonds, incident, merges)
 
 
 def _neighbours(layout: _Layout) -> dict:
@@ -506,8 +500,7 @@ def _fold(base: _Layout, assignment) -> _Layout:
         for bid, axis in ends:
             axes[vid][axis] = bid
     merges = {h: _merge_recipe(h, members, axes, dims, legs[h]) for h, members in assignment}
-    shapes = {h: merge.out for h, merge in merges.items()}
-    return _Layout(positions, bonds, incident, shapes, merges)
+    return _Layout(positions, bonds, incident, merges)
 
 
 def _pair(folded: _Layout, assignment, turns: int) -> tuple:
@@ -564,7 +557,7 @@ def _tally(steps, layout: _Layout, chi: int | None) -> tuple:
         sites[k] = (left, leg, right, left * leg * right)
 
     for vid, lo, hi, perm, m in steps:
-        extents = layout.shapes[vid]
+        extents = layout.merges[vid].out
         dims = [extents[axis] for axis in perm[:m]]
         size = math.prod(extents)
         if hi >= lo:
@@ -709,11 +702,12 @@ def _candidates(tn: TensorNetwork2D, chi: int | None) -> list:
                 if fold == 0 and turns == 0:
                     raise
                 continue
-            out.append(_Candidate(fold, pairs, turns, layout, steps, *_model(steps, layout, chi)))
+            seconds, peak = _model(steps, layout, chi)
+            out.append(_Plan(fold, pairs, turns, layout, steps, seconds, peak, _MergeMemo()))
     return out
 
 
-def _choose(candidates) -> _Candidate:
+def _choose(candidates) -> _Plan:
     """The fastest modelled candidate whose modelled peak is no higher
     than that of the fastest unfolded one; ties go to the lowest fold
     (unfolded first), then to unpaired, the lowest pairing frame and the
@@ -725,15 +719,10 @@ def _choose(candidates) -> _Candidate:
     return min((c for c in candidates if c.peak <= unfolded.peak), key=rank)
 
 
-def _plan_of(c: _Candidate) -> _Plan:
-    """The plan that runs candidate ``c``, its memo empty."""
-    return _Plan(c.steps, c.turns, c.fold, c.layout.merges, c.pairs, _MergeMemo())
-
-
 def _build_plan(tn: TensorNetwork2D, chi: int | None) -> _Plan:
     """Check ``tn`` (:func:`planarize`) and plan its sweep at ``chi``."""
     planarize(tn)
-    return _plan_of(_choose(_candidates(tn, chi)))
+    return _choose(_candidates(tn, chi))
 
 
 def _geometry(tn: TensorNetwork2D) -> tuple:
@@ -762,10 +751,12 @@ def _plan_for(tn: TensorNetwork2D, chi: int | None = None) -> _Plan:
     which tuple equality passes without comparing them, and the plan and
     its check are paid once per code and ``chi``.  A network edited in
     place after its plan was cached compares unequal and is planned anew.
-    Equal geometries replay the same deterministic build, so a hit's steps
-    and merges are exactly what a rebuild would make, and it stands for a
-    network that passed the check, which reads nothing the geometry does
-    not hold.  The one tensor-dependent part of a plan, its
+    Equal geometries replay the same deterministic build, so a hit's form,
+    steps and recipes are exactly what a rebuild would make, and it stands
+    for a network that passed the check, which reads nothing the geometry
+    does not hold but the types of the bond fields: a bond field equal to a
+    checked one's (``0.0`` to ``0``, ``True`` to ``1``) is read as that
+    one.  The one tensor-dependent part of a plan, its
     :class:`_MergeMemo`, is keyed by tensor identity, and a tensor's
     elements never change after construction, so any network of the
     geometry may share it: a memo entry is what the rebuilt plan would
@@ -795,26 +786,21 @@ def _plan_for(tn: TensorNetwork2D, chi: int | None = None) -> _Plan:
 
 def _vertex_tensor(plan: _Plan, vertices: dict, step: _Step) -> np.ndarray:
     """The array ``step`` absorbs, for a network with the vertices
-    ``vertices``: the tensor of its vertex or, in a folded plan, the one
-    the vertex's :class:`_Merge` builds from the tensors of its host and
-    absorbed vertices, transposed to ``step.perm``.  It is read-only and
-    C-contiguous, and read from the plan's memo when it holds it."""
+    ``vertices``: the tensor the vertex's :class:`_Merge` builds from the
+    tensors of the vertex and of those it absorbs, transposed to
+    ``step.perm``.  It is read-only and C-contiguous, and read from the
+    plan's memo when it holds it."""
     vid = step.vid
-    merge = plan.merges.get(vid)
+    merge = plan.layout.merges[vid]
     host = vertices[vid].tensor
-    if merge is None:
-        key = (vid, host)  # a third of the time of the general key
-    else:
-        key = (vid, host, *[vertices[p[0]].tensor for p in merge.products])
+    key = (vid, host, *[vertices[p[0]].tensor for p in merge.products])
     x = plan.memo.arrays.get(key)
     if x is not None:
         return x
     x = host.elements
-    if merge is not None:
-        for (_, axes, vaxes), absorbed in zip(merge.products, key[2:]):
-            x = np.tensordot(x, absorbed.elements, (axes, vaxes))
-        x = x.transpose(merge.perm).reshape(merge.out)
-    x = x.transpose(step.perm)
+    for (_, axes, vaxes), absorbed in zip(merge.products, key[2:]):
+        x = np.tensordot(x, absorbed.elements, (axes, vaxes))
+    x = x.transpose(merge.perm).reshape(merge.out).transpose(step.perm)
     if not x.flags.c_contiguous:
         # np.ascontiguousarray would make a 0-d array 1-d
         x = x.copy()

@@ -194,6 +194,38 @@ def _find_crossing(bonds, pos):
     return None
 
 
+def _on_ray(bonds, pos):
+    """``(u, k)`` for the first vertex ``u`` that lies on a bond ``k`` it
+    does not end, found where ``k`` and a bond of ``u`` leave one vertex
+    along one ray, or None.
+
+    :func:`_find_crossing` skips each pair of bonds with a shared vertex,
+    so it misses ``u`` when every bond of ``u`` runs to an end of ``k``;
+    then ``k`` and such a bond leave that end along one ray.  The test is
+    exact: two bonds of one vertex to different vertices, collinear with
+    it (:func:`_orient` is 0) and on the same side of it.  ``u`` is the
+    nearer of their far ends.
+    """
+    ends: dict = {}  # vertex id -> [(bond id, other end)]
+    for i, b in enumerate(bonds):
+        ends.setdefault(b.endpoint_a[0], []).append((i, b.endpoint_b[0]))
+        ends.setdefault(b.endpoint_b[0], []).append((i, b.endpoint_a[0]))
+    for vid, out in ends.items():
+        x, y = pos[vid]
+        rays = [(i, u, pos[u][0] - x, pos[u][1] - y) for i, u in out]
+        for n, (i, u, ux, uy) in enumerate(rays):
+            for j, w, wx, wy in rays[n + 1 :]:
+                # _orient(pos[vid], pos[u], pos[w]) == 0, on the same side
+                if ux * wy - uy * wx == 0.0 and ux * wx + uy * wy > 0 and u != w:
+                    return (u, j) if ux * ux + uy * uy <= wx * wx + wy * wy else (w, i)
+    return None
+
+
+def _is_int(value) -> bool:
+    """``value`` is a Python or numpy integer, not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def planarize(tn: TensorNetwork2D) -> TensorNetwork2D:
     """Return ``tn`` itself when it is closed and drawn without crossings;
     raise otherwise.  This is the one check of a network.
@@ -202,16 +234,20 @@ def planarize(tn: TensorNetwork2D) -> TensorNetwork2D:
     ``ValueError``, and one whose position is not two finite real
     coordinates :class:`PlanarizeError`, both naming the vertex.  Then
     ``ValueError`` is raised, in this order, for a bond that is not a
-    :class:`Bond` between ``(vertex id, axis)`` tuples, naming a missing
-    vertex or an axis out of range, or whose dimension is not the extent of
-    an axis it ends, for a self-loop, a (vertex, axis) slot two bonds end
-    and an axis no bond ends.  The sweep reads the drawing as planar, and
-    every code family's coset network is drawn without crossings, so the
-    rest is a check, not a repair: the first crossing or vertex on the
-    interior of a bond it does not end, in ``(i, j)`` order over the bond
-    list (see :func:`_find_crossing`), raises :class:`PlanarizeError`; a
-    crossing names both bonds.  The name is kept for the layer trace, which
-    wraps this function as the sweep calls it.
+    :class:`Bond` between ``(vertex id, axis)`` tuples or whose dimension
+    is not an int of at least 1, for one naming a missing vertex, an axis
+    that is not an int or is out of range, or an axis whose extent is not
+    its dimension, for a self-loop, a (vertex, axis) slot two bonds end and
+    an axis no bond ends; a bool is no int here.  The sweep reads the
+    drawing as planar, and every code family's coset network is drawn
+    without crossings, so the rest is a check, not a repair: the first
+    crossing or vertex on the interior of a bond it does not end, in ``(i,
+    j)`` order over the bond list (see :func:`_find_crossing`), raises
+    :class:`PlanarizeError`; a crossing names both bonds.  A vertex on a
+    bond that every one of its bonds shares a vertex with, which that
+    search cannot see (:func:`_on_ray`), raises it next, naming the vertex
+    and the bond.  The name is kept for the layer trace, which wraps this
+    function as the sweep calls it.
     """
     for vid, v in tn.vertices.items():
         if not isinstance(v.tensor, DenseTensor):
@@ -229,10 +265,14 @@ def planarize(tn: TensorNetwork2D) -> TensorNetwork2D:
     for b in tn.bonds:
         if not (isinstance(b, Bond) and all(isinstance(ep, tuple) for ep in b[:2])):
             raise ValueError(f"{b!r} is not a Bond between (vertex id, axis) tuples")
+        if not (_is_int(b.dimension) and b.dimension >= 1):
+            raise ValueError(f"{b!r} has dimension {b.dimension!r}, not an int of at least 1")
         for vid, axis in (b.endpoint_a, b.endpoint_b):
             shape = shapes.get(vid)
             if shape is None:
                 raise ValueError(f"bond references missing vertex {vid}")
+            if not _is_int(axis):
+                raise ValueError(f"{b!r} has axis {axis!r}, not an int")
             if not (0 <= axis < len(shape)):
                 raise ValueError(f"bond references axis {axis} of rank-{len(shape)} vertex {vid}")
             if shape[axis] != b.dimension:
@@ -250,12 +290,21 @@ def planarize(tn: TensorNetwork2D) -> TensorNetwork2D:
         for axis in range(len(shape)):
             if (vid, axis) not in seen:
                 raise ValueError(f"dangling axis {axis} on vertex {vid}")
-    hit = _find_crossing(tn.bonds, {vid: v.position for vid, v in tn.vertices.items()})
+    pos = {vid: v.position for vid, v in tn.vertices.items()}
+    hit = _find_crossing(tn.bonds, pos)
     if hit is not None:
         i, j, pt = hit
         a, b = tn.bonds[i], tn.bonds[j]
         raise PlanarizeError(
             f"bond {i} ({a.endpoint_a[0]}-{a.endpoint_b[0]}) crosses bond {j} "
             f"({b.endpoint_a[0]}-{b.endpoint_b[0]}) at {pt}"
+        )
+    hit = _on_ray(tn.bonds, pos)
+    if hit is not None:
+        u, k = hit
+        b = tn.bonds[k]
+        raise PlanarizeError(
+            f"vertex {u} lies on bond {k} ({b.endpoint_a[0]}-{b.endpoint_b[0]}), "
+            "which it does not end"
         )
     return tn

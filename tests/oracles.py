@@ -192,7 +192,8 @@ def plan_unrotated(tn):
     """The sweep plan of ``tn`` in its own frame, as every plan was made
     before the frame and the fold were chosen: check that ``tn`` is
     planar, then replay the steps in ascending ``sweep_key`` order of the
-    untouched positions.  It folds nothing."""
+    untouched positions.  It folds nothing, and it is not modelled: its
+    ``seconds`` and ``peak`` are None."""
     network.planarize(tn)
     incident = {vid: [] for vid in tn.vertices}
     for bid, bond in enumerate(tn.bonds):
@@ -204,7 +205,7 @@ def plan_unrotated(tn):
         for v in sorted(tn.vertices.values(), key=contract.sweep_key)
     )
     assert not pending
-    return contract._Plan(steps, 0, 0, {}, None, contract._MergeMemo())
+    return contract._Plan(0, None, 0, contract._layout(tn), steps, None, None, contract._MergeMemo())
 
 
 def _tensordot_axes(step):

@@ -1,4 +1,8 @@
-"""Grid-bucketed crossing search of ``planarize`` against the all-pairs scan."""
+"""The one check of a network, ``planarize``: its grid-bucketed crossing
+search against the all-pairs scan, and its typed errors."""
+
+import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from sweepdecode.sweep import (
     PlanarizeError,
     TensorNetwork2D,
     TNVertex,
+    contract,
     network,
     planarize,
     sweep_contract,
@@ -221,3 +226,77 @@ class TestMalformedVertices:
     @pytest.mark.parametrize("position", [[1.0, 0.0], np.array([1.0, 0.0]), (1, 0), (np.float32(1.0), 0.0)])
     def test_any_pair_of_real_coordinates_is_read(self, position):
         assert sweep_contract(two_vertices(position=position)) == sweep_contract(two_vertices())
+
+
+class TestMalformedBonds:
+    """A bond field the sweep would misread raises ``ValueError`` naming
+    the bond, not numpy's or Python's error from deep in the sweep."""
+
+    @pytest.mark.parametrize(
+        "bond, extent, message",
+        [
+            (Bond((0, 0.0), (1, 0), 2), 2, r"has axis 0\.0, not an int$"),
+            (Bond((0, 0), (1, 0), 0), 0, r"has dimension 0, not an int of at least 1$"),
+            (Bond((0, 0), (1, 0), True), 1, r"has dimension True, not an int of at least 1$"),
+        ],
+        ids=["float axis", "dimension 0", "dimension True"],
+    )
+    def test_axis_or_dimension_that_is_not_an_int_raises(self, bond, extent, message):
+        vertices = [TNVertex(k, DenseTensor(np.ones(extent)), (float(k), 0.0)) for k in (0, 1)]
+        tn = TensorNetwork2D(vertices, [bond])
+        # 0.0 == 0 and True == 1, so a plan cached for the int fields would
+        # stand for this network
+        contract._plans.clear()
+        for check in (planarize, sweep_contract, sweep_contract):
+            with pytest.raises(ValueError, match=r"^Bond\(.*" + message):
+                check(tn)
+
+    def test_numpy_ints_are_read(self):
+        tn = two_vertices()
+        tn.bonds = [Bond((np.int64(0), np.int64(0)), (1, np.int32(0)), np.int64(2))]
+        assert sweep_contract(tn) == sweep_contract(two_vertices())
+
+
+def value(result):
+    return result.mantissa * math.exp(result.log_scale)
+
+
+def collinear_triangle(middle):
+    """Vertices 0 at (0, 0), 1 at ``middle`` and 2 at (2, 0), bonded 0-1,
+    1-2 and 0-2, each tensor a 2 x 2 matrix of ones."""
+    positions = [(0.0, 0.0), middle, (2.0, 0.0)]
+    vertices = [TNVertex(k, DenseTensor(np.ones((2, 2))), p) for k, p in enumerate(positions)]
+    bonds = [Bond((0, 0), (1, 0), 2), Bond((1, 1), (2, 0), 2), Bond((0, 1), (2, 1), 2)]
+    return TensorNetwork2D(vertices, bonds)
+
+
+class TestVertexOnABondOfItsNeighbours:
+    """A vertex on a bond that each of its own bonds shares a vertex with:
+    the crossing search skips every such pair of bonds."""
+
+    @pytest.mark.parametrize(
+        "middle, vertex, bond",
+        [((1.0, 0.0), 1, "2 (0-2)"), ((0.5, 0.0), 1, "2 (0-2)"), ((3.0, 0.0), 2, "0 (0-1)"),
+         ((-1.0, 0.0), 0, "1 (1-2)")],
+        ids=["midpoint", "off-centre", "beyond-2", "beyond-0"],
+    )
+    def test_raises_naming_the_vertex_and_the_bond(self, middle, vertex, bond):
+        tn = collinear_triangle(middle)
+        assert network._find_crossing(tn.bonds, {k: v.position for k, v in tn.vertices.items()}) is None
+        message = f"^vertex {vertex} lies on bond {re.escape(bond)}, which it does not end$"
+        for check in (planarize, planarize_all_pairs, sweep_contract, sweep_contract):
+            with pytest.raises(PlanarizeError, match=message):
+                check(tn)
+
+    @pytest.mark.parametrize("middle", [(1.0, 0.5), (1.0, -1e-9)])
+    def test_vertex_off_the_bond_is_read(self, middle):
+        tn = collinear_triangle(middle)
+        assert planarize(tn) is tn
+        assert value(sweep_contract(tn)) == pytest.approx(8.0, rel=1e-14)
+
+    def test_parallel_bonds_between_two_vertices_are_read(self):
+        # both bonds leave each end along one ray, to the same vertex
+        vertices = [TNVertex(k, DenseTensor(np.ones((2, 3))), (float(k), 0.0)) for k in (0, 1)]
+        tn = TensorNetwork2D(vertices, [Bond((0, 0), (1, 0), 2), Bond((0, 1), (1, 1), 3)])
+        assert planarize(tn) is tn
+        assert value(sweep_contract(tn)) == pytest.approx(6.0, rel=1e-14)

@@ -433,25 +433,6 @@ class TestIdentitySites:
         pairs = [(a, b) for a, b in zip(first, second) if not a.flags.writeable]
         assert pairs and all(a.base is b.base for a, b in pairs)
 
-    def test_vertices_sharing_one_tensor(self, monkeypatch):
-        # hosts whose own and absorbed tensors are the same objects still
-        # merge by their own recipes
-        tn = grid_network(np.random.default_rng(4850), 4, 4, dim=2)
-        shared = {}
-        for v in tn.vertices.values():
-            shared.setdefault(v.tensor.rank, v.tensor)
-        tn = TensorNetwork2D(
-            [TNVertex(v.id, shared[v.tensor.rank], v.position) for v in tn.vertices.values()],
-            tn.bonds,
-        )
-        contract._plans.clear()
-        with monkeypatch.context() as m:
-            m.setattr(contract, "MERGE_MEMO_BYTES", 0)
-            want = sweep_contract(tn)
-        plan = contract._plan_for(tn, None)
-        assert sweep_contract(tn) == sweep_contract(tn) == want
-        assert len(plan.memo.arrays) == len(plan.steps)
-
     def test_memo_is_bounded_in_bytes(self, monkeypatch):
         # the top vertex of a triangle with two bonds of dimension n below
         # it emits an n x n identity site
@@ -1250,13 +1231,13 @@ def assert_merges_match_einsum(tn):
     plans += [c for c in exact if c.pairs is not None]
     checked = 0
     oracle = {}  # (id(layout), host) -> merged_by_einsum
-    for c in {(c.fold, c.pairs, c.turns): c for c in plans if c.fold}.values():
-        plan = contract._plan_of(c)
-        group = {h: {h, *(vid for vid, _, _ in m.products)} for h, m in plan.merges.items()}
+    for plan in {(c.fold, c.pairs, c.turns): c for c in plans if c.fold}.values():
+        merges = plan.layout.merges
+        group = {h: {h, *(vid for vid, _, _ in m.products)} for h, m in merges.items()}
         for step in plan.steps:
-            key = (id(c.layout), step.vid)
+            key = (id(plan.layout), step.vid)
             if key not in oracle:
-                oracle[key] = merged_by_einsum(tn, c.layout, group, step.vid)
+                oracle[key] = merged_by_einsum(tn, plan.layout, group, step.vid)
             want = oracle[key].transpose(step.perm)
             got = contract._vertex_tensor(plan, tn.vertices, step)
             assert got.shape == want.shape
@@ -1273,13 +1254,11 @@ class TestFold:
         run and how many of those were paired."""
         want = run_plan(plan_unrotated(tn), tn)[0]
         run = paired = 0
-        for c in contract._candidates(tn, None):
-            if c.fold and c.peak <= FOLD_PEAK_CAP:
-                plan = contract._plan_of(c)
-                assert plan.pairs == c.pairs
+        for plan in contract._candidates(tn, None):
+            if plan.fold and plan.peak <= FOLD_PEAK_CAP:
                 assert_same_value(run_plan(plan, tn)[0], want)
                 run += 1
-                paired += c.pairs is not None
+                paired += plan.pairs is not None
         return run, paired
 
     def test_corpus_folds_match_unfolded(self):
@@ -1350,7 +1329,7 @@ class TestFold:
             assert {c.fold for c in crossing} == {1, 2} and dropped
             # every folded form here comes of a crossing fold
             for c in contract._candidates(tn, chi):
-                assert_matches_oracle(run_plan(contract._plan_of(c), tn)[0], tn, rel=1e-12)
+                assert_matches_oracle(run_plan(c, tn)[0], tn, rel=1e-12)
         assert_matches_oracle(sweep_contract(tn), tn, rel=1e-12)
 
     def test_pairs_cover_each_host_once(self):
@@ -1403,7 +1382,7 @@ class TestFold:
         run = [c for c in crossing if c.peak <= FOLD_PEAK_CAP]
         assert run
         for c in run:
-            assert_same_value(run_plan(contract._plan_of(c), tn)[0], want)
+            assert_same_value(run_plan(c, tn)[0], want)
 
     # the benchmark's codes, square d=5 at chi=8 and subsystem d=5 exact,
     # then the rest of the fold cases (FOLD_CASE_PLANS)
@@ -1456,8 +1435,7 @@ class TestFold:
         candidates = contract._candidates(tn, chi)
         chosen = contract._choose(candidates)
         checked = [chosen] + [c for c in candidates if c.pairs is not None and 8 * c.peak <= 1 << 20]
-        for c in checked:
-            plan = contract._plan_of(c)
+        for plan in checked:
             contract._run(plan, tn.vertices, chi)  # warm the identity memo
             tracemalloc.start()
             try:
@@ -1466,7 +1444,7 @@ class TestFold:
                 traced = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
-            assert 8 * c.peak >= 0.85 * traced, (c.fold, c.pairs, c.turns)
+            assert 8 * plan.peak >= 0.85 * traced, (plan.fold, plan.pairs, plan.turns)
         assert len(checked) > 5
 
     def test_chosen_peak_is_never_above_unfolded(self):
@@ -1484,6 +1462,26 @@ class TestFold:
         # the guard binds on some networks, and folds win on others
         assert folded > 20 and guarded > 0
 
+    @pytest.mark.parametrize("chi", [None, 8])
+    def test_every_step_vertex_has_one_recipe(self, chi):
+        # every vertex a plan's steps absorb, folded or not, has a recipe;
+        # an unfolded one absorbs nothing and keeps its tensor's axes
+        unfolded = 0
+        for tn in [code_network(f, d) for f, d in fold_cases()] + list(netgen_corpus()):
+            candidates = contract._candidates(tn, chi)
+            for plan in candidates:
+                merges = plan.layout.merges
+                assert set(merges) == {step.vid for step in plan.steps}
+                if not plan.fold:
+                    unfolded += 1
+                    for vid, merge in merges.items():
+                        extents = tn.vertices[vid].tensor.extents
+                        assert merge == ((), tuple(range(len(extents))), extents)
+            built, chosen = contract._build_plan(tn, chi), contract._choose(candidates)
+            assert built.fold == chosen.fold and built.pairs == chosen.pairs
+            assert built.turns == chosen.turns and built.steps == chosen.steps
+        assert unfolded > 100
+
     @pytest.mark.parametrize("family, d", fold_cases())
     def test_code_merges_match_einsum(self, family, d):
         assert assert_merges_match_einsum(code_network(family, d)) > 20
@@ -1497,7 +1495,7 @@ class TestFold:
     def test_non_finite_element_raises(self, bad, where, chi):
         tn = grid_network(np.random.default_rng(4500), 4, 4, dim=2)
         host, merge = next(
-            (h, m) for h, m in contract._plan_for(tn, chi).merges.items() if m.products
+            (h, m) for h, m in contract._plan_for(tn, chi).layout.merges.items() if m.products
         )
         vid = host if where == "host" else merge.products[0][0]
         v = tn.vertices[vid]
@@ -1565,15 +1563,14 @@ class TestMergeMemo:
         folded = 0
         for tn in networks:
             candidates = contract._candidates(tn, chi)
-            for c in (contract._choose(candidates), unfolded_best(candidates)):
-                folded += c.fold != 0
-                plan = contract._plan_of(c)
+            for plan in (contract._choose(candidates), unfolded_best(candidates)):
+                folded += plan.fold != 0
                 arrays = step_arrays(plan, tn, chi, monkeypatch)
                 assert [step for step, _ in arrays] == list(plan.steps)
                 for step, a in arrays:
                     assert not a.flags.writeable and a.flags.c_contiguous
-                    assert a.shape == tuple(c.layout.shapes[step.vid][k] for k in step.perm)
-                    if not c.fold:
+                    assert a.shape == tuple(plan.layout.merges[step.vid].out[k] for k in step.perm)
+                    if not plan.fold:
                         own = tn.vertices[step.vid].tensor.elements
                         assert same_bits(a, own.transpose(step.perm))
         assert folded > 20
@@ -1589,10 +1586,7 @@ class TestMergeMemo:
     def test_hits_are_fresh_builds_bit_for_bit(self, family, d):
         tn = code_network(family, d)
         networks = variant_networks(tn, np.random.default_rng(d), 6)
-        plans = [
-            contract._plan_of(c) for c in contract._candidates(tn, None)
-            if c.fold and c.peak <= FOLD_PEAK_CAP
-        ]
+        plans = [c for c in contract._candidates(tn, None) if c.fold and c.peak <= FOLD_PEAK_CAP]
         assert plans
         for plan in plans:
             for net in networks:
@@ -1637,7 +1631,7 @@ class TestMergeMemo:
         )
         contract._plans.clear()
         plan = contract._plan_for(tn, None)
-        assert plan.merges
+        assert plan.fold
         first = sweep_contract(tn)
         entries = len(plan.memo.arrays)
         assert entries == len(plan.steps)
