@@ -5,14 +5,14 @@
 the form and frame the network is swept in, the recipe of each vertex's
 tensor in that form (:class:`_Merge`), its modelled cost and, per step
 (:class:`_Step`), the vertex it absorbs, the boundary slots it consumes
-and how it lays out the vertex's axes.  The one thing it holds beyond
-those is a memo of the arrays its steps absorb, each laid out in its
-step's order and keyed by the tensor objects it was built from, so a
-decoder, which sweeps networks of one code over and over, builds each
-array once; the cost model that picks the plan prices the warm sweeps
-that follow.  The run (:func:`_run`) does only numerics: it absorbs each
-step's array into a boundary matrix product state, and compresses that
-state when it grows too wide.
+and how it lays out the vertex's axes.  Beyond those it holds a memo of
+the arrays its steps absorb, each laid out in its step's order and keyed
+by the tensor objects it was built from, and of the cuts that split each
+absorption into sites, so a decoder, which sweeps networks of one code
+over and over, builds each array and each cut once; the cost model that
+picks the plan prices the warm sweeps that follow.  The run (:func:`_run`)
+does only numerics: it absorbs each step's array into a boundary matrix
+product state, and compresses that state when it grows too wide.
 
 Each rule is stated where it is enforced:
 
@@ -25,9 +25,12 @@ Each rule is stated where it is enforced:
 - the array a step absorbs: :func:`_vertex_tensor`, which fills the memo
   of step arrays, :class:`_MergeMemo`, up to ``MERGE_MEMO_BYTES``;
 - the plan cache and its lookup by geometry: :func:`_plan_for`;
-- an absorption: :func:`contract_step`, split into sites by :func:`_split`;
+- an absorption: :func:`contract_step`, split into sites by :func:`_cut`
+  on the sizes of :func:`_split`, and the memo of cuts beside the step
+  arrays (``_MergeMemo.cuts``), which :func:`_run` hands the chain;
 - the pass-through identities, the chain's read-only sites:
   :class:`MPSState`;
+- a site's scale and the non-finite check: ``MPSState._normalize_site``;
 - the truncation and its LAPACK calls: :func:`compress_mps`;
 - the ``2 * chi`` compression trigger: :func:`_run`.
 """
@@ -41,9 +44,10 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import blas as _blas
 from scipy.linalg import lapack as _lapack
 
-from .network import Bond, TensorNetwork2D, TNVertex, _orient, planarize
+from .network import Bond, TensorNetwork2D, TNVertex, _check_fields, _orient, planarize
 
 __all__ = ["SweepValue", "ContractionError", "sweep_key", "sweep_contract"]
 
@@ -78,14 +82,16 @@ MERGE_MEMO_BYTES = 2 << 20
 # at chi=8 on a square code, 83% in an exact subsystem d=5 sweep); wider
 # ones, MBs each in an exact contraction, are built per step.  The memo
 # stays allocated between sweeps, so it is bounded in bytes: at most
-# sum(8 n^2 for n <= 16) = 12 KB.
+# sum(8 n^2 for n <= 16) = 12 KB.  A plan keeps only the cuts whose
+# identities are all this narrow (_MergeMemo.cuts), so a kept cut holds
+# views of these shared identities and no wider one.
 IDENTITY_MEMO_MAX = 16
 
 # Constants of the plan cost model (_model), fitted to the measured warm
 # sweeps in BENCH_plan_model.json by ``python scripts/plan_model.py --fit``.
-MODEL_SECONDS_PER_MADD = 3.88e-11
-MODEL_SECONDS_PER_STEP = 1.21e-5
-MODEL_SECONDS_PER_COMPRESSED_SITE = 4.31e-5
+MODEL_SECONDS_PER_MADD = 5.17e-11
+MODEL_SECONDS_PER_STEP = 1.14e-5
+MODEL_SECONDS_PER_COMPRESSED_SITE = 4.68e-5
 
 
 class ContractionError(ValueError):
@@ -129,13 +135,17 @@ class MPSState:
     their flag.  The chain is internal to the sweep for that reason.
 
     ``emitted`` is the largest bond the last :func:`contract_step` made
-    between the sites it emitted, 0 when it made none.
+    between the sites it emitted, 0 when it made none.  ``cuts`` is the
+    memo of the cuts :func:`contract_step` makes: :func:`_run` hands the
+    chain its plan's (``_MergeMemo.cuts``), and a bare ``MPSState()`` has
+    an empty one of its own.
     """
 
     sites: list = field(default_factory=list)
     log_scale: float = 0.0
     mantissa: float = 1.0
     emitted: int = 0
+    cuts: dict = field(default_factory=dict)
 
     def max_bond(self) -> int:
         if len(self.sites) < 2:
@@ -147,14 +157,18 @@ class MPSState:
         in [2^-0.5, 2^0.5], folding the shift into ``log_scale``.
 
         Only exponent bits change, so the elements are rescaled exactly.
-        An all-zero site is left alone; a non-finite one raises.
+        An all-zero site is left alone; a non-finite one raises.  BLAS
+        ``idamax`` finds the largest magnitude, but may pass over a NaN,
+        so ``ddot`` of the site with itself, NaN exactly when an element
+        is (a sum of squares meets no ``inf - inf``), finds those.
         """
         arr = self.sites[k]
-        m = np.abs(arr).max()
+        flat = arr.reshape(-1)
+        m = abs(flat.item(_blas.idamax(flat)))
+        if math.isinf(m) or math.isnan(_blas.ddot(flat, flat)):
+            raise ContractionError("boundary MPS holds a non-finite value")
         if m == 0.0:
             return
-        if not math.isfinite(m):
-            raise ContractionError("boundary MPS holds a non-finite value")
         e = round(math.log2(m))
         if e != 0:
             self.sites[k] = np.ldexp(arr, -e)
@@ -217,11 +231,21 @@ class _MergeMemo:
     kept, and an insert that would take ``nbytes`` past it first clears
     the memo.  A key already held, put again by a thread that missed it
     too, keeps its entry and is counted once.
+
+    ``cuts`` maps ``(left, dims, right)`` to the cut :func:`_cut` makes of
+    an absorption of those sizes, kept by :func:`contract_step` when its
+    identities are all at most ``IDENTITY_MEMO_MAX`` wide: a few ints and
+    views of the shared identities, not counted in ``nbytes`` nor cleared
+    with the arrays.  An exact sweep's plan fixes every key, at most one
+    per step; at a finite ``chi`` the ranks the compressions find pick
+    them (21 keys on square d=5 at chi=8 after 64 shots, 17 for the 25
+    steps of subsystem d=5 exact).
     """
 
     def __init__(self):
         self.arrays: dict = {}
         self.nbytes = 0
+        self.cuts: dict = {}
         self._lock = threading.Lock()
 
     def put(self, key, array: np.ndarray):
@@ -754,9 +778,12 @@ def _plan_for(tn: TensorNetwork2D, chi: int | None = None) -> _Plan:
     Equal geometries replay the same deterministic build, so a hit's form,
     steps and recipes are exactly what a rebuild would make, and it stands
     for a network that passed the check, which reads nothing the geometry
-    does not hold but the types of the bond fields: a bond field equal to a
-    checked one's (``0.0`` to ``0``, ``True`` to ``1``) is read as that
-    one.  The one tensor-dependent part of a plan, its
+    does not hold but the types of the bond fields.  A bond equal to a
+    checked one need not pass (``0.0 == 0``, ``True == 1``), so when the
+    bonds of a hit are not the cached bond objects themselves, the type
+    checks of :func:`planarize` (:func:`_check_fields`) run on them; a
+    decoder's networks share their bond objects and skip them.  The one
+    tensor-dependent part of a plan, its
     :class:`_MergeMemo`, is keyed by tensor identity, and a tensor's
     elements never change after construction, so any network of the
     geometry may share it: a memo entry is what the rebuilt plan would
@@ -776,7 +803,14 @@ def _plan_for(tn: TensorNetwork2D, chi: int | None = None) -> _Plan:
             if cached == key:
                 if i:  # the usual hit, at 0, allocates nothing
                     _plans.insert(0, _plans.pop(i))
-                return plan
+                break
+        else:
+            plan = None
+    if plan is not None:
+        if not all(map(operator.is_, key[1][3], cached[1][3])):
+            for bond in key[1][3]:
+                _check_fields(bond)
+        return plan
     plan = _build_plan(tn, chi)
     with _plans_lock:
         _plans.insert(0, (key, plan))
@@ -893,6 +927,20 @@ def _split(left: int, dims, right: int) -> tuple:
     return prefix, suffix, t, emitted
 
 
+def _cut(left: int, dims: tuple, right: int) -> tuple:
+    """``(shape, t, emitted, before, after)``: the cut of :func:`_split`
+    as :func:`contract_step` applies it.  The data site ``t`` has shape
+    ``shape``; ``before`` and ``after`` are the read-only identity sites
+    left and right of it, views of :func:`_identity` already reshaped.
+    Every identity is at most ``emitted`` wide."""
+    prefix, suffix, t, emitted = _split(left, dims, right)
+    before = tuple(_identity(prefix[k + 1]).reshape(prefix[k], dims[k], prefix[k + 1])
+                   for k in range(t))
+    after = tuple(_identity(suffix[k]).reshape(suffix[k], dims[k], suffix[k + 1])
+                  for k in range(t + 1, len(dims)))
+    return (prefix[t], dims[t], suffix[t + 1]), t, emitted, before, after
+
+
 def contract_step(mps: MPSState, step: _Step, elements: np.ndarray) -> MPSState:
     """Absorb the vertex of ``step``, whose array laid out in the step's
     order (:func:`_vertex_tensor`) is ``elements``, into the boundary MPS,
@@ -903,11 +951,15 @@ def contract_step(mps: MPSState, step: _Step, elements: np.ndarray) -> MPSState:
     right)`` as the chain stores it (a vertex with no backward bonds takes
     the identity on the bond it enters across, as ``(p, 1, p)``), and
     ``np.matmul(W, run)``, with ``W`` the elements as given reshaped to
-    ``(S, L)``, gives ``(left, S, right)``, already in chain order.
-    :func:`_split` cuts it into the data site, a reshape of the product,
-    and read-only views of shared identities (:func:`_identity`) either
-    side.  Consumed sites leave the chain before their replacement is
-    built.  The step sets ``mps.emitted`` (:class:`MPSState`).
+    ``(S, L)``, gives ``(left, S, right)``, already in chain order; at
+    ``left == 1`` a 2-D ``np.dot`` gives the same bits for less call
+    overhead.  The product is cut by :func:`_cut` into the data site, a
+    reshape of the product, and read-only views of shared identities
+    (:func:`_identity`) either side.  A cut whose identities are all at
+    most ``IDENTITY_MEMO_MAX`` wide is made once per ``(left, dims,
+    right)`` and kept in ``mps.cuts``, so it retains only shared
+    identities.  Consumed sites leave the chain before their replacement
+    is built.  The step sets ``mps.emitted`` (:class:`MPSState`).
     """
     _, lo, hi, _, m = step
     sites = mps.sites
@@ -925,7 +977,11 @@ def contract_step(mps: MPSState, step: _Step, elements: np.ndarray) -> MPSState:
         left = right = sites[lo - 1].shape[2] if 0 < lo < len(sites) else 1
         run = _identity(left)
     dims = elements.shape[:m]
-    merged = np.matmul(elements.reshape(math.prod(dims), -1), run.reshape(left, -1, right))
+    w = elements.reshape(math.prod(dims), -1)
+    if left == 1:
+        merged = np.dot(w, run.reshape(-1, right))
+    else:
+        merged = np.matmul(w, run.reshape(left, -1, right))
     del run
 
     if m == 0:
@@ -954,20 +1010,14 @@ def contract_step(mps: MPSState, step: _Step, elements: np.ndarray) -> MPSState:
             mps._normalize_site(max(lo - 1, 0))
         return mps
 
-    prefix, suffix, t, mps.emitted = _split(left, dims, right)
-    crossover = merged.reshape(prefix[t], dims[t], suffix[t + 1])
-    del merged
-    new_sites = []
-    for k in range(m):
-        if k < t:
-            site = _identity(prefix[k + 1]).reshape(prefix[k], dims[k], prefix[k + 1])
-        elif k > t:
-            site = _identity(suffix[k]).reshape(suffix[k], dims[k], suffix[k + 1])
-        else:
-            site = crossover
-        new_sites.append(site)
-
-    sites[lo:lo] = new_sites
+    key = (left, dims, right)
+    cut = mps.cuts.get(key)
+    if cut is None:
+        cut = _cut(left, dims, right)
+        if cut[2] <= IDENTITY_MEMO_MAX:
+            mps.cuts[key] = cut
+    shape, t, mps.emitted, before, after = cut
+    sites[lo:lo] = (*before, merged.reshape(shape), *after)
     mps._normalize_site(lo + t)
     return mps
 
@@ -1105,9 +1155,9 @@ def _run(plan: _Plan, vertices: dict, chi: int | None) -> SweepValue:
     step.  A step makes no bond but those between the sites it emits, and
     reports the largest of them (``MPSState.emitted``), so testing that
     alone compresses at exactly the steps a check of the whole chain after
-    every step would.
+    every step would.  The chain makes its cuts with the plan's memo.
     """
-    mps = MPSState()
+    mps = MPSState(cuts=plan.memo.cuts)
     # A non-finite product raises ContractionError at the step that made it
     # (every site that takes new data is normalized, and the closing scalar
     # is checked), so numpy's overflow and invalid-value warnings would only

@@ -226,6 +226,21 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _check_fields(b):
+    """Raise ``ValueError`` naming ``b`` unless it is a :class:`Bond`
+    between ``(vertex id, axis)`` tuples whose dimension is an int of at
+    least 1 and whose axes are ints; a bool is no int here.  These are the
+    checks of a bond that read its fields' types, which a bond equal to a
+    checked one need not pass (``0.0 == 0``, ``True == 1``)."""
+    if not (isinstance(b, Bond) and all(isinstance(ep, tuple) for ep in b[:2])):
+        raise ValueError(f"{b!r} is not a Bond between (vertex id, axis) tuples")
+    if not (_is_int(b.dimension) and b.dimension >= 1):
+        raise ValueError(f"{b!r} has dimension {b.dimension!r}, not an int of at least 1")
+    for _, axis in (b.endpoint_a, b.endpoint_b):
+        if not _is_int(axis):
+            raise ValueError(f"{b!r} has axis {axis!r}, not an int")
+
+
 def planarize(tn: TensorNetwork2D) -> TensorNetwork2D:
     """Return ``tn`` itself when it is closed and drawn without crossings;
     raise otherwise.  This is the one check of a network.
@@ -234,20 +249,20 @@ def planarize(tn: TensorNetwork2D) -> TensorNetwork2D:
     ``ValueError``, and one whose position is not two finite real
     coordinates :class:`PlanarizeError`, both naming the vertex.  Then
     ``ValueError`` is raised, in this order, for a bond that is not a
-    :class:`Bond` between ``(vertex id, axis)`` tuples or whose dimension
-    is not an int of at least 1, for one naming a missing vertex, an axis
-    that is not an int or is out of range, or an axis whose extent is not
-    its dimension, for a self-loop, a (vertex, axis) slot two bonds end and
-    an axis no bond ends; a bool is no int here.  The sweep reads the
-    drawing as planar, and every code family's coset network is drawn
-    without crossings, so the rest is a check, not a repair: the first
-    crossing or vertex on the interior of a bond it does not end, in ``(i,
-    j)`` order over the bond list (see :func:`_find_crossing`), raises
-    :class:`PlanarizeError`; a crossing names both bonds.  A vertex on a
-    bond that every one of its bonds shares a vertex with, which that
-    search cannot see (:func:`_on_ray`), raises it next, naming the vertex
-    and the bond.  The name is kept for the layer trace, which wraps this
-    function as the sweep calls it.
+    :class:`Bond` between ``(vertex id, axis)`` tuples, whose dimension is
+    not an int of at least 1 or whose axis is not an int
+    (:func:`_check_fields`), for one naming a missing vertex, an axis out
+    of range or an axis whose extent is not its dimension, for a
+    self-loop, a (vertex, axis) slot two bonds end and an axis no bond
+    ends.  The sweep reads the drawing as planar, and every code family's
+    coset network is drawn without crossings, so the rest is a check, not
+    a repair: the first crossing or vertex on the interior of a bond it
+    does not end, in ``(i, j)`` order over the bond list (see
+    :func:`_find_crossing`), raises :class:`PlanarizeError`; a crossing
+    names both bonds.  A vertex on a bond that every one of its bonds
+    shares a vertex with, which that search cannot see (:func:`_on_ray`),
+    raises it next, naming the vertex and the bond.  The name is kept for
+    the layer trace, which wraps this function as the sweep calls it.
     """
     for vid, v in tn.vertices.items():
         if not isinstance(v.tensor, DenseTensor):
@@ -263,16 +278,11 @@ def planarize(tn: TensorNetwork2D) -> TensorNetwork2D:
     shapes = {vid: v.tensor.extents for vid, v in tn.vertices.items()}
     seen = set()
     for b in tn.bonds:
-        if not (isinstance(b, Bond) and all(isinstance(ep, tuple) for ep in b[:2])):
-            raise ValueError(f"{b!r} is not a Bond between (vertex id, axis) tuples")
-        if not (_is_int(b.dimension) and b.dimension >= 1):
-            raise ValueError(f"{b!r} has dimension {b.dimension!r}, not an int of at least 1")
+        _check_fields(b)
         for vid, axis in (b.endpoint_a, b.endpoint_b):
             shape = shapes.get(vid)
             if shape is None:
                 raise ValueError(f"bond references missing vertex {vid}")
-            if not _is_int(axis):
-                raise ValueError(f"{b!r} has axis {axis!r}, not an int")
             if not (0 <= axis < len(shape)):
                 raise ValueError(f"bond references axis {axis} of rank-{len(shape)} vertex {vid}")
             if shape[axis] != b.dimension:

@@ -251,6 +251,41 @@ class TestMalformedBonds:
             with pytest.raises(ValueError, match=r"^Bond\(.*" + message):
                 check(tn)
 
+    @pytest.mark.parametrize(
+        "bond, extent, message",
+        [
+            (Bond((0, 0.0), (1, 0), 2), 2, r"^Bond\(.*has axis 0\.0, not an int$"),
+            (Bond((0, 0), (1, 0), True), 1, r"^Bond\(.*has dimension True, not an int of at least 1$"),
+            (((0, 0), (1, 0), 2), 2, r"is not a Bond between \(vertex id, axis\) tuples$"),
+        ],
+        ids=["float axis", "dimension True", "plain tuple"],
+    )
+    def test_a_cached_plan_does_not_pass_an_equal_malformed_bond(self, bond, extent, message):
+        # each bad bond equals the int-field Bond of a network swept first,
+        # whose plan the cache then holds for the bad network's geometry
+        vertices = [TNVertex(k, DenseTensor(np.ones(extent)), (float(k), 0.0)) for k in (0, 1)]
+        good = TensorNetwork2D(vertices, [Bond((0, 0), (1, 0), extent)])
+        assert good.bonds[0] == bond
+        contract._plans.clear()
+        want = sweep_contract(good)
+        bad = TensorNetwork2D(vertices, [bond])
+        for check in (sweep_contract, sweep_contract, planarize):
+            with pytest.raises(ValueError, match=message):
+                check(bad)
+        assert sweep_contract(good) == want
+
+    def test_equal_fresh_bonds_hit_the_cached_plan(self, monkeypatch):
+        builds = []
+        build = contract._build_plan
+        monkeypatch.setattr(contract, "_build_plan", lambda tn, chi: builds.append(tn) or build(tn, chi))
+        contract._plans.clear()
+        tn = grid_network(np.random.default_rng(4700), 3, 3, dim=2)
+        want = sweep_contract(tn)
+        fresh = TensorNetwork2D(tn.vertices.values(), [Bond(*b) for b in tn.bonds])
+        assert all(a == b and a is not b for a, b in zip(fresh.bonds, tn.bonds))
+        assert sweep_contract(fresh) == want
+        assert len(builds) == 1
+
     def test_numpy_ints_are_read(self):
         tn = two_vertices()
         tn.bonds = [Bond((np.int64(0), np.int64(0)), (1, np.int32(0)), np.int64(2))]

@@ -1132,6 +1132,55 @@ class TestNonFiniteValues:
         with pytest.raises(ContractionError):
             sweep_contract(tn, chi)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("index", ["middle", "last"])
+    @pytest.mark.parametrize("where", ["mid-sweep", "last vertex"])
+    @pytest.mark.parametrize("chi", [None, 2])
+    def test_non_finite_element_anywhere_raises(self, bad, index, where, chi):
+        # a scale search that passed over a NaN or inf behind a larger
+        # finite magnitude would let this one through
+        tn = grid_network(np.random.default_rng(4500), 4, 4, dim=2)
+        order = sorted(tn.vertices.values(), key=sweep_key)
+        v = order[len(order) // 2] if where == "mid-sweep" else order[-1]
+        arr = v.tensor.elements.copy()
+        arr.reshape(-1)[arr.size // 2 if index == "middle" else -1] = bad
+        tn.vertices[v.id] = TNVertex(v.id, DenseTensor(arr), v.position)
+        with pytest.raises(ContractionError):
+            sweep_contract(tn, chi)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("index", [0, 13, 26])
+    def test_normalize_site_finds_a_non_finite_element_anywhere(self, bad, index):
+        site = np.random.default_rng(4502).normal(size=(3, 3, 3))
+        site.reshape(-1)[index] = bad
+        mps = MPSState(sites=[site])
+        with pytest.raises(ContractionError, match="non-finite"):
+            mps._normalize_site(0)
+
+    @pytest.mark.parametrize("value", [0.0, -0.0])
+    def test_normalize_site_leaves_a_zero_site(self, value):
+        site = np.full((2, 3, 2), value)
+        mps = MPSState(sites=[site], log_scale=0.5)
+        mps._normalize_site(0)
+        assert mps.sites[0] is site and mps.log_scale == 0.5
+        assert np.signbit(site).all() == np.signbit(value)
+
+    def test_normalize_site_scales_by_the_largest_magnitude(self):
+        # the shift is round(log2(max |x|)), as np.abs(x).max() finds it,
+        # and the sign of each zero survives it
+        rng = np.random.default_rng(4503)
+        sites = [rng.normal(size=shape) * 2.0 ** int(rng.integers(-1070, 1000))
+                 for shape in [(1, 1, 1), (1, 2, 1), (2, 4, 8), (8, 2, 16), (16, 16, 16)] * 20]
+        sites += [np.array([[[-0.0], [-3.0], [0.0], [2.9]]]), np.full((1, 3, 1), 5e-324)]
+        for site in sites:
+            site[site < -1.5] = -0.0
+            got = MPSState(sites=[site.copy()])
+            got._normalize_site(0)
+            m = np.abs(site).max()
+            e = round(math.log2(m)) if m else 0
+            assert got.log_scale.hex() == (e * math.log(2.0)).hex()
+            assert got.sites[0].tobytes() == np.ldexp(site, -e).tobytes()
+
 
 # Folded candidates whose modelled peak is above this many elements (an
 # exact sweep along a code's long side) are not run.
@@ -1718,3 +1767,99 @@ class TestMergeMemo:
         finally:
             sys.setswitchinterval(interval)
         assert len(got) == 20 and all(values == want for values in got)
+
+
+def cut_networks():
+    """The networks of the cut checks: every fold case and the netgen
+    corpus."""
+    return [code_network(f, d) for f, d in fold_cases()] + list(netgen_corpus())
+
+
+def absorb(mps, step, tensor, chi):
+    """One step of ``_run``: absorb, then compress above ``2 * chi``."""
+    contract_step(mps, step, tensor)
+    if chi is not None and mps.emitted > 2 * chi:
+        compress_mps(mps, chi)
+
+
+class TestCutMemo:
+    @pytest.mark.parametrize("chi", [None, 8])
+    def test_warm_cuts_equal_cold_ones_bit_for_bit(self, chi):
+        # each network is swept twice in lockstep along its plan: once with
+        # every cut made afresh, once with the plan's memo of cuts, which a
+        # first sweep filled; the chains agree bit for bit after every step
+        held = 0
+        for tn in cut_networks():
+            plan = contract._plan_for(tn, chi)
+            plan.memo.cuts.clear()
+            contract._run(plan, tn.vertices, chi)
+            cuts = dict(plan.memo.cuts)
+            cold, warm = MPSState(), MPSState(cuts=plan.memo.cuts)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for step in plan.steps:
+                    tensor = contract._vertex_tensor(plan, tn.vertices, step)
+                    cold.cuts.clear()
+                    absorb(cold, step, tensor, chi)
+                    absorb(warm, step, tensor, chi)
+                    assert (cold.emitted, cold.log_scale.hex(), cold.mantissa.hex()) == (
+                        warm.emitted, warm.log_scale.hex(), warm.mantissa.hex())
+                    assert [a.shape for a in cold.sites] == [a.shape for a in warm.sites]
+                    assert all(a.tobytes() == b.tobytes() for a, b in zip(cold.sites, warm.sites))
+            assert plan.memo.cuts == cuts  # the second sweep was warm
+            held += len(cuts)
+        assert held > 300
+
+    @pytest.mark.parametrize("chi", [None, 8])
+    def test_memoized_cuts_are_fresh_cuts(self, chi):
+        # what _split and fresh _identity views give; only cuts whose
+        # identities are all shared ones are kept
+        kept = 0
+        for tn in cut_networks():
+            plan = contract._plan_for(tn, chi)
+            plan.memo.cuts.clear()
+            contract._run(plan, tn.vertices, chi)
+            for (left, dims, right), cut in plan.memo.cuts.items():
+                prefix, suffix, t, emitted = contract._split(left, dims, right)
+                shape, t_kept, emitted_kept, before, after = cut
+                assert (t_kept, emitted_kept) == (t, emitted)
+                assert emitted <= contract.IDENTITY_MEMO_MAX
+                assert shape == (prefix[t], dims[t], suffix[t + 1])
+                fresh = [contract._identity(prefix[k + 1]).reshape(prefix[k], dims[k], prefix[k + 1])
+                         for k in range(t)]
+                fresh += [contract._identity(suffix[k]).reshape(suffix[k], dims[k], suffix[k + 1])
+                          for k in range(t + 1, len(dims))]
+                assert len(before) + len(after) == len(fresh)
+                for a, b in zip((*before, *after), fresh):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+                    assert not a.flags.writeable and a.base is b.base
+                kept += 1
+        assert kept > 300
+
+    @pytest.mark.parametrize("chi", [None, 8])
+    def test_left_1_dot_equals_matmul(self, chi):
+        # at every step whose run starts at a bond of 1, np.dot and
+        # np.matmul of its operands give the same bits
+        shapes = set()
+        for tn in cut_networks():
+            plan = contract._plan_for(tn, chi)
+            mps = MPSState()
+            with np.errstate(over="ignore", invalid="ignore"):
+                for step in plan.steps:
+                    tensor = contract._vertex_tensor(plan, tn.vertices, step)
+                    sites, lo, hi = mps.sites, step.lo, step.hi
+                    if hi >= lo:
+                        # the consumed run, merged as contract_step merges it
+                        left, right, run = sites[lo].shape[0], sites[hi].shape[2], sites[lo]
+                        for site in sites[lo + 1 : hi + 1]:
+                            run = np.dot(run.reshape(-1, site.shape[0]), site.reshape(site.shape[0], -1))
+                    else:
+                        left = right = sites[lo - 1].shape[2] if 0 < lo < len(sites) else 1
+                        run = contract._identity(left)
+                    if left == 1:
+                        w = tensor.reshape(math.prod(tensor.shape[: step.forward]), -1)
+                        got = np.dot(w, run.reshape(-1, right))
+                        want = np.matmul(w, run.reshape(1, -1, right))
+                        assert got.tobytes() == want.tobytes()
+                        shapes.add((w.shape, right))
+                    absorb(mps, step, tensor, chi)
+        assert len(shapes) > 50
