@@ -30,16 +30,18 @@ prints, for the constants ``contract.py`` holds and for the refit, the
 relative error and the shares of pairs of configurations each ranks
 right, within a code and over all pairs: a refit can lower the error and
 still rank fewer plans right.
-``--plans`` also prints, for each benchmark code, the chosen plan's
-modelled peak in bytes beside the tracemalloc peak of one warm sweep
-along it, and the entries and bytes its memo of step arrays holds once
-the four cosets of the benchmark's first ``MIN_SHOTS`` shots are swept:
-memory that stays resident between decodes, which the benchmark's
-per-decode peak does not see.  Beside it, the plans that sweep built, 0
-when every lookup of the plan cache hits (a lookup that starts missing
-slows each decode some tenfold and changes no value), and the time of
-one warm plan lookup.  It prints the same for square d=7 at chi=8, whose
-plan is unfolded.
+``--plans`` also prints, for each benchmark code, the steps whose
+consumed run the chosen and unfolded plans split, their modelled peaks
+with and without those splits, the cold plan build time (the fastest of
+``REPEATS``), the chosen plan's modelled peak in bytes beside the
+tracemalloc peak of one warm sweep along it, and the entries and bytes
+its memo of step arrays holds once the four cosets of the benchmark's
+first ``MIN_SHOTS`` shots are swept: memory that stays resident between
+decodes, which the benchmark's per-decode peak does not see.  Beside
+it, the plans that sweep built, 0 when every lookup of the plan cache
+hits (a lookup that starts missing slows each decode some tenfold and
+changes no value), and the time of one warm plan lookup.  It prints the
+same for square d=7 at chi=8, whose plan is unfolded.
 """
 
 import argparse
@@ -132,22 +134,34 @@ def traced_peak(plan, tn, chi):
         tracemalloc.stop()
 
 
+def unsplit_peak(c, chi):
+    """The modelled peak of ``c`` at ``chi`` with every consumed run
+    chained whole: :func:`contract._tally` with every split priced as
+    split 0."""
+    real = contract._absorption
+    contract._absorption = lambda run, held, size, rows, split: real(run, held, size, rows, 0)
+    try:
+        return contract._tally(c.steps, c.layout, chi)[2]
+    finally:
+        contract._absorption = real
+
+
 def print_plans():
     for wl in WORKLOADS.values():
         family, d, chi = wl.family, wl.d, wl.chi
         code = build_code(family, d)
         tn = coset_networks(code)[0]
-        start = time.perf_counter()
-        contract._build_plan(tn, chi)
-        cold = time.perf_counter() - start
+        cold = min(timeit.repeat(lambda: contract._build_plan(tn, chi), number=1, repeat=REPEATS))
         _, chosen, unfolded = plans([tn], chi)
         for name, c in (("chosen", chosen), ("unfolded", unfolded)):
+            split = [(k, step.split) for k, step in enumerate(c.steps) if step.split]
             print(f"{family} d={d} chi={chi} {name}: {form(c)}, turns {c.turns}, "
                   f"{len(c.steps)} steps, modelled {c.seconds * 1e3:.3f} ms, "
-                  f"peak {c.peak} elements")
+                  f"peak {c.peak} elements ({unsplit_peak(c, chi)} unsplit), "
+                  f"split steps (index, split) {split}")
         print(f"{family} d={d} chi={chi} chosen peak: modelled {8 * chosen.peak} bytes, "
               f"traced {traced_peak(chosen, tn, chi)} bytes")
-        print(f"{family} d={d} chi={chi} cold plan build {cold * 1e3:.1f} ms")
+        print(f"{family} d={d} chi={chi} cold plan build {cold * 1e3:.1f} ms (fastest of {REPEATS})")
         print_memo(code, f"{family} d={d} chi={chi}", chi, wl.p)
     print_memo(build_code("square", 7), "square d=7 chi=8", 8, P)
 
@@ -195,7 +209,7 @@ def configurations():
                     if key in seen or c.peak > PEAK_LIMIT or c.seconds > SECONDS_LIMIT:
                         continue
                     seen.add(key)
-                    madds, compressed, _ = contract._tally(c.steps, c.layout, chi)
+                    madds, compressed, _, _ = contract._tally(c.steps, c.layout, chi)
                     out.append({
                         "code": f"{family}_d{d}", "chi": chi, **describe(c),
                         "chosen": key == (chosen.fold, chosen.steps),

@@ -4,15 +4,16 @@
 (:class:`_Plan`) depends only on the network's geometry and on ``chi``:
 the form and frame the network is swept in, the recipe of each vertex's
 tensor in that form (:class:`_Merge`), its modelled cost and, per step
-(:class:`_Step`), the vertex it absorbs, the boundary slots it consumes
-and how it lays out the vertex's axes.  Beyond those it holds a memo of
-the arrays its steps absorb, each laid out in its step's order and keyed
-by the tensor objects it was built from, and of the cuts that split each
-absorption into sites, so a decoder, which sweeps networks of one code
-over and over, builds each array and each cut once; the cost model that
-picks the plan prices the warm sweeps that follow.  The run (:func:`_run`)
-does only numerics: it absorbs each step's array into a boundary matrix
-product state, and compresses that state when it grows too wide.
+(:class:`_Step`), the vertex it absorbs, the boundary slots it consumes,
+how it lays out the vertex's axes and where it splits the consumed run.
+Beyond those it holds a memo of the arrays its steps absorb, each laid
+out in its step's order and keyed by the tensor objects it was built
+from, and of the cuts that split each absorption into sites, so a
+decoder, which sweeps networks of one code over and over, builds each
+array and each cut once; the cost model that picks the plan prices the
+warm sweeps that follow.  The run (:func:`_run`) does only numerics: it
+absorbs each step's array into a boundary matrix product state, and
+compresses that state when it grows too wide.
 
 Each rule is stated where it is enforced:
 
@@ -22,12 +23,16 @@ Each rule is stated where it is enforced:
   :func:`_tally`;
 - the peak guard and the ties: :func:`_choose`;
 - the recipe of each step's array: :class:`_Merge`;
-- the array a step absorbs: :func:`_vertex_tensor`, which fills the memo
-  of step arrays, :class:`_MergeMemo`, up to ``MERGE_MEMO_BYTES``;
+- the array a step absorbs: :func:`_vertex_tensor`, which checks the
+  tensors of a miss and fills the memo of step arrays,
+  :class:`_MergeMemo`, up to ``MERGE_MEMO_BYTES``;
 - the plan cache and its lookup by geometry: :func:`_plan_for`;
-- an absorption: :func:`contract_step`, split into sites by :func:`_cut`
-  on the sizes of :func:`_split`, and the memo of cuts beside the step
-  arrays (``_MergeMemo.cuts``), which :func:`_run` hands the chain;
+- an absorption and the split of its consumed run (``_Step.split``):
+  :func:`contract_step`, priced by :func:`_absorption` and picked by
+  :func:`_tally`;
+- the sites an absorption leaves: :func:`_cut` on the sizes of
+  :func:`_split`, and the memo of cuts beside the step arrays
+  (``_MergeMemo.cuts``), which :func:`_run` hands the chain;
 - the pass-through identities, the chain's read-only sites:
   :class:`MPSState`;
 - a site's scale and the non-finite check: ``MPSState._normalize_site``;
@@ -47,7 +52,9 @@ import numpy as np
 from scipy.linalg import blas as _blas
 from scipy.linalg import lapack as _lapack
 
-from .network import Bond, TensorNetwork2D, TNVertex, _check_fields, _orient, planarize
+from .network import (
+    Bond, TensorNetwork2D, TNVertex, _check_fields, _check_tensor, _orient, planarize,
+)
 
 __all__ = ["SweepValue", "ContractionError", "sweep_key", "sweep_contract"]
 
@@ -184,7 +191,10 @@ class _Step(NamedTuple):
     plan lays out the vertex's axes in the array the step absorbs
     (:func:`_vertex_tensor`): the ``forward`` axes left to right by
     departure angle, then the backward axes in the order of the slots they
-    meet.
+    meet.  ``split`` is where :func:`contract_step` splits the consumed
+    run: its first ``split`` sites are chained apart from the rest, so the
+    run is never built whole, and 0 chains it whole.  :func:`_tally`
+    picks it from shapes; a replay leaves it 0.
     """
 
     vid: int
@@ -192,6 +202,7 @@ class _Step(NamedTuple):
     hi: int
     perm: tuple
     forward: int
+    split: int = 0
 
 
 class _Merge(NamedTuple):
@@ -550,56 +561,96 @@ def _pair(folded: _Layout, assignment, turns: int) -> tuple:
     return tuple((h, groups[h]) for h, _ in assignment if h in groups)
 
 
+def _absorption(run, held: int, size: int, rows: int, split: int) -> tuple:
+    """``(peak, madds)`` of :func:`contract_step` absorbing a step array of
+    ``size`` elements, whose forward extents multiply to ``rows``, into
+    the consumed ``run`` of ``(left, leg, right, elements held)`` sites
+    split at ``split``, while the chain holds ``held`` elements, the
+    run's included.  Each part of the run is chained while its sites still
+    count (the part so far and its product with the next site), then
+    counts in their place; then come the vertex product ``T`` and, split,
+    its reordered copy and the product with the first part."""
+    peak = madds = 0
+    chains = []  # (left, legs, right) of each part
+    for part in (run[:split], run[split:]) if split else (run,):
+        left, legs, _, _ = part[0]
+        for dl, d, dr, _ in part[1:]:
+            madds += left * legs * dl * d * dr
+            peak = max(peak, held + left * legs * dl + left * legs * d * dr)
+            legs *= d
+        right = part[-1][2]
+        held += left * legs * right - sum(site[3] for site in part)
+        chains.append((left, legs, right))
+    b, legs, right = chains[-1]
+    la = chains[0][1] if split else 1
+    t = b * rows * la * right
+    madds += t * legs
+    peak = max(peak, held + size + t)
+    if split:
+        held -= b * legs * right
+        left = run[0][0]
+        madds += left * la * b * rows * right
+        peak = max(peak, held + size + 2 * t, held + size + t + left * rows * right)
+    return peak, madds
+
+
 def _tally(steps, layout: _Layout, chi: int | None) -> tuple:
-    """``(madds, compressed, peak)`` of a warm sweep along ``steps``, one
-    whose step arrays its plan's memo already holds, from shapes alone.
+    """``(madds, compressed, peak, splits)`` of a warm sweep along
+    ``steps``, one whose step arrays its plan's memo already holds, from
+    shapes alone, with the split of each step's consumed run
+    (:attr:`_Step.split`) that the sweep takes.
 
     The chain is replayed as ``(left, leg, right)`` triples by the rule of
     :func:`contract_step` and compressed where :func:`_run` compresses,
     each compression capping every bond at ``chi`` and at the ranks its QR
     and SVD reach on those shapes.  ``madds`` counts the multiply-adds of
-    every product: merging the consumed run, the vertex product, the fold
+    every product: chaining the consumed run, the vertex product, the fold
     into a neighbour and each compression's QR and SVD passes at their
     leading terms.  ``compressed`` counts the sites the compressions pass.
     ``peak`` estimates the most elements alive at once: the chain's sites
     (less the shared identities of :func:`_identity`), the step's array,
-    the consumed run so far and its product with each next site, the
-    merged run, the vertex product and its normalised copy, and a
-    compression's LAPACK copies, factors and workspace.  It is an estimate
-    at the ranks the shapes allow, not a bound: a compression that finds
-    lower ranks moves the later compressions to other steps, where the
-    sweep can hold more.  Building a merged vertex's tensor, which a plan
-    does once per variant (:class:`_Merge`), is neither counted nor
-    held.  Python ints, so no count overflows.
+    the absorption's chains, products and copies (:func:`_absorption`),
+    the emitted sites, and a compression's LAPACK copies, factors and
+    workspace.  It is an estimate at the ranks the shapes allow, not a
+    bound: a compression that finds lower ranks moves the later
+    compressions to other steps, where the sweep can hold more.  Building
+    a merged vertex's tensor, which a plan does once per variant
+    (:class:`_Merge`), is neither counted nor held.  Python ints, so no
+    count overflows.
+
+    The chain's shapes do not depend on the splits, so each step's splits
+    are priced in one pass.  The plan's floor is its peak when every step
+    takes its lowest-peak split; a step keeps split 0 unless that holds
+    more than the floor, and then takes its lowest-peak split, the lowest
+    on a tie.  ``peak`` is that floor.
     """
     sites: list = []  # (left, leg, right, elements held)
     madds = compressed = peak = held = 0
+    # per step, the run and chain _absorption prices, and the (peak, madds)
+    # of each split priced so far
+    options = []
 
     def put(k: int, left: int, leg: int, right: int):
         nonlocal held
         held += left * leg * right - sites[k][3]
         sites[k] = (left, leg, right, left * leg * right)
 
-    for vid, lo, hi, perm, m in steps:
+    for vid, lo, hi, perm, m, _ in steps:
         extents = layout.merges[vid].out
         dims = [extents[axis] for axis in perm[:m]]
         size = math.prod(extents)
+        rows = math.prod(dims)
         if hi >= lo:
-            left, legs, right, _ = sites[lo]
-            right = sites[hi][2]
-            for dl, d, dr, _ in sites[lo + 1 : hi + 1]:
-                madds += left * legs * dl * d * dr
-                # the run so far and its product with the next site
-                peak = max(peak, held + left * legs * dl + left * legs * d * dr)
-                legs *= d
-            held -= sum(site[3] for site in sites[lo : hi + 1])
-            del sites[lo : hi + 1]
+            run = sites[lo : hi + 1]
         else:
-            left = right = sites[lo - 1][2] if 0 < lo < len(sites) else 1
-            legs = 1
-        product = left * math.prod(dims) * right
-        madds += product * legs
-        peak = max(peak, held + size + left * legs * right + product)
+            left = sites[lo - 1][2] if 0 < lo < len(sites) else 1
+            run = [(left, 1, left, 0)]  # the identity on the bond entered across
+        options.append((run, held, size, rows, [_absorption(run, held, size, rows, 0)]))
+        left, right = run[0][0], run[-1][2]
+        if hi >= lo:
+            held -= sum(site[3] for site in run)
+            del sites[lo : hi + 1]
+        product = left * rows * right
 
         if m == 0:
             if lo > 0:
@@ -645,12 +696,25 @@ def _tally(steps, layout: _Layout, chi: int | None) -> tuple:
             peak = max(peak, held + l * n + l * rank + rank * n + 4 * rank * rank + max(l, n))
             put(k, keep, d, r)
             put(k - 1, pl, pd, keep)
-    return madds, compressed, peak
+    # a split lowers only its own step's peak: a step whose unsplit peak is
+    # within what the sweep holds outside its absorptions keeps split 0, so
+    # only the others have their other splits priced
+    for run, held, size, rows, priced in options:
+        if priced[0][0] > peak:
+            priced += [_absorption(run, held, size, rows, j) for j in range(1, len(run))]
+    peak = max(peak, *(min(priced)[0] for *_, priced in options))
+    splits = []
+    for *_, priced in options:
+        split = 0 if priced[0][0] <= peak else min(range(len(priced)), key=lambda j: priced[j][0])
+        madds += priced[split][1]
+        splits.append(split)
+    return madds, compressed, peak, splits
 
 
 def _model(steps, layout: _Layout, chi: int | None) -> tuple:
-    """``(seconds, peak)``: the plan's cost model of a warm sweep along
-    ``steps``, as :func:`_tally` counts it, the sweep a decoder repeats.
+    """``(seconds, peak, steps)``: the plan's cost model of a warm sweep
+    along ``steps``, as :func:`_tally` counts it, the sweep a decoder
+    repeats, and the steps with the splits :func:`_tally` picks.
 
     The time prices :func:`_tally`'s multiply-adds at
     ``MODEL_SECONDS_PER_MADD``, each step at ``MODEL_SECONDS_PER_STEP``
@@ -658,13 +722,13 @@ def _model(steps, layout: _Layout, chi: int | None) -> tuple:
     step's call overhead is several numpy calls, a compressed site's a
     few LAPACK calls.  The peak is :func:`_tally`'s, in elements.
     """
-    madds, compressed, peak = _tally(steps, layout, chi)
+    madds, compressed, peak, splits = _tally(steps, layout, chi)
     seconds = (
         madds * MODEL_SECONDS_PER_MADD
         + len(steps) * MODEL_SECONDS_PER_STEP
         + compressed * MODEL_SECONDS_PER_COMPRESSED_SITE
     )
-    return seconds, peak
+    return seconds, peak, tuple(s._replace(split=j) if j else s for s, j in zip(steps, splits))
 
 
 def _candidates(tn: TensorNetwork2D, chi: int | None) -> list:
@@ -726,7 +790,7 @@ def _candidates(tn: TensorNetwork2D, chi: int | None) -> list:
                 if fold == 0 and turns == 0:
                     raise
                 continue
-            seconds, peak = _model(steps, layout, chi)
+            seconds, peak, steps = _model(steps, layout, chi)
             out.append(_Plan(fold, pairs, turns, layout, steps, seconds, peak, _MergeMemo()))
     return out
 
@@ -791,7 +855,9 @@ def _plan_for(tn: TensorNetwork2D, chi: int | None = None) -> _Plan:
     ``PLAN_CACHE_SIZE`` plans is dropped, and its memo with it.  Errors
     are not cached, so a network that fails to plan raises on every call;
     a vertex :func:`_geometry` cannot read raises what :func:`planarize`
-    raises for it.
+    raises for it.  The memo's keys are tensors that passed
+    :func:`planarize`'s tensor check, so a hit's tensors that are not
+    keys meet the same check in :func:`_vertex_tensor`.
     """
     try:
         key = (chi, _geometry(tn))
@@ -823,14 +889,22 @@ def _vertex_tensor(plan: _Plan, vertices: dict, step: _Step) -> np.ndarray:
     ``vertices``: the tensor the vertex's :class:`_Merge` builds from the
     tensors of the vertex and of those it absorbs, transposed to
     ``step.perm``.  It is read-only and C-contiguous, and read from the
-    plan's memo when it holds it."""
+    plan's memo when it holds it.  On a miss each tensor must be a
+    :class:`DenseTensor`, which raises what :func:`planarize` raises for
+    it otherwise (:func:`_check_tensor`): a network of a cached geometry
+    skips that check, and only checked tensors become keys."""
     vid = step.vid
     merge = plan.layout.merges[vid]
     host = vertices[vid].tensor
     key = (vid, host, *[vertices[p[0]].tensor for p in merge.products])
-    x = plan.memo.arrays.get(key)
+    try:
+        x = plan.memo.arrays.get(key)
+    except TypeError:  # an unhashable tensor, which the check below names
+        x = None
     if x is not None:
         return x
+    for v, tensor in zip((vid, *[p[0] for p in merge.products]), key[1:]):
+        _check_tensor(v, tensor)
     x = host.elements
     for (_, axes, vaxes), absorbed in zip(merge.products, key[2:]):
         x = np.tensordot(x, absorbed.elements, (axes, vaxes))
@@ -946,29 +1020,40 @@ def contract_step(mps: MPSState, step: _Step, elements: np.ndarray) -> MPSState:
     order (:func:`_vertex_tensor`) is ``elements``, into the boundary MPS,
     in place.
 
-    It is one batched matrix product that transposes no data.  The
-    consumed run merges, untransposed, into ``run`` of shape ``(left, L,
-    right)`` as the chain stores it (a vertex with no backward bonds takes
-    the identity on the bond it enters across, as ``(p, 1, p)``), and
-    ``np.matmul(W, run)``, with ``W`` the elements as given reshaped to
-    ``(S, L)``, gives ``(left, S, right)``, already in chain order; at
-    ``left == 1`` a 2-D ``np.dot`` gives the same bits for less call
-    overhead.  The product is cut by :func:`_cut` into the data site, a
-    reshape of the product, and read-only views of shared identities
-    (:func:`_identity`) either side.  A cut whose identities are all at
-    most ``IDENTITY_MEMO_MAX`` wide is made once per ``(left, dims,
-    right)`` and kept in ``mps.cuts``, so it retains only shared
+    Unsplit (``step.split`` 0), it is one batched matrix product that
+    transposes no data.  The consumed run merges, untransposed, into
+    ``run`` of shape ``(left, L, right)`` as the chain stores it (a vertex
+    with no backward bonds takes the identity on the bond it enters
+    across, as ``(p, 1, p)``), and ``np.matmul(W, run)``, with ``W`` the
+    elements as given reshaped to ``(S, L)``, gives ``(left, S, right)``,
+    already in chain order; at ``left == 1`` a 2-D ``np.dot`` gives the
+    same bits for less call overhead.  Split at ``j``, the run is never
+    built whole: its first ``j`` sites chain into ``A`` of shape ``(left,
+    La, b)`` and the rest into ``BC`` of shape ``(b, Lbc, right)``;
+    ``np.matmul(W.reshape(S * La, Lbc), BC)`` gives ``T`` of shape ``(b,
+    S * La, right)``, whose copy as ``(La * b, S * right)`` times ``A`` as
+    ``(left, La * b)`` is the same ``(left, S, right)`` product, summed in
+    another order.  :func:`_tally` picks the split where it lowers the
+    plan's modelled peak.  The product is cut by :func:`_cut` into the
+    data site, a reshape of the product, and read-only views of shared
+    identities (:func:`_identity`) either side.  A cut whose identities
+    are all at most ``IDENTITY_MEMO_MAX`` wide is made once per ``(left,
+    dims, right)`` and kept in ``mps.cuts``, so it retains only shared
     identities.  Consumed sites leave the chain before their replacement
     is built.  The step sets ``mps.emitted`` (:class:`MPSState`).
     """
-    _, lo, hi, _, m = step
+    _, lo, hi, _, m, split = step
     sites = mps.sites
     if hi >= lo:
         left, right = sites[lo].shape[0], sites[hi].shape[2]
         run = sites.pop(lo)
-        for _ in range(hi - lo):
+        for k in range(1, hi - lo + 1):
             site = sites.pop(lo)
-            run = np.dot(run.reshape(-1, site.shape[0]), site.reshape(site.shape[0], -1))
+            if k == split:
+                # the first part is whole; the rest chains from this site
+                first, run, b = run, site, site.shape[0]
+            else:
+                run = np.dot(run.reshape(-1, site.shape[0]), site.reshape(site.shape[0], -1))
             del site
     else:
         # A fresh component enters between pending slots lo-1 and lo; the
@@ -978,7 +1063,13 @@ def contract_step(mps: MPSState, step: _Step, elements: np.ndarray) -> MPSState:
         run = _identity(left)
     dims = elements.shape[:m]
     w = elements.reshape(math.prod(dims), -1)
-    if left == 1:
+    if split:
+        rows, la = w.shape[0], first.size // (left * b)
+        run = np.matmul(w.reshape(rows * la, -1), run.reshape(b, -1, right))
+        run = run.reshape(b, rows, la, right).transpose(2, 0, 1, 3).reshape(la * b, rows * right)
+        merged = np.dot(first.reshape(left, la * b), run)
+        del first
+    elif left == 1:
         merged = np.dot(w, run.reshape(-1, right))
     else:
         merged = np.matmul(w, run.reshape(left, -1, right))

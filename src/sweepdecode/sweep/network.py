@@ -241,6 +241,13 @@ def _check_fields(b):
             raise ValueError(f"{b!r} has axis {axis!r}, not an int")
 
 
+def _check_tensor(vid, tensor):
+    """Raise ``ValueError`` naming vertex ``vid`` unless ``tensor`` is a
+    :class:`DenseTensor`."""
+    if not isinstance(tensor, DenseTensor):
+        raise ValueError(f"vertex {vid} tensor is a {type(tensor).__name__}, not a DenseTensor")
+
+
 def planarize(tn: TensorNetwork2D) -> TensorNetwork2D:
     """Return ``tn`` itself when it is closed and drawn without crossings;
     raise otherwise.  This is the one check of a network.
@@ -265,8 +272,7 @@ def planarize(tn: TensorNetwork2D) -> TensorNetwork2D:
     the layer trace, which wraps this function as the sweep calls it.
     """
     for vid, v in tn.vertices.items():
-        if not isinstance(v.tensor, DenseTensor):
-            raise ValueError(f"vertex {vid} tensor is a {type(v.tensor).__name__}, not a DenseTensor")
+        _check_tensor(vid, v.tensor)
         try:
             x, y = v.position
         except (TypeError, ValueError):

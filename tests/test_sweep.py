@@ -331,13 +331,13 @@ class TestCompression:
 
     def test_chi_prime_delays_compression(self):
         # the buffer chi' = 2 chi: with the largest bond of the exact sweep
-        # at exactly 2 chi no compression triggers, so the capped run is
-        # the exact one although chi is below that bond
+        # at exactly 2 chi no compression triggers, so the capped run along
+        # the same plan is the exact one although chi is below that bond
         rng = np.random.default_rng(89)
         tn = grid_network(rng, 5, 5, dim=2)
         chi = max(bond for _, bond in exact_bond_trace(tn)) // 2
         exact = sweep_contract(tn)
-        lazy = sweep_contract(tn, chi=chi)
+        lazy = contract._run(contract._plan_for(tn), tn.vertices, chi)
         assert chi > 1
         assert [x.hex() for x in lazy] == [x.hex() for x in exact]
 
@@ -929,6 +929,26 @@ class TestSweepPlanCache:
                 sweep_contract(tn)
         assert not contract._plans
 
+    @pytest.mark.parametrize("hashable", [False, True])
+    def test_tensor_that_is_not_a_dense_tensor_raises_every_call(self, hashable):
+        # a network of a cached geometry skips planarize; its tensors meet
+        # planarize's check where the memo of step arrays misses
+        contract._plans.clear()
+        tn = chain_network([np.ones(2), np.ones(2)])
+        assert value_of(sweep_contract(tn)) == 2.0
+        duck = types.SimpleNamespace(extents=(2,), elements=np.ones(2), rank=1)
+        if hashable:
+            duck = type("SimpleNamespace", (), vars(duck))()  # hashes by identity
+        bad = TensorNetwork2D([tn.vertices[0], TNVertex(1, duck, tn.vertices[1].position)], tn.bonds)
+        message = "vertex 1 tensor is a SimpleNamespace, not a DenseTensor"
+        for _ in range(3):
+            with pytest.raises(ValueError, match=message):
+                sweep_contract(bad)
+        assert len(contract._plans) == 1
+        contract._plans.clear()
+        with pytest.raises(ValueError, match=message):
+            sweep_contract(bad)
+
     @staticmethod
     def non_contiguous_network():
         """Vertices 0 and 1 share a point, so the zero-length bond between
@@ -1007,6 +1027,12 @@ def run_plan(plan, tn):
     return contract.SweepValue(mps.mantissa, mps.log_scale), widest
 
 
+def uncut(steps):
+    """``steps`` with every consumed run chained whole, as a replay makes
+    them (``_Step.split`` 0)."""
+    return tuple(step._replace(split=0) for step in steps)
+
+
 def assert_same_value(got, want):
     """Equal signs and values within 1e-12 relative."""
     assert got.mantissa == want.mantissa
@@ -1063,7 +1089,7 @@ class TestSweepFrame:
         assert len({c.seconds for c in unfolded}) == 1
         plan = contract._choose(unfolded)
         assert plan.turns == 0
-        assert plan.steps == plan_unrotated(tn).steps
+        assert uncut(plan.steps) == plan_unrotated(tn).steps
 
     def test_subsystem_d5_sweeps_its_short_side(self):
         # folded, generators into qubits, the exact sweep keeps bonds of 32
@@ -1097,7 +1123,7 @@ class TestSweepFrame:
         candidates = contract._candidates(tn, None)
         assert {c.turns for c in candidates} == {0}
         want = plan_unrotated(tn)
-        assert [c.steps for c in candidates if c.fold == 0] == [want.steps]
+        assert [uncut(c.steps) for c in candidates if c.fold == 0] == [want.steps]
         assert contract._build_plan(tn, None).turns == 0
 
 
@@ -1199,8 +1225,8 @@ def fold_cases():
 # Subsystem d=3 takes class 1 folded into class 0 and paired in frame 0, a
 # form whose drawing crosses itself, as long as its replay succeeds.
 FOLD_CASE_PLANS = [
-    ("square", 3, 8, 2, 3, 1, 6),
-    ("square", 3, None, 2, 3, 1, 6),
+    ("square", 3, 8, 2, 3, 0, 6),
+    ("square", 3, None, 2, 3, 0, 6),
     ("square", 5, None, 2, 0, 0, 20),
     ("triangular", 3, 8, 0, None, 1, 41),
     ("triangular", 3, None, 0, None, 1, 41),
@@ -1365,7 +1391,7 @@ class TestFold:
                     dropped.append((fold, pairs, turns))
         candidates = {(c.fold, c.pairs, c.turns): c for c in contract._candidates(tn, chi) if c.fold}
         assert candidates.keys() == replays.keys()
-        assert all(c.steps == replays[key] for key, c in candidates.items())
+        assert all(uncut(c.steps) == replays[key] for key, c in candidates.items())
         return [c for c in candidates.values() if crosses(c.layout)], dropped
 
     def test_folds_that_cross_are_candidates_when_they_replay(self):
@@ -1437,7 +1463,7 @@ class TestFold:
     # then the rest of the fold cases (FOLD_CASE_PLANS)
     @pytest.mark.parametrize(
         "family, chi, fold, pairs, turns, steps",
-        [("square", 8, 2, None, 2, 40), ("subsystem", None, 1, 2, 1, 25)]
+        [("square", 8, 2, 0, 0, 20), ("subsystem", None, 1, 2, 1, 25)]
         + [
             pytest.param((family, d), chi, *plan, id=f"{family}{d}-{chi}-{'-'.join(map(str, plan))}")
             for family, d, chi, *plan in FOLD_CASE_PLANS
@@ -1863,3 +1889,89 @@ class TestCutMemo:
                         shapes.add((w.shape, right))
                     absorb(mps, step, tensor, chi)
         assert len(shapes) > 50
+
+
+def unsplit_peak(plan, chi, monkeypatch):
+    """The modelled peak of ``plan`` at ``chi`` with every consumed run
+    chained whole, priced by pricing every split as split 0."""
+    real = contract._absorption
+    with monkeypatch.context() as m:
+        m.setattr(contract, "_absorption", lambda run, held, size, rows, split: real(run, held, size, rows, 0))
+        return contract._tally(plan.steps, plan.layout, chi)[2]
+
+
+def unsplit_product(sites, step, tensor):
+    """The ``(left, S, right)`` product of ``step`` on the chain ``sites``,
+    its run chained whole, as one ``np.matmul`` (``np.dot`` at a left bond
+    of 1)."""
+    lo, hi = step.lo, step.hi
+    left, right, run = sites[lo].shape[0], sites[hi].shape[2], sites[lo]
+    for site in sites[lo + 1 : hi + 1]:
+        run = np.dot(run.reshape(-1, site.shape[0]), site.reshape(site.shape[0], -1))
+    w = tensor.reshape(math.prod(tensor.shape[: step.forward]), -1)
+    if left == 1:
+        return np.dot(w, run.reshape(-1, right)).reshape(1, -1, right)
+    return np.matmul(w, run.reshape(left, -1, right))
+
+
+class TestRunSplit:
+    @pytest.mark.parametrize("chi", [None, 8])
+    def test_every_split_gives_the_unsplit_product(self, chi):
+        # at every step that consumes two sites or more, along each chosen
+        # plan: the chain after the step split at each j equals the unsplit
+        # one to 1e-13 relative, and the unsplit one's data site holds the
+        # bits of one np.matmul of the run chained whole, shifted by the
+        # power of two its normalisation folded into the scale
+        splits = bits = 0
+        for tn in cut_networks():
+            plan = contract._plan_for(tn, chi)
+            mps = MPSState()
+            with np.errstate(over="ignore", invalid="ignore"):
+                for step in plan.steps:
+                    tensor = contract._vertex_tensor(plan, tn.vertices, step)
+                    if step.hi > step.lo:
+                        chains = []
+                        for j in range(step.hi - step.lo + 1):
+                            chain = MPSState(list(mps.sites), mps.log_scale, mps.mantissa)
+                            chains.append(contract_step(chain, step._replace(split=j), tensor))
+                        whole = chains[0]
+                        for chain in chains[1:]:
+                            assert [a.shape for a in chain.sites] == [a.shape for a in whole.sites]
+                            assert (chain.emitted, chain.mantissa) == (whole.emitted, whole.mantissa)
+                            assert chain.log_scale == pytest.approx(whole.log_scale, abs=1e-13)
+                            for a, b in zip(chain.sites, whole.sites):
+                                assert np.abs(a - b).max(initial=0.0) <= 1e-13 * np.abs(b).max(initial=0.0)
+                            splits += 1
+                        if step.forward:
+                            want = unsplit_product(mps.sites, step, tensor)
+                            left, dims, right = want.shape[0], tensor.shape[: step.forward], want.shape[2]
+                            t = contract._split(left, dims, right)[2]
+                            data = whole.sites[step.lo + t]
+                            shift = round((whole.log_scale - mps.log_scale) / math.log(2.0))
+                            assert np.ldexp(data, shift).tobytes() == want.reshape(data.shape).tobytes()
+                            bits += 1
+                    absorb(mps, step, tensor, chi)
+        assert splits > 400 and bits > 300
+
+    def test_exact_sweeps_split_equal_unsplit(self):
+        split = 0
+        for tn in cut_networks():
+            plan = contract._plan_for(tn, None)
+            if any(step.split for step in plan.steps):
+                split += 1
+                assert_same_value(run_plan(plan, tn)[0],
+                                  run_plan(plan._replace(steps=uncut(plan.steps)), tn)[0])
+        assert split > 5
+
+    def test_benchmark_plans_split_only_at_their_peak_step(self, monkeypatch):
+        # square d=5 at chi=8 splits the run of its peak step, which holds
+        # 10,816 elements whole; subsystem d=5 exact splits none
+        tn = code_network("square", 5)
+        plan = contract._build_plan(tn, 8)
+        assert [(k, step.split) for k, step in enumerate(plan.steps) if step.split] == [(15, 1)]
+        assert (plan.peak, unsplit_peak(plan, 8, monkeypatch)) == (6720, 10816)
+        assert plan.steps[15].hi - plan.steps[15].lo == 2
+        # unsplit, the plan would hold more than the unfolded one (7,028)
+        assert unfolded_best(contract._candidates(tn, 8)).peak == 7028
+        plan = contract._build_plan(code_network("subsystem", 5), None)
+        assert not any(step.split for step in plan.steps)
