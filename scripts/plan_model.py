@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time sweep plans against the plan cost model of ``sweep/contract.py``.
+"""Time sweep plans against the plan cost model of ``sweep/plan.py``.
 
     python scripts/plan_model.py            # time every configuration,
                                             # write BENCH_plan_model.json
@@ -16,27 +16,29 @@ paired in one of the four frames' sweep orders) in each quarter-turned
 frame, at chi=8 and exact.  A configuration whose modelled peak or time
 is out of reach (an exact sweep along a code's long side, say) is left
 out, as is one whose steps repeat another frame's.  Each is timed as the
-four coset networks of one depolarising shot swept along its plan, the
-fastest of ``REPEATS`` repeats, interleaved across configurations, on one
-BLAS thread.  The model prices a warm sweep, the one a decoder repeats, so
-every sweep timed or traced here runs after one that filled its plan's
-memo of step arrays: it builds no merged tensor.  Beside each time the
+four coset networks of one depolarising shot swept along its plan
+(``contract.run``), the fastest of ``REPEATS`` repeats, interleaved across
+configurations, on one BLAS thread.  The model prices a warm sweep, the
+one a decoder repeats, so every sweep timed or traced here runs after one
+that filled a memo of step arrays, which it reads as ``sweep_contract``
+does: it builds no merged tensor.  Beside each time the
 file records the model's prediction and its counts, the code's chosen and
 unfolded plans, the git sha and the machine.  ``--fit`` refits
 ``MODEL_SECONDS_PER_*`` by non-negative least squares on relative error
 (:func:`fitted`) and rewrites the file's predictions and summary with the
-fitted values, which are then written into ``contract.py`` by hand.  It
-prints, for the constants ``contract.py`` holds and for the refit, the
+fitted values, which are then written into ``plan.py`` by hand.  It
+prints, for the constants ``plan.py`` holds and for the refit, the
 relative error and the shares of pairs of configurations each ranks
 right, within a code and over all pairs: a refit can lower the error and
 still rank fewer plans right.
 ``--plans`` also prints, for each benchmark code, the steps whose
 consumed run the chosen and unfolded plans split, their modelled peaks
 with and without those splits, the cold plan build time (the fastest of
-``REPEATS``), the chosen plan's modelled peak in bytes beside the
-tracemalloc peak of one warm sweep along it, and the entries and bytes
-its memo of step arrays holds once the four cosets of the benchmark's
-first ``MIN_SHOTS`` shots are swept: memory that stays resident between
+``REPEATS``, through ``plan_sweep``), the chosen plan's modelled peak in
+bytes beside the tracemalloc peak of one warm sweep along it, and the
+entries and bytes the memo of step arrays that ``sweep_contract`` caches
+beside the plan holds once the four cosets of the benchmark's first
+``MIN_SHOTS`` shots are swept: memory that stays resident between
 decodes, which the benchmark's per-decode peak does not see.  Beside
 it, the plans that sweep built, 0 when every lookup of the plan cache
 hits (a lookup that starts missing slows each decode some tenfold and
@@ -65,6 +67,7 @@ from workloads import MIN_SHOTS, WORKLOADS  # noqa: E402
 from sweepdecode import pauli  # noqa: E402
 from sweepdecode.codes import graphs, lattices, subsystem  # noqa: E402
 from sweepdecode.sweep import contract  # noqa: E402
+from sweepdecode.sweep import plan as planner  # noqa: E402
 
 OUT = os.path.join(ROOT, "BENCH_plan_model.json")
 FAMILIES = ("square", "triangular", "hexagonal", "subsystem")
@@ -103,9 +106,9 @@ def coset_networks(code, p=P, shots=1, seed=0):
 
 def plans(networks, chi):
     """``(candidates, chosen, unfolded)`` of the code's networks at ``chi``."""
-    candidates = contract._candidates(contract.planarize(networks[0]), chi)
-    unfolded = contract._choose([c for c in candidates if c.fold == 0])
-    return candidates, contract._choose(candidates), unfolded
+    candidates = planner._candidates(planner.planarize(networks[0]), chi)
+    unfolded = planner._choose([c for c in candidates if c.fold == 0])
+    return candidates, planner._choose(candidates), unfolded
 
 
 def form(c):
@@ -118,17 +121,18 @@ def describe(c):
             "steps": len(c.steps), "model_s": c.seconds, "model_peak": c.peak}
 
 
-def traced_peak(plan, tn, chi):
+def traced_peak(plan, tn):
     """The most bytes tracemalloc sees allocated at once during one warm
     sweep of ``tn`` along ``plan``, after one warm-up sweep, which fills
-    the plan's memo of step arrays and the identity memo."""
-    vertices = tn.vertices
-    contract._run(plan, vertices, chi)
+    the memo of step arrays, the plan's memo of cuts and the identity
+    memo."""
+    memo = contract._MergeMemo()
+    contract.run(plan, contract._step_arrays(plan, memo, tn.vertices))
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        contract._run(plan, vertices, chi)
+        contract.run(plan, contract._step_arrays(plan, memo, tn.vertices))
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -136,14 +140,14 @@ def traced_peak(plan, tn, chi):
 
 def unsplit_peak(c, chi):
     """The modelled peak of ``c`` at ``chi`` with every consumed run
-    chained whole: :func:`contract._tally` with every split priced as
+    chained whole: :func:`plan._tally` with every split priced as
     split 0."""
-    real = contract._absorption
-    contract._absorption = lambda run, held, size, rows, split: real(run, held, size, rows, 0)
+    real = planner._absorption
+    planner._absorption = lambda run, held, size, rows, split: real(run, held, size, rows, 0)
     try:
-        return contract._tally(c.steps, c.layout, chi)[2]
+        return planner._tally(c.steps, c.layout, chi)[2]
     finally:
-        contract._absorption = real
+        planner._absorption = real
 
 
 def print_plans():
@@ -151,7 +155,7 @@ def print_plans():
         family, d, chi = wl.family, wl.d, wl.chi
         code = build_code(family, d)
         tn = coset_networks(code)[0]
-        cold = min(timeit.repeat(lambda: contract._build_plan(tn, chi), number=1, repeat=REPEATS))
+        cold = min(timeit.repeat(lambda: planner.plan_sweep(tn, chi), number=1, repeat=REPEATS))
         _, chosen, unfolded = plans([tn], chi)
         for name, c in (("chosen", chosen), ("unfolded", unfolded)):
             split = [(k, step.split) for k, step in enumerate(c.steps) if step.split]
@@ -160,7 +164,7 @@ def print_plans():
                   f"peak {c.peak} elements ({unsplit_peak(c, chi)} unsplit), "
                   f"split steps (index, split) {split}")
         print(f"{family} d={d} chi={chi} chosen peak: modelled {8 * chosen.peak} bytes, "
-              f"traced {traced_peak(chosen, tn, chi)} bytes")
+              f"traced {traced_peak(chosen, tn)} bytes")
         print(f"{family} d={d} chi={chi} cold plan build {cold * 1e3:.1f} ms (fastest of {REPEATS})")
         print_memo(code, f"{family} d={d} chi={chi}", chi, wl.p)
     print_memo(build_code("square", 7), "square d=7 chi=8", 8, P)
@@ -172,22 +176,22 @@ def print_memo(code, name, chi, p):
     swept, the plans built during that sweep (0 when every lookup hits),
     and the time of one warm plan lookup, the fastest of ``REPEATS``."""
     networks = coset_networks(code, p, MIN_SHOTS)
-    plan = contract._plan_for(networks[0], chi)
-    plan.memo.clear()
-    builds, build = [], contract._build_plan
+    plan, memo = contract._plan_for(networks[0], chi)
+    memo.clear()
+    builds, build = [], contract.plan_sweep
 
     def counted_build(tn, chi):
         builds.append(tn)
         return build(tn, chi)
 
-    contract._build_plan = counted_build
+    contract.plan_sweep = counted_build
     try:
         for net in networks:
             contract.sweep_contract(net, chi)
     finally:
-        contract._build_plan = build
+        contract.plan_sweep = build
     print(f"{name} p={p} {form(plan)}: step-array memo after {MIN_SHOTS} shots: "
-          f"{len(plan.memo.arrays)} entries, {plan.memo.nbytes} bytes; "
+          f"{len(memo.arrays)} entries, {memo.nbytes} bytes; "
           f"{len(builds)} plan builds")
     lookup = min(timeit.repeat(lambda: [contract._plan_for(net, chi) for net in networks],
                                number=10, repeat=REPEATS)) / (10 * len(networks))
@@ -209,7 +213,7 @@ def configurations():
                     if key in seen or c.peak > PEAK_LIMIT or c.seconds > SECONDS_LIMIT:
                         continue
                     seen.add(key)
-                    madds, compressed, _, _ = contract._tally(c.steps, c.layout, chi)
+                    madds, compressed, _, _ = planner._tally(c.steps, c.layout, chi)
                     out.append({
                         "code": f"{family}_d{d}", "chi": chi, **describe(c),
                         "chosen": key == (chosen.fold, chosen.steps),
@@ -224,14 +228,15 @@ def configurations():
 
 def time_all(configs):
     """Time each configuration's warm decode: a first sweep of each network
-    fills its plan's memo, untimed."""
+    fills a memo of step arrays per configuration, untimed."""
     best = [float("inf")] * len(configs)
+    memos = [contract._MergeMemo() for _ in configs]
     for rep in range(REPEATS + 1):
         for i, cfg in enumerate(configs):
-            plan, networks, chi = cfg["_plan"], cfg["_networks"], cfg["chi"]
+            plan, networks = cfg["_plan"], cfg["_networks"]
             start = time.perf_counter()
             for tn in networks:
-                contract._run(plan, tn.vertices, chi)
+                contract.run(plan, contract._step_arrays(plan, memos[i], tn.vertices))
             if rep:
                 best[i] = min(best[i], time.perf_counter() - start)
     for cfg, seconds in zip(configs, best):
@@ -299,7 +304,7 @@ def measure():
     rows = [{k: v for k, v in cfg.items() if not k.startswith("_")} for cfg in configs]
     result = {
         "git_sha": git_sha(), "machine": machine(), "p": P, "repeats": REPEATS,
-        "constants": {name: getattr(contract, name) for name in CONSTANTS},
+        "constants": {name: getattr(planner, name) for name in CONSTANTS},
         "summary": summary(rows), "configurations": rows,
     }
     with open(OUT, "w") as f:
@@ -325,9 +330,9 @@ def fitted(rows):
 
 def fit():
     """Refit the constants to the recorded times and rewrite the file's
-    predictions and summary with them; ``contract.py`` then takes the
+    predictions and summary with them; ``plan.py`` then takes the
     printed constants.  The fit minimises relative error, not the ranking
-    of plans that ``_choose`` acts on, so the constants ``contract.py``
+    of plans that ``_choose`` acts on, so the constants ``plan.py``
     holds and the refit are printed side by side, each with its relative
     error and the shares of pairs it ranks right, within a code and over
     all pairs."""
@@ -336,10 +341,10 @@ def fit():
     rows = result["configurations"]
     a = counts(rows)
     t = np.array([r["measured_decode_s"] for r in rows])
-    current = {name: getattr(contract, name) for name in CONSTANTS}
+    current = {name: getattr(planner, name) for name in CONSTANTS}
     result["constants"] = fitted(rows)
     # the refit last, so the file holds its predictions and summary
-    for label, constants in (("contract.py", current), ("refit", result["constants"])):
+    for label, constants in (("plan.py", current), ("refit", result["constants"])):
         model = a @ np.array([constants[name] for name in CONSTANTS])
         for r, seconds in zip(rows, model):
             r["model_decode_s"] = float(seconds)

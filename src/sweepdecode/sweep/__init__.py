@@ -1,16 +1,11 @@
-"""Planar tensor networks and their sweep-line contraction."""
+"""Planar tensor networks, their sweep plans and their sweep-line
+contraction."""
 
-from .contract import ContractionError, SweepValue, sweep_contract, sweep_key
+from .contract import SweepValue, sweep_contract
 from .network import Bond, PlanarizeError, TensorNetwork2D, TNVertex, planarize
+from .plan import ContractionError, Plan, plan_sweep, sweep_key
 
 __all__ = [
-    "Bond",
-    "ContractionError",
-    "PlanarizeError",
-    "SweepValue",
-    "TNVertex",
-    "TensorNetwork2D",
-    "planarize",
-    "sweep_contract",
-    "sweep_key",
+    "Bond", "ContractionError", "Plan", "PlanarizeError", "SweepValue", "TNVertex",
+    "TensorNetwork2D", "plan_sweep", "planarize", "sweep_contract", "sweep_key",
 ]

@@ -167,6 +167,22 @@ def depolarised_coset_network(code, p, rng):
     It has the geometry of :func:`coset_geometry_network`, with the
     rank-deficient tensors of a real decode in place of random ones.
     """
+    return _depolarised(code, p, rng.integers(4, size=code.n))
+
+
+def depolarised_coset_networks(code, p, rng):
+    """The four coset networks of one shot: the random residual of
+    :func:`depolarised_coset_network` times the identity, logical X,
+    logical Z and logical Y, in that order."""
+    residual = rng.integers(4, size=code.n)
+    lx = code.logical_x.x + 2 * code.logical_x.z
+    lz = code.logical_z.x + 2 * code.logical_z.z
+    return [_depolarised(code, p, residual ^ logical) for logical in (0, lx, lz, lx ^ lz)]
+
+
+def _depolarised(code, p, residual):
+    """The coset network of ``code`` at ``p`` whose qubit ``q`` carries the
+    Pauli ``residual[q]`` (indexed x + 2 z)."""
     probs = np.array([1.0 - p, p / 3.0, p / 3.0, p / 3.0])  # I, X, Z, Y
     m = code.num_checks
     vertices = []
@@ -180,7 +196,6 @@ def depolarised_coset_network(code, p, rng):
         delta = np.zeros((2,) * len(qubits))
         delta[(0,) * len(qubits)] = delta[(1,) * len(qubits)] = 1.0
         vertices.append(TNVertex(j, DenseTensor(delta), tuple(code.check_coords[j])))
-    residual = rng.integers(4, size=code.n)
     for q, checks in enumerate(qubit_checks):
         k = len(checks)
         bits = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1

@@ -42,6 +42,7 @@ from sweepdecode.codes.graphs import (
 from sweepdecode.codes.lattices import _search_space, cut_window, template
 from sweepdecode.pauli import stabiliser_basis
 from sweepdecode.sweep import contract, network
+from sweepdecode.sweep import plan as planner
 
 
 def brute_force_value(tn, chunk=1 << 19):
@@ -176,12 +177,13 @@ def sweep_checking_every_step(tn, chi):
     bond is above ``2 * chi``, whatever the step.  Returns ``(SweepValue,
     steps)`` with the indices of the steps after which it compressed.
     """
-    plan = contract._plan_for(tn, chi)
+    plan, memo = contract._plan_for(tn, chi)
     mps = contract.MPSState()
     fired = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, step in enumerate(plan.steps):
-            contract.contract_step(mps, step, contract._vertex_tensor(plan, tn.vertices, step))
+        arrays = contract._step_arrays(plan, memo, tn.vertices)
+        for i, (step, tensor) in enumerate(zip(plan.steps, arrays)):
+            contract.contract_step(mps, step, tensor)
             if mps.max_bond() > 2 * chi:
                 contract.compress_mps(mps, chi)
                 fired.append(i)
@@ -201,11 +203,11 @@ def plan_unrotated(tn):
         incident[bond.endpoint_b[0]].append((bid, bond.endpoint_b[1]))
     pending, open_ = [], set()
     steps = tuple(
-        contract._plan_step(pending, open_, v, tn.vertices, incident, tn.bonds)
-        for v in sorted(tn.vertices.values(), key=contract.sweep_key)
+        planner._plan_step(pending, open_, v, tn.vertices, incident, tn.bonds)
+        for v in sorted(tn.vertices.values(), key=planner.sweep_key)
     )
     assert not pending
-    return contract._Plan(0, None, 0, contract._layout(tn), steps, None, None, contract._MergeMemo())
+    return planner.Plan(0, None, 0, None, planner._layout(tn), steps, None, None)
 
 
 def _tensordot_axes(step):

@@ -12,6 +12,7 @@ MODULES = [
     "sweepdecode.sweep",
     "sweepdecode.sweep.contract",
     "sweepdecode.sweep.network",
+    "sweepdecode.sweep.plan",
 ]
 
 

@@ -276,8 +276,8 @@ class TestMalformedBonds:
 
     def test_equal_fresh_bonds_hit_the_cached_plan(self, monkeypatch):
         builds = []
-        build = contract._build_plan
-        monkeypatch.setattr(contract, "_build_plan", lambda tn, chi: builds.append(tn) or build(tn, chi))
+        build = contract.plan_sweep
+        monkeypatch.setattr(contract, "plan_sweep", lambda tn, chi: builds.append(tn) or build(tn, chi))
         contract._plans.clear()
         tn = grid_network(np.random.default_rng(4700), 3, 3, dim=2)
         want = sweep_contract(tn)

@@ -1,8 +1,10 @@
+import dataclasses
 import functools
 import importlib.util
 import json
 import math
 import os
+import re
 import sys
 import threading
 import time
@@ -27,11 +29,13 @@ from sweepdecode.sweep import (
     sweep_key,
 )
 from sweepdecode.sweep import contract, network
+from sweepdecode.sweep import plan as planner
 from sweepdecode.sweep.contract import MPSState, compress_mps, contract_step
 
 from netgen import (
     coset_geometry_network,
     depolarised_coset_network,
+    depolarised_coset_networks,
     grid_network,
     random_planar_network,
 )
@@ -46,6 +50,13 @@ from oracles import (
 
 def value_of(result):
     return result.mantissa * math.exp(result.log_scale)
+
+
+def arrays_of(plan, tn, memo=None):
+    """The arrays the steps of ``plan`` absorb for the network ``tn``, in
+    step order and built as each is read, as ``sweep_contract`` builds
+    them, with the memo of step arrays ``memo`` (a fresh one by default)."""
+    return contract._step_arrays(plan, memo or contract._MergeMemo(), tn.vertices)
 
 
 def chain_network(mats, positions=None):
@@ -337,7 +348,8 @@ class TestCompression:
         tn = grid_network(rng, 5, 5, dim=2)
         chi = max(bond for _, bond in exact_bond_trace(tn)) // 2
         exact = sweep_contract(tn)
-        lazy = contract._run(contract._plan_for(tn), tn.vertices, chi)
+        capped = dataclasses.replace(planner.plan_sweep(tn, None), chi=chi)
+        lazy = contract.run(capped, arrays_of(capped, tn))
         assert chi > 1
         assert [x.hex() for x in lazy] == [x.hex() for x in exact]
 
@@ -406,8 +418,8 @@ class TestIdentitySites:
         monkeypatch.setattr(contract, "_identities", {})
         plan = plan_unrotated(tn)
         mps, sites = MPSState(), []
-        for step in plan.steps:
-            contract_step(mps, step, contract._vertex_tensor(plan, tn.vertices, step))
+        for step, tensor in zip(plan.steps, arrays_of(plan, tn)):
+            contract_step(mps, step, tensor)
             sites.extend(mps.sites)
         assert_matches_oracle(contract.SweepValue(mps.mantissa, mps.log_scale), tn, rel=1e-10)
         shared = [a for a in sites if not a.flags.writeable]
@@ -425,8 +437,7 @@ class TestIdentitySites:
     def test_equal_steps_share_one_base(self):
         tn = grid_network(np.random.default_rng(96), 3, 3, dim=2)
         plan = plan_unrotated(tn)
-        step = plan.steps[0]
-        tensor = contract._vertex_tensor(plan, tn.vertices, step)
+        step, tensor = plan.steps[0], next(arrays_of(plan, tn))
         first = contract_step(MPSState(), step, tensor).sites
         second = contract_step(MPSState(), step, tensor).sites
         assert [a.shape for a in first] == [a.shape for a in second]
@@ -538,10 +549,10 @@ def exact_bond_trace(tn, chi=None):
     """``(step.forward >= 2, largest bond)`` after each step of the sweep
     along the plan of ``tn`` at ``chi``, run without compressing; a step
     leaving fewer than two slots makes no new bond."""
-    plan = contract._plan_for(tn, chi)
+    plan, memo = contract._plan_for(tn, chi)
     mps, trace = MPSState(), []
-    for step in plan.steps:
-        contract_step(mps, step, contract._vertex_tensor(plan, tn.vertices, step))
+    for step, tensor in zip(plan.steps, arrays_of(plan, tn, memo)):
+        contract_step(mps, step, tensor)
         trace.append((step.forward >= 2, mps.max_bond()))
     return trace
 
@@ -615,12 +626,17 @@ class TestCompressionTrigger:
         with pytest.raises(ValueError, match="chi must be a positive integer"):
             compress_mps(MPSState(sites=[np.ones((1, 2, 1))]), chi)
 
-    @pytest.mark.parametrize("bad", [float("nan"), 2.0, 2.5, "3", True, False])
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), 2.0, 2.5, "3", True, False, np.array(2.0), np.array([2])]
+    )
     def test_non_integer_chi_raises(self, bad):
         mps = MPSState(sites=[np.ones((1, 2, 2)), np.ones((2, 2, 2)), np.ones((2, 2, 1))])
         with pytest.raises(ValueError, match="chi must be a positive integer"):
             compress_mps(mps, bad)
         tn = grid_network(np.random.default_rng(4603), 6, 6, dim=2)
+        # plans cached at chi 1 and 2, which True, 2.0 and np.array(2.0) equal
+        sweep_contract(tn, 1)
+        sweep_contract(tn, 2)
         with pytest.raises(ValueError, match="chi must be a positive integer"):
             sweep_contract(tn, bad)
 
@@ -655,12 +671,11 @@ class TestAbsorptionKernel:
         # product sums in another order, so agreement is to rounding
         branches = set()
         for tn in netgen_corpus():
-            plan = contract._plan_for(tn, chi)
+            plan, memo = contract._plan_for(tn, chi)
             mps = MPSState()
             with np.errstate(over="ignore", invalid="ignore"):
-                for step in plan.steps:
+                for step, tensor in zip(plan.steps, arrays_of(plan, tn, memo)):
                     branches |= absorption_branches(mps, step)
-                    tensor = contract._vertex_tensor(plan, tn.vertices, step)
                     ref = MPSState(list(mps.sites), mps.log_scale, mps.mantissa)
                     contract_step_reference(ref, step, tensor)
                     contract_step(mps, step, tensor)
@@ -780,13 +795,13 @@ def rebuilt(tn, position=None, dims=None, bond_order=None):
 
 def planarize_counter(monkeypatch):
     calls = []
-    real = contract.planarize
+    real = planner.planarize
 
     def counting(tn):
         calls.append(tn)
         return real(tn)
 
-    monkeypatch.setattr(contract, "planarize", counting)
+    monkeypatch.setattr(planner, "planarize", counting)
     return calls
 
 
@@ -805,7 +820,7 @@ class TestSweepPlanCache:
             for chi in (None, 2):
                 contract._plans.clear()
                 cold = sweep_contract(tn, chi)
-                folds.add(contract._plan_for(tn, chi).fold)
+                folds.add(contract._plan_for(tn, chi)[0].fold)
                 warm_sibling = sweep_contract(sibling, chi)  # tn's plan
                 assert sweep_contract(tn, chi) == cold
                 contract._plans.clear()
@@ -866,8 +881,8 @@ class TestSweepPlanCache:
         contract._plans.clear()
         values = [sweep_contract(net, chi) for net in networks]
         assert len(calls) == 1 and len(contract._plans) == 1
-        plan = contract._build_plan(networks[0], chi)
-        assert values == [contract._run(plan, net.vertices, chi) for net in networks]
+        plan = planner.plan_sweep(networks[0], chi)
+        assert values == [contract.run(plan, arrays_of(plan, net)) for net in networks]
 
     @pytest.mark.parametrize(
         "edit", ["position reassigned", "position list edited", "bond replaced", "bond appended"]
@@ -1021,8 +1036,8 @@ def run_plan(plan, tn):
     bond)``."""
     mps = MPSState()
     widest = 0
-    for step in plan.steps:
-        contract_step(mps, step, contract._vertex_tensor(plan, tn.vertices, step))
+    for step, tensor in zip(plan.steps, arrays_of(plan, tn)):
+        contract_step(mps, step, tensor)
         widest = max(widest, mps.max_bond())
     return contract.SweepValue(mps.mantissa, mps.log_scale), widest
 
@@ -1061,7 +1076,7 @@ class TestSweepFrame:
     def test_corpus_values_match_unturned_plan(self):
         turned = 0
         for tn in netgen_corpus():
-            plan = contract._build_plan(tn, None)
+            plan = planner.plan_sweep(tn, None)
             turned += plan.turns != 0
             assert_same_value(run_plan(plan, tn)[0], run_plan(plan_unrotated(tn), tn)[0])
         assert turned > 0
@@ -1077,17 +1092,17 @@ class TestSweepFrame:
         tn = code_network(family, d)
         want = run_plan(plan_unrotated(tn), tn)[0]
         assert want.mantissa == 1.0
-        assert_same_value(run_plan(contract._build_plan(tn, None), tn)[0], want)
+        assert_same_value(run_plan(planner.plan_sweep(tn, None), tn)[0], want)
 
     @pytest.mark.parametrize("d", [3, 5, 9])
     def test_square_codes_keep_their_frame(self, d):
         # every frame of an unfolded square code costs the same, and a tie
         # keeps 0
         tn = code_network("square", d)
-        unfolded = [c for c in contract._candidates(tn, None) if c.fold == 0]
+        unfolded = [c for c in planner._candidates(tn, None) if c.fold == 0]
         assert len(unfolded) == 4
         assert len({c.seconds for c in unfolded}) == 1
-        plan = contract._choose(unfolded)
+        plan = planner._choose(unfolded)
         assert plan.turns == 0
         assert uncut(plan.steps) == plan_unrotated(tn).steps
 
@@ -1095,7 +1110,7 @@ class TestSweepFrame:
         # folded, generators into qubits, the exact sweep keeps bonds of 32
         # (64 unfolded along the short side)
         tn = code_network("subsystem", 5)
-        plan = contract._build_plan(tn, None)
+        plan = planner.plan_sweep(tn, None)
         assert plan.turns % 2 == 1
         assert run_plan(plan, tn)[1] == 32
         assert run_plan(plan_unrotated(tn), tn)[1] == 128
@@ -1107,24 +1122,24 @@ class TestSweepFrame:
         start = time.perf_counter()
         sweep_contract(tn)
         assert time.perf_counter() - start < 1.0
-        assert run_plan(contract._plan_for(tn), tn)[1] <= 128
+        assert run_plan(contract._plan_for(tn)[0], tn)[1] <= 128
 
     def test_turned_frames_that_fail_are_skipped(self, monkeypatch):
         tn = code_network("subsystem", 3)
-        assert contract._build_plan(tn, None).turns != 0
-        replay = contract._replay
+        assert planner.plan_sweep(tn, None).turns != 0
+        replay = planner._replay
 
         def failing(layout, turns):
             if turns:
                 raise ContractionError("turned replay fails")
             return replay(layout, turns)
 
-        monkeypatch.setattr(contract, "_replay", failing)
-        candidates = contract._candidates(tn, None)
+        monkeypatch.setattr(planner, "_replay", failing)
+        candidates = planner._candidates(tn, None)
         assert {c.turns for c in candidates} == {0}
         want = plan_unrotated(tn)
         assert [uncut(c.steps) for c in candidates if c.fold == 0] == [want.steps]
-        assert contract._build_plan(tn, None).turns == 0
+        assert planner.plan_sweep(tn, None).turns == 0
 
 
 def network_from_pairs(pos, pairs, dim=2, rng=None):
@@ -1245,7 +1260,7 @@ FOLD_CASE_PLANS = [
 
 
 def unfolded_best(candidates):
-    return contract._choose([c for c in candidates if c.fold == 0])
+    return planner._choose([c for c in candidates if c.fold == 0])
 
 
 def every_fold_crosses():
@@ -1301,20 +1316,20 @@ def assert_merges_match_einsum(tn):
     and at chi=8) and of each of its paired candidates is the host's
     :func:`merged_by_einsum` tensor in the step's axis order, to 1e-14
     relative; returns how many arrays were checked."""
-    exact = contract._candidates(tn, None)
-    plans = [contract._choose(exact), contract._choose(contract._candidates(tn, 8))]
+    exact = planner._candidates(tn, None)
+    plans = [planner._choose(exact), planner._choose(planner._candidates(tn, 8))]
     plans += [c for c in exact if c.pairs is not None]
     checked = 0
     oracle = {}  # (id(layout), host) -> merged_by_einsum
     for plan in {(c.fold, c.pairs, c.turns): c for c in plans if c.fold}.values():
+        memo = contract._MergeMemo()
         merges = plan.layout.merges
         group = {h: {h, *(vid for vid, _, _ in m.products)} for h, m in merges.items()}
-        for step in plan.steps:
+        for step, got in zip(plan.steps, arrays_of(plan, tn, memo)):
             key = (id(plan.layout), step.vid)
             if key not in oracle:
                 oracle[key] = merged_by_einsum(tn, plan.layout, group, step.vid)
             want = oracle[key].transpose(step.perm)
-            got = contract._vertex_tensor(plan, tn.vertices, step)
             assert got.shape == want.shape
             assert np.abs(got - want).max(initial=0.0) <= 1e-14 * np.abs(want).max(initial=0.0)
             checked += 1
@@ -1329,7 +1344,7 @@ class TestFold:
         run and how many of those were paired."""
         want = run_plan(plan_unrotated(tn), tn)[0]
         run = paired = 0
-        for plan in contract._candidates(tn, None):
+        for plan in planner._candidates(tn, None):
             if plan.fold and plan.peak <= FOLD_PEAK_CAP:
                 assert_same_value(run_plan(plan, tn)[0], want)
                 run += 1
@@ -1350,23 +1365,23 @@ class TestFold:
     def test_odd_cycles_keep_the_unfolded_plan(self):
         odd = 0
         for tn in netgen_corpus():
-            if contract._colour_classes(contract._layout(tn)) is None:
+            if planner._colour_classes(planner._layout(tn)) is None:
                 odd += 1
-                assert {c.fold for c in contract._candidates(tn, None)} == {0}
-                assert contract._build_plan(tn, None).fold == 0
+                assert {c.fold for c in planner._candidates(tn, None)} == {0}
+                assert planner.plan_sweep(tn, None).fold == 0
         assert odd > 20
 
     @staticmethod
     def folds(tn):
         """``(fold, assignment, folded layout)`` of each fold of ``tn``, as
-        :func:`contract._candidates` makes them."""
-        base = contract._layout(tn)
-        classes = contract._colour_classes(base)
+        :func:`plan._candidates` makes them."""
+        base = planner._layout(tn)
+        classes = planner._colour_classes(base)
         keys = {vid: sweep_key(v) for vid, v in tn.vertices.items()}
         out = []
         for fold, (absorbed, hosts) in ((1, classes), (2, classes[::-1])):
-            assignment = contract._assign(base, hosts, absorbed, keys)
-            out.append((fold, assignment, contract._fold(base, assignment)))
+            assignment = planner._assign(base, hosts, absorbed, keys)
+            out.append((fold, assignment, planner._fold(base, assignment)))
         return base, out
 
     @staticmethod
@@ -1381,15 +1396,15 @@ class TestFold:
         for fold, assignment, folded in folds:
             forms.append((fold, None, folded))
             for pairs in range(4):
-                forms.append((fold, pairs, contract._fold(base, contract._pair(folded, assignment, pairs))))
+                forms.append((fold, pairs, planner._fold(base, planner._pair(folded, assignment, pairs))))
         replays, dropped = {}, []
         for fold, pairs, layout in forms:
             for turns in range(4):
                 try:
-                    replays[fold, pairs, turns] = contract._replay(layout, turns)
+                    replays[fold, pairs, turns] = planner._replay(layout, turns)
                 except ContractionError:
                     dropped.append((fold, pairs, turns))
-        candidates = {(c.fold, c.pairs, c.turns): c for c in contract._candidates(tn, chi) if c.fold}
+        candidates = {(c.fold, c.pairs, c.turns): c for c in planner._candidates(tn, chi) if c.fold}
         assert candidates.keys() == replays.keys()
         assert all(uncut(c.steps) == replays[key] for key, c in candidates.items())
         return [c for c in candidates.values() if crosses(c.layout)], dropped
@@ -1403,20 +1418,20 @@ class TestFold:
             crossing, dropped = self.crossing_candidates(tn, chi)
             assert {c.fold for c in crossing} == {1, 2} and dropped
             # every folded form here comes of a crossing fold
-            for c in contract._candidates(tn, chi):
+            for c in planner._candidates(tn, chi):
                 assert_matches_oracle(run_plan(c, tn)[0], tn, rel=1e-12)
         assert_matches_oracle(sweep_contract(tn), tn, rel=1e-12)
 
     def test_pairs_cover_each_host_once(self):
         pairings = 0
         for tn in [code_network(f, d) for f, d in fold_cases()] + list(netgen_corpus()):
-            if contract._colour_classes(contract._layout(tn)) is None:
+            if planner._colour_classes(planner._layout(tn)) is None:
                 continue
             base, folds = self.folds(tn)
             for _, assignment, folded in folds:
                 members = dict(assignment)
                 for turns in range(4):
-                    pairs = contract._pair(folded, assignment, turns)
+                    pairs = planner._pair(folded, assignment, turns)
                     pairings += 1
                     # each host heads one group or sits in exactly one
                     groups = [(h, *group) for h, group in pairs]
@@ -1442,9 +1457,9 @@ class TestFold:
         (_, assignment, folded), = [f for f in folds if f[0] == 2]
         assert assignment == ((0, (1,)), (2, (3,)), (4, ()))
         # frame 0 sweeps 0, 2, 4: 0 takes 2, and 4 has no later neighbour
-        assert contract._pair(folded, assignment, 0) == ((0, (1, 2, 3)), (4, ()))
+        assert planner._pair(folded, assignment, 0) == ((0, (1, 2, 3)), (4, ()))
         # two quarter turns sweep 4, 2, 0: 4 takes 2, and 0 stays alone
-        assert contract._pair(folded, assignment, 2) == ((0, (1,)), (4, (2, 3)))
+        assert planner._pair(folded, assignment, 2) == ((0, (1,)), (4, (2, 3)))
 
     def test_pairings_that_cross_are_candidates_when_they_replay(self):
         # square d=5 folded class 1 into class 0 and paired in frame 1
@@ -1471,16 +1486,16 @@ class TestFold:
     )
     def test_benchmark_code_plans(self, family, chi, fold, pairs, turns, steps):
         code = (family, 5) if isinstance(family, str) else family
-        plan = contract._build_plan(code_network(*code), chi)
+        plan = planner.plan_sweep(code_network(*code), chi)
         assert (plan.fold, plan.pairs, plan.turns, len(plan.steps)) == (fold, pairs, turns, steps)
 
     def test_model_constants_match_their_record(self):
         # scripts/plan_model.py --fit writes the fitted constants to
-        # BENCH_plan_model.json, and they are copied into contract.py by hand
+        # BENCH_plan_model.json, and they are copied into plan.py by hand
         path = Path(__file__).resolve().parents[1] / "BENCH_plan_model.json"
         recorded = json.loads(path.read_text())["constants"]
-        names = [n for n in dir(contract) if n.startswith("MODEL_SECONDS_PER_")]
-        assert recorded == {n: getattr(contract, n) for n in names}
+        names = [n for n in dir(planner) if n.startswith("MODEL_SECONDS_PER_")]
+        assert recorded == {n: getattr(planner, n) for n in names}
 
     def test_recorded_constants_fit_their_rows(self, monkeypatch):
         # the constants BENCH_plan_model.json records are what
@@ -1507,15 +1522,15 @@ class TestFold:
         # keeps nothing.
         monkeypatch.setattr(contract, "MERGE_MEMO_BYTES", 0)
         tn = depolarised_coset_network(code_of(family, 5), p, np.random.default_rng(0))
-        candidates = contract._candidates(tn, chi)
-        chosen = contract._choose(candidates)
+        candidates = planner._candidates(tn, chi)
+        chosen = planner._choose(candidates)
         checked = [chosen] + [c for c in candidates if c.pairs is not None and 8 * c.peak <= 1 << 20]
         for plan in checked:
-            contract._run(plan, tn.vertices, chi)  # warm the identity memo
+            contract.run(plan, arrays_of(plan, tn))  # warm the identity memo
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                contract._run(plan, tn.vertices, chi)
+                contract.run(plan, arrays_of(plan, tn))
                 traced = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
@@ -1527,9 +1542,9 @@ class TestFold:
         networks = [code_network(f, d) for f, d in fold_cases()] + list(netgen_corpus())
         for tn in networks:
             for chi in (None, 8):
-                candidates = contract._candidates(tn, chi)
+                candidates = planner._candidates(tn, chi)
                 unfolded = unfolded_best(candidates)
-                chosen = contract._choose(candidates)
+                chosen = planner._choose(candidates)
                 assert chosen.peak <= unfolded.peak
                 folded += chosen.fold != 0
                 fastest = min(candidates, key=lambda c: (c.seconds, c.fold, c.turns))
@@ -1543,7 +1558,7 @@ class TestFold:
         # an unfolded one absorbs nothing and keeps its tensor's axes
         unfolded = 0
         for tn in [code_network(f, d) for f, d in fold_cases()] + list(netgen_corpus()):
-            candidates = contract._candidates(tn, chi)
+            candidates = planner._candidates(tn, chi)
             for plan in candidates:
                 merges = plan.layout.merges
                 assert set(merges) == {step.vid for step in plan.steps}
@@ -1552,7 +1567,7 @@ class TestFold:
                     for vid, merge in merges.items():
                         extents = tn.vertices[vid].tensor.extents
                         assert merge == ((), tuple(range(len(extents))), extents)
-            built, chosen = contract._build_plan(tn, chi), contract._choose(candidates)
+            built, chosen = planner.plan_sweep(tn, chi), planner._choose(candidates)
             assert built.fold == chosen.fold and built.pairs == chosen.pairs
             assert built.turns == chosen.turns and built.steps == chosen.steps
         assert unfolded > 100
@@ -1570,7 +1585,7 @@ class TestFold:
     def test_non_finite_element_raises(self, bad, where, chi):
         tn = grid_network(np.random.default_rng(4500), 4, 4, dim=2)
         host, merge = next(
-            (h, m) for h, m in contract._plan_for(tn, chi).layout.merges.items() if m.products
+            (h, m) for h, m in planner.plan_sweep(tn, chi).layout.merges.items() if m.products
         )
         vid = host if where == "host" else merge.products[0][0]
         v = tn.vertices[vid]
@@ -1615,7 +1630,7 @@ def memo_bytes(memo):
 
 
 def step_arrays(plan, tn, chi, monkeypatch):
-    """Every ``(step, array)`` that ``_run`` hands to ``contract_step`` in
+    """Every ``(step, array)`` that ``run`` hands to ``contract_step`` in
     one sweep of ``tn`` along ``plan`` at ``chi``."""
     seen, real = [], contract.contract_step
 
@@ -1625,7 +1640,7 @@ def step_arrays(plan, tn, chi, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(contract, "contract_step", recording_step)
-        contract._run(plan, tn.vertices, chi)
+        contract.run(plan, arrays_of(plan, tn))
     return seen
 
 
@@ -1637,8 +1652,8 @@ class TestMergeMemo:
         networks = [code_network(f, d) for f, d in fold_cases()] + list(netgen_corpus())
         folded = 0
         for tn in networks:
-            candidates = contract._candidates(tn, chi)
-            for plan in (contract._choose(candidates), unfolded_best(candidates)):
+            candidates = planner._candidates(tn, chi)
+            for plan in (planner._choose(candidates), unfolded_best(candidates)):
                 folded += plan.fold != 0
                 arrays = step_arrays(plan, tn, chi, monkeypatch)
                 assert [step for step, _ in arrays] == list(plan.steps)
@@ -1654,47 +1669,45 @@ class TestMergeMemo:
         tn = TensorNetwork2D([TNVertex(0, DenseTensor(np.array(7.0)), (0.0, 0.0))])
         contract._plans.clear()
         assert value_of(sweep_contract(tn)) == pytest.approx(7.0, rel=1e-15)
-        (entry,) = contract._plan_for(tn, None).memo.arrays.values()
+        (entry,) = contract._plan_for(tn, None)[1].arrays.values()
         assert entry.shape == () and not entry.flags.writeable
 
     @pytest.mark.parametrize("family, d", fold_cases())
     def test_hits_are_fresh_builds_bit_for_bit(self, family, d):
         tn = code_network(family, d)
         networks = variant_networks(tn, np.random.default_rng(d), 6)
-        plans = [c for c in contract._candidates(tn, None) if c.fold and c.peak <= FOLD_PEAK_CAP]
+        plans = [c for c in planner._candidates(tn, None) if c.fold and c.peak <= FOLD_PEAK_CAP]
         assert plans
         for plan in plans:
+            memo = contract._MergeMemo()
             for net in networks:
-                for step in plan.steps:
-                    contract._vertex_tensor(plan, net.vertices, step)
-            filled = dict(plan.memo.arrays)
+                list(arrays_of(plan, net, memo))
+            filled = dict(memo.arrays)
             assert len(filled) > len(plan.steps)  # several variants per host
-            fresh = plan._replace(memo=contract._MergeMemo())
+            fresh = contract._MergeMemo()
             for net in networks:
-                for step in plan.steps:
-                    hit = contract._vertex_tensor(plan, net.vertices, step)
+                for hit, built in zip(arrays_of(plan, net, memo), arrays_of(plan, net, fresh)):
                     assert any(hit is a for a in filled.values())
-                    built = contract._vertex_tensor(fresh, net.vertices, step)
                     assert same_bits(hit, built)
-            assert plan.memo.arrays == filled  # every read hit
+            assert memo.arrays == filled  # every read hit
             for a in filled.values():
                 assert not a.flags.writeable
                 with pytest.raises(ValueError):
                     a[(0,) * a.ndim] = 2.0
-            assert plan.memo.nbytes == memo_bytes(plan.memo)
+            assert memo.nbytes == memo_bytes(memo)
 
     @pytest.mark.parametrize("family, d", [("square", 5), ("subsystem", 5), ("hexagonal", 5)])
     @pytest.mark.parametrize("chi", [None, 8])
     def test_warm_sweeps_equal_cold_ones_bit_for_bit(self, family, d, chi, monkeypatch):
         networks = variant_networks(code_network(family, d), np.random.default_rng(7), 8)
         contract._plans.clear()
-        plan = contract._plan_for(networks[0], chi)
+        _, memo = contract._plan_for(networks[0], chi)
         with monkeypatch.context() as m:
             m.setattr(contract, "MERGE_MEMO_BYTES", 0)  # every sweep builds every tensor
             unmemoized = [sweep_contract(net, chi) for net in networks]
-        assert not plan.memo.arrays
+        assert not memo.arrays
         cold = [sweep_contract(net, chi) for net in networks]
-        assert plan.memo.arrays
+        assert memo.arrays
         warm = [sweep_contract(net, chi) for net in networks]
         assert warm == cold == unmemoized
 
@@ -1705,13 +1718,13 @@ class TestMergeMemo:
             tn.bonds,
         )
         contract._plans.clear()
-        plan = contract._plan_for(tn, None)
+        plan, memo = contract._plan_for(tn, None)
         assert plan.fold
         first = sweep_contract(tn)
-        entries = len(plan.memo.arrays)
+        entries = len(memo.arrays)
         assert entries == len(plan.steps)
         assert sweep_contract(twin) == first
-        assert len(plan.memo.arrays) == 2 * entries
+        assert len(memo.arrays) == 2 * entries
 
     def test_vertices_sharing_one_tensor(self, monkeypatch):
         # hosts whose own and absorbed tensors are the same objects still
@@ -1728,30 +1741,30 @@ class TestMergeMemo:
         with monkeypatch.context() as m:
             m.setattr(contract, "MERGE_MEMO_BYTES", 0)
             want = sweep_contract(tn)
-        plan = contract._plan_for(tn, None)
+        plan, memo = contract._plan_for(tn, None)
         assert sweep_contract(tn) == sweep_contract(tn) == want
-        assert len(plan.memo.arrays) == len(plan.steps)
+        assert len(memo.arrays) == len(plan.steps)
 
     def test_memo_is_bounded_in_bytes(self, monkeypatch):
         tn = grid_network(np.random.default_rng(4900), 3, 3, dim=2)
         contract._plans.clear()
-        plan = contract._plan_for(tn, None)
+        _, memo = contract._plan_for(tn, None)
         sweep_contract(tn)
-        widest = max(entry_bytes(key, a) for key, a in plan.memo.arrays.items())
+        widest = max(entry_bytes(key, a) for key, a in memo.arrays.items())
         cap = 3 * widest
         monkeypatch.setattr(contract, "MERGE_MEMO_BYTES", cap)
-        plan.memo.clear()
+        memo.clear()
         rng = np.random.default_rng(4901)
         for _ in range(20):
             net = with_tensors(tn, rng)  # fresh tensors: every build misses
             assert_matches_oracle(sweep_contract(net), net, rel=1e-10)
-            assert 0 < plan.memo.nbytes <= cap
-            assert plan.memo.nbytes == memo_bytes(plan.memo)
+            assert 0 < memo.nbytes <= cap
+            assert memo.nbytes == memo_bytes(memo)
         # an entry larger than the bound alone is not kept
-        plan.memo.clear()
+        memo.clear()
         monkeypatch.setattr(contract, "MERGE_MEMO_BYTES", 1)
         sweep_contract(with_tensors(tn, rng))
-        assert not plan.memo.arrays and plan.memo.nbytes == 0
+        assert not memo.arrays and memo.nbytes == 0
 
     def test_a_key_put_twice_is_counted_once(self):
         # two threads that miss one step array both build and put it
@@ -1767,7 +1780,7 @@ class TestMergeMemo:
         # of them often build and put the same step array
         tn = grid_network(np.random.default_rng(4903), 4, 4, dim=2)
         contract._plans.clear()
-        plan = contract._plan_for(tn, None)
+        _, memo = contract._plan_for(tn, None)
         nets = variant_networks(tn, np.random.default_rng(4904), 6)
         want = [sweep_contract(net) for net in nets]
         got, errors = [], []
@@ -1782,14 +1795,14 @@ class TestMergeMemo:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
-                plan.memo.clear()
+                memo.clear()
                 threads = [threading.Thread(target=sweep_all) for _ in range(4)]
                 for t in threads:
                     t.start()
                 for t in threads:
                     t.join(timeout=60)
                 assert not any(t.is_alive() for t in threads) and not errors
-                assert plan.memo.nbytes == memo_bytes(plan.memo)
+                assert memo.nbytes == memo_bytes(memo)
         finally:
             sys.setswitchinterval(interval)
         assert len(got) == 20 and all(values == want for values in got)
@@ -1802,7 +1815,7 @@ def cut_networks():
 
 
 def absorb(mps, step, tensor, chi):
-    """One step of ``_run``: absorb, then compress above ``2 * chi``."""
+    """One step of ``run``: absorb, then compress above ``2 * chi``."""
     contract_step(mps, step, tensor)
     if chi is not None and mps.emitted > 2 * chi:
         compress_mps(mps, chi)
@@ -1816,14 +1829,13 @@ class TestCutMemo:
         # first sweep filled; the chains agree bit for bit after every step
         held = 0
         for tn in cut_networks():
-            plan = contract._plan_for(tn, chi)
-            plan.memo.cuts.clear()
-            contract._run(plan, tn.vertices, chi)
-            cuts = dict(plan.memo.cuts)
-            cold, warm = MPSState(), MPSState(cuts=plan.memo.cuts)
+            plan, memo = contract._plan_for(tn, chi)
+            plan.cuts.clear()
+            contract.run(plan, arrays_of(plan, tn, memo))
+            cuts = dict(plan.cuts)
+            cold, warm = MPSState(), MPSState(cuts=plan.cuts)
             with np.errstate(over="ignore", invalid="ignore"):
-                for step in plan.steps:
-                    tensor = contract._vertex_tensor(plan, tn.vertices, step)
+                for step, tensor in zip(plan.steps, arrays_of(plan, tn, memo)):
                     cold.cuts.clear()
                     absorb(cold, step, tensor, chi)
                     absorb(warm, step, tensor, chi)
@@ -1831,7 +1843,7 @@ class TestCutMemo:
                         warm.emitted, warm.log_scale.hex(), warm.mantissa.hex())
                     assert [a.shape for a in cold.sites] == [a.shape for a in warm.sites]
                     assert all(a.tobytes() == b.tobytes() for a, b in zip(cold.sites, warm.sites))
-            assert plan.memo.cuts == cuts  # the second sweep was warm
+            assert plan.cuts == cuts  # the second sweep was warm
             held += len(cuts)
         assert held > 300
 
@@ -1841,11 +1853,11 @@ class TestCutMemo:
         # identities are all shared ones are kept
         kept = 0
         for tn in cut_networks():
-            plan = contract._plan_for(tn, chi)
-            plan.memo.cuts.clear()
-            contract._run(plan, tn.vertices, chi)
-            for (left, dims, right), cut in plan.memo.cuts.items():
-                prefix, suffix, t, emitted = contract._split(left, dims, right)
+            plan, memo = contract._plan_for(tn, chi)
+            plan.cuts.clear()
+            contract.run(plan, arrays_of(plan, tn, memo))
+            for (left, dims, right), cut in plan.cuts.items():
+                prefix, suffix, t, emitted = planner._split(left, dims, right)
                 shape, t_kept, emitted_kept, before, after = cut
                 assert (t_kept, emitted_kept) == (t, emitted)
                 assert emitted <= contract.IDENTITY_MEMO_MAX
@@ -1867,11 +1879,10 @@ class TestCutMemo:
         # np.matmul of its operands give the same bits
         shapes = set()
         for tn in cut_networks():
-            plan = contract._plan_for(tn, chi)
+            plan, memo = contract._plan_for(tn, chi)
             mps = MPSState()
             with np.errstate(over="ignore", invalid="ignore"):
-                for step in plan.steps:
-                    tensor = contract._vertex_tensor(plan, tn.vertices, step)
+                for step, tensor in zip(plan.steps, arrays_of(plan, tn, memo)):
                     sites, lo, hi = mps.sites, step.lo, step.hi
                     if hi >= lo:
                         # the consumed run, merged as contract_step merges it
@@ -1894,10 +1905,10 @@ class TestCutMemo:
 def unsplit_peak(plan, chi, monkeypatch):
     """The modelled peak of ``plan`` at ``chi`` with every consumed run
     chained whole, priced by pricing every split as split 0."""
-    real = contract._absorption
+    real = planner._absorption
     with monkeypatch.context() as m:
-        m.setattr(contract, "_absorption", lambda run, held, size, rows, split: real(run, held, size, rows, 0))
-        return contract._tally(plan.steps, plan.layout, chi)[2]
+        m.setattr(planner, "_absorption", lambda run, held, size, rows, split: real(run, held, size, rows, 0))
+        return planner._tally(plan.steps, plan.layout, chi)[2]
 
 
 def unsplit_product(sites, step, tensor):
@@ -1924,11 +1935,10 @@ class TestRunSplit:
         # power of two its normalisation folded into the scale
         splits = bits = 0
         for tn in cut_networks():
-            plan = contract._plan_for(tn, chi)
+            plan, memo = contract._plan_for(tn, chi)
             mps = MPSState()
             with np.errstate(over="ignore", invalid="ignore"):
-                for step in plan.steps:
-                    tensor = contract._vertex_tensor(plan, tn.vertices, step)
+                for step, tensor in zip(plan.steps, arrays_of(plan, tn, memo)):
                     if step.hi > step.lo:
                         chains = []
                         for j in range(step.hi - step.lo + 1):
@@ -1945,7 +1955,7 @@ class TestRunSplit:
                         if step.forward:
                             want = unsplit_product(mps.sites, step, tensor)
                             left, dims, right = want.shape[0], tensor.shape[: step.forward], want.shape[2]
-                            t = contract._split(left, dims, right)[2]
+                            t = planner._split(left, dims, right)[2]
                             data = whole.sites[step.lo + t]
                             shift = round((whole.log_scale - mps.log_scale) / math.log(2.0))
                             assert np.ldexp(data, shift).tobytes() == want.reshape(data.shape).tobytes()
@@ -1956,22 +1966,155 @@ class TestRunSplit:
     def test_exact_sweeps_split_equal_unsplit(self):
         split = 0
         for tn in cut_networks():
-            plan = contract._plan_for(tn, None)
+            plan = contract._plan_for(tn, None)[0]
             if any(step.split for step in plan.steps):
                 split += 1
-                assert_same_value(run_plan(plan, tn)[0],
-                                  run_plan(plan._replace(steps=uncut(plan.steps)), tn)[0])
+                whole = dataclasses.replace(plan, steps=uncut(plan.steps))
+                assert_same_value(run_plan(plan, tn)[0], run_plan(whole, tn)[0])
         assert split > 5
 
     def test_benchmark_plans_split_only_at_their_peak_step(self, monkeypatch):
         # square d=5 at chi=8 splits the run of its peak step, which holds
         # 10,816 elements whole; subsystem d=5 exact splits none
         tn = code_network("square", 5)
-        plan = contract._build_plan(tn, 8)
+        plan = planner.plan_sweep(tn, 8)
         assert [(k, step.split) for k, step in enumerate(plan.steps) if step.split] == [(15, 1)]
         assert (plan.peak, unsplit_peak(plan, 8, monkeypatch)) == (6720, 10816)
         assert plan.steps[15].hi - plan.steps[15].lo == 2
         # unsplit, the plan would hold more than the unfolded one (7,028)
-        assert unfolded_best(contract._candidates(tn, 8)).peak == 7028
-        plan = contract._build_plan(code_network("subsystem", 5), None)
+        assert unfolded_best(planner._candidates(tn, 8)).peak == 7028
+        plan = planner.plan_sweep(code_network("subsystem", 5), None)
         assert not any(step.split for step in plan.steps)
+
+
+def held_arrays(value, path="plan"):
+    """Every ``(path, object)`` reachable from ``value`` that is an
+    ``np.ndarray`` or a ``DenseTensor``, walking tuples, lists, sets, the
+    keys and values of dicts, and every attribute of a dataclass instance
+    (a ``Plan``'s fields and what it has cached)."""
+    if isinstance(value, (np.ndarray, DenseTensor)):
+        yield path, value
+    elif dataclasses.is_dataclass(value):
+        for name, item in vars(value).items():
+            yield from held_arrays(item, f"{path}.{name}")
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from held_arrays(key, f"{path} key")
+            yield from held_arrays(item, f"{path}[{key!r}]")
+    elif isinstance(value, (tuple, list, set, frozenset)):
+        for k, item in enumerate(value):
+            yield from held_arrays(item, f"{path}[{k}]")
+
+
+def value_cases():
+    """``(network, chi)`` of the plan-value checks: the fold cases and the
+    first dozen netgen corpus networks, exact and at chi=8."""
+    networks = [code_network(f, d) for f, d in fold_cases()] + list(netgen_corpus()[:12])
+    return [(tn, chi) for tn in networks for chi in (None, 8)]
+
+
+class TestPlanValue:
+    def test_two_builds_are_equal(self):
+        split = filled = 0
+        for tn, chi in value_cases():
+            a, b = planner.plan_sweep(tn, chi), planner.plan_sweep(tn, chi)
+            assert a == b and a is not b and repr(a) == repr(b)
+            assert [s.split for s in a.steps] == [s.split for s in b.steps]
+            split += any(s.split for s in a.steps)
+            # sweeping fills the memo of cuts, which equality ignores
+            contract.run(a, arrays_of(a, tn))
+            assert not b.cuts and a == b and repr(a) == repr(b)
+            filled += bool(a.cuts)
+        assert split > 3 and filled > 20
+
+    def test_a_plan_records_its_chi(self):
+        # run compresses to the chi the plan was modelled at, so a plan of
+        # another chi is another plan, and the cache keys by the checked int
+        tn = grid_network(np.random.default_rng(4606), 6, 6, dim=2)
+        plan = planner.plan_sweep(tn, np.int64(4))
+        assert plan.chi == 4 and type(plan.chi) is int
+        assert planner.plan_sweep(tn, None).chi is None
+        assert plan != dataclasses.replace(plan, chi=8)
+        assert contract._plan_for(tn, 4)[0] == plan
+        assert contract.run(plan, arrays_of(plan, tn)) == sweep_contract(tn, np.int64(4))
+
+    def test_a_plan_holds_no_tensor(self):
+        # a fresh plan holds no array at all; after sweeps, only its memo of
+        # cuts does, and only views of the identities the kernel shares
+        kept = 0
+        for tn, chi in value_cases():
+            plan = planner.plan_sweep(tn, chi)
+            assert not list(held_arrays(plan))
+            for _ in range(2):
+                contract.run(plan, arrays_of(plan, tn))
+            for path, a in held_arrays(plan):
+                assert path.startswith("plan.cuts[") and isinstance(a, np.ndarray), path
+                assert not a.flags.writeable
+                assert a.base is contract._identities[a.base.shape[0]], path
+                kept += 1
+        assert kept > 100
+        names = {f.name: f.compare for f in dataclasses.fields(planner.Plan)}
+        assert names.pop("cuts") is False and all(names.values())
+
+    @pytest.mark.parametrize("family, p", [("square", 0.15), ("subsystem", 0.05)])
+    @pytest.mark.parametrize("chi", [8, None])
+    def test_run_along_one_plan_equals_sweep_contract(self, family, p, chi):
+        # the four coset networks of one shot, swept along the one plan
+        # built apart from the cache, against the cached wrapper
+        networks = depolarised_coset_networks(code_of(family, 5), p, np.random.default_rng(5))
+        plan = planner.plan_sweep(networks[0], chi)
+        for net in networks:
+            want = sweep_contract(net, chi)
+            got = contract.run(plan, arrays_of(plan, net))
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+            assert contract._plan_for(net, chi)[0] == plan
+
+    def test_run_reads_each_array_as_its_step_runs(self, monkeypatch):
+        tn = code_network("square", 5)
+        plan = planner.plan_sweep(tn, 8)
+        steps, _ = record_compressions(monkeypatch)
+        reads = []
+
+        def lazily():
+            for array in arrays_of(plan, tn):
+                reads.append(len(steps))
+                yield array
+
+        contract.run(plan, lazily())
+        assert reads == list(range(len(plan.steps)))
+
+    def test_run_names_the_step_of_a_bad_array(self):
+        tn = code_network("square", 5)
+        plan = planner.plan_sweep(tn, 8)
+        arrays = list(arrays_of(plan, tn))
+        n, last = len(arrays), plan.steps[-1].vid
+        assert contract.run(plan, arrays) == sweep_contract(tn, 8)
+        with pytest.raises(ValueError, match=rf"^step {n - 1} \(vertex {last}\) .* got no array$"):
+            contract.run(plan, arrays[:-1])
+        with pytest.raises(ValueError, match=rf"beyond the plan's {n} steps"):
+            contract.run(plan, arrays + arrays[:1])
+        k = next(k for k, a in enumerate(arrays) if a.ndim > 1)
+        bad = arrays[:k] + [arrays[k].reshape(-1)] + arrays[k + 1:]
+        with pytest.raises(ValueError, match=rf"^step {k} \(vertex {plan.steps[k].vid}\) absorbs "
+                                             rf"shape {re.escape(str(arrays[k].shape))}, got "
+                                             rf"\({arrays[k].size},\)$"):
+            contract.run(plan, bad)
+
+    def test_plan_sweep_raises_in_order(self):
+        # empty network, chi, planarize, disconnected network: each network
+        # below has every later fault too
+        crossed = k4_network(np.random.default_rng(47), K4_CROSSED)
+        disconnected = TensorNetwork2D([
+            TNVertex(0, DenseTensor(np.array(1.0)), (0.0, 0.0)),
+            TNVertex(1, DenseTensor(np.array(2.0)), (1.0, 0.0)),
+        ])
+        cases = [
+            (TensorNetwork2D(), 0, ContractionError, "cannot contract an empty network"),
+            (crossed, 0, ValueError, "chi must be a positive integer"),
+            (crossed, None, PlanarizeError, "crosses"),
+            (disconnected, None, ContractionError, "network is not connected"),
+        ]
+        for tn, chi, kind, message in cases:
+            for contract_or_plan in (planner.plan_sweep, sweep_contract):
+                with pytest.raises(kind, match=message):
+                    contract_or_plan(tn, chi)
