@@ -35,7 +35,9 @@ still rank fewer plans right.
 consumed run the chosen and unfolded plans split, their modelled peaks
 with and without those splits, the cold plan build time (the fastest of
 ``REPEATS``, through ``plan_sweep``), the chosen plan's modelled peak in
-bytes beside the tracemalloc peak of one warm sweep along it, and the
+bytes beside the tracemalloc peak of one warm sweep along it, its floor
+share, the part of a warm sweep along it that its products and LAPACK
+calls alone take (:func:`floor_share`), and the
 entries and bytes the memo of step arrays that ``sweep_contract`` caches
 beside the plan holds once the four cosets of the benchmark's first
 ``MIN_SHOTS`` shots are swept: memory that stays resident between
@@ -47,6 +49,7 @@ same for square d=7 at chi=8, whose plan is unfolded.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -55,6 +58,7 @@ import sys
 import time
 import timeit
 import tracemalloc
+import types
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -124,7 +128,7 @@ def describe(c):
 def traced_peak(plan, tn):
     """The most bytes tracemalloc sees allocated at once during one warm
     sweep of ``tn`` along ``plan``, after one warm-up sweep, which fills
-    the memo of step arrays, the plan's memo of cuts and the identity
+    the memo of step arrays, the plan's memo of records and the identity
     memo."""
     memo = contract._MergeMemo()
     contract.run(plan, contract._step_arrays(plan, memo, tn.vertices))
@@ -136,6 +140,46 @@ def traced_peak(plan, tn):
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def floor_share(plan, tn):
+    """``(floor, sweep)``: the seconds of one warm sweep of ``tn`` along
+    ``plan`` and of its products and LAPACK calls alone, each the fastest
+    of ``REPEATS``.  One sweep records every ``np.dot``, ``np.matmul`` and
+    LAPACK call the sweep module makes, with its operands, and the floor
+    replays those calls back to back on the same operands."""
+    memo = contract._MergeMemo()
+    contract.run(plan, contract._step_arrays(plan, memo, tn.vertices))
+    sweep = min(timeit.repeat(
+        lambda: contract.run(plan, contract._step_arrays(plan, memo, tn.vertices)),
+        number=10, repeat=REPEATS)) / 10
+    calls = []
+
+    def recorded(fn):
+        def call(*args, **kwargs):
+            calls.append((fn, args, kwargs))
+            return fn(*args, **kwargs)
+        return call
+
+    real_np, real_lapack = contract.np, contract._lapack
+    contract.np = types.SimpleNamespace(**{**vars(np), "dot": recorded(np.dot),
+                                           "matmul": recorded(np.matmul)})
+    contract._lapack = types.SimpleNamespace(
+        **{name: recorded(getattr(real_lapack, name)) for name in ("dgeqrf", "dorgqr", "dgesdd")})
+    try:
+        # a fresh copy of the plan, so the records its sweep makes call
+        # the recorded products (the kept records of ``plan`` stay as they are)
+        fresh = dataclasses.replace(plan)
+        contract.run(fresh, contract._step_arrays(fresh, memo, tn.vertices))
+    finally:
+        contract.np, contract._lapack = real_np, real_lapack
+
+    def replay():
+        for fn, args, kwargs in calls:
+            fn(*args, **kwargs)
+
+    floor = min(timeit.repeat(replay, number=10, repeat=REPEATS)) / 10
+    return floor, sweep
 
 
 def unsplit_peak(c, chi):
@@ -165,6 +209,9 @@ def print_plans():
                   f"split steps (index, split) {split}")
         print(f"{family} d={d} chi={chi} chosen peak: modelled {8 * chosen.peak} bytes, "
               f"traced {traced_peak(chosen, tn)} bytes")
+        floor, sweep = floor_share(chosen, tn)
+        print(f"{family} d={d} chi={chi} chosen warm sweep {sweep * 1e6:.1f} us, products and "
+              f"LAPACK alone {floor * 1e6:.1f} us: floor share {floor / sweep:.2f}")
         print(f"{family} d={d} chi={chi} cold plan build {cold * 1e3:.1f} ms (fastest of {REPEATS})")
         print_memo(code, f"{family} d={d} chi={chi}", chi, wl.p)
     print_memo(build_code("square", 7), "square d=7 chi=8", 8, P)
@@ -213,7 +260,7 @@ def configurations():
                     if key in seen or c.peak > PEAK_LIMIT or c.seconds > SECONDS_LIMIT:
                         continue
                     seen.add(key)
-                    madds, compressed, _, _ = planner._tally(c.steps, c.layout, chi)
+                    madds, compressed, *_ = planner._tally(c.steps, c.layout, chi)
                     out.append({
                         "code": f"{family}_d{d}", "chi": chi, **describe(c),
                         "chosen": key == (chosen.fold, chosen.steps),

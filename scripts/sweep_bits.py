@@ -17,9 +17,23 @@ many values went in.  The groups:
 Every network is built by the test helpers under ``tests/``, so a change
 that must leave every value bit-identical prints the same lines before and
 after it: run the script in a copy of each revision and compare.
+
+    python scripts/sweep_bits.py --dump PATH
+    python scripts/sweep_bits.py --against PATH
+
+``--dump`` also writes every value of every group to ``PATH`` as JSON,
+``float.hex`` of the mantissa and of ``log_scale`` per value.
+``--against`` reads such a file, written in a copy of another revision,
+and prints per group, beside the digest, the largest relative difference
+of ``log|mantissa| + log_scale`` between the two revisions and how many
+mantissas differ: a change that moves the last bits of a scale on purpose
+is compared within a tolerance.
 """
 
+import argparse
 import hashlib
+import json
+import math
 import os
 import sys
 
@@ -37,28 +51,75 @@ SHOTS = 16
 COSET_CODES = (("square", 0.15), ("subsystem", 0.05))
 
 
-def digest(networks, chi) -> str:
+def values(networks, chi) -> list:
+    """``[mantissa, log_scale]`` of the sweep of each network, in order."""
+    return [list(sweep_contract(tn, chi)) for tn in networks]
+
+
+def digest(vals) -> str:
     h = hashlib.sha256()
-    for tn in networks:
-        value = sweep_contract(tn, chi)
-        h.update(f"{value.mantissa.hex()} {value.log_scale.hex()}\n".encode())
-    return f"{h.hexdigest()[:16]} ({len(networks)} values)"
+    for mantissa, log_scale in vals:
+        h.update(f"{mantissa.hex()} {log_scale.hex()}\n".encode())
+    return f"{h.hexdigest()[:16]} ({len(vals)} values)"
 
 
-def main() -> int:
+def log_value(mantissa: float, log_scale: float) -> float:
+    """``log|mantissa| + log_scale``, -inf for a zero value."""
+    return math.log(abs(mantissa)) + log_scale if mantissa else -math.inf
+
+
+def compare(vals, other) -> str:
+    """The largest relative difference of the log values of ``vals`` and
+    ``other``, and the count of mantissas that differ."""
+    if len(vals) != len(other):
+        return f"{len(other)} values against, not comparable"
+    worst, mismatched = 0.0, 0
+    for (m, scale), (other_m, other_scale) in zip(vals, other):
+        # a mantissa differs when its value or, for a zero, its sign does
+        mismatched += m != other_m or math.copysign(1.0, m) != math.copysign(1.0, other_m)
+        a, b = log_value(m, scale), log_value(other_m, other_scale)
+        if a != b:
+            worst = max(worst, abs(a - b) / max(abs(a), abs(b)))
+    return f"log values within {worst:.2e} relative, {mismatched} mantissas differ"
+
+
+def groups():
+    """``(name, networks, chi)`` of every group, in print order."""
     corpus = netgen_corpus()
     for chi in (None, 1, 2, 4, 8):
-        print(f"netgen corpus chi={chi}: {digest(corpus, chi)}", flush=True)
+        yield f"netgen corpus chi={chi}", corpus, chi
     folds = [code_network(family, d) for family, d in fold_cases()]
     for chi in (None, 8):
-        print(f"fold cases chi={chi}: {digest(folds, chi)}", flush=True)
+        yield f"fold cases chi={chi}", folds, chi
     for family, p in COSET_CODES:
         code = code_of(family, 5)
         cosets = [tn for shot in range(SHOTS)
                   for tn in depolarised_coset_networks(code, p, np.random.default_rng(shot))]
         for chi in (None, 8):
-            print(f"{family} d=5 p={p} cosets of {SHOTS} shots chi={chi}: {digest(cosets, chi)}",
-                  flush=True)
+            yield f"{family} d=5 p={p} cosets of {SHOTS} shots chi={chi}", cosets, chi
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--dump", metavar="PATH", help="write every value as hex to PATH")
+    ap.add_argument("--against", metavar="PATH", help="compare with the values in PATH")
+    args = ap.parse_args(argv)
+    against = None
+    if args.against:
+        with open(args.against) as f:
+            against = {name: [[float.fromhex(x) for x in v] for v in vals]
+                       for name, vals in json.load(f).items()}
+    dumped = {}
+    for name, networks, chi in groups():
+        vals = values(networks, chi)
+        line = f"{name}: {digest(vals)}"
+        if against is not None:
+            line += "; " + (compare(vals, against[name]) if name in against else "not in the file")
+        print(line, flush=True)
+        dumped[name] = [[m.hex(), s.hex()] for m, s in vals]
+    if args.dump:
+        with open(args.dump, "w") as f:
+            json.dump(dumped, f, indent=0)
     return 0
 
 

@@ -5,8 +5,9 @@
 into a boundary matrix product state, and compresses that state when it
 grows too wide.  Of the plan it reads ``chi``, the bond cap it compresses
 to; ``steps``, the absorptions in order; ``shapes``, the shape of each
-step's array; and ``cuts``, the memo of the cuts that split each
-absorption into sites, which every sweep of the plan shares.
+step's array; ``window``, the scales a site may keep unshifted; and
+``records``, the memo of what each step would otherwise derive from the
+shapes it meets, which every sweep of the plan shares.
 :func:`sweep_contract` is the cached wrapper for networks given one at a
 time: it keeps, per geometry and ``chi``, the plan and a memo of the
 arrays its steps absorb, each laid out in its step's order and keyed by
@@ -21,22 +22,30 @@ Each rule is stated where it is enforced:
   the tensors of a miss and fills the memo up to ``MERGE_MEMO_BYTES``;
 - the plan cache and its lookup by geometry: :func:`_plan_for`;
 - an absorption and the split of its consumed run (``_Step.split``):
-  :func:`contract_step`;
-- a cut as the chain takes it, its identity sites built (the cut itself
-  is :func:`plan._split`'s): :func:`_cut`, kept in the memo of cuts
-  (``Plan.cuts``), which :func:`run` hands the chain;
+  :func:`contract_step`, the one absorption kernel;
+- what a step derives from shapes (its reshapes, its cut, which is
+  :func:`plan._split`'s, and the site it checks): :func:`_record`; the
+  tape of a plan that never compresses, one record per step:
+  :func:`_tape`; the records of a plan that compresses, made from the
+  live chain: :func:`_live_record`; all kept in ``Plan.records``;
 - the pass-through identities, the chain's read-only sites:
   :class:`MPSState`;
-- a site's scale and the non-finite check: ``MPSState._normalize_site``;
+- the boundary's scale, an integer power of two until the boundary
+  closes: :class:`MPSState`;
+- the check of each site a step makes, and the window it leaves sites
+  unshifted within (derived by ``Plan.window``):
+  ``MPSState._check_site``;
+- a site's shift to unit scale and the non-finite check:
+  ``MPSState._normalize_site``;
 - the truncation and its LAPACK calls: :func:`compress_mps`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import threading
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -48,6 +57,8 @@ from scipy.linalg import lapack as _lapack
 from .network import TensorNetwork2D, _check_fields, _check_tensor, planarize  # noqa: F401
 from .plan import IDENTITY_MEMO_MAX, ContractionError, Plan, _Step, _bond_cap, _checked_chi
 from .plan import _compress_above, _split, plan_sweep
+
+_LN2 = math.log(2.0)
 
 __all__ = ["SweepValue", "run", "sweep_contract"]
 
@@ -83,46 +94,99 @@ class SweepValue(NamedTuple):
     log_scale: float
 
 
-@dataclass
+@functools.lru_cache(maxsize=None)
+def _squared_window(window: int) -> tuple:
+    """The window ``2^±window`` on a site's norm, squared: the bounds of
+    :meth:`MPSState._check_site` on its sum of squares, made once per
+    window, so a sweep allocates none."""
+    return 2.0 ** (-2 * window), 2.0 ** (2 * window)
+
+
 class MPSState:
     """Open boundary of a partial contraction.
 
     ``sites[k]`` is a float64 array with axes (left bond, open leg, right
     bond); which network bond each open leg carries is fixed by the sweep
-    plan.  The outermost bonds have extent 1.  Magnitudes are folded into
-    ``log_scale`` (site arrays are kept near unit scale); ``mantissa``
-    accumulates the sign/value once the boundary closes.
+    plan.  The outermost bonds have extent 1.  ``mantissa`` accumulates
+    the sign/value once the boundary closes.
+
+    The boundary's scale is ``log_scale = log_float + exponent * ln 2``.
+    ``exponent`` is an integer power of two: every shift of a site
+    (:meth:`_normalize_site`) adds to it, so no scale is rounded while
+    the sweep runs.  When the boundary closes, :func:`contract_step` adds
+    the closing scalar's ``frexp`` parts, ``log(f)`` to ``log_float`` and
+    ``k`` to ``exponent``, so ``log_scale`` is rounded once, as ``log(f) +
+    (exponent + k) * ln 2``.  ``MPSState(sites, log_scale)`` starts at
+    ``log_float = log_scale`` and ``exponent = 0``, and setting
+    ``log_scale`` sets them so.
+
+    Sites are kept within a window of scales, not at unit scale: after
+    each step :meth:`_check_site` leaves a site whose norm is strictly
+    within ``2^±window`` and shifts any other to unit scale.  :func:`run`
+    takes its plan's window (``Plan.window``).  A bare ``MPSState()`` has
+    a window of 0, which is empty, so every site a step makes is shifted.
+    A shift is exact, so the window moves no bit of a value: it changes
+    only which power of two the sites carry and which ``exponent`` does.
 
     The pass-through identities :func:`contract_step` emits either side of
     its data site are read-only views of :func:`_identity`, and they are
     the chain's only read-only sites: every other site is a fresh array (a
-    reshaped product, a normalised copy or a compression factor).  One
-    emitted right of a data site keeps a fresh site on its left, so the
-    read-only sites at the left end of the chain are ``np.eye(l * d)``
-    reshaped to ``(l, d, l * d)``, which :func:`compress_mps` finds by
-    their flag.  The chain is internal to the sweep for that reason.
+    product, a shifted copy or a compression factor).  One emitted right
+    of a data site keeps a fresh site on its left, so the read-only sites
+    at the left end of the chain are ``np.eye(l * d)`` reshaped to ``(l,
+    d, l * d)``, which :func:`compress_mps` finds by their flag.  The
+    chain is internal to the sweep for that reason.
 
     ``emitted`` is the largest bond the last :func:`contract_step` made
-    between the sites it emitted, 0 when it made none.  ``cuts`` is the
-    memo of the cuts :func:`contract_step` makes: :func:`run` hands the
-    chain its plan's (``Plan.cuts``), and a bare ``MPSState()`` has an
-    empty one of its own.
+    between the sites it emitted, 0 when it made none.  ``records`` is the
+    memo of the records :func:`contract_step` makes from the live chain
+    (:func:`_live_record`): :func:`run` hands the chain its plan's
+    (``Plan.records``), and a bare ``MPSState()`` has an empty one of its
+    own.
     """
 
-    sites: list = field(default_factory=list)
-    log_scale: float = 0.0
-    mantissa: float = 1.0
-    emitted: int = 0
-    cuts: dict = field(default_factory=dict)
+    __slots__ = ("sites", "log_float", "exponent", "mantissa", "emitted", "records",
+                 "_low", "_high")
+
+    def __init__(self, sites=None, log_scale=0.0, mantissa=1.0, *, records=None, window=0):
+        self.sites = [] if sites is None else sites
+        self.log_float, self.exponent = log_scale, 0
+        self.mantissa = mantissa
+        self.emitted = 0
+        self.records = {} if records is None else records
+        self._low, self._high = _squared_window(window)
+
+    @property
+    def log_scale(self) -> float:
+        return self.log_float + self.exponent * _LN2
+
+    @log_scale.setter
+    def log_scale(self, value: float):
+        self.log_float, self.exponent = value, 0
 
     def max_bond(self) -> int:
         if len(self.sites) < 2:
             return 1 if self.sites else 0
         return max(site.shape[2] for site in self.sites[:-1])
 
+    def _check_site(self, k: int):
+        """The check of site ``k`` after the step that made it: one BLAS
+        ``ddot`` of the site with itself, its squared norm.  A norm strictly
+        within the window ``2^±window`` leaves the site as it is.  Any other
+        sum calls :meth:`_normalize_site`, which raises on a non-finite
+        element and leaves an all-zero site alone: so does a sum that is 0
+        or inf because the squares under- or overflow, and one that is NaN
+        or inf because an element is.  The site is a fresh product, so
+        ``ravel`` is a view."""
+        flat = self.sites[k].ravel()
+        if self._low < _blas.ddot(flat, flat) < self._high:
+            return
+        del flat  # not alive beside the shifted copy
+        self._normalize_site(k)
+
     def _normalize_site(self, k: int):
         """Shift site ``k`` by a power of two so its largest magnitude lands
-        in [2^-0.5, 2^0.5], folding the shift into ``log_scale``.
+        in [2^-0.5, 2^0.5], adding the shift to ``exponent``.
 
         Only exponent bits change, so the elements are rescaled exactly.
         An all-zero site is left alone; a non-finite one raises.  BLAS
@@ -140,7 +204,7 @@ class MPSState:
         e = round(math.log2(m))
         if e != 0:
             self.sites[k] = np.ldexp(arr, -e)
-            self.log_scale += e * math.log(2.0)
+            self.exponent += e
 
 
 class _MergeMemo:
@@ -346,24 +410,146 @@ def _dot_left(mat, site):
     return np.dot(mat, site.reshape(dl, d * dr)).reshape(mat.shape[0], d, dr)
 
 
-def _cut(left: int, dims: tuple, right: int) -> tuple:
-    """``(shape, t, emitted, before, after)``: the cut of :func:`_split`
-    as :func:`contract_step` applies it.  The data site ``t`` has shape
-    ``shape``; ``before`` and ``after`` are the read-only identity sites
-    left and right of it, views of :func:`_identity` already reshaped.
-    Every identity is at most ``emitted`` wide."""
-    prefix, suffix, t, emitted = _split(left, dims, right)
-    before = tuple(_identity(prefix[k + 1]).reshape(prefix[k], dims[k], prefix[k + 1])
-                   for k in range(t))
-    after = tuple(_identity(suffix[k]).reshape(suffix[k], dims[k], suffix[k + 1])
-                  for k in range(t + 1, len(dims)))
-    return (prefix[t], dims[t], suffix[t + 1]), t, emitted, before, after
+class _Record(NamedTuple):
+    """What :func:`contract_step` would otherwise derive from the shapes of
+    a step's array and of the sites it consumes, made by :func:`_record`.
+
+    ``chain`` holds, per consumed site after the first, the 2-D shapes the
+    run so far and that site take for their product, or None at the split,
+    where the run's second part starts.  ``enter`` is the run of a step
+    that consumes no site, the identity on the bond it enters across
+    (None otherwise).  ``wshape`` is the step array as a matrix and
+    ``rshape`` the run's shape in the vertex product; split, ``parts``
+    holds the shapes of its product ``T``, of ``T``'s reordered copy and
+    of the first part (None unsplit).  ``product``, ``np.dot`` when split
+    or at ``left == 1`` and ``np.matmul`` otherwise, makes the last
+    product, of shape ``oshape``, into an array of the data site's shape
+    ``shape`` (the ``(left, right)`` matrix when the step leaves no open
+    leg).  ``slot`` is the site the step checks (-1 when the boundary
+    closes), ``before`` and ``after`` the pass-through identities either
+    side of the data site (None when the step leaves no open leg), and
+    ``emitted`` the widest bond between its sites.  ``wide`` marks a
+    record with an identity wider than ``IDENTITY_MEMO_MAX``: it keeps
+    each identity as its shape (``enter`` as its width) and the step
+    builds it, so no record holds an identity that is not shared.
+    """
+
+    chain: tuple
+    enter: object
+    wshape: tuple
+    rshape: tuple
+    parts: tuple | None
+    product: object
+    oshape: tuple
+    shape: tuple
+    slot: int
+    before: tuple | None
+    after: tuple | None
+    emitted: int
+    wide: bool
 
 
-def contract_step(mps: MPSState, step: _Step, elements: np.ndarray) -> MPSState:
+def _pass_through(shape: tuple) -> np.ndarray:
+    """The pass-through identity of ``shape``, ``(l, d, l * d)`` or ``(r *
+    d, d, r)``: a view of :func:`_identity` of the wider bond."""
+    return _identity(max(shape[0], shape[2])).reshape(shape)
+
+
+def _record(step: _Step, shape: tuple, run: tuple, rest: int) -> _Record:
+    """The :class:`_Record` of ``step`` absorbing an array of ``shape``
+    (``Plan.shapes``) into a chain whose consumed sites have the shapes
+    ``run`` (for a fresh component, ``((left, 1, left),)``: the identity
+    on the bond it enters across), with ``rest`` sites left beside them.
+    The cut is :func:`plan._split`'s."""
+    _, lo, hi, _, m, split = step
+    left, right = run[0][0], run[-1][2]
+    rows = math.prod(shape[:m])
+    chain, part, legs = [], left, run[0][1]
+    for k, (dl, d, dr) in enumerate(run[1:], 1):
+        if k == split:
+            chain.append(None)
+            la, b, part, legs = legs, dl, dl, d
+        else:
+            chain.append(((part * legs, dl), (dl, d * dr)))
+            legs *= d
+    if split:
+        wshape, rshape = (rows * la, legs), (b, legs, right)
+        parts = ((b, rows, la, right), (la * b, rows * right), (left, la * b))
+        product, oshape = np.dot, (left, rows * right)
+    elif left == 1:
+        wshape, rshape, parts = (rows, legs), (legs, right), None
+        product, oshape = np.dot, (rows, right)
+    else:
+        wshape, rshape, parts = (rows, legs), (left, legs, right), None
+        product, oshape = np.matmul, (left, rows, right)
+    if m == 0:
+        slot = lo - 1 if lo else (0 if rest else -1)
+        shape, before, after, emitted = (left, right), None, None, 0
+    else:
+        dims = shape[:m]
+        prefix, suffix, t, emitted = _split(left, dims, right)
+        shape, slot = (prefix[t], dims[t], suffix[t + 1]), lo + t
+        before = tuple((prefix[k], dims[k], prefix[k + 1]) for k in range(t))
+        after = tuple((suffix[k], dims[k], suffix[k + 1]) for k in range(t + 1, m))
+    enter = left if hi < lo else None
+    wide = max(emitted, enter or 0) > IDENTITY_MEMO_MAX
+    if not wide:
+        enter = None if enter is None else _identity(enter).reshape(rshape)
+        if m:
+            before, after = tuple(map(_pass_through, before)), tuple(map(_pass_through, after))
+    return _Record(tuple(chain), enter, wshape, rshape, parts, product, oshape, shape, slot,
+                   before, after, emitted, wide)
+
+
+def _live_record(mps: MPSState, step: _Step, shape: tuple) -> _Record:
+    """The record of ``step`` on the shapes of ``mps``'s chain as it is,
+    the record of a step of a plan that compresses, whose ranks the
+    compressions find.  It is kept in ``mps.records`` under the step, the
+    array's shape, the shapes of the sites it consumes (the bond it enters
+    across for a fresh component) and the chain's length.  A decoder's
+    chains meet few shapes per step: square d=7 at chi=8 keeps one record
+    per step over 64 shots (169)."""
+    sites, lo, hi = mps.sites, step.lo, step.hi
+    if hi >= lo:
+        run = tuple([site.shape for site in sites[lo : hi + 1]])
+    else:
+        # A fresh component enters between pending slots lo-1 and lo; the
+        # bond already running there (extent 1 at either end of the chain)
+        # passes through the inserted sites untouched.
+        left = sites[lo - 1].shape[2] if 0 < lo < len(sites) else 1
+        run = ((left, 1, left),)
+    key = (step, shape, run, len(sites))
+    record = mps.records.get(key)
+    if record is None:
+        record = mps.records.setdefault(key, _record(step, shape, run, len(sites) - hi + lo - 1))
+    return record
+
+
+def _tape(plan: Plan) -> tuple:
+    """``(step, record)`` per step of ``plan``, kept in ``plan.records``
+    under None.  A plan that never compresses fixes every shape its sweeps
+    meet, so its tape holds the records :func:`_record` makes from the
+    shapes :func:`plan._tally` replays (``Plan.runs``).  A plan that
+    compresses has None in place of each record: its steps make theirs
+    from the live chain (:func:`_live_record`)."""
+    tape = plan.records.get(None)
+    if tape is None:
+        runs, shapes = plan.runs, plan.shapes
+        if runs is None:
+            tape = tuple((step, None) for step in plan.steps)
+        else:
+            tape = tuple((step, _record(step, shapes[step.vid], run, rest))
+                         for step, (run, rest) in zip(plan.steps, runs))
+        tape = plan.records.setdefault(None, tape)
+    return tape
+
+
+def contract_step(mps: MPSState, step: _Step, elements: np.ndarray,
+                  record: _Record | None = None) -> MPSState:
     """Absorb the vertex of ``step``, whose array laid out in the step's
     order (``Plan.shapes``) is ``elements``, into the boundary MPS, in
-    place.
+    place, by ``record`` (:class:`_Record`), or, when that is None, by the
+    record of the chain as it is (:func:`_live_record`).  Returns ``mps``.
 
     Unsplit (``step.split`` 0), it is one batched matrix product that
     transposes no data.  The consumed run merges, untransposed, into
@@ -379,82 +565,71 @@ def contract_step(mps: MPSState, step: _Step, elements: np.ndarray) -> MPSState:
     S * La, right)``, whose copy as ``(La * b, S * right)`` times ``A`` as
     ``(left, La * b)`` is the same ``(left, S, right)`` product, summed in
     another order.  :func:`plan._tally` picks the split where it lowers the
-    plan's modelled peak.  The product is cut by :func:`_cut` into the
-    data site, a reshape of the product, and read-only views of shared
-    identities (:func:`_identity`) either side.  A cut whose identities
-    are all at most ``IDENTITY_MEMO_MAX`` wide is made once per ``(left,
-    dims, right)`` and kept in ``mps.cuts``, so it retains only shared
-    identities.  Consumed sites leave the chain before their replacement
-    is built.  The step sets ``mps.emitted`` (:class:`MPSState`).
+    plan's modelled peak.  The product is cut, as :func:`plan._split`
+    cuts it, into the data site and read-only views of shared identities
+    (:func:`_identity`) either side; the last product is written into the
+    data site's own array, so the chain holds no view of a product.
+    Consumed sites leave the chain before their replacement is built.  The
+    step sets ``mps.emitted`` (:class:`MPSState`) and checks the site it
+    made (:meth:`MPSState._check_site`).
     """
-    _, lo, hi, _, m, split = step
-    sites = mps.sites
-    if hi >= lo:
-        left, right = sites[lo].shape[0], sites[hi].shape[2]
+    if record is None:
+        record = _live_record(mps, step, elements.shape)
+    (chain, run, wshape, rshape, parts, product, oshape, shape, slot, before, after,
+     emitted, wide) = record
+    lo, sites = step.lo, mps.sites
+    if run is None:
         run = sites.pop(lo)
-        for k in range(1, hi - lo + 1):
+        for targets in chain:
             site = sites.pop(lo)
-            if k == split:
+            if targets is None:
                 # the first part is whole; the rest chains from this site
-                first, run, b = run, site, site.shape[0]
+                first, run = run, site
             else:
-                run = np.dot(run.reshape(-1, site.shape[0]), site.reshape(site.shape[0], -1))
+                run = np.dot(run.reshape(targets[0]), site.reshape(targets[1]))
             del site
-    else:
-        # A fresh component enters between pending slots lo-1 and lo; the
-        # bond already running there (extent 1 at either end of the chain)
-        # passes through the inserted sites untouched.
-        left = right = sites[lo - 1].shape[2] if 0 < lo < len(sites) else 1
-        run = _identity(left)
-    dims = elements.shape[:m]
-    w = elements.reshape(math.prod(dims), -1)
-    if split:
-        rows, la = w.shape[0], first.size // (left * b)
-        run = np.matmul(w.reshape(rows * la, -1), run.reshape(b, -1, right))
-        run = run.reshape(b, rows, la, right).transpose(2, 0, 1, 3).reshape(la * b, rows * right)
-        merged = np.dot(first.reshape(left, la * b), run)
+    elif wide:
+        run = _identity(run)
+    w = elements.reshape(wshape)
+    if parts is not None:
+        run = np.matmul(w, run.reshape(rshape))
+        run = run.reshape(parts[0]).transpose(2, 0, 1, 3).reshape(parts[1])
+        w = first.reshape(parts[2])  # A, times the copy of T
         del first
-    elif left == 1:
-        merged = np.dot(w, run.reshape(-1, right))
     else:
-        merged = np.matmul(w, run.reshape(left, -1, right))
-    del run
+        run = run.reshape(rshape)
+    merged = np.empty(shape)
+    product(w, run, out=merged.reshape(oshape))
+    del run, w
 
-    if m == 0:
+    if before is None:
         # Fully absorbed: a (left, right) matrix folds into a neighbor, or
         # (when the boundary is empty) into the scalar accumulator.
-        mat = merged.reshape(left, right)
-        del merged
         mps.emitted = 0
-        if lo > 0:
-            sites[lo - 1] = _dot_right(sites[lo - 1], mat)
-        elif sites:
-            sites[0] = _dot_left(mat, sites[0])
-        else:
-            if mat.size != 1:
+        if slot < 0:
+            if merged.size != 1:
                 raise ContractionError("boundary vanished with open bonds left")
-            val = float(mat.reshape(()))
+            val = float(merged.reshape(()))
             if not math.isfinite(val):
                 raise ContractionError("network value is not finite")
-            mag = abs(val)
-            if mag == 0.0:
+            if val == 0.0:
                 mps.mantissa = 0.0
             else:
                 mps.mantissa *= math.copysign(1.0, val)
-                mps.log_scale += math.log(mag)
-        if sites:
-            mps._normalize_site(max(lo - 1, 0))
+                f, k = math.frexp(abs(val))
+                mps.log_float += math.log(f)
+                mps.exponent += k
+            return mps
+        sites[slot] = _dot_right(sites[slot], merged) if lo else _dot_left(merged, sites[0])
+        del merged
+        mps._check_site(slot)
         return mps
 
-    key = (left, dims, right)
-    cut = mps.cuts.get(key)
-    if cut is None:
-        cut = _cut(left, dims, right)
-        if cut[2] <= IDENTITY_MEMO_MAX:
-            mps.cuts[key] = cut
-    shape, t, mps.emitted, before, after = cut
-    sites[lo:lo] = (*before, merged.reshape(shape), *after)
-    mps._normalize_site(lo + t)
+    if wide:
+        before, after = tuple(map(_pass_through, before)), tuple(map(_pass_through, after))
+    sites[lo:lo] = (*before, merged, *after)
+    mps.emitted = emitted
+    mps._check_site(slot)
     return mps
 
 
@@ -582,24 +757,27 @@ def run(plan: Plan, arrays) -> SweepValue:
     ``plan.chi``.  A step makes no bond but those between the sites it
     emits, and reports the largest of them (``MPSState.emitted``), so
     testing that alone compresses at exactly the steps a check of the
-    whole chain after every step would.  The chain makes its cuts with the
-    plan's memo.
+    whole chain after every step would.  Each step runs by its record on
+    the plan's tape (:func:`_tape`), or, on a plan that compresses, by the
+    record of the live chain, kept in the plan's memo (``Plan.records``);
+    each step checks the site it made within the plan's window
+    (``Plan.window``).
     """
     limit, shapes = _compress_above(plan.chi), plan.shapes
-    mps = MPSState(cuts=plan.cuts)
+    mps = MPSState(records=plan.records, window=plan.window)
     arrays = iter(arrays)
     # A non-finite product raises ContractionError at the step that made it
-    # (every site that takes new data is normalized, and the closing scalar
+    # (every site that takes new data is checked, and the closing scalar
     # is checked), so numpy's overflow and invalid-value warnings would only
     # repeat that.
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in plan.steps:
+        for step, record in _tape(plan):
             x = next(arrays, None)
             if x is None or x.shape != shapes[step.vid]:
                 got = "no array" if x is None else x.shape
                 raise ValueError(f"step {plan.steps.index(step)} (vertex {step.vid}) absorbs "
                                  f"shape {shapes[step.vid]}, got {got}")
-            contract_step(mps, step, x)
+            contract_step(mps, step, x, record)
             del x
             if mps.emitted > limit:
                 compress_mps(mps, plan.chi)

@@ -24,6 +24,11 @@ Each rule is stated where it is enforced:
 - the peak guard and the ties: :func:`_choose`;
 - the recipe of each step's array: :class:`_Merge`;
 - the sites an absorption leaves: :func:`_split`;
+- the shapes a sweep that never compresses meets, from which
+  :func:`contract._tape` makes its records: :attr:`Plan.runs`, as
+  :func:`_tally` replays them;
+- the window of scales a site may keep unshifted, and the range it
+  leaves the step arrays: :attr:`Plan.window`, of ``SCALE_BITS``;
 - the identities shared between sweeps: ``IDENTITY_MEMO_MAX``;
 - the ``2 * chi`` compression trigger: :func:`_compress_above`.
 """
@@ -48,10 +53,14 @@ TWO_PI = 2.0 * math.pi
 # subsystem d=5 sweep); wider ones, MBs each in an exact contraction, are
 # built per step.  The shared ones stay allocated between sweeps, so they
 # are bounded in bytes: at most sum(8 n^2 for n <= 16) = 12 KB.  _tally
-# counts no sweep as holding them, and a plan keeps only the cuts whose
-# identities are all this narrow (Plan.cuts), so a kept cut holds views of
-# these shared identities and no wider one.
+# counts no sweep as holding them, and a record (Plan.records) holds views
+# of these shared identities and no wider one: a record with a wider
+# identity keeps its shape, and each sweep builds it.
 IDENTITY_MEMO_MAX = 16
+
+# Bits of float64's exponent range that the sites a step multiplies may
+# move away from unit scale together, unshifted (Plan.window).
+SCALE_BITS = 512
 
 # Constants of the plan cost model (_model), fitted to the measured warm
 # sweeps in BENCH_plan_model.json by ``python scripts/plan_model.py --fit``.
@@ -149,16 +158,16 @@ class Plan:
     :func:`_choose` picks the one that runs.  A plan holds no tensor: two
     networks of one geometry, planned at one ``chi``, get equal plans.
 
-    ``cuts`` is the memo of the cuts :func:`contract.contract_step` makes
-    (:func:`contract._cut`), shared by every sweep along the plan.  It maps
-    ``(left, dims, right)`` to the cut of an absorption of those sizes, a
-    few ints and read-only views of the identities shared up to
-    ``IDENTITY_MEMO_MAX`` wide, and only cuts whose identities are all
-    that narrow are kept.  An entry depends on its key alone, so equality
-    and ``repr`` ignore the memo.  An exact sweep's plan fixes every key,
-    at most one per step; at a finite ``chi`` the ranks the compressions
-    find pick them (21 keys on square d=5 at chi=8 after 64 shots, 17 for
-    the 25 steps of subsystem d=5 exact).
+    ``records`` is the memo of the records :func:`contract.contract_step`
+    runs on (:func:`contract._record`), shared by every sweep along the
+    plan.  Under None it keeps the plan's tape (:func:`contract._tape`):
+    one record per step, made from :attr:`runs`, when the plan never
+    compresses.  A plan that compresses keeps one record per step and
+    chain shape its sweeps met (:func:`contract._live_record`).  A record
+    holds ints, shapes, ``np.dot`` or ``np.matmul``, and read-only views
+    of the identities shared up to ``IDENTITY_MEMO_MAX`` wide, never a
+    wider one.  An entry depends on its key alone, so equality and
+    ``repr`` ignore the memo.
     """
 
     fold: int
@@ -169,13 +178,48 @@ class Plan:
     steps: tuple
     seconds: float
     peak: int
-    cuts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    records: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @cached_property
     def shapes(self) -> dict:
         """The shape of the array each step absorbs, by the step's vertex
         id: the vertex's ``_Merge.out`` laid out by ``_Step.perm``."""
         return {s.vid: tuple(self.layout.merges[s.vid].out[a] for a in s.perm) for s in self.steps}
+
+    @cached_property
+    def runs(self) -> tuple | None:
+        """Per step, the ``(left, leg, right)`` shapes of the sites it
+        consumes (``((left, 1, left),)``, the identity on the bond it enters
+        across, for a fresh component) and the count of sites the chain
+        keeps beside them, as :func:`_tally` replays them; None when
+        :func:`_tally` counts a compressed site, since the ranks a
+        compression finds fix the later shapes.  A plan that never
+        compresses meets exactly these shapes on every sweep."""
+        _, compressed, _, _, runs = _tally(self.steps, self.layout, self.chi)
+        return None if compressed else runs
+
+    @cached_property
+    def window(self) -> int:
+        """``T``: :meth:`contract.MPSState._check_site` leaves a site whose
+        norm is strictly within ``2^±T`` as it is, and shifts any other to
+        unit scale.
+
+        A step multiplies at most ``F`` factors: the sites it consumes (for
+        a fresh component, the identity it enters with), its array, and,
+        when it leaves no open leg, the neighbour it folds into.  Each site
+        is one a check left within the window, one shifted to unit scale
+        (every compression factor is) or a shared identity, so the factors
+        other than the array multiply to a norm within ``2^±(F - 1) T`` of
+        what they would at unit scale, and ``T = SCALE_BITS // F`` keeps
+        that within ``2^±(512 - T)``, half of float64's exponent range; the
+        last ``T`` bits cover the square roots of the sites' sizes, which
+        the norm of a product adds.  The other half is the step array's: an
+        array of at most 2^24 elements, each of magnitude below ``2^500``,
+        has a norm below ``2^512``, so no product of a step overflows.  At
+        unit scale, which a window of 0 keeps, the elements could reach
+        about ``2^1000``.  The low end of the range is given up alike."""
+        factors = max(max(s.hi - s.lo + 1, 1) + 1 + (s.forward == 0) for s in self.steps)
+        return SCALE_BITS // factors
 
 
 def _angle_from(origin, target) -> float:
@@ -461,10 +505,10 @@ def _absorption(run, held: int, size: int, rows: int, split: int) -> tuple:
 
 
 def _tally(steps, layout: _Layout, chi: int | None) -> tuple:
-    """``(madds, compressed, peak, splits)`` of a warm sweep along
+    """``(madds, compressed, peak, splits, runs)`` of a warm sweep along
     ``steps``, one whose step arrays are already built, from shapes alone,
     with the split of each step's consumed run (:attr:`_Step.split`) that
-    the sweep takes.
+    the sweep takes, and the shapes each step consumes (``Plan.runs``).
 
     The chain is replayed as ``(left, leg, right)`` triples by the rule of
     :func:`contract.contract_step` and compressed where
@@ -504,6 +548,7 @@ def _tally(steps, layout: _Layout, chi: int | None) -> tuple:
         held += left * leg * right - sites[k][3]
         sites[k] = (left, leg, right, left * leg * right)
 
+    runs = []  # per step, the shapes of the sites it consumes and the rest's count
     for vid, lo, hi, perm, m, _ in steps:
         extents = layout.merges[vid].out
         dims = [extents[axis] for axis in perm[:m]]
@@ -519,6 +564,7 @@ def _tally(steps, layout: _Layout, chi: int | None) -> tuple:
         if hi >= lo:
             held -= sum(site[3] for site in run)
             del sites[lo : hi + 1]
+        runs.append((tuple(site[:3] for site in run), len(sites)))
         product = left * rows * right
 
         if m == 0:
@@ -577,7 +623,7 @@ def _tally(steps, layout: _Layout, chi: int | None) -> tuple:
         split = 0 if priced[0][0] <= peak else min(range(len(priced)), key=lambda j: priced[j][0])
         madds += priced[split][1]
         splits.append(split)
-    return madds, compressed, peak, splits
+    return madds, compressed, peak, splits, tuple(runs)
 
 
 def _model(steps, layout: _Layout, chi: int | None) -> tuple:
@@ -591,7 +637,7 @@ def _model(steps, layout: _Layout, chi: int | None) -> tuple:
     step's call overhead is several numpy calls, a compressed site's a
     few LAPACK calls.  The peak is :func:`_tally`'s, in elements.
     """
-    madds, compressed, peak, splits = _tally(steps, layout, chi)
+    madds, compressed, peak, splits, _ = _tally(steps, layout, chi)
     seconds = (
         madds * MODEL_SECONDS_PER_MADD
         + len(steps) * MODEL_SECONDS_PER_STEP

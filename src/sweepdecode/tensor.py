@@ -5,7 +5,9 @@ reshapes rely on: the networks built in this package hold probabilities
 and 0/1 indicators.  A tensor carries no scale of its own.  A contraction
 value, a product of thousands of such entries, under/overflows double
 precision by hundreds of orders of magnitude, so the sweep keeps its scale
-apart, as a natural logarithm on the boundary state (``MPSState.log_scale``).
+apart: an integer power of two on the boundary state (``MPSState.exponent``),
+to which every exact shift of a site adds, read as a natural logarithm
+(``MPSState.log_scale``) once, when the boundary closes.
 """
 
 from __future__ import annotations

@@ -225,14 +225,17 @@ def _tensordot_axes(step):
     return run_axes, (*contracted, *surviving), open_axes
 
 
-def contract_step_reference(mps, step, elements):
+def contract_step_reference(mps, step, elements, record=None):
     """``contract_step`` with every product a ``np.dot`` of transposed
     operands, as ``np.tensordot`` computes it.
 
     ``elements`` is laid out in the step's order, as ``contract_step``
     reads it; the reference puts its axes back in the vertex's own order
-    first.  Same slots, splitting, normalisation and ``emitted``
-    bookkeeping; modifies ``mps`` in place and returns it.
+    first, and derives every shape from the chain, so it reads no
+    ``record``.  Same slots, splitting and ``emitted`` bookkeeping; it
+    normalises every site it makes (``_normalize_site``), where the kernel
+    shifts only those its check sends there.  Modifies ``mps`` in place
+    and returns it.
     """
     elements = elements.transpose(np.argsort(step.perm))
     run_axes, vertex_axes, open_axes = _tensordot_axes(step)

@@ -496,8 +496,8 @@ class TestIdentityHead:
         real_step, real_compress = contract.contract_step, contract.compress_mps
         heads = []
 
-        def checked_step(mps, step, tensor):
-            real_step(mps, step, tensor)
+        def checked_step(mps, step, tensor, *record):
+            real_step(mps, step, tensor, *record)
             head = read_only_head(mps.sites)
             for k, site in enumerate(mps.sites):
                 if site.flags.writeable:
@@ -513,7 +513,8 @@ class TestIdentityHead:
         def checked_compress(mps, chi):
             heads.append(read_only_head(mps.sites))
             copies = [site.copy() for site in mps.sites]  # writeable: no head
-            full = MPSState(sites=copies, log_scale=mps.log_scale)
+            full = MPSState(sites=copies, log_scale=mps.log_float)
+            full.exponent = mps.exponent
             _, full_err = real_compress(full, chi)
             _, err = real_compress(mps, chi)
             assert err.hex() == full_err.hex()
@@ -564,9 +565,9 @@ def record_compressions(monkeypatch):
     real_step, real_compress = contract.contract_step, contract.compress_mps
     steps, fired = [], []
 
-    def counting_step(mps, step, tensor):
+    def counting_step(mps, step, tensor, *record):
         steps.append(step)
-        return real_step(mps, step, tensor)
+        return real_step(mps, step, tensor, *record)
 
     def recording_compress(mps, chi):
         fired.append(len(steps) - 1)
@@ -1634,9 +1635,9 @@ def step_arrays(plan, tn, chi, monkeypatch):
     one sweep of ``tn`` along ``plan`` at ``chi``."""
     seen, real = [], contract.contract_step
 
-    def recording_step(mps, step, elements):
+    def recording_step(mps, step, elements, *record):
         seen.append((step, elements))
-        return real(mps, step, elements)
+        return real(mps, step, elements, *record)
 
     with monkeypatch.context() as m:
         m.setattr(contract, "contract_step", recording_step)
@@ -1814,64 +1815,95 @@ def cut_networks():
     return [code_network(f, d) for f, d in fold_cases()] + list(netgen_corpus())
 
 
-def absorb(mps, step, tensor, chi):
+def absorb(mps, step, tensor, chi, record=None):
     """One step of ``run``: absorb, then compress above ``2 * chi``."""
-    contract_step(mps, step, tensor)
+    contract_step(mps, step, tensor, record)
     if chi is not None and mps.emitted > 2 * chi:
         compress_mps(mps, chi)
+
+
+def kept_records(plan):
+    """``(step, shape, run, record)`` of every record ``plan`` keeps: its
+    tape when it never compresses, else those its sweeps made from the live
+    chain, with the array shape and consumed shapes each was made for."""
+    for key, value in plan.records.items():
+        if key is None:
+            runs = plan.runs or ()
+            for (step, record), (run, _) in zip(value, runs):
+                yield step, plan.shapes[step.vid], run, record
+        else:
+            step, shape, run, _ = key
+            yield step, shape, run, value
 
 
 class TestCutMemo:
     @pytest.mark.parametrize("chi", [None, 8])
     def test_warm_cuts_equal_cold_ones_bit_for_bit(self, chi):
         # each network is swept twice in lockstep along its plan: once with
-        # every cut made afresh, once with the plan's memo of cuts, which a
-        # first sweep filled; the chains agree bit for bit after every step
+        # every record, and so every cut, made afresh from the live chain,
+        # once with the plan's records (its tape, or the records a first
+        # sweep kept); the chains agree bit for bit after every step
         held = 0
         for tn in cut_networks():
             plan, memo = contract._plan_for(tn, chi)
-            plan.cuts.clear()
+            plan.records.clear()
             contract.run(plan, arrays_of(plan, tn, memo))
-            cuts = dict(plan.cuts)
-            cold, warm = MPSState(), MPSState(cuts=plan.cuts)
+            records = dict(plan.records)
+            cold = MPSState(window=plan.window)
+            warm = MPSState(records=plan.records, window=plan.window)
             with np.errstate(over="ignore", invalid="ignore"):
-                for step, tensor in zip(plan.steps, arrays_of(plan, tn, memo)):
-                    cold.cuts.clear()
+                for (step, record), tensor in zip(contract._tape(plan), arrays_of(plan, tn, memo)):
+                    cold.records.clear()
                     absorb(cold, step, tensor, chi)
-                    absorb(warm, step, tensor, chi)
+                    absorb(warm, step, tensor, chi, record)
                     assert (cold.emitted, cold.log_scale.hex(), cold.mantissa.hex()) == (
                         warm.emitted, warm.log_scale.hex(), warm.mantissa.hex())
                     assert [a.shape for a in cold.sites] == [a.shape for a in warm.sites]
                     assert all(a.tobytes() == b.tobytes() for a, b in zip(cold.sites, warm.sites))
-            assert plan.cuts == cuts  # the second sweep was warm
-            held += len(cuts)
+            # the second sweep was warm: it made no record
+            assert plan.records.keys() == records.keys()
+            assert all(plan.records[key] is value for key, value in records.items())
+            held += len(list(kept_records(plan)))
         assert held > 300
 
     @pytest.mark.parametrize("chi", [None, 8])
     def test_memoized_cuts_are_fresh_cuts(self, chi):
-        # what _split and fresh _identity views give; only cuts whose
-        # identities are all shared ones are kept
-        kept = 0
+        # a kept record cuts as _split does, and its identities are fresh
+        # _identity views; a record with a wider identity keeps its shape
+        kept = wide = 0
         for tn in cut_networks():
             plan, memo = contract._plan_for(tn, chi)
-            plan.cuts.clear()
+            plan.records.clear()
             contract.run(plan, arrays_of(plan, tn, memo))
-            for (left, dims, right), cut in plan.cuts.items():
+            for step, shape, run, record in kept_records(plan):
+                left, right, m = run[0][0], run[-1][2], step.forward
+                # the product fills the data site (left, S, right) wholly
+                size = left * math.prod(shape[:m]) * right
+                assert math.prod(record.oshape) == math.prod(record.shape) == size
+                if m == 0:
+                    assert record.before is record.after is None and record.shape == (left, right)
+                    continue
+                dims = shape[:m]
                 prefix, suffix, t, emitted = planner._split(left, dims, right)
-                shape, t_kept, emitted_kept, before, after = cut
-                assert (t_kept, emitted_kept) == (t, emitted)
-                assert emitted <= contract.IDENTITY_MEMO_MAX
-                assert shape == (prefix[t], dims[t], suffix[t + 1])
+                assert (record.slot, record.emitted) == (step.lo + t, emitted)
+                assert record.shape == (prefix[t], dims[t], suffix[t + 1])
                 fresh = [contract._identity(prefix[k + 1]).reshape(prefix[k], dims[k], prefix[k + 1])
                          for k in range(t)]
                 fresh += [contract._identity(suffix[k]).reshape(suffix[k], dims[k], suffix[k + 1])
                           for k in range(t + 1, len(dims))]
-                assert len(before) + len(after) == len(fresh)
-                for a, b in zip((*before, *after), fresh):
+                assert len(record.before) + len(record.after) == len(fresh)
+                if record.wide:
+                    # a shape alone, each built by the step that absorbs it
+                    assert max(emitted, left if step.hi < step.lo else 0) > contract.IDENTITY_MEMO_MAX
+                    assert [*record.before, *record.after] == [b.shape for b in fresh]
+                    wide += 1
+                    continue
+                assert emitted <= contract.IDENTITY_MEMO_MAX
+                for a, b in zip((*record.before, *record.after), fresh):
                     assert a.shape == b.shape and a.tobytes() == b.tobytes()
                     assert not a.flags.writeable and a.base is b.base
                 kept += 1
-        assert kept > 300
+        assert kept > 300 and wide > 0
 
     @pytest.mark.parametrize("chi", [None, 8])
     def test_left_1_dot_equals_matmul(self, chi):
@@ -2021,10 +2053,10 @@ class TestPlanValue:
             assert a == b and a is not b and repr(a) == repr(b)
             assert [s.split for s in a.steps] == [s.split for s in b.steps]
             split += any(s.split for s in a.steps)
-            # sweeping fills the memo of cuts, which equality ignores
+            # sweeping fills the memo of records, which equality ignores
             contract.run(a, arrays_of(a, tn))
-            assert not b.cuts and a == b and repr(a) == repr(b)
-            filled += bool(a.cuts)
+            assert not b.records and a == b and repr(a) == repr(b)
+            filled += bool(a.records)
         assert split > 3 and filled > 20
 
     def test_a_plan_records_its_chi(self):
@@ -2040,7 +2072,7 @@ class TestPlanValue:
 
     def test_a_plan_holds_no_tensor(self):
         # a fresh plan holds no array at all; after sweeps, only its memo of
-        # cuts does, and only views of the identities the kernel shares
+        # records does, and only views of the identities the kernel shares
         kept = 0
         for tn, chi in value_cases():
             plan = planner.plan_sweep(tn, chi)
@@ -2048,13 +2080,13 @@ class TestPlanValue:
             for _ in range(2):
                 contract.run(plan, arrays_of(plan, tn))
             for path, a in held_arrays(plan):
-                assert path.startswith("plan.cuts[") and isinstance(a, np.ndarray), path
+                assert path.startswith("plan.records[") and isinstance(a, np.ndarray), path
                 assert not a.flags.writeable
                 assert a.base is contract._identities[a.base.shape[0]], path
                 kept += 1
         assert kept > 100
         names = {f.name: f.compare for f in dataclasses.fields(planner.Plan)}
-        assert names.pop("cuts") is False and all(names.values())
+        assert names.pop("records") is False and all(names.values())
 
     @pytest.mark.parametrize("family, p", [("square", 0.15), ("subsystem", 0.05)])
     @pytest.mark.parametrize("chi", [8, None])
@@ -2118,3 +2150,197 @@ class TestPlanValue:
             for contract_or_plan in (planner.plan_sweep, sweep_contract):
                 with pytest.raises(kind, match=message):
                     contract_or_plan(tn, chi)
+
+
+# The codes of the benchmark's coset networks, with their error rates.
+COSET_CODES = (("square", 0.15), ("subsystem", 0.05))
+
+
+def coset_networks(family, p, shots):
+    """The four coset networks of each of ``shots`` depolarised shots of the
+    ``family`` code of distance 5."""
+    code = code_of(family, 5)
+    return [tn for shot in range(shots)
+            for tn in depolarised_coset_networks(code, p, np.random.default_rng(shot))]
+
+
+def traced_steps(monkeypatch, networks, chi):
+    """Sweep ``networks`` at ``chi`` with ``contract.contract_step`` wrapped
+    by attribute, as ``perfbench/layertrace.py`` wraps it: per sweep, the
+    number of calls, and the largest ``max_bond()`` and ``len(sites)`` the
+    calls returned.  Every call must return the chain it was handed."""
+    real, calls = contract.contract_step, []
+
+    def traced(*args, **kwargs):
+        result = real(*args, **kwargs)
+        assert result is args[0]
+        calls.append((result.max_bond(), len(result.sites)))
+        return result
+
+    out = []
+    with monkeypatch.context() as m:
+        m.setattr(contract, "contract_step", traced)
+        for tn in networks:
+            del calls[:]
+            sweep_contract(tn, chi)
+            out.append((len(calls), max(c[0] for c in calls), max(c[1] for c in calls)))
+    return out
+
+
+class TestLayerTrace:
+    @pytest.mark.parametrize("family, p, chi, bond, sites", [
+        ("square", 0.15, 8, 16, 6), ("subsystem", 0.05, None, 32, 8)])
+    def test_trace_sees_every_step_of_a_tape(self, monkeypatch, family, p, chi, bond, sites):
+        # the benchmark's plans never compress, so they run from a tape; the
+        # trace still counts one call per step and reads the chain each returns
+        networks = coset_networks(family, p, 4)
+        plan, _ = contract._plan_for(networks[0], chi)
+        assert plan.runs is not None and all(r is not None for _, r in contract._tape(plan))
+        trace = traced_steps(monkeypatch, networks, chi)
+        assert {calls for calls, _, _ in trace} == {len(plan.steps)}
+        assert max(t[1] for t in trace) == bond and max(t[2] for t in trace) == sites
+
+    def test_trace_sees_every_step_of_a_compressing_plan(self, monkeypatch):
+        live = 0
+        for tn, (calls, _, _) in zip(netgen_corpus(), traced_steps(monkeypatch, netgen_corpus(), 2)):
+            plan, _ = contract._plan_for(tn, 2)
+            assert calls == len(plan.steps)
+            live += plan.runs is None
+        assert live >= 10
+
+
+def sweep_along(plan, tn, window=None, monkeypatch=None):
+    """``contract.run`` of ``tn`` along a fresh copy of ``plan``, at its
+    derived window, or with ``Plan.window`` patched to ``window``."""
+    fresh = dataclasses.replace(plan)
+    if window is None:
+        return contract.run(fresh, arrays_of(fresh, tn))
+    with monkeypatch.context() as m:
+        m.setattr(planner.Plan, "window", window)
+        return contract.run(fresh, arrays_of(fresh, tn))
+
+
+def bits(value):
+    return value.mantissa.hex(), value.log_scale.hex()
+
+
+class TestScaleSchedule:
+    def test_window_moves_no_bit(self, monkeypatch):
+        # shifts are exact and the scale is an integer until the close, so
+        # shifting every site (window 0) and shifting only those leaving the
+        # plan's window give the same bits, compressing or not
+        real, shifted = MPSState._normalize_site, []
+
+        def counting(mps, k):
+            shifted.append(k)
+            return real(mps, k)
+
+        monkeypatch.setattr(MPSState, "_normalize_site", counting)
+        cases = [(tn, chi) for tn in netgen_corpus() for chi in (None, 1, 2, 4, 8)]
+        cases += [(code_network(f, d), chi) for f, d in fold_cases() for chi in (None, 8)]
+        cases += [(tn, chi) for family, p in COSET_CODES for tn in coset_networks(family, p, 16)
+                  for chi in (None, 8)]
+        plans, counts = {}, [0, 0]
+        for tn, chi in cases:
+            key = (contract._geometry(tn), chi)
+            plan = plans.get(key) or plans.setdefault(key, planner.plan_sweep(tn, chi))
+            assert plan.window > 0
+            del shifted[:]
+            derived = sweep_along(plan, tn)
+            counts[0] += len(shifted)
+            del shifted[:]
+            every = sweep_along(plan, tn, 0, monkeypatch)
+            counts[1] += len(shifted)
+            assert bits(derived) == bits(every)
+        # the window lets most sites stand
+        assert counts[0] < counts[1] / 2
+
+    def test_window_is_derived_from_the_most_factors(self):
+        for family, p in COSET_CODES:
+            tn = coset_networks(family, p, 1)[0]
+            for chi in (None, 8):
+                plan = planner.plan_sweep(tn, chi)
+                factors = max(max(s.hi - s.lo + 1, 1) + 1 + (s.forward == 0) for s in plan.steps)
+                assert plan.window == planner.SCALE_BITS // factors
+        assert planner.plan_sweep(coset_networks("square", 0.15, 1)[0], 8).window == 102
+
+
+def checked(site, window=102):
+    """``site`` after ``MPSState._check_site``, with the exponent it took."""
+    mps = MPSState([site], window=window)
+    mps._check_site(0)
+    return mps.sites[0], mps.exponent
+
+
+class TestSiteCheck:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [0, 5, 11])
+    def test_non_finite_raises(self, bad, where):
+        site = np.random.default_rng(where).uniform(-1, 1, (2, 3, 2))
+        site.reshape(-1)[where] = bad
+        with pytest.raises(ContractionError, match="non-finite"):
+            checked(site)
+
+    def test_all_zero_site_is_left_alone(self):
+        site = np.array([0.0, -0.0, 0.0, -0.0, -0.0, 0.0]).reshape(1, 3, 2)
+        before = site.tobytes()  # the bytes hold the signs of the zeros
+        got, exponent = checked(site)
+        assert got is site and got.tobytes() == before and exponent == 0
+
+    @pytest.mark.parametrize("scale, squares", [(5e-324, 0.0), (1e-300, 0.0), (1e200, math.inf)])
+    def test_squares_under_or_overflowing_shift_the_site(self, scale, squares):
+        # the sum of squares underflows to 0 or overflows to inf, and the
+        # site is shifted exactly as _normalize_site shifts it
+        rng = np.random.default_rng(4602)
+        base = rng.integers(-3, 4, (2, 4, 3)).astype(float) if scale == 5e-324 else rng.uniform(-1, 1, (2, 4, 3))
+        site = base * scale
+        flat = site.reshape(-1)
+        assert contract._blas.ddot(flat, flat) == squares and np.isfinite(site).all()
+        want = MPSState([site.copy()])
+        want._normalize_site(0)
+        got, exponent = checked(site)
+        assert got is not site and exponent == want.exponent != 0
+        assert got.tobytes() == want.sites[0].tobytes()
+
+    def test_site_within_the_window_stands(self):
+        # a norm of about 2^90 is within 2^±102; about 2^110 is not
+        site = np.random.default_rng(4603).uniform(-1, 1, (2, 4, 3)) * 2.0 ** 90
+        got, exponent = checked(site)
+        assert got is site and exponent == 0
+        want = MPSState([site * 2.0 ** 20])
+        want._normalize_site(0)
+        got, exponent = checked(site * 2.0 ** 20)
+        assert exponent == want.exponent > 100 and got.tobytes() == want.sites[0].tobytes()
+
+
+# The largest element magnitude a step array may hold and still sweep as at
+# unit scale under its plan's window (Plan.window): below 2^500.
+ELEMENT_MAX = 2.0 ** 500
+
+
+class TestScaleRange:
+    def test_arrays_just_below_the_largest_magnitude_sweep_as_at_unit_scale(self, monkeypatch):
+        # each step array is scaled by a power of two, through its host
+        # vertex's tensor, so its largest element lies in [2^499, 2^500): the
+        # sweep gives the bits of the sweep that shifts every site (window
+        # 0), and the value of the unscaled network times the scale
+        cases = [(coset_networks(f, p, 1)[0], chi) for f, p in COSET_CODES for chi in (None, 8)]
+        cases += [(tn, 2) for tn in netgen_corpus()[:12]]
+        for tn, chi in cases:
+            plan = planner.plan_sweep(tn, chi)
+            exponents = {}
+            for step, x in zip(plan.steps, arrays_of(plan, tn)):
+                top = float(np.abs(x).max())
+                exponents[step.vid] = 499 - math.frexp(top)[1] + 1 if top else 0
+            scaled = TensorNetwork2D(
+                [TNVertex(v.id, DenseTensor(np.ldexp(v.tensor.elements, exponents.get(v.id, 0))),
+                          v.position) for v in tn.vertices.values()], tn.bonds)
+            for step, x in zip(plan.steps, arrays_of(plan, scaled)):
+                top = float(np.abs(x).max())
+                assert top == 0.0 or 2.0 ** 499 <= top < ELEMENT_MAX
+            got = sweep_along(plan, scaled)
+            assert bits(got) == bits(sweep_along(plan, scaled, 0, monkeypatch))
+            want = sweep_along(plan, tn)
+            assert got.mantissa == want.mantissa
+            shift = sum(exponents.values()) * math.log(2.0)
+            assert got.log_scale - shift == pytest.approx(want.log_scale, rel=1e-13, abs=1e-11)
