@@ -12,7 +12,9 @@ many values went in.  The groups:
 - the fold cases (square, triangular, hexagonal and subsystem codes at
   d=3 and d=5, and subsystem d=7) at chi None and 8;
 - the four coset networks of each of 16 seeded depolarising shots of
-  square d=5 at p=0.15 and subsystem d=5 at p=0.05, at chi None and 8.
+  square d=5 at p=0.15 and subsystem d=5 at p=0.05, at chi None and 8;
+- the four coset networks of each of 4 seeded shots of square d=7 at
+  p=0.1, at chi 8, where chi binds and every sweep compresses.
 
 Every network is built by the test helpers under ``tests/``, so a change
 that must leave every value bit-identical prints the same lines before and
@@ -49,6 +51,7 @@ from test_sweep import code_network, code_of, fold_cases, netgen_corpus  # noqa:
 
 SHOTS = 16
 COSET_CODES = (("square", 0.15), ("subsystem", 0.05))
+BINDING_SHOTS = 4
 
 
 def values(networks, chi) -> list:
@@ -83,6 +86,13 @@ def compare(vals, other) -> str:
     return f"log values within {worst:.2e} relative, {mismatched} mantissas differ"
 
 
+def cosets(family, d, p, shots) -> list:
+    """The four coset networks of each of ``shots`` seeded shots."""
+    code = code_of(family, d)
+    return [tn for shot in range(shots)
+            for tn in depolarised_coset_networks(code, p, np.random.default_rng(shot))]
+
+
 def groups():
     """``(name, networks, chi)`` of every group, in print order."""
     corpus = netgen_corpus()
@@ -92,11 +102,11 @@ def groups():
     for chi in (None, 8):
         yield f"fold cases chi={chi}", folds, chi
     for family, p in COSET_CODES:
-        code = code_of(family, 5)
-        cosets = [tn for shot in range(SHOTS)
-                  for tn in depolarised_coset_networks(code, p, np.random.default_rng(shot))]
+        networks = cosets(family, 5, p, SHOTS)
         for chi in (None, 8):
-            yield f"{family} d=5 p={p} cosets of {SHOTS} shots chi={chi}", cosets, chi
+            yield f"{family} d=5 p={p} cosets of {SHOTS} shots chi={chi}", networks, chi
+    binding = cosets("square", 7, 0.1, BINDING_SHOTS)
+    yield f"square d=7 p=0.1 cosets of {BINDING_SHOTS} shots chi=8", binding, 8
 
 
 def main(argv=None) -> int:

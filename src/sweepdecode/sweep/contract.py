@@ -19,24 +19,24 @@ Each rule is stated where it is enforced:
 - the arrays a sweep accepts: :func:`run`;
 - the array a step absorbs: :func:`_step_arrays`, which reads the memo
   of step arrays, :class:`_MergeMemo`, and :func:`_build`, which checks
-  the tensors of a miss and fills the memo up to ``MERGE_MEMO_BYTES``;
+  the tensors of a miss, multiplies a merge's factors at unit scale and
+  raises on a product float64 cannot hold, and fills the memo up to
+  ``MERGE_MEMO_BYTES``;
 - the plan cache and its lookup by geometry: :func:`_plan_for`;
 - an absorption and the split of its consumed run (``_Step.split``):
   :func:`contract_step`, the one absorption kernel;
 - what a step derives from shapes (its reshapes, its cut, which is
-  :func:`plan._split`'s, and the site it checks): :func:`_record`; the
-  tape of a plan that never compresses, one record per step:
-  :func:`_tape`; the records of a plan that compresses, made from the
-  live chain: :func:`_live_record`; all kept in ``Plan.records``;
+  :func:`plan._split`'s, the site it makes and its widest new bond):
+  :func:`_record`; the tape of a plan that never compresses, one record
+  per step: :func:`_tape`; the records of a plan that compresses, made
+  from the live chain: :func:`_live_record`; all kept in
+  ``Plan.records``, which :func:`run` hands each step's record from;
 - the pass-through identities, the chain's read-only sites:
   :class:`MPSState`;
 - the boundary's scale, an integer power of two until the boundary
-  closes: :class:`MPSState`;
-- the check of each site a step makes, and the window it leaves sites
-  unshifted within (derived by ``Plan.window``):
-  ``MPSState._check_site``;
-- a site's shift to unit scale and the non-finite check:
-  ``MPSState._normalize_site``;
+  closes, and the one scale rule every site a step or a compression
+  makes meets, within the window ``Plan.window`` derives:
+  :class:`MPSState`, enforced by ``MPSState._normalize_site``;
 - the truncation and its LAPACK calls: :func:`compress_mps`.
 """
 
@@ -97,9 +97,27 @@ class SweepValue(NamedTuple):
 @functools.lru_cache(maxsize=None)
 def _squared_window(window: int) -> tuple:
     """The window ``2^±window`` on a site's norm, squared: the bounds of
-    :meth:`MPSState._check_site` on its sum of squares, made once per
+    :meth:`MPSState._normalize_site` on its sum of squares, made once per
     window, so a sweep allocates none."""
     return 2.0 ** (-2 * window), 2.0 ** (2 * window)
+
+
+def _largest(x: np.ndarray) -> float:
+    """The largest magnitude of the C-contiguous, non-empty array ``x``, by
+    BLAS ``idamax``, which may pass over a NaN."""
+    flat = x.ravel()
+    return abs(flat.item(_blas.idamax(flat)))
+
+
+def _unit_scale(x: np.ndarray) -> tuple:
+    """``(y, e)`` with ``x = y * 2^e`` exactly and the largest magnitude of
+    ``y`` in [2^-0.5, 2^0.5]: unit scale, to which
+    :meth:`MPSState._normalize_site` shifts a site and :func:`_build` each
+    factor of a merge; ``(x, 0)`` when ``x`` is all zero or not finite.
+    Only exponent bits change, so the shift is exact."""
+    m = _largest(x)
+    e = round(math.log2(m)) if m and math.isfinite(m) else 0
+    return (np.ldexp(x, -e), e) if e else (x, 0)
 
 
 class MPSState:
@@ -111,22 +129,28 @@ class MPSState:
     the sign/value once the boundary closes.
 
     The boundary's scale is ``log_scale = log_float + exponent * ln 2``.
-    ``exponent`` is an integer power of two: every shift of a site
-    (:meth:`_normalize_site`) adds to it, so no scale is rounded while
-    the sweep runs.  When the boundary closes, :func:`contract_step` adds
-    the closing scalar's ``frexp`` parts, ``log(f)`` to ``log_float`` and
-    ``k`` to ``exponent``, so ``log_scale`` is rounded once, as ``log(f) +
-    (exponent + k) * ln 2``.  ``MPSState(sites, log_scale)`` starts at
-    ``log_float = log_scale`` and ``exponent = 0``, and setting
-    ``log_scale`` sets them so.
+    ``exponent`` is an integer power of two: every shift of a site adds to
+    it, so no scale is rounded while the sweep runs.  When the boundary
+    closes, :func:`contract_step` adds the closing scalar's ``frexp``
+    parts, ``log(f)`` to ``log_float`` and ``k`` to ``exponent``, so
+    ``log_scale`` is rounded once, as ``log(f) + (exponent + k) * ln 2``.
+    ``MPSState(sites, log_scale)`` starts at ``log_float = log_scale`` and
+    ``exponent = 0``.
 
-    Sites are kept within a window of scales, not at unit scale: after
-    each step :meth:`_check_site` leaves a site whose norm is strictly
-    within ``2^±window`` and shifts any other to unit scale.  :func:`run`
-    takes its plan's window (``Plan.window``).  A bare ``MPSState()`` has
-    a window of 0, which is empty, so every site a step makes is shifted.
-    A shift is exact, so the window moves no bit of a value: it changes
-    only which power of two the sites carry and which ``exponent`` does.
+    Every site the sweep makes, by a step or by a compression, meets one
+    rule, :meth:`_normalize_site`:
+
+    - a site whose norm is strictly within ``2^±window`` stands;
+    - any other is shifted by a power of two to unit scale, which adds to
+      ``exponent``;
+    - a site with a non-finite element raises, and an all-zero site is
+      left alone.
+
+    :func:`run` takes its plan's window (``Plan.window``).  A bare
+    ``MPSState()`` has a window of 0, which is empty, so every site is
+    shifted.  A shift is exact, so the window moves no bit of a value: it
+    changes only which power of two the sites carry and which
+    ``exponent`` does.
 
     The pass-through identities :func:`contract_step` emits either side of
     its data site are read-only views of :func:`_identity`, and they are
@@ -136,75 +160,46 @@ class MPSState:
     at the left end of the chain are ``np.eye(l * d)`` reshaped to ``(l,
     d, l * d)``, which :func:`compress_mps` finds by their flag.  The
     chain is internal to the sweep for that reason.
-
-    ``emitted`` is the largest bond the last :func:`contract_step` made
-    between the sites it emitted, 0 when it made none.  ``records`` is the
-    memo of the records :func:`contract_step` makes from the live chain
-    (:func:`_live_record`): :func:`run` hands the chain its plan's
-    (``Plan.records``), and a bare ``MPSState()`` has an empty one of its
-    own.
     """
 
-    __slots__ = ("sites", "log_float", "exponent", "mantissa", "emitted", "records",
-                 "_low", "_high")
+    __slots__ = ("sites", "log_float", "exponent", "mantissa", "_low", "_high")
 
-    def __init__(self, sites=None, log_scale=0.0, mantissa=1.0, *, records=None, window=0):
+    def __init__(self, sites=None, log_scale=0.0, mantissa=1.0, *, window=0):
         self.sites = [] if sites is None else sites
         self.log_float, self.exponent = log_scale, 0
         self.mantissa = mantissa
-        self.emitted = 0
-        self.records = {} if records is None else records
         self._low, self._high = _squared_window(window)
 
     @property
     def log_scale(self) -> float:
         return self.log_float + self.exponent * _LN2
 
-    @log_scale.setter
-    def log_scale(self, value: float):
-        self.log_float, self.exponent = value, 0
-
     def max_bond(self) -> int:
         if len(self.sites) < 2:
             return 1 if self.sites else 0
         return max(site.shape[2] for site in self.sites[:-1])
 
-    def _check_site(self, k: int):
-        """The check of site ``k`` after the step that made it: one BLAS
-        ``ddot`` of the site with itself, its squared norm.  A norm strictly
-        within the window ``2^±window`` leaves the site as it is.  Any other
-        sum calls :meth:`_normalize_site`, which raises on a non-finite
-        element and leaves an all-zero site alone: so does a sum that is 0
-        or inf because the squares under- or overflow, and one that is NaN
-        or inf because an element is.  The site is a fresh product, so
-        ``ravel`` is a view."""
-        flat = self.sites[k].ravel()
-        if self._low < _blas.ddot(flat, flat) < self._high:
-            return
-        del flat  # not alive beside the shifted copy
-        self._normalize_site(k)
-
     def _normalize_site(self, k: int):
-        """Shift site ``k`` by a power of two so its largest magnitude lands
-        in [2^-0.5, 2^0.5], adding the shift to ``exponent``.
+        """The scale rule (:class:`MPSState`) on site ``k``, a fresh array,
+        so ``ravel`` is a view.
 
-        Only exponent bits change, so the elements are rescaled exactly.
-        An all-zero site is left alone; a non-finite one raises.  BLAS
-        ``idamax`` finds the largest magnitude, but may pass over a NaN,
-        so ``ddot`` of the site with itself, NaN exactly when an element
-        is (a sum of squares meets no ``inf - inf``), finds those.
+        One BLAS ``ddot`` of the site with itself gives its squared norm,
+        and a norm strictly within the window leaves the site as it is.
+        Any other site is shifted to unit scale (:func:`_unit_scale`), the
+        shift added to ``exponent``: so is one whose squares under- or
+        overflow to 0 or inf, and an all-zero one is left alone.  The sum
+        of squares is NaN exactly when an element is (it meets no ``inf -
+        inf``), which the largest magnitude may pass over, and the largest
+        magnitude is inf when an element is: a non-finite site raises.
         """
-        arr = self.sites[k]
-        flat = arr.reshape(-1)
-        m = abs(flat.item(_blas.idamax(flat)))
-        if math.isinf(m) or math.isnan(_blas.ddot(flat, flat)):
-            raise ContractionError("boundary MPS holds a non-finite value")
-        if m == 0.0:
+        flat = self.sites[k].ravel()
+        squares = _blas.ddot(flat, flat)
+        if self._low < squares < self._high:
             return
-        e = round(math.log2(m))
-        if e != 0:
-            self.sites[k] = np.ldexp(arr, -e)
-            self.exponent += e
+        if math.isnan(squares) or math.isinf(_largest(flat)):
+            raise ContractionError("boundary MPS holds a non-finite value")
+        self.sites[k], e = _unit_scale(self.sites[k])
+        self.exponent += e
 
 
 class _MergeMemo:
@@ -347,12 +342,31 @@ def _build(merge, step: _Step, key: tuple, memo: _MergeMemo) -> np.ndarray:
     ``merge`` builds from the tensors of ``key``, transposed to
     ``step.perm``, read-only and C-contiguous.  Each tensor must be a
     :class:`DenseTensor`, which raises what :func:`planarize` raises for
-    it otherwise (:func:`_check_tensor`)."""
-    for v, tensor in zip((key[0], *[p[0] for p in merge.products]), key[1:]):
+    it otherwise (:func:`_check_tensor`).
+
+    A merge multiplies its tensors shifted to unit scale by powers of two
+    and shifts the product back by their sum, so no product under- or
+    overflows that its factors' scales would not.  A product whose largest
+    magnitude that sum puts outside float64's normal range raises
+    :class:`ContractionError` naming the vertex: the exponents are
+    compared, not the shifted values, which would be rounded to zero or
+    inf."""
+    vid = key[0]
+    for v, tensor in zip((vid, *[p[0] for p in merge.products]), key[1:]):
         _check_tensor(v, tensor)
     x = key[1].elements
-    for (_, axes, vaxes), absorbed in zip(merge.products, key[2:]):
-        x = np.tensordot(x, absorbed.elements, (axes, vaxes))
+    if merge.products:
+        x, shift = _unit_scale(x)
+        for (_, axes, vaxes), absorbed in zip(merge.products, key[2:]):
+            y, e = _unit_scale(absorbed.elements)
+            x, shift = np.tensordot(x, y, (axes, vaxes)), shift + e
+        top = _largest(x) if shift else 0.0
+        if top and math.isfinite(top):
+            k = math.frexp(top)[1] + shift  # the largest magnitude is below 2^k
+            if not -1021 <= k <= 1024:
+                raise ContractionError(f"vertex {vid}: merged tensor of largest magnitude about "
+                                       f"2^{k}, outside float64's normal range")
+            x = np.ldexp(x, shift)
     x = x.transpose(merge.perm).reshape(merge.out).transpose(step.perm)
     if not x.flags.c_contiguous:
         # np.ascontiguousarray would make a 0-d array 1-d
@@ -425,7 +439,7 @@ class _Record(NamedTuple):
     or at ``left == 1`` and ``np.matmul`` otherwise, makes the last
     product, of shape ``oshape``, into an array of the data site's shape
     ``shape`` (the ``(left, right)`` matrix when the step leaves no open
-    leg).  ``slot`` is the site the step checks (-1 when the boundary
+    leg).  ``slot`` is the site the step makes (-1 when the boundary
     closes), ``before`` and ``after`` the pass-through identities either
     side of the data site (None when the step leaves no open leg), and
     ``emitted`` the widest bond between its sites.  ``wide`` marks a
@@ -501,12 +515,13 @@ def _record(step: _Step, shape: tuple, run: tuple, rest: int) -> _Record:
                    before, after, emitted, wide)
 
 
-def _live_record(mps: MPSState, step: _Step, shape: tuple) -> _Record:
-    """The record of ``step`` on the shapes of ``mps``'s chain as it is,
-    the record of a step of a plan that compresses, whose ranks the
-    compressions find.  It is kept in ``mps.records`` under the step, the
-    array's shape, the shapes of the sites it consumes (the bond it enters
-    across for a fresh component) and the chain's length.  A decoder's
+def _live_record(records: dict, mps: MPSState, step: _Step, shape: tuple) -> _Record:
+    """The record of ``step``, absorbing an array of ``shape``, on the
+    shapes of ``mps``'s chain as it is: the record of a step of a plan
+    that compresses, whose ranks the compressions find.  It is kept in
+    ``records`` (``Plan.records``) under the step, the shapes of the sites
+    it consumes (the bond it enters across for a fresh component) and the
+    chain's length; within one plan the step fixes ``shape``.  A decoder's
     chains meet few shapes per step: square d=7 at chi=8 keeps one record
     per step over 64 shots (169)."""
     sites, lo, hi = mps.sites, step.lo, step.hi
@@ -518,10 +533,10 @@ def _live_record(mps: MPSState, step: _Step, shape: tuple) -> _Record:
         # passes through the inserted sites untouched.
         left = sites[lo - 1].shape[2] if 0 < lo < len(sites) else 1
         run = ((left, 1, left),)
-    key = (step, shape, run, len(sites))
-    record = mps.records.get(key)
+    key = (step, run, len(sites))
+    record = records.get(key)
     if record is None:
-        record = mps.records.setdefault(key, _record(step, shape, run, len(sites) - hi + lo - 1))
+        record = records.setdefault(key, _record(step, shape, run, len(sites) - hi + lo - 1))
     return record
 
 
@@ -544,12 +559,11 @@ def _tape(plan: Plan) -> tuple:
     return tape
 
 
-def contract_step(mps: MPSState, step: _Step, elements: np.ndarray,
-                  record: _Record | None = None) -> MPSState:
+def contract_step(mps: MPSState, step: _Step, elements: np.ndarray, record: _Record) -> MPSState:
     """Absorb the vertex of ``step``, whose array laid out in the step's
     order (``Plan.shapes``) is ``elements``, into the boundary MPS, in
-    place, by ``record`` (:class:`_Record`), or, when that is None, by the
-    record of the chain as it is (:func:`_live_record`).  Returns ``mps``.
+    place, by ``record`` (:class:`_Record`), made from the shapes of the
+    chain as it is.  Returns ``mps``.
 
     Unsplit (``step.split`` 0), it is one batched matrix product that
     transposes no data.  The consumed run merges, untransposed, into
@@ -570,13 +584,10 @@ def contract_step(mps: MPSState, step: _Step, elements: np.ndarray,
     (:func:`_identity`) either side; the last product is written into the
     data site's own array, so the chain holds no view of a product.
     Consumed sites leave the chain before their replacement is built.  The
-    step sets ``mps.emitted`` (:class:`MPSState`) and checks the site it
-    made (:meth:`MPSState._check_site`).
+    site the step made meets the scale rule (:meth:`MPSState._normalize_site`).
     """
-    if record is None:
-        record = _live_record(mps, step, elements.shape)
     (chain, run, wshape, rshape, parts, product, oshape, shape, slot, before, after,
-     emitted, wide) = record
+     _, wide) = record
     lo, sites = step.lo, mps.sites
     if run is None:
         run = sites.pop(lo)
@@ -605,7 +616,6 @@ def contract_step(mps: MPSState, step: _Step, elements: np.ndarray,
     if before is None:
         # Fully absorbed: a (left, right) matrix folds into a neighbor, or
         # (when the boundary is empty) into the scalar accumulator.
-        mps.emitted = 0
         if slot < 0:
             if merged.size != 1:
                 raise ContractionError("boundary vanished with open bonds left")
@@ -622,14 +632,13 @@ def contract_step(mps: MPSState, step: _Step, elements: np.ndarray,
             return mps
         sites[slot] = _dot_right(sites[slot], merged) if lo else _dot_left(merged, sites[0])
         del merged
-        mps._check_site(slot)
+        mps._normalize_site(slot)
         return mps
 
     if wide:
         before, after = tuple(map(_pass_through, before)), tuple(map(_pass_through, after))
     sites[lo:lo] = (*before, merged, *after)
-    mps.emitted = emitted
-    mps._check_site(slot)
+    mps._normalize_site(slot)
     return mps
 
 
@@ -652,6 +661,7 @@ def compress_mps(mps: MPSState, chi: int):
         sqrt(sum_k dropped_k^2) / |psi|
 
     is the exact relative error of this compression, not an upper bound.
+    Each site a pass makes meets the scale rule of :class:`MPSState`.
     Returns ``(mps, discard)``; the state is modified in place.  A ``chi``
     that is not an integer of at least 1 raises ``ValueError``.
 
@@ -754,17 +764,17 @@ def run(plan: Plan, arrays) -> SweepValue:
 
     After each step that emits a bond above ``2 * plan.chi``
     (:func:`plan._compress_above`) the boundary is compressed to
-    ``plan.chi``.  A step makes no bond but those between the sites it
-    emits, and reports the largest of them (``MPSState.emitted``), so
-    testing that alone compresses at exactly the steps a check of the
-    whole chain after every step would.  Each step runs by its record on
-    the plan's tape (:func:`_tape`), or, on a plan that compresses, by the
-    record of the live chain, kept in the plan's memo (``Plan.records``);
-    each step checks the site it made within the plan's window
-    (``Plan.window``).
+    ``plan.chi``.  Each step runs by its record on the plan's tape
+    (:func:`_tape`), or, on a plan that compresses, by the record of the
+    live chain, kept in the plan's memo (``Plan.records``).  A step makes
+    no bond but those between the sites it emits, and its record holds the
+    largest of them (``_Record.emitted``), so testing that alone
+    compresses at exactly the steps a check of the whole chain after every
+    step would.  The chain keeps its sites by the scale rule of
+    :class:`MPSState` within the plan's window (``Plan.window``).
     """
-    limit, shapes = _compress_above(plan.chi), plan.shapes
-    mps = MPSState(records=plan.records, window=plan.window)
+    limit, shapes, records = _compress_above(plan.chi), plan.shapes, plan.records
+    mps = MPSState(window=plan.window)
     arrays = iter(arrays)
     # A non-finite product raises ContractionError at the step that made it
     # (every site that takes new data is checked, and the closing scalar
@@ -777,9 +787,10 @@ def run(plan: Plan, arrays) -> SweepValue:
                 got = "no array" if x is None else x.shape
                 raise ValueError(f"step {plan.steps.index(step)} (vertex {step.vid}) absorbs "
                                  f"shape {shapes[step.vid]}, got {got}")
+            record = record or _live_record(records, mps, step, x.shape)
             contract_step(mps, step, x, record)
             del x
-            if mps.emitted > limit:
+            if record.emitted > limit:
                 compress_mps(mps, plan.chi)
     if next(arrays, None) is not None:
         raise ValueError(f"got an array beyond the plan's {len(plan.steps)} steps")

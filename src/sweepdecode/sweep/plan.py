@@ -163,7 +163,8 @@ class Plan:
     plan.  Under None it keeps the plan's tape (:func:`contract._tape`):
     one record per step, made from :attr:`runs`, when the plan never
     compresses.  A plan that compresses keeps one record per step and
-    chain shape its sweeps met (:func:`contract._live_record`).  A record
+    chain shape its sweeps met (:func:`contract._live_record`), which
+    :func:`contract.run` hands to the steps.  A record
     holds ints, shapes, ``np.dot`` or ``np.matmul``, and read-only views
     of the identities shared up to ``IDENTITY_MEMO_MAX`` wide, never a
     wider one.  An entry depends on its key alone, so equality and
@@ -200,20 +201,20 @@ class Plan:
 
     @cached_property
     def window(self) -> int:
-        """``T``: :meth:`contract.MPSState._check_site` leaves a site whose
-        norm is strictly within ``2^±T`` as it is, and shifts any other to
-        unit scale.
+        """``T``: the scale rule of :class:`contract.MPSState` leaves a site
+        whose norm is strictly within ``2^±T`` as it is, and shifts any
+        other to unit scale.
 
         A step multiplies at most ``F`` factors: the sites it consumes (for
         a fresh component, the identity it enters with), its array, and,
         when it leaves no open leg, the neighbour it folds into.  Each site
-        is one a check left within the window, one shifted to unit scale
-        (every compression factor is) or a shared identity, so the factors
-        other than the array multiply to a norm within ``2^±(F - 1) T`` of
-        what they would at unit scale, and ``T = SCALE_BITS // F`` keeps
-        that within ``2^±(512 - T)``, half of float64's exponent range; the
-        last ``T`` bits cover the square roots of the sites' sizes, which
-        the norm of a product adds.  The other half is the step array's: an
+        is one the rule left within the window or shifted to unit scale
+        (a compression factor meets the rule as a step's site does) or a
+        shared identity, so the factors other than the array multiply to a
+        norm within ``2^±(F - 1) T`` of what they would at unit scale, and
+        ``T = SCALE_BITS // F`` keeps that within ``2^±(512 - T)``, half of
+        float64's exponent range; the last ``T`` bits cover the square
+        roots of the sites' sizes, which the norm of a product adds.  The other half is the step array's: an
         array of at most 2^24 elements, each of magnitude below ``2^500``,
         has a norm below ``2^512``, so no product of a step overflows.  At
         unit scale, which a window of 0 keeps, the elements could reach

@@ -7,7 +7,11 @@ value, a product of thousands of such entries, under/overflows double
 precision by hundreds of orders of magnitude, so the sweep keeps its scale
 apart: an integer power of two on the boundary state (``MPSState.exponent``),
 to which every exact shift of a site adds, read as a natural logarithm
-(``MPSState.log_scale``) once, when the boundary closes.
+(``MPSState.log_scale``) once, when the boundary closes.  Every site the
+sweep makes meets one scale rule (``MPSState._normalize_site``).  A merged
+step array, the product of several tensors of a folded plan, is built from
+its tensors shifted to unit scale, and one whose scale float64 cannot hold
+raises ``ContractionError``.
 """
 
 from __future__ import annotations

@@ -183,7 +183,8 @@ def sweep_checking_every_step(tn, chi):
     with np.errstate(over="ignore", invalid="ignore"):
         arrays = contract._step_arrays(plan, memo, tn.vertices)
         for i, (step, tensor) in enumerate(zip(plan.steps, arrays)):
-            contract.contract_step(mps, step, tensor)
+            record = contract._live_record({}, mps, step, tensor.shape)
+            contract.contract_step(mps, step, tensor, record)
             if mps.max_bond() > 2 * chi:
                 contract.compress_mps(mps, chi)
                 fired.append(i)
@@ -232,9 +233,8 @@ def contract_step_reference(mps, step, elements, record=None):
     ``elements`` is laid out in the step's order, as ``contract_step``
     reads it; the reference puts its axes back in the vertex's own order
     first, and derives every shape from the chain, so it reads no
-    ``record``.  Same slots, splitting and ``emitted`` bookkeeping; it
-    normalises every site it makes (``_normalize_site``), where the kernel
-    shifts only those its check sends there.  Modifies ``mps`` in place
+    ``record``.  Same slots and splitting; every site it makes meets the
+    kernel's scale rule (``_normalize_site``).  Modifies ``mps`` in place
     and returns it.
     """
     elements = elements.transpose(np.argsort(step.perm))
@@ -262,7 +262,6 @@ def contract_step_reference(mps, step, elements, record=None):
     m = len(dims)
 
     if m == 0:
-        mps.emitted = 0
         mat = merged.reshape(left_dim, right_dim)
         if lo > 0:
             sites[lo - 1] = np.tensordot(sites[lo - 1], mat, axes=([2], [0]))
@@ -274,7 +273,7 @@ def contract_step_reference(mps, step, elements, record=None):
                 mps.mantissa = 0.0
             else:
                 mps.mantissa *= math.copysign(1.0, val)
-                mps.log_scale += math.log(abs(val))
+                mps.log_float += math.log(abs(val))
         if sites:
             mps._normalize_site(max(lo - 1, 0))
         return mps
@@ -302,7 +301,6 @@ def contract_step_reference(mps, step, elements, record=None):
             site = merged.reshape(prefix[t], dims[t], suffix[t + 1])
         new_sites.append(site)
     sites[lo:lo] = new_sites
-    mps.emitted = max((site.shape[2] for site in new_sites[:-1]), default=0)
     mps._normalize_site(lo + t)
     return mps
 

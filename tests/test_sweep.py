@@ -59,6 +59,12 @@ def arrays_of(plan, tn, memo=None):
     return contract._step_arrays(plan, memo or contract._MergeMemo(), tn.vertices)
 
 
+def live_record(mps, step, tensor):
+    """The record ``contract_step`` absorbs ``tensor`` by at ``step`` on
+    the chain of ``mps`` as it is, made afresh."""
+    return contract._live_record({}, mps, step, tensor.shape)
+
+
 def chain_network(mats, positions=None):
     """Open chain: rank-1 tensors at the ends, rank-2 in the middle."""
     n = len(mats)
@@ -419,7 +425,7 @@ class TestIdentitySites:
         plan = plan_unrotated(tn)
         mps, sites = MPSState(), []
         for step, tensor in zip(plan.steps, arrays_of(plan, tn)):
-            contract_step(mps, step, tensor)
+            contract_step(mps, step, tensor, live_record(mps, step, tensor))
             sites.extend(mps.sites)
         assert_matches_oracle(contract.SweepValue(mps.mantissa, mps.log_scale), tn, rel=1e-10)
         shared = [a for a in sites if not a.flags.writeable]
@@ -438,8 +444,9 @@ class TestIdentitySites:
         tn = grid_network(np.random.default_rng(96), 3, 3, dim=2)
         plan = plan_unrotated(tn)
         step, tensor = plan.steps[0], next(arrays_of(plan, tn))
-        first = contract_step(MPSState(), step, tensor).sites
-        second = contract_step(MPSState(), step, tensor).sites
+        record = live_record(MPSState(), step, tensor)
+        first = contract_step(MPSState(), step, tensor, record).sites
+        second = contract_step(MPSState(), step, tensor, record).sites
         assert [a.shape for a in first] == [a.shape for a in second]
         pairs = [(a, b) for a, b in zip(first, second) if not a.flags.writeable]
         assert pairs and all(a.base is b.base for a, b in pairs)
@@ -514,7 +521,7 @@ class TestIdentityHead:
             heads.append(read_only_head(mps.sites))
             copies = [site.copy() for site in mps.sites]  # writeable: no head
             full = MPSState(sites=copies, log_scale=mps.log_float)
-            full.exponent = mps.exponent
+            full.exponent, full._low, full._high = mps.exponent, mps._low, mps._high
             _, full_err = real_compress(full, chi)
             _, err = real_compress(mps, chi)
             assert err.hex() == full_err.hex()
@@ -553,7 +560,7 @@ def exact_bond_trace(tn, chi=None):
     plan, memo = contract._plan_for(tn, chi)
     mps, trace = MPSState(), []
     for step, tensor in zip(plan.steps, arrays_of(plan, tn, memo)):
-        contract_step(mps, step, tensor)
+        contract_step(mps, step, tensor, live_record(mps, step, tensor))
         trace.append((step.forward >= 2, mps.max_bond()))
     return trace
 
@@ -679,7 +686,7 @@ class TestAbsorptionKernel:
                     branches |= absorption_branches(mps, step)
                     ref = MPSState(list(mps.sites), mps.log_scale, mps.mantissa)
                     contract_step_reference(ref, step, tensor)
-                    contract_step(mps, step, tensor)
+                    contract_step(mps, step, tensor, live_record(mps, step, tensor))
                     assert [a.shape for a in mps.sites] == [b.shape for b in ref.sites]
                     assert mps.log_scale == pytest.approx(ref.log_scale, rel=1e-13, abs=1e-13)
                     assert mps.mantissa == pytest.approx(ref.mantissa, rel=1e-13)
@@ -1038,7 +1045,7 @@ def run_plan(plan, tn):
     mps = MPSState()
     widest = 0
     for step, tensor in zip(plan.steps, arrays_of(plan, tn)):
-        contract_step(mps, step, tensor)
+        contract_step(mps, step, tensor, live_record(mps, step, tensor))
         widest = max(widest, mps.max_bond())
     return contract.SweepValue(mps.mantissa, mps.log_scale), widest
 
@@ -1816,9 +1823,11 @@ def cut_networks():
 
 
 def absorb(mps, step, tensor, chi, record=None):
-    """One step of ``run``: absorb, then compress above ``2 * chi``."""
+    """One step of ``run``: absorb by ``record`` (by default a fresh record
+    of the chain as it is), then compress above ``2 * chi``."""
+    record = record or live_record(mps, step, tensor)
     contract_step(mps, step, tensor, record)
-    if chi is not None and mps.emitted > 2 * chi:
+    if chi is not None and record.emitted > 2 * chi:
         compress_mps(mps, chi)
 
 
@@ -1832,8 +1841,8 @@ def kept_records(plan):
             for (step, record), (run, _) in zip(value, runs):
                 yield step, plan.shapes[step.vid], run, record
         else:
-            step, shape, run, _ = key
-            yield step, shape, run, value
+            step, run, _ = key
+            yield step, plan.shapes[step.vid], run, value
 
 
 class TestCutMemo:
@@ -1849,15 +1858,15 @@ class TestCutMemo:
             plan.records.clear()
             contract.run(plan, arrays_of(plan, tn, memo))
             records = dict(plan.records)
-            cold = MPSState(window=plan.window)
-            warm = MPSState(records=plan.records, window=plan.window)
+            cold, warm = MPSState(window=plan.window), MPSState(window=plan.window)
             with np.errstate(over="ignore", invalid="ignore"):
                 for (step, record), tensor in zip(contract._tape(plan), arrays_of(plan, tn, memo)):
-                    cold.records.clear()
-                    absorb(cold, step, tensor, chi)
+                    fresh = live_record(cold, step, tensor)
+                    record = record or contract._live_record(plan.records, warm, step, tensor.shape)
+                    absorb(cold, step, tensor, chi, fresh)
                     absorb(warm, step, tensor, chi, record)
-                    assert (cold.emitted, cold.log_scale.hex(), cold.mantissa.hex()) == (
-                        warm.emitted, warm.log_scale.hex(), warm.mantissa.hex())
+                    assert (fresh.emitted, cold.log_scale.hex(), cold.mantissa.hex()) == (
+                        record.emitted, warm.log_scale.hex(), warm.mantissa.hex())
                     assert [a.shape for a in cold.sites] == [a.shape for a in warm.sites]
                     assert all(a.tobytes() == b.tobytes() for a, b in zip(cold.sites, warm.sites))
             # the second sweep was warm: it made no record
@@ -1972,14 +1981,18 @@ class TestRunSplit:
             with np.errstate(over="ignore", invalid="ignore"):
                 for step, tensor in zip(plan.steps, arrays_of(plan, tn, memo)):
                     if step.hi > step.lo:
-                        chains = []
+                        chains, emitted = [], []
                         for j in range(step.hi - step.lo + 1):
                             chain = MPSState(list(mps.sites), mps.log_scale, mps.mantissa)
-                            chains.append(contract_step(chain, step._replace(split=j), tensor))
+                            at_j = step._replace(split=j)
+                            record = live_record(chain, at_j, tensor)
+                            emitted.append(record.emitted)
+                            chains.append(contract_step(chain, at_j, tensor, record))
                         whole = chains[0]
+                        assert len(set(emitted)) == 1
                         for chain in chains[1:]:
                             assert [a.shape for a in chain.sites] == [a.shape for a in whole.sites]
-                            assert (chain.emitted, chain.mantissa) == (whole.emitted, whole.mantissa)
+                            assert chain.mantissa == whole.mantissa
                             assert chain.log_scale == pytest.approx(whole.log_scale, abs=1e-13)
                             for a, b in zip(chain.sites, whole.sites):
                                 assert np.abs(a - b).max(initial=0.0) <= 1e-13 * np.abs(b).max(initial=0.0)
@@ -2156,10 +2169,10 @@ class TestPlanValue:
 COSET_CODES = (("square", 0.15), ("subsystem", 0.05))
 
 
-def coset_networks(family, p, shots):
+def coset_networks(family, p, shots, d=5):
     """The four coset networks of each of ``shots`` depolarised shots of the
-    ``family`` code of distance 5."""
-    code = code_of(family, 5)
+    ``family`` code of distance ``d``."""
+    code = code_of(family, d)
     return [tn for shot in range(shots)
             for tn in depolarised_coset_networks(code, p, np.random.default_rng(shot))]
 
@@ -2228,32 +2241,45 @@ class TestScaleSchedule:
     def test_window_moves_no_bit(self, monkeypatch):
         # shifts are exact and the scale is an integer until the close, so
         # shifting every site (window 0) and shifting only those leaving the
-        # plan's window give the same bits, compressing or not
-        real, shifted = MPSState._normalize_site, []
+        # plan's window give the same bits, compressing or not; every site a
+        # step or a compression makes meets the rule, so a shift is counted
+        # where it moves the exponent
+        real, shifts, compressions = MPSState._normalize_site, [0], [0]
+        real_compress = contract.compress_mps
 
         def counting(mps, k):
-            shifted.append(k)
-            return real(mps, k)
+            before = mps.exponent
+            real(mps, k)
+            shifts[0] += mps.exponent != before
+
+        def counting_compress(mps, chi):
+            compressions[0] += 1
+            return real_compress(mps, chi)
 
         monkeypatch.setattr(MPSState, "_normalize_site", counting)
-        cases = [(tn, chi) for tn in netgen_corpus() for chi in (None, 1, 2, 4, 8)]
-        cases += [(code_network(f, d), chi) for f, d in fold_cases() for chi in (None, 8)]
-        cases += [(tn, chi) for family, p in COSET_CODES for tn in coset_networks(family, p, 16)
-                  for chi in (None, 8)]
-        plans, counts = {}, [0, 0]
-        for tn, chi in cases:
+        monkeypatch.setattr(contract, "compress_mps", counting_compress)
+        cases = [(tn, chi, False) for tn in netgen_corpus() for chi in (None, 1, 2, 4, 8)]
+        cases += [(code_network(f, d), chi, False) for f, d in fold_cases() for chi in (None, 8)]
+        cases += [(tn, chi, False) for family, p in COSET_CODES
+                  for tn in coset_networks(family, p, 16) for chi in (None, 8)]
+        # chi binds on square d=7 at p=0.1: every sweep compresses
+        cases += [(tn, 8, True) for tn in coset_networks("square", 0.1, 2, d=7)]
+        plans, counts = {}, {False: [0, 0], True: [0, 0]}
+        for tn, chi, compresses in cases:
             key = (contract._geometry(tn), chi)
             plan = plans.get(key) or plans.setdefault(key, planner.plan_sweep(tn, chi))
             assert plan.window > 0
-            del shifted[:]
+            shifts[0] = compressions[0] = 0
             derived = sweep_along(plan, tn)
-            counts[0] += len(shifted)
-            del shifted[:]
+            counts[compresses][0] += shifts[0]
+            assert compressions[0] > 0 or not compresses
+            shifts[0] = 0
             every = sweep_along(plan, tn, 0, monkeypatch)
-            counts[1] += len(shifted)
+            counts[compresses][1] += shifts[0]
             assert bits(derived) == bits(every)
-        # the window lets most sites stand
-        assert counts[0] < counts[1] / 2
+        # the window lets most sites stand, on the sweeps that compress too
+        assert sum(c[0] for c in counts.values()) < sum(c[1] for c in counts.values()) / 2
+        assert counts[True][0] < counts[True][1]
 
     def test_window_is_derived_from_the_most_factors(self):
         for family, p in COSET_CODES:
@@ -2266,9 +2292,10 @@ class TestScaleSchedule:
 
 
 def checked(site, window=102):
-    """``site`` after ``MPSState._check_site``, with the exponent it took."""
+    """``site`` after ``MPSState._normalize_site`` within ``window``, with
+    the exponent it took."""
     mps = MPSState([site], window=window)
-    mps._check_site(0)
+    mps._normalize_site(0)
     return mps.sites[0], mps.exponent
 
 
@@ -2344,3 +2371,54 @@ class TestScaleRange:
             assert got.mantissa == want.mantissa
             shift = sum(exponents.values()) * math.log(2.0)
             assert got.log_scale - shift == pytest.approx(want.log_scale, rel=1e-13, abs=1e-11)
+
+
+def scaled_network(tn, factor):
+    """``tn`` with every tensor's elements times ``factor``."""
+    return TensorNetwork2D([TNVertex(v.id, DenseTensor(v.tensor.elements * factor), v.position)
+                            for v in tn.vertices.values()], tn.bonds)
+
+
+def log_value(value):
+    return math.log(abs(value.mantissa)) + value.log_scale
+
+
+OUT_OF_RANGE = r"vertex \d+: merged tensor .* outside float64's normal range"
+
+
+class TestMergeScale:
+    # a folded plan merges several tensors into one step array; a merge
+    # whose scale leaves float64's normal range raises, naming the vertex,
+    # where the unshifted product would under- or overflow, and the
+    # unfolded plan of the same network sweeps it
+
+    @pytest.mark.parametrize("factor", [1e-100, 1e-160, 1e-200])
+    @pytest.mark.parametrize("chi", [None, 2])
+    def test_merges_below_the_range_raise(self, factor, chi):
+        tn = scaled_network(grid_network(np.random.default_rng(0), 3, 3, positive=True), factor)
+        assert planner.plan_sweep(tn, chi).fold
+        want, _ = run_plan(plan_unrotated(tn), tn)
+        assert want.mantissa == 1.0
+        if factor == 1e-100:
+            assert log_value(want) == pytest.approx(-2070.338, abs=1e-3)
+        with pytest.raises(ContractionError, match=OUT_OF_RANGE):
+            sweep_contract(tn, chi)
+
+    def test_a_merge_above_the_range_raises(self):
+        # the value, 2e400, is a SweepValue's, but no float64's
+        tn = TensorNetwork2D([TNVertex(0, DenseTensor(np.array([1e200, 1e200])), (0.0, 0.0)),
+                              TNVertex(1, DenseTensor(np.array([1e200, 1e200])), (0.0, 1.0))],
+                             [Bond((0, 0), (1, 0), 2)])
+        assert planner.plan_sweep(tn, None).fold
+        want, _ = run_plan(plan_unrotated(tn), tn)
+        assert log_value(want) == pytest.approx(math.log(2.0) + 400 * math.log(10.0), rel=1e-15)
+        with pytest.raises(ContractionError, match=OUT_OF_RANGE):
+            sweep_contract(tn)
+
+    @pytest.mark.parametrize("chi", [None, 2])
+    def test_merges_within_the_range_sweep_as_unfolded(self, chi):
+        tn = scaled_network(grid_network(np.random.default_rng(0), 3, 3, positive=True), 1e-40)
+        want, _ = run_plan(plan_unrotated(tn), tn)
+        got = sweep_contract(tn, chi)
+        assert got.mantissa == want.mantissa == 1.0
+        assert log_value(got) == pytest.approx(log_value(want), rel=1e-13)
