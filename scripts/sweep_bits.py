@@ -14,7 +14,12 @@ many values went in.  The groups:
 - the four coset networks of each of 16 seeded depolarising shots of
   square d=5 at p=0.15 and subsystem d=5 at p=0.05, at chi None and 8;
 - the four coset networks of each of 4 seeded shots of square d=7 at
-  p=0.1, at chi 8, where chi binds and every sweep compresses.
+  p=0.1, at chi 8, where chi binds and every sweep compresses;
+- the scale-range networks, at chi None and 2: the positive 3x3 grid
+  times 1e-100, 1e-160 and 1e-200 and two bonded ``[1e200, 1e200]``
+  vertices, whose merged step arrays float64's normal range cannot hold,
+  and an unfolded network whose tensors are times 2^1020 and 2^-1060 in
+  turn.
 
 Every network is built by the test helpers under ``tests/``, so a change
 that must leave every value bit-identical prints the same lines before and
@@ -47,7 +52,8 @@ import numpy as np  # noqa: E402
 
 from netgen import depolarised_coset_networks  # noqa: E402
 from sweepdecode.sweep import sweep_contract  # noqa: E402
-from test_sweep import code_network, code_of, fold_cases, netgen_corpus  # noqa: E402
+from test_sweep import (  # noqa: E402
+    code_network, code_of, fold_cases, netgen_corpus, scale_range_networks)
 
 SHOTS = 16
 COSET_CODES = (("square", 0.15), ("subsystem", 0.05))
@@ -107,6 +113,9 @@ def groups():
             yield f"{family} d=5 p={p} cosets of {SHOTS} shots chi={chi}", networks, chi
     binding = cosets("square", 7, 0.1, BINDING_SHOTS)
     yield f"square d=7 p=0.1 cosets of {BINDING_SHOTS} shots chi=8", binding, 8
+    ranges = scale_range_networks()
+    for chi in (None, 2):
+        yield f"scale-range networks chi={chi}", ranges, chi
 
 
 def main(argv=None) -> int:

@@ -3,7 +3,8 @@
 :func:`run` sweeps a closed network along its :class:`Plan`
 (:func:`plan_sweep`) and does only numerics: it absorbs each step's array
 into a boundary matrix product state, and compresses that state when it
-grows too wide.  Of the plan it reads ``chi``, the bond cap it compresses
+grows too wide.  Each array comes with its power of two, which joins the
+boundary's.  Of the plan it reads ``chi``, the bond cap it compresses
 to; ``steps``, the absorptions in order; ``shapes``, the shape of each
 step's array; ``window``, the scales a site may keep unshifted; and
 ``records``, the memo of what each step would otherwise derive from the
@@ -16,12 +17,12 @@ of one code over and over, plans once and builds each array once.
 
 Each rule is stated where it is enforced:
 
-- the arrays a sweep accepts: :func:`run`;
-- the array a step absorbs: :func:`_step_arrays`, which reads the memo
+- the ``(array, exponent)`` pairs a sweep accepts: :func:`run`;
+- the pair a step absorbs: :func:`_step_arrays`, which reads the memo
   of step arrays, :class:`_MergeMemo`, and :func:`_build`, which checks
-  the tensors of a miss, multiplies a merge's factors at unit scale and
-  raises on a product float64 cannot hold, and fills the memo up to
-  ``MERGE_MEMO_BYTES``;
+  the tensors of a miss, multiplies a merge's factors at unit scale,
+  returns every array, merged or not, at unit scale with its exponent,
+  and fills the memo up to ``MERGE_MEMO_BYTES``;
 - the plan cache and its lookup by geometry: :func:`_plan_for`;
 - an absorption and the split of its consumed run (``_Step.split``):
   :func:`contract_step`, the one absorption kernel;
@@ -34,7 +35,8 @@ Each rule is stated where it is enforced:
 - the pass-through identities, the chain's read-only sites:
   :class:`MPSState`;
 - the boundary's scale, an integer power of two until the boundary
-  closes, and the one scale rule every site a step or a compression
+  closes, to which :func:`run` adds the step arrays' exponents, and the
+  one scale rule every site a step or a compression
   makes meets, within the window ``Plan.window`` derives:
   :class:`MPSState`, enforced by ``MPSState._normalize_site``;
 - the truncation and its LAPACK calls: :func:`compress_mps`.
@@ -74,15 +76,17 @@ PLAN_CACHE_SIZE = 8
 
 # Bytes one plan's memo of step arrays (_MergeMemo) may hold, counting its
 # arrays and the input tensors its keys keep alive.  It holds every step's
-# array, merged or not.  An array depends only on the tensors of its
-# vertex (and, folded, of the vertices merged into it), and a coset
-# network picks each qubit's from four, so a code has few variants.  Every
-# merged variant of the benchmark's codes, measured: square d=5 at chi=8,
-# 172 entries of 0.06 MB (0.09 MB with their keys); subsystem d=5 exact,
-# paired, 388 entries of 0.39 MB (0.53 MB).  The larger fits four times
-# over.  An unfolded plan holds one entry per vertex and variant: square
-# d=7 at chi=8, 293 entries of 0.06 MB after 64 shots (plan_model.py
-# --plans).  All cached plans together hold at most PLAN_CACHE_SIZE *
+# (array, exponent) pair, merged or not.  An array depends only on the
+# tensors of its vertex (and, folded, of the vertices merged into it), and
+# a coset network picks each qubit's from four, so a code has few
+# variants.  Measured over the benchmark's seed-0 shot stream, the memos
+# of its two plans stop growing: square d=5 at chi=8 by 256 shots, at 160
+# entries of 659,456 array bytes (722,816 counted); subsystem d=5 exact by
+# 1,000 shots, at 154 entries of 152,320 array bytes (207,680 counted).
+# The larger fits the cap 2.9 times.  An unfolded plan holds one entry per
+# vertex and variant: square d=7 at chi=8, 293 entries of 30,880 array
+# bytes (61,760 counted) after 64 shots at p=0.1 (plan_model.py --plans).
+# All cached plans together hold at most PLAN_CACHE_SIZE *
 # MERGE_MEMO_BYTES = 16 MB.
 MERGE_MEMO_BYTES = 2 << 20
 
@@ -113,7 +117,8 @@ def _unit_scale(x: np.ndarray) -> tuple:
     """``(y, e)`` with ``x = y * 2^e`` exactly and the largest magnitude of
     ``y`` in [2^-0.5, 2^0.5]: unit scale, to which
     :meth:`MPSState._normalize_site` shifts a site and :func:`_build` each
-    factor of a merge; ``(x, 0)`` when ``x`` is all zero or not finite.
+    step array and each factor of a merge; ``(x, 0)`` when ``x`` is all
+    zero or not finite.
     Only exponent bits change, so the shift is exact."""
     m = _largest(x)
     e = round(math.log2(m)) if m and math.isfinite(m) else 0
@@ -130,12 +135,13 @@ class MPSState:
 
     The boundary's scale is ``log_scale = log_float + exponent * ln 2``.
     ``exponent`` is an integer power of two: every shift of a site adds to
-    it, so no scale is rounded while the sweep runs.  When the boundary
-    closes, :func:`contract_step` adds the closing scalar's ``frexp``
-    parts, ``log(f)`` to ``log_float`` and ``k`` to ``exponent``, so
-    ``log_scale`` is rounded once, as ``log(f) + (exponent + k) * ln 2``.
-    ``MPSState(sites, log_scale)`` starts at ``log_float = log_scale`` and
-    ``exponent = 0``.
+    it, and so does the sum of the step arrays' exponents, which
+    :func:`run` adds when the sweep is done, so no scale is rounded while
+    the sweep runs.  When the boundary closes, :func:`contract_step` adds the
+    closing scalar's ``frexp`` parts, ``log(f)`` to ``log_float`` and
+    ``k`` to ``exponent``, so ``log_scale`` is rounded once, as ``log(f) +
+    (exponent + k) * ln 2``.  ``MPSState(sites, log_scale)`` starts at
+    ``log_float = log_scale`` and ``exponent = 0``.
 
     Every site the sweep makes, by a step or by a compression, meets one
     rule, :meth:`_normalize_site`:
@@ -210,12 +216,12 @@ class _MergeMemo:
     that vertex and of the vertices its ``_Merge`` absorbs (none when
     unfolded), in the order the recipe reads them.  A tensor hashes by
     identity and its elements never change after construction, so an entry
-    is what :func:`_build` would compute from those operands
-    again, bit for bit.  Entries are read-only and C-contiguous.  ``nbytes``
-    counts the arrays and, per entry, the key's tensors, which the key
-    keeps alive.  An entry larger than ``MERGE_MEMO_BYTES`` alone is not
-    kept, and an insert that would take ``nbytes`` past it first clears
-    the memo.  A key already held, put again by a thread that missed it
+    is the ``(array, exponent)`` pair :func:`_build` would compute from
+    those operands again, bit for bit; its array is read-only and
+    C-contiguous.  ``nbytes`` counts the arrays and, per entry, the key's
+    tensors, which the key keeps alive.  An entry larger than
+    ``MERGE_MEMO_BYTES`` alone is not kept, and an insert that would take
+    ``nbytes`` past it first clears the memo.  A key already held, put again by a thread that missed it
     too, keeps its entry and is counted once.
     """
 
@@ -224,8 +230,8 @@ class _MergeMemo:
         self.nbytes = 0
         self._lock = threading.Lock()
 
-    def put(self, key, array: np.ndarray):
-        size = array.nbytes + sum(t.elements.nbytes for t in key[1:])
+    def put(self, key, entry: tuple):
+        size = entry[0].nbytes + sum(t.elements.nbytes for t in key[1:])
         if size > MERGE_MEMO_BYTES:
             return
         with self._lock:
@@ -233,7 +239,7 @@ class _MergeMemo:
                 return
             if self.nbytes + size > MERGE_MEMO_BYTES:
                 self.clear()
-            self.arrays[key] = array
+            self.arrays[key] = entry
             self.nbytes += size
 
     def clear(self):
@@ -315,65 +321,64 @@ def _plan_for(tn: TensorNetwork2D, chi: int | None = None) -> tuple:
 
 
 def _step_arrays(plan: Plan, memo: _MergeMemo, vertices: dict):
-    """The arrays the steps of ``plan`` absorb, in step order, for a
-    network with the vertices ``vertices``, each made as it is read: read
-    from ``memo`` when it holds the step's key, built by :func:`_build`
-    otherwise.  A key is the step's vertex id and the tensors of that
-    vertex and of the vertices its ``_Merge`` absorbs, in the order the
-    recipe reads them.  A built array is handed on, not held, so one the
-    memo does not keep lives no longer than its step.  A network of a
-    cached geometry skips :func:`planarize`'s tensor check, which
-    :func:`_build` runs on a miss, so only checked tensors become keys."""
-    merges, arrays = plan.layout.merges, memo.arrays
+    """The ``(array, exponent)`` pairs the steps of ``plan`` absorb, in
+    step order, for a network with the vertices ``vertices``, each made as
+    it is read: the pair ``memo`` holds under the step's key, as it is, so
+    a hit allocates nothing, or the one :func:`_build` makes on a miss.  A
+    key is the step's vertex id and the tensors of that vertex and of the
+    vertices its ``_Merge`` absorbs, in the order the recipe reads them.  A
+    built pair is handed on, not held, so one the memo does not keep lives
+    no longer than its step.  A network of a cached geometry skips
+    :func:`planarize`'s tensor check, which :func:`_build` runs on a miss,
+    so only checked tensors become keys."""
+    merges, entries = plan.layout.merges, memo.arrays
     for step in plan.steps:
         vid = step.vid
         key = (vid, vertices[vid].tensor)
         for member, _, _ in merges[vid].products:  # cheaper than a list per step
             key += (vertices[member].tensor,)
         try:
-            x = arrays.get(key)
+            entry = entries.get(key)
         except TypeError:  # an unhashable tensor, which _build's check names
-            x = None
-        yield _build(merges[vid], step, key, memo) if x is None else x
+            entry = None
+        yield _build(merges[vid], step, key, memo) if entry is None else entry
 
 
-def _build(merge, step: _Step, key: tuple, memo: _MergeMemo) -> np.ndarray:
-    """The array ``step`` absorbs, put in ``memo`` under ``key``: the tensor
-    ``merge`` builds from the tensors of ``key``, transposed to
-    ``step.perm``, read-only and C-contiguous.  Each tensor must be a
-    :class:`DenseTensor`, which raises what :func:`planarize` raises for
-    it otherwise (:func:`_check_tensor`).
+def _build(merge, step: _Step, key: tuple, memo: _MergeMemo) -> tuple:
+    """``(array, exponent)``, put in ``memo`` under ``key``: ``step``
+    absorbs ``array * 2^exponent``, the tensor ``merge`` builds from the
+    tensors of ``key``, transposed to ``step.perm``.  The array is at unit
+    scale (:func:`_unit_scale`), read-only and C-contiguous, and the
+    exponent an int.  Each tensor must be a :class:`DenseTensor`, which
+    raises what :func:`planarize` raises for it otherwise
+    (:func:`_check_tensor`).
 
-    A merge multiplies its tensors shifted to unit scale by powers of two
-    and shifts the product back by their sum, so no product under- or
-    overflows that its factors' scales would not.  A product whose largest
-    magnitude that sum puts outside float64's normal range raises
-    :class:`ContractionError` naming the vertex: the exponents are
-    compared, not the shifted values, which would be rounded to zero or
-    inf."""
-    vid = key[0]
-    for v, tensor in zip((vid, *[p[0] for p in merge.products]), key[1:]):
+    Merged or not, the array has one path: each tensor is shifted to unit
+    scale, a merge multiplies the shifted tensors, and the product is
+    shifted to unit scale too, every shift added to the exponent.  So no
+    product under- or overflows that its factors' scales would not, and an
+    array's scale has no range for float64 to hold: :func:`run` adds the
+    exponent to ``MPSState.exponent``.  The products are made under the
+    ``np.errstate`` :func:`run` sweeps under, wherever the pairs are read,
+    so a non-finite factor warns of nothing: the sweep raises
+    :class:`ContractionError` where it meets the value."""
+    for v, tensor in zip((key[0], *[p[0] for p in merge.products]), key[1:]):
         _check_tensor(v, tensor)
-    x = key[1].elements
-    if merge.products:
-        x, shift = _unit_scale(x)
+    x, shift = _unit_scale(key[1].elements)
+    with np.errstate(over="ignore", invalid="ignore"):
         for (_, axes, vaxes), absorbed in zip(merge.products, key[2:]):
             y, e = _unit_scale(absorbed.elements)
             x, shift = np.tensordot(x, y, (axes, vaxes)), shift + e
-        top = _largest(x) if shift else 0.0
-        if top and math.isfinite(top):
-            k = math.frexp(top)[1] + shift  # the largest magnitude is below 2^k
-            if not -1021 <= k <= 1024:
-                raise ContractionError(f"vertex {vid}: merged tensor of largest magnitude about "
-                                       f"2^{k}, outside float64's normal range")
-            x = np.ldexp(x, shift)
-    x = x.transpose(merge.perm).reshape(merge.out).transpose(step.perm)
+    x, e = _unit_scale(x)
+    # np.ldexp makes a numpy scalar of a 0-d array
+    x = np.asarray(x).transpose(merge.perm).reshape(merge.out).transpose(step.perm)
     if not x.flags.c_contiguous:
         # np.ascontiguousarray would make a 0-d array 1-d
         x = x.copy()
     x.setflags(write=False)
-    memo.put(key, x)
-    return x
+    entry = x, shift + e
+    memo.put(key, entry)
+    return entry
 
 
 _identities: dict = {}  # n -> read-only np.eye(n), for n <= IDENTITY_MEMO_MAX
@@ -522,8 +527,10 @@ def _live_record(records: dict, mps: MPSState, step: _Step, shape: tuple) -> _Re
     ``records`` (``Plan.records``) under the step, the shapes of the sites
     it consumes (the bond it enters across for a fresh component) and the
     chain's length; within one plan the step fixes ``shape``.  A decoder's
-    chains meet few shapes per step: square d=7 at chi=8 keeps one record
-    per step over 64 shots (169)."""
+    chains meet few shapes per step where chi binds often: the 169 steps of
+    square d=7 at chi=8 keep 183 records after 64 shots at p=0.1 and 187
+    after 256.  At p=0.02 the ranks the compressions find vary more: 987
+    records after 64 shots, 1,397 after 256, still growing."""
     sites, lo, hi = mps.sites, step.lo, step.hi
     if hi >= lo:
         run = tuple([site.shape for site in sites[lo : hi + 1]])
@@ -754,13 +761,20 @@ def sweep_contract(tn: TensorNetwork2D, chi: int | None = None) -> SweepValue:
 
 def run(plan: Plan, arrays) -> SweepValue:
     """The sweep along ``plan`` of the network whose step arrays are
-    ``arrays``: one read-only float64 array per step, in step order, each
-    laid out as its step absorbs it (``Plan.shapes``).
+    ``arrays``: one ``(array, exponent)`` pair per step, in step order,
+    for ``array * 2^exponent``, with ``array`` a read-only float64 array
+    laid out as its step absorbs it (``Plan.shapes``) and ``exponent`` an
+    integer (read by ``operator.index``).  The exponents are summed as the
+    steps absorb the arrays, and the sum is added to ``MPSState.exponent``
+    when the sweep is done, so step arrays and sites share one integer
+    scale, rounded once, when the boundary closes.  :func:`_step_arrays`
+    hands arrays at unit scale; a raw array handed with exponent 0 must
+    keep within the range ``Plan.window`` leaves it.
 
-    ``arrays`` is read one array per step, as the step runs, so an array
+    ``arrays`` is read one pair per step, as the step runs, so an array
     that nothing else holds is freed before the next is read.  A missing
-    or an extra array, or one of another shape than its step's, raises
-    ``ValueError`` naming the step.
+    or an extra item, one that is not such a pair, or an array of another
+    shape than its step's, raises ``ValueError`` naming the step.
 
     After each step that emits a bond above ``2 * plan.chi``
     (:func:`plan._compress_above`) the boundary is compressed to
@@ -774,7 +788,7 @@ def run(plan: Plan, arrays) -> SweepValue:
     :class:`MPSState` within the plan's window (``Plan.window``).
     """
     limit, shapes, records = _compress_above(plan.chi), plan.shapes, plan.records
-    mps = MPSState(window=plan.window)
+    mps, shift = MPSState(window=plan.window), 0
     arrays = iter(arrays)
     # A non-finite product raises ContractionError at the step that made it
     # (every site that takes new data is checked, and the closing scalar
@@ -782,16 +796,23 @@ def run(plan: Plan, arrays) -> SweepValue:
     # repeat that.
     with np.errstate(over="ignore", invalid="ignore"):
         for step, record in _tape(plan):
-            x = next(arrays, None)
-            if x is None or x.shape != shapes[step.vid]:
-                got = "no array" if x is None else x.shape
+            pair = next(arrays, None)
+            try:
+                x, e = pair
+                shift += operator.index(e)
+                got = None if x.shape == shapes[step.vid] else x.shape
+            except (TypeError, ValueError, AttributeError):
+                got = ("no array" if pair is None
+                       else f"a {type(pair).__name__}, not an (array, int) pair")
+            if got is not None:
                 raise ValueError(f"step {plan.steps.index(step)} (vertex {step.vid}) absorbs "
                                  f"shape {shapes[step.vid]}, got {got}")
             record = record or _live_record(records, mps, step, x.shape)
             contract_step(mps, step, x, record)
-            del x
+            del x, pair
             if record.emitted > limit:
                 compress_mps(mps, plan.chi)
+    mps.exponent += shift
     if next(arrays, None) is not None:
-        raise ValueError(f"got an array beyond the plan's {len(plan.steps)} steps")
+        raise ValueError(f"step {len(plan.steps)}: got an item beyond the plan's steps")
     return SweepValue(mps.mantissa, mps.log_scale)

@@ -28,7 +28,7 @@ Each rule is stated where it is enforced:
   :func:`contract._tape` makes its records: :attr:`Plan.runs`, as
   :func:`_tally` replays them;
 - the window of scales a site may keep unshifted, and the range it
-  leaves the step arrays: :attr:`Plan.window`, of ``SCALE_BITS``;
+  leaves a raw step array: :attr:`Plan.window`, of ``SCALE_BITS``;
 - the identities shared between sweeps: ``IDENTITY_MEMO_MAX``;
 - the ``2 * chi`` compression trigger: :func:`_compress_above`.
 """
@@ -214,11 +214,15 @@ class Plan:
         norm within ``2^±(F - 1) T`` of what they would at unit scale, and
         ``T = SCALE_BITS // F`` keeps that within ``2^±(512 - T)``, half of
         float64's exponent range; the last ``T`` bits cover the square
-        roots of the sites' sizes, which the norm of a product adds.  The other half is the step array's: an
-        array of at most 2^24 elements, each of magnitude below ``2^500``,
-        has a norm below ``2^512``, so no product of a step overflows.  At
-        unit scale, which a window of 0 keeps, the elements could reach
-        about ``2^1000``.  The low end of the range is given up alike."""
+        roots of the sites' sizes, which the norm of a product adds.  The
+        other half is the step array's.  The arrays :func:`contract.run`
+        reads from a network are at unit scale, their powers of two kept
+        apart (:func:`contract._build`), so the half binds only a raw array
+        handed to :func:`contract.run` with exponent 0: one of at most 2^24
+        elements, each of magnitude below ``2^500``, has a norm below
+        ``2^512``, so no product of a step overflows.  At unit scale, which
+        a window of 0 keeps, the elements could reach about ``2^1000``.  The
+        low end of the range is given up alike."""
         factors = max(max(s.hi - s.lo + 1, 1) + 1 + (s.forward == 0) for s in self.steps)
         return SCALE_BITS // factors
 

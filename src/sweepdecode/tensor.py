@@ -8,10 +8,12 @@ precision by hundreds of orders of magnitude, so the sweep keeps its scale
 apart: an integer power of two on the boundary state (``MPSState.exponent``),
 to which every exact shift of a site adds, read as a natural logarithm
 (``MPSState.log_scale``) once, when the boundary closes.  Every site the
-sweep makes meets one scale rule (``MPSState._normalize_site``).  A merged
-step array, the product of several tensors of a folded plan, is built from
-its tensors shifted to unit scale, and one whose scale float64 cannot hold
-raises ``ContractionError``.
+sweep makes meets one scale rule (``MPSState._normalize_site``), and every
+step array the sweep absorbs, a tensor or, in a folded plan, the product of
+several, is built from its tensors shifted to unit scale and is shifted to
+unit scale itself, its power of two joining the same integer exponent.  So
+only each tensor's elements must fit in float64, not the products the sweep
+makes of them.
 """
 
 from __future__ import annotations

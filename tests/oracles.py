@@ -173,18 +173,20 @@ def sweep_checking_every_step(tn, chi):
     """``sweep_contract`` with the compression trigger read after every step.
 
     Runs the cached plan of ``tn`` at ``chi`` through ``contract_step``,
-    reading each step's tensor as the sweep does, and compresses whenever a
-    bond is above ``2 * chi``, whatever the step.  Returns ``(SweepValue,
-    steps)`` with the indices of the steps after which it compressed.
+    reading each step's array and exponent as the sweep does, and
+    compresses whenever a bond is above ``2 * chi``, whatever the step.
+    Returns ``(SweepValue, steps)`` with the indices of the steps after
+    which it compressed.
     """
     plan, memo = contract._plan_for(tn, chi)
     mps = contract.MPSState()
     fired = []
     with np.errstate(over="ignore", invalid="ignore"):
         arrays = contract._step_arrays(plan, memo, tn.vertices)
-        for i, (step, tensor) in enumerate(zip(plan.steps, arrays)):
+        for i, (step, (tensor, e)) in enumerate(zip(plan.steps, arrays)):
             record = contract._live_record({}, mps, step, tensor.shape)
             contract.contract_step(mps, step, tensor, record)
+            mps.exponent += e
             if mps.max_bond() > 2 * chi:
                 contract.compress_mps(mps, chi)
                 fired.append(i)

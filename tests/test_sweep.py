@@ -10,6 +10,7 @@ import threading
 import time
 import tracemalloc
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -53,9 +54,10 @@ def value_of(result):
 
 
 def arrays_of(plan, tn, memo=None):
-    """The arrays the steps of ``plan`` absorb for the network ``tn``, in
-    step order and built as each is read, as ``sweep_contract`` builds
-    them, with the memo of step arrays ``memo`` (a fresh one by default)."""
+    """The ``(array, exponent)`` pairs the steps of ``plan`` absorb for the
+    network ``tn``, in step order and built as each is read, as
+    ``sweep_contract`` builds them, with the memo of step arrays ``memo``
+    (a fresh one by default)."""
     return contract._step_arrays(plan, memo or contract._MergeMemo(), tn.vertices)
 
 
@@ -424,8 +426,9 @@ class TestIdentitySites:
         monkeypatch.setattr(contract, "_identities", {})
         plan = plan_unrotated(tn)
         mps, sites = MPSState(), []
-        for step, tensor in zip(plan.steps, arrays_of(plan, tn)):
+        for step, (tensor, e) in zip(plan.steps, arrays_of(plan, tn)):
             contract_step(mps, step, tensor, live_record(mps, step, tensor))
+            mps.exponent += e
             sites.extend(mps.sites)
         assert_matches_oracle(contract.SweepValue(mps.mantissa, mps.log_scale), tn, rel=1e-10)
         shared = [a for a in sites if not a.flags.writeable]
@@ -443,7 +446,7 @@ class TestIdentitySites:
     def test_equal_steps_share_one_base(self):
         tn = grid_network(np.random.default_rng(96), 3, 3, dim=2)
         plan = plan_unrotated(tn)
-        step, tensor = plan.steps[0], next(arrays_of(plan, tn))
+        step, (tensor, _) = plan.steps[0], next(arrays_of(plan, tn))
         record = live_record(MPSState(), step, tensor)
         first = contract_step(MPSState(), step, tensor, record).sites
         second = contract_step(MPSState(), step, tensor, record).sites
@@ -559,7 +562,7 @@ def exact_bond_trace(tn, chi=None):
     leaving fewer than two slots makes no new bond."""
     plan, memo = contract._plan_for(tn, chi)
     mps, trace = MPSState(), []
-    for step, tensor in zip(plan.steps, arrays_of(plan, tn, memo)):
+    for step, (tensor, _) in zip(plan.steps, arrays_of(plan, tn, memo)):
         contract_step(mps, step, tensor, live_record(mps, step, tensor))
         trace.append((step.forward >= 2, mps.max_bond()))
     return trace
@@ -682,7 +685,7 @@ class TestAbsorptionKernel:
             plan, memo = contract._plan_for(tn, chi)
             mps = MPSState()
             with np.errstate(over="ignore", invalid="ignore"):
-                for step, tensor in zip(plan.steps, arrays_of(plan, tn, memo)):
+                for step, (tensor, _) in zip(plan.steps, arrays_of(plan, tn, memo)):
                     branches |= absorption_branches(mps, step)
                     ref = MPSState(list(mps.sites), mps.log_scale, mps.mantissa)
                     contract_step_reference(ref, step, tensor)
@@ -1044,8 +1047,9 @@ def run_plan(plan, tn):
     bond)``."""
     mps = MPSState()
     widest = 0
-    for step, tensor in zip(plan.steps, arrays_of(plan, tn)):
+    for step, (tensor, e) in zip(plan.steps, arrays_of(plan, tn)):
         contract_step(mps, step, tensor, live_record(mps, step, tensor))
+        mps.exponent += e
         widest = max(widest, mps.max_bond())
     return contract.SweepValue(mps.mantissa, mps.log_scale), widest
 
@@ -1333,11 +1337,11 @@ def assert_merges_match_einsum(tn):
         memo = contract._MergeMemo()
         merges = plan.layout.merges
         group = {h: {h, *(vid for vid, _, _ in m.products)} for h, m in merges.items()}
-        for step, got in zip(plan.steps, arrays_of(plan, tn, memo)):
+        for step, (got, e) in zip(plan.steps, arrays_of(plan, tn, memo)):
             key = (id(plan.layout), step.vid)
             if key not in oracle:
                 oracle[key] = merged_by_einsum(tn, plan.layout, group, step.vid)
-            want = oracle[key].transpose(step.perm)
+            want = np.ldexp(oracle[key].transpose(step.perm), -e)
             assert got.shape == want.shape
             assert np.abs(got - want).max(initial=0.0) <= 1e-14 * np.abs(want).max(initial=0.0)
             checked += 1
@@ -1627,9 +1631,10 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def entry_bytes(key, array):
-    """What a memo entry counts: its array and the tensors of its key."""
-    return array.nbytes + sum(t.elements.nbytes for t in key[1:])
+def entry_bytes(key, entry):
+    """What a memo entry, an ``(array, exponent)`` pair, counts: its array
+    and the tensors of its key."""
+    return entry[0].nbytes + sum(t.elements.nbytes for t in key[1:])
 
 
 def memo_bytes(memo):
@@ -1655,8 +1660,9 @@ def step_arrays(plan, tn, chi, monkeypatch):
 class TestMergeMemo:
     @pytest.mark.parametrize("chi", [None, 8])
     def test_steps_absorb_read_only_c_arrays_in_step_order(self, chi, monkeypatch):
-        # the chosen plan and the best unfolded one of every network; an
-        # unfolded step's array is its vertex's tensor, transposed
+        # the chosen plan and the best unfolded one of every network; every
+        # array is at unit scale, and an unfolded step's is its vertex's
+        # tensor at unit scale, transposed
         networks = [code_network(f, d) for f, d in fold_cases()] + list(netgen_corpus())
         folded = 0
         for tn in networks:
@@ -1668,8 +1674,9 @@ class TestMergeMemo:
                 for step, a in arrays:
                     assert not a.flags.writeable and a.flags.c_contiguous
                     assert a.shape == tuple(plan.layout.merges[step.vid].out[k] for k in step.perm)
+                    assert contract._unit_scale(a)[1] == 0  # merged or not
                     if not plan.fold:
-                        own = tn.vertices[step.vid].tensor.elements
+                        own, _ = contract._unit_scale(tn.vertices[step.vid].tensor.elements)
                         assert same_bits(a, own.transpose(step.perm))
         assert folded > 20
 
@@ -1677,8 +1684,9 @@ class TestMergeMemo:
         tn = TensorNetwork2D([TNVertex(0, DenseTensor(np.array(7.0)), (0.0, 0.0))])
         contract._plans.clear()
         assert value_of(sweep_contract(tn)) == pytest.approx(7.0, rel=1e-15)
-        (entry,) = contract._plan_for(tn, None)[1].arrays.values()
-        assert entry.shape == () and not entry.flags.writeable
+        ((array, exponent),) = contract._plan_for(tn, None)[1].arrays.values()
+        assert type(array) is np.ndarray and array.shape == () and not array.flags.writeable
+        assert array * 2.0 ** exponent == 7.0
 
     @pytest.mark.parametrize("family, d", fold_cases())
     def test_hits_are_fresh_builds_bit_for_bit(self, family, d):
@@ -1695,10 +1703,10 @@ class TestMergeMemo:
             fresh = contract._MergeMemo()
             for net in networks:
                 for hit, built in zip(arrays_of(plan, net, memo), arrays_of(plan, net, fresh)):
-                    assert any(hit is a for a in filled.values())
-                    assert same_bits(hit, built)
+                    assert any(hit is entry for entry in filled.values())  # the pair itself
+                    assert same_bits(hit[0], built[0]) and hit[1] == built[1]
             assert memo.arrays == filled  # every read hit
-            for a in filled.values():
+            for a, _ in filled.values():
                 assert not a.flags.writeable
                 with pytest.raises(ValueError):
                     a[(0,) * a.ndim] = 2.0
@@ -1777,11 +1785,11 @@ class TestMergeMemo:
     def test_a_key_put_twice_is_counted_once(self):
         # two threads that miss one step array both build and put it
         memo = contract._MergeMemo()
-        key, array = (0, DenseTensor(np.ones((2, 3)))), np.zeros(4)
-        memo.put(key, array)
-        memo.put(key, array.copy())
-        assert memo.arrays[key] is array
-        assert memo.nbytes == memo_bytes(memo) == entry_bytes(key, array)
+        key, entry = (0, DenseTensor(np.ones((2, 3)))), (np.zeros(4), 0)
+        memo.put(key, entry)
+        memo.put(key, (entry[0].copy(), 0))
+        assert memo.arrays[key] is entry
+        assert memo.nbytes == memo_bytes(memo) == entry_bytes(key, entry)
 
     def test_threads_that_miss_together_count_each_array_once(self):
         # four threads sweep the same networks along one cold plan, so two
@@ -1860,7 +1868,7 @@ class TestCutMemo:
             records = dict(plan.records)
             cold, warm = MPSState(window=plan.window), MPSState(window=plan.window)
             with np.errstate(over="ignore", invalid="ignore"):
-                for (step, record), tensor in zip(contract._tape(plan), arrays_of(plan, tn, memo)):
+                for (step, record), (tensor, _) in zip(contract._tape(plan), arrays_of(plan, tn, memo)):
                     fresh = live_record(cold, step, tensor)
                     record = record or contract._live_record(plan.records, warm, step, tensor.shape)
                     absorb(cold, step, tensor, chi, fresh)
@@ -1923,7 +1931,7 @@ class TestCutMemo:
             plan, memo = contract._plan_for(tn, chi)
             mps = MPSState()
             with np.errstate(over="ignore", invalid="ignore"):
-                for step, tensor in zip(plan.steps, arrays_of(plan, tn, memo)):
+                for step, (tensor, _) in zip(plan.steps, arrays_of(plan, tn, memo)):
                     sites, lo, hi = mps.sites, step.lo, step.hi
                     if hi >= lo:
                         # the consumed run, merged as contract_step merges it
@@ -1979,7 +1987,7 @@ class TestRunSplit:
             plan, memo = contract._plan_for(tn, chi)
             mps = MPSState()
             with np.errstate(over="ignore", invalid="ignore"):
-                for step, tensor in zip(plan.steps, arrays_of(plan, tn, memo)):
+                for step, (tensor, _) in zip(plan.steps, arrays_of(plan, tn, memo)):
                     if step.hi > step.lo:
                         chains, emitted = [], []
                         for j in range(step.hi - step.lo + 1):
@@ -2129,6 +2137,8 @@ class TestPlanValue:
         assert reads == list(range(len(plan.steps)))
 
     def test_run_names_the_step_of_a_bad_array(self):
+        # a missing, extra, mis-shaped or non-pair item raises ValueError
+        # naming the step
         tn = code_network("square", 5)
         plan = planner.plan_sweep(tn, 8)
         arrays = list(arrays_of(plan, tn))
@@ -2136,14 +2146,26 @@ class TestPlanValue:
         assert contract.run(plan, arrays) == sweep_contract(tn, 8)
         with pytest.raises(ValueError, match=rf"^step {n - 1} \(vertex {last}\) .* got no array$"):
             contract.run(plan, arrays[:-1])
-        with pytest.raises(ValueError, match=rf"beyond the plan's {n} steps"):
+        with pytest.raises(ValueError, match=rf"^step {n}: got an item beyond the plan's steps$"):
             contract.run(plan, arrays + arrays[:1])
-        k = next(k for k, a in enumerate(arrays) if a.ndim > 1)
-        bad = arrays[:k] + [arrays[k].reshape(-1)] + arrays[k + 1:]
-        with pytest.raises(ValueError, match=rf"^step {k} \(vertex {plan.steps[k].vid}\) absorbs "
-                                             rf"shape {re.escape(str(arrays[k].shape))}, got "
-                                             rf"\({arrays[k].size},\)$"):
-            contract.run(plan, bad)
+        k = next(k for k, (a, _) in enumerate(arrays) if a.ndim > 1)
+        a, e = arrays[k]
+        step = rf"^step {k} \(vertex {plan.steps[k].vid}\) absorbs shape {re.escape(str(a.shape))}, got "
+        not_a_pair = r"a {}, not an \(array, int\) pair$"
+        cases = [
+            ((a.reshape(-1), e), rf"\({a.size},\)$"),
+            (a, not_a_pair.format("ndarray")),  # no exponent
+            ((a, e, 0), not_a_pair.format("tuple")),
+            ((a, float(e)), not_a_pair.format("tuple")),
+            ((a.tolist(), e), not_a_pair.format("tuple")),
+            (3, not_a_pair.format("int")),
+        ]
+        for item, message in cases:
+            with pytest.raises(ValueError, match=step + message):
+                contract.run(plan, arrays[:k] + [item] + arrays[k + 1:])
+        # any integer is an exponent, and the scale stays a float
+        got = contract.run(plan, arrays[:k] + [(a, np.int64(e))] + arrays[k + 1:])
+        assert got == sweep_contract(tn, 8) and type(got.log_scale) is float
 
     def test_plan_sweep_raises_in_order(self):
         # empty network, chi, planarize, disconnected network: each network
@@ -2223,14 +2245,16 @@ class TestLayerTrace:
 
 
 def sweep_along(plan, tn, window=None, monkeypatch=None):
-    """``contract.run`` of ``tn`` along a fresh copy of ``plan``, at its
-    derived window, or with ``Plan.window`` patched to ``window``."""
+    """``contract.run`` of ``tn``, a network or a list of its step pairs,
+    along a fresh copy of ``plan``, at its derived window, or with
+    ``Plan.window`` patched to ``window``."""
     fresh = dataclasses.replace(plan)
+    pairs = tn if isinstance(tn, list) else arrays_of(fresh, tn)
     if window is None:
-        return contract.run(fresh, arrays_of(fresh, tn))
+        return contract.run(fresh, pairs)
     with monkeypatch.context() as m:
         m.setattr(planner.Plan, "window", window)
-        return contract.run(fresh, arrays_of(fresh, tn))
+        return contract.run(fresh, pairs)
 
 
 def bits(value):
@@ -2340,37 +2364,43 @@ class TestSiteCheck:
         assert exponent == want.exponent > 100 and got.tobytes() == want.sites[0].tobytes()
 
 
-# The largest element magnitude a step array may hold and still sweep as at
-# unit scale under its plan's window (Plan.window): below 2^500.
+# The largest element magnitude a raw step array, handed to run with
+# exponent 0, may hold and still sweep as at unit scale under its plan's
+# window (Plan.window): below 2^500.
 ELEMENT_MAX = 2.0 ** 500
+
+
+def read_only(x):
+    """``x`` as a read-only array, as ``run`` takes it."""
+    x = np.asarray(x)
+    x.setflags(write=False)
+    return x
 
 
 class TestScaleRange:
     def test_arrays_just_below_the_largest_magnitude_sweep_as_at_unit_scale(self, monkeypatch):
-        # each step array is scaled by a power of two, through its host
-        # vertex's tensor, so its largest element lies in [2^499, 2^500): the
+        # each step array is scaled by a power of two and handed to run raw,
+        # with exponent 0, so its largest element lies in [2^499, 2^500): the
         # sweep gives the bits of the sweep that shifts every site (window
         # 0), and the value of the unscaled network times the scale
         cases = [(coset_networks(f, p, 1)[0], chi) for f, p in COSET_CODES for chi in (None, 8)]
         cases += [(tn, 2) for tn in netgen_corpus()[:12]]
         for tn, chi in cases:
             plan = planner.plan_sweep(tn, chi)
-            exponents = {}
-            for step, x in zip(plan.steps, arrays_of(plan, tn)):
+            raw, shift = [], 0
+            for x, e in arrays_of(plan, tn):
                 top = float(np.abs(x).max())
-                exponents[step.vid] = 499 - math.frexp(top)[1] + 1 if top else 0
-            scaled = TensorNetwork2D(
-                [TNVertex(v.id, DenseTensor(np.ldexp(v.tensor.elements, exponents.get(v.id, 0))),
-                          v.position) for v in tn.vertices.values()], tn.bonds)
-            for step, x in zip(plan.steps, arrays_of(plan, scaled)):
+                k = 499 - math.frexp(top)[1] + 1 if top else 0
+                raw.append((read_only(np.ldexp(x, k)), 0))
+                shift += k - e
+            for x, _ in raw:
                 top = float(np.abs(x).max())
                 assert top == 0.0 or 2.0 ** 499 <= top < ELEMENT_MAX
-            got = sweep_along(plan, scaled)
-            assert bits(got) == bits(sweep_along(plan, scaled, 0, monkeypatch))
+            got = sweep_along(plan, raw)
+            assert bits(got) == bits(sweep_along(plan, raw, 0, monkeypatch))
             want = sweep_along(plan, tn)
             assert got.mantissa == want.mantissa
-            shift = sum(exponents.values()) * math.log(2.0)
-            assert got.log_scale - shift == pytest.approx(want.log_scale, rel=1e-13, abs=1e-11)
+            assert got.log_scale - shift * math.log(2.0) == pytest.approx(want.log_scale, rel=1e-13, abs=1e-11)
 
 
 def scaled_network(tn, factor):
@@ -2379,46 +2409,143 @@ def scaled_network(tn, factor):
                             for v in tn.vertices.values()], tn.bonds)
 
 
+def shifted_network(tn, exponents):
+    """``tn`` with the elements of vertex ``vid``'s tensor times
+    ``2^exponents[vid]``."""
+    return TensorNetwork2D([TNVertex(v.id, DenseTensor(np.ldexp(v.tensor.elements, exponents[v.id])),
+                                     v.position) for v in tn.vertices.values()], tn.bonds)
+
+
 def log_value(value):
     return math.log(abs(value.mantissa)) + value.log_scale
 
 
-OUT_OF_RANGE = r"vertex \d+: merged tensor .* outside float64's normal range"
+def positive_grid(factor=1.0):
+    """The positive 3x3 grid, every tensor times ``factor``: its plans
+    fold."""
+    return scaled_network(grid_network(np.random.default_rng(0), 3, 3, positive=True), factor)
+
+
+def bonded_pair(value):
+    """Two vertices ``[value, value]`` joined by a bond: its plan folds."""
+    return TensorNetwork2D([TNVertex(0, DenseTensor(np.array([value, value])), (0.0, 0.0)),
+                            TNVertex(1, DenseTensor(np.array([value, value])), (0.0, 1.0))],
+                           [Bond((0, 0), (1, 0), 2)])
+
+
+def alternating_exponents(tn, exponents):
+    """``exponents[0]`` and ``exponents[1]`` on the vertices of ``tn`` in
+    turn, in dict order."""
+    return {vid: exponents[k % 2] for k, vid in enumerate(tn.vertices)}
+
+
+def unfolded_network():
+    """A random planar network whose plans at chi None and 2 fold
+    nothing."""
+    return random_planar_network(np.random.default_rng(0))
+
+
+def scale_range_networks():
+    """The networks of the scale checks that ``scripts/sweep_bits.py``
+    fingerprints too: the positive 3x3 grid times 1e-100, 1e-160 and
+    1e-200 and the ``[1e200, 1e200]`` pair, whose merged tensors float64's
+    normal range cannot hold, and an unfolded network whose tensors are
+    times 2^1020 and 2^-1060 in turn."""
+    tn = unfolded_network()
+    return [positive_grid(1e-100), positive_grid(1e-160), positive_grid(1e-200), bonded_pair(1e200),
+            shifted_network(tn, alternating_exponents(tn, (1020, -1060)))]
 
 
 class TestMergeScale:
-    # a folded plan merges several tensors into one step array; a merge
-    # whose scale leaves float64's normal range raises, naming the vertex,
-    # where the unshifted product would under- or overflow, and the
-    # unfolded plan of the same network sweeps it
+    # a folded plan merges several tensors into one step array; a merged
+    # tensor whose scale leaves float64's normal range sweeps, its power of
+    # two kept apart, to the value of the unfolded plan of the same network
+    # (the first two checks are named for the range error these networks
+    # raised before step arrays carried their own exponent)
 
     @pytest.mark.parametrize("factor", [1e-100, 1e-160, 1e-200])
     @pytest.mark.parametrize("chi", [None, 2])
     def test_merges_below_the_range_raise(self, factor, chi):
-        tn = scaled_network(grid_network(np.random.default_rng(0), 3, 3, positive=True), factor)
+        tn = positive_grid(factor)
         assert planner.plan_sweep(tn, chi).fold
         want, _ = run_plan(plan_unrotated(tn), tn)
         assert want.mantissa == 1.0
         if factor == 1e-100:
             assert log_value(want) == pytest.approx(-2070.338, abs=1e-3)
-        with pytest.raises(ContractionError, match=OUT_OF_RANGE):
-            sweep_contract(tn, chi)
+        got = sweep_contract(tn, chi)
+        assert got.mantissa == 1.0
+        assert log_value(got) == pytest.approx(log_value(want), rel=1e-13)
 
     def test_a_merge_above_the_range_raises(self):
         # the value, 2e400, is a SweepValue's, but no float64's
-        tn = TensorNetwork2D([TNVertex(0, DenseTensor(np.array([1e200, 1e200])), (0.0, 0.0)),
-                              TNVertex(1, DenseTensor(np.array([1e200, 1e200])), (0.0, 1.0))],
-                             [Bond((0, 0), (1, 0), 2)])
+        tn = bonded_pair(1e200)
         assert planner.plan_sweep(tn, None).fold
         want, _ = run_plan(plan_unrotated(tn), tn)
         assert log_value(want) == pytest.approx(math.log(2.0) + 400 * math.log(10.0), rel=1e-15)
-        with pytest.raises(ContractionError, match=OUT_OF_RANGE):
-            sweep_contract(tn)
+        got = sweep_contract(tn)
+        assert got.mantissa == 1.0
+        assert log_value(got) == pytest.approx(log_value(want), rel=1e-15)
 
     @pytest.mark.parametrize("chi", [None, 2])
     def test_merges_within_the_range_sweep_as_unfolded(self, chi):
-        tn = scaled_network(grid_network(np.random.default_rng(0), 3, 3, positive=True), 1e-40)
+        tn = positive_grid(1e-40)
         want, _ = run_plan(plan_unrotated(tn), tn)
         got = sweep_contract(tn, chi)
         assert got.mantissa == want.mantissa == 1.0
         assert log_value(got) == pytest.approx(log_value(want), rel=1e-13)
+
+
+class TestStepArrayScale:
+    @pytest.mark.parametrize("exponents", [(1020, 1020), (-1060, -1060), (1020, -1060)])
+    @pytest.mark.parametrize("folded", [False, True])
+    @pytest.mark.parametrize("chi", [None, 2])
+    def test_tensors_beyond_the_old_range_sweep_to_the_scaled_value(self, exponents, folded, chi):
+        # tensors times 2^1020, far above the 2^500 a raw array may reach,
+        # or times 2^-1060, near the subnormal floor, where the elements
+        # keep fewer bits: the sweep gives the value of the tensors the
+        # network holds, shifted back, times the shift
+        tn = positive_grid() if folded else unfolded_network()
+        assert bool(planner.plan_sweep(tn, chi).fold) == folded
+        shifts = alternating_exponents(tn, exponents)
+        scaled = shifted_network(tn, shifts)
+        held = shifted_network(scaled, {vid: -k for vid, k in shifts.items()})
+        got, want = sweep_contract(scaled, chi), sweep_contract(held, chi)
+        assert got.mantissa == want.mantissa != 0.0
+        shift = sum(shifts.values()) * math.log(2.0)
+        assert log_value(got) == pytest.approx(log_value(want) + shift, rel=1e-14)
+
+    @pytest.mark.parametrize("chi", [None, 1, 2, 4, 8])
+    def test_shifting_a_step_array_moves_no_bit(self, chi):
+        # any step array times 2^k with k taken from its exponent gives the
+        # same bits: shifts are exact, and the scale an integer until the
+        # boundary closes
+        networks = list(netgen_corpus())
+        if chi in (None, 8):
+            networks += [code_network(f, d) for f, d in fold_cases()]
+        rng = np.random.default_rng(4950)
+        for tn in networks:
+            plan, memo = contract._plan_for(tn, chi)
+            pairs = list(arrays_of(plan, tn, memo))
+            shifted = []
+            for x, e in pairs:
+                k = int(rng.integers(-200, 201))
+                shifted.append((read_only(np.ldexp(x, k)), e - k))
+            assert bits(contract.run(plan, shifted)) == bits(contract.run(plan, pairs))
+
+    def test_building_the_arrays_of_a_non_finite_tensor_is_quiet(self):
+        # the products of a merge with an inf are made under np.errstate,
+        # wherever the pairs are read, so the sweep's ContractionError is
+        # the one report of the value
+        tn = grid_network(np.random.default_rng(4500), 4, 4, dim=2)
+        v = max(tn.vertices.values(), key=sweep_key)
+        arr = v.tensor.elements.copy()
+        arr[(0,) * arr.ndim] = np.inf
+        tn.vertices[v.id] = TNVertex(v.id, DenseTensor(arr), v.position)
+        plan = planner.plan_sweep(tn, None)
+        assert (plan.fold, plan.pairs) == (1, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pairs = list(contract._step_arrays(plan, contract._MergeMemo(), tn.vertices))
+        assert not all(np.isfinite(x).all() for x, _ in pairs)
+        with pytest.raises(ContractionError):
+            contract.run(plan, pairs)
